@@ -10,7 +10,7 @@ fewer secret bits than its classical chatter consumed is running at a
 loss. This demo watches the meter.
 """
 
-from qkdsim import (AuthenticatedChannel, AuthenticatedMessage, AuthKeyPool,
+from qkdsim import (AuthenticatedChannel, AuthenticatedMessage, BitPool,
                     ConstantSource, DetectorPair, FiberChannel,
                     InterceptResend, KeyExhausted, RandomSource,
                     SessionConfig, compute_tag, run_session, verify_tag)
@@ -26,7 +26,7 @@ print("tampered:", verify_tag(
     hash_key=0x1234, otp=0x9999))
 
 # A channel draws from a finite pre-shared pool and refuses to reuse it.
-pool = AuthKeyPool.fresh(RandomSource(42), 300)
+pool = BitPool(RandomSource(42).bits(300))
 channel = AuthenticatedChannel(pool)
 channel.deliver(channel.send(b"hello"))   # 128 bits: opening message
 channel.deliver(channel.send(b"more"))    # 64 bits: pad only
@@ -38,8 +38,9 @@ except KeyExhausted as exc:
     print(f"third message ok, fourth refused: {exc}")
 print(f"a failed send spends nothing: {pool.remaining} bits still there")
 
-# Session-level accounting: four authenticated messages on success
-# (bases, sample, parities, verification) cost 128 + 3 * 64 = 384 bits.
+# Session-level accounting: five authenticated messages on success
+# (click report, sift/sample announcement, Bob's sample, reconciliation
+# bundle, confirmation) cost 128 + 4 * 64 = 384 bits.
 config = SessionConfig(
     n_pulses=50_000, source=ConstantSource(1), channel=FiberChannel(0.0),
     detectors=DetectorPair(1.0, 0.0), seed=99)
@@ -49,7 +50,8 @@ print(f"\nideal session: produced {report.final_len}, "
       f"net {report.secret_growth:+d} bits")
 
 # An aborting session still pays for the messages it sent before the
-# abort: the budget can only ever shrink on failure.
+# abort (three at the error test: 128 + 2 * 64 = 256 bits): the budget
+# can only ever shrink on failure.
 bad = SessionConfig(
     n_pulses=50_000, source=ConstantSource(1), channel=FiberChannel(0.0),
     detectors=DetectorPair(1.0, 0.0), seed=100, eve=InterceptResend(1.0))

@@ -10,26 +10,23 @@ its configuration, seed included.
 
 from .adversary import (EveLedger, EveStrategy, InterceptResend, NoAttack,
                         PhotonNumberSplit, eve_information,
-                        finalize_knowledge, intercept, intercept_batch,
-                        strategy_label)
+                        finalize_knowledge, intercept_batch, strategy_label)
 from .auth import (AuthenticatedChannel, AuthenticatedMessage,
-                   AuthenticationFailure, AuthKeyPool, KeyExhausted,
-                   KeyLedger, compute_tag, consume, secret_growth,
+                   AuthenticationFailure, BitPool, KeyExhausted, compute_tag,
                    verify_tag)
-from .netsim import (InsufficientLinkKey, KeyStore, LengthMismatch, Link,
-                     Network, Node, RelayTranscript, SessionAborted,
-                     StubKeySource, combine_keys, provision_link, relay_key)
-from .photonics import (Basis, ClickKind, ClickOutcome, ConstantSource,
-                        DetectorPair, FiberChannel, Pulse, SourceModel,
-                        beamsplitter_random_bit, measure, measure_batch,
-                        sample_photon_count, sample_photon_counts,
-                        survival_probability, transmit, transmit_counts)
+from .netsim import (KeyStore, LengthMismatch, Link, Network, Node,
+                     RelayTranscript, SessionAborted, StubKeySource,
+                     combine_keys, provision_link, relay_key)
+from .photonics import (Basis, ClickKind, ConstantSource, DetectorPair,
+                        FiberChannel, SourceModel, beamsplitter_random_bit,
+                        measure_batch, sample_photon_counts,
+                        survival_probability, transmit_counts)
 from .postprocess import (AttackModel, CorrectionResult, DomainError,
                           HashSeed, ReconciliationFailure, SecretKey,
                           SeedLengthMismatch, binary_entropy, error_correct,
                           eve_information_bound, final_key_length,
                           privacy_amplify, secret_fraction)
-from .protocol import (EmptySample, PulseRecord, PulseRecords, QberEstimate,
+from .protocol import (EmptySample, PulseRecords, QberEstimate,
                        SessionConfig, SessionOutcome, SessionReport,
                        SiftedKeys, estimate_qber, run_quantum_phase,
                        run_session, sift)
@@ -38,25 +35,21 @@ from .rng import RandomSource, fnv1a64, mix64, splitmix64
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackModel", "AuthKeyPool", "AuthenticatedChannel",
-    "AuthenticatedMessage", "AuthenticationFailure", "Basis", "ClickKind",
-    "ClickOutcome", "ConstantSource", "CorrectionResult", "DetectorPair",
-    "DomainError", "EmptySample", "EveLedger", "EveStrategy",
-    "FiberChannel", "HashSeed", "InsufficientLinkKey", "InterceptResend",
-    "KeyExhausted", "KeyLedger", "KeyStore", "LengthMismatch", "Link",
-    "Network", "NoAttack", "Node", "PhotonNumberSplit", "Pulse",
-    "PulseRecord", "PulseRecords", "QberEstimate", "RandomSource",
-    "ReconciliationFailure", "RelayTranscript", "SecretKey",
-    "SeedLengthMismatch", "SessionAborted", "SessionConfig",
-    "SessionOutcome", "SessionReport", "SiftedKeys", "SourceModel",
-    "StubKeySource", "beamsplitter_random_bit", "binary_entropy",
-    "combine_keys", "compute_tag", "consume", "error_correct",
+    "AttackModel", "AuthenticatedChannel", "AuthenticatedMessage",
+    "AuthenticationFailure", "Basis", "BitPool", "ClickKind",
+    "ConstantSource", "CorrectionResult", "DetectorPair", "DomainError",
+    "EmptySample", "EveLedger", "EveStrategy", "FiberChannel", "HashSeed",
+    "InterceptResend", "KeyExhausted", "KeyStore", "LengthMismatch", "Link",
+    "Network", "NoAttack", "Node", "PhotonNumberSplit", "PulseRecords",
+    "QberEstimate", "RandomSource", "ReconciliationFailure",
+    "RelayTranscript", "SecretKey", "SeedLengthMismatch", "SessionAborted",
+    "SessionConfig", "SessionOutcome", "SessionReport", "SiftedKeys",
+    "SourceModel", "StubKeySource", "beamsplitter_random_bit",
+    "binary_entropy", "combine_keys", "compute_tag", "error_correct",
     "estimate_qber", "eve_information", "eve_information_bound",
-    "final_key_length", "finalize_knowledge", "fnv1a64", "intercept",
-    "intercept_batch", "measure", "measure_batch", "mix64",
-    "privacy_amplify", "provision_link", "relay_key", "run_quantum_phase",
-    "run_session", "sample_photon_count", "sample_photon_counts",
-    "secret_fraction", "secret_growth", "sift", "splitmix64",
-    "strategy_label", "survival_probability", "transmit",
-    "transmit_counts", "verify_tag",
+    "final_key_length", "finalize_knowledge", "fnv1a64", "intercept_batch",
+    "measure_batch", "mix64", "privacy_amplify", "provision_link",
+    "relay_key", "run_quantum_phase", "run_session", "sample_photon_counts",
+    "secret_fraction", "sift", "splitmix64", "strategy_label",
+    "survival_probability", "transmit_counts", "verify_tag",
 ]

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .photonics import Basis, Pulse
+from .photonics import Basis
 from .rng import RandomSource
 
 
@@ -112,17 +112,6 @@ def intercept_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarr
         return out_counts, bits, bases
 
     raise TypeError(f"unknown strategy {strategy!r}")
-
-
-def intercept(pulse: Pulse, strategy: EveStrategy, ledger: EveLedger,
-              rand: RandomSource, index: int = 0) -> Pulse:
-    """Apply Eve's strategy to a single in-flight pulse."""
-    counts, bits, bases = intercept_batch(
-        np.array([pulse.photon_count]),
-        np.array([pulse.bit], dtype=np.uint8),
-        np.array([int(pulse.basis)], dtype=np.uint8),
-        strategy, ledger, rand, start_index=index)
-    return Pulse(int(counts[0]), int(bits[0]), Basis(int(bases[0])))
 
 
 def finalize_knowledge(ledger: EveLedger, announced_bases: np.ndarray,

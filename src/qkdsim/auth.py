@@ -6,23 +6,21 @@ fresh 64-bit one-time pad. A forger who has seen any number of valid
 (message, tag) pairs still succeeds with probability at most
 (blocks + 1) / 2^64 per attempt, with no computational assumption.
 
-Key material lives in an :class:`AuthKeyPool` of pre-shared or freshly
+Key material lives in a :class:`BitPool` of pre-shared or freshly
 distilled secret bits. One 64-bit hash key is drawn per session and
 reused across its messages; every message additionally burns a 64-bit
 pad, so a session costs 128 bits for the first message and 64 for each
-one after. The :class:`KeyLedger` tallies consumption against
-production so a run can demonstrate net secret growth.
+one after. The pool's cursor is the consumption tally.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import Gf64Multiplier, gf64_mul
-from .rng import RandomSource
+from .gf2 import MASK64, Gf64Multiplier, bytes_to_blocks, poly_hash_blocks
 
 HASH_KEY_BITS = 64
 TAG_BITS = 64
@@ -36,30 +34,6 @@ class AuthenticationFailure(Exception):
     """A received tag did not verify."""
 
 
-@dataclass
-class KeyLedger:
-    """Session-level accounting of secret bits consumed vs. produced."""
-
-    consumed_bits: int = 0
-    produced_bits: int = 0
-    _produced_set: bool = field(default=False, repr=False)
-
-    def record_produced(self, n_bits: int) -> None:
-        """Set the session's production once, from the final key length."""
-        if self._produced_set:
-            raise RuntimeError("produced_bits is set once per session")
-        if n_bits < 0:
-            raise ValueError("produced_bits must be non-negative")
-        self.produced_bits = int(n_bits)
-        self._produced_set = True
-
-
-def secret_growth(ledger: KeyLedger) -> int:
-    """Net secret gain of a session; negative when it consumed more
-    authentication key than it produced (e.g. any aborted session)."""
-    return ledger.produced_bits - ledger.consumed_bits
-
-
 def _bits_to_int(bits: np.ndarray) -> int:
     """Big-endian interpretation: the first bit is the most significant."""
     value = 0
@@ -68,27 +42,23 @@ def _bits_to_int(bits: np.ndarray) -> int:
     return value
 
 
-class AuthKeyPool:
+class BitPool:
     """Shared secret bits consumed strictly once, left to right.
 
-    The cursor only ever advances, so no bit is returned twice; running
-    out raises :class:`KeyExhausted` and leaves the pool untouched.
-    Freshly distilled key may be deposited to fund future sessions.
+    The cursor only ever advances, so no bit is returned twice, and
+    ``consumed_log`` records every drawn [start, end) range for audits;
+    running out raises :class:`KeyExhausted` and leaves the pool
+    untouched. Freshly distilled key may be deposited to fund later
+    draws.
     """
 
-    def __init__(self, bits, ledger: KeyLedger | None = None):
+    def __init__(self, bits=()):
         arr = np.array(bits, dtype=np.uint8)
         if arr.ndim != 1 or not np.all(arr <= 1):
             raise ValueError("pool bits must be a flat 0/1 array")
         self.bits = arr
         self.cursor = 0
-        self.ledger = ledger if ledger is not None else KeyLedger()
-
-    @classmethod
-    def fresh(cls, rand: RandomSource, n_bits: int = 300,
-              ledger: KeyLedger | None = None) -> "AuthKeyPool":
-        """Pool of uniform bits standing in for the initial shared secret."""
-        return cls(rand.bits(n_bits), ledger)
+        self.consumed_log: list[tuple[int, int]] = []
 
     @property
     def remaining(self) -> int:
@@ -97,12 +67,12 @@ class AuthKeyPool:
     def consume(self, n_bits: int) -> np.ndarray:
         if n_bits < 0:
             raise ValueError("cannot consume a negative bit count")
-        if self.cursor + n_bits > len(self.bits):
+        if n_bits > self.remaining:
             raise KeyExhausted(
                 f"need {n_bits} bits, {self.remaining} remain")
         out = self.bits[self.cursor:self.cursor + n_bits].copy()
+        self.consumed_log.append((self.cursor, self.cursor + n_bits))
         self.cursor += n_bits
-        self.ledger.consumed_bits += n_bits
         return out
 
     def consume_int(self, n_bits: int) -> int:
@@ -114,32 +84,16 @@ class AuthKeyPool:
         self.bits = np.concatenate([self.bits, arr])
 
 
-def consume(pool: AuthKeyPool, n_bits: int) -> np.ndarray:
-    """Draw the next ``n_bits`` from the pool (see AuthKeyPool.consume)."""
-    return pool.consume(n_bits)
-
-
-def _hash_message(message: bytes, hash_key: int, mul=None) -> int:
-    """Polynomial hash: blocks m_1..m_t give sum(m_i * k^(t+1-i)), then the
-    byte length is added as the k^0 coefficient so zero-padding and
-    truncation change the hash."""
-    if mul is None:
-        step = lambda a: gf64_mul(a, hash_key)
-    else:
-        step = mul.mul
-    acc = 0
-    for i in range(0, len(message), 8):
-        chunk = message[i:i + 8]
-        if len(chunk) < 8:
-            chunk = chunk + b"\x00" * (8 - len(chunk))
-        acc = step(acc ^ int.from_bytes(chunk, "big"))
-    return acc ^ len(message)
+def _hash_message(message: bytes, mul: Gf64Multiplier) -> int:
+    """Polynomial hash of the message blocks, then the byte length is
+    added as the k^0 coefficient so zero-padding and truncation change
+    the hash. The convention is frozen: every tag depends on it."""
+    return poly_hash_blocks(bytes_to_blocks(message), mul.mul) ^ len(message)
 
 
 def compute_tag(message: bytes, hash_key: int, otp: int) -> int:
     """64-bit authentication tag: GF(2^64) polynomial hash XOR one-time pad."""
-    mul = Gf64Multiplier(hash_key) if len(message) >= 256 else None
-    return _hash_message(message, hash_key, mul) ^ (otp & ((1 << 64) - 1))
+    return _hash_message(message, Gf64Multiplier(hash_key)) ^ (otp & MASK64)
 
 
 @dataclass(frozen=True)
@@ -184,24 +138,24 @@ class AuthenticatedChannel:
     :class:`AuthenticationFailure` if it was tampered with in transit.
     """
 
-    def __init__(self, pool: AuthKeyPool):
+    def __init__(self, pool: BitPool):
         self.pool = pool
-        self._hash_key: int | None = None
-        self._mul: Gf64Multiplier | None = None
+        self._mul: Gf64Multiplier | None = None  # keyed on the first send
         self._pending: list[tuple[AuthenticatedMessage, int]] = []
         self.transcript: list[AuthenticatedMessage] = []
         self.messages_sent = 0
 
-    def _ensure_hash_key(self) -> int:
-        if self._hash_key is None:
-            self._hash_key = self.pool.consume_int(HASH_KEY_BITS)
-            self._mul = Gf64Multiplier(self._hash_key)
-        return self._hash_key
+    def bits_needed(self, n_messages: int) -> int:
+        """Pool bits that sending ``n_messages`` more messages consumes:
+        one pad each, plus the hash key if none was drawn yet."""
+        key = HASH_KEY_BITS if self._mul is None and n_messages else 0
+        return key + n_messages * TAG_BITS
 
     def send(self, payload: bytes) -> AuthenticatedMessage:
-        key = self._ensure_hash_key()
+        if self._mul is None:
+            self._mul = Gf64Multiplier(self.pool.consume_int(HASH_KEY_BITS))
         otp = self.pool.consume_int(TAG_BITS)
-        tag = _hash_message(payload, key, self._mul) ^ otp
+        tag = _hash_message(payload, self._mul) ^ otp
         msg = AuthenticatedMessage(payload, tag)
         self._pending.append((msg, otp))
         self.transcript.append(msg)
@@ -212,7 +166,7 @@ class AuthenticatedChannel:
         if not self._pending:
             raise AuthenticationFailure("no message in flight")
         sent, otp = self._pending.pop(0)
-        expected = _hash_message(msg.payload, self._hash_key, self._mul) ^ otp
+        expected = _hash_message(msg.payload, self._mul) ^ otp
         if (expected ^ msg.tag) != 0:
             raise AuthenticationFailure("tag mismatch on public channel")
         return msg.payload

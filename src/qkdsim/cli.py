@@ -7,7 +7,8 @@ Subcommands: ``run`` (one session, human-readable report), ``sweep``
 
 Exit codes are a stable contract: 0 success, 1 usage or config error,
 2 session aborted at the error-rate test, 3 session aborted at
-reconciliation, 4 relay underfunded (insufficient link key).
+reconciliation, 4 relay underfunded (insufficient link or
+authentication key).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import sys
 
 from .adversary import (InterceptResend, NoAttack, PhotonNumberSplit,
                         strategy_label)
-from .netsim import (InsufficientLinkKey, Network, SessionAborted,
-                     StubKeySource)
+from .auth import KeyExhausted
+from .netsim import Network, SessionAborted, StubKeySource
 from .photonics import DetectorPair, FiberChannel, SourceModel
 from .postprocess import AttackModel
 from .protocol import SessionConfig, SessionOutcome, run_session
@@ -82,31 +83,30 @@ def parse_attack_model(text: str) -> AttackModel:
         ) from exc
 
 
-def _resolve_config_path(path: str) -> str:
-    """Relative config names may live in $QKDSIM_CONFIG_DIR."""
-    if os.path.exists(path) or os.path.isabs(path):
-        return path
+def _load_json_object(path: str, what: str) -> tuple[str, dict]:
+    """Read a JSON file whose top level must be an object; a relative
+    name that does not exist here may live in $QKDSIM_CONFIG_DIR.
+    Returns the resolved path and the parsed object."""
     base = os.environ.get("QKDSIM_CONFIG_DIR")
-    if base:
-        candidate = os.path.join(base, path)
-        if os.path.exists(candidate):
-            return candidate
-    return path
-
-
-def load_config_file(path: str) -> dict:
-    path = _resolve_config_path(path)
+    if base and not os.path.exists(path) and not os.path.isabs(path) \
+            and os.path.exists(os.path.join(base, path)):
+        path = os.path.join(base, path)
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: parse error at line {exc.lineno}, column "
             f"{exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    return path, data
+
+
+def load_config_file(path: str) -> dict:
+    path, data = _load_json_object(path, "config")
     unknown = set(data) - CONFIG_KEYS
     if unknown:
         raise ConfigError(
@@ -277,20 +277,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _require(path: str, where: str, spec, keys) -> None:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path}: {where} must be an object")
+    for key in keys:
+        if key not in spec:
+            raise ConfigError(f"{path}: {where} needs \"{key}\"")
+
+
 def load_scenario(path: str) -> dict:
-    path = _resolve_config_path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: parse error at line {exc.lineno}, column "
-            f"{exc.colno}: {exc.msg}") from exc
-    for key in ("nodes", "links", "relays"):
-        if key not in data:
-            raise ConfigError(f"{path}: scenario needs \"{key}\"")
+    path, data = _load_json_object(path, "scenario")
+    _require(path, "scenario", data, ("nodes", "links", "relays"))
+    nodes = {str(node_id) for node_id in data["nodes"]}
+    for i, spec in enumerate(data["links"]):
+        _require(path, f"link {i}", spec, ("a", "b"))
+        if "stub" in spec:
+            _require(path, f"link {i} stub", spec["stub"], ("seed", "bits"))
+    for i, spec in enumerate(data["relays"]):
+        _require(path, f"relay {i}", spec, ("path", "key_len"))
+        for node_id in spec["path"]:
+            if str(node_id) not in nodes:
+                raise ConfigError(f"{path}: relay {i} \"path\" names "
+                                  f"node {node_id!r}, not in \"nodes\"")
     return data
 
 
@@ -328,7 +336,7 @@ def cmd_network(args: argparse.Namespace) -> int:
         rand = RandomSource(int(spec.get("seed", i))).split("relay")
         try:
             transcript = net.relay(path_ids, key_len, rand)
-        except InsufficientLinkKey as exc:
+        except KeyExhausted as exc:
             print(f"relay {i} failed: {exc}", file=sys.stderr)
             return EXIT_INSUFFICIENT_LINK_KEY
         relayed_keys.append(transcript.end_key)

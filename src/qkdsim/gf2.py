@@ -38,7 +38,8 @@ def _reduce(value: int, width: int, poly: int) -> int:
 
 
 def gf64_mul(a: int, b: int) -> int:
-    """Product in GF(2^64)."""
+    """Product in GF(2^64) by shift and reduce: the reference the
+    table multiplier is tested against."""
     return _reduce(_clmul(a & MASK64, b & MASK64), 64, REDUCTION_POLY)
 
 
@@ -48,12 +49,12 @@ def gf8_mul(a: int, b: int) -> int:
 
 
 class Gf64Multiplier:
-    """Fixed-operand multiplier with nibble lookup tables.
+    """Fixed-operand multiplier with nibble lookup tables; every
+    polynomial hash multiplies through one.
 
-    Tagging a long transcript multiplies every 64-bit block by the same
-    hash key, so precompute k * (x << 4j) for each nibble position j and
-    value x; a product is then 16 table hits and xors instead of a 64-step
-    shift-reduce.
+    A hash multiplies every 64-bit block by the same key, so precompute
+    k * (x << 4j) for each nibble position j and value x; a product is
+    then 16 table hits and xors instead of a 64-step shift-reduce.
     """
 
     def __init__(self, k: int):
@@ -76,14 +77,22 @@ class Gf64Multiplier:
         return acc
 
 
-def poly_hash_blocks(blocks, key: int, mul=gf64_mul) -> int:
-    """Polynomial hash sum(m_i * key^(t-i+1)) + m_t * key evaluated by Horner.
+def bytes_to_blocks(data: bytes) -> list[int]:
+    """Split ``data`` into big-endian 64-bit field elements, the last one
+    right-padded with zero bytes."""
+    return [int.from_bytes(data[i:i + 8].ljust(8, b"\x00"), "big")
+            for i in range(0, len(data), 8)]
+
+
+def poly_hash_blocks(blocks, mul) -> int:
+    """Polynomial hash sum(m_i * k^(t-i+1)) evaluated by Horner.
 
     ``blocks`` is the message split into field elements, highest-order
-    coefficient first; the caller appends its own length block. An empty
-    sequence hashes to 0.
+    coefficient first; ``mul`` multiplies a field element by the hash key
+    k (``Gf64Multiplier(k).mul``). The caller adds its own length term.
+    An empty sequence hashes to 0.
     """
     acc = 0
     for block in blocks:
-        acc = mul(acc ^ block, key)
+        acc = mul(acc ^ block)
     return acc

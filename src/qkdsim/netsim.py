@@ -11,19 +11,15 @@ message is authenticated and every link-key bit is spent exactly once.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .auth import AuthenticatedChannel, AuthKeyPool
+from .auth import AuthenticatedChannel, BitPool, KeyExhausted
 from .protocol import SessionConfig, SessionOutcome, run_session
 from .rng import RandomSource
-
-
-class InsufficientLinkKey(Exception):
-    """A hop's link-key store cannot cover the requested key length."""
 
 
 class SessionAborted(Exception):
@@ -34,34 +30,12 @@ class LengthMismatch(ValueError):
     """Keys to combine must have equal length."""
 
 
-class KeyStore:
+class KeyStore(BitPool):
     """One node's view of a link's shared key material.
 
-    The cursor only advances, so a bit index is consumed at most once;
-    the consumption log lets scenario-wide audits confirm it.
+    A separate class from the authentication pools only so that link-key
+    spending can be told apart from tag spending when tracing.
     """
-
-    def __init__(self):
-        self.bits = np.zeros(0, dtype=np.uint8)
-        self.cursor = 0
-        self.consumed_log: list[tuple[int, int]] = []
-
-    @property
-    def remaining(self) -> int:
-        return len(self.bits) - self.cursor
-
-    def deposit(self, bits) -> None:
-        self.bits = np.concatenate(
-            [self.bits, np.asarray(bits, dtype=np.uint8)])
-
-    def consume(self, n: int) -> np.ndarray:
-        if n > self.remaining:
-            raise InsufficientLinkKey(
-                f"store holds {self.remaining} bits, need {n}")
-        out = self.bits[self.cursor:self.cursor + n].copy()
-        self.consumed_log.append((self.cursor, self.cursor + n))
-        self.cursor += n
-        return out
 
 
 @dataclass
@@ -106,7 +80,7 @@ class Link:
         a.store_for(b.id)
         b.store_for(a.id)
         seed = key_source.seed
-        pool = AuthKeyPool(
+        pool = BitPool(
             RandomSource(seed).split("link_auth").bits(auth_pool_bits))
         channel = AuthenticatedChannel(pool)
         a.channels[b.id] = channel
@@ -152,16 +126,27 @@ class RelayTranscript:
 def relay_key(path: list[Node], key_len: int,
               rand: RandomSource) -> RelayTranscript:
     """Carry a fresh key from path[0] to path[-1] by hop-wise one-time-pad
-    re-encryption. Funding is checked on every hop before any bit is
-    spent, so a failed precondition consumes nothing."""
+    re-encryption. Link key and authentication key are checked on every
+    hop before any bit is spent, so a failed precondition consumes
+    nothing and exposes the key to no node."""
     if len(path) < 2:
         raise ValueError("a relay path needs at least two nodes")
+    # a path may cross one link more than once; each crossing pays
+    crossings = Counter(frozenset((a.id, b.id))
+                        for a, b in zip(path, path[1:]))
     for a, b in zip(path, path[1:]):
+        n = crossings[frozenset((a.id, b.id))]
         have = a.store_for(b.id).remaining
-        if have < key_len:
-            raise InsufficientLinkKey(
+        if have < n * key_len:
+            raise KeyExhausted(
                 f"hop {a.id}-{b.id} holds {have} link-key bits, "
-                f"need {key_len}")
+                f"need {n * key_len}")
+        channel = a.channels[b.id]
+        need = channel.bits_needed(n)
+        if channel.pool.remaining < need:
+            raise KeyExhausted(
+                f"hop {a.id}-{b.id} holds {channel.pool.remaining} "
+                f"authentication bits, need {need}")
 
     fresh = rand.bits(key_len)
     messages = []

@@ -31,24 +31,6 @@ class Basis(IntEnum):
 
 
 @dataclass(frozen=True)
-class Pulse:
-    """A faint laser pulse: all photons share one (bit, basis) encoding.
-
-    photon_count = 0 is an empty slot.
-    """
-
-    photon_count: int
-    bit: int
-    basis: Basis
-
-    def __post_init__(self):
-        if self.photon_count < 0:
-            raise ValueError(f"photon_count must be >= 0, got {self.photon_count}")
-        if self.bit not in (0, 1):
-            raise ValueError(f"bit must be 0 or 1, got {self.bit}")
-
-
-@dataclass(frozen=True)
 class SourceModel:
     """Faint-pulse source: photon number per pulse is Poisson(mu)."""
 
@@ -108,30 +90,12 @@ class DetectorPair:
 
 
 class ClickKind(IntEnum):
+    """Result of one detector gate, as stored in the ``kinds`` arrays:
+    the number of detectors that fired. Only a CLICK carries a bit."""
+
     NO_CLICK = 0
     CLICK = 1
     DOUBLE_CLICK = 2
-
-
-@dataclass(frozen=True)
-class ClickOutcome:
-    """Result of one detector gate: no click, a click on one detector
-    (carrying the measured bit), or both detectors firing."""
-
-    kind: ClickKind
-    bit: int | None = None
-
-    @property
-    def is_click(self) -> bool:
-        return self.kind == ClickKind.CLICK
-
-
-NO_CLICK = ClickOutcome(ClickKind.NO_CLICK)
-DOUBLE_CLICK = ClickOutcome(ClickKind.DOUBLE_CLICK)
-
-
-def click(bit: int) -> ClickOutcome:
-    return ClickOutcome(ClickKind.CLICK, int(bit))
 
 
 # -- source -----------------------------------------------------------------
@@ -144,11 +108,6 @@ def sample_photon_counts(source, n: int, rand: RandomSource) -> np.ndarray:
     return rand.poisson(source.mu, n).astype(np.int64)
 
 
-def sample_photon_count(source, rand: RandomSource) -> int:
-    """Photon number of a single pulse (Poisson(mu) for a SourceModel)."""
-    return int(sample_photon_counts(source, 1, rand)[0])
-
-
 # -- channel ------------------------------------------------------------------
 
 
@@ -159,18 +118,10 @@ def survival_probability(channel: FiberChannel) -> float:
 
 def transmit_counts(photon_counts: np.ndarray, channel: FiberChannel,
                     rand: RandomSource) -> np.ndarray:
-    """Binomial thinning of photon numbers by the channel survival probability."""
+    """Binomial thinning of photon numbers by the channel survival
+    probability. Bits and bases pass unchanged: drift is applied at
+    measurement through the channel's excess_flip_prob."""
     return rand.binomial(photon_counts, survival_probability(channel))
-
-
-def transmit(pulse: Pulse, channel: FiberChannel, rand: RandomSource) -> Pulse:
-    """Send one pulse through the fiber; each photon survives independently.
-
-    The encoding is unchanged: drift is applied at measurement time via
-    the channel's excess_flip_prob, not here.
-    """
-    survivors = int(transmit_counts(np.array([pulse.photon_count]), channel, rand)[0])
-    return Pulse(survivors, pulse.bit, pulse.basis)
 
 
 # -- detection ----------------------------------------------------------------
@@ -213,21 +164,6 @@ def measure_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarray
     kinds = (fire0.astype(np.uint8) + fire1.astype(np.uint8))
     click_bits = (fire1 & ~fire0).astype(np.uint8)
     return kinds, click_bits
-
-
-def measure(pulse: Pulse, bob_basis: Basis, detectors: DetectorPair,
-            flip_prob: float, rand: RandomSource) -> ClickOutcome:
-    """Measure a single pulse in Bob's basis."""
-    kinds, bits = measure_batch(
-        np.array([pulse.photon_count]),
-        np.array([pulse.bit], dtype=np.uint8),
-        np.array([int(pulse.basis)], dtype=np.uint8),
-        np.array([int(bob_basis)], dtype=np.uint8),
-        detectors, flip_prob, rand)
-    kind = ClickKind(int(kinds[0]))
-    if kind == ClickKind.CLICK:
-        return click(int(bits[0]))
-    return NO_CLICK if kind == ClickKind.NO_CLICK else DOUBLE_CLICK
 
 
 def beamsplitter_random_bit(rand: RandomSource) -> int:

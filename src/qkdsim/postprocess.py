@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .gf2 import poly_hash_blocks
+from .gf2 import Gf64Multiplier, bytes_to_blocks, poly_hash_blocks
 from .rng import RandomSource
 
 # Root of 1 - 2 h(e), located numerically to double precision.
@@ -148,14 +148,14 @@ def final_key_length(n: int, e_hat: float, leaked_ec: int,
     return max(0, math.floor(n - n * tau - leaked_ec - margin))
 
 
-def _verification_hash(bits: np.ndarray, hash_key: int) -> int:
-    """Polynomial hash over the packed key, length appended; used by both
-    parties to confirm equality after reconciliation."""
-    data = np.packbits(bits).tobytes()
-    blocks = [int.from_bytes(data[i:i + 8].ljust(8, b"\x00"), "big")
-              for i in range(0, len(data), 8)]
+def _verification_hash(bits: np.ndarray, mul: Gf64Multiplier) -> int:
+    """Polynomial hash over the packed key with the bit length appended
+    as a final block; used by both parties to confirm equality after
+    reconciliation. The convention is frozen: every transcript ends in
+    this hash."""
+    blocks = bytes_to_blocks(np.packbits(bits).tobytes())
     blocks.append(len(bits))
-    return poly_hash_blocks(blocks, hash_key)
+    return poly_hash_blocks(blocks, mul.mul)
 
 
 def error_correct(alice_key, bob_key, e_hat: float,
@@ -253,11 +253,11 @@ def error_correct(alice_key, bob_key, e_hat: float,
             bob[j] ^= 1
             toggle_blocks(j)
 
-    hash_key = public_coins.uint64()
-    alice_hash = _verification_hash(alice, hash_key)
+    mul = Gf64Multiplier(public_coins.uint64())
+    alice_hash = _verification_hash(alice, mul)
     transcript.extend((alice_hash >> (63 - i)) & 1
                       for i in range(VERIFY_HASH_BITS))
-    verified = alice_hash == _verification_hash(bob, hash_key)
+    verified = alice_hash == _verification_hash(bob, mul)
     result = CorrectionResult(bob, len(transcript), passes, verified,
                               np.array(transcript, dtype=np.uint8))
     if not verified:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -26,11 +25,9 @@ import numpy as np
 
 from .adversary import (EveLedger, EveStrategy, NoAttack, eve_information,
                         finalize_knowledge, intercept_batch)
-from .auth import AuthenticatedChannel, AuthKeyPool, KeyLedger
-from .photonics import (DOUBLE_CLICK, NO_CLICK, Basis, ClickKind,
-                        ClickOutcome, DetectorPair, FiberChannel, SourceModel,
-                        click, measure_batch, sample_photon_counts,
-                        transmit_counts)
+from .auth import AuthenticatedChannel, BitPool
+from .photonics import (ClickKind, DetectorPair, FiberChannel, SourceModel,
+                        measure_batch, sample_photon_counts, transmit_counts)
 from .postprocess import (AttackModel, HashSeed, ReconciliationFailure,
                           SecretKey, error_correct, final_key_length,
                           privacy_amplify)
@@ -77,46 +74,20 @@ class SessionConfig:
             raise ValueError("auth pool size must be non-negative")
 
 
-@dataclass(frozen=True)
-class PulseRecord:
-    """One emitted pulse as the legitimate parties see it."""
+@dataclass(eq=False)
+class PulseRecords:
+    """Emission-ordered records of a quantum phase as five flat arrays,
+    one entry per pulse: Alice's bit and basis, Bob's basis, the gate's
+    ClickKind and the measured bit (0 unless the kind is CLICK)."""
 
-    index: int
-    alice_bit: int
-    alice_basis: Basis
-    bob_basis: Basis
-    outcome: ClickOutcome
-
-
-class PulseRecords(Sequence):
-    """Array-backed emission-ordered records; indexing yields PulseRecord
-    views so million-pulse sessions stay in five flat arrays."""
-
-    def __init__(self, alice_bits, alice_bases, bob_bases, kinds, click_bits):
-        self.alice_bits = alice_bits
-        self.alice_bases = alice_bases
-        self.bob_bases = bob_bases
-        self.kinds = kinds
-        self.click_bits = click_bits
+    alice_bits: np.ndarray
+    alice_bases: np.ndarray
+    bob_bases: np.ndarray
+    kinds: np.ndarray
+    click_bits: np.ndarray
 
     def __len__(self) -> int:
         return len(self.alice_bits)
-
-    def __getitem__(self, i: int) -> PulseRecord:
-        if isinstance(i, slice):
-            raise TypeError("slicing not supported; index records one at a time")
-        kind = ClickKind(int(self.kinds[i]))
-        if kind == ClickKind.CLICK:
-            outcome = click(int(self.click_bits[i]))
-        elif kind == ClickKind.DOUBLE_CLICK:
-            outcome = DOUBLE_CLICK
-        else:
-            outcome = NO_CLICK
-        return PulseRecord(int(i if i >= 0 else len(self) + i),
-                           int(self.alice_bits[i]),
-                           Basis(int(self.alice_bases[i])),
-                           Basis(int(self.bob_bases[i])),
-                           outcome)
 
 
 @dataclass(frozen=True)
@@ -205,33 +176,15 @@ def run_quantum_phase(config: SessionConfig, rand: RandomSource,
     return PulseRecords(alice_bits, alice_bases, bob_bases, kinds, click_bits)
 
 
-def _record_arrays(records) -> PulseRecords:
-    if isinstance(records, PulseRecords):
-        return records
-    n = len(records)
-    arrays = PulseRecords(np.zeros(n, np.uint8), np.zeros(n, np.uint8),
-                          np.zeros(n, np.uint8), np.zeros(n, np.uint8),
-                          np.zeros(n, np.uint8))
-    for i, r in enumerate(records):
-        arrays.alice_bits[i] = r.alice_bit
-        arrays.alice_bases[i] = int(r.alice_basis)
-        arrays.bob_bases[i] = int(r.bob_basis)
-        arrays.kinds[i] = int(r.outcome.kind)
-        if r.outcome.bit is not None:
-            arrays.click_bits[i] = r.outcome.bit
-    return arrays
-
-
-def sift(records) -> SiftedKeys:
+def sift(records: PulseRecords) -> SiftedKeys:
     """Keep click positions with matching bases. Selection uses only the
     announced bases and click positions, never the measured bit values,
     so neither party learns anything new from the other's sift."""
-    arrays = _record_arrays(records)
-    keep = (arrays.kinds == int(ClickKind.CLICK)) \
-        & (arrays.alice_bases == arrays.bob_bases)
+    keep = (records.kinds == int(ClickKind.CLICK)) \
+        & (records.alice_bases == records.bob_bases)
     sel = np.nonzero(keep)[0]
-    return SiftedKeys(arrays.alice_bits[sel].copy(),
-                      arrays.click_bits[sel].copy(),
+    return SiftedKeys(records.alice_bits[sel].copy(),
+                      records.click_bits[sel].copy(),
                       sel.astype(np.int64))
 
 
@@ -269,9 +222,7 @@ def run_session(config: SessionConfig) -> SessionReport:
     aborts at the error test stops after message three.
     """
     rand = RandomSource(config.seed)
-    key_ledger = KeyLedger()
-    pool = AuthKeyPool(rand.split("auth_pool").bits(config.auth_pool_bits),
-                       key_ledger)
+    pool = BitPool(rand.split("auth_pool").bits(config.auth_pool_bits))
     channel = AuthenticatedChannel(pool)
     eve_ledger = EveLedger()
 
@@ -293,10 +244,9 @@ def run_session(config: SessionConfig) -> SessionReport:
     eve_frac = eve_information(known, sifted)
 
     def report(outcome, e_hat, leak=0, final=0, secret=None):
-        key_ledger.record_produced(final)
         return SessionReport(config.n_pulses, clicks, raw_len, len(sifted),
-                             e_hat, leak, final, eve_frac,
-                             key_ledger.consumed_bits, outcome, secret)
+                             e_hat, leak, final, eve_frac, pool.cursor,
+                             outcome, secret)
 
     try:
         est = estimate_qber(sifted, config.sample_fraction,

@@ -14,10 +14,10 @@ import pytest
 
 from qkdsim.adversary import (EveLedger, InterceptResend, NoAttack,
                               PhotonNumberSplit, eve_information,
-                              finalize_knowledge, intercept, intercept_batch,
+                              finalize_knowledge, intercept_batch,
                               strategy_label)
 from qkdsim.photonics import (Basis, ConstantSource, DetectorPair,
-                              FiberChannel, Pulse)
+                              FiberChannel)
 from qkdsim.protocol import SessionConfig, SiftedKeys, run_quantum_phase, sift
 from qkdsim.rng import RandomSource
 
@@ -237,15 +237,20 @@ class TestKnowledge:
 class TestScalarDelegate:
     def test_intercept_pns_pulse(self):
         ledger = EveLedger()
-        out = intercept(Pulse(2, 1, Basis.DIAGONAL), PhotonNumberSplit(),
-                        ledger, RandomSource(6), index=42)
-        assert out == Pulse(1, 1, Basis.DIAGONAL)
+        counts, bits, bases = intercept_batch(
+            np.array([2]), np.array([1], np.uint8),
+            np.array([Basis.DIAGONAL], np.uint8), PhotonNumberSplit(),
+            ledger, RandomSource(6), start_index=42)
+        assert (list(counts), list(bits), list(bases)) == \
+            ([1], [1], [Basis.DIAGONAL])
         assert ledger.stored == {42: (1, Basis.DIAGONAL)}
 
     def test_intercept_noattack_pulse(self):
-        pulse = Pulse(1, 0, Basis.RECTILINEAR)
-        assert intercept(pulse, NoAttack(), EveLedger(),
-                         RandomSource(7)) == pulse
+        pulse = (np.array([1]), np.array([0], np.uint8),
+                 np.array([Basis.RECTILINEAR], np.uint8))
+        out = intercept_batch(*pulse, NoAttack(), EveLedger(),
+                              RandomSource(7))
+        assert all(np.array_equal(o, p) for o, p in zip(out, pulse))
 
 
 def test_ledger_appends_across_batches():

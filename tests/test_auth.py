@@ -9,12 +9,14 @@ the 8-bit toy field.
 import numpy as np
 import pytest
 
+from qkdsim.adversary import InterceptResend
 from qkdsim.auth import (AuthenticatedChannel, AuthenticatedMessage,
-                         AuthenticationFailure, AuthKeyPool, KeyExhausted,
-                         KeyLedger, compute_tag, consume, secret_growth,
-                         verify_tag)
-from qkdsim.gf2 import (MASK64, REDUCTION_POLY, Gf64Multiplier, gf8_mul,
-                        gf64_mul, poly_hash_blocks)
+                         AuthenticationFailure, BitPool, KeyExhausted,
+                         compute_tag, verify_tag)
+from qkdsim.gf2 import (MASK64, REDUCTION_POLY, Gf64Multiplier,
+                        bytes_to_blocks, gf8_mul, gf64_mul, poly_hash_blocks)
+from qkdsim.photonics import ConstantSource, DetectorPair, FiberChannel
+from qkdsim.protocol import SessionConfig, SessionOutcome, run_session
 from qkdsim.rng import RandomSource
 
 
@@ -102,15 +104,17 @@ class TestPolynomialHash:
     def test_horner_single_block(self):
         key = 0x0123456789ABCDEF
         block = 0xFEDCBA9876543210
-        assert poly_hash_blocks([block], key) == gf64_mul(block, key)
+        assert poly_hash_blocks([block], Gf64Multiplier(key).mul) \
+            == gf64_mul(block, key)
 
     def test_horner_two_blocks(self):
         key, m1, m2 = 7, 11, 13
         want = gf64_mul(gf64_mul(m1, key) ^ m2, key)
-        assert poly_hash_blocks([m1, m2], key) == want
+        assert poly_hash_blocks([m1, m2], Gf64Multiplier(key).mul) == want
 
     def test_empty_is_zero(self):
-        assert poly_hash_blocks([], 12345) == 0
+        assert poly_hash_blocks([], Gf64Multiplier(12345).mul) == 0
+        assert bytes_to_blocks(b"") == []
 
     def test_toy_field_collision_bound(self):
         # Exhaustive over all 256 keys: two distinct messages of t blocks
@@ -132,8 +136,8 @@ class TestPolynomialHash:
         for m1, m2, bound in cases:
             collisions = sum(
                 1 for k in range(256)
-                if poly_hash_blocks(m1, k, mul=gf8_mul) ^ len(m1)
-                == poly_hash_blocks(m2, k, mul=gf8_mul) ^ len(m2))
+                if poly_hash_blocks(m1, lambda a: gf8_mul(a, k)) ^ len(m1)
+                == poly_hash_blocks(m2, lambda a: gf8_mul(a, k)) ^ len(m2))
             assert collisions <= bound
 
 
@@ -224,33 +228,41 @@ class TestVerifyTag:
         assert not verify_tag(AuthenticatedMessage(b"x", tag), 5, 7)
 
 
+def fresh_pool(seed: int, n_bits: int) -> BitPool:
+    return BitPool(RandomSource(seed).bits(n_bits))
+
+
 class TestAuthKeyPool:
+    """BitPool, the one forward-only pool behind authentication and
+    link keys."""
+
     def test_consume_advances_cursor(self):
-        pool = AuthKeyPool.fresh(RandomSource(16), 300)
+        pool = fresh_pool(16, 300)
         out = pool.consume(128)
         assert len(out) == 128
         assert pool.cursor == 128
         assert pool.remaining == 172
+        assert pool.consumed_log == [(0, 128)]
 
     def test_consecutive_draws_are_disjoint_prefix(self):
-        rand = RandomSource(17)
-        pool = AuthKeyPool.fresh(rand, 256)
+        pool = fresh_pool(17, 256)
         a = pool.consume(100)
         b = pool.consume(56)
         assert np.array_equal(np.concatenate([a, b]), pool.bits[:156])
+        assert pool.consumed_log == [(0, 100), (100, 156)]
 
     def test_exhaustion_spends_nothing(self):
-        pool = AuthKeyPool.fresh(RandomSource(18), 100)
+        pool = fresh_pool(18, 100)
         pool.consume(90)
-        before = (pool.cursor, pool.ledger.consumed_bits)
+        before = (pool.cursor, list(pool.consumed_log))
         with pytest.raises(KeyExhausted):
             pool.consume(11)
-        assert (pool.cursor, pool.ledger.consumed_bits) == before
+        assert (pool.cursor, pool.consumed_log) == before
         pool.consume(10)
         assert pool.remaining == 0
 
     def test_deposit_funds_future_draws(self):
-        pool = AuthKeyPool(np.array([1, 0], dtype=np.uint8))
+        pool = BitPool(np.array([1, 0], dtype=np.uint8))
         pool.consume(2)
         with pytest.raises(KeyExhausted):
             pool.consume(1)
@@ -259,62 +271,62 @@ class TestAuthKeyPool:
         assert np.array_equal(pool.consume(3), [1, 1, 0])
 
     def test_consume_int_big_endian(self):
-        pool = AuthKeyPool(np.array([1, 0, 1, 1], dtype=np.uint8))
+        pool = BitPool(np.array([1, 0, 1, 1], dtype=np.uint8))
         assert pool.consume_int(3) == 5
         assert pool.consume_int(1) == 1
 
-    def test_module_level_consume(self):
-        pool = AuthKeyPool.fresh(RandomSource(19), 64)
-        assert len(consume(pool, 32)) == 32
-        assert pool.remaining == 32
-
     def test_rejects_invalid_bits(self):
         with pytest.raises(ValueError):
-            AuthKeyPool(np.array([0, 2], dtype=np.uint8))
+            BitPool(np.array([0, 2], dtype=np.uint8))
         with pytest.raises(ValueError):
-            AuthKeyPool(np.zeros((2, 2), dtype=np.uint8))
-        pool = AuthKeyPool.fresh(RandomSource(20), 8)
+            BitPool(np.zeros((2, 2), dtype=np.uint8))
+        pool = fresh_pool(20, 8)
         with pytest.raises(ValueError):
             pool.consume(-1)
 
     def test_fresh_default_size(self):
-        assert AuthKeyPool.fresh(RandomSource(21)).remaining == 300
+        # A link's key store starts as an empty pool.
+        pool = BitPool()
+        assert (pool.remaining, pool.cursor, pool.consumed_log) == (0, 0, [])
+        with pytest.raises(KeyExhausted):
+            pool.consume(1)
+
+
+def ideal_session(n_pulses: int, seed: int, **kwargs):
+    return run_session(SessionConfig(
+        n_pulses=n_pulses, source=ConstantSource(1),
+        channel=FiberChannel(0.0), detectors=DetectorPair(1.0, 0.0),
+        seed=seed, **kwargs))
 
 
 class TestKeyLedger:
+    """Secret growth, as the session report accounts for it: final key
+    length minus the authentication bits the pool's cursor passed."""
+
     def test_growth_accounting(self):
-        ledger = KeyLedger()
-        pool = AuthKeyPool.fresh(RandomSource(22), 512, ledger)
-        pool.consume(384)
-        ledger.record_produced(2000)
-        assert secret_growth(ledger) == 2000 - 384
+        report = ideal_session(4000, 22)
+        assert report.outcome is SessionOutcome.SUCCESS
+        assert report.auth_bits_consumed == 384
+        assert report.secret_growth == report.final_len - 384 > 0
 
     def test_negative_growth_on_abort(self):
-        ledger = KeyLedger()
-        pool = AuthKeyPool.fresh(RandomSource(23), 512, ledger)
-        pool.consume(256)
-        ledger.record_produced(0)
-        assert secret_growth(ledger) == -256
-
-    def test_produced_set_once(self):
-        ledger = KeyLedger()
-        ledger.record_produced(10)
-        with pytest.raises(RuntimeError):
-            ledger.record_produced(11)
-        with pytest.raises(ValueError):
-            KeyLedger().record_produced(-1)
+        report = ideal_session(4000, 23, eve=InterceptResend(1.0))
+        assert report.outcome is SessionOutcome.ABORT_QBER
+        assert report.secret_growth == -256
 
 
 class TestAuthenticatedChannel:
     def test_roundtrip_and_consumption(self):
         # Hash key (64) plus pad (64) for the first message, pad only
         # for each following one.
-        pool = AuthKeyPool.fresh(RandomSource(24), 1024)
+        pool = fresh_pool(24, 1024)
         channel = AuthenticatedChannel(pool)
+        assert channel.bits_needed(2) == 192
         m1 = channel.send(b"first")
-        assert pool.ledger.consumed_bits == 128
+        assert pool.cursor == 128
+        assert channel.bits_needed(2) == 128
         m2 = channel.send(b"second")
-        assert pool.ledger.consumed_bits == 192
+        assert pool.cursor == 192
         assert channel.deliver(m1) == b"first"
         assert channel.deliver(m2) == b"second"
         assert channel.messages_sent == 2
@@ -322,7 +334,7 @@ class TestAuthenticatedChannel:
                                                            b"second"]
 
     def test_tamper_detected(self):
-        pool = AuthKeyPool.fresh(RandomSource(25), 1024)
+        pool = fresh_pool(25, 1024)
         channel = AuthenticatedChannel(pool)
         msg = channel.send(b"basis list")
         forged = AuthenticatedMessage(b"basis lisp", msg.tag)
@@ -330,20 +342,19 @@ class TestAuthenticatedChannel:
             channel.deliver(forged)
 
     def test_tag_tamper_detected(self):
-        pool = AuthKeyPool.fresh(RandomSource(26), 1024)
+        pool = fresh_pool(26, 1024)
         channel = AuthenticatedChannel(pool)
         msg = channel.send(b"qber sample")
         with pytest.raises(AuthenticationFailure):
             channel.deliver(AuthenticatedMessage(msg.payload, msg.tag ^ 1))
 
     def test_deliver_without_send(self):
-        channel = AuthenticatedChannel(AuthKeyPool.fresh(RandomSource(27),
-                                                         256))
+        channel = AuthenticatedChannel(fresh_pool(27, 256))
         with pytest.raises(AuthenticationFailure):
             channel.deliver(AuthenticatedMessage(b"spoof", 0))
 
     def test_send_fails_when_pool_dry(self):
-        pool = AuthKeyPool.fresh(RandomSource(28), 130)
+        pool = fresh_pool(28, 130)
         channel = AuthenticatedChannel(pool)
         channel.send(b"ok")
         with pytest.raises(KeyExhausted):
@@ -353,7 +364,7 @@ class TestAuthenticatedChannel:
         # The channel's tag must equal a direct computation from the
         # same pool prefix: 64 hash-key bits then 64 pad bits.
         bits = RandomSource(29).bits(256)
-        channel = AuthenticatedChannel(AuthKeyPool(bits.copy()))
+        channel = AuthenticatedChannel(BitPool(bits.copy()))
         msg = channel.send(b"transcript")
         key = int("".join(map(str, bits[:64])), 2)
         otp = int("".join(map(str, bits[64:128])), 2)

@@ -17,7 +17,8 @@ from qkdsim.cli import (CSV_COLUMNS, DEFAULTS, EXIT_ABORT_QBER,
                         EXIT_ABORT_RECONCILIATION,
                         EXIT_INSUFFICIENT_LINK_KEY, EXIT_OK, EXIT_USAGE,
                         ConfigError, _fmt, exit_code_for, load_config_file,
-                        main, merge_params, parse_attack_model, parse_eve)
+                        load_scenario, main, merge_params,
+                        parse_attack_model, parse_eve)
 from qkdsim.postprocess import AttackModel
 from qkdsim.protocol import SessionOutcome
 
@@ -320,6 +321,19 @@ class TestNetworkCommand:
         assert code == EXIT_INSUFFICIENT_LINK_KEY
         assert "B-C" in err
 
+    def test_underfunded_auth_pool_exits_four(self, tmp_path, capsys):
+        scenario = self.scenario(
+            tmp_path,
+            links=[{"a": "A", "b": "B", "stub": {"seed": 1, "bits": 1024}},
+                   {"a": "B", "b": "C", "stub": {"seed": 2, "bits": 1024},
+                    "auth_pool_bits": 150}],
+            relays=[{"path": ["A", "B", "C"], "key_len": 64},
+                    {"path": ["A", "B", "C"], "key_len": 64}])
+        code, out, err = run_main(["network", scenario], capsys)
+        assert code == EXIT_INSUFFICIENT_LINK_KEY
+        assert "relay 1 failed" in err and "authentication" in err
+        assert "relay 0: A -> B -> C" in out
+
     def test_session_link_aborts_exit_two(self, tmp_path, capsys):
         scenario = self.scenario(
             tmp_path,
@@ -377,6 +391,32 @@ class TestNetworkCommand:
         code, _, err = run_main(["network", scenario], capsys)
         assert code == EXIT_USAGE
         assert "stub" in err and "session" in err
+
+
+@pytest.mark.parametrize("scenario, key", [
+    (5, "top level"),
+    ({"nodes": ["A", "B"], "links": [{"b": "B", "stub": {}}],
+      "relays": []}, '"a"'),
+    ({"nodes": ["A", "B"], "links": [{"a": "A", "stub": {}}],
+      "relays": []}, '"b"'),
+    ({"nodes": ["A", "B"],
+      "links": [{"a": "A", "b": "B", "stub": {"bits": 64}}],
+      "relays": []}, '"seed"'),
+    ({"nodes": ["A", "B"],
+      "links": [{"a": "A", "b": "B", "stub": {"seed": 1}}],
+      "relays": []}, '"bits"'),
+    ({"nodes": ["A", "B"],
+      "links": [{"a": "A", "b": "B", "stub": {"seed": 1, "bits": 64}}],
+      "relays": [{"path": ["A", "X"], "key_len": 8}]}, "'X'"),
+])
+def test_invalid_scenario_exits_one(scenario, key, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    with pytest.raises(ConfigError, match=key):
+        load_scenario(str(path))
+    code, _, err = run_main(["network", str(path)], capsys)
+    assert code == EXIT_USAGE
+    assert key in err and "Traceback" not in err
 
 
 class TestSelftestCommand:

@@ -8,11 +8,11 @@ carried key, and only interior nodes may ever log it.
 import numpy as np
 import pytest
 
-from qkdsim.auth import AuthenticatedMessage, AuthenticationFailure
-from qkdsim.netsim import (InsufficientLinkKey, KeyStore, LengthMismatch,
-                           Link, Network, Node, RelayTranscript,
-                           SessionAborted, StubKeySource, combine_keys,
-                           provision_link, relay_key)
+from qkdsim.auth import (AuthenticatedMessage, AuthenticationFailure,
+                         KeyExhausted)
+from qkdsim.netsim import (KeyStore, LengthMismatch, Link, Network, Node,
+                           RelayTranscript, SessionAborted, StubKeySource,
+                           combine_keys, provision_link, relay_key)
 from qkdsim.photonics import ConstantSource, DetectorPair, FiberChannel
 from qkdsim.protocol import SessionConfig
 from qkdsim.rng import RandomSource
@@ -60,7 +60,7 @@ class TestKeyStore:
     def test_overdraw_raises_and_spends_nothing(self):
         store = KeyStore()
         store.deposit(RandomSource(6).bits(10))
-        with pytest.raises(InsufficientLinkKey):
+        with pytest.raises(KeyExhausted):
             store.consume(11)
         assert store.remaining == 10
         assert store.consumed_log == []
@@ -171,12 +171,45 @@ class TestRelay:
         net.add_link("A", "B", StubKeySource(519, 256))
         net.add_link("B", "C", StubKeySource(520, 32))
         net.provision_all()
-        with pytest.raises(InsufficientLinkKey) as exc_info:
+        with pytest.raises(KeyExhausted) as exc_info:
             net.relay(["A", "B", "C"], 64, RandomSource(521))
         assert "B-C" in str(exc_info.value)
         assert net.node("A").store_for("B").cursor == 0
         assert net.node("B").store_for("C").cursor == 0
         assert net.node("B").knowledge_log == []
+
+    def test_auth_precheck_spends_nothing_on_failure(self):
+        # B-C's 150-bit auth pool funds the first relay's hop message
+        # (hash key + pad = 128 bits) but not a second pad: the second
+        # relay must refuse before any pad, tag or exposure.
+        net = Network()
+        net.add_link("A", "B", StubKeySource(526, 1024))
+        net.add_link("B", "C", StubKeySource(527, 1024), auth_pool_bits=150)
+        net.provision_all()
+        net.relay(["A", "B", "C"], 64, RandomSource(528))
+        a, b, c = (net.node(i) for i in "ABC")
+        stores = [a.store_for("B"), b.store_for("A"), b.store_for("C"),
+                  c.store_for("B")]
+        pools = [a.channels["B"].pool, b.channels["C"].pool]
+        before = [s.cursor for s in stores + pools]
+        with pytest.raises(KeyExhausted) as exc_info:
+            net.relay(["A", "B", "C"], 64, RandomSource(529))
+        assert "B-C" in str(exc_info.value)
+        assert [s.cursor for s in stores + pools] == before
+        assert len(b.knowledge_log) == 1
+
+    def test_precheck_counts_every_crossing_of_a_link(self):
+        # A-B-A crosses one link twice: 2 x 64 pad bits from each store.
+        net = stub_network([("A", "B")], n_bits=100)
+        with pytest.raises(KeyExhausted):
+            net.relay(["A", "B", "A"], 64, RandomSource(530))
+        assert net.node("A").store_for("B").cursor == 0
+        assert net.node("B").store_for("A").cursor == 0
+        assert net.node("A").channels["B"].pool.cursor == 0
+        assert net.node("B").knowledge_log == []
+        transcript = net.relay(["A", "B", "A"], 50, RandomSource(531))
+        assert np.array_equal(transcript.end_key,
+                              RandomSource(531).bits(50))
 
     def test_short_path_rejected(self):
         net = stub_network([("A", "B")])

@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qkdsim.photonics import (DOUBLE_CLICK, NO_CLICK, Basis, ClickKind,
-                              ConstantSource, DetectorPair, FiberChannel,
-                              Pulse, SourceModel, beamsplitter_random_bit,
-                              click, measure, measure_batch,
-                              sample_photon_count, sample_photon_counts,
-                              survival_probability, transmit, transmit_counts)
+from qkdsim.photonics import (Basis, ClickKind, ConstantSource, DetectorPair,
+                              FiberChannel, SourceModel,
+                              beamsplitter_random_bit, measure_batch,
+                              sample_photon_counts, survival_probability,
+                              transmit_counts)
 from qkdsim.rng import RandomSource
 
 
@@ -25,13 +24,6 @@ class TestTypes:
         assert int(Basis.RECTILINEAR) == 0
         assert int(Basis.DIAGONAL) == 1
         assert len(Basis) == 2
-
-    def test_pulse_validation(self):
-        Pulse(0, 0, Basis.RECTILINEAR)
-        with pytest.raises(ValueError):
-            Pulse(-1, 0, Basis.RECTILINEAR)
-        with pytest.raises(ValueError):
-            Pulse(1, 2, Basis.RECTILINEAR)
 
     def test_source_validation(self):
         with pytest.raises(ValueError):
@@ -52,9 +44,17 @@ class TestTypes:
             DetectorPair(dark_count_prob=1.0)
 
     def test_click_outcome(self):
-        assert click(1).is_click
-        assert not NO_CLICK.is_click
-        assert DOUBLE_CLICK.kind == ClickKind.DOUBLE_CLICK
+        # A gate's kind is the number of detectors that fired; only a
+        # single click carries a bit. Forty photons in the wrong basis
+        # reach both detectors (all in one has probability 2^-39).
+        assert [int(k) for k in ClickKind] == [0, 1, 2]
+        kinds, click_bits = measure_batch(
+            np.array([0, 1, 40]), np.array([1, 1, 1], np.uint8),
+            np.array([0, 0, 0], np.uint8), np.array([0, 0, 1], np.uint8),
+            DetectorPair(1.0, 0.0), 0.0, RandomSource(1))
+        assert list(kinds) == [ClickKind.NO_CLICK, ClickKind.CLICK,
+                               ClickKind.DOUBLE_CLICK]
+        assert list(click_bits) == [0, 1, 0]
 
 
 class TestSource:
@@ -89,8 +89,10 @@ class TestSource:
             assert abs((draws == k).mean() - p) <= 5 * sigma
 
     def test_scalar_draw(self):
-        assert sample_photon_count(SourceModel(0.0), RandomSource(1)) == 0
-        assert sample_photon_count(ConstantSource(3), RandomSource(1)) == 3
+        assert list(sample_photon_counts(SourceModel(0.0), 1,
+                                         RandomSource(1))) == [0]
+        assert list(sample_photon_counts(ConstantSource(3), 1,
+                                         RandomSource(1))) == [3]
 
     def test_constant_source_batch(self):
         assert np.all(sample_photon_counts(ConstantSource(2), 100,
@@ -109,10 +111,9 @@ class TestChannel:
             pytest.approx(10 ** -0.3, abs=1e-15)
 
     def test_empty_pulse_stays_empty(self):
-        out = transmit(Pulse(0, 1, Basis.DIAGONAL), FiberChannel(15.0),
-                       RandomSource(1))
-        assert out.photon_count == 0
-        assert out.bit == 1 and out.basis == Basis.DIAGONAL
+        out = transmit_counts(np.array([0]), FiberChannel(15.0),
+                              RandomSource(1))
+        assert list(out) == [0]
 
     def test_single_photon_survival_frequency(self):
         # Survival 0.5 (15 km @ 0.2 dB/km is 0.5012): empirical
@@ -222,14 +223,19 @@ class TestMeasurement:
                           DetectorPair(), 0.7, RandomSource(1))
 
     def test_scalar_measure_ideal(self):
-        out = measure(Pulse(1, 1, Basis.DIAGONAL), Basis.DIAGONAL,
-                      DetectorPair(1.0, 0.0), 0.0, RandomSource(1))
-        assert out == click(1)
+        diagonal = np.array([Basis.DIAGONAL], np.uint8)
+        kinds, click_bits = measure_batch(
+            np.array([1]), np.array([1], np.uint8), diagonal, diagonal,
+            DetectorPair(1.0, 0.0), 0.0, RandomSource(1))
+        assert list(kinds) == [ClickKind.CLICK] and list(click_bits) == [1]
 
     def test_scalar_measure_no_photons_no_darks(self):
-        out = measure(Pulse(0, 0, Basis.RECTILINEAR), Basis.RECTILINEAR,
-                      DetectorPair(1.0, 0.0), 0.0, RandomSource(1))
-        assert out == NO_CLICK
+        rectilinear = np.array([Basis.RECTILINEAR], np.uint8)
+        kinds, click_bits = measure_batch(
+            np.array([0]), np.array([0], np.uint8), rectilinear, rectilinear,
+            DetectorPair(1.0, 0.0), 0.0, RandomSource(1))
+        assert list(kinds) == [ClickKind.NO_CLICK]
+        assert list(click_bits) == [0]
 
     def test_zero_efficiency_never_detects(self):
         n = 10_000
