@@ -134,6 +134,18 @@ def case_privacy_amplify():
     return out
 
 
+def case_privacy_amplify_large():
+    # Above the 2048-row block of the original kernel, at the metro_key
+    # scale, plus an output nearly as long as the input.
+    rand = RandomSource(601)
+    out = b""
+    for n, ell in [(27000, 20000), (20000, 19500)]:
+        key = rand.bits(n)
+        out += _pack(privacy_amplify(key, ell,
+                                     HashSeed.random(rand, n, ell)).bits)
+    return out
+
+
 def case_sweep_csv(tmp_path):
     config = tmp_path / "sweep.json"
     config.write_text('{"sweep": {"distance_km": [0, 10]}}')
@@ -163,6 +175,8 @@ GOLDEN = {
         "79944c36c6260c954da3185b9cc7fcc7b6773d8600e5ee511157e6f68489a4ea",
     "privacy_amplify":
         "96efe27ebcabf1b0b6eb6398aff34ae40bf09a83a285b4ae7b8245b405964318",
+    "privacy_amplify_large":
+        "183f58602f779b03612c37d82b667cac07253828f17d62082428a4b56b3dfa11",
 }
 
 
