@@ -22,7 +22,8 @@ from .photonics import (Basis, ClickKind, ConstantSource, DetectorPair,
                         measure_batch, sample_photon_counts,
                         survival_probability, transmit_counts)
 from .postprocess import (AttackModel, CorrectionResult, DomainError,
-                          HashSeed, ReconciliationFailure, SecretKey,
+                          HashSeed, InexactConvolution,
+                          ReconciliationFailure, SecretKey,
                           SeedLengthMismatch, binary_entropy, error_correct,
                           eve_information_bound, final_key_length,
                           privacy_amplify, secret_fraction)
@@ -39,7 +40,8 @@ __all__ = [
     "AuthenticationFailure", "Basis", "BitPool", "ClickKind",
     "ConstantSource", "CorrectionResult", "DetectorPair", "DomainError",
     "EmptySample", "EveLedger", "EveStrategy", "FiberChannel", "HashSeed",
-    "InterceptResend", "KeyExhausted", "KeyStore", "LengthMismatch", "Link",
+    "InexactConvolution", "InterceptResend", "KeyExhausted", "KeyStore",
+    "LengthMismatch", "Link",
     "Network", "NoAttack", "Node", "PhotonNumberSplit", "PulseRecords",
     "QberEstimate", "RandomSource", "ReconciliationFailure",
     "RelayTranscript", "SecretKey", "SeedLengthMismatch", "SessionAborted",

@@ -7,8 +7,8 @@ Subcommands: ``run`` (one session, human-readable report), ``sweep``
 
 Exit codes are a stable contract: 0 success, 1 usage or config error,
 2 session aborted at the error-rate test, 3 session aborted at
-reconciliation, 4 relay underfunded (insufficient link or
-authentication key).
+reconciliation, 4 insufficient link or authentication key (a relay, or
+a session whose authentication pool ran dry).
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import io
 import json
+import math
 import os
 import sys
 
@@ -53,8 +55,51 @@ DEFAULTS = {"pulses": 200_000, "mu": 0.1, "distance_km": 15.0,
             "margin": 30, "auth_pool_bits": 512, "seed": 1}
 
 
+def _integer(value) -> int:
+    """int(value), refusing a value that int() would truncate (2000.9)."""
+    number = int(value)
+    if number != value and str(number) != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
+# Numeric parameters as (conversion, test, what the test requires).
+# Every value from a flag, config file, sweep axis or scenario link
+# passes one of these before it reaches a model constructor.
+_FINITE = (float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+PARAM_RULES = {
+    "pulses": (_integer, lambda v: v >= 1, "an integer >= 1"),
+    "mu": _FINITE,
+    "distance_km": _FINITE,
+    "attenuation_db_per_km": _FINITE,
+    "efficiency": (float, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+    "dark_count_prob": (float, lambda v: 0 <= v < 1, "a number in [0, 1)"),
+    "flip_prob": (float, lambda v: 0 <= v <= 0.5, "a number in [0, 0.5]"),
+    "sample_fraction": (float, lambda v: 0 < v < 1, "a number in (0, 1)"),
+    "margin": (_integer, lambda v: v >= 0, "an integer >= 0"),
+    "auth_pool_bits": (_integer, lambda v: v >= 0, "an integer >= 0"),
+    "seed": (_integer, lambda v: True, "an integer"),
+    "repeats": (_integer, lambda v: v >= 1, "an integer >= 1"),
+    "jobs": (_integer, lambda v: v >= 1, "an integer >= 1"),
+}
+
+
 class ConfigError(Exception):
     """Bad config file or flag combination; maps to exit 1."""
+
+
+def _checked(key: str, value):
+    """``value`` converted by the rule for ``key``; a ConfigError naming
+    the key if it does not convert or breaks the rule."""
+    convert, test, wording = PARAM_RULES[key]
+    try:
+        number = convert(value)
+        ok = test(number)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"\"{key}\" must be {wording}, got {value!r}")
+    return number
 
 
 def parse_eve(text: str):
@@ -146,22 +191,24 @@ def merge_params(args: argparse.Namespace) -> dict:
     return params
 
 
-def session_config(params: dict, seed: int | None = None,
-                   eve=None) -> SessionConfig:
+def session_config(params: dict) -> SessionConfig:
+    def value(key):
+        return _checked(key, params[key])
+
     return SessionConfig(
-        n_pulses=int(params["pulses"]),
-        source=SourceModel(float(params["mu"])),
-        channel=FiberChannel(float(params["distance_km"]),
-                             float(params["attenuation_db_per_km"]),
-                             float(params["flip_prob"])),
-        detectors=DetectorPair(float(params["efficiency"]),
-                               float(params["dark_count_prob"])),
-        seed=int(params["seed"] if seed is None else seed),
-        eve=parse_eve(params["eve"]) if eve is None else eve,
-        sample_fraction=float(params["sample_fraction"]),
+        n_pulses=value("pulses"),
+        source=SourceModel(value("mu")),
+        channel=FiberChannel(value("distance_km"),
+                             value("attenuation_db_per_km"),
+                             value("flip_prob")),
+        detectors=DetectorPair(value("efficiency"),
+                               value("dark_count_prob")),
+        seed=value("seed"),
+        eve=parse_eve(params["eve"]),
+        sample_fraction=value("sample_fraction"),
         attack_model=parse_attack_model(str(params["attack_model"])),
-        security_margin_bits=int(params["margin"]),
-        auth_pool_bits=int(params["auth_pool_bits"]))
+        security_margin_bits=value("margin"),
+        auth_pool_bits=value("auth_pool_bits"))
 
 
 def _fmt(value) -> str:
@@ -217,6 +264,10 @@ def _sweep_points(params: dict) -> list[dict]:
         raise ConfigError("sweep needs at least one axis "
                           "(sweep.distance_km / sweep.mu / "
                           "sweep.eve_fraction)")
+    for axis, values in sweep.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"sweep axis \"{axis}\" must be a non-empty "
+                              "list of values")
     distances = sweep.get("distance_km", [params["distance_km"]])
     mus = sweep.get("mu", [params["mu"]])
     fractions = sweep.get("eve_fraction", [None])
@@ -234,8 +285,7 @@ def _sweep_points(params: dict) -> list[dict]:
 
 
 def _run_point(job) -> tuple[int, list[str]]:
-    order, params, seed = job
-    config = session_config(params, seed=seed)
+    order, config = job
     return order, csv_row(config, run_session(config))
 
 
@@ -246,20 +296,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep needs --output (or \"output\" in config)")
     if os.path.exists(output) and not args.force:
         raise ConfigError(f"refusing to overwrite {output}; pass --force")
-    repeats = int(args.repeats or params.get("repeats", 1))
-    points = _sweep_points(params)
+    repeats = _checked("repeats", params.get("repeats", 1)
+                       if args.repeats is None else args.repeats)
+    workers = _checked("jobs", args.jobs)
+    configs = [session_config(point) for point in _sweep_points(params)]
 
     jobs = []
-    master = int(params["seed"])
-    for i, point in enumerate(points):
+    master = _checked("seed", params["seed"])
+    for i, config in enumerate(configs):
         for r in range(repeats):
             # Per-session seed from a documented 64-bit mix so any subset
             # of the sweep reproduces the exact same sessions.
-            jobs.append((len(jobs), point, mix64(master, i * repeats + r)))
+            jobs.append((len(jobs), dataclasses.replace(
+                config, seed=mix64(master, i * repeats + r))))
 
     results: list[list[str] | None] = [None] * len(jobs)
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             for order, row in pool.map(_run_point, jobs, chunksize=1):
                 results[order] = row
     else:
@@ -291,6 +344,11 @@ def load_scenario(path: str) -> dict:
     nodes = {str(node_id) for node_id in data["nodes"]}
     for i, spec in enumerate(data["links"]):
         _require(path, f"link {i}", spec, ("a", "b"))
+        for end in ("a", "b"):
+            if str(spec[end]) not in nodes:
+                raise ConfigError(
+                    f"{path}: link {i} ({spec['a']}-{spec['b']}) \"{end}\" "
+                    f"names node {spec[end]!r}, not in \"nodes\"")
         if "stub" in spec:
             _require(path, f"link {i} stub", spec["stub"], ("seed", "bits"))
     for i, spec in enumerate(data["relays"]):
@@ -315,7 +373,10 @@ def cmd_network(args: argparse.Namespace) -> int:
         elif "session" in spec:
             cfg = dict(DEFAULTS)
             cfg.update(spec["session"])
-            source = session_config(cfg)
+            try:
+                source = session_config(cfg)
+            except ConfigError as exc:
+                raise ConfigError(f"link {a}-{b} session: {exc}") from exc
         else:
             raise ConfigError(
                 f"link {a}-{b} needs a \"stub\" or \"session\" key source")
@@ -454,6 +515,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyExhausted as exc:
+        # A session spent its whole authentication pool (relays report
+        # their own shortfall before spending anything).
+        print(f"error: authentication pool exhausted: {exc}; raise "
+              "auth_pool_bits", file=sys.stderr)
+        return EXIT_INSUFFICIENT_LINK_KEY
 
 
 if __name__ == "__main__":

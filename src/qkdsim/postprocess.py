@@ -42,6 +42,11 @@ class SeedLengthMismatch(ValueError):
     """Toeplitz seed length is not input length + output length - 1."""
 
 
+class InexactConvolution(ArithmeticError):
+    """Floating-point rounding left a Toeplitz row sum too far from an
+    integer to read its parity safely; no key is returned."""
+
+
 class ReconciliationFailure(Exception):
     """Verification hashes disagreed after the final pass.
 
@@ -270,18 +275,32 @@ def privacy_amplify(key, ell: int, seed: HashSeed,
     """Hash ``key`` down to ``ell`` bits with the Toeplitz matrix T given
     by ``seed``: T[j, i] = seed[(i - j) + (ell - 1)], output bit j the
     GF(2) inner product of row j with the key. The index convention is
-    frozen; changing it silently changes every derived key."""
+    frozen; changing it silently changes every derived key.
+
+    Row j sums the key against one window of the seed, so all rows at
+    once are one integer convolution: bit j is
+    conv(seed, key[::-1])[n + ell - 2 - j] mod 2. It is computed by real
+    FFT at a length of at least 2n + ell - 2, where it does not wrap
+    around, in O((n + ell) log(n + ell)) time. Each sum is an integer
+    in [0, n], so it is rounded and its parity taken; a sum that lands
+    0.25 or more from an integer raises :class:`InexactConvolution`
+    rather than return a possibly wrong key.
+    """
     key = np.asarray(key, dtype=np.uint8)
     n = len(key)
     sbits = np.asarray(seed.bits, dtype=np.uint8)
     if len(sbits) != n + ell - 1:
         raise SeedLengthMismatch(
             f"seed length {len(sbits)}, need {n + ell - 1} for {n}->{ell}")
-    out = np.empty(ell, dtype=np.uint8)
-    cols = np.arange(n)[None, :]
-    chunk = 2048  # bound the materialized (rows x n) index block
-    for lo in range(0, ell, chunk):
-        rows = np.arange(lo, min(lo + chunk, ell))[:, None]
-        block = sbits[cols - rows + (ell - 1)] & key[None, :]
-        out[lo:lo + chunk] = np.bitwise_xor.reduce(block, axis=1)
-    return SecretKey(out, provenance)
+    if n == 0 or ell == 0:
+        return SecretKey(np.zeros(ell, dtype=np.uint8), provenance)
+    size = 1 << (2 * n + ell - 3).bit_length()  # power of two >= 2n+ell-2
+    spectrum = np.fft.rfft(sbits, size) * np.fft.rfft(key[::-1], size)
+    sums = np.fft.irfft(spectrum, size)[n - 1:n + ell - 1][::-1]
+    counts = np.rint(sums)
+    drift = float(np.max(np.abs(sums - counts)))
+    if not drift < 0.25:  # also refuses NaN
+        raise InexactConvolution(
+            f"FFT sums drift {drift:.3g} from integers for {n}->{ell}")
+    return SecretKey((counts.astype(np.int64) & 1).astype(np.uint8),
+                     provenance)

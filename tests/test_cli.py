@@ -154,6 +154,13 @@ class TestRunCommand:
         assert code == EXIT_USAGE
         assert "error:" in err
 
+    def test_exhausted_auth_pool_exits_four(self, capsys):
+        # 300 bits pay for three messages (128 + 2 x 64) of the five.
+        code, _, err = run_main(
+            ["run", "--pulses", "2000", "--auth-pool-bits", "300"], capsys)
+        assert code == EXIT_INSUFFICIENT_LINK_KEY
+        assert "need 64 bits, 44 remain" in err and "auth_pool_bits" in err
+
     def test_run_reads_config_file(self, tmp_path, capsys):
         path = tmp_path / "desk.json"
         path.write_text(json.dumps({
@@ -239,6 +246,16 @@ class TestSweepCommand:
         code, _, err = run_main(["sweep", "--config", config], capsys)
         assert code == EXIT_USAGE
         assert "--output" in err
+
+    def test_exhausted_auth_pool_exits_four(self, tmp_path, capsys):
+        config = self.sweep_config(tmp_path, {"mu": [0.5]},
+                                   auth_pool_bits=300)
+        out_csv = tmp_path / "short.csv"
+        code, _, err = run_main(
+            ["sweep", "--config", config, "--output", str(out_csv)], capsys)
+        assert code == EXIT_INSUFFICIENT_LINK_KEY
+        assert "authentication pool exhausted" in err
+        assert not out_csv.exists()
 
     def test_parallel_output_byte_identical(self, tmp_path, capsys):
         config = self.sweep_config(tmp_path, {"mu": [0.1, 0.3, 0.5]})
@@ -348,6 +365,30 @@ class TestNetworkCommand:
         assert code == EXIT_ABORT_QBER
         assert "provisioning failed" in err
 
+    def test_session_link_auth_pool_exhausted_exits_four(self, tmp_path,
+                                                          capsys):
+        scenario = self.scenario(
+            tmp_path,
+            links=[{"a": "A", "b": "B",
+                    "session": {"pulses": 20000, "distance_km": 0,
+                                "efficiency": 1.0, "dark_count_prob": 0,
+                                "flip_prob": 0, "seed": 3,
+                                "auth_pool_bits": 300}}],
+            relays=[{"path": ["A", "B"], "key_len": 64}],
+            nodes=("A", "B"))
+        code, _, err = run_main(["network", scenario], capsys)
+        assert code == EXIT_INSUFFICIENT_LINK_KEY
+        assert "authentication pool exhausted" in err
+
+    def test_bad_session_link_parameter_names_link(self, tmp_path, capsys):
+        scenario = self.scenario(
+            tmp_path,
+            links=[{"a": "A", "b": "B", "session": {"mu": -1}}],
+            relays=[], nodes=("A", "B"))
+        code, _, err = run_main(["network", scenario], capsys)
+        assert code == EXIT_USAGE
+        assert "link A-B session" in err and '"mu"' in err
+
     def test_session_link_funds_relay(self, tmp_path, capsys):
         scenario = self.scenario(
             tmp_path,
@@ -408,6 +449,9 @@ class TestNetworkCommand:
     ({"nodes": ["A", "B"],
       "links": [{"a": "A", "b": "B", "stub": {"seed": 1, "bits": 64}}],
       "relays": [{"path": ["A", "X"], "key_len": 8}]}, "'X'"),
+    ({"nodes": ["A"],
+      "links": [{"a": "A", "b": "Z", "stub": {"seed": 1, "bits": 64}}],
+      "relays": []}, "'Z'"),
 ])
 def test_invalid_scenario_exits_one(scenario, key, tmp_path, capsys):
     path = tmp_path / "scenario.json"
@@ -417,6 +461,33 @@ def test_invalid_scenario_exits_one(scenario, key, tmp_path, capsys):
     code, _, err = run_main(["network", str(path)], capsys)
     assert code == EXIT_USAGE
     assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, config, flags, key", [
+    ("run", {}, ["--pulses", "0"], "pulses"),
+    ("run", {}, ["--mu", "nan"], "mu"),
+    ("run", {}, ["--efficiency", "2"], "efficiency"),
+    ("run", {"mu": "0.1x"}, [], "mu"),
+    ("run", {"pulses": 2000.5}, [], "pulses"),
+    ("run", {}, ["--distance-km", "inf"], "distance_km"),
+    ("sweep", {"sweep": {"mu": [0.5]}}, ["--jobs", "0"], "jobs"),
+    ("sweep", {"sweep": {"mu": []}}, [], "mu"),
+    ("sweep", {"sweep": {"distance_km": [0, -5]}}, [], "distance_km"),
+    ("sweep", {"sweep": {"mu": [0.5]}}, ["--repeats", "0"], "repeats"),
+    ("sweep", {"sweep": {"mu": [0.5]}, "repeats": 0}, [], "repeats"),
+])
+def test_bad_parameter_exits_one(command, config, flags, key, tmp_path,
+                                 capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"pulses": 2000, **config}))
+    out_csv = tmp_path / "out.csv"
+    argv = [command, "--config", str(path), *flags]
+    if command == "sweep":
+        argv += ["--output", str(out_csv)]
+    code, _, err = run_main(argv, capsys)
+    assert code == EXIT_USAGE
+    assert f'"{key}"' in err and "Traceback" not in err
+    assert not out_csv.exists()
 
 
 class TestSelftestCommand:

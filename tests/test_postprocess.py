@@ -3,7 +3,8 @@
 Leakage oracles are recomputed independently in-test from the documented
 block-size rule; entropy values are checked against a 30-digit mpmath
 evaluation; the Toeplitz hash is compared to an explicit matrix built by
-double loop.
+double loop, and, as hypothesis properties over random sizes, to an
+explicit integer matrix product.
 """
 
 import math
@@ -11,10 +12,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from qkdsim.postprocess import (COHERENT_THRESHOLD, INDIVIDUAL_THRESHOLD,
                                 AttackModel, CorrectionResult, DomainError,
-                                HashSeed, ReconciliationFailure, SecretKey,
+                                HashSeed, InexactConvolution,
+                                ReconciliationFailure, SecretKey,
                                 SeedLengthMismatch, binary_entropy,
                                 error_correct, eve_information_bound,
                                 final_key_length, privacy_amplify,
@@ -321,8 +325,9 @@ class TestPrivacyAmplify:
         assert abs(total / (trials * ell) - 0.5) < 0.02
 
     def test_chunked_rows_match_direct_product(self):
-        # Outputs longer than one processing chunk agree with a plain
-        # integer matrix product on sampled rows.
+        # Outputs past 2048 rows, the block size of the original chunked
+        # kernel, agree with a plain integer matrix product on sampled
+        # rows; rows 2047-2049 straddle that old block boundary.
         rand = RandomSource(3200)
         n, ell = 512, 2500
         key = rand.bits(n)
@@ -340,6 +345,85 @@ class TestPrivacyAmplify:
                               provenance="unit")
         assert out.provenance == "unit"
         assert isinstance(out, SecretKey)
+
+
+def toeplitz_product(key, ell: int, seed_bits) -> np.ndarray:
+    """T @ key mod 2 with T[j, i] = seed[(i - j) + (ell - 1)] built in
+    full and multiplied in int64."""
+    rows = np.arange(ell)[:, None]
+    cols = np.arange(len(key))[None, :]
+    matrix = np.asarray(seed_bits)[cols - rows + (ell - 1)].astype(np.int64)
+    return (matrix @ np.asarray(key, dtype=np.int64) % 2).astype(np.uint8)
+
+
+sizes = st.integers(0, 3000)
+streams = st.integers(0, 2**32 - 1)
+
+
+class TestPrivacyAmplifyProperties:
+    @given(n=sizes, ell=sizes, stream=streams)
+    @example(n=0, ell=5, stream=1)
+    @example(n=5, ell=0, stream=1)
+    @example(n=512, ell=2500, stream=2)
+    @example(n=3000, ell=3000, stream=3)
+    def test_equals_explicit_matrix_product(self, n, ell, stream):
+        assume(n + ell > 0)  # (0, 0) has no seed of length n + ell - 1
+        rand = RandomSource(stream)
+        key = rand.bits(n)
+        seed = HashSeed.random(rand, n, ell)
+        out = privacy_amplify(key, ell, seed).bits
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, toeplitz_product(key, ell, seed.bits))
+
+    @given(n=sizes, ell=sizes, stream=streams)
+    def test_gf2_linear(self, n, ell, stream):
+        assume(n + ell > 0)
+        rand = RandomSource(stream)
+        seed = HashSeed.random(rand, n, ell)
+        a, b = rand.bits(n), rand.bits(n)
+        assert np.array_equal(
+            privacy_amplify(a ^ b, ell, seed).bits,
+            privacy_amplify(a, ell, seed).bits
+            ^ privacy_amplify(b, ell, seed).bits)
+
+    def test_million_bit_rows_match_direct_dot_products(self):
+        rand = RandomSource(3300)
+        n, ell = 1_000_000, 700_000
+        key = rand.bits(n)
+        seed = HashSeed.random(rand, n, ell)
+        out = privacy_amplify(key, ell, seed).bits
+        assert len(out) == ell
+        sampled = rand.integers(0, ell, size=24).tolist()
+        for j in [0, 1, ell // 2, ell - 2, ell - 1, *sampled]:
+            row = seed.bits[(np.arange(n) - j) + (ell - 1)]
+            assert out[j] == int(row.astype(np.int64) @ key) % 2
+
+    @pytest.mark.parametrize("perturb", [
+        lambda sums: sums + 0.5,
+        lambda sums: sums - 0.5,
+        lambda sums: sums + 0.3,
+        lambda sums: sums + math.nan,
+        # one sum inside the rows read back for 300 -> 200 bits
+        lambda sums: sums + 0.5 * (np.arange(len(sums)) == 400),
+    ], ids=["all+0.5", "all-0.5", "all+0.3", "all+nan", "one+0.5"])
+    def test_guard_raises_on_drifted_sums(self, monkeypatch, perturb):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft",
+                            lambda *args, **kw: perturb(irfft(*args, **kw)))
+        rand = RandomSource(3400)
+        key = rand.bits(300)
+        with pytest.raises(InexactConvolution):
+            privacy_amplify(key, 200, HashSeed.random(rand, 300, 200))
+
+    def test_small_drift_rounds_to_the_same_key(self, monkeypatch):
+        rand = RandomSource(3500)
+        key = rand.bits(300)
+        seed = HashSeed.random(rand, 300, 200)
+        want = privacy_amplify(key, 200, seed).bits
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft",
+                            lambda *args, **kw: irfft(*args, **kw) + 0.2)
+        assert np.array_equal(privacy_amplify(key, 200, seed).bits, want)
 
 
 def test_hash_seed_random_length():
