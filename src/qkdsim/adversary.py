@@ -3,9 +3,10 @@
 Eve sits between Alice's source and the fiber. She may do nothing,
 intercept-and-resend a fraction of pulses in a random basis, or split
 one photon off every multiphoton pulse and park it until the bases are
-announced. The ledger records exactly what she has, and
-:func:`finalize_knowledge` converts it into known key bits once the
-public basis announcement happens.
+announced. The ledger records what she has as ``(pulse index, bit,
+basis)`` rows; at the public basis announcement
+:func:`finalize_knowledge` keeps the rows whose pulse is sifted and
+whose basis is the announced one, and those are her known key bits.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Union
 
 import numpy as np
 
-from .photonics import Basis
 from .rng import RandomSource
 
 
@@ -56,27 +56,31 @@ def strategy_label(strategy: EveStrategy) -> str:
     raise TypeError(f"unknown strategy {strategy!r}")
 
 
+def _rows(width: int) -> np.ndarray:
+    return np.zeros((0, width), dtype=np.int64)
+
+
 @dataclass
 class EveLedger:
-    """Everything Eve holds, keyed by pulse index.
+    """Everything Eve holds, as int64 ``(pulse index, bit, basis)`` rows.
 
-    ``stored`` maps index -> (bit, basis) of a parked photon from a split
-    multiphoton pulse; ``measured`` maps index -> (bit, basis_guess) of an
-    intercept-resend measurement. ``known_bits`` is populated at basis
-    announcement by :func:`finalize_knowledge` and is empty before that.
+    ``stored``: one row per photon split off a multiphoton pulse, with
+    Alice's bit and basis. ``measured``: one row per intercept-resend
+    measurement, with Eve's result and basis guess. ``known_bits``:
+    ``(pulse index, bit)`` rows set by :func:`finalize_knowledge`.
     """
 
-    stored: dict = field(default_factory=dict)
-    measured: dict = field(default_factory=dict)
-    known_bits: dict = field(default_factory=dict)
+    stored: np.ndarray = field(default_factory=lambda: _rows(3))
+    measured: np.ndarray = field(default_factory=lambda: _rows(3))
+    known_bits: np.ndarray = field(default_factory=lambda: _rows(2))
 
     def record_stored(self, indices, bits, bases) -> None:
-        for i, b, a in zip(indices, bits, bases):
-            self.stored[int(i)] = (int(b), Basis(int(a)))
+        self.stored = np.concatenate(
+            (self.stored, np.column_stack((indices, bits, bases))))
 
     def record_measured(self, indices, bits, bases) -> None:
-        for i, b, a in zip(indices, bits, bases):
-            self.measured[int(i)] = (int(b), Basis(int(a)))
+        self.measured = np.concatenate(
+            (self.measured, np.column_stack((indices, bits, bases))))
 
 
 def intercept_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarray,
@@ -88,8 +92,6 @@ def intercept_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarr
     Pulse i of the batch has global index start_index + i.
     """
     n = len(photon_counts)
-    indices = np.arange(start_index, start_index + n)
-
     if isinstance(strategy, NoAttack):
         return photon_counts, bits, bases
 
@@ -102,44 +104,41 @@ def intercept_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarr
         out_counts = np.where(take, 1, photon_counts)
         out_bits = np.where(take, eve_bits, bits).astype(np.uint8)
         out_bases = np.where(take, eve_bases, bases).astype(np.uint8)
-        ledger.record_measured(indices[take], eve_bits[take], eve_bases[take])
+        ledger.record_measured(np.flatnonzero(take) + start_index,
+                               eve_bits[take], eve_bases[take])
         return out_counts, out_bits, out_bases
 
     if isinstance(strategy, PhotonNumberSplit):
         split = photon_counts >= 2
         out_counts = photon_counts - split.astype(photon_counts.dtype)
-        ledger.record_stored(indices[split], bits[split], bases[split])
+        ledger.record_stored(np.flatnonzero(split) + start_index,
+                             bits[split], bases[split])
         return out_counts, bits, bases
 
     raise TypeError(f"unknown strategy {strategy!r}")
 
 
 def finalize_knowledge(ledger: EveLedger, announced_bases: np.ndarray,
-                       sifted_indices: np.ndarray) -> dict:
-    """Turn the ledger into known key bits once bases are announced.
-
-    Stored photons are measured in the announced basis and read out with
-    certainty; intercept records become known exactly when Eve's basis
-    guess equals the announced basis. The result is restricted to the
-    sifted positions and is recomputed from scratch, so repeated calls
-    are idempotent.
-    """
-    sifted = set(int(i) for i in sifted_indices)
-    known = {}
-    for idx, (bit, _basis) in ledger.stored.items():
-        if idx in sifted:
-            known[idx] = bit
-    for idx, (bit, guess) in ledger.measured.items():
-        if idx in sifted and int(guess) == int(announced_bases[idx]):
-            known[idx] = bit
-    ledger.known_bits = dict(known)
-    return known
+                       sifted_indices: np.ndarray) -> np.ndarray:
+    """Turn the ledger into known key bits once bases are announced: the
+    ``(pulse index, bit)`` rows, in index order, of every ledger row whose
+    pulse is sifted and whose basis is the announced one. Also set as
+    ``ledger.known_bits``; repeated calls give the same rows."""
+    # The basis test passes every stored row: it holds Alice's own basis,
+    # the one she announces, so Eve reads the parked photon in it exactly.
+    sifted = np.zeros(len(announced_bases), dtype=bool)
+    sifted[sifted_indices] = True
+    rows = np.concatenate((ledger.stored, ledger.measured))
+    index = rows[:, 0]
+    rows = rows[sifted[index] & (rows[:, 2] == announced_bases[index])]
+    ledger.known_bits = rows[np.argsort(rows[:, 0], kind="stable"), :2]
+    return ledger.known_bits
 
 
-def eve_information(known_bits: dict, sifted) -> float:
-    """Fraction of the sifted key Eve knows; 0.0 for an empty sifted key."""
+def eve_information(known_bits: np.ndarray, sifted) -> float:
+    """Fraction of the sifted key Eve knows; 0.0 for an empty sifted key.
+    ``known_bits`` holds ``(pulse index, bit)`` rows."""
     if len(sifted) == 0:
         return 0.0
-    positions = set(int(i) for i in sifted.source_indices)
-    hits = sum(1 for idx in known_bits if idx in positions)
-    return hits / len(sifted)
+    hits = np.isin(known_bits[:, 0], sifted.source_indices, kind="table")
+    return int(hits.sum()) / len(sifted)

@@ -81,6 +81,8 @@ PARAM_RULES = {
     "seed": (_integer, lambda v: True, "an integer"),
     "repeats": (_integer, lambda v: v >= 1, "an integer >= 1"),
     "jobs": (_integer, lambda v: v >= 1, "an integer >= 1"),
+    "key_len": (_integer, lambda v: v >= 0, "an integer >= 0"),
+    "bits": (_integer, lambda v: v >= 0, "an integer >= 0"),
 }
 
 
@@ -339,9 +341,23 @@ def _require(path: str, where: str, spec, keys) -> None:
 
 
 def load_scenario(path: str) -> dict:
+    """Read and check a trusted-node scenario. Every number in it comes
+    back converted by its ``PARAM_RULES`` rule, and every relay hop is
+    a declared link."""
     path, data = _load_json_object(path, "scenario")
     _require(path, "scenario", data, ("nodes", "links", "relays"))
+    for key in ("nodes", "links", "relays"):
+        if not isinstance(data[key], list):
+            raise ConfigError(f"{path}: \"{key}\" must be a list")
     nodes = {str(node_id) for node_id in data["nodes"]}
+
+    def check(where: str, spec: dict, key: str) -> None:
+        try:
+            spec[key] = _checked(key, spec[key])
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {where}: {exc}") from exc
+
+    links = set()
     for i, spec in enumerate(data["links"]):
         _require(path, f"link {i}", spec, ("a", "b"))
         for end in ("a", "b"):
@@ -349,14 +365,32 @@ def load_scenario(path: str) -> dict:
                 raise ConfigError(
                     f"{path}: link {i} ({spec['a']}-{spec['b']}) \"{end}\" "
                     f"names node {spec[end]!r}, not in \"nodes\"")
+        links.add(frozenset((str(spec["a"]), str(spec["b"]))))
+        if "auth_pool_bits" in spec:
+            check(f"link {i}", spec, "auth_pool_bits")
         if "stub" in spec:
             _require(path, f"link {i} stub", spec["stub"], ("seed", "bits"))
+            check(f"link {i} stub", spec["stub"], "seed")
+            check(f"link {i} stub", spec["stub"], "bits")
+        elif "session" in spec:
+            _require(path, f"link {i} \"session\"", spec["session"], ())
     for i, spec in enumerate(data["relays"]):
         _require(path, f"relay {i}", spec, ("path", "key_len"))
-        for node_id in spec["path"]:
+        check(f"relay {i}", spec, "key_len")
+        if "seed" in spec:
+            check(f"relay {i}", spec, "seed")
+        hops = spec["path"]
+        if not isinstance(hops, list) or len(hops) < 2:
+            raise ConfigError(f"{path}: relay {i} \"path\" must be a list "
+                              f"of at least 2 node ids, got {hops!r}")
+        for node_id in hops:
             if str(node_id) not in nodes:
                 raise ConfigError(f"{path}: relay {i} \"path\" names "
                                   f"node {node_id!r}, not in \"nodes\"")
+        for a, b in zip(hops, hops[1:]):
+            if frozenset((str(a), str(b))) not in links:
+                raise ConfigError(f"{path}: relay {i} \"path\" hop "
+                                  f"{a}-{b} is not a link")
     return data
 
 
@@ -369,7 +403,7 @@ def cmd_network(args: argparse.Namespace) -> int:
         a, b = str(spec["a"]), str(spec["b"])
         if "stub" in spec:
             stub = spec["stub"]
-            source = StubKeySource(int(stub["seed"]), int(stub["bits"]))
+            source = StubKeySource(stub["seed"], stub["bits"])
         elif "session" in spec:
             cfg = dict(DEFAULTS)
             cfg.update(spec["session"])
@@ -381,7 +415,7 @@ def cmd_network(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"link {a}-{b} needs a \"stub\" or \"session\" key source")
         net.add_link(a, b, source,
-                     auth_pool_bits=int(spec.get("auth_pool_bits", 4096)))
+                     auth_pool_bits=spec.get("auth_pool_bits", 4096))
 
     try:
         net.provision_all()
@@ -393,8 +427,8 @@ def cmd_network(args: argparse.Namespace) -> int:
     relayed_keys = []
     for i, spec in enumerate(scenario["relays"]):
         path_ids = [str(x) for x in spec["path"]]
-        key_len = int(spec["key_len"])
-        rand = RandomSource(int(spec.get("seed", i))).split("relay")
+        key_len = spec["key_len"]
+        rand = RandomSource(spec.get("seed", i)).split("relay")
         try:
             transcript = net.relay(path_ids, key_len, rand)
         except KeyExhausted as exc:

@@ -126,15 +126,18 @@ class RelayTranscript:
 def relay_key(path: list[Node], key_len: int,
               rand: RandomSource) -> RelayTranscript:
     """Carry a fresh key from path[0] to path[-1] by hop-wise one-time-pad
-    re-encryption. Link key and authentication key are checked on every
-    hop before any bit is spent, so a failed precondition consumes
-    nothing and exposes the key to no node."""
+    re-encryption. Every hop must be a link, and its link key and
+    authentication key are checked before any bit is spent, so a failed
+    precondition consumes nothing, creates no key store and exposes the
+    key to no node."""
     if len(path) < 2:
         raise ValueError("a relay path needs at least two nodes")
     # a path may cross one link more than once; each crossing pays
     crossings = Counter(frozenset((a.id, b.id))
                         for a, b in zip(path, path[1:]))
     for a, b in zip(path, path[1:]):
+        if b.id not in a.channels:
+            raise ValueError(f"hop {a.id}-{b.id} is not a link")
         n = crossings[frozenset((a.id, b.id))]
         have = a.store_for(b.id).remaining
         if have < n * key_len:

@@ -4,13 +4,17 @@ The intercept-resend oracle: a fraction f of intercepted pulses yields a
 sifted error rate of f/4 (Eve guesses the wrong basis half the time, and
 a wrong-basis resend flips the matched-basis outcome half the time). The
 multiphoton-split oracle: Eve knows P(n>=2)/P(n>=1) of the sifted key and
-introduces no errors at all.
+introduces no errors at all. The ledger's one knowledge rule is also
+checked, as a hypothesis property, against the per-pulse dict ledger and
+two-loop rule it replaced.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qkdsim.adversary import (EveLedger, InterceptResend, NoAttack,
                               PhotonNumberSplit, eve_information,
@@ -68,7 +72,7 @@ class TestNoAttack:
         assert np.array_equal(out[0], counts)
         assert np.array_equal(out[1], bits)
         assert np.array_equal(out[2], bases)
-        assert not ledger.stored and not ledger.measured
+        assert ledger.stored.shape == ledger.measured.shape == (0, 3)
 
 
 class TestInterceptResend:
@@ -104,7 +108,7 @@ class TestInterceptResend:
         assert np.all(out_counts == 0)
         assert np.array_equal(out_bits, bits)
         assert np.array_equal(out_bases, bases)
-        assert not ledger.measured
+        assert len(ledger.measured) == 0
 
     def test_matching_guess_reads_alice_bit(self):
         # Whenever Eve's basis guess equals Alice's basis, her recorded
@@ -117,11 +121,13 @@ class TestInterceptResend:
         out_counts, out_bits, out_bases = intercept_batch(
             counts, bits, bases, InterceptResend(1.0), ledger, rand)
         assert len(ledger.measured) == n
-        for idx, (bit, guess) in ledger.measured.items():
-            if int(guess) == int(bases[idx]):
-                assert bit == bits[idx]
-                assert out_bits[idx] == bits[idx]
-            assert out_bases[idx] == int(guess)
+        idx, bit, guess = ledger.measured.T
+        assert np.array_equal(idx, np.arange(n))
+        match = guess == bases[idx]
+        assert match.any() and not match.all()
+        assert np.array_equal(bit[match], bits[idx[match]])
+        assert np.array_equal(out_bits[idx[match]], bits[idx[match]])
+        assert np.array_equal(out_bases[idx], guess)
 
     def test_known_fraction_of_sifted_key(self):
         # Eve's guess matches the announced basis for half the sifted
@@ -151,8 +157,9 @@ class TestPhotonNumberSplit:
         assert np.array_equal(out_counts, [0, 1, 1, 4])
         assert np.array_equal(out_bits, bits)
         assert np.array_equal(out_bases, bases)
-        assert ledger.stored == {2: (1, Basis.DIAGONAL),
-                                 3: (0, Basis.DIAGONAL)}
+        assert ledger.stored.dtype == np.int64
+        assert np.array_equal(ledger.stored, [[2, 1, Basis.DIAGONAL],
+                                              [3, 0, Basis.DIAGONAL]])
 
     def test_introduces_no_errors(self):
         from qkdsim.photonics import SourceModel
@@ -185,8 +192,7 @@ class TestPhotonNumberSplit:
         known = finalize_knowledge(ledger, records.alice_bases,
                                    sifted.source_indices)
         assert len(known) > 0
-        for idx, bit in known.items():
-            assert bit == records.alice_bits[idx]
+        assert np.array_equal(known[:, 1], records.alice_bits[known[:, 0]])
 
 
 class TestKnowledge:
@@ -201,16 +207,17 @@ class TestKnowledge:
             known = finalize_knowledge(ledger, records.alice_bases,
                                        sifted.source_indices)
             assert len(known) > 0
-            for idx, bit in known.items():
-                assert bit == records.alice_bits[idx]
+            assert np.array_equal(known[:, 1],
+                                  records.alice_bits[known[:, 0]])
 
     def test_known_bits_restricted_to_sifted(self):
         config = ideal_config(20_000, InterceptResend(1.0), seed=110)
         records, ledger, sifted = quantum_round(config)
         known = finalize_knowledge(ledger, records.alice_bases,
                                    sifted.source_indices)
-        positions = set(int(i) for i in sifted.source_indices)
-        assert set(known) <= positions
+        assert len(known) > 0
+        assert np.isin(known[:, 0], sifted.source_indices).all()
+        assert np.all(np.diff(known[:, 0]) > 0)  # index order, no repeats
 
     def test_finalize_idempotent(self):
         config = ideal_config(20_000, InterceptResend(1.0), seed=111)
@@ -219,19 +226,21 @@ class TestKnowledge:
                                    sifted.source_indices)
         second = finalize_knowledge(ledger, records.alice_bases,
                                     sifted.source_indices)
-        assert first == second == ledger.known_bits
+        assert first.shape[1] == 2 and len(first) > 0
+        assert np.array_equal(first, second)
+        assert np.array_equal(second, ledger.known_bits)
 
     def test_information_of_empty_sifted_key(self):
         empty = SiftedKeys(np.zeros(0, np.uint8), np.zeros(0, np.uint8),
                            np.zeros(0, np.int64))
-        assert eve_information({0: 1}, empty) == 0.0
+        assert eve_information(np.array([[0, 1]]), empty) == 0.0
 
     def test_information_counts_only_sifted_hits(self):
         sifted = SiftedKeys(np.array([0, 1], np.uint8),
                             np.array([0, 1], np.uint8),
                             np.array([3, 7], np.int64))
-        assert eve_information({3: 0, 5: 1}, sifted) == 0.5
-        assert eve_information({}, sifted) == 0.0
+        assert eve_information(np.array([[3, 0], [5, 1]]), sifted) == 0.5
+        assert eve_information(np.zeros((0, 2), np.int64), sifted) == 0.0
 
 
 class TestScalarDelegate:
@@ -243,7 +252,7 @@ class TestScalarDelegate:
             ledger, RandomSource(6), start_index=42)
         assert (list(counts), list(bits), list(bases)) == \
             ([1], [1], [Basis.DIAGONAL])
-        assert ledger.stored == {42: (1, Basis.DIAGONAL)}
+        assert np.array_equal(ledger.stored, [[42, 1, Basis.DIAGONAL]])
 
     def test_intercept_noattack_pulse(self):
         pulse = (np.array([1]), np.array([0], np.uint8),
@@ -262,7 +271,9 @@ def test_ledger_appends_across_batches():
                     start_index=0)
     intercept_batch(counts, bits, bases, PhotonNumberSplit(), ledger, rand,
                     start_index=10)
-    assert sorted(ledger.stored) == list(range(20))
+    assert np.array_equal(ledger.stored[:, 0], np.arange(20))
+    assert np.array_equal(ledger.stored[:, 1:], np.tile(
+        np.column_stack((bits, bases)), (2, 1)))
 
 
 def test_intercept_batch_deterministic():
@@ -278,4 +289,99 @@ def test_intercept_batch_deterministic():
     (c1, b1, a1), m1 = run()
     (c2, b2, a2), m2 = run()
     assert np.array_equal(c1, c2) and np.array_equal(b1, b2)
-    assert np.array_equal(a1, a2) and m1 == m2
+    assert np.array_equal(a1, a2) and np.array_equal(m1, m2)
+
+
+# -- the ledger against the per-pulse dict ledger it replaced ----------------
+
+def reference_ledger(batches, strategy, seed):
+    """Eve's holdings recorded pulse by pulse as dicts index -> (bit,
+    basis), drawing from the stream in the order intercept_batch does."""
+    rand = RandomSource(seed)
+    stored, measured = {}, {}
+    for start, counts, bits, bases in batches:
+        n = len(counts)
+        if isinstance(strategy, InterceptResend):
+            draw, guesses, other = rand.random(n), rand.bits(n), rand.bits(n)
+            for i in range(n):
+                if draw[i] < strategy.fraction and counts[i] > 0:
+                    bit = bits[i] if guesses[i] == bases[i] else other[i]
+                    measured[start + i] = (int(bit), int(guesses[i]))
+        elif isinstance(strategy, PhotonNumberSplit):
+            for i in range(n):
+                if counts[i] >= 2:
+                    stored[start + i] = (int(bits[i]), int(bases[i]))
+    return stored, measured
+
+
+def reference_knowledge(stored, measured, announced, sifted):
+    """The two-loop rule: a stored photon is read in the announced basis;
+    a measurement counts only when Eve's guess was the announced basis."""
+    sifted = set(int(i) for i in sifted)
+    known = {}
+    for idx, (bit, _basis) in stored.items():
+        if idx in sifted:
+            known[idx] = bit
+    for idx, (bit, guess) in measured.items():
+        if idx in sifted and guess == int(announced[idx]):
+            known[idx] = bit
+    return known
+
+
+def as_rows(table):
+    return np.array([(i, *v) if isinstance(v, tuple) else (i, v)
+                     for i, v in sorted(table.items())], np.int64)
+
+
+@st.composite
+def attacked_pulses(draw):
+    """Two batches of pulses with a gap of unattacked pulses between
+    them, a strategy, a stream seed and a sifted subset of positions."""
+    strategy = draw(st.one_of(
+        st.just(NoAttack()), st.just(PhotonNumberSplit()),
+        st.floats(0.0, 1.0).map(InterceptResend)))
+    sizes = draw(st.tuples(st.integers(0, 60), st.integers(0, 60)))
+    gap = draw(st.integers(0, 10))
+    total = sizes[0] + gap + sizes[1]
+
+    def column(hi):
+        return np.array(draw(st.lists(st.integers(0, hi), min_size=total,
+                                      max_size=total)), np.int64)
+
+    counts, bits, bases = column(4), column(1), column(1)
+    sifted = np.array(sorted(draw(st.sets(st.integers(0, max(total - 1, 0)),
+                                          max_size=total))), np.int64)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return strategy, sizes, gap, counts, bits, bases, sifted, seed
+
+
+class TestLedgerMatchesPerPulseRule:
+    @given(attacked_pulses())
+    def test_knowledge_and_information_match_reference(self, case):
+        strategy, sizes, gap, counts, bits, bases, sifted, seed = case
+        bits, bases = bits.astype(np.uint8), bases.astype(np.uint8)
+        batches = [(start, counts[start:start + size],
+                    bits[start:start + size], bases[start:start + size])
+                   for start, size in ((0, sizes[0]),
+                                       (sizes[0] + gap, sizes[1]))]
+        ledger, rand = EveLedger(), RandomSource(seed)
+        for start, *batch in batches:
+            intercept_batch(*batch, strategy, ledger, rand,
+                            start_index=start)
+        stored, measured = reference_ledger(batches, strategy, seed)
+        assert np.array_equal(ledger.stored.reshape(-1, 3),
+                              as_rows(stored).reshape(-1, 3))
+        assert np.array_equal(ledger.measured.reshape(-1, 3),
+                              as_rows(measured).reshape(-1, 3))
+
+        known = finalize_knowledge(ledger, bases, sifted)
+        want = reference_knowledge(stored, measured, bases, sifted)
+        assert known.dtype == np.int64 and known.shape == (len(want), 2)
+        assert np.array_equal(known, as_rows(want).reshape(-1, 2))
+        assert np.array_equal(ledger.known_bits, known)
+        # Eve never holds a wrong bit: each known bit is Alice's.
+        assert np.array_equal(known[:, 1], bits[known[:, 0]])
+
+        keys = SiftedKeys(bits[sifted], bits[sifted], sifted)
+        expect = len(want) / len(sifted) if len(sifted) else 0.0
+        assert eve_information(known, keys) == expect

@@ -434,6 +434,12 @@ class TestNetworkCommand:
         assert "stub" in err and "session" in err
 
 
+# A valid two-node scenario, varied one key at a time below.
+AB = {"nodes": ["A", "B"],
+      "links": [{"a": "A", "b": "B", "stub": {"seed": 1, "bits": 64}}],
+      "relays": [{"path": ["A", "B"], "key_len": 8}]}
+
+
 @pytest.mark.parametrize("scenario, key", [
     (5, "top level"),
     ({"nodes": ["A", "B"], "links": [{"b": "B", "stub": {}}],
@@ -452,6 +458,29 @@ class TestNetworkCommand:
     ({"nodes": ["A"],
       "links": [{"a": "A", "b": "Z", "stub": {"seed": 1, "bits": 64}}],
       "relays": []}, "'Z'"),
+    (dict(AB, relays=[{"path": ["A", "B"], "key_len": "abc"}]), '"key_len"'),
+    (dict(AB, relays=[{"path": ["A", "B"], "key_len": -3}]), '"key_len"'),
+    (dict(AB, relays=[{"path": ["A", "B"], "key_len": 8.7}]), '"key_len"'),
+    (dict(AB, links=[{"a": "A", "b": "B", "stub": {"seed": 1, "bits": -5}}]),
+     '"bits"'),
+    (dict(AB, links=[dict(AB["links"][0], auth_pool_bits=-1)]),
+     '"auth_pool_bits"'),
+    (dict(AB, links=[dict(AB["links"][0], auth_pool_bits="x")]),
+     '"auth_pool_bits"'),
+    (dict(AB, relays=[{"path": ["A", "B"], "key_len": 8, "seed": "q"}]),
+     '"seed"'),
+    (dict(AB, nodes=3), '"nodes"'),
+    (dict(AB, links={}), '"links"'),
+    (dict(AB, relays="AB"), '"relays"'),
+    (dict(AB, links=[{"a": "A", "b": "B", "session": "x"}]), '"session"'),
+    (dict(AB, relays=[{"path": ["A"], "key_len": 8}]), '"path"'),
+    (dict(AB, relays=[{"path": "AB", "key_len": 8}]), '"path"'),
+    (dict(AB, nodes=["A", "B", "C"],
+          relays=[{"path": ["A", "C"], "key_len": 0}]),
+     'relay 0 "path" hop A-C'),
+    (dict(AB, nodes=["A", "B", "C"],
+          relays=[{"path": ["A", "C"], "key_len": 8}]),
+     'relay 0 "path" hop A-C'),
 ])
 def test_invalid_scenario_exits_one(scenario, key, tmp_path, capsys):
     path = tmp_path / "scenario.json"

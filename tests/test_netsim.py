@@ -198,6 +198,23 @@ class TestRelay:
         assert [s.cursor for s in stores + pools] == before
         assert len(b.knowledge_log) == 1
 
+    @pytest.mark.parametrize("key_len", [0, 8])
+    def test_hop_without_link_touches_no_store(self, key_len):
+        # Nodes A, B, C with only the link A-B: a relay over A-C used to
+        # create an empty A->C store and then fail on it.
+        net = stub_network([("A", "B")], n_bits=256)
+        net.node("C")
+        before = {node_id: {peer: (store.cursor, store.remaining)
+                            for peer, store in node.key_stores.items()}
+                  for node_id, node in net.nodes.items()}
+        with pytest.raises(ValueError, match="A-C"):
+            net.relay(["A", "C"], key_len, RandomSource(532))
+        after = {node_id: {peer: (store.cursor, store.remaining)
+                           for peer, store in node.key_stores.items()}
+                 for node_id, node in net.nodes.items()}
+        assert after == before
+        assert all(node.knowledge_log == [] for node in net.nodes.values())
+
     def test_precheck_counts_every_crossing_of_a_link(self):
         # A-B-A crosses one link twice: 2 x 64 pad bits from each store.
         net = stub_network([("A", "B")], n_bits=100)

@@ -262,6 +262,26 @@ class TestErrorCorrect:
         error_correct(alice, bob, 0.01, RandomSource(6))
         assert np.array_equal(bob, bob_before)
 
+    @given(n=st.integers(16, 3000), e=st.floats(0.0, 0.3),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=16, e=0.0, seed=0)
+    @example(n=512, e=0.3, seed=1)
+    def test_leak_is_transcript_and_verified_is_correct(self, n, e, seed):
+        # Holds for every key, whether reconciliation succeeds or not:
+        # every disclosed bit is in the transcript, and a key the hash
+        # check accepts is Alice's key.
+        rand = RandomSource(seed)
+        alice = rand.bits(n)
+        bob = alice.copy()
+        bob[rand.sample_indices(n, round(e * n))] ^= 1
+        try:
+            result = error_correct(alice, bob, e, rand.split("coins"))
+        except ReconciliationFailure as exc:
+            result = exc.result
+        assert result.leaked_bits == len(result.transcript)
+        if result.verified:
+            assert np.array_equal(result.corrected_key, alice)
+
 
 class TestPrivacyAmplify:
     def test_worked_toy_vector(self):
