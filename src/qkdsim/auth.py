@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import MASK64, Gf64Multiplier, bytes_to_blocks, poly_hash_blocks
+from .gf2 import MASK64, Gf64Multiplier
 
 HASH_KEY_BITS = 64
 TAG_BITS = 64
@@ -32,14 +32,6 @@ class KeyExhausted(Exception):
 
 class AuthenticationFailure(Exception):
     """A received tag did not verify."""
-
-
-def _bits_to_int(bits: np.ndarray) -> int:
-    """Big-endian interpretation: the first bit is the most significant."""
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
 
 
 class BitPool:
@@ -76,7 +68,10 @@ class BitPool:
         return out
 
     def consume_int(self, n_bits: int) -> int:
-        return _bits_to_int(self.consume(n_bits))
+        """Consume ``n_bits`` and read them as a big-endian integer: the
+        first bit is the most significant."""
+        packed = np.packbits(self.consume(n_bits)).tobytes()
+        return int.from_bytes(packed, "big") >> (-n_bits % 8)
 
     def deposit(self, bits) -> None:
         """Append freshly produced key bits for later consumption."""
@@ -88,7 +83,7 @@ def _hash_message(message: bytes, mul: Gf64Multiplier) -> int:
     """Polynomial hash of the message blocks, then the byte length is
     added as the k^0 coefficient so zero-padding and truncation change
     the hash. The convention is frozen: every tag depends on it."""
-    return poly_hash_blocks(bytes_to_blocks(message), mul.mul) ^ len(message)
+    return mul.hash_bytes(message) ^ len(message)
 
 
 def compute_tag(message: bytes, hash_key: int, otp: int) -> int:

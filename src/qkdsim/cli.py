@@ -48,6 +48,13 @@ CONFIG_KEYS = {"pulses", "mu", "distance_km", "attenuation_db_per_km",
                "auth_pool_bits", "seed", "sweep", "repeats", "output"}
 SWEEP_KEYS = {"distance_km", "mu", "eve_fraction"}
 
+# A scenario's keys at each level; a link "session" takes the session
+# keys of DEFAULTS.
+SCENARIO_KEYS = ("nodes", "links", "relays")
+LINK_KEYS = ("a", "b", "stub", "session", "auth_pool_bits")
+STUB_KEYS = ("seed", "bits")
+RELAY_KEYS = ("path", "key_len", "seed")
+
 DEFAULTS = {"pulses": 200_000, "mu": 0.1, "distance_km": 15.0,
             "attenuation_db_per_km": 0.2, "efficiency": 0.1,
             "dark_count_prob": 1e-5, "flip_prob": 0.01, "eve": "none",
@@ -332,9 +339,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _require(path: str, where: str, spec, keys) -> None:
+def _require(path: str, where: str, spec, keys, allowed) -> None:
+    """``spec`` must be an object holding every key of ``keys`` and no
+    key outside ``allowed``."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: {where} must be an object")
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        names = ", ".join(f'"{key}"' for key in unknown)
+        raise ConfigError(f"{path}: {where} has unknown key {names}; "
+                          f"allowed: {', '.join(sorted(allowed))}")
     for key in keys:
         if key not in spec:
             raise ConfigError(f"{path}: {where} needs \"{key}\"")
@@ -345,8 +359,8 @@ def load_scenario(path: str) -> dict:
     back converted by its ``PARAM_RULES`` rule, and every relay hop is
     a declared link."""
     path, data = _load_json_object(path, "scenario")
-    _require(path, "scenario", data, ("nodes", "links", "relays"))
-    for key in ("nodes", "links", "relays"):
+    _require(path, "scenario", data, SCENARIO_KEYS, SCENARIO_KEYS)
+    for key in SCENARIO_KEYS:
         if not isinstance(data[key], list):
             raise ConfigError(f"{path}: \"{key}\" must be a list")
     nodes = {str(node_id) for node_id in data["nodes"]}
@@ -359,7 +373,7 @@ def load_scenario(path: str) -> dict:
 
     links = set()
     for i, spec in enumerate(data["links"]):
-        _require(path, f"link {i}", spec, ("a", "b"))
+        _require(path, f"link {i}", spec, ("a", "b"), LINK_KEYS)
         for end in ("a", "b"):
             if str(spec[end]) not in nodes:
                 raise ConfigError(
@@ -369,13 +383,15 @@ def load_scenario(path: str) -> dict:
         if "auth_pool_bits" in spec:
             check(f"link {i}", spec, "auth_pool_bits")
         if "stub" in spec:
-            _require(path, f"link {i} stub", spec["stub"], ("seed", "bits"))
+            _require(path, f"link {i} stub", spec["stub"], STUB_KEYS,
+                     STUB_KEYS)
             check(f"link {i} stub", spec["stub"], "seed")
             check(f"link {i} stub", spec["stub"], "bits")
         elif "session" in spec:
-            _require(path, f"link {i} \"session\"", spec["session"], ())
+            _require(path, f"link {i} \"session\"", spec["session"], (),
+                     DEFAULTS)
     for i, spec in enumerate(data["relays"]):
-        _require(path, f"relay {i}", spec, ("path", "key_len"))
+        _require(path, f"relay {i}", spec, ("path", "key_len"), RELAY_KEYS)
         check(f"relay {i}", spec, "key_len")
         if "seed" in spec:
             check(f"relay {i}", spec, "seed")

@@ -230,4 +230,9 @@ class Network:
 
     def relay(self, path_ids: list[str], key_len: int,
               rand: RandomSource) -> RelayTranscript:
-        return relay_key([self.node(i) for i in path_ids], key_len, rand)
+        """Relay over existing nodes only; an unknown id raises
+        ``ValueError`` before anything is created or spent."""
+        for node_id in path_ids:
+            if node_id not in self.nodes:
+                raise ValueError(f"unknown node {node_id!r} in relay path")
+        return relay_key([self.nodes[i] for i in path_ids], key_len, rand)

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .gf2 import Gf64Multiplier, bytes_to_blocks, poly_hash_blocks
+from .gf2 import Gf64Multiplier
 from .rng import RandomSource
 
 # Root of 1 - 2 h(e), located numerically to double precision.
@@ -158,9 +158,7 @@ def _verification_hash(bits: np.ndarray, mul: Gf64Multiplier) -> int:
     as a final block; used by both parties to confirm equality after
     reconciliation. The convention is frozen: every transcript ends in
     this hash."""
-    blocks = bytes_to_blocks(np.packbits(bits).tobytes())
-    blocks.append(len(bits))
-    return poly_hash_blocks(blocks, mul.mul)
+    return mul.hash_bytes(np.packbits(bits).tobytes(), (len(bits),))
 
 
 def error_correct(alice_key, bob_key, e_hat: float,

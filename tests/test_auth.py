@@ -8,21 +8,26 @@ the 8-bit toy field.
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from qkdsim.adversary import InterceptResend
+from qkdsim.adversary import (InterceptResend, NoAttack,
+                              PhotonNumberSplit)
 from qkdsim.auth import (AuthenticatedChannel, AuthenticatedMessage,
                          AuthenticationFailure, BitPool, KeyExhausted,
                          compute_tag, verify_tag)
-from qkdsim.gf2 import (MASK64, REDUCTION_POLY, Gf64Multiplier,
-                        bytes_to_blocks, gf8_mul, gf64_mul, poly_hash_blocks)
-from qkdsim.photonics import ConstantSource, DetectorPair, FiberChannel
+from qkdsim.gf2 import (LANES, MASK64, REDUCTION_POLY, Gf64Multiplier,
+                        gf8_mul, gf64_mul, poly_hash_blocks)
+from qkdsim.photonics import (ConstantSource, DetectorPair, FiberChannel,
+                              SourceModel)
+from qkdsim.postprocess import _verification_hash
 from qkdsim.protocol import SessionConfig, SessionOutcome, run_session
 from qkdsim.rng import RandomSource
 
 
 def ref_mul64(a: int, b: int) -> int:
     """Shift-and-reduce product in GF(2^64) mod x^64 + x^4 + x^3 + x + 1,
-    written independently of the library's nibble-table route."""
+    written independently of the library's byte-table route."""
     acc = 0
     for i in range(64):
         if (b >> i) & 1:
@@ -47,13 +52,35 @@ def ref_mul8(a: int, b: int) -> int:
     return acc
 
 
+def ref_blocks(message: bytes) -> list[int]:
+    """Big-endian 64-bit blocks, the last one right-padded with zeros."""
+    return [int.from_bytes(message[i:i + 8].ljust(8, b"\x00"), "big")
+            for i in range(0, len(message), 8)]
+
+
+def ref_horner(blocks, hash_key: int) -> int:
+    acc = 0
+    for block in blocks:
+        acc = ref_mul64(acc ^ block, hash_key)
+    return acc
+
+
 def ref_tag(message: bytes, hash_key: int, otp: int) -> int:
     """Recompute a tag from the documented construction only."""
-    acc = 0
-    for i in range(0, len(message), 8):
-        block = int.from_bytes(message[i:i + 8].ljust(8, b"\x00"), "big")
-        acc = ref_mul64(acc ^ block, hash_key)
-    return acc ^ len(message) ^ otp
+    return ref_horner(ref_blocks(message), hash_key) ^ len(message) ^ otp
+
+
+def ref_bits_to_int(bits) -> int:
+    """Big-endian bit loop: the first bit is the most significant."""
+    value = 0
+    for b in bits:
+        value = (value << 1) | int(b)
+    return value
+
+
+def int_to_bits(value: int, n_bits: int) -> np.ndarray:
+    return np.array([value >> (n_bits - 1 - i) & 1 for i in range(n_bits)],
+                    dtype=np.uint8)
 
 
 class TestFieldArithmetic:
@@ -80,6 +107,8 @@ class TestFieldArithmetic:
             assert gf64_mul(b, a) == want
 
     def test_table_multiplier_agrees(self):
+        """The byte-table product k * a equals the shift-reduce reference
+        and the in-test one, for random keys and operands."""
         rand = RandomSource(12)
         for _ in range(20):
             k = rand.uint64()
@@ -114,7 +143,7 @@ class TestPolynomialHash:
 
     def test_empty_is_zero(self):
         assert poly_hash_blocks([], Gf64Multiplier(12345).mul) == 0
-        assert bytes_to_blocks(b"") == []
+        assert Gf64Multiplier(12345).hash_bytes(b"") == 0
 
     def test_toy_field_collision_bound(self):
         # Exhaustive over all 256 keys: two distinct messages of t blocks
@@ -139,6 +168,64 @@ class TestPolynomialHash:
                 if poly_hash_blocks(m1, lambda a: gf8_mul(a, k)) ^ len(m1)
                 == poly_hash_blocks(m2, lambda a: gf8_mul(a, k)) ^ len(m2))
             assert collisions <= bound
+
+
+# Longest message the kernel properties draw: three full lane rows plus
+# a ragged tail, so both sides of the LANES switch are covered.
+MAX_HASH_BYTES = 3 * 8 * LANES + 17
+KEYS = st.integers(0, MASK64)
+
+
+class TestHashKernelProperties:
+    """Every production hash (``compute_tag``, channel tags, the Cascade
+    verification hash) against the in-test shift-reduce Horner, for
+    messages on both sides of ``LANES`` blocks."""
+
+    @given(length=st.integers(0, MAX_HASH_BYTES), seed=st.integers(0, 2**32),
+           key=KEYS, otp=KEYS)
+    @example(length=8 * LANES, seed=1, key=3, otp=0)
+    @example(length=8 * LANES + 8, seed=2, key=MASK64, otp=1)
+    @example(length=8 * LANES + 1, seed=3, key=2**63 + 5, otp=2)
+    @example(length=16 * LANES, seed=4, key=0x1B, otp=3)
+    @example(length=16 * LANES + 8, seed=5, key=2**64 - 3, otp=4)
+    @example(length=16 * LANES + 5, seed=6, key=12345, otp=5)
+    @example(length=8 * LANES - 3, seed=7, key=0, otp=6)
+    def test_compute_tag_matches_reference(self, length, seed, key, otp):
+        message = RandomSource(seed).byte_string(length)
+        assert compute_tag(message, key, otp) == ref_tag(message, key, otp)
+
+    @given(lengths=st.lists(st.integers(0, MAX_HASH_BYTES), min_size=1,
+                            max_size=3),
+           seed=st.integers(0, 2**32), key=KEYS)
+    @example(lengths=[8 * LANES + 8, 16 * LANES + 1], seed=1, key=7)
+    @example(lengths=[16 * LANES, 8 * LANES, 3], seed=2, key=MASK64)
+    def test_channel_tags_match_reference(self, lengths, seed, key):
+        # Later messages reuse the channel's multiplier and its lane
+        # tables, so each draws a fresh pad under the same hash key.
+        rand = RandomSource(seed)
+        pads = [rand.uint64() for _ in lengths]
+        pool = BitPool(np.concatenate(
+            [int_to_bits(v, 64) for v in [key, *pads]]))
+        channel = AuthenticatedChannel(pool)
+        for length, otp in zip(lengths, pads):
+            message = rand.byte_string(length)
+            msg = channel.send(message)
+            assert msg.tag == ref_tag(message, key, otp)
+            assert channel.deliver(msg) == message
+
+    @given(n_bits=st.integers(0, 8 * MAX_HASH_BYTES),
+           seed=st.integers(0, 2**32), key=KEYS)
+    @example(n_bits=64 * (LANES - 1), seed=1, key=9)
+    @example(n_bits=64 * (LANES - 1) + 1, seed=2, key=MASK64)
+    @example(n_bits=64 * LANES, seed=3, key=2**63)
+    @example(n_bits=64 * (2 * LANES - 1), seed=4, key=0x1B)
+    @example(n_bits=64 * (2 * LANES - 1) + 3, seed=5, key=1)
+    @example(n_bits=0, seed=6, key=77)
+    def test_verification_hash_matches_reference(self, n_bits, seed, key):
+        bits = RandomSource(seed).bits(n_bits)
+        want = ref_horner(ref_blocks(np.packbits(bits).tobytes()) + [n_bits],
+                          key)
+        assert _verification_hash(bits, Gf64Multiplier(key)) == want
 
 
 class TestComputeTag:
@@ -275,6 +362,21 @@ class TestAuthKeyPool:
         assert pool.consume_int(3) == 5
         assert pool.consume_int(1) == 1
 
+    @given(skip=st.integers(0, 64), n_bits=st.integers(0, 64),
+           seed=st.integers(0, 2**32))
+    @example(skip=0, n_bits=0, seed=1)
+    @example(skip=3, n_bits=7, seed=2)
+    @example(skip=0, n_bits=64, seed=3)
+    @example(skip=5, n_bits=63, seed=4)
+    @example(skip=64, n_bits=9, seed=5)
+    def test_consume_int_matches_bit_loop(self, skip, n_bits, seed):
+        bits = RandomSource(seed).bits(128)
+        pool = BitPool(bits)
+        pool.consume(skip)
+        assert pool.consume_int(n_bits) == \
+            ref_bits_to_int(bits[skip:skip + n_bits])
+        assert pool.cursor == skip + n_bits
+
     def test_rejects_invalid_bits(self):
         with pytest.raises(ValueError):
             BitPool(np.array([0, 2], dtype=np.uint8))
@@ -313,6 +415,43 @@ class TestKeyLedger:
         report = ideal_session(4000, 23, eve=InterceptResend(1.0))
         assert report.outcome is SessionOutcome.ABORT_QBER
         assert report.secret_growth == -256
+
+    @given(pulses=st.integers(200, 5000), mu=st.floats(0.01, 1.0),
+           flip=st.floats(0.0, 0.2), distance=st.floats(0.0, 60.0),
+           efficiency=st.floats(0.05, 1.0),
+           eve=st.sampled_from(["none", "intercept", "pns"]),
+           fraction=st.floats(0.05, 1.0), seed=st.integers(0, 2**32))
+    @example(pulses=200, mu=0.01, flip=0.0, distance=60.0, efficiency=0.05,
+             eve="none", fraction=1.0, seed=1)        # nothing to sample
+    @example(pulses=5000, mu=0.5, flip=0.0, distance=0.0, efficiency=1.0,
+             eve="intercept", fraction=1.0, seed=2)   # error-rate abort
+    @example(pulses=200, mu=0.1, flip=0.0, distance=0.0, efficiency=1.0,
+             eve="none", fraction=1.0, seed=3)        # too short
+    @example(pulses=5000, mu=0.5, flip=0.01, distance=5.0, efficiency=1.0,
+             eve="pns", fraction=1.0, seed=4)         # reconciled
+    def test_growth_and_budget_for_any_config(self, pulses, mu, flip,
+                                              distance, efficiency, eve,
+                                              fraction, seed):
+        strategy = {"none": NoAttack(), "intercept": InterceptResend(fraction),
+                    "pns": PhotonNumberSplit()}[eve]
+        report = run_session(SessionConfig(
+            n_pulses=pulses, source=SourceModel(mu),
+            channel=FiberChannel(distance, 0.2, flip),
+            detectors=DetectorPair(efficiency, 1e-5), seed=seed,
+            eve=strategy))
+        spent = report.auth_bits_consumed
+        assert report.secret_growth == report.final_len - spent
+        # The README's budget: 192 when there is nothing to sample, 256
+        # at the error-rate check, 320 when the remainder is too short
+        # to reconcile (no leak), 384 once reconciliation ran.
+        if report.outcome is SessionOutcome.ABORT_QBER:
+            assert spent == (192 if np.isnan(report.e_hat) else 256)
+        elif report.outcome is SessionOutcome.ABORT_RECONCILIATION:
+            assert spent == 384
+        elif report.leak_ec_bits == 0:
+            assert (spent, report.final_len) == (320, 0)
+        else:
+            assert spent == 384
 
 
 class TestAuthenticatedChannel:

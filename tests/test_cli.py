@@ -481,6 +481,19 @@ AB = {"nodes": ["A", "B"],
     (dict(AB, nodes=["A", "B", "C"],
           relays=[{"path": ["A", "C"], "key_len": 8}]),
      'relay 0 "path" hop A-C'),
+    (dict(AB, extra=1), 'scenario has unknown key "extra"'),
+    (dict(AB, links=[dict(AB["links"][0], stubb=1)]),
+     'link 0 has unknown key "stubb"'),
+    (dict(AB, links=[{"a": "A", "b": "B",
+                      "stub": {"seed": 1, "bits": 64, "sed": 2}}]),
+     'link 0 stub has unknown key "sed"'),
+    (dict(AB, links=[{"a": "A", "b": "B", "session": {"pulsez": 5}}]),
+     'link 0 "session" has unknown key "pulsez"'),
+    (dict(AB, links=[{"a": "A", "b": "B",
+                      "session": {"pulses": 2000, "repeats": 2}}]),
+     'link 0 "session" has unknown key "repeats"'),
+    (dict(AB, relays=[{"path": ["A", "B"], "key_len": 8, "keylen": 99}]),
+     'relay 0 has unknown key "keylen"'),
 ])
 def test_invalid_scenario_exits_one(scenario, key, tmp_path, capsys):
     path = tmp_path / "scenario.json"

@@ -213,7 +213,18 @@ class TestRelay:
                            for peer, store in node.key_stores.items()}
                  for node_id, node in net.nodes.items()}
         assert after == before
+        assert sorted(net.nodes) == ["A", "B", "C"]
         assert all(node.knowledge_log == [] for node in net.nodes.values())
+
+    @pytest.mark.parametrize("path", [["A", "Z"], ["Z", "A"],
+                                      ["A", "B", "Z"]])
+    def test_unknown_node_id_creates_nothing(self, path):
+        net = stub_network([("A", "B")], n_bits=256)
+        with pytest.raises(ValueError, match="unknown node 'Z'"):
+            net.relay(path, 8, RandomSource(533))
+        assert sorted(net.nodes) == ["A", "B"]
+        assert net.nodes["A"].store_for("B").cursor == 0
+        assert net.nodes["A"].channels["B"].pool.cursor == 0
 
     def test_precheck_counts_every_crossing_of_a_link(self):
         # A-B-A crosses one link twice: 2 x 64 pad bits from each store.
