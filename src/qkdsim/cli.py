@@ -5,10 +5,17 @@ Subcommands: ``run`` (one session, human-readable report), ``sweep``
 ``selftest`` (fast invariant battery). Everything is deterministic given
 --seed; sweep rows come out in declaration order at any --jobs level.
 
-Exit codes are a stable contract: 0 success, 1 usage or config error,
-2 session aborted at the error-rate test, 3 session aborted at
-reconciliation, 4 insufficient link or authentication key (a relay, or
-a session whose authentication pool ran dry).
+Flags, config files, sweep axes and scenarios are all checked, before
+anything runs, by one walker (:func:`_validate`) over one rule table:
+string and number types and ranges, unknown and missing keys, exactly
+one of ``stub`` and ``session`` per link, and no self-loop or duplicate
+links.
+
+Exit codes are a stable contract: 0 success, 1 usage or config error
+(a bad flag and a missing subcommand included), 2 session aborted at
+the error-rate test, 3 session aborted at reconciliation, 4 insufficient
+link or authentication key (a relay, or a session whose authentication
+pool ran dry).
 """
 
 from __future__ import annotations
@@ -17,11 +24,12 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
-import io
+import itertools
 import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 from .adversary import (InterceptResend, NoAttack, PhotonNumberSplit,
                         strategy_label)
@@ -42,19 +50,8 @@ CSV_COLUMNS = ["seed", "distance_km", "mu", "eve", "pulses", "clicks",
                "raw_len", "sifted_len", "qber", "leak_ec", "final_len",
                "eve_info", "auth_consumed", "secret_growth", "outcome"]
 
-CONFIG_KEYS = {"pulses", "mu", "distance_km", "attenuation_db_per_km",
-               "efficiency", "dark_count_prob", "flip_prob", "eve",
-               "attack_model", "sample_fraction", "margin",
-               "auth_pool_bits", "seed", "sweep", "repeats", "output"}
-SWEEP_KEYS = {"distance_km", "mu", "eve_fraction"}
-
-# A scenario's keys at each level; a link "session" takes the session
-# keys of DEFAULTS.
-SCENARIO_KEYS = ("nodes", "links", "relays")
-LINK_KEYS = ("a", "b", "stub", "session", "auth_pool_bits")
-STUB_KEYS = ("seed", "bits")
-RELAY_KEYS = ("path", "key_len", "seed")
-
+# The session parameters: the keys of a config file, of the flags and
+# of a scenario link's "session".
 DEFAULTS = {"pulses": 200_000, "mu": 0.1, "distance_km": 15.0,
             "attenuation_db_per_km": 0.2, "efficiency": 0.1,
             "dark_count_prob": 1e-5, "flip_prob": 0.01, "eve": "none",
@@ -62,53 +59,8 @@ DEFAULTS = {"pulses": 200_000, "mu": 0.1, "distance_km": 15.0,
             "margin": 30, "auth_pool_bits": 512, "seed": 1}
 
 
-def _integer(value) -> int:
-    """int(value), refusing a value that int() would truncate (2000.9)."""
-    number = int(value)
-    if number != value and str(number) != value:
-        raise ValueError(f"{value!r} is not an integer")
-    return number
-
-
-# Numeric parameters as (conversion, test, what the test requires).
-# Every value from a flag, config file, sweep axis or scenario link
-# passes one of these before it reaches a model constructor.
-_FINITE = (float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
-PARAM_RULES = {
-    "pulses": (_integer, lambda v: v >= 1, "an integer >= 1"),
-    "mu": _FINITE,
-    "distance_km": _FINITE,
-    "attenuation_db_per_km": _FINITE,
-    "efficiency": (float, lambda v: 0 <= v <= 1, "a number in [0, 1]"),
-    "dark_count_prob": (float, lambda v: 0 <= v < 1, "a number in [0, 1)"),
-    "flip_prob": (float, lambda v: 0 <= v <= 0.5, "a number in [0, 0.5]"),
-    "sample_fraction": (float, lambda v: 0 < v < 1, "a number in (0, 1)"),
-    "margin": (_integer, lambda v: v >= 0, "an integer >= 0"),
-    "auth_pool_bits": (_integer, lambda v: v >= 0, "an integer >= 0"),
-    "seed": (_integer, lambda v: True, "an integer"),
-    "repeats": (_integer, lambda v: v >= 1, "an integer >= 1"),
-    "jobs": (_integer, lambda v: v >= 1, "an integer >= 1"),
-    "key_len": (_integer, lambda v: v >= 0, "an integer >= 0"),
-    "bits": (_integer, lambda v: v >= 0, "an integer >= 0"),
-}
-
-
 class ConfigError(Exception):
     """Bad config file or flag combination; maps to exit 1."""
-
-
-def _checked(key: str, value):
-    """``value`` converted by the rule for ``key``; a ConfigError naming
-    the key if it does not convert or breaks the rule."""
-    convert, test, wording = PARAM_RULES[key]
-    try:
-        number = convert(value)
-        ok = test(number)
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise ConfigError(f"\"{key}\" must be {wording}, got {value!r}")
-    return number
 
 
 def parse_eve(text: str):
@@ -137,6 +89,151 @@ def parse_attack_model(text: str) -> AttackModel:
         ) from exc
 
 
+def _integer(value) -> int:
+    """int(value), refusing a value that int() would truncate (2000.9)."""
+    number = int(value)
+    if number != value and str(number) != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
+def _text(parse=str):
+    """A converter for a string that ``parse`` accepts, kept as given."""
+    def convert(value):
+        if not isinstance(value, str):
+            raise TypeError(f"{value!r} is not a string")
+        parse(value)
+        return value
+    return convert
+
+
+def _node(value) -> str:
+    if not isinstance(value, (str, int)):
+        raise TypeError(f"{value!r} is not a node id")
+    return str(value)
+
+
+# One value's rule: (conversion, test, what the test requires). Every
+# value from a flag, config file, sweep axis or scenario passes one of
+# these before it reaches a model constructor.
+_FINITE = (float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_UNIT = (float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+_NODE = (_node, lambda v: True, "a node id (a string or an integer)")
+PARAM_RULES = {
+    "pulses": (_integer, lambda v: v >= 1, "an integer >= 1"),
+    "mu": _FINITE,
+    "distance_km": _FINITE,
+    "attenuation_db_per_km": _FINITE,
+    "efficiency": _UNIT,
+    "dark_count_prob": (float, lambda v: 0 <= v < 1, "a number in [0, 1)"),
+    "flip_prob": (float, lambda v: 0 <= v <= 0.5, "a number in [0, 0.5]"),
+    "sample_fraction": (float, lambda v: 0 < v < 1, "a number in (0, 1)"),
+    "margin": (_integer, lambda v: v >= 0, "an integer >= 0"),
+    "auth_pool_bits": (_integer, lambda v: v >= 0, "an integer >= 0"),
+    "seed": (_integer, lambda v: True, "an integer"),
+    "repeats": (_integer, lambda v: v >= 1, "an integer >= 1"),
+    "jobs": (_integer, lambda v: v >= 1, "an integer >= 1"),
+    "key_len": (_integer, lambda v: v >= 0, "an integer >= 0"),
+    "bits": (_integer, lambda v: v >= 0, "an integer >= 0"),
+    "eve": (_text(parse_eve), bool,
+            "none, pns, intercept or intercept:<fraction>"),
+    "attack_model": (_text(parse_attack_model), bool,
+                     "coherent or individual"),
+    "output": (_text(), bool, "a non-empty string"),
+}
+
+
+class Seq(NamedTuple):
+    """A list, at least ``least`` long, whose every item passes ``item``."""
+    item: object
+    least: int = 0
+    wording: str = "a list"
+
+
+class Obj(NamedTuple):
+    """An object whose keys pass ``rules``, with every key of
+    ``required`` and one key of ``one_of``. ``label`` names it in
+    messages, formatted with its parent's label ({0}) and fields or
+    with its list index ({i})."""
+    label: str
+    rules: dict
+    required: tuple = ()
+    one_of: tuple = ()
+
+
+SESSION = Obj('link {a}-{b} session, {0} "session"',
+              {key: PARAM_RULES[key] for key in DEFAULTS})
+CONFIG = Obj("config", {
+    **SESSION.rules,
+    "sweep": Obj("sweep", {
+        axis: Seq(rule, 1, "a non-empty list of values")
+        for axis, rule in (("distance_km", _FINITE), ("mu", _FINITE),
+                           ("eve_fraction", _UNIT))}),
+    "repeats": PARAM_RULES["repeats"], "output": PARAM_RULES["output"]})
+SCENARIO = Obj("scenario", {
+    "nodes": Seq(_NODE),
+    "links": Seq(Obj("link {i}", {
+        "a": _NODE, "b": _NODE,
+        "stub": Obj("{0} stub", {key: PARAM_RULES[key]
+                                 for key in ("seed", "bits")},
+                    required=("seed", "bits")),
+        "session": SESSION,
+        "auth_pool_bits": PARAM_RULES["auth_pool_bits"]},
+        required=("a", "b"), one_of=("stub", "session"))),
+    "relays": Seq(Obj("relay {i}", {
+        "path": Seq(_NODE, 2, "a list of at least 2 node ids"),
+        "key_len": PARAM_RULES["key_len"], "seed": PARAM_RULES["seed"]},
+        required=("path", "key_len")))},
+    required=("nodes", "links", "relays"))
+
+
+def _validate(path: str, where: str, spec, rule):
+    """``spec`` checked against ``rule`` and converted.
+
+    A rule is a ``(conversion, test, wording)`` triple for one value, a
+    :class:`Seq` or an :class:`Obj`. The first value that breaks its
+    rule raises a ConfigError naming ``path`` (the file, "" for flags)
+    and the value's label, ``where`` for ``spec`` itself."""
+    def fail(problem):
+        return ConfigError(f"{path}: {where} {problem}" if path
+                           else f"{where} {problem}")
+
+    if isinstance(rule, Seq):
+        if not isinstance(spec, list) or len(spec) < rule.least:
+            raise fail(f"must be {rule.wording}, got {spec!r}")
+        return [_validate(path, rule.item.label.format(where, i=i)
+                          if isinstance(rule.item, Obj) else where,
+                          item, rule.item) for i, item in enumerate(spec)]
+    if isinstance(rule, Obj):
+        if not isinstance(spec, dict):
+            raise fail("must be an object")
+        unknown = sorted(set(spec) - set(rule.rules))
+        if unknown:
+            names = ", ".join(f'"{key}"' for key in unknown)
+            raise fail(f"has unknown key {names}; "
+                       f"allowed: {', '.join(sorted(rule.rules))}")
+        for key in rule.required:
+            if key not in spec:
+                raise fail(f"needs \"{key}\"")
+        if rule.one_of and sum(key in spec for key in rule.one_of) != 1:
+            raise fail("needs exactly one of "
+                       + ", ".join(f'"{key}"' for key in rule.one_of))
+        return {key: _validate(path, child.label.format(where, **spec)
+                               if isinstance(child, Obj)
+                               else f'{where}: "{key}"'.lstrip(": "),
+                               spec[key], child)
+                for key, child in rule.rules.items() if key in spec}
+    convert, test, wording = rule
+    try:
+        value = convert(spec)
+        ok = not isinstance(spec, bool) and test(value)
+    except (TypeError, ValueError, OverflowError, ConfigError):
+        ok = False
+    if not ok:
+        raise fail(f"must be {wording}, got {spec!r}")
+    return value
+
+
 def _load_json_object(path: str, what: str) -> tuple[str, dict]:
     """Read a JSON file whose top level must be an object; a relative
     name that does not exist here may live in $QKDSIM_CONFIG_DIR.
@@ -161,63 +258,34 @@ def _load_json_object(path: str, what: str) -> tuple[str, dict]:
 
 def load_config_file(path: str) -> dict:
     path, data = _load_json_object(path, "config")
-    unknown = set(data) - CONFIG_KEYS
-    if unknown:
-        raise ConfigError(
-            f"{path}: unknown keys {sorted(unknown)}; "
-            f"allowed: {sorted(CONFIG_KEYS)}")
-    sweep = data.get("sweep", {})
-    if not isinstance(sweep, dict) or set(sweep) - SWEEP_KEYS:
-        raise ConfigError(
-            f"{path}: sweep axes must be among {sorted(SWEEP_KEYS)}")
-    return data
+    return _validate(path, "config", data, CONFIG)
 
 
 def merge_params(args: argparse.Namespace) -> dict:
     """Defaults, then config file, then explicit flags (flags win)."""
-    params = dict(DEFAULTS)
-    sweep: dict = {}
+    params = dict(DEFAULTS, sweep={})
     if getattr(args, "config", None):
-        data = load_config_file(args.config)
-        sweep = data.pop("sweep", {})
-        params.update({k: v for k, v in data.items()
-                       if k not in ("repeats", "output")})
-        for k in ("repeats", "output"):
-            if k in data:
-                params[k] = data[k]
-    flag_map = {"pulses": "pulses", "mu": "mu", "distance_km": "distance_km",
-                "attenuation_db_per_km": "attenuation_db_per_km",
-                "efficiency": "efficiency", "dark": "dark_count_prob",
-                "flip": "flip_prob", "eve": "eve",
-                "attack_model": "attack_model",
-                "sample_fraction": "sample_fraction", "margin": "margin",
-                "auth_pool_bits": "auth_pool_bits", "seed": "seed"}
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            params[key] = value
-    params["sweep"] = sweep
+        params.update(load_config_file(args.config))
+    flags = {key: value for key, value in vars(args).items()
+             if key in CONFIG.rules and value is not None}
+    params.update(_validate("", "", flags, CONFIG))
     return params
 
 
 def session_config(params: dict) -> SessionConfig:
-    def value(key):
-        return _checked(key, params[key])
-
+    p = _validate("", "", {key: params[key] for key in DEFAULTS}, SESSION)
     return SessionConfig(
-        n_pulses=value("pulses"),
-        source=SourceModel(value("mu")),
-        channel=FiberChannel(value("distance_km"),
-                             value("attenuation_db_per_km"),
-                             value("flip_prob")),
-        detectors=DetectorPair(value("efficiency"),
-                               value("dark_count_prob")),
-        seed=value("seed"),
-        eve=parse_eve(params["eve"]),
-        sample_fraction=value("sample_fraction"),
-        attack_model=parse_attack_model(str(params["attack_model"])),
-        security_margin_bits=value("margin"),
-        auth_pool_bits=value("auth_pool_bits"))
+        n_pulses=p["pulses"],
+        source=SourceModel(p["mu"]),
+        channel=FiberChannel(p["distance_km"], p["attenuation_db_per_km"],
+                             p["flip_prob"]),
+        detectors=DetectorPair(p["efficiency"], p["dark_count_prob"]),
+        seed=p["seed"],
+        eve=parse_eve(p["eve"]),
+        sample_fraction=p["sample_fraction"],
+        attack_model=parse_attack_model(p["attack_model"]),
+        security_margin_bits=p["margin"],
+        auth_pool_bits=p["auth_pool_bits"])
 
 
 def _fmt(value) -> str:
@@ -268,143 +336,90 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _sweep_points(params: dict) -> list[dict]:
-    sweep = params.get("sweep") or {}
+    sweep = params["sweep"]
     if not sweep:
         raise ConfigError("sweep needs at least one axis "
                           "(sweep.distance_km / sweep.mu / "
                           "sweep.eve_fraction)")
-    for axis, values in sweep.items():
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"sweep axis \"{axis}\" must be a non-empty "
-                              "list of values")
-    distances = sweep.get("distance_km", [params["distance_km"]])
-    mus = sweep.get("mu", [params["mu"]])
-    fractions = sweep.get("eve_fraction", [None])
     points = []
-    for d in distances:
-        for m in mus:
-            for f in fractions:
-                point = dict(params)
-                point["distance_km"] = d
-                point["mu"] = m
-                if f is not None:
-                    point["eve"] = f"intercept:{f}"
-                points.append(point)
+    for d, m, f in itertools.product(
+            sweep.get("distance_km", [params["distance_km"]]),
+            sweep.get("mu", [params["mu"]]),
+            sweep.get("eve_fraction", [None])):
+        point = dict(params, distance_km=d, mu=m)
+        if f is not None:
+            point["eve"] = f"intercept:{f}"
+        points.append(point)
     return points
 
 
-def _run_point(job) -> tuple[int, list[str]]:
-    order, config = job
-    return order, csv_row(config, run_session(config))
+def _refuse_overwrite(path: str, force: bool) -> None:
+    if os.path.exists(path) and not force:
+        raise ConfigError(f"refusing to overwrite {path}; pass --force")
+
+
+def _run_point(config: SessionConfig) -> list[str]:
+    return csv_row(config, run_session(config))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     params = merge_params(args)
-    output = args.output or params.get("output")
+    output = params.get("output")
     if not output:
         raise ConfigError("sweep needs --output (or \"output\" in config)")
-    if os.path.exists(output) and not args.force:
-        raise ConfigError(f"refusing to overwrite {output}; pass --force")
-    repeats = _checked("repeats", params.get("repeats", 1)
-                       if args.repeats is None else args.repeats)
-    workers = _checked("jobs", args.jobs)
-    configs = [session_config(point) for point in _sweep_points(params)]
-
-    jobs = []
-    master = _checked("seed", params["seed"])
-    for i, config in enumerate(configs):
-        for r in range(repeats):
-            # Per-session seed from a documented 64-bit mix so any subset
-            # of the sweep reproduces the exact same sessions.
-            jobs.append((len(jobs), dataclasses.replace(
-                config, seed=mix64(master, i * repeats + r))))
-
-    results: list[list[str] | None] = [None] * len(jobs)
+    _refuse_overwrite(output, args.force)
+    repeats = params.get("repeats", 1)
+    workers = _validate("", '"jobs"', args.jobs, PARAM_RULES["jobs"])
+    # Per-session seed from a documented 64-bit mix so any subset of the
+    # sweep reproduces the exact same sessions.
+    jobs = [dataclasses.replace(config,
+                                seed=mix64(params["seed"], i * repeats + r))
+            for i, config in enumerate(map(session_config,
+                                           _sweep_points(params)))
+            for r in range(repeats)]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            for order, row in pool.map(_run_point, jobs, chunksize=1):
-                results[order] = row
+            results = list(pool.map(_run_point, jobs, chunksize=1))
     else:
-        for job in jobs:
-            order, row = _run_point(job)
-            results[order] = row
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(results)
+        results = [_run_point(job) for job in jobs]
     with open(output, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buffer.getvalue())
+        csv.writer(fh, lineterminator="\n").writerows([CSV_COLUMNS,
+                                                       *results])
     print(f"wrote {len(jobs)} rows to {output}")
     return EXIT_OK
 
 
-def _require(path: str, where: str, spec, keys, allowed) -> None:
-    """``spec`` must be an object holding every key of ``keys`` and no
-    key outside ``allowed``."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: {where} must be an object")
-    unknown = sorted(set(spec) - set(allowed))
-    if unknown:
-        names = ", ".join(f'"{key}"' for key in unknown)
-        raise ConfigError(f"{path}: {where} has unknown key {names}; "
-                          f"allowed: {', '.join(sorted(allowed))}")
-    for key in keys:
-        if key not in spec:
-            raise ConfigError(f"{path}: {where} needs \"{key}\"")
-
-
 def load_scenario(path: str) -> dict:
-    """Read and check a trusted-node scenario. Every number in it comes
-    back converted by its ``PARAM_RULES`` rule, and every relay hop is
-    a declared link."""
+    """Read and check a trusted-node scenario against ``SCENARIO``; it
+    comes back with every value converted. Each link joins two declared
+    nodes that no other link joins, and every relay hop is a link."""
     path, data = _load_json_object(path, "scenario")
-    _require(path, "scenario", data, SCENARIO_KEYS, SCENARIO_KEYS)
-    for key in SCENARIO_KEYS:
-        if not isinstance(data[key], list):
-            raise ConfigError(f"{path}: \"{key}\" must be a list")
-    nodes = {str(node_id) for node_id in data["nodes"]}
+    data = _validate(path, "scenario", data, SCENARIO)
 
-    def check(where: str, spec: dict, key: str) -> None:
-        try:
-            spec[key] = _checked(key, spec[key])
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {where}: {exc}") from exc
+    def declared(where, node_id):
+        if node_id not in data["nodes"]:
+            raise ConfigError(f"{path}: {where} names node {node_id!r}, "
+                              "not in \"nodes\"")
 
-    links = set()
+    links: dict[frozenset, int] = {}
     for i, spec in enumerate(data["links"]):
-        _require(path, f"link {i}", spec, ("a", "b"), LINK_KEYS)
+        a, b = spec["a"], spec["b"]
         for end in ("a", "b"):
-            if str(spec[end]) not in nodes:
-                raise ConfigError(
-                    f"{path}: link {i} ({spec['a']}-{spec['b']}) \"{end}\" "
-                    f"names node {spec[end]!r}, not in \"nodes\"")
-        links.add(frozenset((str(spec["a"]), str(spec["b"]))))
-        if "auth_pool_bits" in spec:
-            check(f"link {i}", spec, "auth_pool_bits")
-        if "stub" in spec:
-            _require(path, f"link {i} stub", spec["stub"], STUB_KEYS,
-                     STUB_KEYS)
-            check(f"link {i} stub", spec["stub"], "seed")
-            check(f"link {i} stub", spec["stub"], "bits")
-        elif "session" in spec:
-            _require(path, f"link {i} \"session\"", spec["session"], (),
-                     DEFAULTS)
+            declared(f"link {i} ({a}-{b}) \"{end}\"", spec[end])
+        if a == b:
+            raise ConfigError(f"{path}: link {i} joins node {a!r} to "
+                              "itself")
+        ends = frozenset((a, b))
+        if ends in links:
+            raise ConfigError(f"{path}: link {i} duplicates link "
+                              f"{links[ends]}, joining {a} and {b}")
+        links[ends] = i
     for i, spec in enumerate(data["relays"]):
-        _require(path, f"relay {i}", spec, ("path", "key_len"), RELAY_KEYS)
-        check(f"relay {i}", spec, "key_len")
-        if "seed" in spec:
-            check(f"relay {i}", spec, "seed")
         hops = spec["path"]
-        if not isinstance(hops, list) or len(hops) < 2:
-            raise ConfigError(f"{path}: relay {i} \"path\" must be a list "
-                              f"of at least 2 node ids, got {hops!r}")
         for node_id in hops:
-            if str(node_id) not in nodes:
-                raise ConfigError(f"{path}: relay {i} \"path\" names "
-                                  f"node {node_id!r}, not in \"nodes\"")
+            declared(f"relay {i} \"path\"", node_id)
         for a, b in zip(hops, hops[1:]):
-            if frozenset((str(a), str(b))) not in links:
+            if frozenset((a, b)) not in links:
                 raise ConfigError(f"{path}: relay {i} \"path\" hop "
                                   f"{a}-{b} is not a link")
     return data
@@ -412,25 +427,18 @@ def load_scenario(path: str) -> dict:
 
 def cmd_network(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
+    if args.csv:
+        _refuse_overwrite(args.csv, args.force)
     net = Network()
     for node_id in scenario["nodes"]:
-        net.node(str(node_id))
+        net.node(node_id)
     for spec in scenario["links"]:
-        a, b = str(spec["a"]), str(spec["b"])
         if "stub" in spec:
-            stub = spec["stub"]
-            source = StubKeySource(stub["seed"], stub["bits"])
-        elif "session" in spec:
-            cfg = dict(DEFAULTS)
-            cfg.update(spec["session"])
-            try:
-                source = session_config(cfg)
-            except ConfigError as exc:
-                raise ConfigError(f"link {a}-{b} session: {exc}") from exc
+            source = StubKeySource(spec["stub"]["seed"],
+                                   spec["stub"]["bits"])
         else:
-            raise ConfigError(
-                f"link {a}-{b} needs a \"stub\" or \"session\" key source")
-        net.add_link(a, b, source,
+            source = session_config(dict(DEFAULTS, **spec["session"]))
+        net.add_link(spec["a"], spec["b"], source,
                      auth_pool_bits=spec.get("auth_pool_bits", 4096))
 
     try:
@@ -440,9 +448,8 @@ def cmd_network(args: argparse.Namespace) -> int:
         return EXIT_ABORT_QBER
 
     rows = []
-    relayed_keys = []
     for i, spec in enumerate(scenario["relays"]):
-        path_ids = [str(x) for x in spec["path"]]
+        path_ids = spec["path"]
         key_len = spec["key_len"]
         rand = RandomSource(spec.get("seed", i)).split("relay")
         try:
@@ -450,7 +457,6 @@ def cmd_network(args: argparse.Namespace) -> int:
         except KeyExhausted as exc:
             print(f"relay {i} failed: {exc}", file=sys.stderr)
             return EXIT_INSUFFICIENT_LINK_KEY
-        relayed_keys.append(transcript.end_key)
         rows.append([str(i), "-".join(transcript.path), str(key_len),
                      str(len(transcript.hop_messages)),
                      "-".join(path_ids[1:-1]) or "(none)", "ok"])
@@ -470,9 +476,6 @@ def cmd_network(args: argparse.Namespace) -> int:
               f"{store.remaining} remaining")
 
     if args.csv:
-        if os.path.exists(args.csv) and not args.force:
-            raise ConfigError(f"refusing to overwrite {args.csv}; "
-                              "pass --force")
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["relay", "path", "key_len", "hops",
@@ -482,14 +485,10 @@ def cmd_network(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _selftest_checks():
-    from . import selftest as checks
-    return checks.all_checks()
-
-
 def cmd_selftest(_args: argparse.Namespace) -> int:
+    from . import selftest
     failures = 0
-    for name, ok, detail in _selftest_checks():
+    for name, ok, detail in selftest.all_checks():
         status = "ok" if ok else "FAIL"
         line = f"selftest: {name:<36} {status}"
         if detail:
@@ -502,33 +501,34 @@ def cmd_selftest(_args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigError, so that it exits 1 like
+    any other bad input (argparse would exit 2, a QBER abort here)."""
+
+    def error(self, message):
+        raise ConfigError(f"{message} (see {self.prog} --help)")
+
+
+# Flags that are not "--" plus the key with "-" for "_", and help texts.
+_FLAGS = {"dark_count_prob": ("--dark", "dark count probability per "
+                              "detector per gate"),
+          "flip_prob": ("--flip", "bit flip probability at "
+                        "matched-basis readout"),
+          "eve": ("--eve", "none | pns | intercept | intercept:<fraction>"),
+          "attack_model": ("--attack-model", "coherent | individual")}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qkdsim",
         description="Deterministic BB84 key-distribution simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_session_flags(p):
         p.add_argument("--config", help="JSON config file (flags override)")
-        p.add_argument("--pulses", type=int)
-        p.add_argument("--mu", type=float)
-        p.add_argument("--distance-km", dest="distance_km", type=float)
-        p.add_argument("--attenuation-db-per-km",
-                       dest="attenuation_db_per_km", type=float)
-        p.add_argument("--efficiency", type=float)
-        p.add_argument("--dark", type=float,
-                       help="dark count probability per detector per gate")
-        p.add_argument("--flip", type=float,
-                       help="bit flip probability at matched-basis readout")
-        p.add_argument("--eve",
-                       help="none | pns | intercept | intercept:<fraction>")
-        p.add_argument("--attack-model", dest="attack_model",
-                       help="coherent | individual")
-        p.add_argument("--sample-fraction", dest="sample_fraction",
-                       type=float)
-        p.add_argument("--margin", type=int)
-        p.add_argument("--auth-pool-bits", dest="auth_pool_bits", type=int)
-        p.add_argument("--seed", type=int)
+        for key in DEFAULTS:
+            flag, text = _FLAGS.get(key, ("--" + key.replace("_", "-"), None))
+            p.add_argument(flag, dest=key, help=text)
 
     p_run = sub.add_parser("run", help="run one session")
     add_session_flags(p_run)
@@ -539,9 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--output", help="CSV output path")
     p_sweep.add_argument("--force", action="store_true",
                          help="overwrite an existing output file")
-    p_sweep.add_argument("--repeats", type=int,
+    p_sweep.add_argument("--repeats",
                          help="sessions per sweep point (default 1)")
-    p_sweep.add_argument("--jobs", type=int, default=1,
+    p_sweep.add_argument("--jobs", default=1,
                          help="parallel workers; output is identical "
                               "at any level")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -558,9 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,8 +9,12 @@ import argparse
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdsim.adversary import InterceptResend, NoAttack, PhotonNumberSplit
 from qkdsim.cli import (CSV_COLUMNS, DEFAULTS, EXIT_ABORT_QBER,
@@ -494,6 +498,23 @@ AB = {"nodes": ["A", "B"],
      'link 0 "session" has unknown key "repeats"'),
     (dict(AB, relays=[{"path": ["A", "B"], "key_len": 8, "keylen": 99}]),
      'relay 0 has unknown key "keylen"'),
+    (dict(AB, links=[dict(AB["links"][0], session={"mu": -1})]),
+     "link 0 needs exactly one of"),
+    (dict(AB, links=[{"a": "A", "b": "A", "stub": {"seed": 1, "bits": 64}}],
+          relays=[{"path": ["A", "A"], "key_len": 8}]),
+     "link 0 joins node 'A' to itself"),
+    (dict(AB, links=[AB["links"][0], dict(AB["links"][0])]),
+     "link 1 duplicates link 0"),
+    (dict(AB, links=[AB["links"][0],
+                     {"a": "B", "b": "A", "stub": {"seed": 2, "bits": 64}}]),
+     "link 1 duplicates link 0"),
+    (dict(AB, links=[{"a": "A", "b": "B", "session": {"eve": 5}}]), '"eve"'),
+    (dict(AB, links=[{"a": "A", "b": "B", "session": {"eve": None}}]),
+     '"eve"'),
+    (dict(AB, links=[{"a": "A", "b": "B",
+                      "session": {"attack_model": 5}}]), '"attack_model"'),
+    (dict(AB, links=[{"a": "A", "b": "B",
+                      "stub": {"seed": True, "bits": 64}}]), '"seed"'),
 ])
 def test_invalid_scenario_exits_one(scenario, key, tmp_path, capsys):
     path = tmp_path / "scenario.json"
@@ -517,6 +538,15 @@ def test_invalid_scenario_exits_one(scenario, key, tmp_path, capsys):
     ("sweep", {"sweep": {"distance_km": [0, -5]}}, [], "distance_km"),
     ("sweep", {"sweep": {"mu": [0.5]}}, ["--repeats", "0"], "repeats"),
     ("sweep", {"sweep": {"mu": [0.5]}, "repeats": 0}, [], "repeats"),
+    ("run", {}, ["--pulses", "abc"], "pulses"),
+    ("run", {"pulses": True}, [], "pulses"),
+    ("run", {"eve": 5}, [], "eve"),
+    ("run", {"eve": None}, [], "eve"),
+    ("run", {"attack_model": 5}, [], "attack_model"),
+    ("sweep", {"sweep": {"mu": [0.5]}, "output": 7}, [], "output"),
+    ("sweep", {"sweep": {"mu": [True]}}, [], "mu"),
+    ("sweep", {"sweep": {"eve_fraction": [2]}}, [], "eve_fraction"),
+    ("sweep", {"sweep": {"mu": [0.5]}}, ["--jobs", "x"], "jobs"),
 ])
 def test_bad_parameter_exits_one(command, config, flags, key, tmp_path,
                                  capsys):
@@ -530,6 +560,53 @@ def test_bad_parameter_exits_one(command, config, flags, key, tmp_path,
     assert code == EXIT_USAGE
     assert f'"{key}"' in err and "Traceback" not in err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--pulses", "abc"], '"pulses" must be an integer >= 1'),
+    (["run", "--bogus", "1"], "--bogus"),
+    ([], "command"),
+])
+def test_usage_error_exits_one(argv, message, capsys):
+    # Exit 2 is reserved for a QBER abort, so argparse's own exit status
+    # for a usage error must not leak out.
+    code, _, err = run_main(argv, capsys)
+    assert code == EXIT_USAGE
+    assert message in err and "Traceback" not in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["--help"])
+    assert exc_info.value.code == 0
+    assert "usage: qkdsim" in capsys.readouterr().out
+
+
+AXIS = st.lists(st.floats(0, 1), min_size=1, max_size=3)
+
+
+@settings(max_examples=6, deadline=None)
+@given(sweep=st.fixed_dictionaries(
+           {}, optional={"distance_km": st.lists(st.floats(0, 30),
+                                                 min_size=1, max_size=3),
+                         "mu": AXIS, "eve_fraction": AXIS}).filter(bool),
+       repeats=st.integers(1, 2), seed=st.integers(0, 2**32))
+def test_sweep_csv_identical_across_jobs(sweep, repeats, seed):
+    # Any small grid gives the same CSV bytes with one worker and two.
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "grid.json"
+        config.write_text(json.dumps({"pulses": 2000, "seed": seed,
+                                      "sweep": sweep}))
+        outputs = []
+        for jobs in ("1", "2"):
+            out = Path(tmp) / f"jobs{jobs}.csv"
+            assert main(["sweep", "--config", str(config), "--output",
+                         str(out), "--repeats", str(repeats),
+                         "--jobs", jobs]) == EXIT_OK
+            outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 1 + repeats * math.prod(
+        len(values) for values in sweep.values())
 
 
 class TestSelftestCommand:
