@@ -16,6 +16,7 @@ one after. The pool's cursor is the consumption tally.
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,23 +39,25 @@ class BitPool:
     """Shared secret bits consumed strictly once, left to right.
 
     The cursor only ever advances, so no bit is returned twice, and
-    ``consumed_log`` records every drawn [start, end) range for audits;
     running out raises :class:`KeyExhausted` and leaves the pool
-    untouched. Freshly distilled key may be deposited to fund later
-    draws.
+    untouched. Each draw's end goes into an int64 array, from which
+    ``consumed_log`` derives the drawn [start, end) ranges for audits.
+    Freshly distilled key may be deposited to fund later draws.
     """
 
     def __init__(self, bits=()):
-        arr = np.array(bits, dtype=np.uint8)
-        if arr.ndim != 1 or not np.all(arr <= 1):
-            raise ValueError("pool bits must be a flat 0/1 array")
-        self.bits = arr
+        self.bits = np.zeros(0, dtype=np.uint8)
         self.cursor = 0
-        self.consumed_log: list[tuple[int, int]] = []
+        self._ends = array("q")
+        self.deposit(bits)
 
     @property
     def remaining(self) -> int:
         return len(self.bits) - self.cursor
+
+    @property
+    def consumed_log(self) -> list[tuple[int, int]]:
+        return list(zip([0, *self._ends], self._ends))
 
     def consume(self, n_bits: int) -> np.ndarray:
         if n_bits < 0:
@@ -63,8 +66,8 @@ class BitPool:
             raise KeyExhausted(
                 f"need {n_bits} bits, {self.remaining} remain")
         out = self.bits[self.cursor:self.cursor + n_bits].copy()
-        self.consumed_log.append((self.cursor, self.cursor + n_bits))
         self.cursor += n_bits
+        self._ends.append(self.cursor)
         return out
 
     def consume_int(self, n_bits: int) -> int:
@@ -76,6 +79,8 @@ class BitPool:
     def deposit(self, bits) -> None:
         """Append freshly produced key bits for later consumption."""
         arr = np.asarray(bits, dtype=np.uint8)
+        if arr.ndim != 1 or not np.all(arr <= 1):
+            raise ValueError("pool bits must be a flat 0/1 array")
         self.bits = np.concatenate([self.bits, arr])
 
 

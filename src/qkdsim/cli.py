@@ -34,7 +34,8 @@ from typing import NamedTuple
 from .adversary import (InterceptResend, NoAttack, PhotonNumberSplit,
                         strategy_label)
 from .auth import KeyExhausted
-from .netsim import Network, SessionAborted, StubKeySource
+from .netsim import (LINK_AUTH_POOL_BITS, Network, SessionAborted,
+                     StubKeySource)
 from .photonics import DetectorPair, FiberChannel, SourceModel
 from .postprocess import AttackModel
 from .protocol import SessionConfig, SessionOutcome, run_session
@@ -439,7 +440,7 @@ def cmd_network(args: argparse.Namespace) -> int:
         else:
             source = session_config(dict(DEFAULTS, **spec["session"]))
         net.add_link(spec["a"], spec["b"], source,
-                     auth_pool_bits=spec.get("auth_pool_bits", 4096))
+                     spec.get("auth_pool_bits", LINK_AUTH_POOL_BITS))
 
     try:
         net.provision_all()
@@ -471,9 +472,8 @@ def cmd_network(args: argparse.Namespace) -> int:
     print("link key accounting:")
     for link in net.links:
         a, b = link.endpoints
-        store = a.store_for(b.id)
-        print(f"  {a.id}-{b.id}: {store.cursor} consumed, "
-              f"{store.remaining} remaining")
+        print(f"  {a.id}-{b.id}: {link.key.cursor} consumed, "
+              f"{link.key.remaining} remaining")
 
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:

@@ -1,12 +1,13 @@
 """Multi-node layer: trusted-node key relay and the dual-key combiner.
 
-Nodes hold per-neighbor stores of link key material produced by
-point-to-point sessions (or seeded stubs for fast tests). A relay sends
-a fresh key down a path as a chain of one-time-pad encryptions: each
-intermediate node decrypts with the inbound link key, sees the key in
-plaintext (that is the trust assumption, made testable via the
-knowledge log), and re-encrypts with the outbound link key. Every hop
-message is authenticated and every link-key bit is spent exactly once.
+Each link holds one store of key material, produced by a point-to-point
+session (or a seeded stub for fast tests) and shared by both endpoints
+like the link's authentication pool. A relay sends a fresh key down a
+path as a chain of one-time-pad encryptions: each intermediate node
+decrypts with the inbound link key, sees the key in plaintext (that is
+the trust assumption, made testable via the knowledge log), and
+re-encrypts with the outbound link key. Every hop message is
+authenticated and every link-key bit is spent exactly once.
 """
 
 from __future__ import annotations
@@ -30,8 +31,11 @@ class LengthMismatch(ValueError):
     """Keys to combine must have equal length."""
 
 
+LINK_AUTH_POOL_BITS = 4096
+
+
 class KeyStore(BitPool):
-    """One node's view of a link's shared key material.
+    """A link's key material, shared by both endpoints.
 
     A separate class from the authentication pools only so that link-key
     spending can be told apart from tag spending when tracing.
@@ -40,18 +44,16 @@ class KeyStore(BitPool):
 
 @dataclass
 class Node:
-    """A network participant: key stores per neighbor plus a log of every
+    """A network participant: its links by neighbor id plus a log of every
     relayed key this node observed in plaintext."""
 
     id: str
-    key_stores: dict = field(default_factory=dict)
-    channels: dict = field(default_factory=dict)
+    links: dict = field(default_factory=dict)
     knowledge_log: list = field(default_factory=list)
 
     def store_for(self, neighbor_id: str) -> KeyStore:
-        if neighbor_id not in self.key_stores:
-            self.key_stores[neighbor_id] = KeyStore()
-        return self.key_stores[neighbor_id]
+        """The key store this node shares with ``neighbor_id``."""
+        return self.links[neighbor_id].key
 
 
 @dataclass(frozen=True)
@@ -68,30 +70,28 @@ KeySource = Union[SessionConfig, StubKeySource]
 class Link:
     """A point-to-point connection whose endpoints share key material.
 
-    Construction wires mirrored key stores and one authenticated channel
-    (funded by a seeded pre-shared pool) into both endpoint nodes.
+    It owns one key store, ``key``, and one authenticated channel,
+    ``channel``, funded by a seeded pre-shared pool; both endpoints reach
+    these same two objects through their ``links``.
     """
 
     def __init__(self, a: Node, b: Node, key_source: KeySource,
-                 auth_pool_bits: int = 4096):
+                 auth_pool_bits: int = LINK_AUTH_POOL_BITS):
         self.endpoints = (a, b)
         self.key_source = key_source
         self.reports = []
-        a.store_for(b.id)
-        b.store_for(a.id)
-        seed = key_source.seed
-        pool = BitPool(
-            RandomSource(seed).split("link_auth").bits(auth_pool_bits))
-        channel = AuthenticatedChannel(pool)
-        a.channels[b.id] = channel
-        b.channels[a.id] = channel
+        self.key = KeyStore()
+        auth = RandomSource(key_source.seed).split("link_auth")
+        self.channel = AuthenticatedChannel(BitPool(auth.bits(auth_pool_bits)))
+        a.links[b.id] = self
+        b.links[a.id] = self
 
 
 def provision_link(link: Link) -> np.ndarray:
-    """Produce link key and deposit it at both endpoints.
+    """Produce link key and deposit it in the link's store.
 
     A full-pipeline source runs the whole protocol; any abort (or an
-    empty key) raises :class:`SessionAborted` and leaves the stores
+    empty key) raises :class:`SessionAborted` and leaves the store
     untouched. Returns the deposited bits.
     """
     source = link.key_source
@@ -107,9 +107,7 @@ def provision_link(link: Link) -> np.ndarray:
                 f"link session ended {report.outcome.value} with "
                 f"final_len={report.final_len}")
         bits = report.secret_key.bits
-    a, b = link.endpoints
-    a.store_for(b.id).deposit(bits)
-    b.store_for(a.id).deposit(bits)
+    link.key.deposit(bits)
     return bits
 
 
@@ -128,46 +126,35 @@ def relay_key(path: list[Node], key_len: int,
     """Carry a fresh key from path[0] to path[-1] by hop-wise one-time-pad
     re-encryption. Every hop must be a link, and its link key and
     authentication key are checked before any bit is spent, so a failed
-    precondition consumes nothing, creates no key store and exposes the
-    key to no node."""
+    precondition consumes nothing and exposes the key to no node."""
     if len(path) < 2:
         raise ValueError("a relay path needs at least two nodes")
+    links = [a.links.get(b.id) for a, b in zip(path, path[1:])]
     # a path may cross one link more than once; each crossing pays
-    crossings = Counter(frozenset((a.id, b.id))
-                        for a, b in zip(path, path[1:]))
-    for a, b in zip(path, path[1:]):
-        if b.id not in a.channels:
+    crossings = Counter(links)
+    for a, b, link in zip(path, path[1:], links):
+        if link is None:
             raise ValueError(f"hop {a.id}-{b.id} is not a link")
-        n = crossings[frozenset((a.id, b.id))]
-        have = a.store_for(b.id).remaining
-        if have < n * key_len:
-            raise KeyExhausted(
-                f"hop {a.id}-{b.id} holds {have} link-key bits, "
-                f"need {n * key_len}")
-        channel = a.channels[b.id]
-        need = channel.bits_needed(n)
-        if channel.pool.remaining < need:
-            raise KeyExhausted(
-                f"hop {a.id}-{b.id} holds {channel.pool.remaining} "
-                f"authentication bits, need {need}")
+        n = crossings[link]
+        for kind, pool, need in (
+                ("link-key", link.key, n * key_len),
+                ("authentication", link.channel.pool,
+                 link.channel.bits_needed(n))):
+            if pool.remaining < need:
+                raise KeyExhausted(f"hop {a.id}-{b.id} holds {pool.remaining}"
+                                   f" {kind} bits, need {need}")
 
-    fresh = rand.bits(key_len)
+    carried = rand.bits(key_len)
     messages = []
-    carried = fresh
-    for i, (a, b) in enumerate(zip(path, path[1:])):
-        pad_a = a.store_for(b.id).consume(key_len)
-        pad_b = b.store_for(a.id).consume(key_len)
-        if not np.array_equal(pad_a, pad_b):
-            raise RuntimeError(f"link {a.id}-{b.id} stores desynchronized")
-        cipher = carried ^ pad_a
-        channel = a.channels[b.id]
-        payload = channel.deliver(channel.send(np.packbits(cipher).tobytes()))
-        messages.append(channel.transcript[-1])
-        received = np.unpackbits(
-            np.frombuffer(payload, dtype=np.uint8))[:key_len]
-        carried = received ^ pad_b
-        if i + 1 < len(path) - 1:  # interior node sees the key in the clear
-            b.knowledge_log.append(carried.copy())
+    for i, (b, link) in enumerate(zip(path[1:], links)):
+        pad = link.key.consume(key_len)
+        msg = link.channel.send(np.packbits(carried ^ pad).tobytes())
+        messages.append(msg)
+        payload = link.channel.deliver(msg)
+        carried = np.unpackbits(
+            np.frombuffer(payload, dtype=np.uint8))[:key_len] ^ pad
+        if i + 1 < len(links):  # interior node sees the key in the clear
+            b.knowledge_log.append(carried)
     return RelayTranscript(tuple(n.id for n in path), tuple(messages),
                            carried)
 
@@ -195,7 +182,14 @@ class Network:
         return self.nodes[node_id]
 
     def add_link(self, a_id: str, b_id: str, key_source: KeySource,
-                 auth_pool_bits: int = 4096) -> Link:
+                 auth_pool_bits: int = LINK_AUTH_POOL_BITS) -> Link:
+        """Link two nodes, creating them if new. A self-loop or a second
+        link between one pair raises ``ValueError`` before anything is
+        created."""
+        if a_id == b_id:
+            raise ValueError(f"link {a_id}-{b_id} joins a node to itself")
+        if a_id in self.nodes and b_id in self.nodes[a_id].links:
+            raise ValueError(f"nodes {a_id} and {b_id} are already linked")
         link = Link(self.node(a_id), self.node(b_id), key_source,
                     auth_pool_bits)
         self.links.append(link)
@@ -205,13 +199,15 @@ class Network:
         for link in self.links:
             provision_link(link)
 
+    def _require_nodes(self, node_ids, where: str) -> None:
+        for node_id in node_ids:
+            if node_id not in self.nodes:
+                raise ValueError(f"unknown node {node_id!r} in {where}")
+
     def shortest_path(self, a_id: str, b_id: str) -> list[Node]:
-        """Fewest-hops path, breadth-first over provisioned links."""
-        neighbors: dict[str, list[str]] = {}
-        for link in self.links:
-            x, y = link.endpoints
-            neighbors.setdefault(x.id, []).append(y.id)
-            neighbors.setdefault(y.id, []).append(x.id)
+        """Fewest-hops path, breadth-first over links; neighbors are
+        visited in sorted id order, so ties go the same way every time."""
+        self._require_nodes((a_id, b_id), "path query")
         seen = {a_id: None}
         queue = deque([a_id])
         while queue:
@@ -222,7 +218,7 @@ class Network:
                     path.append(cur)
                     cur = seen[cur]
                 return [self.nodes[i] for i in reversed(path)]
-            for nxt in sorted(neighbors.get(cur, [])):
+            for nxt in sorted(self.nodes[cur].links):
                 if nxt not in seen:
                     seen[nxt] = cur
                     queue.append(nxt)
@@ -232,7 +228,5 @@ class Network:
               rand: RandomSource) -> RelayTranscript:
         """Relay over existing nodes only; an unknown id raises
         ``ValueError`` before anything is created or spent."""
-        for node_id in path_ids:
-            if node_id not in self.nodes:
-                raise ValueError(f"unknown node {node_id!r} in relay path")
+        self._require_nodes(path_ids, "relay path")
         return relay_key([self.nodes[i] for i in path_ids], key_len, rand)

@@ -32,6 +32,8 @@ COHERENT_THRESHOLD = 0.11002786443835955
 INDIVIDUAL_THRESHOLD = (1.0 - 2.0 ** -0.5) / 2.0
 
 VERIFY_HASH_BITS = 64
+BLOCK_FACTOR = 0.73
+MIN_BLOCK = 4
 
 
 class DomainError(ValueError):
@@ -161,14 +163,12 @@ def _verification_hash(bits: np.ndarray, mul: Gf64Multiplier) -> int:
     return mul.hash_bytes(np.packbits(bits).tobytes(), (len(bits),))
 
 
-def error_correct(alice_key, bob_key, e_hat: float,
-                  public_coins: RandomSource, *, passes: int = 4,
-                  block_factor: float = 0.73,
-                  min_block: int = 4) -> CorrectionResult:
+def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,
+                  *, passes: int = 4) -> CorrectionResult:
     """Cascade-style interactive reconciliation (Bob corrects toward Alice).
 
     Each pass permutes the key with a fresh public permutation, splits it
-    into blocks (first-pass size block_factor / e_hat, doubling each
+    into blocks (first-pass size BLOCK_FACTOR / e_hat, doubling each
     pass), and discloses Alice's block parities. Every odd block is
     bisected to one error; a fixed bit toggles the parity state of its
     blocks in all earlier passes, and those re-exposed odd blocks are
@@ -185,8 +185,8 @@ def error_correct(alice_key, bob_key, e_hat: float,
     if n < 16:
         raise ValueError("reconciliation needs at least 16 bits")
 
-    k1 = math.ceil(block_factor / max(e_hat, 0.01))
-    k1 = min(max(k1, min_block), n)
+    k1 = math.ceil(BLOCK_FACTOR / max(e_hat, 0.01))
+    k1 = min(max(k1, MIN_BLOCK), n)
 
     transcript: list[int] = []  # leaked_bits == len(transcript), always
     perms: list[np.ndarray] = []

@@ -304,7 +304,8 @@ def test_criterion_11_trusted_node_relay(capsys):
             edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
             for _ in range(int(rand.integers(0, 3))):
                 i, j = sorted(int(x) for x in rand.integers(0, n, size=2))
-                if j - i > 1 and (names[i], names[j]) not in edges:
+                # a chord skips ring neighbors, N0 and N{n-1} among them
+                if 1 < j - i < n - 1 and (names[i], names[j]) not in edges:
                     edges.append((names[i], names[j]))
             net = Network()
             for k, (a, b) in enumerate(edges):
@@ -333,11 +334,10 @@ def test_criterion_11_trusted_node_relay(capsys):
                 else:
                     assert log == []
             # Zero reuse: consumed store ranges never overlap.
-            for node in net.nodes.values():
-                for store in node.key_stores.values():
-                    spans = sorted(store.consumed_log)
-                    for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
-                        assert b1 <= a2
+            for link in net.links:
+                spans = sorted(link.key.consumed_log)
+                for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
+                    assert b1 <= a2
 
 
 def test_criterion_12_dual_key_combiner(capsys):

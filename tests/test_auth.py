@@ -386,6 +386,50 @@ class TestAuthKeyPool:
         with pytest.raises(ValueError):
             pool.consume(-1)
 
+    @pytest.mark.parametrize("bad", [[2, 3, 7], [[0, 1], [1, 0]]])
+    def test_deposit_checks_bits_like_the_constructor(self, bad):
+        with pytest.raises(ValueError):
+            BitPool(bad)
+        pool = BitPool([1, 0])
+        with pytest.raises(ValueError):
+            pool.deposit(bad)
+        assert (pool.remaining, pool.consume_int(2)) == (2, 2)
+
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("deposit"), st.lists(st.integers(0, 1),
+                                               max_size=40)),
+        st.tuples(st.sampled_from(["consume", "consume_int"]),
+                  st.integers(0, 70))), max_size=30))
+    @example(ops=[("consume", 1), ("deposit", [1, 0, 1]),
+                  ("consume_int", 2), ("consume", 2), ("consume", 1),
+                  ("consume", 0)])
+    def test_matches_list_reference(self, ops):
+        # Against a plain list, a cursor and a list of (start, end)
+        # draws; a refused draw must leave the pool as it was.
+        pool, bits, log = BitPool(), [], []
+        for op, arg in ops:
+            cursor = log[-1][1] if log else 0
+            if op == "deposit":
+                pool.deposit(arg)
+                bits += arg
+            elif arg > len(bits) - cursor:
+                before = (pool.cursor, pool.remaining, pool.consumed_log)
+                with pytest.raises(KeyExhausted):
+                    getattr(pool, op)(arg)
+                assert (pool.cursor, pool.remaining,
+                        pool.consumed_log) == before
+            else:
+                want = bits[cursor:cursor + arg]
+                got = getattr(pool, op)(arg)
+                if op == "consume":
+                    assert got.tolist() == want
+                else:
+                    assert got == ref_bits_to_int(want)
+                log.append((cursor, cursor + arg))
+            cursor = log[-1][1] if log else 0
+            assert (pool.cursor, pool.remaining, pool.consumed_log) == \
+                (cursor, len(bits) - cursor, log)
+
     def test_fresh_default_size(self):
         # A link's key store starts as an empty pool.
         pool = BitPool()

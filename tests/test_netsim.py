@@ -113,7 +113,19 @@ class TestProvisioning:
     def test_link_wires_one_shared_channel(self):
         net = Network()
         net.add_link("A", "B", StubKeySource(513, 64))
-        assert net.node("A").channels["B"] is net.node("B").channels["A"]
+        assert net.node("A").links["B"].channel is \
+            net.node("B").links["A"].channel
+
+    def test_link_wires_one_shared_store(self):
+        net = Network()
+        link = net.add_link("A", "B", StubKeySource(534, 64))
+        assert net.node("A").store_for("B") is link.key
+        assert net.node("B").store_for("A") is link.key
+        provision_link(link)
+        assert link.key.remaining == 64
+        with pytest.raises(KeyError):
+            net.node("A").store_for("C")
+        assert list(net.node("A").links) == ["B"]
 
 
 class TestRelay:
@@ -190,7 +202,7 @@ class TestRelay:
         a, b, c = (net.node(i) for i in "ABC")
         stores = [a.store_for("B"), b.store_for("A"), b.store_for("C"),
                   c.store_for("B")]
-        pools = [a.channels["B"].pool, b.channels["C"].pool]
+        pools = [a.links["B"].channel.pool, b.links["C"].channel.pool]
         before = [s.cursor for s in stores + pools]
         with pytest.raises(KeyExhausted) as exc_info:
             net.relay(["A", "B", "C"], 64, RandomSource(529))
@@ -204,13 +216,13 @@ class TestRelay:
         # create an empty A->C store and then fail on it.
         net = stub_network([("A", "B")], n_bits=256)
         net.node("C")
-        before = {node_id: {peer: (store.cursor, store.remaining)
-                            for peer, store in node.key_stores.items()}
+        before = {node_id: {peer: (link.key.cursor, link.key.remaining)
+                            for peer, link in node.links.items()}
                   for node_id, node in net.nodes.items()}
         with pytest.raises(ValueError, match="A-C"):
             net.relay(["A", "C"], key_len, RandomSource(532))
-        after = {node_id: {peer: (store.cursor, store.remaining)
-                           for peer, store in node.key_stores.items()}
+        after = {node_id: {peer: (link.key.cursor, link.key.remaining)
+                           for peer, link in node.links.items()}
                  for node_id, node in net.nodes.items()}
         assert after == before
         assert sorted(net.nodes) == ["A", "B", "C"]
@@ -224,16 +236,16 @@ class TestRelay:
             net.relay(path, 8, RandomSource(533))
         assert sorted(net.nodes) == ["A", "B"]
         assert net.nodes["A"].store_for("B").cursor == 0
-        assert net.nodes["A"].channels["B"].pool.cursor == 0
+        assert net.nodes["A"].links["B"].channel.pool.cursor == 0
 
     def test_precheck_counts_every_crossing_of_a_link(self):
-        # A-B-A crosses one link twice: 2 x 64 pad bits from each store.
+        # A-B-A crosses one link twice: 2 x 64 pad bits from its store.
         net = stub_network([("A", "B")], n_bits=100)
         with pytest.raises(KeyExhausted):
             net.relay(["A", "B", "A"], 64, RandomSource(530))
         assert net.node("A").store_for("B").cursor == 0
         assert net.node("B").store_for("A").cursor == 0
-        assert net.node("A").channels["B"].pool.cursor == 0
+        assert net.node("A").links["B"].channel.pool.cursor == 0
         assert net.node("B").knowledge_log == []
         transcript = net.relay(["A", "B", "A"], 50, RandomSource(531))
         assert np.array_equal(transcript.end_key,
@@ -244,17 +256,9 @@ class TestRelay:
         with pytest.raises(ValueError):
             net.relay(["A"], 16, RandomSource(522))
 
-    def test_desynchronized_stores_detected(self):
-        net = Network()
-        net.add_link("A", "B", StubKeySource(523, 0))
-        net.node("A").store_for("B").deposit(np.ones(32, np.uint8))
-        net.node("B").store_for("A").deposit(np.zeros(32, np.uint8))
-        with pytest.raises(RuntimeError):
-            net.relay(["A", "B"], 32, RandomSource(524))
-
     def test_tampered_hop_detected(self):
         net = stub_network([("A", "B"), ("B", "C")])
-        channel = net.node("B").channels["C"]
+        channel = net.node("B").links["C"].channel
         original_send = channel.send
 
         def corrupting_send(payload: bytes):
@@ -288,6 +292,30 @@ class TestNetwork:
         net = stub_network([("A", "B"), ("B", "D"), ("A", "C"), ("C", "D")])
         assert [n.id for n in net.shortest_path("A", "D")] == ["A", "B", "D"]
 
+    @pytest.mark.parametrize("ends", [("Z", "Z"), ("A", "Z"), ("Z", "A")])
+    def test_shortest_path_unknown_node(self, ends):
+        net = stub_network([("A", "B")])
+        with pytest.raises(ValueError, match="unknown node 'Z'"):
+            net.shortest_path(*ends)
+        assert sorted(net.nodes) == ["A", "B"]
+
+    def test_add_link_refuses_self_loop(self):
+        net = Network()
+        with pytest.raises(ValueError, match="A-A"):
+            net.add_link("A", "A", StubKeySource(535, 64))
+        assert (net.nodes, net.links) == ({}, [])
+
+    @pytest.mark.parametrize("pair", [("A", "B"), ("B", "A")])
+    def test_add_link_refuses_second_link_between_a_pair(self, pair):
+        net = stub_network([("A", "B")], n_bits=64)
+        first = net.links[0]
+        with pytest.raises(ValueError, match="already linked"):
+            net.add_link(*pair, StubKeySource(536, 64))
+        assert net.links == [first]
+        assert net.node("A").links == {"B": first}
+        assert net.node("B").links == {"A": first}
+        assert first.key.remaining == 64
+
     def test_no_path_raises(self):
         net = stub_network([("A", "B"), ("C", "D")])
         with pytest.raises(ValueError):
@@ -304,7 +332,8 @@ class TestNetwork:
         edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
         for _ in range(int(rand.integers(0, 3))):
             i, j = sorted(int(x) for x in rand.integers(0, n, size=2))
-            if j - i > 1 and (names[i], names[j]) not in edges:
+            # a chord skips ring neighbors, N0 and N{n-1} among them
+            if 1 < j - i < n - 1 and (names[i], names[j]) not in edges:
                 edges.append((names[i], names[j]))
         net = stub_network(edges, n_bits=512,
                            seed_base=6000 + 100 * trial)
@@ -325,8 +354,7 @@ class TestNetwork:
             else:
                 assert log == []
 
-        for node in net.nodes.values():
-            for store in node.key_stores.values():
-                spans = sorted(store.consumed_log)
-                for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
-                    assert b1 <= a2
+        for link in net.links:
+            spans = sorted(link.key.consumed_log)
+            for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
+                assert b1 <= a2
