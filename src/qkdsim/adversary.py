@@ -110,7 +110,7 @@ def intercept_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarr
 
     if isinstance(strategy, PhotonNumberSplit):
         split = photon_counts >= 2
-        out_counts = photon_counts - split.astype(photon_counts.dtype)
+        out_counts = photon_counts - split
         ledger.record_stored(np.flatnonzero(split) + start_index,
                              bits[split], bases[split])
         return out_counts, bits, bases

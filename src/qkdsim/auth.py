@@ -78,10 +78,12 @@ class BitPool:
 
     def deposit(self, bits) -> None:
         """Append freshly produced key bits for later consumption."""
-        arr = np.asarray(bits, dtype=np.uint8)
-        if arr.ndim != 1 or not np.all(arr <= 1):
-            raise ValueError("pool bits must be a flat 0/1 array")
-        self.bits = np.concatenate([self.bits, arr])
+        arr = np.asarray(bits)
+        if arr.ndim != 1 or arr.size and (
+                arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() > 1):
+            raise ValueError("pool bits must be a flat 0/1 array of "
+                             "booleans or integers")
+        self.bits = np.concatenate([self.bits, arr.astype(np.uint8)])
 
 
 def _hash_message(message: bytes, mul: Gf64Multiplier) -> int:

@@ -3,9 +3,7 @@
 Elements are Python ints in [0, 2^64). Field multiplication is carry-less
 polynomial multiplication reduced by x^64 + x^4 + x^3 + x + 1, the lowest
 weight irreducible of degree 64 (the one used by GCM's sibling fields).
-Addition is XOR. A small-field variant over GF(2^8) with x^8 + x^4 +
-x^3 + x + 1 backs the exhaustive collision tests, where 2^64 keys are
-out of reach but 2^8 are not.
+Addition is XOR.
 
 Every production hash runs through :meth:`Gf64Multiplier.hash_bytes`.
 A product by the fixed key k is eight lookups in byte tables of
@@ -27,44 +25,11 @@ MASK64 = (1 << 64) - 1
 # x^64 + x^4 + x^3 + x + 1, stored with the top term explicit.
 REDUCTION_POLY = (1 << 64) | 0x1B
 
-MASK8 = (1 << 8) - 1
-REDUCTION_POLY_8 = (1 << 8) | 0x1B  # x^8 + x^4 + x^3 + x + 1
-
 # Messages of more blocks than this are hashed as this many lanes.
 LANES = 256
 
 _LANE_DTYPE = np.dtype("<u8")  # byte j of a lane holds bits 8j..8j+7
 _BYTE_OFFSETS = np.arange(8) * 256
-
-
-def _clmul(a: int, b: int) -> int:
-    """Carry-less product of two nonnegative ints (polynomial multiply)."""
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
-    return acc
-
-
-def _reduce(value: int, width: int, poly: int) -> int:
-    """Reduce a polynomial modulo ``poly`` of degree ``width``."""
-    for shift in range(value.bit_length() - 1, width - 1, -1):
-        if value >> shift & 1:
-            value ^= poly << (shift - width)
-    return value
-
-
-def gf64_mul(a: int, b: int) -> int:
-    """Product in GF(2^64) by shift and reduce: the reference the
-    table multiplier is tested against."""
-    return _reduce(_clmul(a & MASK64, b & MASK64), 64, REDUCTION_POLY)
-
-
-def gf8_mul(a: int, b: int) -> int:
-    """Product in GF(2^8), for exhaustive small-field checks."""
-    return _reduce(_clmul(a & MASK8, b & MASK8), 8, REDUCTION_POLY_8)
 
 
 def _byte_tables(k: int) -> list[list[int]]:

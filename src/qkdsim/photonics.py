@@ -105,7 +105,7 @@ def sample_photon_counts(source, n: int, rand: RandomSource) -> np.ndarray:
     """Photon numbers for n consecutive pulses."""
     if isinstance(source, ConstantSource):
         return np.full(n, source.photon_count, dtype=np.int64)
-    return rand.poisson(source.mu, n).astype(np.int64)
+    return rand.poisson(source.mu, n).astype(np.int64, copy=False)
 
 
 # -- channel ------------------------------------------------------------------
@@ -120,8 +120,16 @@ def transmit_counts(photon_counts: np.ndarray, channel: FiberChannel,
                     rand: RandomSource) -> np.ndarray:
     """Binomial thinning of photon numbers by the channel survival
     probability. Bits and bases pass unchanged: drift is applied at
-    measurement through the channel's excess_flip_prob."""
-    return rand.binomial(photon_counts, survival_probability(channel))
+    measurement through the channel's excess_flip_prob.
+
+    A binomial draw at n == 0 takes nothing from the stream, so only the
+    pulses that carry photons are drawn; the result and the stream state
+    are those of one draw over every pulse.
+    """
+    out = np.zeros(len(photon_counts), dtype=np.int64)
+    lit = np.flatnonzero(photon_counts)
+    out[lit] = rand.binomial(photon_counts[lit], survival_probability(channel))
+    return out
 
 
 # -- detection ----------------------------------------------------------------
@@ -138,31 +146,41 @@ def measure_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarray
     detector when it does not. Dark counts fire each detector
     independently.
 
+    A binomial draw at n == 0 takes nothing from the stream, so only
+    photon-carrying pulses are drawn: the efficiency binomial over the
+    pulses with photons, then the flip and random-exit binomials over
+    the pulses with a detected photon. The two dark-count uniforms are
+    the only per-pulse draws. Outputs and stream state are those of the
+    same draws over every pulse.
+
     Returns (kinds, click_bits): kinds holds ClickKind values per gate,
     click_bits the measured bit where kinds == CLICK (0 elsewhere).
     """
     if not 0.0 <= flip_prob <= 0.5:
         raise ValueError("flip_prob must be in [0, 0.5]")
     n = len(photon_counts)
-    detected = rand.binomial(photon_counts, detectors.efficiency)
+    lit = np.flatnonzero(photon_counts)
+    detected = rand.binomial(photon_counts[lit], detectors.efficiency)
+    caught = detected > 0
+    hit, detected = lit[caught], detected[caught]
 
     # photons landing in detector 1, drawn for both branches to keep the
     # stream layout independent of the basis pattern
     flipped = rand.binomial(detected, flip_prob)
     random_exit = rand.binomial(detected, 0.5)
 
-    matched = bases == bob_bases
-    in_one_matched = np.where(bits == 1, detected - flipped, flipped)
+    matched = bases[hit] == bob_bases[hit]
+    in_one_matched = np.where(bits[hit] == 1, detected - flipped, flipped)
     in_one = np.where(matched, in_one_matched, random_exit)
     in_zero = detected - in_one
 
-    dark0 = rand.random(n) < detectors.dark_count_prob
-    dark1 = rand.random(n) < detectors.dark_count_prob
-    fire0 = (in_zero > 0) | dark0
-    fire1 = (in_one > 0) | dark1
+    fire0 = rand.random(n) < detectors.dark_count_prob
+    fire1 = rand.random(n) < detectors.dark_count_prob
+    fire0[hit[in_zero > 0]] = True
+    fire1[hit[in_one > 0]] = True
 
-    kinds = (fire0.astype(np.uint8) + fire1.astype(np.uint8))
-    click_bits = (fire1 & ~fire0).astype(np.uint8)
+    kinds = np.add(fire0, fire1, dtype=np.uint8)
+    click_bits = (fire1 & ~fire0).view(np.uint8)
     return kinds, click_bits
 
 

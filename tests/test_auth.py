@@ -17,12 +17,14 @@ from qkdsim.auth import (AuthenticatedChannel, AuthenticatedMessage,
                          AuthenticationFailure, BitPool, KeyExhausted,
                          compute_tag, verify_tag)
 from qkdsim.gf2 import (LANES, MASK64, REDUCTION_POLY, Gf64Multiplier,
-                        gf8_mul, gf64_mul, poly_hash_blocks)
+                        poly_hash_blocks)
 from qkdsim.photonics import (ConstantSource, DetectorPair, FiberChannel,
                               SourceModel)
 from qkdsim.postprocess import _verification_hash
 from qkdsim.protocol import SessionConfig, SessionOutcome, run_session
 from qkdsim.rng import RandomSource
+
+from reference_kernels import gf8_mul, gf64_mul
 
 
 def ref_mul64(a: int, b: int) -> int:
@@ -386,7 +388,8 @@ class TestAuthKeyPool:
         with pytest.raises(ValueError):
             pool.consume(-1)
 
-    @pytest.mark.parametrize("bad", [[2, 3, 7], [[0, 1], [1, 0]]])
+    @pytest.mark.parametrize("bad", [[2, 3, 7], [[0, 1], [1, 0]],
+                                     np.array([0.9, 1.7]), [0.5]])
     def test_deposit_checks_bits_like_the_constructor(self, bad):
         with pytest.raises(ValueError):
             BitPool(bad)

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats
 
 from qkdsim.photonics import (Basis, ClickKind, ConstantSource, DetectorPair,
@@ -17,6 +19,8 @@ from qkdsim.photonics import (Basis, ClickKind, ConstantSource, DetectorPair,
                               sample_photon_counts, survival_probability,
                               transmit_counts)
 from qkdsim.rng import RandomSource
+
+from reference_kernels import dense_measure_batch, dense_transmit_counts
 
 
 class TestTypes:
@@ -245,6 +249,86 @@ class TestMeasurement:
             np.zeros(n, np.uint8), np.zeros(n, np.uint8),
             DetectorPair(0.0, 0.0), 0.0, rand)
         assert np.all(kinds == int(ClickKind.NO_CLICK))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize("counts", [[0, 3, 0, 2], [0, 200, 0, 0, 1]])
+def test_binomial_at_zero_count_draws_nothing(counts, p):
+    """The numpy rule the sparse kernels stand on: a binomial at n == 0
+    returns 0 and takes nothing from the stream, so a draw over the
+    non-zero counts alone gives the same values and the same state."""
+    counts = np.array(counts)
+    every, nonzero = (np.random.Generator(np.random.PCG64(21))
+                      for _ in range(2))
+    got = every.binomial(counts, p)
+    want = nonzero.binomial(counts[counts > 0], p)
+    assert np.array_equal(got[counts > 0], want) \
+        and not got[counts == 0].any() \
+        and every.bit_generator.state == nonzero.bit_generator.state, (
+            f"numpy {np.__version__} draws at binomial n == 0 (p={p}): "
+            "measure_batch and transmit_counts, which draw only where "
+            "photons are, no longer reproduce the dense stream")
+
+
+# Counts with many zeros (at zero_frac 1 every pulse is vacuum), and
+# physics parameters at their bounds as well as in between.
+sparse_counts = dict(
+    n=st.integers(0, 300), zero_frac=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+    max_count=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+
+
+def random_counts(n, zero_frac, max_count, seed):
+    gen = np.random.default_rng(seed)
+    counts = gen.integers(1, max_count + 1, n)
+    counts[gen.random(n) < zero_frac] = 0
+    return counts
+
+
+class TestSparseKernels:
+    """The kernels draw physics only at photon-carrying pulses; the
+    dense references draw it at every pulse. Outputs, dtypes and the
+    stream state afterwards must be equal, and no input may change."""
+
+    @given(**sparse_counts,
+           efficiency=st.one_of(st.sampled_from([0.0, 1.0]),
+                                st.floats(0.0, 1.0)),
+           flip=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+           dark=st.one_of(st.just(0.0),
+                          st.floats(0.0, 1.0, exclude_max=True)))
+    @example(n=0, zero_frac=0.0, max_count=1, seed=0, efficiency=1.0,
+             flip=0.0, dark=0.0)
+    def test_measure_batch_matches_dense(self, n, zero_frac, max_count,
+                                         seed, efficiency, flip, dark):
+        counts = random_counts(n, zero_frac, max_count, seed)
+        gen = np.random.default_rng(seed + 1)
+        bits, bases, bob_bases = (gen.integers(0, 2, n, dtype=np.uint8)
+                                  for _ in range(3))
+        inputs = (counts, bits, bases, bob_bases)
+        before = [a.copy() for a in inputs]
+        detectors = DetectorPair(efficiency, dark)
+        ref, rand = RandomSource(seed), RandomSource(seed)
+        want = dense_measure_batch(*inputs, detectors, flip, ref)
+        got = measure_batch(*inputs, detectors, flip, rand)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert rand.generator.bit_generator.state \
+            == ref.generator.bit_generator.state
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+
+    @given(**sparse_counts, length_km=st.sampled_from([0.0, 10.0, 200.0]))
+    @example(n=0, zero_frac=0.0, max_count=1, seed=0, length_km=10.0)
+    def test_transmit_counts_matches_dense(self, n, zero_frac, max_count,
+                                           seed, length_km):
+        counts = random_counts(n, zero_frac, max_count, seed)
+        before = counts.copy()
+        channel = FiberChannel(length_km)
+        ref, rand = RandomSource(seed), RandomSource(seed)
+        want = dense_transmit_counts(counts, channel, ref)
+        got = transmit_counts(counts, channel, rand)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rand.generator.bit_generator.state \
+            == ref.generator.bit_generator.state
+        assert np.array_equal(counts, before)
 
 
 class TestDeterminism:
