@@ -95,24 +95,31 @@ def intercept_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarr
     if isinstance(strategy, NoAttack):
         return photon_counts, bits, bases
 
+    # Both branches change few pulses: they copy the inputs and work
+    # only at the indices Eve touches.
     if isinstance(strategy, InterceptResend):
         take = rand.random(n) < strategy.fraction
         take &= photon_counts > 0  # an empty slot gives Eve nothing to measure
-        eve_bases = rand.bits(n)
-        mismatch_results = rand.bits(n)
-        eve_bits = np.where(eve_bases == bases, bits, mismatch_results).astype(np.uint8)
-        out_counts = np.where(take, 1, photon_counts)
-        out_bits = np.where(take, eve_bits, bits).astype(np.uint8)
-        out_bases = np.where(take, eve_bases, bases).astype(np.uint8)
-        ledger.record_measured(np.flatnonzero(take) + start_index,
-                               eve_bits[take], eve_bases[take])
+        taken = np.flatnonzero(take)
+        # three full-length draws, then Eve's values where she measured
+        eve_bases = rand.bits(n)[taken]
+        mismatch_results = rand.bits(n)[taken]
+        eve_bits = np.where(eve_bases == bases[taken], bits[taken],
+                            mismatch_results).astype(np.uint8)
+        out_counts = photon_counts.copy()
+        out_counts[taken] = 1
+        out_bits = bits.astype(np.uint8)
+        out_bits[taken] = eve_bits
+        out_bases = bases.astype(np.uint8)
+        out_bases[taken] = eve_bases
+        ledger.record_measured(taken + start_index, eve_bits, eve_bases)
         return out_counts, out_bits, out_bases
 
     if isinstance(strategy, PhotonNumberSplit):
-        split = photon_counts >= 2
-        out_counts = photon_counts - split
-        ledger.record_stored(np.flatnonzero(split) + start_index,
-                             bits[split], bases[split])
+        split = np.flatnonzero(photon_counts >= 2)
+        out_counts = photon_counts.copy()
+        out_counts[split] -= 1
+        ledger.record_stored(split + start_index, bits[split], bases[split])
         return out_counts, bits, bases
 
     raise TypeError(f"unknown strategy {strategy!r}")

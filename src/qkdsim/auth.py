@@ -42,7 +42,9 @@ class BitPool:
     running out raises :class:`KeyExhausted` and leaves the pool
     untouched. Each draw's end goes into an int64 array, from which
     ``consumed_log`` derives the drawn [start, end) ranges for audits.
-    Freshly distilled key may be deposited to fund later draws.
+    Freshly distilled key may be deposited to fund later draws. Integer
+    reads use a packed copy of the bits, eight a byte, built on the
+    first such read after a deposit.
     """
 
     def __init__(self, bits=()):
@@ -59,22 +61,33 @@ class BitPool:
     def consumed_log(self) -> list[tuple[int, int]]:
         return list(zip([0, *self._ends], self._ends))
 
-    def consume(self, n_bits: int) -> np.ndarray:
+    def _take(self, n_bits: int) -> np.ndarray:
+        """Advance the cursor past ``n_bits`` and return them as a view."""
         if n_bits < 0:
             raise ValueError("cannot consume a negative bit count")
-        if n_bits > self.remaining:
+        start = self.cursor
+        end = start + n_bits
+        if end > len(self.bits):
             raise KeyExhausted(
                 f"need {n_bits} bits, {self.remaining} remain")
-        out = self.bits[self.cursor:self.cursor + n_bits].copy()
-        self.cursor += n_bits
-        self._ends.append(self.cursor)
-        return out
+        self.cursor = end
+        self._ends.append(end)
+        return self.bits[start:end]
+
+    def consume(self, n_bits: int) -> np.ndarray:
+        return self._take(n_bits).copy()
 
     def consume_int(self, n_bits: int) -> int:
         """Consume ``n_bits`` and read them as a big-endian integer: the
         first bit is the most significant."""
-        packed = np.packbits(self.consume(n_bits)).tobytes()
-        return int.from_bytes(packed, "big") >> (-n_bits % 8)
+        start = self.cursor
+        self._take(n_bits)
+        if self._packed is None:
+            self._packed = np.packbits(self.bits).tobytes()
+        # the bytes of the packed copy that hold bits start..end-1
+        lo, hi = start >> 3, (self.cursor + 7) >> 3
+        word = int.from_bytes(self._packed[lo:hi], "big")
+        return word >> (8 * hi - self.cursor) & ((1 << n_bits) - 1)
 
     def deposit(self, bits) -> None:
         """Append freshly produced key bits for later consumption."""
@@ -84,6 +97,7 @@ class BitPool:
             raise ValueError("pool bits must be a flat 0/1 array of "
                              "booleans or integers")
         self.bits = np.concatenate([self.bits, arr.astype(np.uint8)])
+        self._packed = None  # rebuilt by the next integer read
 
 
 def _hash_message(message: bytes, mul: Gf64Multiplier) -> int:

@@ -105,8 +105,8 @@ class Gf64Multiplier:
         body = data.ljust(8 * n_words, b"\x00")
         n_blocks = n_words + len(tail)
         if n_blocks <= LANES:
-            blocks = struct.unpack(f">{n_words}Q", body) + tuple(tail)
-            return poly_hash_blocks(blocks, self.mul)
+            return self._horner(
+                struct.unpack(f">{n_words}Q", body) + tuple(tail))
         rows = -(-n_blocks // LANES)
         padded = (bytes(8 * (rows * LANES - n_blocks)) + body
                   + b"".join(int(t).to_bytes(8, "big") for t in tail))
@@ -115,17 +115,18 @@ class Gf64Multiplier:
         acc = grid[0]
         for row in grid[1:]:
             acc = self._lane_mul(acc) ^ row
-        return poly_hash_blocks(acc.tolist(), self.mul)
+        return self._horner(acc.tolist())
 
+    def _horner(self, blocks) -> int:
+        """Polynomial hash of the field elements ``blocks`` by Horner's rule
+        in k, the product by k inlined: a hash of a few blocks costs
+        little more than its table hits."""
+        t0, t1, t2, t3, t4, t5, t6, t7 = self._tables
+        acc = 0
+        for block in blocks:
+            a = acc ^ block
+            acc = (t0[a & 0xFF] ^ t1[a >> 8 & 0xFF] ^ t2[a >> 16 & 0xFF]
+                   ^ t3[a >> 24 & 0xFF] ^ t4[a >> 32 & 0xFF]
+                   ^ t5[a >> 40 & 0xFF] ^ t6[a >> 48 & 0xFF] ^ t7[a >> 56])
+        return acc
 
-def poly_hash_blocks(blocks, mul) -> int:
-    """Polynomial hash sum(m_i * k^(t-i+1)) evaluated by Horner.
-
-    ``blocks`` is the message split into field elements, highest-order
-    coefficient first; ``mul`` multiplies a field element by the hash key
-    k (``Gf64Multiplier(k).mul``). An empty sequence hashes to 0.
-    """
-    acc = 0
-    for block in blocks:
-        acc = mul(acc ^ block)
-    return acc

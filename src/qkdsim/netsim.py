@@ -124,18 +124,28 @@ class RelayTranscript:
 def relay_key(path: list[Node], key_len: int,
               rand: RandomSource) -> RelayTranscript:
     """Carry a fresh key from path[0] to path[-1] by hop-wise one-time-pad
-    re-encryption. Every hop must be a link, and its link key and
-    authentication key are checked before any bit is spent, so a failed
-    precondition consumes nothing and exposes the key to no node."""
+    re-encryption. ``key_len`` must be a non-negative integer. Every hop
+    must be a link, and its link key and authentication key are checked
+    before any bit is spent, so a failed precondition consumes nothing
+    and exposes the key to no node. The key travels packed, eight bits
+    a byte with the last byte zero-padded, exactly as each hop sends it."""
+    if isinstance(key_len, (bool, np.bool_)) \
+            or not isinstance(key_len, (int, np.integer)) or key_len < 0:
+        raise ValueError(
+            f"key_len must be a non-negative integer, got {key_len!r}")
+    key_len = int(key_len)
     if len(path) < 2:
         raise ValueError("a relay path needs at least two nodes")
     links = [a.links.get(b.id) for a, b in zip(path, path[1:])]
-    # a path may cross one link more than once; each crossing pays
+    # a path may cross one link more than once: each crossing pays, and
+    # the link is checked for all of them at its first hop
     crossings = Counter(links)
     for a, b, link in zip(path, path[1:], links):
+        n = crossings.pop(link, 0)
+        if not n:
+            continue
         if link is None:
             raise ValueError(f"hop {a.id}-{b.id} is not a link")
-        n = crossings[link]
         for kind, pool, need in (
                 ("link-key", link.key, n * key_len),
                 ("authentication", link.channel.pool,
@@ -144,19 +154,18 @@ def relay_key(path: list[Node], key_len: int,
                 raise KeyExhausted(f"hop {a.id}-{b.id} holds {pool.remaining}"
                                    f" {kind} bits, need {need}")
 
-    carried = rand.bits(key_len)
+    carried = np.packbits(rand.bits(key_len))
     messages = []
     for i, (b, link) in enumerate(zip(path[1:], links)):
-        pad = link.key.consume(key_len)
-        msg = link.channel.send(np.packbits(carried ^ pad).tobytes())
+        pad = np.packbits(link.key.consume(key_len))
+        msg = link.channel.send((carried ^ pad).tobytes())
         messages.append(msg)
         payload = link.channel.deliver(msg)
-        carried = np.unpackbits(
-            np.frombuffer(payload, dtype=np.uint8))[:key_len] ^ pad
+        carried = np.frombuffer(payload, dtype=np.uint8) ^ pad
         if i + 1 < len(links):  # interior node sees the key in the clear
-            b.knowledge_log.append(carried)
+            b.knowledge_log.append(np.unpackbits(carried, count=key_len))
     return RelayTranscript(tuple(n.id for n in path), tuple(messages),
-                           carried)
+                           np.unpackbits(carried, count=key_len))
 
 
 def combine_keys(k_quantum, k_classical) -> np.ndarray:

@@ -126,8 +126,15 @@ def transmit_counts(photon_counts: np.ndarray, channel: FiberChannel,
     pulses that carry photons are drawn; the result and the stream state
     are those of one draw over every pulse.
     """
-    out = np.zeros(len(photon_counts), dtype=np.int64)
-    lit = np.flatnonzero(photon_counts)
+    n = len(photon_counts)
+    out = np.zeros(n, dtype=np.int64)
+    # The mask of lit pulses borrows the first n bytes of the zeroed
+    # output and is cleared again, so no temporary is alive at this,
+    # often a session's, memory peak.
+    mask = out.view(np.bool_)[:n]
+    np.greater(photon_counts, 0, out=mask)
+    lit = np.flatnonzero(mask)
+    mask[:] = False
     out[lit] = rand.binomial(photon_counts[lit], survival_probability(channel))
     return out
 
@@ -159,7 +166,7 @@ def measure_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarray
     if not 0.0 <= flip_prob <= 0.5:
         raise ValueError("flip_prob must be in [0, 0.5]")
     n = len(photon_counts)
-    lit = np.flatnonzero(photon_counts)
+    lit = np.flatnonzero(photon_counts > 0)
     detected = rand.binomial(photon_counts[lit], detectors.efficiency)
     caught = detected > 0
     hit, detected = lit[caught], detected[caught]

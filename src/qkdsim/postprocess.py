@@ -17,6 +17,7 @@ security accounting charges for the disclosed parities instead.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -193,7 +194,10 @@ def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,
     inv_perms: list[np.ndarray] = []
     sizes: list[int] = []
     alice_prefix: list[np.ndarray] = []
+    # odd blocks as (pass, block); the heap holds every odd block, plus
+    # stale entries for blocks that turned even again, skipped on pop
     odd: set[tuple[int, int]] = set()
+    heap: list[tuple[int, int]] = []
 
     def alice_range_parity(p: int, lo: int, hi: int) -> int:
         pre = alice_prefix[p]
@@ -224,6 +228,7 @@ def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,
                 odd.remove(key)
             else:
                 odd.add(key)
+                heapq.heappush(heap, key)
 
     for p in range(passes):
         perm = public_coins.permutation(n)
@@ -249,9 +254,13 @@ def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,
         b_par = (bob_pre[ends] ^ bob_pre[starts]).astype(np.uint8)
         for blk in np.nonzero(a_par != b_par)[0]:
             odd.add((p, int(blk)))
+            heapq.heappush(heap, (p, int(blk)))
 
-        while odd:
-            q, blk = min(odd)  # smallest block size first, then position
+        while heap:
+            # smallest block size first, then position
+            q, blk = heapq.heappop(heap)
+            if (q, blk) not in odd:
+                continue
             j = bisect(q, blk)
             bob[j] ^= 1
             toggle_blocks(j)

@@ -9,6 +9,8 @@ can safely run in parallel.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -41,6 +43,13 @@ def fnv1a64(label: str) -> int:
     return h
 
 
+@lru_cache(maxsize=256)
+def _label_mix(label: str) -> int:
+    """The label's half of ``mix64(seed, fnv1a64(label))``; substreams
+    are named by a handful of fixed labels, so it is computed once each."""
+    return splitmix64((fnv1a64(label) ^ _GOLDEN) & _MASK64)
+
+
 class RandomSource:
     """A seedable randomness stream backed by numpy's PCG64.
 
@@ -48,19 +57,30 @@ class RandomSource:
     obtain independent substreams for concurrent or logically separate
     consumers. Splitting is pure seed arithmetic, so the child stream is
     reproducible regardless of how much the parent has been consumed.
+    PCG64 is seeded on the first draw, so a source that is only split
+    never builds a generator; the stream is the same either way.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
-        self.generator = np.random.Generator(np.random.PCG64(self.seed))
+        self._generator: np.random.Generator | None = None
+
+    @property
+    def generator(self) -> np.random.Generator:
+        if self._generator is None:
+            self._generator = np.random.Generator(np.random.PCG64(self.seed))
+        return self._generator
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed:#018x})"
 
     def split(self, label: str | int) -> "RandomSource":
-        """Return an independent substream named by ``label``."""
-        index = fnv1a64(label) if isinstance(label, str) else int(label)
-        return RandomSource(mix64(self.seed, index))
+        """Return an independent substream named by ``label``: the source
+        seeded with ``mix64(seed, fnv1a64(label))``, or with
+        ``mix64(seed, label)`` for an integer label."""
+        index_mix = _label_mix(label) if isinstance(label, str) \
+            else splitmix64((int(label) ^ _GOLDEN) & _MASK64)
+        return RandomSource(splitmix64(splitmix64(self.seed) ^ index_mix))
 
     # -- draws ------------------------------------------------------------
 

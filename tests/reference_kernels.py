@@ -5,15 +5,31 @@ they drew physics only at photon-carrying pulses. Every draw runs over
 every pulse, so they fix the values and the stream state the sparse
 kernels in :mod:`qkdsim.photonics` must reproduce.
 
+Dense intercept: Eve's kernel as it was before it worked only at the
+pulses she touches, with boolean masks and ``np.where`` over every
+pulse; :func:`qkdsim.adversary.intercept_batch` must give its outputs,
+ledger rows and stream state.
+
+Unpacked relay: the trusted-node relay as it was before it carried the
+key packed, one uint8 per bit, checking a link's funds at every
+crossing; :func:`qkdsim.netsim.relay_key` must send the same messages,
+log the same keys, spend the same bits and refuse the same relays.
+
 GF(2^k) by shift and reduce: the slow, obvious field products that the
-byte-table multiplier in :mod:`qkdsim.gf2` is checked against, and a
+byte-table multiplier in :mod:`qkdsim.gf2` is checked against, a
 GF(2^8) field with x^8 + x^4 + x^3 + x + 1 for the exhaustive collision
-tests, where 2^64 keys are out of reach but 2^8 are not.
+tests, where 2^64 keys are out of reach but 2^8 are not, and the
+polynomial hash by Horner's rule over any such multiplier.
 """
+
+from collections import Counter
 
 import numpy as np
 
+from qkdsim.adversary import InterceptResend, NoAttack, PhotonNumberSplit
+from qkdsim.auth import KeyExhausted
 from qkdsim.gf2 import MASK64, REDUCTION_POLY
+from qkdsim.netsim import RelayTranscript
 from qkdsim.photonics import survival_probability
 
 MASK8 = (1 << 8) - 1
@@ -54,6 +70,77 @@ def dense_measure_batch(photon_counts, bits, bases, bob_bases, detectors,
     return kinds, click_bits
 
 
+# -- dense intercept -----------------------------------------------------------
+
+
+def dense_intercept_batch(photon_counts, bits, bases, strategy, ledger,
+                          rand, start_index=0):
+    """Masks and ``np.where`` over every pulse."""
+    n = len(photon_counts)
+    if isinstance(strategy, NoAttack):
+        return photon_counts, bits, bases
+
+    if isinstance(strategy, InterceptResend):
+        take = rand.random(n) < strategy.fraction
+        take &= photon_counts > 0
+        eve_bases = rand.bits(n)
+        mismatch_results = rand.bits(n)
+        eve_bits = np.where(eve_bases == bases, bits,
+                            mismatch_results).astype(np.uint8)
+        out_counts = np.where(take, 1, photon_counts)
+        out_bits = np.where(take, eve_bits, bits).astype(np.uint8)
+        out_bases = np.where(take, eve_bases, bases).astype(np.uint8)
+        ledger.record_measured(np.flatnonzero(take) + start_index,
+                               eve_bits[take], eve_bases[take])
+        return out_counts, out_bits, out_bases
+
+    if isinstance(strategy, PhotonNumberSplit):
+        split = photon_counts >= 2
+        out_counts = photon_counts - split
+        ledger.record_stored(np.flatnonzero(split) + start_index,
+                             bits[split], bases[split])
+        return out_counts, bits, bases
+
+    raise TypeError(f"unknown strategy {strategy!r}")
+
+
+# -- unpacked relay ------------------------------------------------------------
+
+
+def unpacked_relay_key(path, key_len, rand):
+    """One uint8 per key bit, and each hop's funds checked at every
+    crossing of its link."""
+    if len(path) < 2:
+        raise ValueError("a relay path needs at least two nodes")
+    links = [a.links.get(b.id) for a, b in zip(path, path[1:])]
+    crossings = Counter(links)
+    for a, b, link in zip(path, path[1:], links):
+        if link is None:
+            raise ValueError(f"hop {a.id}-{b.id} is not a link")
+        n = crossings[link]
+        for kind, pool, need in (
+                ("link-key", link.key, n * key_len),
+                ("authentication", link.channel.pool,
+                 link.channel.bits_needed(n))):
+            if pool.remaining < need:
+                raise KeyExhausted(f"hop {a.id}-{b.id} holds {pool.remaining}"
+                                   f" {kind} bits, need {need}")
+
+    carried = rand.bits(key_len)
+    messages = []
+    for i, (b, link) in enumerate(zip(path[1:], links)):
+        pad = link.key.consume(key_len)
+        msg = link.channel.send(np.packbits(carried ^ pad).tobytes())
+        messages.append(msg)
+        payload = link.channel.deliver(msg)
+        carried = np.unpackbits(
+            np.frombuffer(payload, dtype=np.uint8))[:key_len] ^ pad
+        if i + 1 < len(links):
+            b.knowledge_log.append(carried)
+    return RelayTranscript(tuple(n.id for n in path), tuple(messages),
+                           carried)
+
+
 # -- GF(2^k) by shift and reduce ------------------------------------------------
 
 
@@ -85,3 +172,16 @@ def gf64_mul(a: int, b: int) -> int:
 def gf8_mul(a: int, b: int) -> int:
     """Product in GF(2^8), for exhaustive small-field checks."""
     return _reduce(_clmul(a & MASK8, b & MASK8), 8, REDUCTION_POLY_8)
+
+
+def poly_hash_blocks(blocks, mul) -> int:
+    """Polynomial hash sum(m_i * k^(t-i+1)) evaluated by Horner.
+
+    ``blocks`` is the message split into field elements, highest-order
+    coefficient first; ``mul`` multiplies a field element by the hash key
+    k (``Gf64Multiplier(k).mul``). An empty sequence hashes to 0.
+    """
+    acc = 0
+    for block in blocks:
+        acc = mul(acc ^ block)
+    return acc

@@ -6,7 +6,8 @@ a wrong-basis resend flips the matched-basis outcome half the time). The
 multiphoton-split oracle: Eve knows P(n>=2)/P(n>=1) of the sifted key and
 introduces no errors at all. The ledger's one knowledge rule is also
 checked, as a hypothesis property, against the per-pulse dict ledger and
-two-loop rule it replaced.
+two-loop rule it replaced, and the kernel, which works only at the
+pulses Eve touches, against the dense kernel it replaced.
 """
 
 import math
@@ -24,6 +25,8 @@ from qkdsim.photonics import (Basis, ConstantSource, DetectorPair,
                               FiberChannel)
 from qkdsim.protocol import SessionConfig, SiftedKeys, run_quantum_phase, sift
 from qkdsim.rng import RandomSource
+
+from reference_kernels import dense_intercept_batch
 
 
 def ideal_config(n_pulses, eve, seed=0, source=None):
@@ -385,3 +388,41 @@ class TestLedgerMatchesPerPulseRule:
         keys = SiftedKeys(bits[sifted], bits[sifted], sifted)
         expect = len(want) / len(sifted) if len(sifted) else 0.0
         assert eve_information(known, keys) == expect
+
+
+# -- the index kernel against the dense one it replaced ---------------------
+
+
+class TestInterceptMatchesDense:
+    @given(strategy=st.one_of(
+               st.just(PhotonNumberSplit()),
+               st.sampled_from([0.0, 1.0]).map(InterceptResend),
+               st.floats(0.0, 1.0).map(InterceptResend)),
+           counts=st.lists(st.integers(0, 4), max_size=200),
+           start=st.integers(0, 1000), seed=st.integers(0, 2**32 - 1))
+    def test_outputs_ledger_and_stream_match(self, strategy, counts, start,
+                                             seed):
+        counts = np.array(counts, np.int64)
+        gen = np.random.default_rng(seed)
+        bits, bases = (gen.integers(0, 2, len(counts), dtype=np.uint8)
+                       for _ in range(2))
+        before = [a.copy() for a in (counts, bits, bases)]
+        ledger, ref_ledger = EveLedger(), EveLedger()
+        rand, ref = RandomSource(seed), RandomSource(seed)
+        # a first batch leaves rows in both ledgers to append to
+        for args in ((counts, bits, bases, strategy, ledger, rand),
+                     (counts, bits, bases, strategy, ref_ledger, ref)):
+            dense_intercept_batch(*args, start_index=start)
+        got = intercept_batch(counts, bits, bases, strategy, ledger, rand,
+                              start_index=start)
+        want = dense_intercept_batch(counts, bits, bases, strategy,
+                                     ref_ledger, ref, start_index=start)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        for rows in ("stored", "measured"):
+            g, w = getattr(ledger, rows), getattr(ref_ledger, rows)
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert rand.generator.bit_generator.state \
+            == ref.generator.bit_generator.state
+        assert all(np.array_equal(a, b)
+                   for a, b in zip((counts, bits, bases), before))

@@ -16,15 +16,14 @@ from qkdsim.adversary import (InterceptResend, NoAttack,
 from qkdsim.auth import (AuthenticatedChannel, AuthenticatedMessage,
                          AuthenticationFailure, BitPool, KeyExhausted,
                          compute_tag, verify_tag)
-from qkdsim.gf2 import (LANES, MASK64, REDUCTION_POLY, Gf64Multiplier,
-                        poly_hash_blocks)
+from qkdsim.gf2 import LANES, MASK64, REDUCTION_POLY, Gf64Multiplier
 from qkdsim.photonics import (ConstantSource, DetectorPair, FiberChannel,
                               SourceModel)
 from qkdsim.postprocess import _verification_hash
 from qkdsim.protocol import SessionConfig, SessionOutcome, run_session
 from qkdsim.rng import RandomSource
 
-from reference_kernels import gf8_mul, gf64_mul
+from reference_kernels import gf8_mul, gf64_mul, poly_hash_blocks
 
 
 def ref_mul64(a: int, b: int) -> int:
@@ -406,6 +405,9 @@ class TestAuthKeyPool:
     @example(ops=[("consume", 1), ("deposit", [1, 0, 1]),
                   ("consume_int", 2), ("consume", 2), ("consume", 1),
                   ("consume", 0)])
+    # an integer read, a deposit, then a read that reaches the new bits
+    @example(ops=[("deposit", [1, 0] * 12), ("consume_int", 5),
+                  ("deposit", [1, 1, 0] * 10), ("consume_int", 40)])
     def test_matches_list_reference(self, ops):
         # Against a plain list, a cursor and a list of (start, end)
         # draws; a refused draw must leave the pool as it was.

@@ -7,6 +7,8 @@ carried key, and only interior nodes may ever log it.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qkdsim.auth import (AuthenticatedMessage, AuthenticationFailure,
                          KeyExhausted)
@@ -16,6 +18,8 @@ from qkdsim.netsim import (KeyStore, LengthMismatch, Link, Network, Node,
 from qkdsim.photonics import ConstantSource, DetectorPair, FiberChannel
 from qkdsim.protocol import SessionConfig
 from qkdsim.rng import RandomSource
+
+from reference_kernels import unpacked_relay_key
 
 
 def stub_network(edges, n_bits=2048, seed_base=500):
@@ -251,6 +255,29 @@ class TestRelay:
         assert np.array_equal(transcript.end_key,
                               RandomSource(531).bits(50))
 
+    @pytest.mark.parametrize("key_len", [-8, 8.0, True, "8"])
+    def test_bad_key_len_refused_before_anything(self, key_len):
+        # -8 used to die inside numpy and 8.0 with a TypeError; a packed
+        # key would let a negative count slip through np.unpackbits.
+        net = stub_network([("A", "B"), ("B", "C")], n_bits=256)
+        pools = [pool for link in net.links
+                 for pool in (link.key, link.channel.pool)]
+        rand = RandomSource(537)
+        with pytest.raises(ValueError, match="key_len"):
+            net.relay(["A", "B", "C"], key_len, rand)
+        assert [(p.cursor, p.consumed_log) for p in pools] == [(0, [])] * 4
+        assert net.node("B").knowledge_log == []
+        assert np.array_equal(rand.bits(64), RandomSource(537).bits(64))
+
+    @pytest.mark.parametrize("key_len", [0, np.int64(12)])
+    def test_zero_and_numpy_key_len_accepted(self, key_len):
+        net = stub_network([("A", "B"), ("B", "C")], n_bits=256)
+        transcript = net.relay(["A", "B", "C"], key_len, RandomSource(538))
+        assert np.array_equal(transcript.end_key,
+                              RandomSource(538).bits(int(key_len)))
+        assert transcript.end_key.dtype == np.uint8
+        assert net.node("A").store_for("B").cursor == key_len
+
     def test_short_path_rejected(self):
         net = stub_network([("A", "B")])
         with pytest.raises(ValueError):
@@ -358,3 +385,73 @@ class TestNetwork:
             spans = sorted(link.key.consumed_log)
             for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
                 assert b1 <= a2
+
+
+# -- the packed relay against the unpacked one it replaced --------------------
+
+NODES = "ABCD"
+RING = [("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")]
+
+
+@st.composite
+def relay_cases(draw):
+    """Store and auth-pool sizes for the four links of a ring, in half
+    the cases too small to fund every relay, and up to three relays
+    along walks that may turn back over a link or, now and then, step
+    to a node that is not a neighbor (A-C and B-D are not links)."""
+    if draw(st.booleans()):
+        funds = [(3000, 3000)] * len(RING)
+    else:
+        funds = [(draw(st.integers(0, 900)), draw(st.integers(0, 600)))
+                 for _ in RING]
+    relays = []
+    for _ in range(draw(st.integers(1, 3))):
+        walk = [draw(st.sampled_from(NODES))]
+        for _ in range(draw(st.integers(1, 5))):
+            i = NODES.index(walk[-1])
+            step = draw(st.sampled_from([1, -1] * 6 + [2]))
+            walk.append(NODES[(i + step) % 4])
+        relays.append((walk, draw(st.integers(0, 200)),
+                       draw(st.integers(0, 2**32 - 1))))
+    return funds, relays
+
+
+def ring_network(funds):
+    net = Network()
+    for i, ((a, b), (key_bits, auth_bits)) in enumerate(zip(RING, funds)):
+        net.add_link(a, b, StubKeySource(900 + i, key_bits),
+                     auth_pool_bits=auth_bits)
+    net.provision_all()
+    return net
+
+
+def relay_outcome(relay, net, walk, key_len, seed):
+    path = [net.nodes[i] for i in walk]
+    try:
+        transcript = relay(path, key_len, RandomSource(seed))
+    except (ValueError, KeyExhausted) as exc:
+        return type(exc), str(exc)
+    return (transcript.path,
+            [(m.payload, m.tag) for m in transcript.hop_messages],
+            transcript.end_key.dtype, transcript.end_key.tolist())
+
+
+def network_state(net):
+    logs = {name: [(k.dtype, k.tolist()) for k in node.knowledge_log]
+            for name, node in net.nodes.items()}
+    pools = [(pool.cursor, pool.consumed_log) for link in net.links
+             for pool in (link.key, link.channel.pool)]
+    return logs, pools
+
+
+class TestPackedRelayMatchesUnpacked:
+    @given(relay_cases())
+    def test_same_messages_keys_logs_and_spending(self, case):
+        funds, relays = case
+        packed, unpacked = ring_network(funds), ring_network(funds)
+        for walk, key_len, seed in relays:
+            got = relay_outcome(relay_key, packed, walk, key_len, seed)
+            want = relay_outcome(unpacked_relay_key, unpacked, walk,
+                                 key_len, seed)
+            assert got == want
+            assert network_state(packed) == network_state(unpacked)

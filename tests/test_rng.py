@@ -7,6 +7,8 @@ frozen regression values, since sweep seed derivation depends on them.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from qkdsim.rng import RandomSource, fnv1a64, mix64, splitmix64
@@ -84,6 +86,14 @@ class TestRandomSource:
         assert r.split("alice").seed == mix64(7, fnv1a64("alice"))
         assert r.split(5).seed == mix64(7, 5)
 
+    @pytest.mark.parametrize("label", ["relay", "relay", "", "\u00e9",
+                                       0, 5, -1, 2**64 + 3, True])
+    def test_split_seed_is_mix64_of_the_label(self, label):
+        # string labels take a cached path; repeat one to hit it
+        index = fnv1a64(label) if isinstance(label, str) else int(label)
+        for seed in (0, 7, 2**64 - 1):
+            assert RandomSource(seed).split(label).seed == mix64(seed, index)
+
     def test_bits_are_binary(self):
         bits = RandomSource(3).bits(10_000)
         assert bits.dtype == np.uint8
@@ -129,3 +139,50 @@ class TestRandomSource:
 def test_permutation_is_a_permutation():
     perm = RandomSource(11).permutation(257)
     assert sorted(perm.tolist()) == list(range(257))
+
+
+class TestLazyGenerator:
+    def test_split_only_source_builds_no_generator(self, monkeypatch):
+        built = []
+        pcg64 = np.random.PCG64
+
+        def counting_pcg64(seed):
+            built.append(seed)
+            return pcg64(seed)
+
+        monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
+        parent = RandomSource(7)
+        child = parent.split("relay").split(3)
+        assert built == []
+        child.bits(8)
+        assert built == [child.seed]
+        child.bits(8)
+        assert built == [child.seed]
+
+    # a RandomSource draw of size n, and the same draw on a Generator
+    DRAWS = [
+        (lambda r, n: r.bits(n),
+         lambda g, n: g.integers(0, 2, size=n, dtype=np.uint8)),
+        (lambda r, n: r.random(n), lambda g, n: g.random(n)),
+        (lambda r, n: r.poisson(0.5, n), lambda g, n: g.poisson(0.5, n)),
+        (lambda r, n: r.binomial(np.arange(n), 0.3),
+         lambda g, n: g.binomial(np.arange(n), 0.3)),
+        (lambda r, n: r.uint64(),
+         lambda g, n: g.integers(0, 1 << 64, dtype=np.uint64)),
+        (lambda r, n: r.byte_string(n), lambda g, n: g.bytes(n)),
+    ]
+
+    @given(seed=st.integers(0, 2**64 - 1),
+           draws=st.lists(st.tuples(st.integers(0, len(DRAWS) - 1),
+                                    st.integers(0, 40)), max_size=12))
+    def test_state_equals_an_eager_generator_at_every_point(self, seed,
+                                                            draws):
+        lazy = RandomSource(seed)
+        eager = np.random.Generator(np.random.PCG64(seed))
+        for k, n in draws:
+            source_draw, generator_draw = self.DRAWS[k]
+            assert np.array_equal(source_draw(lazy, n),
+                                  generator_draw(eager, n))
+            assert lazy.generator.bit_generator.state \
+                == eager.bit_generator.state
+        assert lazy.generator.bit_generator.state == eager.bit_generator.state
