@@ -88,8 +88,9 @@ def intercept_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarr
                     start_index: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply Eve's strategy to a batch of pulses, appending to the ledger.
 
-    Returns the (photon_counts, bits, bases) forwarded to the channel.
-    Pulse i of the batch has global index start_index + i.
+    Returns the (photon_counts, bits, bases) forwarded to the channel;
+    the counts keep their dtype. Pulse i of the batch has global index
+    start_index + i.
     """
     n = len(photon_counts)
     if isinstance(strategy, NoAttack):
@@ -98,7 +99,7 @@ def intercept_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarr
     # Both branches change few pulses: they copy the inputs and work
     # only at the indices Eve touches.
     if isinstance(strategy, InterceptResend):
-        take = rand.random(n) < strategy.fraction
+        take = rand.bernoulli(n, strategy.fraction)
         take &= photon_counts > 0  # an empty slot gives Eve nothing to measure
         taken = np.flatnonzero(take)
         # three full-length draws, then Eve's values where she measured

@@ -11,12 +11,13 @@ operation is a pure function of its inputs and the stream state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .rng import RandomSource
+from .rng import DRAW_CHUNK, RandomSource
 
 
 class Basis(IntEnum):
@@ -37,8 +38,9 @@ class SourceModel:
     mu: float
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError(f"mean photon number must be >= 0, got {self.mu}")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError(
+                f"mean photon number must be finite and >= 0, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,11 @@ class ConstantSource:
     photon_count: int = 1
 
     def __post_init__(self):
-        if self.photon_count < 0:
-            raise ValueError("photon_count must be >= 0")
+        count = self.photon_count
+        if isinstance(count, (bool, np.bool_)) \
+                or not isinstance(count, (int, np.integer)) or count < 0:
+            raise ValueError(
+                f"photon_count must be a non-negative integer, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,10 @@ class FiberChannel:
     excess_flip_prob: float = 0.0
 
     def __post_init__(self):
-        if self.length_km < 0 or self.attenuation_db_per_km < 0:
-            raise ValueError("fiber length and attenuation must be >= 0")
+        if not (0 <= self.length_km < math.inf
+                and 0 <= self.attenuation_db_per_km < math.inf):
+            raise ValueError("fiber length and attenuation must be finite"
+                             " and >= 0")
         if not 0.0 <= self.excess_flip_prob <= 0.5:
             raise ValueError("excess_flip_prob must be in [0, 0.5]")
 
@@ -102,10 +109,19 @@ class ClickKind(IntEnum):
 
 
 def sample_photon_counts(source, n: int, rand: RandomSource) -> np.ndarray:
-    """Photon numbers for n consecutive pulses."""
+    """Photon numbers for n consecutive pulses, one byte each: uint8,
+    or int64 once some count exceeds 255, so every count is exact. A
+    Poisson source draws DRAW_CHUNK counts at a time."""
     if isinstance(source, ConstantSource):
-        return np.full(n, source.photon_count, dtype=np.int64)
-    return rand.poisson(source.mu, n).astype(np.int64, copy=False)
+        count = source.photon_count
+        return np.full(n, count, dtype=np.uint8 if count <= 255 else np.int64)
+    counts = np.empty(n, dtype=np.uint8)
+    for start in range(0, n, DRAW_CHUNK):
+        part = rand.poisson(source.mu, min(DRAW_CHUNK, n - start))
+        if part.max() > np.iinfo(counts.dtype).max:
+            counts = counts.astype(np.int64)
+        counts[start:start + len(part)] = part
+    return counts
 
 
 # -- channel ------------------------------------------------------------------
@@ -123,19 +139,16 @@ def transmit_counts(photon_counts: np.ndarray, channel: FiberChannel,
     measurement through the channel's excess_flip_prob.
 
     A binomial draw at n == 0 takes nothing from the stream, so only the
-    pulses that carry photons are drawn; the result and the stream state
-    are those of one draw over every pulse.
+    pulses that carry photons are drawn, DRAW_CHUNK pulses at a time; the
+    result and the stream state are those of one draw over every pulse.
+    The result has the dtype of ``photon_counts``.
     """
-    n = len(photon_counts)
-    out = np.zeros(n, dtype=np.int64)
-    # The mask of lit pulses borrows the first n bytes of the zeroed
-    # output and is cleared again, so no temporary is alive at this,
-    # often a session's, memory peak.
-    mask = out.view(np.bool_)[:n]
-    np.greater(photon_counts, 0, out=mask)
-    lit = np.flatnonzero(mask)
-    mask[:] = False
-    out[lit] = rand.binomial(photon_counts[lit], survival_probability(channel))
+    out = np.zeros_like(photon_counts)
+    p = survival_probability(channel)
+    for start in range(0, len(out), DRAW_CHUNK):
+        part = photon_counts[start:start + DRAW_CHUNK]
+        lit = np.flatnonzero(part > 0)
+        out[start:start + DRAW_CHUNK][lit] = rand.binomial(part[lit], p)
     return out
 
 
@@ -157,8 +170,9 @@ def measure_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarray
     photon-carrying pulses are drawn: the efficiency binomial over the
     pulses with photons, then the flip and random-exit binomials over
     the pulses with a detected photon. The two dark-count uniforms are
-    the only per-pulse draws. Outputs and stream state are those of the
-    same draws over every pulse.
+    the only per-pulse draws, made in chunks straight into bool masks
+    (:meth:`~qkdsim.rng.RandomSource.bernoulli`). Outputs and stream
+    state are those of the same draws over every pulse.
 
     Returns (kinds, click_bits): kinds holds ClickKind values per gate,
     click_bits the measured bit where kinds == CLICK (0 elsewhere).
@@ -181,8 +195,8 @@ def measure_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarray
     in_one = np.where(matched, in_one_matched, random_exit)
     in_zero = detected - in_one
 
-    fire0 = rand.random(n) < detectors.dark_count_prob
-    fire1 = rand.random(n) < detectors.dark_count_prob
+    fire0 = rand.bernoulli(n, detectors.dark_count_prob)
+    fire1 = rand.bernoulli(n, detectors.dark_count_prob)
     fire0[hit[in_zero > 0]] = True
     fire1[hit[in_one > 0]] = True
 

@@ -16,6 +16,13 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
+# Per-pulse draws run DRAW_CHUNK values at a time, so an n-long draw
+# keeps at most one chunk of float64 or int64 temporaries alive. numpy
+# draws uniform, Poisson and array-n binomial values one element at a
+# time with no state carried between them, so the values and the stream
+# state are those of one draw of n.
+DRAW_CHUNK = 1 << 14
+
 
 def splitmix64(x: int) -> int:
     """One output step of the splitmix64 generator (Steele/Lea/Vigna)."""
@@ -99,6 +106,16 @@ class RandomSource:
 
     def random(self, size=None):
         return self.generator.random(size)
+
+    def bernoulli(self, n: int, p: float) -> np.ndarray:
+        """``random(n) < p`` as an n-long bool mask, drawn in chunks of
+        DRAW_CHUNK uniforms: the same mask and stream state without n
+        float64s."""
+        mask = np.empty(n, dtype=bool)
+        for start in range(0, n, DRAW_CHUNK):
+            part = mask[start:start + DRAW_CHUNK]
+            np.less(self.generator.random(len(part)), p, out=part)
+        return mask
 
     def poisson(self, mu: float, size=None):
         return self.generator.poisson(mu, size)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qkdsim.adversary import (EveLedger, InterceptResend, NoAttack,
@@ -399,10 +399,14 @@ class TestInterceptMatchesDense:
                st.sampled_from([0.0, 1.0]).map(InterceptResend),
                st.floats(0.0, 1.0).map(InterceptResend)),
            counts=st.lists(st.integers(0, 4), max_size=200),
-           start=st.integers(0, 1000), seed=st.integers(0, 2**32 - 1))
+           start=st.integers(0, 1000), seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([np.uint8, np.int64]))
+    # a batch longer than two chunks of intercept-resend's take draw
+    @example(strategy=InterceptResend(0.3), counts=[1, 0, 3] * 12_000,
+             start=5, seed=7, dtype=np.uint8)
     def test_outputs_ledger_and_stream_match(self, strategy, counts, start,
-                                             seed):
-        counts = np.array(counts, np.int64)
+                                             seed, dtype):
+        counts = np.array(counts, dtype)
         gen = np.random.default_rng(seed)
         bits, bases = (gen.integers(0, 2, len(counts), dtype=np.uint8)
                        for _ in range(2))

@@ -13,14 +13,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
+from qkdsim.adversary import (EveLedger, InterceptResend, PhotonNumberSplit,
+                              intercept_batch)
 from qkdsim.photonics import (Basis, ClickKind, ConstantSource, DetectorPair,
                               FiberChannel, SourceModel,
                               beamsplitter_random_bit, measure_batch,
                               sample_photon_counts, survival_probability,
                               transmit_counts)
-from qkdsim.rng import RandomSource
+from qkdsim.rng import DRAW_CHUNK, RandomSource
 
-from reference_kernels import dense_measure_batch, dense_transmit_counts
+from reference_kernels import (dense_intercept_batch, dense_measure_batch,
+                               dense_transmit_counts)
 
 
 class TestTypes:
@@ -46,6 +49,23 @@ class TestTypes:
             DetectorPair(efficiency=1.5)
         with pytest.raises(ValueError):
             DetectorPair(dark_count_prob=1.0)
+
+    @pytest.mark.parametrize("make, args", [
+        (SourceModel, (math.nan,)), (SourceModel, (math.inf,)),
+        (ConstantSource, (1.5,)), (ConstantSource, (True,)),
+        (ConstantSource, (np.True_,)), (ConstantSource, ("1",)),
+        (FiberChannel, (math.nan,)), (FiberChannel, (1.0, math.nan)),
+        (FiberChannel, (math.inf,)), (FiberChannel, (0.0, math.inf)),
+    ], ids=lambda v: getattr(v, "__name__", repr(v)))
+    def test_bad_physics_refused_at_construction(self, make, args):
+        # Unrefused, NaN or infinite mu and fiber values fail mid-session
+        # inside numpy, and a fractional photon count is truncated.
+        with pytest.raises(ValueError):
+            make(*args)
+
+    def test_integer_photon_counts_accepted(self):
+        assert ConstantSource(np.int64(2)).photon_count == 2
+        assert ConstantSource(0).photon_count == 0
 
     def test_click_outcome(self):
         # A gate's kind is the number of detectors that fired; only a
@@ -101,6 +121,27 @@ class TestSource:
     def test_constant_source_batch(self):
         assert np.all(sample_photon_counts(ConstantSource(2), 100,
                                            RandomSource(1)) == 2)
+
+    @pytest.mark.parametrize("mu", [0.1, 0.5, 12.0])
+    def test_poisson_counts_are_one_draw_in_one_byte(self, mu):
+        # Across chunk boundaries: the values and stream state of one
+        # Poisson draw of n, stored as uint8.
+        n = 2 * DRAW_CHUNK + 17
+        rand, ref = RandomSource(15), RandomSource(15)
+        counts = sample_photon_counts(SourceModel(mu), n, rand)
+        assert counts.dtype == np.uint8
+        assert np.array_equal(counts, ref.poisson(mu, n))
+        assert rand.generator.bit_generator.state \
+            == ref.generator.bit_generator.state
+
+    def test_count_dtype_is_one_byte_up_to_255(self):
+        for count, dtype in ((0, np.uint8), (255, np.uint8),
+                             (256, np.int64)):
+            counts = sample_photon_counts(ConstantSource(count), 3,
+                                          RandomSource(1))
+            assert counts.dtype == dtype and list(counts) == [count] * 3
+        empty = sample_photon_counts(SourceModel(0.5), 0, RandomSource(1))
+        assert empty.dtype == np.uint8 and len(empty) == 0
 
 
 class TestChannel:
@@ -270,16 +311,59 @@ def test_binomial_at_zero_count_draws_nothing(counts, p):
             "photons are, no longer reproduce the dense stream")
 
 
-# Counts with many zeros (at zero_frac 1 every pulse is vacuum), and
-# physics parameters at their bounds as well as in between.
+# Counts in [0, 300), zeros and 200 included, for the binomial with an
+# array n: 200 reaches numpy's BTPE path, small counts its inversion.
+CHUNK_RULE_N = np.random.default_rng(3).integers(0, 300, 999)
+CHUNK_RULE_N[::7] = 0
+CHUNK_RULE_N[::11] = 200
+
+
+# Each draw the quantum phase makes in chunks, as a function of the
+# generator and the chunk's [a, b) bounds; poisson on both sides of
+# mu = 10, where numpy switches from multiplication to PTRS.
+CHUNKED_DRAWS = {
+    **{f"poisson({mu})": lambda gen, a, b, mu=mu: gen.poisson(mu, b - a)
+       for mu in (0.1, 0.5, 9.5, 10.0, 40.0, 300.0)},
+    "random": lambda gen, a, b: gen.random(b - a),
+    **{f"binomial(n[], {p})":
+       lambda gen, a, b, p=p: gen.binomial(CHUNK_RULE_N[a:b], p)
+       for p in (0.0, 0.1, 0.5, 0.9, 1.0)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNKED_DRAWS))
+def test_draws_in_chunks_equal_one_draw(name):
+    """The numpy rule the chunked kernels stand on: Poisson, uniform and
+    array-n binomial values are drawn one element at a time with no state
+    carried between them, so chunks with odd boundaries give the values
+    and the stream state of one call."""
+    draw = CHUNKED_DRAWS[name]
+    whole, chunked = (np.random.Generator(np.random.PCG64(22))
+                      for _ in range(2))
+    bounds = (0, 1, 7, 338, 999)
+    want = draw(whole, 0, bounds[-1])
+    got = np.concatenate([draw(chunked, a, b)
+                          for a, b in zip(bounds, bounds[1:])])
+    assert np.array_equal(got, want) \
+        and whole.bit_generator.state == chunked.bit_generator.state, (
+            f"numpy {np.__version__} draws {name} differently in chunks: "
+            "sample_photon_counts, transmit_counts and "
+            "RandomSource.bernoulli, which draw DRAW_CHUNK values at a "
+            "time, no longer reproduce the one-call stream")
+
+
+# Counts with many zeros (at zero_frac 1 every pulse is vacuum), one byte
+# or eight wide, and physics parameters at their bounds as well as in
+# between.
 sparse_counts = dict(
     n=st.integers(0, 300), zero_frac=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
-    max_count=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    max_count=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+    dtype=st.sampled_from([np.uint8, np.int64]))
 
 
-def random_counts(n, zero_frac, max_count, seed):
+def random_counts(n, zero_frac, max_count, seed, dtype=np.int64):
     gen = np.random.default_rng(seed)
-    counts = gen.integers(1, max_count + 1, n)
+    counts = gen.integers(1, max_count + 1, n).astype(dtype)
     counts[gen.random(n) < zero_frac] = 0
     return counts
 
@@ -287,7 +371,8 @@ def random_counts(n, zero_frac, max_count, seed):
 class TestSparseKernels:
     """The kernels draw physics only at photon-carrying pulses; the
     dense references draw it at every pulse. Outputs, dtypes and the
-    stream state afterwards must be equal, and no input may change."""
+    stream state afterwards must be equal, and no input may change. The
+    kernels keep the counts' dtype where the references widen them."""
 
     @given(**sparse_counts,
            efficiency=st.one_of(st.sampled_from([0.0, 1.0]),
@@ -295,11 +380,14 @@ class TestSparseKernels:
            flip=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
            dark=st.one_of(st.just(0.0),
                           st.floats(0.0, 1.0, exclude_max=True)))
-    @example(n=0, zero_frac=0.0, max_count=1, seed=0, efficiency=1.0,
-             flip=0.0, dark=0.0)
+    @example(n=0, zero_frac=0.0, max_count=1, seed=0, dtype=np.int64,
+             efficiency=1.0, flip=0.0, dark=0.0)
+    @example(n=2 * DRAW_CHUNK + 17, zero_frac=0.5, max_count=3, seed=1,
+             dtype=np.uint8, efficiency=0.5, flip=0.1, dark=0.3)
     def test_measure_batch_matches_dense(self, n, zero_frac, max_count,
-                                         seed, efficiency, flip, dark):
-        counts = random_counts(n, zero_frac, max_count, seed)
+                                         seed, dtype, efficiency, flip,
+                                         dark):
+        counts = random_counts(n, zero_frac, max_count, seed, dtype)
         gen = np.random.default_rng(seed + 1)
         bits, bases, bob_bases = (gen.integers(0, 2, n, dtype=np.uint8)
                                   for _ in range(3))
@@ -316,19 +404,68 @@ class TestSparseKernels:
         assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
 
     @given(**sparse_counts, length_km=st.sampled_from([0.0, 10.0, 200.0]))
-    @example(n=0, zero_frac=0.0, max_count=1, seed=0, length_km=10.0)
+    @example(n=0, zero_frac=0.0, max_count=1, seed=0, dtype=np.int64,
+             length_km=10.0)
+    @example(n=2 * DRAW_CHUNK + 17, zero_frac=0.5, max_count=3, seed=1,
+             dtype=np.uint8, length_km=10.0)
     def test_transmit_counts_matches_dense(self, n, zero_frac, max_count,
-                                           seed, length_km):
-        counts = random_counts(n, zero_frac, max_count, seed)
+                                           seed, dtype, length_km):
+        counts = random_counts(n, zero_frac, max_count, seed, dtype)
         before = counts.copy()
         channel = FiberChannel(length_km)
         ref, rand = RandomSource(seed), RandomSource(seed)
         want = dense_transmit_counts(counts, channel, ref)
         got = transmit_counts(counts, channel, rand)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.dtype == counts.dtype and np.array_equal(got, want)
         assert rand.generator.bit_generator.state \
             == ref.generator.bit_generator.state
         assert np.array_equal(counts, before)
+
+
+class TestWideCounts:
+    """A count above 255 does not fit a byte: the source widens its array
+    to int64 and every kernel after it keeps the values of the int64
+    kernels, with no wraparound."""
+
+    @pytest.mark.parametrize("source", [SourceModel(300.0),
+                                        ConstantSource(300)], ids=repr)
+    @pytest.mark.parametrize("eve", [InterceptResend(0.5),
+                                     PhotonNumberSplit()], ids=repr)
+    def test_exact_through_the_quantum_phase(self, source, eve):
+        n = DRAW_CHUNK + 17
+        counts = sample_photon_counts(source, n, RandomSource(31))
+        want = (np.full(n, 300) if isinstance(source, ConstantSource)
+                else RandomSource(31).poisson(300.0, n))
+        assert counts.dtype == np.int64 and np.array_equal(counts, want)
+        assert counts.max() > 255
+
+        gen = np.random.default_rng(32)
+        bits, bases, bob_bases = (gen.integers(0, 2, n, dtype=np.uint8)
+                                  for _ in range(3))
+        counts = intercept_batch(counts, bits, bases, eve, EveLedger(),
+                                 RandomSource(1))[0]
+        want = dense_intercept_batch(want, bits, bases, eve, EveLedger(),
+                                     RandomSource(1))[0]
+        assert counts.dtype == np.int64 and np.array_equal(counts, want)
+        counts = transmit_counts(counts, FiberChannel(1.0), RandomSource(2))
+        want = dense_transmit_counts(want, FiberChannel(1.0), RandomSource(2))
+        assert counts.dtype == np.int64 and np.array_equal(counts, want)
+        assert counts.max() > 255
+        detectors = DetectorPair(0.5, 0.01)
+        got = measure_batch(counts, bits, bases, bob_bases, detectors, 0.1,
+                            RandomSource(3))
+        want = dense_measure_batch(want, bits, bases, bob_bases, detectors,
+                                   0.1, RandomSource(3))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_widens_in_a_later_chunk(self):
+        # At mu = 200 and seed 2 the first chunk stays within a byte and
+        # a later one does not: the uint8 values already written are kept.
+        n = 4 * DRAW_CHUNK
+        want = RandomSource(2).poisson(200.0, n)
+        assert want[:DRAW_CHUNK].max() <= 255 < want.max()
+        counts = sample_photon_counts(SourceModel(200.0), n, RandomSource(2))
+        assert counts.dtype == np.int64 and np.array_equal(counts, want)
 
 
 class TestDeterminism:

@@ -6,11 +6,12 @@ against the bit-accounting identities it claims to satisfy.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qkdsim.adversary import InterceptResend
+from qkdsim.adversary import InterceptResend, NoAttack, PhotonNumberSplit
 from qkdsim.photonics import (ConstantSource, DetectorPair, FiberChannel,
                               SourceModel, survival_probability)
 from qkdsim.postprocess import (AttackModel, CorrectionResult,
@@ -95,6 +96,33 @@ class TestQuantumPhase:
         config = ideal_config(100_000, 405, detectors=DetectorPair(1.0, 0.01))
         records = run_quantum_phase(config, RandomSource(config.seed))
         assert int((records.kinds == 2).sum()) == 0
+
+    @pytest.mark.parametrize("mu, km, eve", [
+        (0.5, 40.0, PhotonNumberSplit()),
+        (0.1, 20.0, InterceptResend(0.15)),
+        (0.5, 40.0, NoAttack()),
+    ], ids=["pns", "intercept-resend", "no-eve"])
+    def test_memory_budget_per_pulse(self, mu, km, eve):
+        # tracemalloc's peak counts the bytes numpy and Python hold, so
+        # unlike peak RSS it does not move with the heap's layout. Five
+        # one-byte records plus one-byte counts, bool masks and the
+        # chunk-sized draws fit in 18 B/pulse; int64 counts or an n-long
+        # float64 draw do not.
+        n = 200_000
+        config = ideal_config(n, 406, source=SourceModel(mu),
+                              channel=FiberChannel(km), eve=eve)
+        # numpy.random imports lazily on its first draw in the process
+        run_quantum_phase(ideal_config(100, 406), RandomSource(406))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            records = run_quantum_phase(config, RandomSource(config.seed))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(records) == n
+        assert peak / n <= 18, f"{peak / n:.1f} B/pulse"
 
 
 class TestPulseRecords:

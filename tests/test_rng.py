@@ -11,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from qkdsim.rng import RandomSource, fnv1a64, mix64, splitmix64
+from qkdsim.rng import (DRAW_CHUNK, RandomSource, fnv1a64, mix64,
+                        splitmix64)
 
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -131,6 +132,18 @@ class TestRandomSource:
         out = r.binomial(np.array([3, 0, 5]), 0.5)
         assert out.shape == (3,)
         assert out[1] == 0
+
+    @pytest.mark.parametrize("n", [0, 1, DRAW_CHUNK, 2 * DRAW_CHUNK + 17])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_bernoulli_is_one_uniform_draw(self, n, p):
+        # Drawn in chunks into a bool mask: the mask and stream state of
+        # ``random(n) < p``.
+        rand, ref = RandomSource(8), RandomSource(8)
+        mask = rand.bernoulli(n, p)
+        assert mask.dtype == np.bool_
+        assert np.array_equal(mask, ref.random(n) < p)
+        assert rand.generator.bit_generator.state \
+            == ref.generator.bit_generator.state
 
     def test_repr_mentions_seed(self):
         assert "0x" in repr(RandomSource(7))
