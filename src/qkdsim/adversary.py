@@ -75,12 +75,17 @@ class EveLedger:
     known_bits: np.ndarray = field(default_factory=lambda: _rows(2))
 
     def record_stored(self, indices, bits, bases) -> None:
-        self.stored = np.concatenate(
-            (self.stored, np.column_stack((indices, bits, bases))))
+        self.stored = _join(self.stored, np.c_[indices, bits, bases])
 
     def record_measured(self, indices, bits, bases) -> None:
-        self.measured = np.concatenate(
-            (self.measured, np.column_stack((indices, bits, bases))))
+        self.measured = _join(self.measured, np.c_[indices, bits, bases])
+
+
+def _join(rows: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``rows`` above ``new``, as int64; an empty side costs no copy."""
+    if not len(rows):
+        return new.astype(np.int64, copy=False)
+    return np.concatenate((rows, new)) if len(new) else rows
 
 
 def intercept_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarray,
@@ -136,7 +141,7 @@ def finalize_knowledge(ledger: EveLedger, announced_bases: np.ndarray,
     # the one she announces, so Eve reads the parked photon in it exactly.
     sifted = np.zeros(len(announced_bases), dtype=bool)
     sifted[sifted_indices] = True
-    rows = np.concatenate((ledger.stored, ledger.measured))
+    rows = _join(ledger.stored, ledger.measured)
     index = rows[:, 0]
     rows = rows[sifted[index] & (rows[:, 2] == announced_bases[index])]
     ledger.known_bits = rows[np.argsort(rows[:, 0], kind="stable"), :2]

@@ -61,8 +61,8 @@ class BitPool:
     def consumed_log(self) -> list[tuple[int, int]]:
         return list(zip([0, *self._ends], self._ends))
 
-    def _take(self, n_bits: int) -> np.ndarray:
-        """Advance the cursor past ``n_bits`` and return them as a view."""
+    def consume(self, n_bits: int) -> np.ndarray:
+        """Advance the cursor past ``n_bits`` and return a copy of them."""
         if n_bits < 0:
             raise ValueError("cannot consume a negative bit count")
         start = self.cursor
@@ -72,22 +72,22 @@ class BitPool:
                 f"need {n_bits} bits, {self.remaining} remain")
         self.cursor = end
         self._ends.append(end)
-        return self.bits[start:end]
-
-    def consume(self, n_bits: int) -> np.ndarray:
-        return self._take(n_bits).copy()
+        return self.bits[start:end].copy()
 
     def consume_int(self, n_bits: int) -> int:
         """Consume ``n_bits`` and read them as a big-endian integer: the
         first bit is the most significant."""
-        start = self.cursor
-        self._take(n_bits)
+        start, end = self.cursor, self.cursor + n_bits
+        if n_bits < 0 or end > len(self.bits):  # consume's checks, inlined
+            self.consume(n_bits)  # raises, and spends nothing
+        self.cursor = end
+        self._ends.append(end)
         if self._packed is None:
             self._packed = np.packbits(self.bits).tobytes()
         # the bytes of the packed copy that hold bits start..end-1
-        lo, hi = start >> 3, (self.cursor + 7) >> 3
-        word = int.from_bytes(self._packed[lo:hi], "big")
-        return word >> (8 * hi - self.cursor) & ((1 << n_bits) - 1)
+        hi = (end + 7) >> 3
+        word = int.from_bytes(self._packed[start >> 3:hi], "big")
+        return word >> (8 * hi - end) & ((1 << n_bits) - 1)
 
     def deposit(self, bits) -> None:
         """Append freshly produced key bits for later consumption."""
@@ -149,15 +149,15 @@ class AuthenticatedChannel:
     The two parties share the pool (that is what a shared secret means),
     so the receiver derives the same one-time pad the sender used; here
     that synchronization is modeled by pairing each sent message with
-    its pad under a sequence number. ``send`` consumes key bits and tags;
-    ``deliver`` verifies the next message in order and raises
+    its hash and pad under a sequence number. ``send`` consumes key bits
+    and tags; ``deliver`` verifies the next message in order and raises
     :class:`AuthenticationFailure` if it was tampered with in transit.
     """
 
     def __init__(self, pool: BitPool):
         self.pool = pool
         self._mul: Gf64Multiplier | None = None  # keyed on the first send
-        self._pending: list[tuple[AuthenticatedMessage, int]] = []
+        self._pending: list[tuple[AuthenticatedMessage, int, int]] = []
         self.transcript: list[AuthenticatedMessage] = []
         self.messages_sent = 0
 
@@ -171,9 +171,10 @@ class AuthenticatedChannel:
         if self._mul is None:
             self._mul = Gf64Multiplier(self.pool.consume_int(HASH_KEY_BITS))
         otp = self.pool.consume_int(TAG_BITS)
-        tag = _hash_message(payload, self._mul) ^ otp
-        msg = AuthenticatedMessage(payload, tag)
-        self._pending.append((msg, otp))
+        payload = bytes(payload)  # a mutable buffer is frozen as tagged
+        digest = _hash_message(payload, self._mul)
+        msg = AuthenticatedMessage(payload, digest ^ otp)
+        self._pending.append((msg, digest, otp))
         self.transcript.append(msg)
         self.messages_sent += 1
         return msg
@@ -181,8 +182,9 @@ class AuthenticatedChannel:
     def deliver(self, msg: AuthenticatedMessage) -> bytes:
         if not self._pending:
             raise AuthenticationFailure("no message in flight")
-        sent, otp = self._pending.pop(0)
-        expected = _hash_message(msg.payload, self._mul) ^ otp
-        if (expected ^ msg.tag) != 0:
+        sent, digest, otp = self._pending.pop(0)
+        if msg is not sent:  # the message sent reuses the hash send made
+            digest = _hash_message(msg.payload, self._mul)
+        if (digest ^ otp ^ msg.tag) != 0:
             raise AuthenticationFailure("tag mismatch on public channel")
         return msg.payload

@@ -101,6 +101,10 @@ class Gf64Multiplier:
         elements in ``tail``. The caller adds its own length convention.
         An empty message hashes to 0.
         """
+        if len(data) <= 16 and not tail:  # up to two blocks: a relay hop
+            w = int.from_bytes(data, "big") << (-len(data) % 8 * 8)
+            # a shorter message leads with a zero block: Horner ignores it
+            return self._horner((w >> 64, w & MASK64))
         n_words = -(-len(data) // 8)
         body = data.ljust(8 * n_words, b"\x00")
         n_blocks = n_words + len(tail)

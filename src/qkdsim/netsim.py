@@ -127,8 +127,8 @@ def relay_key(path: list[Node], key_len: int,
     re-encryption. ``key_len`` must be a non-negative integer. Every hop
     must be a link, and its link key and authentication key are checked
     before any bit is spent, so a failed precondition consumes nothing
-    and exposes the key to no node. The key travels packed, eight bits
-    a byte with the last byte zero-padded, exactly as each hop sends it."""
+    and exposes the key to no node. Key and pads are XORed as the ints
+    of the zero-padded bytes each hop sends; the key is unpacked once."""
     if isinstance(key_len, (bool, np.bool_)) \
             or not isinstance(key_len, (int, np.integer)) or key_len < 0:
         raise ValueError(
@@ -139,9 +139,9 @@ def relay_key(path: list[Node], key_len: int,
     links = [a.links.get(b.id) for a, b in zip(path, path[1:])]
     # a path may cross one link more than once: each crossing pays, and
     # the link is checked for all of them at its first hop
-    crossings = Counter(links)
+    crossings = None if len(set(links)) == len(links) else Counter(links)
     for a, b, link in zip(path, path[1:], links):
-        n = crossings.pop(link, 0)
+        n = 1 if crossings is None else crossings.pop(link, 0)
         if not n:
             continue
         if link is None:
@@ -154,18 +154,21 @@ def relay_key(path: list[Node], key_len: int,
                 raise KeyExhausted(f"hop {a.id}-{b.id} holds {pool.remaining}"
                                    f" {kind} bits, need {need}")
 
-    carried = np.packbits(rand.bits(key_len))
+    n_bytes, shift = (key_len + 7) >> 3, -key_len % 8
+    key = rand.bits(key_len)
+    carried = int.from_bytes(np.packbits(key).tobytes(), "big")
     messages = []
     for i, (b, link) in enumerate(zip(path[1:], links)):
-        pad = np.packbits(link.key.consume(key_len))
-        msg = link.channel.send((carried ^ pad).tobytes())
+        pad = link.key.consume_int(key_len) << shift
+        msg = link.channel.send((carried ^ pad).to_bytes(n_bytes, "big"))
         messages.append(msg)
-        payload = link.channel.deliver(msg)
-        carried = np.frombuffer(payload, dtype=np.uint8) ^ pad
+        seen = int.from_bytes(link.channel.deliver(msg), "big") ^ pad
+        if seen != carried:  # unpack only a key that changed in transit
+            carried, key = seen, np.unpackbits(np.frombuffer(
+                seen.to_bytes(n_bytes, "big"), np.uint8), count=key_len)
         if i + 1 < len(links):  # interior node sees the key in the clear
-            b.knowledge_log.append(np.unpackbits(carried, count=key_len))
-    return RelayTranscript(tuple(n.id for n in path), tuple(messages),
-                           np.unpackbits(carried, count=key_len))
+            b.knowledge_log.append(key.copy())
+    return RelayTranscript(tuple(n.id for n in path), tuple(messages), key)
 
 
 def combine_keys(k_quantum, k_classical) -> np.ndarray:

@@ -179,9 +179,24 @@ def measure_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarray
     """
     if not 0.0 <= flip_prob <= 0.5:
         raise ValueError("flip_prob must be in [0, 0.5]")
-    n = len(photon_counts)
-    lit = np.flatnonzero(photon_counts > 0)
-    detected = rand.binomial(photon_counts[lit], detectors.efficiency)
+    zero_hits, one_hits = _photon_hits(photon_counts, bits, bases, bob_bases,
+                                       detectors.efficiency, flip_prob, rand)
+    fire0 = rand.bernoulli(len(photon_counts), detectors.dark_count_prob)
+    fire1 = rand.bernoulli(len(photon_counts), detectors.dark_count_prob)
+    fire0[zero_hits] = True
+    fire1[one_hits] = True
+    # a bool is a 0/1 byte: view it as uint8, kinds in fire0's own bytes
+    click_bits = np.greater(fire1, fire0).view(np.uint8)
+    kinds = fire0.view(np.uint8)
+    kinds += fire1
+    return kinds, click_bits
+
+
+def _photon_hits(counts, bits, bases, bob_bases, efficiency, flip_prob, rand):
+    """Pulses whose photons reach detector 0, and those reaching 1. Its
+    int64 arrays over lit pulses are freed before the dark-count masks."""
+    lit = np.flatnonzero(counts > 0)
+    detected = rand.binomial(counts[lit], efficiency)
     caught = detected > 0
     hit, detected = lit[caught], detected[caught]
 
@@ -193,16 +208,7 @@ def measure_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarray
     matched = bases[hit] == bob_bases[hit]
     in_one_matched = np.where(bits[hit] == 1, detected - flipped, flipped)
     in_one = np.where(matched, in_one_matched, random_exit)
-    in_zero = detected - in_one
-
-    fire0 = rand.bernoulli(n, detectors.dark_count_prob)
-    fire1 = rand.bernoulli(n, detectors.dark_count_prob)
-    fire0[hit[in_zero > 0]] = True
-    fire1[hit[in_one > 0]] = True
-
-    kinds = np.add(fire0, fire1, dtype=np.uint8)
-    click_bits = (fire1 & ~fire0).view(np.uint8)
-    return kinds, click_bits
+    return hit[detected > in_one], hit[in_one > 0]
 
 
 def beamsplitter_random_bit(rand: RandomSource) -> int:

@@ -279,6 +279,29 @@ def test_ledger_appends_across_batches():
         np.column_stack((bits, bases)), (2, 1)))
 
 
+def test_ledger_rows_stay_int64_and_unshared():
+    # the first append takes its rows without a concatenation, and
+    # finalize reads one side alone when the other is empty: the rows
+    # still come out int64, and known_bits shares no memory with them
+    indices = np.array([4, 9], np.int32)
+    bits, bases = np.array([1, 0], np.uint8), np.array([0, 1], np.uint8)
+    announced = np.zeros(10, np.uint8)
+    announced[9] = 1
+    for side in ("stored", "measured"):
+        ledger = EveLedger()
+        getattr(ledger, f"record_{side}")(indices, bits, bases)
+        rows = getattr(ledger, side)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [[4, 1, 0], [9, 0, 1]]
+        getattr(ledger, f"record_{side}")(indices[:0], bits[:0], bases[:0])
+        assert getattr(ledger, side).tolist() == rows.tolist()
+        known = finalize_knowledge(ledger, announced, np.arange(10))
+        assert known.dtype == np.int64 and known.tolist() == [[4, 1], [9, 0]]
+        assert not np.shares_memory(known, rows)
+        known[:] = 0
+        assert getattr(ledger, side).tolist() == [[4, 1, 0], [9, 0, 1]]
+
+
 def test_intercept_batch_deterministic():
     def run():
         rand = RandomSource(9)

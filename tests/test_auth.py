@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from qkdsim import auth
 from qkdsim.adversary import (InterceptResend, NoAttack,
                               PhotonNumberSplit)
 from qkdsim.auth import (AuthenticatedChannel, AuthenticatedMessage,
@@ -191,6 +192,12 @@ class TestHashKernelProperties:
     @example(length=16 * LANES + 8, seed=5, key=2**64 - 3, otp=4)
     @example(length=16 * LANES + 5, seed=6, key=12345, otp=5)
     @example(length=8 * LANES - 3, seed=7, key=0, otp=6)
+    # the short path: one and two blocks, either side of a block boundary
+    @example(length=1, seed=8, key=MASK64, otp=7)
+    @example(length=8, seed=9, key=2**63 + 1, otp=8)
+    @example(length=9, seed=10, key=0x1B, otp=9)
+    @example(length=16, seed=11, key=12345, otp=10)
+    @example(length=17, seed=12, key=3, otp=11)
     def test_compute_tag_matches_reference(self, length, seed, key, otp):
         message = RandomSource(seed).byte_string(length)
         assert compute_tag(message, key, otp) == ref_tag(message, key, otp)
@@ -320,6 +327,18 @@ def fresh_pool(seed: int, n_bits: int) -> BitPool:
     return BitPool(RandomSource(seed).bits(n_bits))
 
 
+def count_hashes(monkeypatch) -> list:
+    """Record the payload of every message hash the channel computes."""
+    hashed, real = [], auth._hash_message
+
+    def counting(message, mul):
+        hashed.append(bytes(message))
+        return real(message, mul)
+
+    monkeypatch.setattr(auth, "_hash_message", counting)
+    return hashed
+
+
 class TestAuthKeyPool:
     """BitPool, the one forward-only pool behind authentication and
     link keys."""
@@ -386,6 +405,9 @@ class TestAuthKeyPool:
         pool = fresh_pool(20, 8)
         with pytest.raises(ValueError):
             pool.consume(-1)
+        with pytest.raises(ValueError):
+            pool.consume_int(-1)
+        assert (pool.cursor, pool.consumed_log) == (0, [])
 
     @pytest.mark.parametrize("bad", [[2, 3, 7], [[0, 1], [1, 0]],
                                      np.array([0.9, 1.7]), [0.5]])
@@ -520,6 +542,50 @@ class TestAuthenticatedChannel:
         assert channel.messages_sent == 2
         assert [m.payload for m in channel.transcript] == [b"first",
                                                            b"second"]
+
+    def test_send_and_deliver_hash_once(self, monkeypatch):
+        # deliver reuses the hash send made for the very message it sent
+        hashed = count_hashes(monkeypatch)
+        channel = AuthenticatedChannel(fresh_pool(31, 1024))
+        assert channel.deliver(channel.send(b"click report")) \
+            == b"click report"
+        assert hashed == [b"click report"]
+
+    def test_session_hashes_each_message_once(self, monkeypatch):
+        hashed = count_hashes(monkeypatch)
+        report = ideal_session(2000, 32)
+        assert report.outcome is SessionOutcome.SUCCESS
+        assert report.auth_bits_consumed == 384  # five messages
+        assert len(hashed) == 5
+
+    def test_equal_but_distinct_payload_is_hashed_again(self, monkeypatch):
+        hashed = count_hashes(monkeypatch)
+        channel = AuthenticatedChannel(fresh_pool(33, 1024))
+        msg = channel.send(b"sift announcement")
+        copy = AuthenticatedMessage(bytes(bytearray(msg.payload)), msg.tag)
+        assert copy.payload == msg.payload and copy.payload is not msg.payload
+        assert channel.deliver(copy) == b"sift announcement"
+        assert len(hashed) == 2
+
+    def test_buffer_changed_after_send_fails(self):
+        # send tags the bytes the buffer held and keeps them; the buffer
+        # as changed afterwards is another message and fails
+        channel = AuthenticatedChannel(fresh_pool(34, 1024))
+        buffer = bytearray(b"sample bits")
+        msg = channel.send(buffer)
+        buffer[0] ^= 1
+        assert type(msg.payload) is bytes and msg.payload == b"sample bits"
+        assert channel.transcript == [msg]
+        with pytest.raises(AuthenticationFailure):
+            channel.deliver(AuthenticatedMessage(buffer, msg.tag))
+
+    def test_same_payload_object_with_flipped_tag_fails(self):
+        channel = AuthenticatedChannel(fresh_pool(35, 1024))
+        msg = channel.send(b"reconciliation bundle")
+        forged = AuthenticatedMessage(msg.payload, msg.tag ^ 1 << 63)
+        assert forged.payload is msg.payload
+        with pytest.raises(AuthenticationFailure):
+            channel.deliver(forged)
 
     def test_tamper_detected(self):
         pool = fresh_pool(25, 1024)

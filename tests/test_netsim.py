@@ -7,7 +7,7 @@ carried key, and only interior nodes may ever log it.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qkdsim.auth import (AuthenticatedMessage, AuthenticationFailure,
@@ -444,8 +444,22 @@ def network_state(net):
     return logs, pools
 
 
+FUNDED = [(3000, 3000)] * len(RING)
+
+
 class TestPackedRelayMatchesUnpacked:
     @given(relay_cases())
+    # paths that cross one link twice, funded and not: the Counter check
+    @example((FUNDED, [(list("ABAB"), 9, 1), (list("DABCBA"), 128, 2)]))
+    @example(([(20, 3000), (20, 3000), (3000, 3000), (3000, 3000)],
+              [(list("ABA"), 9, 3), (list("ABCB"), 9, 4),
+               (list("ABCD"), 9, 5)]))
+    # key lengths around a byte, each read at the cursor the last left:
+    # 1, then 8 and 15 bits into the stores
+    @example((FUNDED, [(list("ABCD"), n, n) for n in (0, 1, 7, 9, 128)]))
+    # a 128-bit key read from a cursor 3 bits into a byte
+    @example((FUNDED, [(list("AB"), 3, 6), (list("ABC"), 128, 7),
+                       (list("CBAD"), 13, 8)]))
     def test_same_messages_keys_logs_and_spending(self, case):
         funds, relays = case
         packed, unpacked = ring_network(funds), ring_network(funds)
@@ -455,3 +469,45 @@ class TestPackedRelayMatchesUnpacked:
                                  key_len, seed)
             assert got == want
             assert network_state(packed) == network_state(unpacked)
+
+    def test_delivered_arrays_are_distinct_and_writable(self):
+        # every interior node and the receiver hold their own key array,
+        # so changing one in place changes no other
+        net = ring_network(FUNDED)
+        ends = [relay_key([net.nodes[i] for i in walk], 12,
+                          RandomSource(seed)).end_key
+                for walk, seed in (("ABCDA", 1), ("ABAB", 2))]
+        logs = [key for node in net.nodes.values()
+                for key in node.knowledge_log]
+        assert len(logs) == 3 + 2
+        arrays = ends + logs
+        for i, key in enumerate(arrays):
+            assert key.flags.writeable and key.base is None
+            assert not any(np.shares_memory(key, other)
+                           for other in arrays[i + 1:])
+        before = [key.copy() for key in logs]
+        ends[0][0] ^= 1
+        assert all(np.array_equal(k, b) for k, b in zip(logs, before))
+
+    def test_key_changed_in_transit_reaches_later_nodes(self, monkeypatch):
+        # a hop message altered yet accepted (a forged tag, which a real
+        # forger lands with probability about 2^-64): the nodes after that
+        # hop decrypt and log the altered key, the ones before it do not
+        net = stub_network([("A", "B"), ("B", "C"), ("C", "D")])
+        channel = net.nodes["B"].links["C"].channel
+        deliver = channel.deliver
+
+        def forged(msg):
+            payload = bytearray(deliver(msg))
+            payload[0] ^= 0x80
+            return bytes(payload)
+
+        monkeypatch.setattr(channel, "deliver", forged)
+        transcript = relay_key([net.nodes[i] for i in "ABCD"], 12,
+                               RandomSource(3))
+        sent = RandomSource(3).bits(12)
+        altered = sent.copy()
+        altered[0] ^= 1
+        assert np.array_equal(net.nodes["B"].knowledge_log[0], sent)
+        assert np.array_equal(net.nodes["C"].knowledge_log[0], altered)
+        assert np.array_equal(transcript.end_key, altered)

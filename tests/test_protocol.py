@@ -106,8 +106,10 @@ class TestQuantumPhase:
         # tracemalloc's peak counts the bytes numpy and Python hold, so
         # unlike peak RSS it does not move with the heap's layout. Five
         # one-byte records plus one-byte counts, bool masks and the
-        # chunk-sized draws fit in 18 B/pulse; int64 counts or an n-long
-        # float64 draw do not.
+        # chunk-sized draws fit in 13 B/pulse, when the detector's int64
+        # arrays over lit pulses are freed before its two dark-count
+        # masks are drawn and the outputs are views of those masks; int64
+        # counts or an n-long float64 draw do not fit.
         n = 200_000
         config = ideal_config(n, 406, source=SourceModel(mu),
                               channel=FiberChannel(km), eve=eve)
@@ -122,7 +124,7 @@ class TestQuantumPhase:
         finally:
             tracemalloc.stop()
         assert len(records) == n
-        assert peak / n <= 18, f"{peak / n:.1f} B/pulse"
+        assert peak / n <= 13, f"{peak / n:.1f} B/pulse"
 
 
 class TestPulseRecords:
