@@ -18,9 +18,9 @@ from .netsim import (KeyStore, LengthMismatch, Link, Network, Node,
                      RelayTranscript, SessionAborted, StubKeySource,
                      combine_keys, provision_link, relay_key)
 from .photonics import (Basis, ClickKind, ConstantSource, DetectorPair,
-                        FiberChannel, SourceModel, beamsplitter_random_bit,
-                        measure_batch, sample_photon_counts,
-                        survival_probability, transmit_counts)
+                        FiberChannel, SourceModel, measure_batch,
+                        sample_photon_counts, survival_probability,
+                        transmit_counts)
 from .postprocess import (AttackModel, CorrectionResult, DomainError,
                           HashSeed, InexactConvolution,
                           ReconciliationFailure, SecretKey,
@@ -41,17 +41,17 @@ __all__ = [
     "ConstantSource", "CorrectionResult", "DetectorPair", "DomainError",
     "EmptySample", "EveLedger", "EveStrategy", "FiberChannel", "HashSeed",
     "InexactConvolution", "InterceptResend", "KeyExhausted", "KeyStore",
-    "LengthMismatch", "Link",
-    "Network", "NoAttack", "Node", "PhotonNumberSplit", "PulseRecords",
-    "QberEstimate", "RandomSource", "ReconciliationFailure",
-    "RelayTranscript", "SecretKey", "SeedLengthMismatch", "SessionAborted",
-    "SessionConfig", "SessionOutcome", "SessionReport", "SiftedKeys",
-    "SourceModel", "StubKeySource", "beamsplitter_random_bit",
-    "binary_entropy", "combine_keys", "compute_tag", "error_correct",
-    "estimate_qber", "eve_information", "eve_information_bound",
-    "final_key_length", "finalize_knowledge", "fnv1a64", "intercept_batch",
-    "measure_batch", "mix64", "privacy_amplify", "provision_link",
-    "relay_key", "run_quantum_phase", "run_session", "sample_photon_counts",
-    "secret_fraction", "sift", "splitmix64", "strategy_label",
-    "survival_probability", "transmit_counts", "verify_tag",
+    "LengthMismatch", "Link", "Network", "NoAttack", "Node",
+    "PhotonNumberSplit", "PulseRecords", "QberEstimate", "RandomSource",
+    "ReconciliationFailure", "RelayTranscript", "SecretKey",
+    "SeedLengthMismatch", "SessionAborted", "SessionConfig",
+    "SessionOutcome", "SessionReport", "SiftedKeys", "SourceModel",
+    "StubKeySource", "binary_entropy", "combine_keys", "compute_tag",
+    "error_correct", "estimate_qber", "eve_information",
+    "eve_information_bound", "final_key_length", "finalize_knowledge",
+    "fnv1a64", "intercept_batch", "measure_batch", "mix64",
+    "privacy_amplify", "provision_link", "relay_key", "run_quantum_phase",
+    "run_session", "sample_photon_counts", "secret_fraction", "sift",
+    "splitmix64", "strategy_label", "survival_probability",
+    "transmit_counts", "verify_tag",
 ]

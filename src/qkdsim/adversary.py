@@ -89,13 +89,12 @@ def _join(rows: np.ndarray, new: np.ndarray) -> np.ndarray:
 
 
 def intercept_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarray,
-                    strategy: EveStrategy, ledger: EveLedger, rand: RandomSource,
-                    start_index: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    strategy: EveStrategy, ledger: EveLedger,
+                    rand: RandomSource) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply Eve's strategy to a batch of pulses, appending to the ledger.
 
     Returns the (photon_counts, bits, bases) forwarded to the channel;
-    the counts keep their dtype. Pulse i of the batch has global index
-    start_index + i.
+    the counts keep their dtype. Pulse i of the batch is recorded as i.
     """
     n = len(photon_counts)
     if isinstance(strategy, NoAttack):
@@ -118,14 +117,14 @@ def intercept_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarr
         out_bits[taken] = eve_bits
         out_bases = bases.astype(np.uint8)
         out_bases[taken] = eve_bases
-        ledger.record_measured(taken + start_index, eve_bits, eve_bases)
+        ledger.record_measured(taken, eve_bits, eve_bases)
         return out_counts, out_bits, out_bases
 
     if isinstance(strategy, PhotonNumberSplit):
         split = np.flatnonzero(photon_counts >= 2)
         out_counts = photon_counts.copy()
         out_counts[split] -= 1
-        ledger.record_stored(split + start_index, bits[split], bases[split])
+        ledger.record_stored(split, bits[split], bases[split])
         return out_counts, bits, bases
 
     raise TypeError(f"unknown strategy {strategy!r}")

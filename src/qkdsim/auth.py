@@ -15,7 +15,6 @@ one after. The pool's cursor is the consumption tally.
 
 from __future__ import annotations
 
-import struct
 from array import array
 from dataclasses import dataclass
 
@@ -119,21 +118,6 @@ class AuthenticatedMessage:
     payload: bytes
     tag: int
 
-    def encode(self) -> bytes:
-        """Wire framing: 4-byte big-endian payload length, payload,
-        8-byte big-endian tag."""
-        return struct.pack(">I", len(self.payload)) + self.payload \
-            + self.tag.to_bytes(8, "big")
-
-    @classmethod
-    def decode(cls, data: bytes) -> "AuthenticatedMessage":
-        if len(data) < 12:
-            raise ValueError("frame shorter than header plus tag")
-        (n,) = struct.unpack(">I", data[:4])
-        if len(data) != 4 + n + 8:
-            raise ValueError("frame length does not match header")
-        return cls(data[4:4 + n], int.from_bytes(data[4 + n:], "big"))
-
 
 def verify_tag(msg: AuthenticatedMessage, hash_key: int, otp: int) -> bool:
     """Recompute and compare. The comparison XORs the full words and tests
@@ -159,7 +143,6 @@ class AuthenticatedChannel:
         self._mul: Gf64Multiplier | None = None  # keyed on the first send
         self._pending: list[tuple[AuthenticatedMessage, int, int]] = []
         self.transcript: list[AuthenticatedMessage] = []
-        self.messages_sent = 0
 
     def bits_needed(self, n_messages: int) -> int:
         """Pool bits that sending ``n_messages`` more messages consumes:
@@ -176,7 +159,6 @@ class AuthenticatedChannel:
         msg = AuthenticatedMessage(payload, digest ^ otp)
         self._pending.append((msg, digest, otp))
         self.transcript.append(msg)
-        self.messages_sent += 1
         return msg
 
     def deliver(self, msg: AuthenticatedMessage) -> bytes:

@@ -36,7 +36,7 @@ from .adversary import (InterceptResend, NoAttack, PhotonNumberSplit,
 from .auth import KeyExhausted
 from .netsim import (LINK_AUTH_POOL_BITS, Network, SessionAborted,
                      StubKeySource)
-from .photonics import DetectorPair, FiberChannel, SourceModel
+from .photonics import MAX_MU, DetectorPair, FiberChannel, SourceModel
 from .postprocess import AttackModel
 from .protocol import SessionConfig, SessionOutcome, run_session
 from .rng import RandomSource, mix64
@@ -119,10 +119,11 @@ def _node(value) -> str:
 # these before it reaches a model constructor.
 _FINITE = (float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 _UNIT = (float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+_MU = (float, lambda v: 0 <= v <= MAX_MU, f"a number in [0, {MAX_MU:.4g}]")
 _NODE = (_node, lambda v: True, "a node id (a string or an integer)")
 PARAM_RULES = {
     "pulses": (_integer, lambda v: v >= 1, "an integer >= 1"),
-    "mu": _FINITE,
+    "mu": _MU,
     "distance_km": _FINITE,
     "attenuation_db_per_km": _FINITE,
     "efficiency": _UNIT,
@@ -168,7 +169,7 @@ CONFIG = Obj("config", {
     **SESSION.rules,
     "sweep": Obj("sweep", {
         axis: Seq(rule, 1, "a non-empty list of values")
-        for axis, rule in (("distance_km", _FINITE), ("mu", _FINITE),
+        for axis, rule in (("distance_km", _FINITE), ("mu", _MU),
                            ("eve_fraction", _UNIT))}),
     "repeats": PARAM_RULES["repeats"], "output": PARAM_RULES["output"]})
 SCENARIO = Obj("scenario", {

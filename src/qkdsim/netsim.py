@@ -12,7 +12,7 @@ authenticated and every link-key bit is spent exactly once.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .auth import AuthenticatedChannel, BitPool, KeyExhausted
 from .protocol import SessionConfig, SessionOutcome, run_session
-from .rng import RandomSource
+from .rng import RandomSource, check_int
 
 
 class SessionAborted(Exception):
@@ -62,6 +62,10 @@ class StubKeySource:
 
     seed: int
     n_bits: int
+
+    def __post_init__(self):
+        check_int("seed", self.seed)
+        check_int("n_bits", self.n_bits, 0)
 
 
 KeySource = Union[SessionConfig, StubKeySource]
@@ -129,23 +133,18 @@ def relay_key(path: list[Node], key_len: int,
     before any bit is spent, so a failed precondition consumes nothing
     and exposes the key to no node. Key and pads are XORed as the ints
     of the zero-padded bytes each hop sends; the key is unpacked once."""
-    if isinstance(key_len, (bool, np.bool_)) \
-            or not isinstance(key_len, (int, np.integer)) or key_len < 0:
-        raise ValueError(
-            f"key_len must be a non-negative integer, got {key_len!r}")
-    key_len = int(key_len)
+    key_len = check_int("key_len", key_len, 0)
     if len(path) < 2:
         raise ValueError("a relay path needs at least two nodes")
     links = [a.links.get(b.id) for a, b in zip(path, path[1:])]
     # a path may cross one link more than once: each crossing pays, and
     # the link is checked for all of them at its first hop
-    crossings = None if len(set(links)) == len(links) else Counter(links)
-    for a, b, link in zip(path, path[1:], links):
-        n = 1 if crossings is None else crossings.pop(link, 0)
-        if not n:
-            continue
+    for i, (a, b, link) in enumerate(zip(path, path[1:], links)):
         if link is None:
             raise ValueError(f"hop {a.id}-{b.id} is not a link")
+        if links.index(link) < i:
+            continue
+        n = links.count(link)
         for kind, pool, need in (
                 ("link-key", link.key, n * key_len),
                 ("authentication", link.channel.pool,

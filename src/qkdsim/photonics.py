@@ -17,7 +17,10 @@ from enum import IntEnum
 
 import numpy as np
 
-from .rng import DRAW_CHUNK, RandomSource
+from .rng import DRAW_CHUNK, RandomSource, check_int
+
+# numpy's largest Poisson mean: the int64 maximum less ten of its sqrt
+MAX_MU = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)
 
 
 class Basis(IntEnum):
@@ -38,9 +41,9 @@ class SourceModel:
     mu: float
 
     def __post_init__(self):
-        if not 0 <= self.mu < math.inf:
-            raise ValueError(
-                f"mean photon number must be finite and >= 0, got {self.mu}")
+        if not 0 <= self.mu <= MAX_MU:
+            raise ValueError(f"mean photon number must be in [0, {MAX_MU:.4g}]"
+                             f", got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -50,11 +53,7 @@ class ConstantSource:
     photon_count: int = 1
 
     def __post_init__(self):
-        count = self.photon_count
-        if isinstance(count, (bool, np.bool_)) \
-                or not isinstance(count, (int, np.integer)) or count < 0:
-            raise ValueError(
-                f"photon_count must be a non-negative integer, got {count!r}")
+        check_int("photon_count", self.photon_count, 0)
 
 
 @dataclass(frozen=True)
@@ -210,11 +209,3 @@ def _photon_hits(counts, bits, bases, bob_bases, efficiency, flip_prob, rand):
     in_one = np.where(matched, in_one_matched, random_exit)
     return hit[detected > in_one], hit[in_one > 0]
 
-
-def beamsplitter_random_bit(rand: RandomSource) -> int:
-    """One uniform bit, modeling a single photon at a 50/50 beamsplitter.
-
-    In hardware this is the physical random number generator; inside the
-    simulation it is a draw from the injected deterministic stream.
-    """
-    return rand.bit()

@@ -199,10 +199,6 @@ def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,
     odd: set[tuple[int, int]] = set()
     heap: list[tuple[int, int]] = []
 
-    def alice_range_parity(p: int, lo: int, hi: int) -> int:
-        pre = alice_prefix[p]
-        return int(pre[hi] ^ pre[lo])
-
     def bisect(p: int, blk: int) -> int:
         """Locate one error inside an odd block, disclosing one of
         Alice's sub-parities per halving; returns the key index fixed."""
@@ -211,7 +207,7 @@ def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,
         perm = perms[p]
         while hi - lo > 1:
             mid = lo + (hi - lo + 1) // 2
-            a_par = alice_range_parity(p, lo, mid)
+            a_par = int(alice_prefix[p][mid] ^ alice_prefix[p][lo])
             transcript.append(a_par)
             b_par = int(np.bitwise_xor.reduce(bob[perm[lo:mid]]))
             if a_par != b_par:

@@ -31,7 +31,7 @@ from .photonics import (ClickKind, DetectorPair, FiberChannel, SourceModel,
 from .postprocess import (AttackModel, HashSeed, ReconciliationFailure,
                           SecretKey, error_correct, final_key_length,
                           privacy_amplify)
-from .rng import RandomSource
+from .rng import RandomSource, check_int
 
 MIN_RECONCILE_BITS = 16
 
@@ -64,14 +64,12 @@ class SessionConfig:
     double_click_random: bool = True  # False discards double clicks instead
 
     def __post_init__(self):
-        if self.n_pulses < 1:
-            raise ValueError("n_pulses must be positive")
+        check_int("n_pulses", self.n_pulses, 1)
+        check_int("seed", self.seed)
         if not 0.0 < self.sample_fraction < 1.0:
             raise ValueError("sample_fraction must be in (0, 1)")
-        if self.security_margin_bits < 0:
-            raise ValueError("security margin must be non-negative")
-        if self.auth_pool_bits < 0:
-            raise ValueError("auth pool size must be non-negative")
+        check_int("security_margin_bits", self.security_margin_bits, 0)
+        check_int("auth_pool_bits", self.auth_pool_bits, 0)
 
 
 @dataclass(eq=False)

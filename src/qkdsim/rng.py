@@ -50,6 +50,18 @@ def fnv1a64(label: str) -> int:
     return h
 
 
+def check_int(name: str, value, least: int | None = None) -> int:
+    """``value`` as an int. A bool, a non-integer (numpy integers are
+    integers) or a value below ``least`` raises ValueError naming ``name``."""
+    if isinstance(value, (bool, np.bool_)) \
+            or not isinstance(value, (int, np.integer)) \
+            or least is not None and value < least:
+        wording = "an integer" if least is None else \
+            "a non-negative integer" if least == 0 else f"an integer >= {least}"
+        raise ValueError(f"{name} must be {wording}, got {value!r}")
+    return int(value)
+
+
 @lru_cache(maxsize=256)
 def _label_mix(label: str) -> int:
     """The label's half of ``mix64(seed, fnv1a64(label))``; substreams
@@ -90,9 +102,6 @@ class RandomSource:
         return RandomSource(splitmix64(splitmix64(self.seed) ^ index_mix))
 
     # -- draws ------------------------------------------------------------
-
-    def bit(self) -> int:
-        return int(self.generator.integers(0, 2))
 
     def bits(self, n: int) -> np.ndarray:
         """n uniform bits as a uint8 array."""

@@ -73,8 +73,7 @@ def dense_measure_batch(photon_counts, bits, bases, bob_bases, detectors,
 # -- dense intercept -----------------------------------------------------------
 
 
-def dense_intercept_batch(photon_counts, bits, bases, strategy, ledger,
-                          rand, start_index=0):
+def dense_intercept_batch(photon_counts, bits, bases, strategy, ledger, rand):
     """Masks and ``np.where`` over every pulse."""
     n = len(photon_counts)
     if isinstance(strategy, NoAttack):
@@ -90,15 +89,15 @@ def dense_intercept_batch(photon_counts, bits, bases, strategy, ledger,
         out_counts = np.where(take, 1, photon_counts)
         out_bits = np.where(take, eve_bits, bits).astype(np.uint8)
         out_bases = np.where(take, eve_bases, bases).astype(np.uint8)
-        ledger.record_measured(np.flatnonzero(take) + start_index,
-                               eve_bits[take], eve_bases[take])
+        ledger.record_measured(np.flatnonzero(take), eve_bits[take],
+                               eve_bases[take])
         return out_counts, out_bits, out_bases
 
     if isinstance(strategy, PhotonNumberSplit):
         split = photon_counts >= 2
         out_counts = photon_counts - split
-        ledger.record_stored(np.flatnonzero(split) + start_index,
-                             bits[split], bases[split])
+        ledger.record_stored(np.flatnonzero(split), bits[split],
+                             bases[split])
         return out_counts, bits, bases
 
     raise TypeError(f"unknown strategy {strategy!r}")

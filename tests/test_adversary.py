@@ -252,10 +252,10 @@ class TestScalarDelegate:
         counts, bits, bases = intercept_batch(
             np.array([2]), np.array([1], np.uint8),
             np.array([Basis.DIAGONAL], np.uint8), PhotonNumberSplit(),
-            ledger, RandomSource(6), start_index=42)
+            ledger, RandomSource(6))
         assert (list(counts), list(bits), list(bases)) == \
             ([1], [1], [Basis.DIAGONAL])
-        assert np.array_equal(ledger.stored, [[42, 1, Basis.DIAGONAL]])
+        assert np.array_equal(ledger.stored, [[0, 1, Basis.DIAGONAL]])
 
     def test_intercept_noattack_pulse(self):
         pulse = (np.array([1]), np.array([0], np.uint8),
@@ -270,10 +270,8 @@ def test_ledger_appends_across_batches():
     rand = RandomSource(8)
     counts = np.full(10, 2, dtype=np.int64)
     bits, bases = rand.bits(10), rand.bits(10)
-    intercept_batch(counts, bits, bases, PhotonNumberSplit(), ledger, rand,
-                    start_index=0)
-    intercept_batch(counts, bits, bases, PhotonNumberSplit(), ledger, rand,
-                    start_index=10)
+    intercept_batch(counts, bits, bases, PhotonNumberSplit(), ledger, rand)
+    ledger.record_stored(np.arange(10, 20), bits, bases)
     assert np.array_equal(ledger.stored[:, 0], np.arange(20))
     assert np.array_equal(ledger.stored[:, 1:], np.tile(
         np.column_stack((bits, bases)), (2, 1)))
@@ -320,23 +318,22 @@ def test_intercept_batch_deterministic():
 
 # -- the ledger against the per-pulse dict ledger it replaced ----------------
 
-def reference_ledger(batches, strategy, seed):
+def reference_ledger(counts, bits, bases, strategy, seed):
     """Eve's holdings recorded pulse by pulse as dicts index -> (bit,
     basis), drawing from the stream in the order intercept_batch does."""
     rand = RandomSource(seed)
     stored, measured = {}, {}
-    for start, counts, bits, bases in batches:
-        n = len(counts)
-        if isinstance(strategy, InterceptResend):
-            draw, guesses, other = rand.random(n), rand.bits(n), rand.bits(n)
-            for i in range(n):
-                if draw[i] < strategy.fraction and counts[i] > 0:
-                    bit = bits[i] if guesses[i] == bases[i] else other[i]
-                    measured[start + i] = (int(bit), int(guesses[i]))
-        elif isinstance(strategy, PhotonNumberSplit):
-            for i in range(n):
-                if counts[i] >= 2:
-                    stored[start + i] = (int(bits[i]), int(bases[i]))
+    n = len(counts)
+    if isinstance(strategy, InterceptResend):
+        draw, guesses, other = rand.random(n), rand.bits(n), rand.bits(n)
+        for i in range(n):
+            if draw[i] < strategy.fraction and counts[i] > 0:
+                bit = bits[i] if guesses[i] == bases[i] else other[i]
+                measured[i] = (int(bit), int(guesses[i]))
+    elif isinstance(strategy, PhotonNumberSplit):
+        for i in range(n):
+            if counts[i] >= 2:
+                stored[i] = (int(bits[i]), int(bases[i]))
     return stored, measured
 
 
@@ -361,14 +358,12 @@ def as_rows(table):
 
 @st.composite
 def attacked_pulses(draw):
-    """Two batches of pulses with a gap of unattacked pulses between
-    them, a strategy, a stream seed and a sifted subset of positions."""
+    """A batch of pulses, a strategy, a stream seed and a sifted subset
+    of positions."""
     strategy = draw(st.one_of(
         st.just(NoAttack()), st.just(PhotonNumberSplit()),
         st.floats(0.0, 1.0).map(InterceptResend)))
-    sizes = draw(st.tuples(st.integers(0, 60), st.integers(0, 60)))
-    gap = draw(st.integers(0, 10))
-    total = sizes[0] + gap + sizes[1]
+    total = draw(st.integers(0, 130))
 
     def column(hi):
         return np.array(draw(st.lists(st.integers(0, hi), min_size=total,
@@ -378,23 +373,19 @@ def attacked_pulses(draw):
     sifted = np.array(sorted(draw(st.sets(st.integers(0, max(total - 1, 0)),
                                           max_size=total))), np.int64)
     seed = draw(st.integers(0, 2**32 - 1))
-    return strategy, sizes, gap, counts, bits, bases, sifted, seed
+    return strategy, counts, bits, bases, sifted, seed
 
 
 class TestLedgerMatchesPerPulseRule:
     @given(attacked_pulses())
     def test_knowledge_and_information_match_reference(self, case):
-        strategy, sizes, gap, counts, bits, bases, sifted, seed = case
+        strategy, counts, bits, bases, sifted, seed = case
         bits, bases = bits.astype(np.uint8), bases.astype(np.uint8)
-        batches = [(start, counts[start:start + size],
-                    bits[start:start + size], bases[start:start + size])
-                   for start, size in ((0, sizes[0]),
-                                       (sizes[0] + gap, sizes[1]))]
-        ledger, rand = EveLedger(), RandomSource(seed)
-        for start, *batch in batches:
-            intercept_batch(*batch, strategy, ledger, rand,
-                            start_index=start)
-        stored, measured = reference_ledger(batches, strategy, seed)
+        ledger = EveLedger()
+        intercept_batch(counts, bits, bases, strategy, ledger,
+                        RandomSource(seed))
+        stored, measured = reference_ledger(counts, bits, bases, strategy,
+                                            seed)
         assert np.array_equal(ledger.stored.reshape(-1, 3),
                               as_rows(stored).reshape(-1, 3))
         assert np.array_equal(ledger.measured.reshape(-1, 3),
@@ -422,13 +413,13 @@ class TestInterceptMatchesDense:
                st.sampled_from([0.0, 1.0]).map(InterceptResend),
                st.floats(0.0, 1.0).map(InterceptResend)),
            counts=st.lists(st.integers(0, 4), max_size=200),
-           start=st.integers(0, 1000), seed=st.integers(0, 2**32 - 1),
+           seed=st.integers(0, 2**32 - 1),
            dtype=st.sampled_from([np.uint8, np.int64]))
     # a batch longer than two chunks of intercept-resend's take draw
     @example(strategy=InterceptResend(0.3), counts=[1, 0, 3] * 12_000,
-             start=5, seed=7, dtype=np.uint8)
-    def test_outputs_ledger_and_stream_match(self, strategy, counts, start,
-                                             seed, dtype):
+             seed=7, dtype=np.uint8)
+    def test_outputs_ledger_and_stream_match(self, strategy, counts, seed,
+                                             dtype):
         counts = np.array(counts, dtype)
         gen = np.random.default_rng(seed)
         bits, bases = (gen.integers(0, 2, len(counts), dtype=np.uint8)
@@ -436,14 +427,9 @@ class TestInterceptMatchesDense:
         before = [a.copy() for a in (counts, bits, bases)]
         ledger, ref_ledger = EveLedger(), EveLedger()
         rand, ref = RandomSource(seed), RandomSource(seed)
-        # a first batch leaves rows in both ledgers to append to
-        for args in ((counts, bits, bases, strategy, ledger, rand),
-                     (counts, bits, bases, strategy, ref_ledger, ref)):
-            dense_intercept_batch(*args, start_index=start)
-        got = intercept_batch(counts, bits, bases, strategy, ledger, rand,
-                              start_index=start)
+        got = intercept_batch(counts, bits, bases, strategy, ledger, rand)
         want = dense_intercept_batch(counts, bits, bases, strategy,
-                                     ref_ledger, ref, start_index=start)
+                                     ref_ledger, ref)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
         for rows in ("stored", "measured"):

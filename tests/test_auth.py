@@ -275,29 +275,6 @@ class TestComputeTag:
             assert compute_tag(b"payload", 77, otp) == base ^ otp
 
 
-class TestFraming:
-    def test_roundtrip(self):
-        msg = AuthenticatedMessage(b"hello world", 0x1234567890ABCDEF)
-        assert AuthenticatedMessage.decode(msg.encode()) == msg
-
-    def test_empty_payload_roundtrip(self):
-        msg = AuthenticatedMessage(b"", 0)
-        encoded = msg.encode()
-        assert len(encoded) == 12
-        assert AuthenticatedMessage.decode(encoded) == msg
-
-    def test_decode_rejects_short_frame(self):
-        with pytest.raises(ValueError):
-            AuthenticatedMessage.decode(b"\x00" * 11)
-
-    def test_decode_rejects_length_mismatch(self):
-        good = AuthenticatedMessage(b"abc", 1).encode()
-        with pytest.raises(ValueError):
-            AuthenticatedMessage.decode(good + b"\x00")
-        with pytest.raises(ValueError):
-            AuthenticatedMessage.decode(good[:-1])
-
-
 class TestVerifyTag:
     def test_accepts_valid(self):
         key, otp = 0xA1B2C3D4E5F60718, 0x1234
@@ -539,7 +516,7 @@ class TestAuthenticatedChannel:
         assert pool.cursor == 192
         assert channel.deliver(m1) == b"first"
         assert channel.deliver(m2) == b"second"
-        assert channel.messages_sent == 2
+        assert len(channel.transcript) == 2
         assert [m.payload for m in channel.transcript] == [b"first",
                                                            b"second"]
 

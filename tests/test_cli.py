@@ -547,6 +547,9 @@ def test_invalid_scenario_exits_one(scenario, key, tmp_path, capsys):
     ("sweep", {"sweep": {"mu": [True]}}, [], "mu"),
     ("sweep", {"sweep": {"eve_fraction": [2]}}, [], "eve_fraction"),
     ("sweep", {"sweep": {"mu": [0.5]}}, ["--jobs", "x"], "jobs"),
+    # above numpy's Poisson limit, which used to end in its traceback
+    ("run", {}, ["--mu", "1e300"], "mu"),
+    ("sweep", {"sweep": {"mu": [0.5, 1e300]}}, [], "mu"),
 ])
 def test_bad_parameter_exits_one(command, config, flags, key, tmp_path,
                                  capsys):

@@ -87,6 +87,21 @@ class TestProvisioning:
         assert np.array_equal(net.node("A").store_for("B").bits, want)
         assert np.array_equal(net.node("B").store_for("A").bits, want)
 
+    @pytest.mark.parametrize("seed, n_bits", [
+        (1, 10.5), (1, -1), (1, True), (1, np.True_), (1.5, 10),
+        (True, 10)])
+    def test_stub_source_refuses_non_integers(self, seed, n_bits):
+        # n_bits=10.5 used to construct and die at provisioning
+        with pytest.raises(ValueError, match="seed|n_bits"):
+            StubKeySource(seed=seed, n_bits=n_bits)
+
+    def test_stub_source_accepts_numpy_integers(self):
+        net = Network()
+        link = net.add_link("A", "B", StubKeySource(np.int64(510),
+                                                    np.uint16(256)))
+        want = RandomSource(510).split("stub_link_key").bits(256)
+        assert np.array_equal(provision_link(link), want)
+
     def test_session_source_deposits_distilled_key(self):
         config = SessionConfig(
             n_pulses=20_000, source=ConstantSource(1),
@@ -254,6 +269,16 @@ class TestRelay:
         transcript = net.relay(["A", "B", "A"], 50, RandomSource(531))
         assert np.array_equal(transcript.end_key,
                               RandomSource(531).bits(50))
+
+    def test_non_link_hop_after_a_repeated_link_spends_nothing(self):
+        # A-B-A-C crosses A-B twice, funded, and then A-C, not a link
+        net = stub_network([("A", "B"), ("B", "C")], n_bits=256)
+        pools = [pool for link in net.links
+                 for pool in (link.key, link.channel.pool)]
+        with pytest.raises(ValueError, match="hop A-C is not a link"):
+            net.relay(list("ABAC"), 8, RandomSource(534))
+        assert [(p.cursor, p.consumed_log) for p in pools] == [(0, [])] * 4
+        assert all(node.knowledge_log == [] for node in net.nodes.values())
 
     @pytest.mark.parametrize("key_len", [-8, 8.0, True, "8"])
     def test_bad_key_len_refused_before_anything(self, key_len):
@@ -449,8 +474,11 @@ FUNDED = [(3000, 3000)] * len(RING)
 
 class TestPackedRelayMatchesUnpacked:
     @given(relay_cases())
-    # paths that cross one link twice, funded and not: the Counter check
-    @example((FUNDED, [(list("ABAB"), 9, 1), (list("DABCBA"), 128, 2)]))
+    # paths that cross one link twice, funded and not, and one whose
+    # non-link hop follows a repeated link: each link is checked for all
+    # its crossings at its first hop, and a non-link hop raises first
+    @example((FUNDED, [(list("ABAB"), 9, 1), (list("DABCBA"), 128, 2),
+                       (list("ABAC"), 9, 10)]))
     @example(([(20, 3000), (20, 3000), (3000, 3000), (3000, 3000)],
               [(list("ABA"), 9, 3), (list("ABCB"), 9, 4),
                (list("ABCD"), 9, 5)]))

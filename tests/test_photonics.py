@@ -15,9 +15,8 @@ from scipy import stats
 
 from qkdsim.adversary import (EveLedger, InterceptResend, PhotonNumberSplit,
                               intercept_batch)
-from qkdsim.photonics import (Basis, ClickKind, ConstantSource, DetectorPair,
-                              FiberChannel, SourceModel,
-                              beamsplitter_random_bit, measure_batch,
+from qkdsim.photonics import (MAX_MU, Basis, ClickKind, ConstantSource, DetectorPair,
+                              FiberChannel, SourceModel, measure_batch,
                               sample_photon_counts, survival_probability,
                               transmit_counts)
 from qkdsim.rng import DRAW_CHUNK, RandomSource
@@ -52,16 +51,24 @@ class TestTypes:
 
     @pytest.mark.parametrize("make, args", [
         (SourceModel, (math.nan,)), (SourceModel, (math.inf,)),
-        (ConstantSource, (1.5,)), (ConstantSource, (True,)),
+        (SourceModel, (1e19,)), (ConstantSource, (1.5,)), (ConstantSource, (True,)),
         (ConstantSource, (np.True_,)), (ConstantSource, ("1",)),
         (FiberChannel, (math.nan,)), (FiberChannel, (1.0, math.nan)),
         (FiberChannel, (math.inf,)), (FiberChannel, (0.0, math.inf)),
     ], ids=lambda v: getattr(v, "__name__", repr(v)))
     def test_bad_physics_refused_at_construction(self, make, args):
-        # Unrefused, NaN or infinite mu and fiber values fail mid-session
-        # inside numpy, and a fractional photon count is truncated.
+        # Unrefused, NaN, infinite or huge mu and fiber values fail
+        # mid-session inside numpy, and a fractional photon count is
+        # truncated.
         with pytest.raises(ValueError):
             make(*args)
+
+    def test_mu_up_to_numpys_poisson_limit(self):
+        for mu in (9e18, MAX_MU):
+            counts = sample_photon_counts(SourceModel(mu), 3, RandomSource(1))
+            assert counts.dtype == np.int64 and counts.min() > 2**62
+        with pytest.raises(ValueError):
+            SourceModel(np.nextafter(MAX_MU, math.inf))
 
     def test_integer_photon_counts_accepted(self):
         assert ConstantSource(np.int64(2)).photon_count == 2
@@ -485,14 +492,3 @@ class TestDeterminism:
         k1, b1 = run()
         k2, b2 = run()
         assert np.array_equal(k1, k2) and np.array_equal(b1, b2)
-
-
-def test_beamsplitter_bit_uniform_and_deterministic():
-    bits = np.array([beamsplitter_random_bit(RandomSource(i))
-                     for i in range(2000)])
-    assert abs(bits.mean() - 0.5) < 0.05
-    one_stream = RandomSource(14)
-    seq1 = [beamsplitter_random_bit(one_stream) for _ in range(64)]
-    other = RandomSource(14)
-    seq2 = [beamsplitter_random_bit(other) for _ in range(64)]
-    assert seq1 == seq2

@@ -47,6 +47,24 @@ class TestSessionConfig:
         with pytest.raises(ValueError):
             ideal_config(10, 1, auth_pool_bits=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_pulses", 2000.5), ("n_pulses", True), ("auth_pool_bits", 600.5),
+        ("auth_pool_bits", np.True_), ("security_margin_bits", 3.5),
+        ("security_margin_bits", False), ("seed", 1.5), ("seed", True),
+        ("seed", "1")])
+    def test_non_integer_counts_refused(self, field, value):
+        # Unrefused, a fractional pulse count or auth pool dies
+        # mid-session inside numpy, a fractional margin runs silently
+        # and seed 1.5 runs as seed 1.
+        with pytest.raises(ValueError, match=field):
+            ideal_config(**{"n_pulses": 2000, "seed": 1, field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        config = ideal_config(np.int64(40), np.uint64(2**63),
+                              security_margin_bits=np.int32(0),
+                              auth_pool_bits=np.int64(512))
+        assert run_session(config).pulses_sent == 40
+
     def test_frozen(self):
         config = ideal_config(10, 1)
         with pytest.raises(Exception):
