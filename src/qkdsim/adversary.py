@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .rng import RandomSource
+from .rng import RandomSource, refuse_bools
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,7 @@ class InterceptResend:
     fraction: float = 1.0
 
     def __post_init__(self):
+        refuse_bools(self)
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("intercept fraction must be in [0, 1]")
 

@@ -17,7 +17,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .rng import DRAW_CHUNK, RandomSource, check_int
+from .rng import DRAW_CHUNK, RandomSource, check_int, refuse_bools
 
 # numpy's largest Poisson mean: the int64 maximum less ten of its sqrt
 MAX_MU = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)
@@ -41,6 +41,7 @@ class SourceModel:
     mu: float
 
     def __post_init__(self):
+        refuse_bools(self)
         if not 0 <= self.mu <= MAX_MU:
             raise ValueError(f"mean photon number must be in [0, {MAX_MU:.4g}]"
                              f", got {self.mu}")
@@ -69,6 +70,7 @@ class FiberChannel:
     excess_flip_prob: float = 0.0
 
     def __post_init__(self):
+        refuse_bools(self)
         if not (0 <= self.length_km < math.inf
                 and 0 <= self.attenuation_db_per_km < math.inf):
             raise ValueError("fiber length and attenuation must be finite"
@@ -89,6 +91,7 @@ class DetectorPair:
     dark_count_prob: float = 0.0
 
     def __post_init__(self):
+        refuse_bools(self)
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must be in [0, 1]")
         if not 0.0 <= self.dark_count_prob < 1.0:

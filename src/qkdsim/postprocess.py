@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -193,7 +194,10 @@ def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,
     perms: list[np.ndarray] = []
     inv_perms: list[np.ndarray] = []
     sizes: list[int] = []
-    alice_prefix: list[np.ndarray] = []
+    alice_prefix: list[bytes] = []  # prefix parities, read one at a time
+    # Bob's error positions in each pass's permuted order, sorted; Bob's
+    # parity of a range is Alice's flipped once per error inside it
+    errors: list[list[int]] = []
     # odd blocks as (pass, block); the heap holds every odd block, plus
     # stale entries for blocks that turned even again, skipped on pop
     odd: set[tuple[int, int]] = set()
@@ -204,22 +208,27 @@ def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,
         Alice's sub-parities per halving; returns the key index fixed."""
         k = sizes[p]
         lo, hi = blk * k, min((blk + 1) * k, n)
-        perm = perms[p]
+        pre, errs = alice_prefix[p], errors[p]
+        # errs[e_lo:e_hi] are the errors in [lo, hi), an odd count
+        e_lo, e_hi = bisect_left(errs, lo), bisect_left(errs, hi)
         while hi - lo > 1:
             mid = lo + (hi - lo + 1) // 2
-            a_par = int(alice_prefix[p][mid] ^ alice_prefix[p][lo])
-            transcript.append(a_par)
-            b_par = int(np.bitwise_xor.reduce(bob[perm[lo:mid]]))
-            if a_par != b_par:
-                hi = mid
+            transcript.append(pre[mid] ^ pre[lo])
+            e_mid = bisect_left(errs, mid, e_lo, e_hi)
+            if (e_mid - e_lo) & 1:  # Bob's parity of [lo, mid) differs
+                hi, e_hi = mid, e_mid
             else:
-                lo = mid
-        return int(perm[lo])
+                lo, e_lo = mid, e_mid
+        return int(perms[p][lo])
 
-    def toggle_blocks(j: int) -> None:
+    def fix(j: int) -> None:
+        """Flip Bob's bit j, an error, and the parity state of its block
+        in every pass so far."""
+        bob[j] ^= 1
         for p in range(len(perms)):
-            blk = int(inv_perms[p][j]) // sizes[p]
-            key = (p, blk)
+            pos = int(inv_perms[p][j])
+            del errors[p][bisect_left(errors[p], pos)]
+            key = (p, pos // sizes[p])
             if key in odd:
                 odd.remove(key)
             else:
@@ -237,29 +246,25 @@ def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,
         pre = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(alice[perm], dtype=np.int64, out=pre[1:])
         pre &= 1
-        alice_prefix.append(pre)
+        alice_prefix.append(pre.astype(np.uint8).tobytes())
+        errs = np.sort(inv[np.flatnonzero(alice != bob)])
+        errors.append(errs.tolist())
 
         n_blocks = math.ceil(n / k)
         starts = np.arange(n_blocks) * k
         ends = np.minimum(starts + k, n)
-        a_par = (pre[ends] ^ pre[starts]).astype(np.uint8)
-        transcript.extend(int(x) for x in a_par)  # one parity per top block
-        bob_pre = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(bob[perm], dtype=np.int64, out=bob_pre[1:])
-        bob_pre &= 1
-        b_par = (bob_pre[ends] ^ bob_pre[starts]).astype(np.uint8)
-        for blk in np.nonzero(a_par != b_par)[0]:
-            odd.add((p, int(blk)))
-            heapq.heappush(heap, (p, int(blk)))
+        transcript.extend((pre[ends] ^ pre[starts]).tolist())  # top blocks
+        odd_blocks = np.bincount(errs // k, minlength=n_blocks) & 1
+        for blk in np.flatnonzero(odd_blocks).tolist():
+            odd.add((p, blk))
+            heapq.heappush(heap, (p, blk))
 
         while heap:
             # smallest block size first, then position
             q, blk = heapq.heappop(heap)
             if (q, blk) not in odd:
                 continue
-            j = bisect(q, blk)
-            bob[j] ^= 1
-            toggle_blocks(j)
+            fix(bisect(q, blk))
 
     mul = Gf64Multiplier(public_coins.uint64())
     alice_hash = _verification_hash(alice, mul)
@@ -283,8 +288,10 @@ def privacy_amplify(key, ell: int, seed: HashSeed,
     Row j sums the key against one window of the seed, so all rows at
     once are one integer convolution: bit j is
     conv(seed, key[::-1])[n + ell - 2 - j] mod 2. It is computed by real
-    FFT at a length of at least 2n + ell - 2, where it does not wrap
-    around, in O((n + ell) log(n + ell)) time. Each sum is an integer
+    FFT at the power-of-two length N >= n + ell - 1, in
+    O((n + ell) log(n + ell)) time. The full convolution has
+    2n + ell - 2 terms, so the circular one wraps index m >= N onto
+    m - N <= n - 2, below every index a row reads. Each sum is an integer
     in [0, n], so it is rounded and its parity taken; a sum that lands
     0.25 or more from an integer raises :class:`InexactConvolution`
     rather than return a possibly wrong key.
@@ -297,7 +304,7 @@ def privacy_amplify(key, ell: int, seed: HashSeed,
             f"seed length {len(sbits)}, need {n + ell - 1} for {n}->{ell}")
     if n == 0 or ell == 0:
         return SecretKey(np.zeros(ell, dtype=np.uint8), provenance)
-    size = 1 << (2 * n + ell - 3).bit_length()  # power of two >= 2n+ell-2
+    size = 1 << (n + ell - 2).bit_length()  # power of two >= n + ell - 1
     spectrum = np.fft.rfft(sbits, size) * np.fft.rfft(key[::-1], size)
     sums = np.fft.irfft(spectrum, size)[n - 1:n + ell - 1][::-1]
     counts = np.rint(sums)

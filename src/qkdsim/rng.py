@@ -9,6 +9,7 @@ can safely run in parallel.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from functools import lru_cache
 
 import numpy as np
@@ -22,6 +23,12 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # time with no state carried between them, so the values and the stream
 # state are those of one draw of n.
 DRAW_CHUNK = 1 << 14
+
+# bits() builds draws of at least RAW_BITS_MIN bits from raw PCG64
+# words; below it, the state read and the two numpy calls at the ends
+# cost more than the raw words save. At least 5, so that a draw covers
+# a buffered half-word and a tail.
+RAW_BITS_MIN = 4096
 
 
 def splitmix64(x: int) -> int:
@@ -62,6 +69,16 @@ def check_int(name: str, value, least: int | None = None) -> int:
     return int(value)
 
 
+def refuse_bools(obj) -> None:
+    """Raise ValueError naming the first field of dataclass ``obj`` that
+    holds a bool: a flag is not a length, a rate or a probability, though
+    Python lets it compare as one."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{f.name} must be a number, got {value!r}")
+
+
 @lru_cache(maxsize=256)
 def _label_mix(label: str) -> int:
     """The label's half of ``mix64(seed, fnv1a64(label))``; substreams
@@ -81,7 +98,9 @@ class RandomSource:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        if type(seed) is not int:
+            seed = check_int("seed", seed)
+        self.seed = seed & _MASK64
         self._generator: np.random.Generator | None = None
 
     @property
@@ -104,8 +123,35 @@ class RandomSource:
     # -- draws ------------------------------------------------------------
 
     def bits(self, n: int) -> np.ndarray:
-        """n uniform bits as a uint8 array."""
-        return self.generator.integers(0, 2, size=n, dtype=np.uint8)
+        """n uniform bits as a uint8 array: the values and stream state
+        of ``integers(0, 2, n, uint8)``.
+
+        numpy draws each such bit as the top bit of one byte of
+        ``next_uint32``, low byte first, and with range 2 Lemire's method
+        never rejects. ``next_uint32`` hands out a buffered high half
+        first, else the low half of a fresh word, buffering its high
+        half. So from RAW_BITS_MIN bits on, numpy draws the four bits of
+        a buffered half-word and the last one to eight bits, which leaves
+        the buffer as one call would, and the bits between are the top
+        bits of the bytes of raw words, DRAW_CHUNK words at a time.
+        """
+        generator = self.generator
+        if n < RAW_BITS_MIN:
+            return generator.integers(0, 2, size=n, dtype=np.uint8)
+        bit_generator = generator.bit_generator
+        out = np.empty(n, dtype=np.uint8)
+        head = 4 if bit_generator.state["has_uint32"] else 0
+        body_end = n - (n - head - 1) % 8 - 1  # then 1 to 8 bits remain
+        if head:
+            out[:head] = generator.integers(0, 2, size=head, dtype=np.uint8)
+        for start in range(head, body_end, 8 * DRAW_CHUNK):
+            stop = min(start + 8 * DRAW_CHUNK, body_end)
+            words = bit_generator.random_raw((stop - start) // 8)
+            np.right_shift(words.astype("<u8", copy=False).view(np.uint8), 7,
+                           out=out[start:stop])
+        out[body_end:] = generator.integers(0, 2, size=n - body_end,
+                                            dtype=np.uint8)
+        return out
 
     def byte_string(self, n: int) -> bytes:
         return self.generator.bytes(n)

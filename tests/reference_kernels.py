@@ -15,6 +15,12 @@ key packed, one uint8 per bit, checking a link's funds at every
 crossing; :func:`qkdsim.netsim.relay_key` must send the same messages,
 log the same keys, spend the same bits and refuse the same relays.
 
+Gather Cascade: reconciliation as it was before Bob's sub-block
+parities came from a sorted list of his error positions;
+:func:`qkdsim.postprocess.error_correct` must disclose the same
+transcript, return the same key and leak count, and fail on the same
+keys with the same payload.
+
 GF(2^k) by shift and reduce: the slow, obvious field products that the
 byte-table multiplier in :mod:`qkdsim.gf2` is checked against, a
 GF(2^8) field with x^8 + x^4 + x^3 + x + 1 for the exhaustive collision
@@ -22,15 +28,20 @@ tests, where 2^64 keys are out of reach but 2^8 are not, and the
 polynomial hash by Horner's rule over any such multiplier.
 """
 
+import heapq
+import math
 from collections import Counter
 
 import numpy as np
 
 from qkdsim.adversary import InterceptResend, NoAttack, PhotonNumberSplit
 from qkdsim.auth import KeyExhausted
-from qkdsim.gf2 import MASK64, REDUCTION_POLY
+from qkdsim.gf2 import MASK64, REDUCTION_POLY, Gf64Multiplier
 from qkdsim.netsim import RelayTranscript
 from qkdsim.photonics import survival_probability
+from qkdsim.postprocess import (BLOCK_FACTOR, MIN_BLOCK, VERIFY_HASH_BITS,
+                                CorrectionResult, ReconciliationFailure,
+                                _verification_hash)
 
 MASK8 = (1 << 8) - 1
 REDUCTION_POLY_8 = (1 << 8) | 0x1B  # x^8 + x^4 + x^3 + x + 1
@@ -138,6 +149,108 @@ def unpacked_relay_key(path, key_len, rand):
             b.knowledge_log.append(carried)
     return RelayTranscript(tuple(n.id for n in path), tuple(messages),
                            carried)
+
+
+# -- gather Cascade -------------------------------------------------------------
+
+
+def gather_error_correct(alice_key, bob_key, e_hat, public_coins, *,
+                         passes=4):
+    """Every halving gathers Bob's bits of the lower half through the
+    permutation and XOR-reduces them."""
+    alice = np.asarray(alice_key, dtype=np.uint8)
+    bob = np.array(bob_key, dtype=np.uint8)
+    n = len(alice)
+    if len(bob) != n:
+        raise ValueError("keys must have equal length")
+    if n < 16:
+        raise ValueError("reconciliation needs at least 16 bits")
+
+    k1 = math.ceil(BLOCK_FACTOR / max(e_hat, 0.01))
+    k1 = min(max(k1, MIN_BLOCK), n)
+
+    transcript: list[int] = []  # leaked_bits == len(transcript), always
+    perms: list[np.ndarray] = []
+    inv_perms: list[np.ndarray] = []
+    sizes: list[int] = []
+    alice_prefix: list[np.ndarray] = []
+    # odd blocks as (pass, block); the heap holds every odd block, plus
+    # stale entries for blocks that turned even again, skipped on pop
+    odd: set[tuple[int, int]] = set()
+    heap: list[tuple[int, int]] = []
+
+    def bisect(p: int, blk: int) -> int:
+        """Locate one error inside an odd block, disclosing one of
+        Alice's sub-parities per halving; returns the key index fixed."""
+        k = sizes[p]
+        lo, hi = blk * k, min((blk + 1) * k, n)
+        perm = perms[p]
+        while hi - lo > 1:
+            mid = lo + (hi - lo + 1) // 2
+            a_par = int(alice_prefix[p][mid] ^ alice_prefix[p][lo])
+            transcript.append(a_par)
+            b_par = int(np.bitwise_xor.reduce(bob[perm[lo:mid]]))
+            if a_par != b_par:
+                hi = mid
+            else:
+                lo = mid
+        return int(perm[lo])
+
+    def toggle_blocks(j: int) -> None:
+        for p in range(len(perms)):
+            blk = int(inv_perms[p][j]) // sizes[p]
+            key = (p, blk)
+            if key in odd:
+                odd.remove(key)
+            else:
+                odd.add(key)
+                heapq.heappush(heap, key)
+
+    for p in range(passes):
+        perm = public_coins.permutation(n)
+        inv = np.empty(n, dtype=np.int64)
+        inv[perm] = np.arange(n)
+        k = min(k1 << p, n)
+        perms.append(perm)
+        inv_perms.append(inv)
+        sizes.append(k)
+        pre = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(alice[perm], dtype=np.int64, out=pre[1:])
+        pre &= 1
+        alice_prefix.append(pre)
+
+        n_blocks = math.ceil(n / k)
+        starts = np.arange(n_blocks) * k
+        ends = np.minimum(starts + k, n)
+        a_par = (pre[ends] ^ pre[starts]).astype(np.uint8)
+        transcript.extend(int(x) for x in a_par)  # one parity per top block
+        bob_pre = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(bob[perm], dtype=np.int64, out=bob_pre[1:])
+        bob_pre &= 1
+        b_par = (bob_pre[ends] ^ bob_pre[starts]).astype(np.uint8)
+        for blk in np.nonzero(a_par != b_par)[0]:
+            odd.add((p, int(blk)))
+            heapq.heappush(heap, (p, int(blk)))
+
+        while heap:
+            # smallest block size first, then position
+            q, blk = heapq.heappop(heap)
+            if (q, blk) not in odd:
+                continue
+            j = bisect(q, blk)
+            bob[j] ^= 1
+            toggle_blocks(j)
+
+    mul = Gf64Multiplier(public_coins.uint64())
+    alice_hash = _verification_hash(alice, mul)
+    transcript.extend((alice_hash >> (63 - i)) & 1
+                      for i in range(VERIFY_HASH_BITS))
+    verified = alice_hash == _verification_hash(bob, mul)
+    result = CorrectionResult(bob, len(transcript), passes, verified,
+                              np.array(transcript, dtype=np.uint8))
+    if not verified:
+        raise ReconciliationFailure(result)
+    return result
 
 
 # -- GF(2^k) by shift and reduce ------------------------------------------------

@@ -55,11 +55,14 @@ class TestTypes:
         (ConstantSource, (np.True_,)), (ConstantSource, ("1",)),
         (FiberChannel, (math.nan,)), (FiberChannel, (1.0, math.nan)),
         (FiberChannel, (math.inf,)), (FiberChannel, (0.0, math.inf)),
+        (SourceModel, (True,)), (FiberChannel, (True,)),
+        (FiberChannel, (1.0, np.True_)), (DetectorPair, (True, False)),
+        (DetectorPair, (0.5, False)), (InterceptResend, (True,)),
     ], ids=lambda v: getattr(v, "__name__", repr(v)))
     def test_bad_physics_refused_at_construction(self, make, args):
         # Unrefused, NaN, infinite or huge mu and fiber values fail
-        # mid-session inside numpy, and a fractional photon count is
-        # truncated.
+        # mid-session inside numpy, a fractional photon count is
+        # truncated, and a bool passes for 0 or 1.
         with pytest.raises(ValueError):
             make(*args)
 

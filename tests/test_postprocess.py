@@ -25,6 +25,8 @@ from qkdsim.postprocess import (COHERENT_THRESHOLD, INDIVIDUAL_THRESHOLD,
                                 secret_fraction)
 from qkdsim.rng import RandomSource
 
+from reference_kernels import gather_error_correct
+
 
 def entropy_oracle(x: float) -> float:
     """h(x) at 30 significant digits, evaluated independently."""
@@ -282,6 +284,34 @@ class TestErrorCorrect:
         if result.verified:
             assert np.array_equal(result.corrected_key, alice)
 
+    @given(n=st.integers(16, 5000), e=st.floats(0.0, 0.12),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=16, e=0.0, seed=0)
+    @example(n=5000, e=0.12, seed=1)
+    @example(n=200, e=0.1, seed=88)  # fails verification
+    @example(n=500, e=0.12, seed=198)  # fails verification
+    def test_equals_gather_reference(self, n, e, seed):
+        # Bob's sub-block parities come from his error positions, not
+        # from his bits: the same key, transcript and leak count, and
+        # the same failures with the same payload.
+        rand = RandomSource(seed)
+        alice = rand.bits(n)
+        bob = alice.copy()
+        bob[rand.sample_indices(n, round(e * n))] ^= 1
+        outcomes = []
+        for correct in (error_correct, gather_error_correct):
+            try:
+                result = correct(alice, bob, e, rand.split("coins"))
+            except ReconciliationFailure as exc:
+                result = exc.result
+            outcomes.append(result)
+        got, want = outcomes
+        assert got.verified == want.verified
+        assert got.leaked_bits == want.leaked_bits
+        assert got.passes == want.passes
+        assert np.array_equal(got.corrected_key, want.corrected_key)
+        assert np.array_equal(got.transcript, want.transcript)
+
 
 class TestPrivacyAmplify:
     def test_worked_toy_vector(self):
@@ -386,6 +416,11 @@ class TestPrivacyAmplifyProperties:
     @example(n=5, ell=0, stream=1)
     @example(n=512, ell=2500, stream=2)
     @example(n=3000, ell=3000, stream=3)
+    # the FFT length is the power of two >= n + ell - 1: an exact fit,
+    # and one past it, where a length of n + ell - 2 would wrap the last
+    # term, seed[-1] * key[0] (both 1 for stream 1), onto row ell - 1
+    @example(n=1000, ell=1049, stream=2)
+    @example(n=1000, ell=1050, stream=1)
     def test_equals_explicit_matrix_product(self, n, ell, stream):
         assume(n + ell > 0)  # (0, 0) has no seed of length n + ell - 1
         rand = RandomSource(stream)

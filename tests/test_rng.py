@@ -11,8 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from qkdsim.rng import (DRAW_CHUNK, RandomSource, fnv1a64, mix64,
-                        splitmix64)
+from qkdsim import rng
+from qkdsim.rng import (DRAW_CHUNK, RAW_BITS_MIN, RandomSource, fnv1a64,
+                        mix64, splitmix64)
 
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -125,6 +126,14 @@ class TestRandomSource:
     def test_negative_and_huge_seeds_normalized(self):
         assert RandomSource(-1).seed == 2**64 - 1
         assert RandomSource(2**64 + 5).seed == 5
+        assert RandomSource(np.uint64(2**64 - 1)).seed == 2**64 - 1
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, np.True_, "1", None],
+                             ids=repr)
+    def test_non_integer_seeds_refused(self, seed):
+        # int() would make 1.5 and True seed 1
+        with pytest.raises(ValueError, match="seed"):
+            RandomSource(seed)
 
     def test_poisson_and_binomial_shapes(self):
         r = RandomSource(4)
@@ -144,6 +153,42 @@ class TestRandomSource:
         assert np.array_equal(mask, ref.random(n) < p)
         assert rand.generator.bit_generator.state \
             == ref.generator.bit_generator.state
+
+    @pytest.mark.parametrize("n", [
+        *range(10), 4 * 1000 - 1, 4 * 1000 + 1,
+        RAW_BITS_MIN - 1, RAW_BITS_MIN, RAW_BITS_MIN + 1,
+        *(DRAW_CHUNK * k + d for k in (1, 8, 9, 17) for d in (-3, 3))])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_bits_are_one_integers_draw(self, n, buffered):
+        # Built from raw words at RAW_BITS_MIN bits and up: the values
+        # and the whole stream state of integers(0, 2, n, uint8), from a
+        # fresh stream and from one holding a buffered half-word.
+        rand = RandomSource(12)
+        ref = np.random.Generator(np.random.PCG64(12))
+        if buffered:  # one bit takes the low half of a fresh word
+            rand.bits(1)
+            ref.integers(0, 2, size=1, dtype=np.uint8)
+        assert rand.generator.bit_generator.state["has_uint32"] == buffered
+        bits = rand.bits(n)
+        assert bits.dtype == np.uint8
+        assert np.array_equal(bits, ref.integers(0, 2, size=n, dtype=np.uint8))
+        assert rand.generator.bit_generator.state == ref.bit_generator.state
+
+    @given(seed=st.integers(0, 2**64 - 1),
+           sizes=st.lists(st.integers(5, 70), min_size=1, max_size=8))
+    def test_raw_word_bits_at_every_size(self, seed, sizes):
+        # With the threshold at its least, 5 bits, every alignment of
+        # the buffered half-word, the body and the one-to-eight-bit tail
+        # is drawn.
+        rand = RandomSource(seed)
+        ref = np.random.Generator(np.random.PCG64(seed))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng, "RAW_BITS_MIN", 5)
+            for n in sizes:
+                assert np.array_equal(
+                    rand.bits(n), ref.integers(0, 2, size=n, dtype=np.uint8))
+                assert rand.generator.bit_generator.state \
+                    == ref.bit_generator.state
 
     def test_repr_mentions_seed(self):
         assert "0x" in repr(RandomSource(7))
@@ -176,6 +221,9 @@ class TestLazyGenerator:
     DRAWS = [
         (lambda r, n: r.bits(n),
          lambda g, n: g.integers(0, 2, size=n, dtype=np.uint8)),
+        (lambda r, n: r.bits(RAW_BITS_MIN + n),
+         lambda g, n: g.integers(0, 2, size=RAW_BITS_MIN + n,
+                                 dtype=np.uint8)),
         (lambda r, n: r.random(n), lambda g, n: g.random(n)),
         (lambda r, n: r.poisson(0.5, n), lambda g, n: g.poisson(0.5, n)),
         (lambda r, n: r.binomial(np.arange(n), 0.3),
