@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .rng import RandomSource, refuse_bools
+from .rng import UNIT, Checked, RandomSource
 
 
 @dataclass(frozen=True)
@@ -25,16 +25,13 @@ class NoAttack:
 
 
 @dataclass(frozen=True)
-class InterceptResend:
+class InterceptResend(Checked):
     """Measure a fraction of pulses in a uniformly random basis and resend
     a fresh single photon encoded with the result in that basis."""
 
-    fraction: float = 1.0
+    RULES = {"fraction": UNIT}
 
-    def __post_init__(self):
-        refuse_bools(self)
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError("intercept fraction must be in [0, 1]")
+    fraction: float = 1.0
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,17 @@ Subcommands: ``run`` (one session, human-readable report), ``sweep``
 --seed; sweep rows come out in declaration order at any --jobs level.
 
 Flags, config files, sweep axes and scenarios are all checked, before
-anything runs, by one walker (:func:`_validate`) over one rule table:
-string and number types and ranges, unknown and missing keys, exactly
-one of ``stub`` and ``session`` per link, and no self-loop or duplicate
-links.
+anything runs, by one walker (:func:`_validate`) over one rule table,
+whose number rules are the models' own: string and number types and
+ranges, unknown and missing keys, exactly one of ``stub`` and
+``session`` per link, and no self-loop or duplicate links.
 
 Exit codes are a stable contract: 0 success, 1 usage or config error
 (a bad flag and a missing subcommand included), 2 session aborted at
 the error-rate test, 3 session aborted at reconciliation, 4 insufficient
-link or authentication key (a relay, or a session whose authentication
-pool ran dry).
+link or authentication key (a relay, a session whose authentication
+pool ran dry, or a ``network`` link session that yielded an empty key).
+A ``network`` link session that aborts exits as ``run`` would, 2 or 3.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import csv
 import dataclasses
 import itertools
 import json
-import math
+import numbers
 import os
 import sys
 from typing import NamedTuple
@@ -36,10 +37,10 @@ from .adversary import (InterceptResend, NoAttack, PhotonNumberSplit,
 from .auth import KeyExhausted
 from .netsim import (LINK_AUTH_POOL_BITS, Network, SessionAborted,
                      StubKeySource)
-from .photonics import MAX_MU, DetectorPair, FiberChannel, SourceModel
+from .photonics import DetectorPair, FiberChannel, SourceModel
 from .postprocess import AttackModel
 from .protocol import SessionConfig, SessionOutcome, run_session
-from .rng import RandomSource, mix64
+from .rng import COUNT, POSITIVE, RandomSource, Rule, mix64
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,50 +99,42 @@ def _integer(value) -> int:
     return number
 
 
-def _text(parse=str):
-    """A converter for a string that ``parse`` accepts, kept as given."""
-    def convert(value):
-        if not isinstance(value, str):
-            raise TypeError(f"{value!r} is not a string")
-        parse(value)
-        return value
-    return convert
+def _convert(spec, kind):
+    """The CLI's own step before a rule's check: a flag's text or a JSON
+    number as the int or float that a numeric rule checks. Anything else,
+    a bool included, is left as given, for the rule to refuse."""
+    if isinstance(spec, bool) or not isinstance(spec, (str, int, float)):
+        return spec
+    if kind is numbers.Integral:
+        return _integer(spec)
+    return float(spec) if kind is numbers.Real else spec
 
 
-def _node(value) -> str:
-    if not isinstance(value, (str, int)):
-        raise TypeError(f"{value!r} is not a node id")
-    return str(value)
-
-
-# One value's rule: (conversion, test, what the test requires). Every
-# value from a flag, config file, sweep axis or scenario passes one of
-# these before it reaches a model constructor.
-_FINITE = (float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
-_UNIT = (float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
-_MU = (float, lambda v: 0 <= v <= MAX_MU, f"a number in [0, {MAX_MU:.4g}]")
-_NODE = (_node, lambda v: True, "a node id (a string or an integer)")
+# Every value from a flag, config file, sweep axis or scenario passes
+# one of these rules before it reaches a model constructor. A key whose
+# value reaches a model has that model's very rule.
+_NODE = Rule((str, numbers.Integral), lambda v: True,
+             "a node id (a string or an integer)")
 PARAM_RULES = {
-    "pulses": (_integer, lambda v: v >= 1, "an integer >= 1"),
-    "mu": _MU,
-    "distance_km": _FINITE,
-    "attenuation_db_per_km": _FINITE,
-    "efficiency": _UNIT,
-    "dark_count_prob": (float, lambda v: 0 <= v < 1, "a number in [0, 1)"),
-    "flip_prob": (float, lambda v: 0 <= v <= 0.5, "a number in [0, 0.5]"),
-    "sample_fraction": (float, lambda v: 0 < v < 1, "a number in (0, 1)"),
-    "margin": (_integer, lambda v: v >= 0, "an integer >= 0"),
-    "auth_pool_bits": (_integer, lambda v: v >= 0, "an integer >= 0"),
-    "seed": (_integer, lambda v: True, "an integer"),
-    "repeats": (_integer, lambda v: v >= 1, "an integer >= 1"),
-    "jobs": (_integer, lambda v: v >= 1, "an integer >= 1"),
-    "key_len": (_integer, lambda v: v >= 0, "an integer >= 0"),
-    "bits": (_integer, lambda v: v >= 0, "an integer >= 0"),
-    "eve": (_text(parse_eve), bool,
-            "none, pns, intercept or intercept:<fraction>"),
-    "attack_model": (_text(parse_attack_model), bool,
-                     "coherent or individual"),
-    "output": (_text(), bool, "a non-empty string"),
+    "pulses": SessionConfig.RULES["n_pulses"],
+    "mu": SourceModel.RULES["mu"],
+    "distance_km": FiberChannel.RULES["length_km"],
+    "attenuation_db_per_km": FiberChannel.RULES["attenuation_db_per_km"],
+    "efficiency": DetectorPair.RULES["efficiency"],
+    "dark_count_prob": DetectorPair.RULES["dark_count_prob"],
+    "flip_prob": FiberChannel.RULES["excess_flip_prob"],
+    "sample_fraction": SessionConfig.RULES["sample_fraction"],
+    "margin": SessionConfig.RULES["security_margin_bits"],
+    "auth_pool_bits": SessionConfig.RULES["auth_pool_bits"],
+    "seed": SessionConfig.RULES["seed"],
+    "repeats": POSITIVE,
+    "jobs": POSITIVE,
+    "key_len": COUNT,
+    "bits": StubKeySource.RULES["n_bits"],
+    "eve": Rule(str, parse_eve,
+                "none, pns, intercept or intercept:<fraction>"),
+    "attack_model": Rule(str, parse_attack_model, "coherent or individual"),
+    "output": Rule(str, bool, "a non-empty string"),
 }
 
 
@@ -168,9 +161,10 @@ SESSION = Obj('link {a}-{b} session, {0} "session"',
 CONFIG = Obj("config", {
     **SESSION.rules,
     "sweep": Obj("sweep", {
-        axis: Seq(rule, 1, "a non-empty list of values")
-        for axis, rule in (("distance_km", _FINITE), ("mu", _MU),
-                           ("eve_fraction", _UNIT))}),
+        axis: Seq(rule, 1, "a non-empty list of values") for axis, rule in {
+            "distance_km": PARAM_RULES["distance_km"],
+            "mu": PARAM_RULES["mu"],
+            "eve_fraction": InterceptResend.RULES["fraction"]}.items()}),
     "repeats": PARAM_RULES["repeats"], "output": PARAM_RULES["output"]})
 SCENARIO = Obj("scenario", {
     "nodes": Seq(_NODE),
@@ -192,10 +186,10 @@ SCENARIO = Obj("scenario", {
 def _validate(path: str, where: str, spec, rule):
     """``spec`` checked against ``rule`` and converted.
 
-    A rule is a ``(conversion, test, wording)`` triple for one value, a
-    :class:`Seq` or an :class:`Obj`. The first value that breaks its
-    rule raises a ConfigError naming ``path`` (the file, "" for flags)
-    and the value's label, ``where`` for ``spec`` itself."""
+    A rule is a :class:`~qkdsim.rng.Rule` for one value, a :class:`Seq`
+    or an :class:`Obj`. The first value that breaks its rule raises a
+    ConfigError naming ``path`` (the file, "" for flags) and the value's
+    label, ``where`` for ``spec`` itself."""
     def fail(problem):
         return ConfigError(f"{path}: {where} {problem}" if path
                            else f"{where} {problem}")
@@ -225,15 +219,11 @@ def _validate(path: str, where: str, spec, rule):
                                else f'{where}: "{key}"'.lstrip(": "),
                                spec[key], child)
                 for key, child in rule.rules.items() if key in spec}
-    convert, test, wording = rule
     try:
-        value = convert(spec)
-        ok = not isinstance(spec, bool) and test(value)
+        value = rule.check(where, _convert(spec, rule.kind))
     except (TypeError, ValueError, OverflowError, ConfigError):
-        ok = False
-    if not ok:
-        raise fail(f"must be {wording}, got {spec!r}")
-    return value
+        raise fail(f"must be {rule.wording}, got {spec!r}") from None
+    return str(value) if rule is _NODE else value
 
 
 def _load_json_object(path: str, what: str) -> tuple[str, dict]:
@@ -274,8 +264,8 @@ def merge_params(args: argparse.Namespace) -> dict:
     return params
 
 
-def session_config(params: dict) -> SessionConfig:
-    p = _validate("", "", {key: params[key] for key in DEFAULTS}, SESSION)
+def session_config(p: dict) -> SessionConfig:
+    """The session of checked parameters ``p`` (see :data:`SESSION`)."""
     return SessionConfig(
         n_pulses=p["pulses"],
         source=SourceModel(p["mu"]),
@@ -446,8 +436,9 @@ def cmd_network(args: argparse.Namespace) -> int:
     try:
         net.provision_all()
     except SessionAborted as exc:
+        # a session that succeeded with an empty key left the link short
         print(f"link provisioning failed: {exc}", file=sys.stderr)
-        return EXIT_ABORT_QBER
+        return exit_code_for(exc.outcome) or EXIT_INSUFFICIENT_LINK_KEY
 
     rows = []
     for i, spec in enumerate(scenario["relays"]):

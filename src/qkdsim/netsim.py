@@ -20,11 +20,16 @@ import numpy as np
 
 from .auth import AuthenticatedChannel, BitPool, KeyExhausted
 from .protocol import SessionConfig, SessionOutcome, run_session
-from .rng import RandomSource, check_int
+from .rng import COUNT, INTEGER, Checked, RandomSource
 
 
 class SessionAborted(Exception):
-    """Link provisioning ran a session that produced no key."""
+    """Link provisioning ran a session that produced no key: it aborted,
+    or it succeeded with an empty key. ``outcome`` says which."""
+
+    def __init__(self, message: str, outcome: SessionOutcome):
+        super().__init__(message)
+        self.outcome = outcome
 
 
 class LengthMismatch(ValueError):
@@ -57,15 +62,13 @@ class Node:
 
 
 @dataclass(frozen=True)
-class StubKeySource:
+class StubKeySource(Checked):
     """Seeded stand-in for a full session, for fast network tests."""
+
+    RULES = {"seed": INTEGER, "n_bits": COUNT}
 
     seed: int
     n_bits: int
-
-    def __post_init__(self):
-        check_int("seed", self.seed)
-        check_int("n_bits", self.n_bits, 0)
 
 
 KeySource = Union[SessionConfig, StubKeySource]
@@ -109,7 +112,7 @@ def provision_link(link: Link) -> np.ndarray:
                 or report.final_len == 0:
             raise SessionAborted(
                 f"link session ended {report.outcome.value} with "
-                f"final_len={report.final_len}")
+                f"final_len={report.final_len}", report.outcome)
         bits = report.secret_key.bits
     link.key.deposit(bits)
     return bits
@@ -133,7 +136,7 @@ def relay_key(path: list[Node], key_len: int,
     before any bit is spent, so a failed precondition consumes nothing
     and exposes the key to no node. Key and pads are XORed as the ints
     of the zero-padded bytes each hop sends; the key is unpacked once."""
-    key_len = check_int("key_len", key_len, 0)
+    key_len = int(COUNT.check("key_len", key_len))
     if len(path) < 2:
         raise ValueError("a relay path needs at least two nodes")
     links = [a.links.get(b.id) for a, b in zip(path, path[1:])]

@@ -12,15 +12,21 @@ operation is a pure function of its inputs and the stream state.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .rng import DRAW_CHUNK, RandomSource, check_int, refuse_bools
+from .rng import (COUNT, DRAW_CHUNK, FINITE, UNIT, Checked, RandomSource,
+                  Rule)
 
 # numpy's largest Poisson mean: the int64 maximum less ten of its sqrt
 MAX_MU = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)
+MU = Rule(numbers.Real, lambda v: 0 <= v <= MAX_MU,
+          f"a number in [0, {MAX_MU:.4g}]")
+FLIP = Rule(numbers.Real, lambda v: 0 <= v <= 0.5, "a number in [0, 0.5]")
+DARK = Rule(numbers.Real, lambda v: 0 <= v < 1, "a number in [0, 1)")
 
 
 class Basis(IntEnum):
@@ -35,67 +41,51 @@ class Basis(IntEnum):
 
 
 @dataclass(frozen=True)
-class SourceModel:
+class SourceModel(Checked):
     """Faint-pulse source: photon number per pulse is Poisson(mu)."""
+
+    RULES = {"mu": MU}
 
     mu: float
 
-    def __post_init__(self):
-        refuse_bools(self)
-        if not 0 <= self.mu <= MAX_MU:
-            raise ValueError(f"mean photon number must be in [0, {MAX_MU:.4g}]"
-                             f", got {self.mu}")
-
 
 @dataclass(frozen=True)
-class ConstantSource:
+class ConstantSource(Checked):
     """Test source emitting a fixed photon number every pulse."""
+
+    RULES = {"photon_count": COUNT}
 
     photon_count: int = 1
 
-    def __post_init__(self):
-        check_int("photon_count", self.photon_count, 0)
-
 
 @dataclass(frozen=True)
-class FiberChannel:
+class FiberChannel(Checked):
     """Lossy fiber of given length and attenuation.
 
     excess_flip_prob lumps misalignment / polarization drift into a
     single bit-flip probability applied at matched-basis measurement.
     """
 
+    RULES = {"length_km": FINITE, "attenuation_db_per_km": FINITE,
+             "excess_flip_prob": FLIP}
+
     length_km: float
     attenuation_db_per_km: float = 0.2
     excess_flip_prob: float = 0.0
 
-    def __post_init__(self):
-        refuse_bools(self)
-        if not (0 <= self.length_km < math.inf
-                and 0 <= self.attenuation_db_per_km < math.inf):
-            raise ValueError("fiber length and attenuation must be finite"
-                             " and >= 0")
-        if not 0.0 <= self.excess_flip_prob <= 0.5:
-            raise ValueError("excess_flip_prob must be in [0, 0.5]")
-
 
 @dataclass(frozen=True)
-class DetectorPair:
+class DetectorPair(Checked):
     """Two gated threshold detectors, one per bit value.
 
     Each detector fires independently with dark_count_prob per gate even
     with no photon present.
     """
 
+    RULES = {"efficiency": UNIT, "dark_count_prob": DARK}
+
     efficiency: float = 1.0
     dark_count_prob: float = 0.0
-
-    def __post_init__(self):
-        refuse_bools(self)
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must be in [0, 1]")
-        if not 0.0 <= self.dark_count_prob < 1.0:
-            raise ValueError("dark_count_prob must be in [0, 1)")
 
 
 class ClickKind(IntEnum):
@@ -179,8 +169,7 @@ def measure_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarray
     Returns (kinds, click_bits): kinds holds ClickKind values per gate,
     click_bits the measured bit where kinds == CLICK (0 elsewhere).
     """
-    if not 0.0 <= flip_prob <= 0.5:
-        raise ValueError("flip_prob must be in [0, 0.5]")
+    FLIP.check("flip_prob", flip_prob)
     zero_hits, one_hits = _photon_hits(photon_counts, bits, bases, bob_bases,
                                        detectors.efficiency, flip_prob, rand)
     fire0 = rand.bernoulli(len(photon_counts), detectors.dark_count_prob)

@@ -36,6 +36,9 @@ INDIVIDUAL_THRESHOLD = (1.0 - 2.0 ** -0.5) / 2.0
 VERIFY_HASH_BITS = 64
 BLOCK_FACTOR = 0.73
 MIN_BLOCK = 4
+# the shortest key error_correct takes; a session with fewer bits left
+# after sampling ends without a key
+MIN_RECONCILE_BITS = 16
 
 
 class DomainError(ValueError):
@@ -141,9 +144,8 @@ def eve_information_bound(e: float, model: AttackModel) -> float:
 def secret_fraction(e: float, model: AttackModel) -> float:
     """Asymptotic secret bits per sifted bit at error rate ``e``, assuming
     reconciliation at the Shannon limit; zero beyond the model's root."""
-    if not 0.0 <= e <= 0.5:
-        raise DomainError(f"error rate must be in [0, 0.5], got {e}")
-    return max(0.0, 1.0 - binary_entropy(e) - eve_information_bound(e, model))
+    tau = eve_information_bound(e, model)  # refuses e outside [0, 0.5]
+    return max(0.0, 1.0 - binary_entropy(e) - tau)
 
 
 def final_key_length(n: int, e_hat: float, leaked_ec: int,
@@ -184,8 +186,9 @@ def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,
     n = len(alice)
     if len(bob) != n:
         raise ValueError("keys must have equal length")
-    if n < 16:
-        raise ValueError("reconciliation needs at least 16 bits")
+    if n < MIN_RECONCILE_BITS:
+        raise ValueError("reconciliation needs at least "
+                         f"{MIN_RECONCILE_BITS} bits")
 
     k1 = math.ceil(BLOCK_FACTOR / max(e_hat, 0.01))
     k1 = min(max(k1, MIN_BLOCK), n)

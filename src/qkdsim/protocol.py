@@ -17,6 +17,7 @@ because forging a tag succeeds with probability about 2^-64.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,12 +29,12 @@ from .adversary import (EveLedger, EveStrategy, NoAttack, eve_information,
 from .auth import AuthenticatedChannel, BitPool
 from .photonics import (ClickKind, DetectorPair, FiberChannel, SourceModel,
                         measure_batch, sample_photon_counts, transmit_counts)
-from .postprocess import (AttackModel, HashSeed, ReconciliationFailure,
-                          SecretKey, error_correct, final_key_length,
-                          privacy_amplify)
-from .rng import RandomSource, check_int
+from .postprocess import (MIN_RECONCILE_BITS, AttackModel, HashSeed,
+                          ReconciliationFailure, SecretKey, error_correct,
+                          final_key_length, privacy_amplify)
+from .rng import COUNT, INTEGER, POSITIVE, Checked, RandomSource, Rule
 
-MIN_RECONCILE_BITS = 16
+FRACTION = Rule(numbers.Real, lambda v: 0 < v < 1, "a number in (0, 1)")
 
 
 class EmptySample(Exception):
@@ -47,9 +48,13 @@ class SessionOutcome(Enum):
 
 
 @dataclass(frozen=True)
-class SessionConfig:
+class SessionConfig(Checked):
     """Everything a session needs; the seed makes the whole run a pure
     function of this object."""
+
+    RULES = {"n_pulses": POSITIVE, "seed": INTEGER,
+             "sample_fraction": FRACTION, "security_margin_bits": COUNT,
+             "auth_pool_bits": COUNT}
 
     n_pulses: int
     source: SourceModel
@@ -62,14 +67,6 @@ class SessionConfig:
     security_margin_bits: int = 30
     auth_pool_bits: int = 512
     double_click_random: bool = True  # False discards double clicks instead
-
-    def __post_init__(self):
-        check_int("n_pulses", self.n_pulses, 1)
-        check_int("seed", self.seed)
-        if not 0.0 < self.sample_fraction < 1.0:
-            raise ValueError("sample_fraction must be in (0, 1)")
-        check_int("security_margin_bits", self.security_margin_bits, 0)
-        check_int("auth_pool_bits", self.auth_pool_bits, 0)
 
 
 @dataclass(eq=False)
@@ -190,8 +187,7 @@ def estimate_qber(sifted: SiftedKeys, fraction: float,
                   rand: RandomSource) -> QberEstimate:
     """Disclose a uniform random ceil(fraction * len) subset, compare, and
     remove it from the key."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("sample fraction must be in (0, 1)")
+    FRACTION.check("fraction", fraction)
     m = len(sifted)
     k = math.ceil(fraction * m)
     if k == 0:

@@ -9,8 +9,10 @@ can safely run in parallel.
 
 from __future__ import annotations
 
-from dataclasses import fields
+import math
+import numbers
 from functools import lru_cache
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -57,26 +59,41 @@ def fnv1a64(label: str) -> int:
     return h
 
 
-def check_int(name: str, value, least: int | None = None) -> int:
-    """``value`` as an int. A bool, a non-integer (numpy integers are
-    integers) or a value below ``least`` raises ValueError naming ``name``."""
-    if isinstance(value, (bool, np.bool_)) \
-            or not isinstance(value, (int, np.integer)) \
-            or least is not None and value < least:
-        wording = "an integer" if least is None else \
-            "a non-negative integer" if least == 0 else f"an integer >= {least}"
-        raise ValueError(f"{name} must be {wording}, got {value!r}")
-    return int(value)
+class Rule(NamedTuple):
+    """The valid values of one parameter: the instances of ``kind`` that
+    pass ``test``, which ``wording`` describes. A bool is never valid: a
+    flag is not a count, a length or a probability, though Python lets
+    it compare as one. numpy numbers are ``numbers`` instances."""
+
+    kind: type
+    test: Callable
+    wording: str
+
+    def check(self, name: str, value):
+        """``value`` if it is valid, else ValueError naming ``name``."""
+        if isinstance(value, bool) or not isinstance(value, self.kind) \
+                or not self.test(value):
+            raise ValueError(f"{name} must be {self.wording}, got {value!r}")
+        return value
 
 
-def refuse_bools(obj) -> None:
-    """Raise ValueError naming the first field of dataclass ``obj`` that
-    holds a bool: a flag is not a length, a rate or a probability, though
-    Python lets it compare as one."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, (bool, np.bool_)):
-            raise ValueError(f"{f.name} must be a number, got {value!r}")
+INTEGER = Rule(numbers.Integral, lambda v: True, "an integer")
+COUNT = Rule(numbers.Integral, lambda v: v >= 0, "an integer >= 0")
+POSITIVE = Rule(numbers.Integral, lambda v: v >= 1, "an integer >= 1")
+FINITE = Rule(numbers.Real, lambda v: 0 <= v < math.inf,
+              "a finite number >= 0")
+UNIT = Rule(numbers.Real, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+
+
+class Checked:
+    """Base of a dataclass whose ``RULES`` maps field names to their
+    :class:`Rule`; every one is checked when an instance is built."""
+
+    RULES: ClassVar[dict] = {}
+
+    def __post_init__(self):
+        for name, rule in self.RULES.items():
+            rule.check(name, getattr(self, name))
 
 
 @lru_cache(maxsize=256)
@@ -99,7 +116,7 @@ class RandomSource:
 
     def __init__(self, seed: int):
         if type(seed) is not int:
-            seed = check_int("seed", seed)
+            seed = int(INTEGER.check("seed", seed))
         self.seed = seed & _MASK64
         self._generator: np.random.Generator | None = None
 

@@ -7,24 +7,30 @@ float format, and byte-for-byte determinism across --jobs levels.
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdsim.adversary import InterceptResend, NoAttack, PhotonNumberSplit
-from qkdsim.cli import (CSV_COLUMNS, DEFAULTS, EXIT_ABORT_QBER,
+from qkdsim.cli import (CONFIG, CSV_COLUMNS, DEFAULTS, EXIT_ABORT_QBER,
                         EXIT_ABORT_RECONCILIATION,
                         EXIT_INSUFFICIENT_LINK_KEY, EXIT_OK, EXIT_USAGE,
-                        ConfigError, _fmt, exit_code_for, load_config_file,
-                        load_scenario, main, merge_params,
-                        parse_attack_model, parse_eve)
-from qkdsim.postprocess import AttackModel
-from qkdsim.protocol import SessionOutcome
+                        PARAM_RULES, SCENARIO, ConfigError, _fmt, _validate,
+                        exit_code_for, load_config_file, load_scenario, main,
+                        merge_params, parse_attack_model, parse_eve)
+from qkdsim.netsim import StubKeySource
+from qkdsim.photonics import (MAX_MU, DetectorPair, FiberChannel,
+                              SourceModel)
+from qkdsim.postprocess import (AttackModel, CorrectionResult,
+                                ReconciliationFailure)
+from qkdsim.protocol import SessionConfig, SessionOutcome
 
 FAST_RUN = ["--pulses", "20000", "--distance-km", "0", "--efficiency", "1.0",
             "--dark", "0", "--flip", "0", "--mu", "0.5", "--seed", "7"]
@@ -369,6 +375,41 @@ class TestNetworkCommand:
         assert code == EXIT_ABORT_QBER
         assert "provisioning failed" in err
 
+    def test_session_link_with_empty_key_exits_four(self, tmp_path, capsys):
+        # 300 pulses sift too few bits to reconcile: the session succeeds
+        # with no key, which leaves the link short of key, not aborted.
+        scenario = self.scenario(
+            tmp_path,
+            links=[{"a": "A", "b": "B",
+                    "session": {"pulses": 300, "distance_km": 0}}],
+            relays=[], nodes=("A", "B"))
+        code, _, err = run_main(["network", scenario], capsys)
+        assert code == EXIT_INSUFFICIENT_LINK_KEY
+        assert "ended Success with final_len=0" in err
+        assert "Traceback" not in err
+
+    def test_session_link_reconciliation_abort_exits_three(
+            self, tmp_path, capsys, monkeypatch):
+        import qkdsim.protocol as protocol
+
+        def always_fails(alice_key, bob_key, e_hat, public_coins, **kwargs):
+            raise ReconciliationFailure(CorrectionResult(
+                np.array(bob_key, dtype=np.uint8), 70, 4, False,
+                np.ones(70, dtype=np.uint8)))
+
+        monkeypatch.setattr(protocol, "error_correct", always_fails)
+        scenario = self.scenario(
+            tmp_path,
+            links=[{"a": "A", "b": "B",
+                    "session": {"pulses": 20000, "distance_km": 0,
+                                "efficiency": 1.0, "dark_count_prob": 0,
+                                "flip_prob": 0, "seed": 3}}],
+            relays=[{"path": ["A", "B"], "key_len": 64}],
+            nodes=("A", "B"))
+        code, _, err = run_main(["network", scenario], capsys)
+        assert code == EXIT_ABORT_RECONCILIATION
+        assert "ended AbortReconciliation" in err
+
     def test_session_link_auth_pool_exhausted_exits_four(self, tmp_path,
                                                           capsys):
         scenario = self.scenario(
@@ -628,3 +669,77 @@ def test_eve_sweep_math_note():
     # string; confirm the exact mapping used by the sweep.
     assert parse_eve("intercept:0.5") == InterceptResend(0.5)
     assert math.isclose(parse_eve("intercept:1.0").fraction, 1.0)
+
+
+# Where each CLI key's value lands: (CLI key, model, field). The last row
+# is the sweep's eve_fraction axis, which becomes InterceptResend(f).
+RULE_HOMES = [
+    ("pulses", SessionConfig, "n_pulses"),
+    ("mu", SourceModel, "mu"),
+    ("distance_km", FiberChannel, "length_km"),
+    ("attenuation_db_per_km", FiberChannel, "attenuation_db_per_km"),
+    ("flip_prob", FiberChannel, "excess_flip_prob"),
+    ("efficiency", DetectorPair, "efficiency"),
+    ("dark_count_prob", DetectorPair, "dark_count_prob"),
+    ("sample_fraction", SessionConfig, "sample_fraction"),
+    ("margin", SessionConfig, "security_margin_bits"),
+    ("auth_pool_bits", SessionConfig, "auth_pool_bits"),
+    ("seed", SessionConfig, "seed"),
+    ("seed", StubKeySource, "seed"),
+    ("bits", StubKeySource, "n_bits"),
+    ("eve_fraction", InterceptResend, "fraction"),
+]
+VALID = {SessionConfig: SessionConfig(2000, SourceModel(0.1),
+                                      FiberChannel(1.0), DetectorPair(), 1),
+         SourceModel: SourceModel(0.1), FiberChannel: FiberChannel(1.0),
+         DetectorPair: DetectorPair(), StubKeySource: StubKeySource(1, 8),
+         InterceptResend: InterceptResend(0.5)}
+TINY = math.nextafter(0.0, -1.0)  # the negative number closest to 0
+# The values just outside each end of each range, by field
+OUTSIDE = {"n_pulses": [0], "mu": [TINY, math.nextafter(MAX_MU, math.inf)],
+           "length_km": [TINY], "attenuation_db_per_km": [TINY],
+           "excess_flip_prob": [TINY, math.nextafter(0.5, 1.0)],
+           "efficiency": [TINY, math.nextafter(1.0, 2.0)],
+           "dark_count_prob": [TINY, 1.0], "sample_fraction": [0.0, 1.0],
+           "security_margin_bits": [-1], "auth_pool_bits": [-1],
+           "seed": [], "n_bits": [-1], "fraction": [TINY, 1.5]}
+
+
+def cli_rule(key):
+    if key == "eve_fraction":
+        return CONFIG.rules["sweep"].rules[key].item
+    return PARAM_RULES[key]
+
+
+def cli_check(key, value):
+    """The CLI's check of ``value`` as a flag, a sweep value or a stub's
+    bits, whichever ``key`` is."""
+    if key == "eve_fraction":
+        return _validate("", "", {"sweep": {key: [value]}}, CONFIG)
+    if key == "bits":
+        stub = SCENARIO.rules["links"].item.rules["stub"]
+        return _validate("", "", {"seed": 1, key: value}, stub)
+    return _validate("", "", {key: value}, CONFIG)
+
+
+@pytest.mark.parametrize("key, model, field", RULE_HOMES,
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_cli_key_has_its_models_rule(key, model, field):
+    # One rule object per parameter: the CLI holds the model's own.
+    assert cli_rule(key) is model.RULES[field]
+
+
+@pytest.mark.parametrize("key, model, field, value", [
+    (key, model, field, value) for key, model, field in RULE_HOMES
+    for value in [math.nan, math.inf, -math.inf, True, np.True_,
+                  *OUTSIDE[field]]],
+    ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_cli_and_model_refuse_alike(key, model, field, value):
+    wording = model.RULES[field].wording
+    with pytest.raises(ValueError) as model_exc:
+        dataclasses.replace(VALID[model], **{field: value})
+    assert str(model_exc.value) == f"{field} must be {wording}, got {value!r}"
+    with pytest.raises(ConfigError) as cli_exc:
+        cli_check(key, value)
+    assert str(cli_exc.value).endswith(
+        f'"{key}" must be {wording}, got {value!r}')

@@ -17,7 +17,7 @@ from qkdsim.netsim import (KeyStore, LengthMismatch, Link, Network, Node,
                            combine_keys, provision_link, relay_key)
 from qkdsim.photonics import ConstantSource, DetectorPair, FiberChannel
 from qkdsim.protocol import SessionConfig
-from qkdsim.rng import RandomSource
+from qkdsim.rng import COUNT, RandomSource
 
 from reference_kernels import unpacked_relay_key
 
@@ -293,6 +293,13 @@ class TestRelay:
         assert [(p.cursor, p.consumed_log) for p in pools] == [(0, [])] * 4
         assert net.node("B").knowledge_log == []
         assert np.array_equal(rand.bits(64), RandomSource(537).bits(64))
+
+    def test_key_len_refusal_uses_the_count_rule(self):
+        net = stub_network([("A", "B")], n_bits=64)
+        with pytest.raises(ValueError) as exc_info:
+            net.relay(["A", "B"], -8, RandomSource(1))
+        assert str(exc_info.value) \
+            == f"key_len must be {COUNT.wording}, got -8"
 
     @pytest.mark.parametrize("key_len", [0, np.int64(12)])
     def test_zero_and_numpy_key_len_accepted(self, key_len):

@@ -15,8 +15,9 @@ from scipy import stats
 
 from qkdsim.adversary import (EveLedger, InterceptResend, PhotonNumberSplit,
                               intercept_batch)
-from qkdsim.photonics import (MAX_MU, Basis, ClickKind, ConstantSource, DetectorPair,
-                              FiberChannel, SourceModel, measure_batch,
+from qkdsim.photonics import (FLIP, MAX_MU, Basis, ClickKind, ConstantSource,
+                              DetectorPair, FiberChannel, SourceModel,
+                              measure_batch,
                               sample_photon_counts, survival_probability,
                               transmit_counts)
 from qkdsim.rng import DRAW_CHUNK, RandomSource
@@ -276,6 +277,17 @@ class TestMeasurement:
             measure_batch(np.ones(1, np.int64), np.zeros(1, np.uint8),
                           np.zeros(1, np.uint8), np.zeros(1, np.uint8),
                           DetectorPair(), 0.7, RandomSource(1))
+
+    def test_flip_prob_refusal_is_the_channels_rule(self):
+        # measure_batch takes the channel's excess_flip_prob, so it
+        # checks it by the same rule, with the same wording
+        assert FiberChannel.RULES["excess_flip_prob"] is FLIP
+        with pytest.raises(ValueError) as exc_info:
+            measure_batch(np.ones(1, np.int64), np.zeros(1, np.uint8),
+                          np.zeros(1, np.uint8), np.zeros(1, np.uint8),
+                          DetectorPair(), True, RandomSource(1))
+        assert str(exc_info.value) \
+            == f"flip_prob must be {FLIP.wording}, got True"
 
     def test_scalar_measure_ideal(self):
         diagonal = np.array([Basis.DIAGONAL], np.uint8)

@@ -16,10 +16,11 @@ from qkdsim.photonics import (ConstantSource, DetectorPair, FiberChannel,
                               SourceModel, survival_probability)
 from qkdsim.postprocess import (AttackModel, CorrectionResult,
                                 ReconciliationFailure, binary_entropy)
-from qkdsim.protocol import (MIN_RECONCILE_BITS, EmptySample, PulseRecords,
-                             SessionConfig, SessionOutcome, SiftedKeys,
-                             estimate_qber, run_quantum_phase, run_session,
-                             sift)
+from qkdsim import postprocess
+from qkdsim.protocol import (FRACTION, MIN_RECONCILE_BITS, EmptySample,
+                             PulseRecords, SessionConfig, SessionOutcome,
+                             SiftedKeys, estimate_qber, run_quantum_phase,
+                             run_session, sift)
 from qkdsim.rng import RandomSource
 
 
@@ -256,6 +257,14 @@ class TestEstimateQber:
             with pytest.raises(ValueError):
                 estimate_qber(sifted, bad, RandomSource(5))
 
+    def test_fraction_refusal_is_the_configs_rule(self):
+        assert SessionConfig.RULES["sample_fraction"] is FRACTION
+        sifted = self.make_sifted(100, 0, 413)
+        with pytest.raises(ValueError) as exc_info:
+            estimate_qber(sifted, math.nan, RandomSource(5))
+        assert str(exc_info.value) \
+            == f"fraction must be {FRACTION.wording}, got nan"
+
     def test_estimator_unbiased(self):
         # 100 independent samplings of a key with exactly 10% errors:
         # the mean estimate lands within 0.005 of the truth.
@@ -349,6 +358,17 @@ class TestRunSession:
         assert report.sifted_len == 0
         assert report.auth_bits_consumed == 192
         assert report.secret_growth == -192
+
+    def test_reconciliation_floor_has_one_home(self):
+        # the session skips reconciliation below the floor that
+        # error_correct itself refuses
+        assert MIN_RECONCILE_BITS is postprocess.MIN_RECONCILE_BITS
+        short = np.zeros(MIN_RECONCILE_BITS - 1, np.uint8)
+        with pytest.raises(ValueError, match=f"{MIN_RECONCILE_BITS} bits"):
+            postprocess.error_correct(short, short, 0.01, RandomSource(1))
+        full = np.zeros(MIN_RECONCILE_BITS, np.uint8)
+        assert postprocess.error_correct(full, full, 0.01,
+                                         RandomSource(1)).verified
 
     def test_short_key_succeeds_without_output(self):
         report = run_session(ideal_config(20, 301))

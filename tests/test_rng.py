@@ -5,6 +5,9 @@ The mixing functions are pinned to published reference vectors
 frozen regression values, since sweep seed derivation depends on them.
 """
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,8 +15,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qkdsim import rng
-from qkdsim.rng import (DRAW_CHUNK, RAW_BITS_MIN, RandomSource, fnv1a64,
-                        mix64, splitmix64)
+from qkdsim.rng import (COUNT, DRAW_CHUNK, FINITE, INTEGER, RAW_BITS_MIN,
+                        UNIT, Checked, RandomSource, Rule, fnv1a64, mix64,
+                        splitmix64)
 
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -247,3 +251,42 @@ class TestLazyGenerator:
             assert lazy.generator.bit_generator.state \
                 == eager.bit_generator.state
         assert lazy.generator.bit_generator.state == eager.bit_generator.state
+
+
+@dataclass(frozen=True)
+class Probe(Checked):
+    RULES = {"count": COUNT, "length": FINITE}
+
+    count: int
+    length: float = 0.0
+    label: str = "unchecked"
+
+
+def rule_id(value):
+    return value.wording if isinstance(value, Rule) else repr(value)
+
+
+class TestRule:
+    @pytest.mark.parametrize("rule, value", [
+        (INTEGER, -2**70), (INTEGER, np.uint64(2**64 - 1)), (COUNT, 0),
+        (COUNT, np.int32(7)), (FINITE, 0), (FINITE, np.float32(1.5)),
+        (UNIT, 1), (UNIT, np.float64(0.25))], ids=rule_id)
+    def test_valid_value_comes_back_unchanged(self, rule, value):
+        assert rule.check("x", value) is value
+
+    @pytest.mark.parametrize("rule, value", [
+        (INTEGER, True), (INTEGER, np.True_), (INTEGER, 1.0), (INTEGER, "1"),
+        (INTEGER, None), (COUNT, -1), (FINITE, math.inf), (FINITE, math.nan),
+        (FINITE, "1"), (UNIT, False), (UNIT, 1.5), (UNIT, [0.5])], ids=rule_id)
+    def test_refusal_names_the_parameter(self, rule, value):
+        with pytest.raises(ValueError) as exc_info:
+            rule.check("x", value)
+        assert str(exc_info.value) \
+            == f"x must be {rule.wording}, got {value!r}"
+
+    def test_checked_dataclass_applies_each_rule(self):
+        assert Probe(3, 2.5, label="any").count == 3
+        with pytest.raises(ValueError, match="^count must be an integer >= 0"):
+            Probe(-1)
+        with pytest.raises(ValueError, match="^length must be a finite"):
+            Probe(1, math.nan)
