@@ -16,7 +16,17 @@ clicks resolved to a random bit the sifted QBER is
     (P_w (1 - P_r) + P_r P_w / 2) / (1 - (1 - P_r)(1 - P_w)).
 
 This is the gain and QBER model of Ma, Qi, Zhao and Lo, PRA 72, 012326
-(2005). The seeds and the 4-sigma binomial bounds were fixed once, on
+(2005).
+
+Under photon-number splitting Eve keeps one photon of every pulse with
+n >= 2 and forwards n - 1. A gate fed m photons stays dark with
+probability (1 - p_d)^2 (1 - t eta)^m in either basis, so the basis
+match is independent of the click and the fraction of the sifted key
+Eve holds is
+
+    sum_{n>=2} P(n) P(click | n - 1) / sum_n P(n) P(click | m(n)),
+
+with m(n) = n - 1 for n >= 2 and n otherwise, P(n) Poisson(mu). The seeds and the 4-sigma binomial bounds were fixed once, on
 the dense per-pulse kernel, and stay fixed through any change to the
 quantum phase's stream layout: a failure then is a finding, not a
 reason to re-seed. 4 sigma keeps the chance that a correct kernel fails
@@ -27,9 +37,11 @@ import math
 
 import pytest
 
+from qkdsim.adversary import PhotonNumberSplit
 from qkdsim.photonics import (ClickKind, DetectorPair, FiberChannel,
                               SourceModel)
-from qkdsim.protocol import SessionConfig, run_quantum_phase, sift
+from qkdsim.protocol import (SessionConfig, run_quantum_phase, run_session,
+                             sift)
 from qkdsim.rng import RandomSource
 
 SEEDS = range(1, 21)
@@ -86,3 +98,38 @@ def test_sifted_qber_where_dark_counts_dominate(dark_dominated):
     assert qber == pytest.approx(0.3367, abs=1e-4)
     assert sifted > 5000
     assert within_binomial(errors, sifted, qber)
+
+
+def pns_known_fraction(mu, km, db_per_km, eta, p_dark):
+    """Fraction of the sifted key a photon-number splitter holds."""
+    q = 10 ** (-db_per_km * km / 10) * eta
+
+    def p_click(m):
+        return 1 - (1 - p_dark) ** 2 * (1 - q) ** m
+
+    def p_n(n):
+        return math.exp(-mu) * mu**n / math.factorial(n)
+
+    ns = range(80)  # P(80) at mu 0.5 is below 1e-120
+    clicks = sum(p_n(n) * p_click(n - 1 if n >= 2 else n) for n in ns)
+    split = sum(p_n(n) * p_click(n - 1) for n in ns if n >= 2)
+    return split / clicks
+
+
+def test_pns_known_fraction_under_loss():
+    # 20 km, eta 0.1: about 1,600 sifted bits a seed, 32,000 pooled
+    link = dict(mu=0.5, km=20.0, db_per_km=0.2, eta=0.1, p_dark=1e-5)
+    p = pns_known_fraction(**link)
+    assert p == pytest.approx(0.2584, abs=1e-4)
+    known = sifted = 0
+    for seed in SEEDS:
+        config = SessionConfig(
+            2 * 10**5, SourceModel(link["mu"]),
+            FiberChannel(link["km"], link["db_per_km"]),
+            DetectorPair(link["eta"], link["p_dark"]), seed,
+            eve=PhotonNumberSplit())
+        report = run_session(config)
+        known += round(report.eve_info_fraction * report.sifted_len)
+        sifted += report.sifted_len
+    assert sifted > 20_000
+    assert within_binomial(known, sifted, p)
