@@ -49,7 +49,10 @@ ledger = EveLedger()
 records = run_quantum_phase(config, RandomSource(13), ledger)
 sifted = sift(records)
 qber = float(np.mean(sifted.alice_bits != sifted.bob_bits))
-known = finalize_knowledge(ledger, records.alice_bases,
+# The bases announced for the sifted pulses decide which of Eve's
+# holdings are key bits.
+known = finalize_knowledge(ledger,
+                           records.alice_bases_at(sifted.source_indices),
                            sifted.source_indices)
 print(f"\nphoton-number splitting at mu = 0.5 (lossless channel):")
 print(f"  QBER: {qber:.4f}  (nothing to see)")

@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .rng import UNIT, Checked, RandomSource
+from .rng import UNIT, Checked, RandomSource, bits_at, in_sorted
 
 
 @dataclass(frozen=True)
@@ -73,57 +73,64 @@ class EveLedger:
     known_bits: np.ndarray = field(default_factory=lambda: _rows(2))
 
     def record_stored(self, indices, bits, bases) -> None:
-        self.stored = _join(self.stored, np.c_[indices, bits, bases])
+        self.stored = _append(self.stored, indices, bits, bases)
 
     def record_measured(self, indices, bits, bases) -> None:
-        self.measured = _join(self.measured, np.c_[indices, bits, bases])
+        self.measured = _append(self.measured, indices, bits, bases)
 
 
-def _join(rows: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """``rows`` above ``new``, as int64; an empty side costs no copy."""
-    if not len(rows):
-        return new.astype(np.int64, copy=False)
-    return np.concatenate((rows, new)) if len(new) else rows
+def _append(rows: np.ndarray, *columns) -> np.ndarray:
+    """``rows`` above the new rows ``zip(*columns)``, filled into one
+    int64 block; with no new rows, ``rows`` itself."""
+    if not len(columns[0]):
+        return rows
+    out = np.empty((len(rows) + len(columns[0]), rows.shape[1]), np.int64)
+    out[:len(rows)] = rows
+    for j, column in enumerate(columns):
+        out[len(rows):, j] = column
+    return out
+
+
+_UNTOUCHED = (np.zeros(0, np.int64), np.zeros(0, np.uint8),
+              np.zeros(0, np.uint8))
 
 
 def intercept_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarray,
                     strategy: EveStrategy, ledger: EveLedger,
-                    rand: RandomSource) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    rand: RandomSource
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Apply Eve's strategy to a batch of pulses, appending to the ledger.
 
-    Returns the (photon_counts, bits, bases) forwarded to the channel;
-    the counts keep their dtype. Pulse i of the batch is recorded as i.
+    ``bits`` and ``bases`` are Alice's, packed as :func:`numpy.packbits`
+    packs them. Eve changes ``photon_counts`` in place, keeping its
+    dtype. Returns (photon_counts, resent, resent_bits, resent_bases):
+    the counts forwarded to the channel, the sorted indices of the pulses
+    Eve resent in her own encoding, and her bit and basis for each; every
+    other pulse keeps Alice's. Pulse i of the batch is recorded as i.
     """
     n = len(photon_counts)
     if isinstance(strategy, NoAttack):
-        return photon_counts, bits, bases
+        return (photon_counts, *_UNTOUCHED)
 
-    # Both branches change few pulses: they copy the inputs and work
-    # only at the indices Eve touches.
+    # Both branches work only at the indices Eve touches.
     if isinstance(strategy, InterceptResend):
-        take = rand.bernoulli(n, strategy.fraction)
-        take &= photon_counts > 0  # an empty slot gives Eve nothing to measure
-        taken = np.flatnonzero(take)
+        # an empty slot gives Eve nothing to measure
+        taken = rand.bernoulli_indices(n, strategy.fraction, photon_counts)
         # three full-length draws, then Eve's values where she measured
-        eve_bases = rand.bits(n)[taken]
-        mismatch_results = rand.bits(n)[taken]
-        eve_bits = np.where(eve_bases == bases[taken], bits[taken],
-                            mismatch_results).astype(np.uint8)
-        out_counts = photon_counts.copy()
-        out_counts[taken] = 1
-        out_bits = bits.astype(np.uint8)
-        out_bits[taken] = eve_bits
-        out_bases = bases.astype(np.uint8)
-        out_bases[taken] = eve_bases
+        eve_bases = bits_at(rand.packed_bits(n), taken)
+        mismatch_results = bits_at(rand.packed_bits(n), taken)
+        eve_bits = np.where(eve_bases == bits_at(bases, taken),
+                            bits_at(bits, taken), mismatch_results)
+        photon_counts[taken] = 1
         ledger.record_measured(taken, eve_bits, eve_bases)
-        return out_counts, out_bits, out_bases
+        return photon_counts, taken, eve_bits, eve_bases
 
     if isinstance(strategy, PhotonNumberSplit):
         split = np.flatnonzero(photon_counts >= 2)
-        out_counts = photon_counts.copy()
-        out_counts[split] -= 1
-        ledger.record_stored(split, bits[split], bases[split])
-        return out_counts, bits, bases
+        photon_counts[split] -= 1
+        ledger.record_stored(split, bits_at(bits, split),
+                             bits_at(bases, split))
+        return (photon_counts, *_UNTOUCHED)
 
     raise TypeError(f"unknown strategy {strategy!r}")
 
@@ -132,17 +139,30 @@ def finalize_knowledge(ledger: EveLedger, announced_bases: np.ndarray,
                        sifted_indices: np.ndarray) -> np.ndarray:
     """Turn the ledger into known key bits once bases are announced: the
     ``(pulse index, bit)`` rows, in index order, of every ledger row whose
-    pulse is sifted and whose basis is the announced one. Also set as
+    pulse is sifted and whose basis is the announced one.
+    ``sifted_indices`` is ascending and ``announced_bases[j]`` is the
+    basis announced for pulse ``sifted_indices[j]``. Also set as
     ``ledger.known_bits``; repeated calls give the same rows."""
     # The basis test passes every stored row: it holds Alice's own basis,
     # the one she announces, so Eve reads the parked photon in it exactly.
-    sifted = np.zeros(len(announced_bases), dtype=bool)
-    sifted[sifted_indices] = True
     rows = _join(ledger.stored, ledger.measured)
     index = rows[:, 0]
-    rows = rows[sifted[index] & (rows[:, 2] == announced_bases[index])]
+    keep = np.zeros(len(rows), dtype=bool)
+    if len(sifted_indices):
+        at = np.searchsorted(sifted_indices, index)
+        np.minimum(at, len(sifted_indices) - 1, out=at)
+        keep = (sifted_indices[at] == index) \
+            & (announced_bases[at] == rows[:, 2])
+    rows = rows[keep]
     ledger.known_bits = rows[np.argsort(rows[:, 0], kind="stable"), :2]
     return ledger.known_bits
+
+
+def _join(rows: np.ndarray, more: np.ndarray) -> np.ndarray:
+    """``rows`` above ``more``; an empty side costs no copy."""
+    if not len(rows):
+        return more
+    return np.concatenate((rows, more)) if len(more) else rows
 
 
 def eve_information(known_bits: np.ndarray, sifted) -> float:
@@ -150,5 +170,5 @@ def eve_information(known_bits: np.ndarray, sifted) -> float:
     ``known_bits`` holds ``(pulse index, bit)`` rows."""
     if len(sifted) == 0:
         return 0.0
-    hits = np.isin(known_bits[:, 0], sifted.source_indices, kind="table")
+    hits = in_sorted(sifted.source_indices, known_bits[:, 0])
     return int(hits.sum()) / len(sifted)

@@ -39,8 +39,8 @@ from .netsim import (LINK_AUTH_POOL_BITS, Network, SessionAborted,
                      StubKeySource)
 from .photonics import DetectorPair, FiberChannel, SourceModel
 from .postprocess import AttackModel
-from .protocol import SessionConfig, SessionOutcome, run_session
-from .rng import COUNT, POSITIVE, RandomSource, Rule, mix64
+from .protocol import BITS, SessionConfig, SessionOutcome, run_session
+from .rng import POSITIVE, RandomSource, Rule, mix64
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -129,7 +129,7 @@ PARAM_RULES = {
     "seed": SessionConfig.RULES["seed"],
     "repeats": POSITIVE,
     "jobs": POSITIVE,
-    "key_len": COUNT,
+    "key_len": BITS,
     "bits": StubKeySource.RULES["n_bits"],
     "eve": Rule(str, parse_eve,
                 "none, pns, intercept or intercept:<fraction>"),

@@ -19,8 +19,8 @@ from typing import Union
 import numpy as np
 
 from .auth import AuthenticatedChannel, BitPool, KeyExhausted
-from .protocol import SessionConfig, SessionOutcome, run_session
-from .rng import COUNT, INTEGER, Checked, RandomSource
+from .protocol import BITS, SessionConfig, SessionOutcome, run_session
+from .rng import INTEGER, Checked, RandomSource
 
 
 class SessionAborted(Exception):
@@ -65,7 +65,7 @@ class Node:
 class StubKeySource(Checked):
     """Seeded stand-in for a full session, for fast network tests."""
 
-    RULES = {"seed": INTEGER, "n_bits": COUNT}
+    RULES = {"seed": INTEGER, "n_bits": BITS}
 
     seed: int
     n_bits: int
@@ -131,12 +131,12 @@ class RelayTranscript:
 def relay_key(path: list[Node], key_len: int,
               rand: RandomSource) -> RelayTranscript:
     """Carry a fresh key from path[0] to path[-1] by hop-wise one-time-pad
-    re-encryption. ``key_len`` must be a non-negative integer. Every hop
+    re-encryption. ``key_len`` must be an integer in [0, 2^32]. Every hop
     must be a link, and its link key and authentication key are checked
     before any bit is spent, so a failed precondition consumes nothing
     and exposes the key to no node. Key and pads are XORed as the ints
     of the zero-padded bytes each hop sends; the key is unpacked once."""
-    key_len = int(COUNT.check("key_len", key_len))
+    key_len = int(BITS.check("key_len", key_len))
     if len(path) < 2:
         raise ValueError("a relay path needs at least two nodes")
     links = [a.links.get(b.id) for a, b in zip(path, path[1:])]

@@ -19,7 +19,7 @@ from enum import IntEnum
 import numpy as np
 
 from .rng import (COUNT, DRAW_CHUNK, FINITE, UNIT, Checked, RandomSource,
-                  Rule)
+                  Rule, bits_at, in_sorted)
 
 # numpy's largest Poisson mean: the int64 maximum less ten of its sqrt
 MAX_MU = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)
@@ -149,55 +149,71 @@ def transmit_counts(photon_counts: np.ndarray, channel: FiberChannel,
 
 def measure_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarray,
                   bob_bases: np.ndarray, detectors: DetectorPair, flip_prob: float,
-                  rand: RandomSource) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized gated measurement of many pulses.
+                  rand: RandomSource
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized gated measurement of many pulses, one gate each.
 
     Each photon is detected with probability ``efficiency`` and lands in
     the detector for the encoded bit (flipped with ``flip_prob``) when
     Bob's basis matches the pulse basis, or in a uniformly random
     detector when it does not. Dark counts fire each detector
-    independently.
+    independently. ``bits``, ``bases`` and ``bob_bases`` are packed,
+    eight pulses a byte, as :func:`numpy.packbits` packs them.
 
     A binomial draw at n == 0 takes nothing from the stream, so only
     photon-carrying pulses are drawn: the efficiency binomial over the
     pulses with photons, then the flip and random-exit binomials over
-    the pulses with a detected photon. The two dark-count uniforms are
-    the only per-pulse draws, made in chunks straight into bool masks
-    (:meth:`~qkdsim.rng.RandomSource.bernoulli`). Outputs and stream
-    state are those of the same draws over every pulse.
+    the pulses with a detected photon. Each detector's dark counts are
+    the indices of its uniforms below ``dark_count_prob``
+    (:meth:`~qkdsim.rng.RandomSource.bernoulli_indices`). Outputs and
+    stream state are those of the same draws over every pulse.
 
-    Returns (kinds, click_bits): kinds holds ClickKind values per gate,
-    click_bits the measured bit where kinds == CLICK (0 elsewhere).
+    Returns (kinds, click_bits, indices) for the gates that clicked, in
+    index order: kinds holds their ClickKind values (never NO_CLICK),
+    click_bits the measured bit where kinds == CLICK (0 elsewhere), and
+    indices the gates' int64 pulse indices.
     """
     FLIP.check("flip_prob", flip_prob)
-    zero_hits, one_hits = _photon_hits(photon_counts, bits, bases, bob_bases,
-                                       detectors.efficiency, flip_prob, rand)
-    fire0 = rand.bernoulli(len(photon_counts), detectors.dark_count_prob)
-    fire1 = rand.bernoulli(len(photon_counts), detectors.dark_count_prob)
-    fire0[zero_hits] = True
-    fire1[one_hits] = True
-    # a bool is a 0/1 byte: view it as uint8, kinds in fire0's own bytes
-    click_bits = np.greater(fire1, fire0).view(np.uint8)
-    kinds = fire0.view(np.uint8)
-    kinds += fire1
-    return kinds, click_bits
+    n, dark = len(photon_counts), detectors.dark_count_prob
+    hit, to_zero, to_one = _photon_hits(photon_counts, bits, bases, bob_bases,
+                                        detectors.efficiency, flip_prob, rand)
+    dark0 = rand.bernoulli_indices(n, dark)
+    dark1 = rand.bernoulli_indices(n, dark)
+    # the gates that clicked: the hit pulses, with the dark counts at the
+    # other pulses inserted in order
+    dark = np.concatenate((dark0, dark1[~in_sorted(dark0, dark1)]))
+    dark.sort()
+    dark = dark[~in_sorted(hit, dark)]
+    at = np.searchsorted(hit, dark)
+    indices = np.insert(hit, at, dark)
+    fire0, fire1 = np.insert(to_zero, at, False), np.insert(to_one, at, False)
+    fire0[np.searchsorted(indices, dark0)] = True
+    fire1[np.searchsorted(indices, dark1)] = True
+    kinds = fire0.view(np.uint8) + fire1
+    return kinds, (fire1 > fire0).view(np.uint8), indices
 
 
 def _photon_hits(counts, bits, bases, bob_bases, efficiency, flip_prob, rand):
-    """Pulses whose photons reach detector 0, and those reaching 1. Its
-    int64 arrays over lit pulses are freed before the dark-count masks."""
-    lit = np.flatnonzero(counts > 0)
-    detected = rand.binomial(counts[lit], efficiency)
-    caught = detected > 0
-    hit, detected = lit[caught], detected[caught]
+    """The pulses with a detected photon, in index order, and for each
+    whether photons reach detector 0 and whether they reach detector 1.
+    Photon numbers are held in the counts' dtype."""
+    hits, photons = [np.zeros(0, np.int64)], [np.zeros(0, counts.dtype)]
+    for start in range(0, len(counts), DRAW_CHUNK):
+        part = counts[start:start + DRAW_CHUNK]
+        lit = np.flatnonzero(part)
+        detected = rand.binomial(part[lit], efficiency)
+        caught = np.flatnonzero(detected)
+        hits.append(lit[caught] + start)
+        photons.append(detected[caught].astype(counts.dtype))
+    hit, detected = np.concatenate(hits), np.concatenate(photons)
+    del hits, photons
 
     # photons landing in detector 1, drawn for both branches to keep the
     # stream layout independent of the basis pattern
-    flipped = rand.binomial(detected, flip_prob)
-    random_exit = rand.binomial(detected, 0.5)
-
-    matched = bases[hit] == bob_bases[hit]
-    in_one_matched = np.where(bits[hit] == 1, detected - flipped, flipped)
-    in_one = np.where(matched, in_one_matched, random_exit)
-    return hit[detected > in_one], hit[in_one > 0]
-
+    flipped = rand.binomial(detected, flip_prob).astype(counts.dtype)
+    in_one = rand.binomial(detected, 0.5).astype(counts.dtype)  # bases differ
+    matched = bits_at(bases, hit) == bits_at(bob_bases, hit)
+    one = matched & (bits_at(bits, hit) == 1)
+    np.subtract(detected, flipped, out=flipped, where=one)
+    np.copyto(in_one, flipped, where=matched)
+    return hit, detected > in_one, in_one > 0

@@ -32,9 +32,18 @@ from .photonics import (ClickKind, DetectorPair, FiberChannel, SourceModel,
 from .postprocess import (MIN_RECONCILE_BITS, AttackModel, HashSeed,
                           ReconciliationFailure, SecretKey, error_correct,
                           final_key_length, privacy_amplify)
-from .rng import COUNT, INTEGER, POSITIVE, Checked, RandomSource, Rule
+from .rng import (COUNT, INTEGER, Checked, RandomSource, Rule, bits_at,
+                  with_bits)
 
 FRACTION = Rule(numbers.Real, lambda v: 0 < v < 1, "a number in (0, 1)")
+# Messages 1 and 2 send pulse positions as ">u4", which wraps silently
+# above 2^32 - 1. No key or pool needs more bits than a session has
+# pulses, so bit counts share the bound.
+MAX_PULSES = 2**32
+PULSES = Rule(numbers.Integral, lambda v: 1 <= v <= MAX_PULSES,
+              "an integer >= 1 and <= 2^32")
+BITS = Rule(numbers.Integral, lambda v: 0 <= v <= MAX_PULSES,
+            "an integer >= 0 and <= 2^32")
 
 
 class EmptySample(Exception):
@@ -52,9 +61,9 @@ class SessionConfig(Checked):
     """Everything a session needs; the seed makes the whole run a pure
     function of this object."""
 
-    RULES = {"n_pulses": POSITIVE, "seed": INTEGER,
+    RULES = {"n_pulses": PULSES, "seed": INTEGER,
              "sample_fraction": FRACTION, "security_margin_bits": COUNT,
-             "auth_pool_bits": COUNT}
+             "auth_pool_bits": BITS}
 
     n_pulses: int
     source: SourceModel
@@ -71,10 +80,14 @@ class SessionConfig(Checked):
 
 @dataclass(eq=False)
 class PulseRecords:
-    """Emission-ordered records of a quantum phase as five flat arrays,
-    one entry per pulse: Alice's bit and basis, Bob's basis, the gate's
-    ClickKind and the measured bit (0 unless the kind is CLICK)."""
+    """What a quantum phase of ``n`` pulses recorded, one entry per gate
+    that clicked, in emission order: its pulse index, Alice's bit and
+    basis, Bob's basis, the gate's ClickKind (never NO_CLICK) and the
+    measured bit (0 unless the kind is CLICK). A pulse with no entry
+    did not click. Its length is ``n``."""
 
+    n: int
+    indices: np.ndarray
     alice_bits: np.ndarray
     alice_bases: np.ndarray
     bob_bases: np.ndarray
@@ -82,7 +95,11 @@ class PulseRecords:
     click_bits: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.alice_bits)
+        return self.n
+
+    def alice_bases_at(self, indices: np.ndarray) -> np.ndarray:
+        """Alice's bases at the clicked pulses ``indices``, ascending."""
+        return self.alice_bases[np.searchsorted(self.indices, indices)]
 
 
 @dataclass(frozen=True)
@@ -142,45 +159,50 @@ class SessionReport:
 
 def run_quantum_phase(config: SessionConfig, rand: RandomSource,
                       eve_ledger: EveLedger | None = None) -> PulseRecords:
-    """Emit, attack, transmit, and measure n_pulses; one record each.
+    """Emit, attack, transmit, and measure n_pulses; record the clicks.
 
     Double clicks are resolved to a uniform random bit unless the config
     says to keep them (they are then dropped at sifting): resolving is
     the conservative choice because discarding lets a detector-control
-    attack bias the key.
+    attack bias the key. Besides the one count array, only the bits and
+    bases are n long, packed eight to a byte.
     """
     n = config.n_pulses
-    alice_bits = rand.split("alice_bits").bits(n)
-    alice_bases = rand.split("alice_bases").bits(n)
+    alice_bits = rand.split("alice_bits").packed_bits(n)
+    alice_bases = rand.split("alice_bases").packed_bits(n)
     counts = sample_photon_counts(config.source, n, rand.split("source"))
     ledger = eve_ledger if eve_ledger is not None else EveLedger()
-    counts, bits, bases = intercept_batch(
+    counts, resent, eve_bits, eve_bases = intercept_batch(
         counts, alice_bits, alice_bases, config.eve, ledger,
         rand.split("eve"))
     counts = transmit_counts(counts, config.channel, rand.split("channel"))
-    bob_bases = rand.split("bob_bases").bits(n)
-    kinds, click_bits = measure_batch(
+    bob_bases = rand.split("bob_bases").packed_bits(n)
+    bits, bases = alice_bits, alice_bases
+    if len(resent):  # the pulses Eve resent carry her encoding
+        bits = with_bits(alice_bits, resent, eve_bits)
+        bases = with_bits(alice_bases, resent, eve_bases)
+    kinds, click_bits, indices = measure_batch(
         counts, bits, bases, bob_bases, config.detectors,
         config.channel.excess_flip_prob, rand.split("detector"))
+    del counts, bits, bases
     if config.double_click_random:
-        doubles = kinds == int(ClickKind.DOUBLE_CLICK)
-        n_doubles = int(doubles.sum())
-        if n_doubles:
-            click_bits[doubles] = rand.split("double_click").bits(n_doubles)
+        doubles = np.flatnonzero(kinds == int(ClickKind.DOUBLE_CLICK))
+        if len(doubles):
+            click_bits[doubles] = rand.split("double_click").bits(len(doubles))
             kinds[doubles] = int(ClickKind.CLICK)
-    return PulseRecords(alice_bits, alice_bases, bob_bases, kinds, click_bits)
+    return PulseRecords(n, indices, bits_at(alice_bits, indices),
+                        bits_at(alice_bases, indices),
+                        bits_at(bob_bases, indices), kinds, click_bits)
 
 
 def sift(records: PulseRecords) -> SiftedKeys:
     """Keep click positions with matching bases. Selection uses only the
     announced bases and click positions, never the measured bit values,
     so neither party learns anything new from the other's sift."""
-    keep = (records.kinds == int(ClickKind.CLICK)) \
-        & (records.alice_bases == records.bob_bases)
-    sel = np.nonzero(keep)[0]
-    return SiftedKeys(records.alice_bits[sel].copy(),
-                      records.click_bits[sel].copy(),
-                      sel.astype(np.int64))
+    sel = np.flatnonzero((records.kinds == int(ClickKind.CLICK))
+                         & (records.alice_bases == records.bob_bases))
+    return SiftedKeys(records.alice_bits[sel], records.click_bits[sel],
+                      records.indices[sel])
 
 
 def estimate_qber(sifted: SiftedKeys, fraction: float,
@@ -221,20 +243,20 @@ def run_session(config: SessionConfig) -> SessionReport:
     eve_ledger = EveLedger()
 
     records = run_quantum_phase(config, rand, eve_ledger)
-    kinds = records.kinds
-    clicks = int((kinds != int(ClickKind.NO_CLICK)).sum())
-    raw_len = int((kinds == int(ClickKind.CLICK)).sum())
+    clicks = len(records.kinds)
+    single = np.flatnonzero(records.kinds == int(ClickKind.CLICK))
+    raw_len = len(single)
     sifted = sift(records)
 
     # Message 1, Bob -> Alice: where he saw clicks and with which basis.
-    click_idx = np.nonzero(kinds == int(ClickKind.CLICK))[0]
     channel.deliver(channel.send(
-        struct.pack(">I", len(click_idx))
-        + click_idx.astype(">u4").tobytes()
-        + records.bob_bases[click_idx].astype(np.uint8).tobytes()))
+        struct.pack(">I", raw_len)
+        + records.indices[single].astype(">u4").tobytes()
+        + records.bob_bases[single].tobytes()))
 
-    known = finalize_knowledge(eve_ledger, records.alice_bases,
-                               sifted.source_indices)
+    known = finalize_knowledge(
+        eve_ledger, records.alice_bases_at(sifted.source_indices),
+        sifted.source_indices)
     eve_frac = eve_information(known, sifted)
 
     def report(outcome, e_hat, leak=0, final=0, secret=None):
@@ -253,7 +275,7 @@ def run_session(config: SessionConfig) -> SessionReport:
     # Message 2, Alice -> Bob: her bases at the clicks, the sample
     # positions, and her sample bits. Message 3, Bob -> Alice: his.
     channel.deliver(channel.send(
-        records.alice_bases[click_idx].astype(np.uint8).tobytes()
+        records.alice_bases[single].tobytes()
         + struct.pack(">I", est.sample_size)
         + est.sample_positions.astype(">u4").tobytes()
         + _pack_bits(est.alice_sample)))

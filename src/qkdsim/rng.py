@@ -51,6 +51,34 @@ def mix64(seed: int, index: int) -> int:
     return splitmix64(splitmix64(seed & _MASK64) ^ splitmix64((index ^ _GOLDEN) & _MASK64))
 
 
+def bits_at(packed: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Bits ``indices`` of a :func:`numpy.packbits` array, as uint8."""
+    out = packed[indices >> 3]
+    out >>= ~indices.astype(np.uint8) & 7  # bit i sits 7 - i % 8 up
+    out &= 1
+    return out
+
+
+def in_sorted(values: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Which ``queries`` occur in the ascending array ``values``, as a
+    bool mask; no array larger than ``queries`` is made."""
+    at = np.searchsorted(values, queries)
+    found = at < len(values)
+    found[found] = values[at[found]] == queries[found]
+    return found
+
+
+def with_bits(packed: np.ndarray, indices: np.ndarray,
+              values: np.ndarray) -> np.ndarray:
+    """A copy of a :func:`numpy.packbits` array with bit ``indices[j]``
+    set to ``values[j]``, for distinct ``indices``."""
+    out = packed.copy()
+    byte, shift = indices >> 3, ~indices.astype(np.uint8) & 7
+    np.bitwise_and.at(out, byte, ~np.left_shift(1, shift, dtype=np.uint8))
+    np.bitwise_or.at(out, byte, np.left_shift(values, shift, dtype=np.uint8))
+    return out
+
+
 def fnv1a64(label: str) -> int:
     """FNV-1a hash of a text label, used to name substreams."""
     h = 0xCBF29CE484222325
@@ -179,15 +207,32 @@ class RandomSource:
     def random(self, size=None):
         return self.generator.random(size)
 
-    def bernoulli(self, n: int, p: float) -> np.ndarray:
-        """``random(n) < p`` as an n-long bool mask, drawn in chunks of
-        DRAW_CHUNK uniforms: the same mask and stream state without n
-        float64s."""
-        mask = np.empty(n, dtype=bool)
+    def packed_bits(self, n: int) -> np.ndarray:
+        """``np.packbits(bits(n))``, drawn 8 * DRAW_CHUNK bits at a time.
+
+        ``bits(a)`` then ``bits(b)`` draw ``bits(a + b)`` when a is a
+        multiple of 4: a draw takes whole ``next_uint32`` values, four
+        bits each, and leaves the buffered half-word as one call would.
+        """
+        out = np.empty((n + 7) // 8, dtype=np.uint8)
+        step = 8 * DRAW_CHUNK
+        for start in range(0, n, step):
+            out[start // 8:(start + step) // 8] = np.packbits(
+                self.bits(min(step, n - start)))
+        return out
+
+    def bernoulli_indices(self, n: int, p: float,
+                          among: np.ndarray | None = None) -> np.ndarray:
+        """The sorted int64 indices where ``random(n) < p`` and, if given,
+        ``among`` is nonzero: the same uniforms and stream state, DRAW_CHUNK
+        of them at a time, with no n-long mask."""
+        parts = [np.zeros(0, np.int64)]
         for start in range(0, n, DRAW_CHUNK):
-            part = mask[start:start + DRAW_CHUNK]
-            np.less(self.generator.random(len(part)), p, out=part)
-        return mask
+            hit = self.generator.random(min(DRAW_CHUNK, n - start)) < p
+            if among is not None:
+                hit &= among[start:start + DRAW_CHUNK] != 0
+            parts.append(np.flatnonzero(hit) + start)
+        return np.concatenate(parts)
 
     def poisson(self, mu: float, size=None):
         return self.generator.poisson(mu, size)

@@ -10,6 +10,13 @@ pulses she touches, with boolean masks and ``np.where`` over every
 pulse; :func:`qkdsim.adversary.intercept_batch` must give its outputs,
 ledger rows and stream state.
 
+Dense quantum phase: the session's quantum phase as it was before it
+kept only the gates that clicked, with Alice's bits and bases and Bob's
+bases drawn as n-long arrays and every record n long, built on the
+dense kernels above; :func:`qkdsim.protocol.run_quantum_phase` must
+record the same values at every gate that clicked, and Eve's ledger
+must hold the same rows.
+
 Unpacked relay: the trusted-node relay as it was before it carried the
 key packed, one uint8 per bit, checking a link's funds at every
 crossing; :func:`qkdsim.netsim.relay_key` must send the same messages,
@@ -31,14 +38,17 @@ polynomial hash by Horner's rule over any such multiplier.
 import heapq
 import math
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 
-from qkdsim.adversary import InterceptResend, NoAttack, PhotonNumberSplit
+from qkdsim.adversary import (EveLedger, InterceptResend, NoAttack,
+                              PhotonNumberSplit)
 from qkdsim.auth import KeyExhausted
 from qkdsim.gf2 import MASK64, REDUCTION_POLY, Gf64Multiplier
 from qkdsim.netsim import RelayTranscript
-from qkdsim.photonics import survival_probability
+from qkdsim.photonics import (ClickKind, sample_photon_counts,
+                              survival_probability)
 from qkdsim.postprocess import (BLOCK_FACTOR, MIN_BLOCK, VERIFY_HASH_BITS,
                                 CorrectionResult, ReconciliationFailure,
                                 _verification_hash)
@@ -112,6 +122,46 @@ def dense_intercept_batch(photon_counts, bits, bases, strategy, ledger, rand):
         return out_counts, bits, bases
 
     raise TypeError(f"unknown strategy {strategy!r}")
+
+
+# -- dense quantum phase --------------------------------------------------------
+
+
+class DenseRecords(NamedTuple):
+    """One entry per pulse: Alice's bit and basis, Bob's basis, the
+    gate's ClickKind and the measured bit (0 unless the kind is CLICK)."""
+
+    alice_bits: np.ndarray
+    alice_bases: np.ndarray
+    bob_bases: np.ndarray
+    kinds: np.ndarray
+    click_bits: np.ndarray
+
+
+def dense_quantum_phase(config, rand, eve_ledger=None):
+    """Every draw over every pulse, and every record n long."""
+    n = config.n_pulses
+    alice_bits = rand.split("alice_bits").bits(n)
+    alice_bases = rand.split("alice_bases").bits(n)
+    counts = sample_photon_counts(config.source, n, rand.split("source"))
+    ledger = eve_ledger if eve_ledger is not None else EveLedger()
+    counts, bits, bases = dense_intercept_batch(
+        counts, alice_bits, alice_bases, config.eve, ledger,
+        rand.split("eve"))
+    counts = dense_transmit_counts(counts, config.channel,
+                                   rand.split("channel"))
+    bob_bases = rand.split("bob_bases").bits(n)
+    kinds, click_bits = dense_measure_batch(
+        counts, bits, bases, bob_bases, config.detectors,
+        config.channel.excess_flip_prob, rand.split("detector"))
+    if config.double_click_random:
+        doubles = kinds == int(ClickKind.DOUBLE_CLICK)
+        n_doubles = int(doubles.sum())
+        if n_doubles:
+            click_bits[doubles] = rand.split("double_click").bits(n_doubles)
+            kinds[doubles] = int(ClickKind.CLICK)
+    return DenseRecords(alice_bits, alice_bases, bob_bases, kinds,
+                        click_bits)
 
 
 # -- unpacked relay ------------------------------------------------------------

@@ -133,8 +133,9 @@ def test_criterion_06_photon_number_splitting_signature(capsys):
         # No disturbance at all...
         assert float(np.mean(sifted.alice_bits != sifted.bob_bits)) == 0.0
         # ...yet Eve holds P(n>=2 | n>=1) = 0.229 of the key at mu = 0.5.
-        known = finalize_knowledge(ledger, records.alice_bases,
-                                   sifted.source_indices)
+        known = finalize_knowledge(
+            ledger, records.alice_bases_at(sifted.source_indices),
+            sifted.source_indices)
         mu = 0.5
         want = (1 - math.exp(-mu) - mu * math.exp(-mu)) \
             / (1 - math.exp(-mu))

@@ -7,7 +7,10 @@ multiphoton-split oracle: Eve knows P(n>=2)/P(n>=1) of the sifted key and
 introduces no errors at all. The ledger's one knowledge rule is also
 checked, as a hypothesis property, against the per-pulse dict ledger and
 two-loop rule it replaced, and the kernel, which works only at the
-pulses Eve touches, against the dense kernel it replaced.
+pulses Eve touches, against the dense kernel it replaced. The kernel
+takes Alice's bits and bases packed, changes the counts in place and
+returns Eve's resent encoding only at the pulses she resent;
+:func:`forwarded` spreads it back over every pulse.
 """
 
 import math
@@ -40,6 +43,25 @@ def ideal_config(n_pulses, eve, seed=0, source=None):
     )
 
 
+def forwarded(bits, resent, values):
+    """The n-long bits or bases the channel carries: Alice's, with
+    Eve's values at the pulses she resent."""
+    out = np.array(bits, np.uint8)
+    out[resent] = values
+    return out
+
+
+def alice_bits_at(records, pulses):
+    """Alice's bits at clicked pulses."""
+    return records.alice_bits[np.searchsorted(records.indices, pulses)]
+
+
+def known_bits(ledger, records, sifted):
+    return finalize_knowledge(
+        ledger, records.alice_bases_at(sifted.source_indices),
+        sifted.source_indices)
+
+
 def quantum_round(config):
     rand = RandomSource(config.seed)
     ledger = EveLedger()
@@ -69,12 +91,14 @@ class TestNoAttack:
     def test_identity_and_empty_ledger(self):
         rand = RandomSource(1)
         counts = rand.poisson(0.5, 100).astype(np.int64)
+        before = counts.copy()
         bits, bases = rand.bits(100), rand.bits(100)
         ledger = EveLedger()
-        out = intercept_batch(counts, bits, bases, NoAttack(), ledger, rand)
-        assert np.array_equal(out[0], counts)
-        assert np.array_equal(out[1], bits)
-        assert np.array_equal(out[2], bases)
+        out = intercept_batch(counts, np.packbits(bits), np.packbits(bases),
+                              NoAttack(), ledger, rand)
+        assert out[0] is counts and np.array_equal(out[0], before)
+        assert np.array_equal(forwarded(bits, out[1], out[2]), bits)
+        assert np.array_equal(forwarded(bases, out[1], out[3]), bases)
         assert ledger.stored.shape == ledger.measured.shape == (0, 3)
 
 
@@ -96,9 +120,9 @@ class TestInterceptResend:
         rand = RandomSource(2)
         counts = np.full(1000, 3, dtype=np.int64)
         bits, bases = rand.bits(1000), rand.bits(1000)
-        out_counts, _, _ = intercept_batch(counts, bits, bases,
-                                           InterceptResend(1.0), EveLedger(),
-                                           rand)
+        out_counts = intercept_batch(counts, np.packbits(bits),
+                                     np.packbits(bases), InterceptResend(1.0),
+                                     EveLedger(), rand)[0]
         assert np.all(out_counts == 1)
 
     def test_skips_empty_pulses(self):
@@ -106,11 +130,12 @@ class TestInterceptResend:
         counts = np.zeros(500, dtype=np.int64)
         bits, bases = rand.bits(500), rand.bits(500)
         ledger = EveLedger()
-        out_counts, out_bits, out_bases = intercept_batch(
-            counts, bits, bases, InterceptResend(1.0), ledger, rand)
+        out_counts, resent, eve_bits, eve_bases = intercept_batch(
+            counts, np.packbits(bits), np.packbits(bases),
+            InterceptResend(1.0), ledger, rand)
         assert np.all(out_counts == 0)
-        assert np.array_equal(out_bits, bits)
-        assert np.array_equal(out_bases, bases)
+        assert np.array_equal(forwarded(bits, resent, eve_bits), bits)
+        assert np.array_equal(forwarded(bases, resent, eve_bases), bases)
         assert len(ledger.measured) == 0
 
     def test_matching_guess_reads_alice_bit(self):
@@ -121,8 +146,11 @@ class TestInterceptResend:
         counts = np.ones(n, dtype=np.int64)
         bits, bases = rand.bits(n), rand.bits(n)
         ledger = EveLedger()
-        out_counts, out_bits, out_bases = intercept_batch(
-            counts, bits, bases, InterceptResend(1.0), ledger, rand)
+        _, resent, eve_bits, eve_bases = intercept_batch(
+            counts, np.packbits(bits), np.packbits(bases),
+            InterceptResend(1.0), ledger, rand)
+        out_bits = forwarded(bits, resent, eve_bits)
+        out_bases = forwarded(bases, resent, eve_bases)
         assert len(ledger.measured) == n
         idx, bit, guess = ledger.measured.T
         assert np.array_equal(idx, np.arange(n))
@@ -137,8 +165,7 @@ class TestInterceptResend:
         # positions, and only those become known bits.
         config = ideal_config(100_000, InterceptResend(1.0), seed=103)
         records, ledger, sifted = quantum_round(config)
-        known = finalize_knowledge(ledger, records.alice_bases,
-                                   sifted.source_indices)
+        known = known_bits(ledger, records, sifted)
         frac = eve_information(known, sifted)
         assert abs(frac - 0.5) < 0.01
 
@@ -154,12 +181,12 @@ class TestPhotonNumberSplit:
         bits = np.array([0, 1, 1, 0], dtype=np.uint8)
         bases = np.array([0, 0, 1, 1], dtype=np.uint8)
         ledger = EveLedger()
-        out_counts, out_bits, out_bases = intercept_batch(
-            counts, bits, bases, PhotonNumberSplit(), ledger,
-            RandomSource(5))
+        out_counts, resent, eve_bits, eve_bases = intercept_batch(
+            counts, np.packbits(bits), np.packbits(bases),
+            PhotonNumberSplit(), ledger, RandomSource(5))
         assert np.array_equal(out_counts, [0, 1, 1, 4])
-        assert np.array_equal(out_bits, bits)
-        assert np.array_equal(out_bases, bases)
+        assert np.array_equal(forwarded(bits, resent, eve_bits), bits)
+        assert np.array_equal(forwarded(bases, resent, eve_bases), bases)
         assert ledger.stored.dtype == np.int64
         assert np.array_equal(ledger.stored, [[2, 1, Basis.DIAGONAL],
                                               [3, 0, Basis.DIAGONAL]])
@@ -183,8 +210,7 @@ class TestPhotonNumberSplit:
         config = ideal_config(300_000, PhotonNumberSplit(), seed=106,
                               source=SourceModel(mu))
         records, ledger, sifted = quantum_round(config)
-        known = finalize_knowledge(ledger, records.alice_bases,
-                                   sifted.source_indices)
+        known = known_bits(ledger, records, sifted)
         assert abs(eve_information(known, sifted) - want) < tol
 
     def test_stored_photons_read_alice_bit_with_certainty(self):
@@ -192,10 +218,10 @@ class TestPhotonNumberSplit:
         config = ideal_config(100_000, PhotonNumberSplit(), seed=107,
                               source=SourceModel(0.5))
         records, ledger, sifted = quantum_round(config)
-        known = finalize_knowledge(ledger, records.alice_bases,
-                                   sifted.source_indices)
+        known = known_bits(ledger, records, sifted)
         assert len(known) > 0
-        assert np.array_equal(known[:, 1], records.alice_bits[known[:, 0]])
+        assert np.array_equal(known[:, 1],
+                              alice_bits_at(records, known[:, 0]))
 
 
 class TestKnowledge:
@@ -207,17 +233,15 @@ class TestKnowledge:
                           (109, InterceptResend(0.4))]:
             config = ideal_config(40_000, eve, seed=seed)
             records, ledger, sifted = quantum_round(config)
-            known = finalize_knowledge(ledger, records.alice_bases,
-                                       sifted.source_indices)
+            known = known_bits(ledger, records, sifted)
             assert len(known) > 0
             assert np.array_equal(known[:, 1],
-                                  records.alice_bits[known[:, 0]])
+                                  alice_bits_at(records, known[:, 0]))
 
     def test_known_bits_restricted_to_sifted(self):
         config = ideal_config(20_000, InterceptResend(1.0), seed=110)
         records, ledger, sifted = quantum_round(config)
-        known = finalize_knowledge(ledger, records.alice_bases,
-                                   sifted.source_indices)
+        known = known_bits(ledger, records, sifted)
         assert len(known) > 0
         assert np.isin(known[:, 0], sifted.source_indices).all()
         assert np.all(np.diff(known[:, 0]) > 0)  # index order, no repeats
@@ -225,10 +249,8 @@ class TestKnowledge:
     def test_finalize_idempotent(self):
         config = ideal_config(20_000, InterceptResend(1.0), seed=111)
         records, ledger, sifted = quantum_round(config)
-        first = finalize_knowledge(ledger, records.alice_bases,
-                                   sifted.source_indices)
-        second = finalize_knowledge(ledger, records.alice_bases,
-                                    sifted.source_indices)
+        first = known_bits(ledger, records, sifted)
+        second = known_bits(ledger, records, sifted)
         assert first.shape[1] == 2 and len(first) > 0
         assert np.array_equal(first, second)
         assert np.array_equal(second, ledger.known_bits)
@@ -249,19 +271,25 @@ class TestKnowledge:
 class TestScalarDelegate:
     def test_intercept_pns_pulse(self):
         ledger = EveLedger()
-        counts, bits, bases = intercept_batch(
-            np.array([2]), np.array([1], np.uint8),
-            np.array([Basis.DIAGONAL], np.uint8), PhotonNumberSplit(),
-            ledger, RandomSource(6))
-        assert (list(counts), list(bits), list(bases)) == \
+        bits, bases = np.array([1], np.uint8), np.array([Basis.DIAGONAL],
+                                                        np.uint8)
+        counts, resent, eve_bits, eve_bases = intercept_batch(
+            np.array([2]), np.packbits(bits), np.packbits(bases),
+            PhotonNumberSplit(), ledger, RandomSource(6))
+        assert (list(counts), list(forwarded(bits, resent, eve_bits)),
+                list(forwarded(bases, resent, eve_bases))) == \
             ([1], [1], [Basis.DIAGONAL])
         assert np.array_equal(ledger.stored, [[0, 1, Basis.DIAGONAL]])
 
     def test_intercept_noattack_pulse(self):
         pulse = (np.array([1]), np.array([0], np.uint8),
                  np.array([Basis.RECTILINEAR], np.uint8))
-        out = intercept_batch(*pulse, NoAttack(), EveLedger(),
-                              RandomSource(7))
+        counts, bits, bases = (p.copy() for p in pulse)
+        out_counts, resent, eve_bits, eve_bases = intercept_batch(
+            counts, np.packbits(bits), np.packbits(bases), NoAttack(),
+            EveLedger(), RandomSource(7))
+        out = (out_counts, forwarded(bits, resent, eve_bits),
+               forwarded(bases, resent, eve_bases))
         assert all(np.array_equal(o, p) for o, p in zip(out, pulse))
 
 
@@ -270,7 +298,8 @@ def test_ledger_appends_across_batches():
     rand = RandomSource(8)
     counts = np.full(10, 2, dtype=np.int64)
     bits, bases = rand.bits(10), rand.bits(10)
-    intercept_batch(counts, bits, bases, PhotonNumberSplit(), ledger, rand)
+    intercept_batch(counts, np.packbits(bits), np.packbits(bases),
+                    PhotonNumberSplit(), ledger, rand)
     ledger.record_stored(np.arange(10, 20), bits, bases)
     assert np.array_equal(ledger.stored[:, 0], np.arange(20))
     assert np.array_equal(ledger.stored[:, 1:], np.tile(
@@ -306,14 +335,15 @@ def test_intercept_batch_deterministic():
         counts = np.ones(1000, dtype=np.int64)
         bits, bases = rand.bits(1000), rand.bits(1000)
         ledger = EveLedger()
-        out = intercept_batch(counts, bits, bases, InterceptResend(0.7),
-                              ledger, rand)
+        out = intercept_batch(counts, np.packbits(bits), np.packbits(bases),
+                              InterceptResend(0.7), ledger, rand)
         return out, ledger.measured
 
-    (c1, b1, a1), m1 = run()
-    (c2, b2, a2), m2 = run()
+    (c1, r1, b1, a1), m1 = run()
+    (c2, r2, b2, a2), m2 = run()
     assert np.array_equal(c1, c2) and np.array_equal(b1, b2)
     assert np.array_equal(a1, a2) and np.array_equal(m1, m2)
+    assert np.array_equal(r1, r2)
 
 
 # -- the ledger against the per-pulse dict ledger it replaced ----------------
@@ -382,8 +412,8 @@ class TestLedgerMatchesPerPulseRule:
         strategy, counts, bits, bases, sifted, seed = case
         bits, bases = bits.astype(np.uint8), bases.astype(np.uint8)
         ledger = EveLedger()
-        intercept_batch(counts, bits, bases, strategy, ledger,
-                        RandomSource(seed))
+        intercept_batch(counts.copy(), np.packbits(bits), np.packbits(bases),
+                        strategy, ledger, RandomSource(seed))
         stored, measured = reference_ledger(counts, bits, bases, strategy,
                                             seed)
         assert np.array_equal(ledger.stored.reshape(-1, 3),
@@ -391,7 +421,7 @@ class TestLedgerMatchesPerPulseRule:
         assert np.array_equal(ledger.measured.reshape(-1, 3),
                               as_rows(measured).reshape(-1, 3))
 
-        known = finalize_knowledge(ledger, bases, sifted)
+        known = finalize_knowledge(ledger, bases[sifted], sifted)
         want = reference_knowledge(stored, measured, bases, sifted)
         assert known.dtype == np.int64 and known.shape == (len(want), 2)
         assert np.array_equal(known, as_rows(want).reshape(-1, 2))
@@ -427,15 +457,24 @@ class TestInterceptMatchesDense:
         before = [a.copy() for a in (counts, bits, bases)]
         ledger, ref_ledger = EveLedger(), EveLedger()
         rand, ref = RandomSource(seed), RandomSource(seed)
-        got = intercept_batch(counts, bits, bases, strategy, ledger, rand)
         want = dense_intercept_batch(counts, bits, bases, strategy,
                                      ref_ledger, ref)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+        out_counts, resent, eve_bits, eve_bases = intercept_batch(
+            counts, np.packbits(bits), np.packbits(bases), strategy, ledger,
+            rand)
+        # the counts change in place, in their own dtype
+        assert out_counts is counts and out_counts.dtype == want[0].dtype
+        assert np.array_equal(out_counts, want[0])
+        for got, w in ((forwarded(bits, resent, eve_bits), want[1]),
+                       (forwarded(bases, resent, eve_bases), want[2])):
+            assert got.dtype == w.dtype and np.array_equal(got, w)
+        # Eve's encoding comes back exactly where she resent
+        assert resent.dtype == np.int64
+        assert np.array_equal(resent, ledger.measured[:, 0])
         for rows in ("stored", "measured"):
             g, w = getattr(ledger, rows), getattr(ref_ledger, rows)
             assert g.dtype == w.dtype and np.array_equal(g, w)
         assert rand.generator.bit_generator.state \
             == ref.generator.bit_generator.state
         assert all(np.array_equal(a, b)
-                   for a, b in zip((counts, bits, bases), before))
+                   for a, b in zip((bits, bases), before[1:]))

@@ -30,7 +30,7 @@ from qkdsim.photonics import (MAX_MU, DetectorPair, FiberChannel,
                               SourceModel)
 from qkdsim.postprocess import (AttackModel, CorrectionResult,
                                 ReconciliationFailure)
-from qkdsim.protocol import SessionConfig, SessionOutcome
+from qkdsim.protocol import MAX_PULSES, SessionConfig, SessionOutcome
 
 FAST_RUN = ["--pulses", "20000", "--distance-km", "0", "--efficiency", "1.0",
             "--dark", "0", "--flip", "0", "--mu", "0.5", "--seed", "7"]
@@ -606,6 +606,67 @@ def test_bad_parameter_exits_one(command, config, flags, key, tmp_path,
     assert not out_csv.exists()
 
 
+# Counts are bounded above by the ">u4" wire format of messages 1 and 2:
+# one past the bound, and numbers far beyond memory that used to end in
+# numpy's "Maximum allowed dimension exceeded" or a MemoryError, exit 1
+# with the rule's message by every route a count comes in.
+OVER = [MAX_PULSES + 1, 10**20]
+
+
+@pytest.mark.parametrize("value", OVER)
+@pytest.mark.parametrize("key", ["pulses", "auth_pool_bits"])
+def test_count_over_its_bound_flag_exits_one(key, value, capsys):
+    flag = "--" + key.replace("_", "-")
+    code, _, err = run_main(["run", flag, str(value)], capsys)
+    assert code == EXIT_USAGE and "Traceback" not in err
+    assert f'"{key}" must be {PARAM_RULES[key].wording}, got {str(value)!r}' \
+        in err
+
+
+@pytest.mark.parametrize("value", [*OVER, 1e19, 9.2e18])
+@pytest.mark.parametrize("key", ["pulses", "auth_pool_bits"])
+def test_count_over_its_bound_config_exits_one(key, value, tmp_path,
+                                               capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value}))
+    code, _, err = run_main(["run", "--config", str(path)], capsys)
+    assert code == EXIT_USAGE and "Traceback" not in err
+    assert f'"{key}" must be {PARAM_RULES[key].wording}' in err
+
+
+@pytest.mark.parametrize("value", OVER)
+@pytest.mark.parametrize("change, key", [
+    (lambda v: dict(AB, links=[{"a": "A", "b": "B",
+                                "session": {"pulses": v}}]), "pulses"),
+    (lambda v: dict(AB, links=[{"a": "A", "b": "B",
+                                "session": {"auth_pool_bits": v}}]),
+     "auth_pool_bits"),
+    (lambda v: dict(AB, links=[dict(AB["links"][0], auth_pool_bits=v)]),
+     "auth_pool_bits"),
+    (lambda v: dict(AB, links=[{"a": "A", "b": "B",
+                                "stub": {"seed": 1, "bits": v}}]), "bits"),
+    (lambda v: dict(AB, relays=[{"path": ["A", "B"], "key_len": v}]),
+     "key_len"),
+], ids=["session-pulses", "session-auth_pool_bits", "link-auth_pool_bits",
+        "stub-bits", "relay-key_len"])
+def test_count_over_its_bound_scenario_exits_one(change, key, value,
+                                                 tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(change(value)))
+    code, _, err = run_main(["network", str(path)], capsys)
+    assert code == EXIT_USAGE and "Traceback" not in err
+    assert f'"{key}" must be {PARAM_RULES[key].wording}, got {value}' in err
+
+
+def test_counts_at_their_bound_pass_the_rules():
+    # 2^32 pulses put positions 0 .. 2^32 - 1 on the wire, which ">u4"
+    # holds; the bit counts share the bound
+    assert PARAM_RULES["pulses"] is SessionConfig.RULES["n_pulses"]
+    for key in ("pulses", "auth_pool_bits", "bits", "key_len"):
+        assert PARAM_RULES[key].check(key, MAX_PULSES) == MAX_PULSES
+    assert np.array([MAX_PULSES - 1]).astype(">u4")[0] == MAX_PULSES - 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (["run", "--pulses", "abc"], '"pulses" must be an integer >= 1'),
     (["run", "--bogus", "1"], "--bogus"),
@@ -696,13 +757,16 @@ VALID = {SessionConfig: SessionConfig(2000, SourceModel(0.1),
          InterceptResend: InterceptResend(0.5)}
 TINY = math.nextafter(0.0, -1.0)  # the negative number closest to 0
 # The values just outside each end of each range, by field
-OUTSIDE = {"n_pulses": [0], "mu": [TINY, math.nextafter(MAX_MU, math.inf)],
+OUTSIDE = {"n_pulses": [0, MAX_PULSES + 1],
+           "mu": [TINY, math.nextafter(MAX_MU, math.inf)],
            "length_km": [TINY], "attenuation_db_per_km": [TINY],
            "excess_flip_prob": [TINY, math.nextafter(0.5, 1.0)],
            "efficiency": [TINY, math.nextafter(1.0, 2.0)],
            "dark_count_prob": [TINY, 1.0], "sample_fraction": [0.0, 1.0],
-           "security_margin_bits": [-1], "auth_pool_bits": [-1],
-           "seed": [], "n_bits": [-1], "fraction": [TINY, 1.5]}
+           "security_margin_bits": [-1],
+           "auth_pool_bits": [-1, MAX_PULSES + 1],
+           "seed": [], "n_bits": [-1, MAX_PULSES + 1],
+           "fraction": [TINY, 1.5]}
 
 
 def cli_rule(key):

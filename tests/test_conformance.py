@@ -26,7 +26,9 @@ Eve holds is
 
     sum_{n>=2} P(n) P(click | n - 1) / sum_n P(n) P(click | m(n)),
 
-with m(n) = n - 1 for n >= 2 and n otherwise, P(n) Poisson(mu). The seeds and the 4-sigma binomial bounds were fixed once, on
+with m(n) = n - 1 for n >= 2 and n otherwise, P(n) Poisson(mu).
+
+The seeds and the 4-sigma binomial bounds were fixed once, on
 the dense per-pulse kernel, and stay fixed through any change to the
 quantum phase's stream layout: a failure then is a finding, not a
 reason to re-seed. 4 sigma keeps the chance that a correct kernel fails

@@ -16,8 +16,8 @@ from qkdsim.netsim import (KeyStore, LengthMismatch, Link, Network, Node,
                            RelayTranscript, SessionAborted, StubKeySource,
                            combine_keys, provision_link, relay_key)
 from qkdsim.photonics import ConstantSource, DetectorPair, FiberChannel
-from qkdsim.protocol import SessionConfig
-from qkdsim.rng import COUNT, RandomSource
+from qkdsim.protocol import BITS, SessionConfig
+from qkdsim.rng import RandomSource
 
 from reference_kernels import unpacked_relay_key
 
@@ -299,7 +299,7 @@ class TestRelay:
         with pytest.raises(ValueError) as exc_info:
             net.relay(["A", "B"], -8, RandomSource(1))
         assert str(exc_info.value) \
-            == f"key_len must be {COUNT.wording}, got -8"
+            == f"key_len must be {BITS.wording}, got -8"
 
     @pytest.mark.parametrize("key_len", [0, np.int64(12)])
     def test_zero_and_numpy_key_len_accepted(self, key_len):

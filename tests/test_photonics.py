@@ -26,6 +26,27 @@ from reference_kernels import (dense_intercept_batch, dense_measure_batch,
                                dense_transmit_counts)
 
 
+def measure(photon_counts, bits, bases, bob_bases, detectors, flip_prob,
+            rand):
+    """measure_batch on unpacked bits and bases, its per-click outputs
+    spread back over every gate: (kinds, click_bits), 0 where no
+    detector fired. Checks the per-click contract on the way."""
+    kinds, click_bits, indices = measure_batch(
+        photon_counts, *(np.packbits(np.asarray(a, np.uint8))
+                         for a in (bits, bases, bob_bases)),
+        detectors, flip_prob, rand)
+    assert kinds.dtype == click_bits.dtype == np.uint8
+    assert indices.dtype == np.int64
+    assert len(kinds) == len(click_bits) == len(indices)
+    assert np.all(np.diff(indices) > 0) and np.all(kinds > 0)
+    assert np.all(click_bits[kinds != ClickKind.CLICK] == 0)
+    n = len(photon_counts)
+    assert len(indices) == 0 or 0 <= indices[0] <= indices[-1] < n
+    all_kinds, all_bits = np.zeros(n, np.uint8), np.zeros(n, np.uint8)
+    all_kinds[indices], all_bits[indices] = kinds, click_bits
+    return all_kinds, all_bits
+
+
 class TestTypes:
     def test_basis_values(self):
         assert int(Basis.RECTILINEAR) == 0
@@ -83,7 +104,7 @@ class TestTypes:
         # single click carries a bit. Forty photons in the wrong basis
         # reach both detectors (all in one has probability 2^-39).
         assert [int(k) for k in ClickKind] == [0, 1, 2]
-        kinds, click_bits = measure_batch(
+        kinds, click_bits = measure(
             np.array([0, 1, 40]), np.array([1, 1, 1], np.uint8),
             np.array([0, 0, 0], np.uint8), np.array([0, 0, 1], np.uint8),
             DetectorPair(1.0, 0.0), 0.0, RandomSource(1))
@@ -213,7 +234,7 @@ class TestMeasurement:
         rand = RandomSource(7)
         bits = rand.bits(n)
         bases = rand.bits(n)
-        kinds, click_bits = measure_batch(
+        kinds, click_bits = measure(
             np.ones(n, dtype=np.int64), bits, bases, bases.copy(),
             DetectorPair(1.0, 0.0), 0.0, rand)
         assert np.all(kinds == int(ClickKind.CLICK))
@@ -225,7 +246,7 @@ class TestMeasurement:
         bits = rand.bits(n)
         bases = np.zeros(n, dtype=np.uint8)
         bob = np.ones(n, dtype=np.uint8)
-        kinds, click_bits = measure_batch(
+        kinds, click_bits = measure(
             np.ones(n, dtype=np.int64), bits, bases, bob,
             DetectorPair(1.0, 0.0), 0.0, rand)
         assert np.all(kinds == int(ClickKind.CLICK))
@@ -237,7 +258,7 @@ class TestMeasurement:
         n = 10**5
         rand = RandomSource(9)
         bits = rand.bits(n)
-        kinds, click_bits = measure_batch(
+        kinds, click_bits = measure(
             np.ones(n, dtype=np.int64), bits, np.zeros(n, np.uint8),
             np.ones(n, np.uint8), DetectorPair(1.0, 0.0), 0.0, rand)
         corr = np.corrcoef(bits, click_bits)[0, 1]
@@ -249,7 +270,7 @@ class TestMeasurement:
         # at 10^7 gates.
         n, d = 10**7, 1e-3
         rand = RandomSource(10)
-        kinds, _ = measure_batch(
+        kinds, _ = measure(
             np.zeros(n, dtype=np.int64), np.zeros(n, np.uint8),
             np.zeros(n, np.uint8), np.zeros(n, np.uint8),
             DetectorPair(1.0, d), 0.0, rand)
@@ -267,7 +288,7 @@ class TestMeasurement:
         rand = RandomSource(11)
         bits = rand.bits(n)
         bases = rand.bits(n)
-        kinds, click_bits = measure_batch(
+        kinds, click_bits = measure(
             np.ones(n, dtype=np.int64), bits, bases, bases.copy(),
             DetectorPair(1.0, 0.0), 0.1, rand)
         assert abs((click_bits != bits).mean() - 0.1) < 0.01
@@ -291,14 +312,14 @@ class TestMeasurement:
 
     def test_scalar_measure_ideal(self):
         diagonal = np.array([Basis.DIAGONAL], np.uint8)
-        kinds, click_bits = measure_batch(
+        kinds, click_bits = measure(
             np.array([1]), np.array([1], np.uint8), diagonal, diagonal,
             DetectorPair(1.0, 0.0), 0.0, RandomSource(1))
         assert list(kinds) == [ClickKind.CLICK] and list(click_bits) == [1]
 
     def test_scalar_measure_no_photons_no_darks(self):
         rectilinear = np.array([Basis.RECTILINEAR], np.uint8)
-        kinds, click_bits = measure_batch(
+        kinds, click_bits = measure(
             np.array([0]), np.array([0], np.uint8), rectilinear, rectilinear,
             DetectorPair(1.0, 0.0), 0.0, RandomSource(1))
         assert list(kinds) == [ClickKind.NO_CLICK]
@@ -307,7 +328,7 @@ class TestMeasurement:
     def test_zero_efficiency_never_detects(self):
         n = 10_000
         rand = RandomSource(12)
-        kinds, _ = measure_batch(
+        kinds, _ = measure(
             np.full(n, 5, dtype=np.int64), np.ones(n, np.uint8),
             np.zeros(n, np.uint8), np.zeros(n, np.uint8),
             DetectorPair(0.0, 0.0), 0.0, rand)
@@ -370,8 +391,8 @@ def test_draws_in_chunks_equal_one_draw(name):
         and whole.bit_generator.state == chunked.bit_generator.state, (
             f"numpy {np.__version__} draws {name} differently in chunks: "
             "sample_photon_counts, transmit_counts and "
-            "RandomSource.bernoulli, which draw DRAW_CHUNK values at a "
-            "time, no longer reproduce the one-call stream")
+            "RandomSource.bernoulli_indices, which draw DRAW_CHUNK values "
+            "at a time, no longer reproduce the one-call stream")
 
 
 # Counts with many zeros (at zero_frac 1 every pulse is vacuum), one byte
@@ -394,7 +415,9 @@ class TestSparseKernels:
     """The kernels draw physics only at photon-carrying pulses; the
     dense references draw it at every pulse. Outputs, dtypes and the
     stream state afterwards must be equal, and no input may change. The
-    kernels keep the counts' dtype where the references widen them."""
+    kernels keep the counts' dtype where the references widen them.
+    measure_batch reports only the gates that clicked: spread back over
+    every gate, its outputs equal the reference's."""
 
     @given(**sparse_counts,
            efficiency=st.one_of(st.sampled_from([0.0, 1.0]),
@@ -418,7 +441,7 @@ class TestSparseKernels:
         detectors = DetectorPair(efficiency, dark)
         ref, rand = RandomSource(seed), RandomSource(seed)
         want = dense_measure_batch(*inputs, detectors, flip, ref)
-        got = measure_batch(*inputs, detectors, flip, rand)
+        got = measure(*inputs, detectors, flip, rand)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
         assert rand.generator.bit_generator.state \
@@ -464,7 +487,8 @@ class TestWideCounts:
         gen = np.random.default_rng(32)
         bits, bases, bob_bases = (gen.integers(0, 2, n, dtype=np.uint8)
                                   for _ in range(3))
-        counts = intercept_batch(counts, bits, bases, eve, EveLedger(),
+        counts = intercept_batch(counts, np.packbits(bits),
+                                 np.packbits(bases), eve, EveLedger(),
                                  RandomSource(1))[0]
         want = dense_intercept_batch(want, bits, bases, eve, EveLedger(),
                                      RandomSource(1))[0]
@@ -474,8 +498,8 @@ class TestWideCounts:
         assert counts.dtype == np.int64 and np.array_equal(counts, want)
         assert counts.max() > 255
         detectors = DetectorPair(0.5, 0.01)
-        got = measure_batch(counts, bits, bases, bob_bases, detectors, 0.1,
-                            RandomSource(3))
+        got = measure(counts, bits, bases, bob_bases, detectors, 0.1,
+                      RandomSource(3))
         want = dense_measure_batch(want, bits, bases, bob_bases, detectors,
                                    0.1, RandomSource(3))
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -500,9 +524,8 @@ class TestDeterminism:
                                      rand.split("chan"))
             bits = rand.split("bits").bits(1000)
             bases = rand.split("bases").bits(1000)
-            return measure_batch(counts, bits, bases, bases,
-                                 DetectorPair(0.5, 1e-4), 0.02,
-                                 rand.split("det"))
+            return measure(counts, bits, bases, bases,
+                           DetectorPair(0.5, 1e-4), 0.02, rand.split("det"))
 
         k1, b1 = run()
         k2, b2 = run()

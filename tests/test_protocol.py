@@ -2,7 +2,9 @@
 
 Click rates are checked against the compound closed form
 1 - exp(-mu * p_fiber * eta) * (1 - d)^2; the session report is checked
-against the bit-accounting identities it claims to satisfy.
+against the bit-accounting identities it claims to satisfy. The quantum
+phase's per-click records are checked against the dense per-pulse phase
+they replaced.
 """
 
 import math
@@ -10,8 +12,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from qkdsim.adversary import InterceptResend, NoAttack, PhotonNumberSplit
+from qkdsim.adversary import (EveLedger, InterceptResend, NoAttack,
+                              PhotonNumberSplit)
 from qkdsim.photonics import (ConstantSource, DetectorPair, FiberChannel,
                               SourceModel, survival_probability)
 from qkdsim.postprocess import (AttackModel, CorrectionResult,
@@ -21,7 +26,9 @@ from qkdsim.protocol import (FRACTION, MIN_RECONCILE_BITS, EmptySample,
                              PulseRecords, SessionConfig, SessionOutcome,
                              SiftedKeys, estimate_qber, run_quantum_phase,
                              run_session, sift)
-from qkdsim.rng import RandomSource
+from qkdsim.rng import DRAW_CHUNK, RandomSource
+
+from reference_kernels import dense_quantum_phase
 
 
 def ideal_config(n_pulses, seed, **kwargs):
@@ -76,6 +83,8 @@ class TestQuantumPhase:
     def test_ideal_setup_every_pulse_clicks(self):
         records = run_quantum_phase(ideal_config(5000, 401),
                                     RandomSource(401))
+        assert len(records) == 5000
+        assert np.array_equal(records.indices, np.arange(5000))
         assert np.all(records.kinds == 1)
 
     def test_deterministic(self):
@@ -84,8 +93,9 @@ class TestQuantumPhase:
                               detectors=DetectorPair(0.4, 1e-4))
         a = run_quantum_phase(config, RandomSource(config.seed))
         b = run_quantum_phase(config, RandomSource(config.seed))
-        for name in ("alice_bits", "alice_bases", "bob_bases", "kinds",
-                     "click_bits"):
+        assert a.n == b.n == 10_000
+        for name in ("indices", "alice_bits", "alice_bases", "bob_bases",
+                     "kinds", "click_bits"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_click_rate_compound_oracle(self):
@@ -98,7 +108,7 @@ class TestQuantumPhase:
         records = run_quantum_phase(config, RandomSource(config.seed))
         p = survival_probability(channel)
         want = 1.0 - math.exp(-mu * p * eff) * (1.0 - dark) ** 2
-        got = float((records.kinds != 0).mean())
+        got = int((records.kinds != 0).sum()) / len(records)
         assert abs(got - want) / want < 0.10
 
     def test_double_clicks_kept_when_configured(self):
@@ -123,12 +133,13 @@ class TestQuantumPhase:
     ], ids=["pns", "intercept-resend", "no-eve"])
     def test_memory_budget_per_pulse(self, mu, km, eve):
         # tracemalloc's peak counts the bytes numpy and Python hold, so
-        # unlike peak RSS it does not move with the heap's layout. Five
-        # one-byte records plus one-byte counts, bool masks and the
-        # chunk-sized draws fit in 13 B/pulse, when the detector's int64
-        # arrays over lit pulses are freed before its two dark-count
-        # masks are drawn and the outputs are views of those masks; int64
-        # counts or an n-long float64 draw do not fit.
+        # unlike peak RSS it does not move with the heap's layout. The
+        # one-byte counts (two while the channel thins them), three
+        # packed bit arrays, Eve's ledger (24 B per split pulse, about
+        # 9% of pulses at mu 0.5), the chunk-sized draws and the
+        # detector's arrays over lit pulses fit in 6 B/pulse; a second
+        # n-long byte array, int64 counts or an n-long float64 draw do
+        # not. The records returned hold about 13 B per click.
         n = 200_000
         config = ideal_config(n, 406, source=SourceModel(mu),
                               channel=FiberChannel(km), eve=eve)
@@ -139,40 +150,119 @@ class TestQuantumPhase:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             records = run_quantum_phase(config, RandomSource(config.seed))
-            peak = tracemalloc.get_traced_memory()[1] - base
+            held, peak = (m - base for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
         assert len(records) == n
-        assert peak / n <= 13, f"{peak / n:.1f} B/pulse"
+        assert peak / n <= 6, f"{peak / n:.1f} B/pulse"
+        # what the phase leaves behind is its records, O(clicks)
+        clicks = len(records.kinds)
+        assert 0 < clicks < n / 10
+        assert held <= 13 * clicks + 4096, f"{held / clicks:.1f} B/click"
+
+    @pytest.mark.parametrize("eve", [NoAttack(), PhotonNumberSplit(),
+                                     InterceptResend(0.5)], ids=repr)
+    def test_records_hold_bytes_per_click(self, eve):
+        # One int64 index and five one-byte fields per clicked gate, and
+        # no array n long.
+        config = ideal_config(300_000, 409, source=SourceModel(0.1),
+                              channel=FiberChannel(50.0),
+                              detectors=DetectorPair(0.1, 1e-5), eve=eve)
+        records = run_quantum_phase(config, RandomSource(config.seed))
+        arrays = [records.indices, records.alice_bits, records.alice_bases,
+                  records.bob_bases, records.kinds, records.click_bits]
+        clicks = len(records.kinds)
+        assert 0 < clicks < len(records) / 100
+        assert all(len(a) == clicks for a in arrays)
+        assert sum(a.nbytes for a in arrays) == 13 * clicks
+
+
+class TestPerClickRecordsMatchDense:
+    """The phase keeps only the gates that clicked; the dense phase it
+    replaced kept every pulse. At every gate that clicked the records
+    must agree, there must be no other entry, and Eve's ledger must hold
+    the same rows: the same draws, in the same order and number."""
+
+    @given(n=st.one_of(st.integers(1, 7), st.integers(8, 3000)),
+           mu=st.one_of(st.sampled_from([0.0, 0.1, 0.5]),
+                        st.floats(0.0, 3.0)),
+           km=st.one_of(st.sampled_from([0.0, 50.0]), st.floats(0.0, 100.0)),
+           efficiency=st.one_of(st.sampled_from([0.0, 1.0]),
+                                st.floats(0.0, 1.0)),
+           dark=st.one_of(st.just(0.0), st.floats(0.0, 1e-2)),
+           flip=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+           eve=st.one_of(st.just(NoAttack()), st.just(PhotonNumberSplit()),
+                         st.floats(0.0, 1.0).map(InterceptResend)),
+           double_click_random=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=3 * DRAW_CHUNK + 5, mu=0.5, km=10.0, efficiency=0.3,
+             dark=1e-2, flip=0.05, eve=InterceptResend(0.4),
+             double_click_random=False, seed=3)
+    @example(n=2 * DRAW_CHUNK - 1, mu=1.5, km=0.0, efficiency=1.0,
+             dark=1e-3, flip=0.0, eve=PhotonNumberSplit(),
+             double_click_random=True, seed=4)
+    @example(n=DRAW_CHUNK + 3, mu=0.1, km=25.0, efficiency=0.1, dark=1e-4,
+             flip=0.01, eve=NoAttack(), double_click_random=True, seed=5)
+    # past one chunk of packed bits, 8 * DRAW_CHUNK pulses
+    @example(n=8 * DRAW_CHUNK + 9, mu=0.3, km=5.0, efficiency=0.5,
+             dark=1e-3, flip=0.02, eve=InterceptResend(0.1),
+             double_click_random=True, seed=6)
+    def test_records_and_ledger_match_dense(self, n, mu, km, efficiency,
+                                            dark, flip, eve,
+                                            double_click_random, seed):
+        config = SessionConfig(n, SourceModel(mu), FiberChannel(km, 0.2, flip),
+                               DetectorPair(efficiency, dark), seed, eve=eve,
+                               double_click_random=double_click_random)
+        ledger, dense_ledger = EveLedger(), EveLedger()
+        records = run_quantum_phase(config, RandomSource(seed), ledger)
+        dense = dense_quantum_phase(config, RandomSource(seed), dense_ledger)
+        assert len(records) == n
+        clicked = np.flatnonzero(dense.kinds)
+        assert records.indices.dtype == np.int64
+        assert np.array_equal(records.indices, clicked)
+        for name in DENSE_FIELDS:
+            got, want = getattr(records, name), getattr(dense, name)[clicked]
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for rows in ("stored", "measured"):
+            got, want = getattr(ledger, rows), getattr(dense_ledger, rows)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+DENSE_FIELDS = ("alice_bits", "alice_bases", "bob_bases", "kinds",
+                "click_bits")
 
 
 class TestPulseRecords:
     def make(self):
+        # three pulses: 0 clicked, 1 did not, 2 double-clicked
         return PulseRecords(
-            np.array([0, 1, 1], np.uint8), np.array([0, 1, 0], np.uint8),
-            np.array([0, 1, 1], np.uint8), np.array([1, 0, 2], np.uint8),
-            np.array([1, 0, 0], np.uint8))
+            3, np.array([0, 2]), np.array([0, 1], np.uint8),
+            np.array([0, 0], np.uint8), np.array([0, 1], np.uint8),
+            np.array([1, 2], np.uint8), np.array([1, 0], np.uint8))
 
     def test_indexing(self):
         records = self.make()
         assert len(records) == 3
         assert records.alice_bits[0] == 0
         assert records.kinds[0] == 1 and records.click_bits[0] == 1
-        assert records.kinds[1] == 0 and records.kinds[2] == 2
+        assert 1 not in records.indices and records.kinds[1] == 2
+        assert list(records.alice_bases_at(np.array([2]))) == [0]
 
 
 class TestSift:
     def test_empty_input(self):
-        assert len(sift(PulseRecords(*(np.zeros(0, np.uint8)
+        assert len(sift(PulseRecords(0, np.zeros(0, np.int64),
+                                     *(np.zeros(0, np.uint8)
                                        for _ in range(5))))) == 0
 
     def test_keeps_only_matched_clicks(self):
         records = PulseRecords(
-            np.array([1, 1, 1, 1], np.uint8),
-            np.array([0, 0, 1, 1], np.uint8),
-            np.array([0, 1, 1, 1], np.uint8),
-            np.array([1, 1, 0, 2], np.uint8),
-            np.array([1, 0, 0, 0], np.uint8))
+            4, np.array([0, 1, 3]),
+            np.array([1, 1, 1], np.uint8),
+            np.array([0, 0, 1], np.uint8),
+            np.array([0, 1, 1], np.uint8),
+            np.array([1, 1, 2], np.uint8),
+            np.array([1, 0, 0], np.uint8))
         sifted = sift(records)
         # index 0: click + matched; 1: click + mismatched; 2: no click;
         # 3: double click.
@@ -196,7 +286,8 @@ class TestSift:
         # never on the measured bits themselves.
         records = run_quantum_phase(ideal_config(10_000, 408),
                                     RandomSource(408))
-        stripped = PulseRecords(records.alice_bits, records.alice_bases,
+        stripped = PulseRecords(records.n, records.indices,
+                                records.alice_bits, records.alice_bases,
                                 records.bob_bases, records.kinds,
                                 np.zeros_like(records.click_bits))
         assert np.array_equal(sift(records).source_indices,

@@ -149,14 +149,52 @@ class TestRandomSource:
     @pytest.mark.parametrize("n", [0, 1, DRAW_CHUNK, 2 * DRAW_CHUNK + 17])
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_bernoulli_is_one_uniform_draw(self, n, p):
-        # Drawn in chunks into a bool mask: the mask and stream state of
-        # ``random(n) < p``.
+        # Drawn in chunks as index lists: the indices where
+        # ``random(n) < p``, and its stream state.
         rand, ref = RandomSource(8), RandomSource(8)
-        mask = rand.bernoulli(n, p)
-        assert mask.dtype == np.bool_
-        assert np.array_equal(mask, ref.random(n) < p)
+        indices = rand.bernoulli_indices(n, p)
+        assert indices.dtype == np.int64
+        assert np.array_equal(indices, np.flatnonzero(ref.random(n) < p))
         assert rand.generator.bit_generator.state \
             == ref.generator.bit_generator.state
+
+    @pytest.mark.parametrize("n", [
+        0, 1, 7, 8, 9, RAW_BITS_MIN + 3, 8 * DRAW_CHUNK - 4, 8 * DRAW_CHUNK,
+        8 * DRAW_CHUNK + 5, 3 * 8 * DRAW_CHUNK + 13])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_packed_bits_are_one_bits_draw(self, n, buffered):
+        # Drawn 8 * DRAW_CHUNK bits at a time: np.packbits of bits(n),
+        # and its stream state, buffered half-word included.
+        rand, ref = RandomSource(13), RandomSource(13)
+        if buffered:
+            rand.bits(1), ref.bits(1)
+        packed = rand.packed_bits(n)
+        assert packed.dtype == np.uint8
+        assert np.array_equal(packed, np.packbits(ref.bits(n)))
+        assert rand.generator.bit_generator.state \
+            == ref.generator.bit_generator.state
+
+    @given(bits=st.lists(st.integers(0, 1), max_size=70),
+           data=st.data())
+    def test_bits_at_and_with_bits(self, bits, data):
+        # Read and write single bits of a packed array, repeated bytes
+        # and the last partial byte included.
+        bits = np.array(bits, np.uint8)
+        n = len(bits)
+        picks = np.array(data.draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                            max_size=n)), np.int64)
+        unique = np.unique(picks)
+        values = np.array(data.draw(st.lists(
+            st.integers(0, 1), min_size=len(unique), max_size=len(unique))),
+            np.uint8)
+        packed = np.packbits(bits)
+        before = packed.copy()
+        assert np.array_equal(rng.bits_at(packed, picks), bits[picks])
+        changed = rng.with_bits(packed, unique, values)
+        want = bits.copy()
+        want[unique] = values
+        assert np.array_equal(changed, np.packbits(want))
+        assert np.array_equal(packed, before)
 
     @pytest.mark.parametrize("n", [
         *range(10), 4 * 1000 - 1, 4 * 1000 + 1,
