@@ -81,9 +81,7 @@ class EveLedger:
 
 def _append(rows: np.ndarray, *columns) -> np.ndarray:
     """``rows`` above the new rows ``zip(*columns)``, filled into one
-    int64 block; with no new rows, ``rows`` itself."""
-    if not len(columns[0]):
-        return rows
+    int64 block."""
     out = np.empty((len(rows) + len(columns[0]), rows.shape[1]), np.int64)
     out[:len(rows)] = rows
     for j, column in enumerate(columns):
@@ -146,14 +144,9 @@ def finalize_knowledge(ledger: EveLedger, announced_bases: np.ndarray,
     # The basis test passes every stored row: it holds Alice's own basis,
     # the one she announces, so Eve reads the parked photon in it exactly.
     rows = _join(ledger.stored, ledger.measured)
-    index = rows[:, 0]
-    keep = np.zeros(len(rows), dtype=bool)
-    if len(sifted_indices):
-        at = np.searchsorted(sifted_indices, index)
-        np.minimum(at, len(sifted_indices) - 1, out=at)
-        keep = (sifted_indices[at] == index) \
-            & (announced_bases[at] == rows[:, 2])
-    rows = rows[keep]
+    rows = rows[in_sorted(sifted_indices, rows[:, 0])]
+    at = np.searchsorted(sifted_indices, rows[:, 0])
+    rows = rows[announced_bases[at] == rows[:, 2]]
     ledger.known_bits = rows[np.argsort(rows[:, 0], kind="stable"), :2]
     return ledger.known_bits
 

@@ -197,16 +197,13 @@ def _photon_hits(counts, bits, bases, bob_bases, efficiency, flip_prob, rand):
     """The pulses with a detected photon, in index order, and for each
     whether photons reach detector 0 and whether they reach detector 1.
     Photon numbers are held in the counts' dtype."""
-    hits, photons = [np.zeros(0, np.int64)], [np.zeros(0, counts.dtype)]
-    for start in range(0, len(counts), DRAW_CHUNK):
-        part = counts[start:start + DRAW_CHUNK]
-        lit = np.flatnonzero(part)
-        detected = rand.binomial(part[lit], efficiency)
-        caught = np.flatnonzero(detected)
-        hits.append(lit[caught] + start)
-        photons.append(detected[caught].astype(counts.dtype))
-    hit, detected = np.concatenate(hits), np.concatenate(photons)
-    del hits, photons
+    lit = np.flatnonzero(counts)
+    detected = rand.binomial(counts[lit], efficiency)
+    caught = detected > 0
+    hit = lit[caught]
+    del lit  # freed before the second int64 copy is made
+    detected = detected[caught].astype(counts.dtype)
+    del caught
 
     # photons landing in detector 1, drawn for both branches to keep the
     # stream layout independent of the basis pattern
