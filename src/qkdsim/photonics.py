@@ -174,11 +174,11 @@ def measure_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarray
     indices the gates' int64 pulse indices.
     """
     FLIP.check("flip_prob", flip_prob)
-    n, dark = len(photon_counts), detectors.dark_count_prob
+    n, p_dark = len(photon_counts), detectors.dark_count_prob
     hit, to_zero, to_one = _photon_hits(photon_counts, bits, bases, bob_bases,
                                         detectors.efficiency, flip_prob, rand)
-    dark0 = rand.bernoulli_indices(n, dark)
-    dark1 = rand.bernoulli_indices(n, dark)
+    dark0 = rand.bernoulli_indices(n, p_dark)
+    dark1 = rand.bernoulli_indices(n, p_dark)
     # the gates that clicked: the hit pulses, with the dark counts at the
     # other pulses inserted in order
     dark = np.concatenate((dark0, dark1[~in_sorted(dark0, dark1)]))
@@ -203,7 +203,6 @@ def _photon_hits(counts, bits, bases, bob_bases, efficiency, flip_prob, rand):
     hit = lit[caught]
     del lit  # freed before the second int64 copy is made
     detected = detected[caught].astype(counts.dtype)
-    del caught
 
     # photons landing in detector 1, drawn for both branches to keep the
     # stream layout independent of the basis pattern

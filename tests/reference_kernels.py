@@ -3,12 +3,14 @@
 Dense photonics: the fiber and detector kernels as they were before
 they drew physics only at photon-carrying pulses. Every draw runs over
 every pulse, so they fix the values and the stream state the sparse
-kernels in :mod:`qkdsim.photonics` must reproduce.
+kernels in :mod:`qkdsim.photonics` must reproduce; ``measure_batch``
+reports only the gates that clicked, and these report every gate.
 
 Dense intercept: Eve's kernel as it was before it worked only at the
 pulses she touches, with boolean masks and ``np.where`` over every
-pulse; :func:`qkdsim.adversary.intercept_batch` must give its outputs,
-ledger rows and stream state.
+pulse; :func:`qkdsim.adversary.intercept_batch` must give its counts,
+the bits and bases it forwards (Alice's, with Eve's at the pulses she
+resent), ledger rows and stream state.
 
 Dense quantum phase: the session's quantum phase as it was before it
 kept only the gates that clicked, with Alice's bits and bases and Bob's

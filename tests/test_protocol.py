@@ -177,6 +177,10 @@ class TestQuantumPhase:
         assert sum(a.nbytes for a in arrays) == 13 * clicks
 
 
+DENSE_FIELDS = ("alice_bits", "alice_bases", "bob_bases", "kinds",
+                "click_bits")
+
+
 class TestPerClickRecordsMatchDense:
     """The phase keeps only the gates that clicked; the dense phase it
     replaced kept every pulse. At every gate that clicked the records
@@ -226,10 +230,6 @@ class TestPerClickRecordsMatchDense:
         for rows in ("stored", "measured"):
             got, want = getattr(ledger, rows), getattr(dense_ledger, rows)
             assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
-DENSE_FIELDS = ("alice_bits", "alice_bases", "bob_bases", "kinds",
-                "click_bits")
 
 
 class TestPulseRecords:
