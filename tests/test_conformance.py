@@ -28,6 +28,29 @@ Eve holds is
 
 with m(n) = n - 1 for n >= 2 and n otherwise, P(n) Poisson(mu).
 
+Under intercept-resend at a fraction f, Eve measures a pulse with
+probability f if it carries a photon and resends exactly one photon in
+her basis. Half the time that is Alice's basis and bit; otherwise Bob,
+measuring in Alice's basis, sends it to a random detector. For a gate
+fed m photons that reach the right detector with probability a each and
+the wrong one with probability b each (dark counts p_d, either
+detector):
+
+    P(right dark) = (1 - p_d) (1 - a)^m
+    P(wrong dark) = (1 - p_d) (1 - b)^m
+    P(both dark) = (1 - p_d)^2 (1 - a - b)^m.
+
+The untouched pulses weigh P(0) and (1 - f) P(n) for n >= 1 with
+a = q (1 - e_d), b = q e_d, q = t eta; the resent ones weigh
+f (1 - P(0)), half with m = 1 and those a, b and half with m = 1 and
+a = b = q / 2. The click rate and the sifted QBER (an error is a lone
+wrong click or half a double click) are these weighted sums.
+
+With ``double_click_random=False`` a double click is dropped at
+sifting, so with the P_r and P_w above a pulse gives a sifted bit with
+probability (P_r (1 - P_w) + (1 - P_r) P_w) / 2 (the bases match half
+the time) and the sifted QBER is (1 - P_r) P_w over that sum.
+
 The seeds and the 4-sigma binomial bounds were fixed once, on
 the dense per-pulse kernel, and stay fixed through any change to the
 quantum phase's stream layout: a failure then is a finding, not a
@@ -39,7 +62,7 @@ import math
 
 import pytest
 
-from qkdsim.adversary import PhotonNumberSplit
+from qkdsim.adversary import InterceptResend, PhotonNumberSplit
 from qkdsim.photonics import (ClickKind, DetectorPair, FiberChannel,
                               SourceModel)
 from qkdsim.protocol import (SessionConfig, run_quantum_phase, run_session,
@@ -51,29 +74,36 @@ PULSES = 2 * 10**6
 Z = 4.0
 
 
+def detector_probs(mu, km, db_per_km, eta, p_dark, e_d):
+    """(P_r, P_w): the chances that the right and the wrong detector of a
+    matched-basis gate fire."""
+    lam = mu * 10 ** (-db_per_km * km / 10) * eta
+    return (1 - (1 - p_dark) * math.exp(-lam * (1 - e_d)),
+            1 - (1 - p_dark) * math.exp(-lam * e_d))
+
+
 def closed_form(mu, km, db_per_km, eta, p_dark, e_d):
     """(click probability, sifted QBER) of one gate."""
-    lam = mu * 10 ** (-db_per_km * km / 10) * eta
-    p_right = 1 - (1 - p_dark) * math.exp(-lam * (1 - e_d))
-    p_wrong = 1 - (1 - p_dark) * math.exp(-lam * e_d)
+    p_right, p_wrong = detector_probs(mu, km, db_per_km, eta, p_dark, e_d)
     p_click = 1 - (1 - p_right) * (1 - p_wrong)
     qber = (p_wrong * (1 - p_right) + p_wrong * p_right / 2) / p_click
     return p_click, qber
 
 
-def pooled(mu, km, db_per_km, eta, p_dark, e_d):
-    """(pulses, clicks, sifted bits, sifted errors) over every seed."""
+def pooled(mu, km, db_per_km, eta, p_dark, e_d, pulses=PULSES, **options):
+    """(pulses, clicks, sifted bits, sifted errors) over every seed;
+    ``options`` go to the SessionConfig."""
     clicks = sifted = errors = 0
     for seed in SEEDS:
-        config = SessionConfig(PULSES, SourceModel(mu),
+        config = SessionConfig(pulses, SourceModel(mu),
                                FiberChannel(km, db_per_km, e_d),
-                               DetectorPair(eta, p_dark), seed)
+                               DetectorPair(eta, p_dark), seed, **options)
         records = run_quantum_phase(config, RandomSource(seed))
         clicks += int((records.kinds != int(ClickKind.NO_CLICK)).sum())
         keys = sift(records)
         sifted += len(keys)
         errors += int((keys.alice_bits != keys.bob_bits).sum())
-    return PULSES * len(SEEDS), clicks, sifted, errors
+    return pulses * len(SEEDS), clicks, sifted, errors
 
 
 def within_binomial(successes, trials, p):
@@ -135,3 +165,82 @@ def test_pns_known_fraction_under_loss():
         sifted += report.sifted_len
     assert sifted > 20_000
     assert within_binomial(known, sifted, p)
+
+
+def gate_outcomes(m, a, b, p_dark):
+    """(right alone, wrong alone, both) firing chances of a gate fed m
+    photons that each reach the right detector with probability a and
+    the wrong one with probability b."""
+    both_dark = (1 - p_dark) ** 2 * (1 - a - b) ** m
+    right_dark = (1 - p_dark) * (1 - a) ** m
+    wrong_dark = (1 - p_dark) * (1 - b) ** m
+    return (wrong_dark - both_dark, right_dark - both_dark,
+            1 - right_dark - wrong_dark + both_dark)
+
+
+def intercept_resend_form(mu, km, db_per_km, eta, p_dark, e_d, fraction):
+    """(click probability, sifted QBER) of one gate under intercept-resend
+    at ``fraction``, double clicks resolved to a random bit."""
+    q = 10 ** (-db_per_km * km / 10) * eta
+    matched = (q * (1 - e_d), q * e_d)
+    p_vacuum = math.exp(-mu)
+    # (weight, photons, a, b) of each kind of pulse
+    kinds = [(p_vacuum, 0, *matched)]
+    kinds += [((1 - fraction) * p_vacuum * mu**n / math.factorial(n), n,
+               *matched) for n in range(1, 80)]
+    resent = fraction * (1 - p_vacuum) / 2
+    kinds += [(resent, 1, *matched), (resent, 1, q / 2, q / 2)]
+    clicks = errors = 0.0
+    for weight, m, a, b in kinds:
+        right, wrong, both = gate_outcomes(m, a, b, p_dark)
+        clicks += weight * (right + wrong + both)
+        errors += weight * (wrong + both / 2)
+    return clicks, errors / clicks
+
+
+@pytest.fixture(scope="module")
+def intercept_resend_under_loss():
+    # 20 km, eta 0.1, half the pulses with photons intercepted: about
+    # 1,800 sifted bits a seed. A resend that kept the pulse's photon
+    # number would raise the click rate by about 10% and the QBER by 0.01.
+    link = dict(mu=0.5, km=20.0, db_per_km=0.2, eta=0.1, p_dark=1e-5,
+                e_d=0.01)
+    return (intercept_resend_form(fraction=0.5, **link),
+            pooled(pulses=2 * 10**5, eve=InterceptResend(0.5), **link))
+
+
+def test_click_rate_under_intercept_resend(intercept_resend_under_loss):
+    (p_click, _), (pulses, clicks, _, _) = intercept_resend_under_loss
+    assert p_click == pytest.approx(0.017706, abs=1e-6)
+    assert within_binomial(clicks, pulses, p_click)
+
+
+def test_sifted_qber_under_intercept_resend(intercept_resend_under_loss):
+    (_, qber), (_, _, sifted, errors) = intercept_resend_under_loss
+    assert qber == pytest.approx(0.1189, abs=1e-4)
+    assert sifted > 30_000
+    assert within_binomial(errors, sifted, qber)
+
+
+@pytest.fixture(scope="module")
+def double_clicks_dropped():
+    # dark counts at 5% a gate and lambda 0.25 make a double click about
+    # one gate in 70; keeping them would add 0.0071 to the sifted rate
+    link = dict(mu=0.5, km=10.0, db_per_km=0.2, eta=0.8, p_dark=0.05,
+                e_d=0.02)
+    p_right, p_wrong = detector_probs(**link)
+    right, wrong = p_right * (1 - p_wrong), (1 - p_right) * p_wrong
+    return ((right + wrong) / 2, wrong / (right + wrong),
+            pooled(pulses=2 * 10**5, double_click_random=False, **link))
+
+
+def test_sifted_rate_with_double_clicks_dropped(double_clicks_dropped):
+    rate, _, (pulses, _, sifted, _) = double_clicks_dropped
+    assert rate == pytest.approx(0.14233, abs=1e-5)
+    assert within_binomial(sifted, pulses, rate)
+
+
+def test_sifted_qber_with_double_clicks_dropped(double_clicks_dropped):
+    _, qber, (_, _, sifted, errors) = double_clicks_dropped
+    assert qber == pytest.approx(0.1428, abs=1e-4)
+    assert within_binomial(errors, sifted, qber)
