@@ -40,7 +40,7 @@ for name in sorted(net.nodes):
 # Every consumed key range is logged; ranges never overlap, so no pad
 # bit is ever used twice even across repeated relays.
 net.relay(path, key_len=256, rand=RandomSource(2))
-store = net.nodes["berlin"].store_for("dublin")
+store = net.nodes["berlin"].links["dublin"].key
 print(f"\nberlin->dublin store after two relays: "
       f"consumed spans {store.consumed_log}, {store.remaining} bits left")
 
@@ -53,5 +53,5 @@ try:
     tiny.relay(["x", "y"], key_len=512, rand=RandomSource(3))
 except Exception as exc:
     print(f"\nunderfunded relay refused: {exc}")
-print(f"x->y store untouched: {tiny.nodes['x'].store_for('y').remaining} "
-      f"bits remaining")
+untouched = tiny.nodes["x"].links["y"].key
+print(f"x->y store untouched: {untouched.remaining} bits remaining")

@@ -16,7 +16,8 @@ from typing import Union
 
 import numpy as np
 
-from .rng import UNIT, Checked, RandomSource, bits_at, in_sorted
+from .rng import (UNIT, Checked, RandomSource, bits_at, in_sorted,
+                  with_bits)
 
 
 @dataclass(frozen=True)
@@ -89,26 +90,22 @@ def _append(rows: np.ndarray, *columns) -> np.ndarray:
     return out
 
 
-_UNTOUCHED = (np.zeros(0, np.int64), np.zeros(0, np.uint8),
-              np.zeros(0, np.uint8))
-
-
 def intercept_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarray,
                     strategy: EveStrategy, ledger: EveLedger,
                     rand: RandomSource
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply Eve's strategy to a batch of pulses, appending to the ledger.
 
     ``bits`` and ``bases`` are Alice's, packed as :func:`numpy.packbits`
-    packs them. Eve changes ``photon_counts`` in place, keeping its
-    dtype. Returns (photon_counts, resent, resent_bits, resent_bases):
-    the counts forwarded to the channel, the sorted indices of the pulses
-    Eve resent in her own encoding, and her bit and basis for each; every
-    other pulse keeps Alice's. Pulse i of the batch is recorded as i.
+    packs them. Returns (photon_counts, bits, bases) as the channel
+    carries them. Eve changes ``photon_counts`` in place, keeping its
+    dtype. The bits and bases are Alice's own arrays, unless Eve resent
+    pulses: then they are packed copies with Eve's bit and basis at each
+    pulse she resent. Pulse i of the batch is recorded as i.
     """
     n = len(photon_counts)
     if isinstance(strategy, NoAttack):
-        return (photon_counts, *_UNTOUCHED)
+        return photon_counts, bits, bases
 
     # Both branches work only at the indices Eve touches.
     if isinstance(strategy, InterceptResend):
@@ -121,14 +118,16 @@ def intercept_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarr
                             bits_at(bits, taken), mismatch_results)
         photon_counts[taken] = 1
         ledger.record_measured(taken, eve_bits, eve_bases)
-        return photon_counts, taken, eve_bits, eve_bases
+        # a resent pulse carries Eve's encoding
+        return (photon_counts, with_bits(bits, taken, eve_bits),
+                with_bits(bases, taken, eve_bases))
 
     if isinstance(strategy, PhotonNumberSplit):
         split = np.flatnonzero(photon_counts >= 2)
         photon_counts[split] -= 1
         ledger.record_stored(split, bits_at(bits, split),
                              bits_at(bases, split))
-        return (photon_counts, *_UNTOUCHED)
+        return photon_counts, bits, bases
 
     raise TypeError(f"unknown strategy {strategy!r}")
 

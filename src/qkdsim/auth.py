@@ -41,52 +41,57 @@ class BitPool:
     running out raises :class:`KeyExhausted` and leaves the pool
     untouched. Each draw's end goes into an int64 array, from which
     ``consumed_log`` derives the drawn [start, end) ranges for audits.
-    Freshly distilled key may be deposited to fund later draws. Integer
-    reads use a packed copy of the bits, eight a byte, built on the
-    first such read after a deposit.
+    Freshly distilled key may be deposited to fund later draws. The bits
+    are held once, packed eight a byte as :func:`numpy.packbits` packs
+    them.
     """
 
     def __init__(self, bits=()):
-        self.bits = np.zeros(0, dtype=np.uint8)
+        self._packed = b""
+        self._len = 0
         self.cursor = 0
         self._ends = array("q")
         self.deposit(bits)
 
     @property
+    def bits(self) -> np.ndarray:
+        """Every deposited bit, consumed or not, unpacked into a new
+        uint8 array."""
+        return np.unpackbits(np.frombuffer(self._packed, np.uint8),
+                             count=self._len)
+
+    @property
     def remaining(self) -> int:
-        return len(self.bits) - self.cursor
+        return self._len - self.cursor
 
     @property
     def consumed_log(self) -> list[tuple[int, int]]:
         return list(zip([0, *self._ends], self._ends))
 
-    def consume(self, n_bits: int) -> np.ndarray:
-        """Advance the cursor past ``n_bits`` and return a copy of them."""
+    def _take(self, n_bits: int) -> tuple[bytes, int]:
+        """Move the cursor past ``n_bits``; returns the bytes that hold
+        them and how many bits of the first byte come before them."""
+        start, end = self.cursor, self.cursor + n_bits
         if n_bits < 0:
             raise ValueError("cannot consume a negative bit count")
-        start = self.cursor
-        end = start + n_bits
-        if end > len(self.bits):
-            raise KeyExhausted(
-                f"need {n_bits} bits, {self.remaining} remain")
+        if end > self._len:
+            raise KeyExhausted(f"need {n_bits} bits, {self.remaining} remain")
         self.cursor = end
         self._ends.append(end)
-        return self.bits[start:end].copy()
+        return self._packed[start >> 3:(end + 7) >> 3], start & 7
+
+    def consume(self, n_bits: int) -> np.ndarray:
+        """Advance the cursor past ``n_bits`` and return a copy of them."""
+        window, skip = self._take(n_bits)
+        return np.unpackbits(np.frombuffer(window, np.uint8),
+                             count=skip + n_bits)[skip:]
 
     def consume_int(self, n_bits: int) -> int:
         """Consume ``n_bits`` and read them as a big-endian integer: the
         first bit is the most significant."""
-        start, end = self.cursor, self.cursor + n_bits
-        if n_bits < 0 or end > len(self.bits):  # consume's checks, inlined
-            self.consume(n_bits)  # raises, and spends nothing
-        self.cursor = end
-        self._ends.append(end)
-        if self._packed is None:
-            self._packed = np.packbits(self.bits).tobytes()
-        # the bytes of the packed copy that hold bits start..end-1
-        hi = (end + 7) >> 3
-        word = int.from_bytes(self._packed[start >> 3:hi], "big")
-        return word >> (8 * hi - end) & ((1 << n_bits) - 1)
+        window, skip = self._take(n_bits)
+        word = int.from_bytes(window, "big")
+        return word >> (8 * len(window) - skip - n_bits) & ((1 << n_bits) - 1)
 
     def deposit(self, bits) -> None:
         """Append freshly produced key bits for later consumption."""
@@ -95,8 +100,9 @@ class BitPool:
                 arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() > 1):
             raise ValueError("pool bits must be a flat 0/1 array of "
                              "booleans or integers")
-        self.bits = np.concatenate([self.bits, arr.astype(np.uint8)])
-        self._packed = None  # rebuilt by the next integer read
+        self._packed = np.packbits(
+            np.concatenate((self.bits, arr.astype(np.uint8)))).tobytes()
+        self._len += arr.size
 
 
 def _hash_message(message: bytes, mul: Gf64Multiplier) -> int:

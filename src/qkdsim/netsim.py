@@ -56,10 +56,6 @@ class Node:
     links: dict = field(default_factory=dict)
     knowledge_log: list = field(default_factory=list)
 
-    def store_for(self, neighbor_id: str) -> KeyStore:
-        """The key store this node shares with ``neighbor_id``."""
-        return self.links[neighbor_id].key
-
 
 @dataclass(frozen=True)
 class StubKeySource(Checked):

@@ -92,7 +92,6 @@ class CorrectionResult:
 
     corrected_key: np.ndarray
     leaked_bits: int
-    passes: int
     verified: bool
     transcript: np.ndarray = field(repr=False, default=None)
 
@@ -117,7 +116,6 @@ class SecretKey:
     """Privacy-amplified output key."""
 
     bits: np.ndarray
-    provenance: str = ""
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -274,15 +272,14 @@ def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,
     transcript.extend((alice_hash >> (63 - i)) & 1
                       for i in range(VERIFY_HASH_BITS))
     verified = alice_hash == _verification_hash(bob, mul)
-    result = CorrectionResult(bob, len(transcript), passes, verified,
+    result = CorrectionResult(bob, len(transcript), verified,
                               np.array(transcript, dtype=np.uint8))
     if not verified:
         raise ReconciliationFailure(result)
     return result
 
 
-def privacy_amplify(key, ell: int, seed: HashSeed,
-                    provenance: str = "") -> SecretKey:
+def privacy_amplify(key, ell: int, seed: HashSeed) -> SecretKey:
     """Hash ``key`` down to ``ell`` bits with the Toeplitz matrix T given
     by ``seed``: T[j, i] = seed[(i - j) + (ell - 1)], output bit j the
     GF(2) inner product of row j with the key. The index convention is
@@ -306,7 +303,7 @@ def privacy_amplify(key, ell: int, seed: HashSeed,
         raise SeedLengthMismatch(
             f"seed length {len(sbits)}, need {n + ell - 1} for {n}->{ell}")
     if n == 0 or ell == 0:
-        return SecretKey(np.zeros(ell, dtype=np.uint8), provenance)
+        return SecretKey(np.zeros(ell, dtype=np.uint8))
     size = 1 << (n + ell - 2).bit_length()  # power of two >= n + ell - 1
     spectrum = np.fft.rfft(sbits, size) * np.fft.rfft(key[::-1], size)
     sums = np.fft.irfft(spectrum, size)[n - 1:n + ell - 1][::-1]
@@ -315,5 +312,4 @@ def privacy_amplify(key, ell: int, seed: HashSeed,
     if not drift < 0.25:  # also refuses NaN
         raise InexactConvolution(
             f"FFT sums drift {drift:.3g} from integers for {n}->{ell}")
-    return SecretKey((counts.astype(np.int64) & 1).astype(np.uint8),
-                     provenance)
+    return SecretKey((counts.astype(np.int64) & 1).astype(np.uint8))

@@ -32,8 +32,7 @@ from .photonics import (ClickKind, DetectorPair, FiberChannel, SourceModel,
 from .postprocess import (MIN_RECONCILE_BITS, AttackModel, HashSeed,
                           ReconciliationFailure, SecretKey, error_correct,
                           final_key_length, privacy_amplify)
-from .rng import (COUNT, INTEGER, Checked, RandomSource, Rule, bits_at,
-                  with_bits)
+from .rng import COUNT, INTEGER, Checked, RandomSource, Rule, bits_at
 
 FRACTION = Rule(numbers.Real, lambda v: 0 < v < 1, "a number in (0, 1)")
 # Messages 1 and 2 send pulse positions as ">u4", which wraps silently
@@ -130,9 +129,9 @@ class QberEstimate:
     e_hat: float
     sample_size: int
     remaining: SiftedKeys
-    sample_positions: np.ndarray = field(repr=False, default=None)
-    alice_sample: np.ndarray = field(repr=False, default=None)
-    bob_sample: np.ndarray = field(repr=False, default=None)
+    sample_positions: np.ndarray = field(repr=False)
+    alice_sample: np.ndarray = field(repr=False)
+    bob_sample: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -172,15 +171,11 @@ def run_quantum_phase(config: SessionConfig, rand: RandomSource,
     alice_bases = rand.split("alice_bases").packed_bits(n)
     counts = sample_photon_counts(config.source, n, rand.split("source"))
     ledger = eve_ledger if eve_ledger is not None else EveLedger()
-    counts, resent, eve_bits, eve_bases = intercept_batch(
+    counts, bits, bases = intercept_batch(
         counts, alice_bits, alice_bases, config.eve, ledger,
         rand.split("eve"))
     counts = transmit_counts(counts, config.channel, rand.split("channel"))
     bob_bases = rand.split("bob_bases").packed_bits(n)
-    bits, bases = alice_bits, alice_bases
-    if len(resent):  # the pulses Eve resent carry her encoding
-        bits = with_bits(alice_bits, resent, eve_bits)
-        bases = with_bits(alice_bases, resent, eve_bases)
     kinds, click_bits, indices = measure_batch(
         counts, bits, bases, bob_bases, config.detectors,
         config.channel.excess_flip_prob, rand.split("detector"))
@@ -322,7 +317,6 @@ def run_session(config: SessionConfig) -> SessionReport:
     secret = None
     if final > 0:
         secret = privacy_amplify(remaining.alice_bits, final,
-                                 HashSeed(seed_bits),
-                                 provenance=f"session:{config.seed:#x}")
+                                 HashSeed(seed_bits))
     return report(SessionOutcome.SUCCESS, est.e_hat, leak=leak, final=final,
                   secret=secret)

@@ -298,7 +298,7 @@ def gather_error_correct(alice_key, bob_key, e_hat, public_coins, *,
     transcript.extend((alice_hash >> (63 - i)) & 1
                       for i in range(VERIFY_HASH_BITS))
     verified = alice_hash == _verification_hash(bob, mul)
-    result = CorrectionResult(bob, len(transcript), passes, verified,
+    result = CorrectionResult(bob, len(transcript), verified,
                               np.array(transcript, dtype=np.uint8))
     if not verified:
         raise ReconciliationFailure(result)

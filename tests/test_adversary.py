@@ -9,8 +9,8 @@ checked, as a hypothesis property, against the per-pulse dict ledger and
 two-loop rule it replaced, and the kernel, which works only at the
 pulses Eve touches, against the dense kernel it replaced. The kernel
 takes Alice's bits and bases packed, changes the counts in place and
-returns Eve's resent encoding only at the pulses she resent;
-:func:`forwarded` spreads it back over every pulse.
+returns the packed bits and bases the channel carries: Alice's own
+arrays, or copies with Eve's encoding where she resent.
 """
 
 import math
@@ -43,12 +43,9 @@ def ideal_config(n_pulses, eve, seed=0, source=None):
     )
 
 
-def forwarded(bits, resent, values):
-    """The n-long bits or bases the channel carries: Alice's, with
-    Eve's values at the pulses she resent."""
-    out = np.array(bits, np.uint8)
-    out[resent] = values
-    return out
+def unpacked(packed, n):
+    """The first n bits of a :func:`numpy.packbits` array, as uint8."""
+    return np.unpackbits(packed, count=n)
 
 
 def alice_bits_at(records, pulses):
@@ -93,12 +90,14 @@ class TestNoAttack:
         counts = rand.poisson(0.5, 100).astype(np.int64)
         before = counts.copy()
         bits, bases = rand.bits(100), rand.bits(100)
+        packed_bits, packed_bases = np.packbits(bits), np.packbits(bases)
         ledger = EveLedger()
-        out = intercept_batch(counts, np.packbits(bits), np.packbits(bases),
-                              NoAttack(), ledger, rand)
+        out = intercept_batch(counts, packed_bits, packed_bases, NoAttack(),
+                              ledger, rand)
         assert out[0] is counts and np.array_equal(out[0], before)
-        assert np.array_equal(forwarded(bits, out[1], out[2]), bits)
-        assert np.array_equal(forwarded(bases, out[1], out[3]), bases)
+        assert out[1] is packed_bits and out[2] is packed_bases
+        assert np.array_equal(unpacked(out[1], 100), bits)
+        assert np.array_equal(unpacked(out[2], 100), bases)
         assert ledger.stored.shape == ledger.measured.shape == (0, 3)
 
 
@@ -130,12 +129,12 @@ class TestInterceptResend:
         counts = np.zeros(500, dtype=np.int64)
         bits, bases = rand.bits(500), rand.bits(500)
         ledger = EveLedger()
-        out_counts, resent, eve_bits, eve_bases = intercept_batch(
+        out_counts, out_bits, out_bases = intercept_batch(
             counts, np.packbits(bits), np.packbits(bases),
             InterceptResend(1.0), ledger, rand)
         assert np.all(out_counts == 0)
-        assert np.array_equal(forwarded(bits, resent, eve_bits), bits)
-        assert np.array_equal(forwarded(bases, resent, eve_bases), bases)
+        assert np.array_equal(unpacked(out_bits, 500), bits)
+        assert np.array_equal(unpacked(out_bases, 500), bases)
         assert len(ledger.measured) == 0
 
     def test_matching_guess_reads_alice_bit(self):
@@ -146,11 +145,10 @@ class TestInterceptResend:
         counts = np.ones(n, dtype=np.int64)
         bits, bases = rand.bits(n), rand.bits(n)
         ledger = EveLedger()
-        _, resent, eve_bits, eve_bases = intercept_batch(
+        _, out_bits, out_bases = intercept_batch(
             counts, np.packbits(bits), np.packbits(bases),
             InterceptResend(1.0), ledger, rand)
-        out_bits = forwarded(bits, resent, eve_bits)
-        out_bases = forwarded(bases, resent, eve_bases)
+        out_bits, out_bases = unpacked(out_bits, n), unpacked(out_bases, n)
         assert len(ledger.measured) == n
         idx, bit, guess = ledger.measured.T
         assert np.array_equal(idx, np.arange(n))
@@ -181,12 +179,12 @@ class TestPhotonNumberSplit:
         bits = np.array([0, 1, 1, 0], dtype=np.uint8)
         bases = np.array([0, 0, 1, 1], dtype=np.uint8)
         ledger = EveLedger()
-        out_counts, resent, eve_bits, eve_bases = intercept_batch(
+        out_counts, out_bits, out_bases = intercept_batch(
             counts, np.packbits(bits), np.packbits(bases),
             PhotonNumberSplit(), ledger, RandomSource(5))
         assert np.array_equal(out_counts, [0, 1, 1, 4])
-        assert np.array_equal(forwarded(bits, resent, eve_bits), bits)
-        assert np.array_equal(forwarded(bases, resent, eve_bases), bases)
+        assert np.array_equal(unpacked(out_bits, 4), bits)
+        assert np.array_equal(unpacked(out_bases, 4), bases)
         assert ledger.stored.dtype == np.int64
         assert np.array_equal(ledger.stored, [[2, 1, Basis.DIAGONAL],
                                               [3, 0, Basis.DIAGONAL]])
@@ -273,23 +271,21 @@ class TestScalarDelegate:
         ledger = EveLedger()
         bits, bases = np.array([1], np.uint8), np.array([Basis.DIAGONAL],
                                                         np.uint8)
-        counts, resent, eve_bits, eve_bases = intercept_batch(
+        counts, out_bits, out_bases = intercept_batch(
             np.array([2]), np.packbits(bits), np.packbits(bases),
             PhotonNumberSplit(), ledger, RandomSource(6))
-        assert (list(counts), list(forwarded(bits, resent, eve_bits)),
-                list(forwarded(bases, resent, eve_bases))) == \
-            ([1], [1], [Basis.DIAGONAL])
+        assert (list(counts), list(unpacked(out_bits, 1)),
+                list(unpacked(out_bases, 1))) == ([1], [1], [Basis.DIAGONAL])
         assert np.array_equal(ledger.stored, [[0, 1, Basis.DIAGONAL]])
 
     def test_intercept_noattack_pulse(self):
         pulse = (np.array([1]), np.array([0], np.uint8),
                  np.array([Basis.RECTILINEAR], np.uint8))
         counts, bits, bases = (p.copy() for p in pulse)
-        out_counts, resent, eve_bits, eve_bases = intercept_batch(
+        out_counts, out_bits, out_bases = intercept_batch(
             counts, np.packbits(bits), np.packbits(bases), NoAttack(),
             EveLedger(), RandomSource(7))
-        out = (out_counts, forwarded(bits, resent, eve_bits),
-               forwarded(bases, resent, eve_bases))
+        out = (out_counts, unpacked(out_bits, 1), unpacked(out_bases, 1))
         assert all(np.array_equal(o, p) for o, p in zip(out, pulse))
 
 
@@ -339,11 +335,10 @@ def test_intercept_batch_deterministic():
                               InterceptResend(0.7), ledger, rand)
         return out, ledger.measured
 
-    (c1, r1, b1, a1), m1 = run()
-    (c2, r2, b2, a2), m2 = run()
+    (c1, b1, a1), m1 = run()
+    (c2, b2, a2), m2 = run()
     assert np.array_equal(c1, c2) and np.array_equal(b1, b2)
     assert np.array_equal(a1, a2) and np.array_equal(m1, m2)
-    assert np.array_equal(r1, r2)
 
 
 # -- the ledger against the per-pulse dict ledger it replaced ----------------
@@ -454,27 +449,37 @@ class TestInterceptMatchesDense:
         gen = np.random.default_rng(seed)
         bits, bases = (gen.integers(0, 2, len(counts), dtype=np.uint8)
                        for _ in range(2))
-        before = [a.copy() for a in (counts, bits, bases)]
+        packed = [np.packbits(bits), np.packbits(bases)]
+        before = [a.copy() for a in (counts, bits, bases, *packed)]
         ledger, ref_ledger = EveLedger(), EveLedger()
         rand, ref = RandomSource(seed), RandomSource(seed)
         want = dense_intercept_batch(counts, bits, bases, strategy,
                                      ref_ledger, ref)
-        out_counts, resent, eve_bits, eve_bases = intercept_batch(
-            counts, np.packbits(bits), np.packbits(bases), strategy, ledger,
-            rand)
+        out_counts, out_bits, out_bases = intercept_batch(
+            counts, *packed, strategy, ledger, rand)
         # the counts change in place, in their own dtype
         assert out_counts is counts and out_counts.dtype == want[0].dtype
         assert np.array_equal(out_counts, want[0])
-        for got, w in ((forwarded(bits, resent, eve_bits), want[1]),
-                       (forwarded(bases, resent, eve_bases), want[2])):
-            assert got.dtype == w.dtype and np.array_equal(got, w)
-        # Eve's encoding comes back exactly where she resent
-        assert resent.dtype == np.int64
-        assert np.array_equal(resent, ledger.measured[:, 0])
+        n = len(counts)
+        for got, w in ((out_bits, want[1]), (out_bases, want[2])):
+            assert got.dtype == np.uint8 and np.array_equal(
+                got, np.packbits(w))
+            assert np.array_equal(unpacked(got, n), w)
+        # Eve's encoding is carried exactly where she resent; with no
+        # resend Alice's own arrays go on
+        resent = ledger.measured[:, 0]
+        if not isinstance(strategy, InterceptResend):
+            assert out_bits is packed[0] and out_bases is packed[1]
+        for got, alice, column in ((out_bits, bits, 1), (out_bases, bases, 2)):
+            got = unpacked(got, n)
+            assert np.array_equal(got[resent], ledger.measured[:, column])
+            kept = np.ones(n, bool)
+            kept[resent] = False
+            assert np.array_equal(got[kept], alice[kept])
         for rows in ("stored", "measured"):
             g, w = getattr(ledger, rows), getattr(ref_ledger, rows)
             assert g.dtype == w.dtype and np.array_equal(g, w)
         assert rand.generator.bit_generator.state \
             == ref.generator.bit_generator.state
         assert all(np.array_equal(a, b)
-                   for a, b in zip((bits, bases), before[1:]))
+                   for a, b in zip((bits, bases, *packed), before[1:]))

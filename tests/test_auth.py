@@ -6,6 +6,8 @@ GF(2^8)); the collision bound is counted exhaustively over every key of
 the 8-bit toy field.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -433,6 +435,61 @@ class TestAuthKeyPool:
             cursor = log[-1][1] if log else 0
             assert (pool.cursor, pool.remaining, pool.consumed_log) == \
                 (cursor, len(bits) - cursor, log)
+
+    @given(ops=st.lists(st.one_of(
+        st.tuples(st.just("deposit"), st.integers(0, 12).flatmap(
+            lambda k: st.lists(st.integers(0, 1), min_size=2 * k + 1,
+                               max_size=2 * k + 1))),
+        st.tuples(st.sampled_from(["consume", "consume_int"]),
+                  st.integers(0, 30))), max_size=20))
+    # reads of 0 bits at a byte edge, inside a byte and at the end, and
+    # reads that span the byte a deposit left partly filled
+    @example(ops=[("deposit", [1] * 3), ("consume", 0), ("deposit", [0] * 5),
+                  ("consume_int", 0), ("consume", 8), ("consume", 0),
+                  ("deposit", [1, 0, 1]), ("consume_int", 3),
+                  ("consume_int", 0), ("consume", 0), ("consume", 1)])
+    @example(ops=[("deposit", [1, 0] * 3 + [1]), ("consume_int", 3),
+                  ("deposit", [0, 1] * 6 + [1]), ("consume", 13),
+                  ("deposit", [1] * 9), ("consume_int", 13),
+                  ("consume_int", 1)])
+    def test_packed_reads_agree_across_byte_boundaries(self, ops):
+        # odd deposits leave the last byte partly filled; bits, consume
+        # and consume_int read the same bits on either side of it
+        pool, bits = BitPool(), []
+        for op, arg in ops:
+            start = pool.cursor
+            if op == "deposit":
+                pool.deposit(arg)
+                bits += arg
+            elif arg > len(bits) - start:
+                with pytest.raises(KeyExhausted):
+                    getattr(pool, op)(arg)
+                assert pool.cursor == start
+            elif op == "consume":
+                got = pool.consume(arg)
+                assert got.dtype == np.uint8
+                assert got.tolist() == bits[start:start + arg]
+            else:
+                assert pool.consume_int(arg) == \
+                    ref_bits_to_int(bits[start:start + arg])
+            assert pool.bits.dtype == np.uint8
+            assert pool.bits.tolist() == bits
+            assert pool.remaining == len(bits) - pool.cursor
+
+    def test_holds_its_bits_once_packed(self):
+        # 10^6 bits are 125,000 bytes packed; a second copy of any kind
+        # (one byte a bit, or packed) would break the bound
+        bits = RandomSource(21).bits(10**6)
+        tracemalloc.start()
+        try:
+            pool = BitPool(bits)
+            pool.consume_int(64)
+            pool.consume(7)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 130_000
+        assert np.array_equal(pool.bits, bits)
 
     def test_fresh_default_size(self):
         # A link's key store starts as an empty pool.

@@ -394,7 +394,7 @@ class TestNetworkCommand:
 
         def always_fails(alice_key, bob_key, e_hat, public_coins, **kwargs):
             raise ReconciliationFailure(CorrectionResult(
-                np.array(bob_key, dtype=np.uint8), 70, 4, False,
+                np.array(bob_key, dtype=np.uint8), 70, False,
                 np.ones(70, dtype=np.uint8)))
 
         monkeypatch.setattr(protocol, "error_correct", always_fails)

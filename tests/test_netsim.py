@@ -84,8 +84,8 @@ class TestProvisioning:
         bits = provision_link(link)
         want = RandomSource(510).split("stub_link_key").bits(256)
         assert np.array_equal(bits, want)
-        assert np.array_equal(net.node("A").store_for("B").bits, want)
-        assert np.array_equal(net.node("B").store_for("A").bits, want)
+        assert np.array_equal(net.node("A").links["B"].key.bits, want)
+        assert np.array_equal(net.node("B").links["A"].key.bits, want)
 
     @pytest.mark.parametrize("seed, n_bits", [
         (1, 10.5), (1, -1), (1, True), (1, np.True_), (1.5, 10),
@@ -114,7 +114,7 @@ class TestProvisioning:
         report = link.reports[0]
         assert report.final_len == len(bits) > 0
         assert np.array_equal(bits, report.secret_key.bits)
-        assert np.array_equal(net.node("A").store_for("B").bits, bits)
+        assert np.array_equal(net.node("A").links["B"].key.bits, bits)
 
     def test_aborting_session_leaves_stores_empty(self):
         from qkdsim.adversary import InterceptResend
@@ -126,8 +126,8 @@ class TestProvisioning:
         link = net.add_link("A", "B", config)
         with pytest.raises(SessionAborted):
             provision_link(link)
-        assert net.node("A").store_for("B").remaining == 0
-        assert net.node("B").store_for("A").remaining == 0
+        assert net.node("A").links["B"].key.remaining == 0
+        assert net.node("B").links["A"].key.remaining == 0
 
     def test_link_wires_one_shared_channel(self):
         net = Network()
@@ -138,12 +138,12 @@ class TestProvisioning:
     def test_link_wires_one_shared_store(self):
         net = Network()
         link = net.add_link("A", "B", StubKeySource(534, 64))
-        assert net.node("A").store_for("B") is link.key
-        assert net.node("B").store_for("A") is link.key
+        assert net.node("A").links["B"].key is link.key
+        assert net.node("B").links["A"].key is link.key
         provision_link(link)
         assert link.key.remaining == 64
         with pytest.raises(KeyError):
-            net.node("A").store_for("C")
+            net.node("A").links["C"]
         assert list(net.node("A").links) == ["B"]
 
 
@@ -157,7 +157,7 @@ class TestRelay:
                               RandomSource(514).bits(128))
         assert net.node("A").knowledge_log == []
         assert net.node("B").knowledge_log == []
-        assert net.node("A").store_for("B").cursor == 128
+        assert net.node("A").links["B"].key.cursor == 128
 
     def test_four_node_chain_hop_oracle(self):
         # Recompute every hop: ciphertext XOR the pad recovered from the
@@ -170,7 +170,7 @@ class TestRelay:
         path = ["A", "B", "C", "D"]
         for i, msg in enumerate(transcript.hop_messages):
             sender = net.node(path[i])
-            store = sender.store_for(path[i + 1])
+            store = sender.links[path[i + 1]].key
             lo, hi = store.consumed_log[-1]
             pad = store.bits[lo:hi]
             cipher = np.unpackbits(
@@ -192,7 +192,7 @@ class TestRelay:
         t1 = net.relay(["A", "B", "C"], 100, RandomSource(517))
         t2 = net.relay(["A", "B", "C"], 100, RandomSource(518))
         assert not np.array_equal(t1.end_key, t2.end_key)
-        log = net.node("A").store_for("B").consumed_log
+        log = net.node("A").links["B"].key.consumed_log
         assert log == [(0, 100), (100, 200)]
 
     def test_precheck_spends_nothing_on_failure(self):
@@ -205,8 +205,8 @@ class TestRelay:
         with pytest.raises(KeyExhausted) as exc_info:
             net.relay(["A", "B", "C"], 64, RandomSource(521))
         assert "B-C" in str(exc_info.value)
-        assert net.node("A").store_for("B").cursor == 0
-        assert net.node("B").store_for("C").cursor == 0
+        assert net.node("A").links["B"].key.cursor == 0
+        assert net.node("B").links["C"].key.cursor == 0
         assert net.node("B").knowledge_log == []
 
     def test_auth_precheck_spends_nothing_on_failure(self):
@@ -219,8 +219,8 @@ class TestRelay:
         net.provision_all()
         net.relay(["A", "B", "C"], 64, RandomSource(528))
         a, b, c = (net.node(i) for i in "ABC")
-        stores = [a.store_for("B"), b.store_for("A"), b.store_for("C"),
-                  c.store_for("B")]
+        stores = [a.links["B"].key, b.links["A"].key, b.links["C"].key,
+                  c.links["B"].key]
         pools = [a.links["B"].channel.pool, b.links["C"].channel.pool]
         before = [s.cursor for s in stores + pools]
         with pytest.raises(KeyExhausted) as exc_info:
@@ -254,7 +254,7 @@ class TestRelay:
         with pytest.raises(ValueError, match="unknown node 'Z'"):
             net.relay(path, 8, RandomSource(533))
         assert sorted(net.nodes) == ["A", "B"]
-        assert net.nodes["A"].store_for("B").cursor == 0
+        assert net.nodes["A"].links["B"].key.cursor == 0
         assert net.nodes["A"].links["B"].channel.pool.cursor == 0
 
     def test_precheck_counts_every_crossing_of_a_link(self):
@@ -262,8 +262,8 @@ class TestRelay:
         net = stub_network([("A", "B")], n_bits=100)
         with pytest.raises(KeyExhausted):
             net.relay(["A", "B", "A"], 64, RandomSource(530))
-        assert net.node("A").store_for("B").cursor == 0
-        assert net.node("B").store_for("A").cursor == 0
+        assert net.node("A").links["B"].key.cursor == 0
+        assert net.node("B").links["A"].key.cursor == 0
         assert net.node("A").links["B"].channel.pool.cursor == 0
         assert net.node("B").knowledge_log == []
         transcript = net.relay(["A", "B", "A"], 50, RandomSource(531))
@@ -308,7 +308,7 @@ class TestRelay:
         assert np.array_equal(transcript.end_key,
                               RandomSource(538).bits(int(key_len)))
         assert transcript.end_key.dtype == np.uint8
-        assert net.node("A").store_for("B").cursor == key_len
+        assert net.node("A").links["B"].key.cursor == key_len
 
     def test_short_path_rejected(self):
         net = stub_network([("A", "B")])

@@ -308,7 +308,6 @@ class TestErrorCorrect:
         got, want = outcomes
         assert got.verified == want.verified
         assert got.leaked_bits == want.leaked_bits
-        assert got.passes == want.passes
         assert np.array_equal(got.corrected_key, want.corrected_key)
         assert np.array_equal(got.transcript, want.transcript)
 
@@ -389,12 +388,10 @@ class TestPrivacyAmplify:
             want = int(row.astype(np.int64) @ key.astype(np.int64) % 2)
             assert out.bits[j] == want
 
-    def test_provenance_carried(self):
+    def test_returns_a_secret_key(self):
         key = RandomSource(1).bits(8)
-        out = privacy_amplify(key, 4, HashSeed(RandomSource(2).bits(11)),
-                              provenance="unit")
-        assert out.provenance == "unit"
-        assert isinstance(out, SecretKey)
+        out = privacy_amplify(key, 4, HashSeed(RandomSource(2).bits(11)))
+        assert isinstance(out, SecretKey) and len(out) == 4
 
 
 def toeplitz_product(key, ell: int, seed_bits) -> np.ndarray:

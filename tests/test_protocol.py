@@ -478,8 +478,8 @@ class TestRunSession:
         def always_fails(alice_key, bob_key, e_hat, public_coins, **kwargs):
             transcript = np.ones(70, dtype=np.uint8)
             raise ReconciliationFailure(CorrectionResult(
-                np.array(bob_key, dtype=np.uint8), len(transcript), 4,
-                False, transcript))
+                np.array(bob_key, dtype=np.uint8), len(transcript), False,
+                transcript))
 
         monkeypatch.setattr(protocol, "error_correct", always_fails)
         report = run_session(ideal_config(10_000, 420))
@@ -510,10 +510,6 @@ class TestRunSession:
         n = min(len(a.secret_key), len(b.secret_key))
         assert not np.array_equal(a.secret_key.bits[:n],
                                   b.secret_key.bits[:n])
-
-    def test_secret_key_provenance_names_seed(self):
-        report = run_session(ideal_config(10_000, 422))
-        assert report.secret_key.provenance == "session:0x1a6"
 
     def test_session_outcome_wire_values(self):
         assert SessionOutcome.SUCCESS.value == "Success"
