@@ -51,9 +51,9 @@ sifting, so with the P_r and P_w above a pulse gives a sifted bit with
 probability (P_r (1 - P_w) + (1 - P_r) P_w) / 2 (the bases match half
 the time) and the sifted QBER is (1 - P_r) P_w over that sum.
 
-The seeds and the 4-sigma binomial bounds were fixed once, on
-the dense per-pulse kernel, and stay fixed through any change to the
-quantum phase's stream layout: a failure then is a finding, not a
+Each case's seeds and 4-sigma binomial bounds were fixed once, when the
+case was added (the first three on the dense per-pulse kernel), and
+stay fixed through any change to the quantum phase's stream layout: a failure then is a finding, not a
 reason to re-seed. 4 sigma keeps the chance that a correct kernel fails
 either check near 1e-4.
 """
