@@ -51,6 +51,12 @@ sifting, so with the P_r and P_w above a pulse gives a sifted bit with
 probability (P_r (1 - P_w) + (1 - P_r) P_w) / 2 (the bases match half
 the time) and the sifted QBER is (1 - P_r) P_w over that sum.
 
+In the mismatched basis each photon goes to a uniformly random
+detector, so each detector gets an independent Poisson of mean
+lambda / 2 and fires with P = 1 - (1 - p_d) exp(-lambda / 2). A clicked
+gate there double-clicks with probability P^2 / (1 - (1 - P)^2) =
+P / (2 - P), and a single click reads 1 with probability 1/2.
+
 Each case's seeds and 4-sigma binomial bounds were fixed once, when the
 case was added (the first three on the dense per-pulse kernel), and
 stay fixed through any change to the quantum phase's stream layout: a failure then is a finding, not a
@@ -244,3 +250,44 @@ def test_sifted_qber_with_double_clicks_dropped(double_clicks_dropped):
     _, qber, (_, _, sifted, errors) = double_clicks_dropped
     assert qber == pytest.approx(0.1428, abs=1e-4)
     assert within_binomial(errors, sifted, qber)
+
+
+@pytest.fixture(scope="module")
+def mismatched_basis():
+    # the dropped-double-click link, read at the gates whose bases
+    # differ: about 30,000 clicks a seed, 9% of them double. A kernel
+    # that sent every mismatched photon to one detector would halve the
+    # double clicks and read nearly every single click as one bit.
+    link = dict(mu=0.5, km=10.0, db_per_km=0.2, eta=0.8, p_dark=0.05)
+    lam = link["mu"] * 10 ** (-link["db_per_km"] * link["km"] / 10) \
+        * link["eta"]
+    p_fire = 1 - (1 - link["p_dark"]) * math.exp(-lam / 2)
+    clicks = doubles = singles = ones = 0
+    for seed in SEEDS:
+        config = SessionConfig(
+            2 * 10**5, SourceModel(link["mu"]),
+            FiberChannel(link["km"], link["db_per_km"], 0.02),
+            DetectorPair(link["eta"], link["p_dark"]), seed,
+            double_click_random=False)
+        records = run_quantum_phase(config, RandomSource(seed))
+        mismatched = records.alice_bases != records.bob_bases
+        kinds = records.kinds[mismatched]
+        single = kinds == int(ClickKind.CLICK)
+        clicks += len(kinds)
+        doubles += int((kinds == int(ClickKind.DOUBLE_CLICK)).sum())
+        singles += int(single.sum())
+        ones += int(records.click_bits[mismatched][single].sum())
+    return p_fire / (2 - p_fire), (clicks, doubles, singles, ones)
+
+
+def test_double_clicks_in_the_mismatched_basis(mismatched_basis):
+    p_double, (clicks, doubles, _, _) = mismatched_basis
+    assert p_double == pytest.approx(0.08851, abs=1e-5)
+    assert clicks > 500_000
+    assert within_binomial(doubles, clicks, p_double)
+
+
+def test_single_clicks_in_the_mismatched_basis_are_fair(mismatched_basis):
+    _, (_, _, singles, ones) = mismatched_basis
+    assert singles > 500_000
+    assert within_binomial(ones, singles, 0.5)
