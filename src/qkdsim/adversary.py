@@ -65,13 +65,11 @@ class EveLedger:
 
     ``stored``: one row per photon split off a multiphoton pulse, with
     Alice's bit and basis. ``measured``: one row per intercept-resend
-    measurement, with Eve's result and basis guess. ``known_bits``:
-    ``(pulse index, bit)`` rows set by :func:`finalize_knowledge`.
+    measurement, with Eve's result and basis guess.
     """
 
     stored: np.ndarray = field(default_factory=lambda: _rows(3))
     measured: np.ndarray = field(default_factory=lambda: _rows(3))
-    known_bits: np.ndarray = field(default_factory=lambda: _rows(2))
 
     def record_stored(self, indices, bits, bases) -> None:
         self.stored = _append(self.stored, indices, bits, bases)
@@ -138,16 +136,15 @@ def finalize_knowledge(ledger: EveLedger, announced_bases: np.ndarray,
     ``(pulse index, bit)`` rows, in index order, of every ledger row whose
     pulse is sifted and whose basis is the announced one.
     ``sifted_indices`` is ascending and ``announced_bases[j]`` is the
-    basis announced for pulse ``sifted_indices[j]``. Also set as
-    ``ledger.known_bits``; repeated calls give the same rows."""
+    basis announced for pulse ``sifted_indices[j]``. The ledger is left
+    as it was, so repeated calls give the same rows."""
     # The basis test passes every stored row: it holds Alice's own basis,
     # the one she announces, so Eve reads the parked photon in it exactly.
     rows = _join(ledger.stored, ledger.measured)
     rows = rows[in_sorted(sifted_indices, rows[:, 0])]
     at = np.searchsorted(sifted_indices, rows[:, 0])
     rows = rows[announced_bases[at] == rows[:, 2]]
-    ledger.known_bits = rows[np.argsort(rows[:, 0], kind="stable"), :2]
-    return ledger.known_bits
+    return rows[np.argsort(rows[:, 0], kind="stable"), :2]
 
 
 def _join(rows: np.ndarray, more: np.ndarray) -> np.ndarray:

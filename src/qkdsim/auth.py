@@ -148,7 +148,6 @@ class AuthenticatedChannel:
         self.pool = pool
         self._mul: Gf64Multiplier | None = None  # keyed on the first send
         self._pending: list[tuple[AuthenticatedMessage, int, int]] = []
-        self.transcript: list[AuthenticatedMessage] = []
 
     def bits_needed(self, n_messages: int) -> int:
         """Pool bits that sending ``n_messages`` more messages consumes:
@@ -164,7 +163,6 @@ class AuthenticatedChannel:
         digest = _hash_message(payload, self._mul)
         msg = AuthenticatedMessage(payload, digest ^ otp)
         self._pending.append((msg, digest, otp))
-        self.transcript.append(msg)
         return msg
 
     def deliver(self, msg: AuthenticatedMessage) -> bytes:

@@ -7,12 +7,13 @@ Addition is XOR.
 
 Every production hash runs through :meth:`Gf64Multiplier.hash_bytes`.
 A product by the fixed key k is eight lookups in byte tables of
-k * (b << 8j). A message longer than ``LANES`` blocks is hashed as
-``LANES`` interleaved Horner chains with the multiplier K = k^LANES,
-vectorised over numpy uint64 lanes, whose results are then folded by
-the scalar Horner in k. Both routes are exact integer XOR and table
-arithmetic with no floating-point step, so they give the same element
-bit for bit and need no guard.
+k * (b << 8j), made in one place, the scalar Horner loop in k, which
+hashes a message of up to ``LANES`` blocks alone. A longer message is
+hashed as ``LANES`` interleaved Horner chains with the multiplier
+K = k^LANES, vectorised over numpy uint64 lanes, whose results are then
+folded by the scalar Horner in k. Both routes are exact integer XOR and
+table arithmetic with no floating-point step, so they give the same
+element bit for bit and need no guard.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _byte_tables(k: int) -> list[list[int]]:
 
 
 class Gf64Multiplier:
-    """Multiplier by a fixed key k, and the polynomial hash keyed by k.
+    """The polynomial hash keyed by a fixed field element k.
 
     A hash multiplies every 64-bit block by the same key, so 8 x 256
     tables hold k * (b << 8j) for each byte position j and byte value b;
@@ -76,18 +77,11 @@ class Gf64Multiplier:
         self._tables = _byte_tables(self.k)
         self._lane_tables: np.ndarray | None = None  # K's, flattened
 
-    def mul(self, a: int) -> int:
-        t0, t1, t2, t3, t4, t5, t6, t7 = self._tables
-        return (t0[a & 0xFF] ^ t1[a >> 8 & 0xFF] ^ t2[a >> 16 & 0xFF]
-                ^ t3[a >> 24 & 0xFF] ^ t4[a >> 32 & 0xFF]
-                ^ t5[a >> 40 & 0xFF] ^ t6[a >> 48 & 0xFF] ^ t7[a >> 56])
-
     def _lane_mul(self, lanes: np.ndarray) -> np.ndarray:
         """Multiply every uint64 lane by K = k^LANES."""
         if self._lane_tables is None:
-            big_k = 1
-            for _ in range(LANES):
-                big_k = self.mul(big_k)
+            # the hash of a 1 block and LANES - 1 zero blocks is k^LANES
+            big_k = self._horner((1,) + (0,) * (LANES - 1))
             self._lane_tables = np.array(_byte_tables(big_k),
                                          dtype=_LANE_DTYPE).ravel()
         index = lanes.view(np.uint8).reshape(-1, 8) + _BYTE_OFFSETS
@@ -101,10 +95,6 @@ class Gf64Multiplier:
         elements in ``tail``. The caller adds its own length convention.
         An empty message hashes to 0.
         """
-        if len(data) <= 16 and not tail:  # up to two blocks: a relay hop
-            w = int.from_bytes(data, "big") << (-len(data) % 8 * 8)
-            # a shorter message leads with a zero block: Horner ignores it
-            return self._horner((w >> 64, w & MASK64))
         n_words = -(-len(data) // 8)
         body = data.ljust(8 * n_words, b"\x00")
         n_blocks = n_words + len(tail)

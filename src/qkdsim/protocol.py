@@ -127,7 +127,6 @@ class QberEstimate:
     ``remaining`` and never used for key."""
 
     e_hat: float
-    sample_size: int
     remaining: SiftedKeys
     sample_positions: np.ndarray = field(repr=False)
     alice_sample: np.ndarray = field(repr=False)
@@ -216,7 +215,7 @@ def estimate_qber(sifted: SiftedKeys, fraction: float,
     e_hat = float(np.mean(a != b))
     remaining = SiftedKeys(sifted.alice_bits[~mask], sifted.bob_bits[~mask],
                            sifted.source_indices[~mask])
-    return QberEstimate(e_hat, k, remaining, rel, a, b)
+    return QberEstimate(e_hat, remaining, rel, a, b)
 
 
 def _pack_bits(bits) -> bytes:
@@ -271,7 +270,7 @@ def run_session(config: SessionConfig) -> SessionReport:
     # positions, and her sample bits. Message 3, Bob -> Alice: his.
     channel.deliver(channel.send(
         records.alice_bases[single].tobytes()
-        + struct.pack(">I", est.sample_size)
+        + struct.pack(">I", len(est.sample_positions))
         + est.sample_positions.astype(">u4").tobytes()
         + _pack_bits(est.alice_sample)))
     channel.deliver(channel.send(_pack_bits(est.bob_sample)))

@@ -343,7 +343,7 @@ def poly_hash_blocks(blocks, mul) -> int:
 
     ``blocks`` is the message split into field elements, highest-order
     coefficient first; ``mul`` multiplies a field element by the hash key
-    k (``Gf64Multiplier(k).mul``). An empty sequence hashes to 0.
+    k (``lambda a: gf64_mul(a, k)``). An empty sequence hashes to 0.
     """
     acc = 0
     for block in blocks:

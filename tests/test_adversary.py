@@ -251,7 +251,6 @@ class TestKnowledge:
         second = known_bits(ledger, records, sifted)
         assert first.shape[1] == 2 and len(first) > 0
         assert np.array_equal(first, second)
-        assert np.array_equal(second, ledger.known_bits)
 
     def test_information_of_empty_sifted_key(self):
         empty = SiftedKeys(np.zeros(0, np.uint8), np.zeros(0, np.uint8),
@@ -420,7 +419,6 @@ class TestLedgerMatchesPerPulseRule:
         want = reference_knowledge(stored, measured, bases, sifted)
         assert known.dtype == np.int64 and known.shape == (len(want), 2)
         assert np.array_equal(known, as_rows(want).reshape(-1, 2))
-        assert np.array_equal(ledger.known_bits, known)
         # Eve never holds a wrong bit: each known bit is Alice's.
         assert np.array_equal(known[:, 1], bits[known[:, 0]])
 

@@ -6,6 +6,7 @@ GF(2^8)); the collision bound is counted exhaustively over every key of
 the 8-bit toy field.
 """
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -111,15 +112,17 @@ class TestFieldArithmetic:
             assert gf64_mul(b, a) == want
 
     def test_table_multiplier_agrees(self):
-        """The byte-table product k * a equals the shift-reduce reference
-        and the in-test one, for random keys and operands."""
+        """The byte-table product k * a, the hash of the one block a,
+        equals the shift-reduce reference and the in-test one, for random
+        keys and operands."""
         rand = RandomSource(12)
         for _ in range(20):
             k = rand.uint64()
             mul = Gf64Multiplier(k)
             for _ in range(20):
                 a = rand.uint64()
-                assert mul.mul(a) == gf64_mul(a, k) == ref_mul64(a, k)
+                assert mul.hash_bytes(a.to_bytes(8, "big")) \
+                    == gf64_mul(a, k) == ref_mul64(a, k)
 
     def test_gf8_exhaustive(self):
         for a in range(256):
@@ -137,16 +140,19 @@ class TestPolynomialHash:
     def test_horner_single_block(self):
         key = 0x0123456789ABCDEF
         block = 0xFEDCBA9876543210
-        assert poly_hash_blocks([block], Gf64Multiplier(key).mul) \
+        assert poly_hash_blocks([block], lambda a: gf64_mul(a, key)) \
+            == Gf64Multiplier(key).hash_bytes(block.to_bytes(8, "big")) \
             == gf64_mul(block, key)
 
     def test_horner_two_blocks(self):
         key, m1, m2 = 7, 11, 13
         want = gf64_mul(gf64_mul(m1, key) ^ m2, key)
-        assert poly_hash_blocks([m1, m2], Gf64Multiplier(key).mul) == want
+        assert poly_hash_blocks([m1, m2], lambda a: gf64_mul(a, key)) \
+            == Gf64Multiplier(key).hash_bytes(struct.pack(">2Q", m1, m2)) \
+            == want
 
     def test_empty_is_zero(self):
-        assert poly_hash_blocks([], Gf64Multiplier(12345).mul) == 0
+        assert poly_hash_blocks([], lambda a: gf64_mul(a, 12345)) == 0
         assert Gf64Multiplier(12345).hash_bytes(b"") == 0
 
     def test_toy_field_collision_bound(self):
@@ -194,7 +200,7 @@ class TestHashKernelProperties:
     @example(length=16 * LANES + 8, seed=5, key=2**64 - 3, otp=4)
     @example(length=16 * LANES + 5, seed=6, key=12345, otp=5)
     @example(length=8 * LANES - 3, seed=7, key=0, otp=6)
-    # the short path: one and two blocks, either side of a block boundary
+    # one and two blocks, either side of a block boundary
     @example(length=1, seed=8, key=MASK64, otp=7)
     @example(length=8, seed=9, key=2**63 + 1, otp=8)
     @example(length=9, seed=10, key=0x1B, otp=9)
@@ -573,9 +579,6 @@ class TestAuthenticatedChannel:
         assert pool.cursor == 192
         assert channel.deliver(m1) == b"first"
         assert channel.deliver(m2) == b"second"
-        assert len(channel.transcript) == 2
-        assert [m.payload for m in channel.transcript] == [b"first",
-                                                           b"second"]
 
     def test_send_and_deliver_hash_once(self, monkeypatch):
         # deliver reuses the hash send made for the very message it sent
@@ -609,7 +612,6 @@ class TestAuthenticatedChannel:
         msg = channel.send(buffer)
         buffer[0] ^= 1
         assert type(msg.payload) is bytes and msg.payload == b"sample bits"
-        assert channel.transcript == [msg]
         with pytest.raises(AuthenticationFailure):
             channel.deliver(AuthenticatedMessage(buffer, msg.tag))
 

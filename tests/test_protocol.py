@@ -31,6 +31,23 @@ from qkdsim.rng import DRAW_CHUNK, RandomSource
 from reference_kernels import dense_quantum_phase
 
 
+def traced_phase(config):
+    """(records, bytes left held, peak bytes) of one quantum phase.
+    tracemalloc's peak counts the bytes numpy and Python hold, so unlike
+    peak RSS it does not move with the heap's layout."""
+    # numpy.random imports lazily on its first draw in the process
+    run_quantum_phase(ideal_config(100, 406), RandomSource(406))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        records = run_quantum_phase(config, RandomSource(config.seed))
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return records, held, peak
+
+
 def ideal_config(n_pulses, seed, **kwargs):
     return SessionConfig(
         n_pulses=n_pulses,
@@ -132,32 +149,48 @@ class TestQuantumPhase:
         (0.5, 40.0, NoAttack()),
     ], ids=["pns", "intercept-resend", "no-eve"])
     def test_memory_budget_per_pulse(self, mu, km, eve):
-        # tracemalloc's peak counts the bytes numpy and Python hold, so
-        # unlike peak RSS it does not move with the heap's layout. The
-        # one-byte counts (two while the channel thins them), three
-        # packed bit arrays, Eve's ledger (24 B per split pulse, about
-        # 9% of pulses at mu 0.5), the chunk-sized draws and the
-        # detector's arrays over lit pulses fit in 6 B/pulse; a second
-        # n-long byte array, int64 counts or an n-long float64 draw do
-        # not. The records returned hold about 13 B per click.
+        # On these links 2-8% of gates click. The one-byte counts (two
+        # while the channel thins them), three packed bit arrays, Eve's
+        # ledger (24 B per split pulse, about 9% of pulses at mu 0.5),
+        # the chunk-sized draws and the detector's arrays over lit
+        # pulses fit in 6 B/pulse; a second n-long byte array, int64
+        # counts or an n-long float64 draw do not. The records returned
+        # hold about 13 B per click.
         n = 200_000
         config = ideal_config(n, 406, source=SourceModel(mu),
                               channel=FiberChannel(km), eve=eve)
-        # numpy.random imports lazily on its first draw in the process
-        run_quantum_phase(ideal_config(100, 406), RandomSource(406))
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            records = run_quantum_phase(config, RandomSource(config.seed))
-            held, peak = (m - base for m in tracemalloc.get_traced_memory())
-        finally:
-            tracemalloc.stop()
+        records, held, peak = traced_phase(config)
         assert len(records) == n
         assert peak / n <= 6, f"{peak / n:.1f} B/pulse"
         # what the phase leaves behind is its records, O(clicks)
         clicks = len(records.kinds)
         assert 0 < clicks < n / 10
+        assert held <= 13 * clicks + 4096, f"{held / clicks:.1f} B/click"
+
+    @pytest.mark.parametrize("efficiency, dark, flip", [
+        (1.0, 0.0, 0.0),
+        (0.8, 1e-5, 0.01),
+    ], ids=["ideal-detectors", "metro-key-link"])
+    def test_memory_budget_at_high_click_rates(self, efficiency, dark, flip):
+        # 5 km at mu 0.5, no Eve: 27-33% of gates click, and the
+        # detector's arrays over the clicked gates outweigh the n-long
+        # ones. At its peak the phase holds the counts and three packed
+        # bit arrays (1.4 B/pulse) and, in measure_batch, three int64
+        # arrays over the gates (the hit pulses, the gates before and
+        # after dropping repeats, or the sort's buffer; 24 B/click)
+        # with a few one-byte flags: about 31 B/click in all. 3 B/pulse
+        # + 32 B/click holds that; one more n-long int64 array (8
+        # B/pulse) or one more int64 array over the clicks (2.2-2.6
+        # B/pulse here) does not fit.
+        n = 200_000
+        config = ideal_config(n, 406, source=SourceModel(0.5),
+                              channel=FiberChannel(5.0, 0.2, flip),
+                              detectors=DetectorPair(efficiency, dark))
+        records, held, peak = traced_phase(config)
+        clicks = len(records.kinds)
+        assert n / 4 < clicks < n / 2
+        budget = 3 * n + 32 * clicks
+        assert peak <= budget, f"{peak / n:.1f} B/pulse, {clicks} clicks"
         assert held <= 13 * clicks + 4096, f"{held / clicks:.1f} B/click"
 
     @pytest.mark.parametrize("eve", [NoAttack(), PhotonNumberSplit(),
@@ -315,7 +348,7 @@ class TestEstimateQber:
         est = estimate_qber(self.make_sifted(1000, 0, 410), 0.1,
                             RandomSource(1))
         assert est.e_hat == 0.0
-        assert est.sample_size == 100
+        assert len(est.sample_positions) == 100
         assert len(est.remaining) == 900
 
     def test_sample_removed_from_remaining(self):
@@ -323,7 +356,7 @@ class TestEstimateQber:
         est = estimate_qber(sifted, 0.2, RandomSource(2))
         sample = set(int(i) for i in est.sample_positions)
         kept = set(int(i) for i in est.remaining.source_indices)
-        assert len(sample) == est.sample_size == 100
+        assert len(sample) == len(est.sample_positions) == 100
         assert sample.isdisjoint(kept)
         assert len(kept) + len(sample) == 500
 
@@ -368,7 +401,7 @@ class TestEstimateQber:
         sifted = SiftedKeys(np.array([1], np.uint8), np.array([1], np.uint8),
                             np.array([0], np.int64))
         est = estimate_qber(sifted, 0.1, RandomSource(6))
-        assert est.sample_size == 1
+        assert len(est.sample_positions) == 1
         assert len(est.remaining) == 0
 
 
