@@ -8,8 +8,9 @@ Subcommands: ``run`` (one session, human-readable report), ``sweep``
 Flags, config files, sweep axes and scenarios are all checked, before
 anything runs, by one walker (:func:`_validate`) over one rule table,
 whose number rules are the models' own: string and number types and
-ranges, unknown and missing keys, exactly one of ``stub`` and
-``session`` per link, and no self-loop or duplicate links.
+ranges, unknown and missing keys, and exactly one of ``stub`` and
+``session`` per link. A scenario's network, which refuses a topology it
+cannot hold, and every output path are checked before anything runs too.
 
 Exit codes are a stable contract: 0 success, 1 usage or config error
 (a bad flag and a missing subcommand included), 2 session aborted at
@@ -22,7 +23,6 @@ A ``network`` link session that aborts exits as ``run`` would, 2 or 3.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import itertools
@@ -30,6 +30,7 @@ import json
 import numbers
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from typing import NamedTuple
 
 from .adversary import (InterceptResend, NoAttack, PhotonNumberSplit,
@@ -346,8 +347,22 @@ def _sweep_points(params: dict) -> list[dict]:
 
 
 def _refuse_overwrite(path: str, force: bool) -> None:
+    """Refuse, before any session runs, a path that cannot take a file."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
     if os.path.exists(path) and not force:
         raise ConfigError(f"refusing to overwrite {path}; pass --force")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ConfigError(f"cannot write {path}: no directory {parent}")
+
+
+def _write_csv(path: str, rows) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _run_point(config: SessionConfig) -> list[str]:
@@ -361,77 +376,64 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep needs --output (or \"output\" in config)")
     _refuse_overwrite(output, args.force)
     repeats = params.get("repeats", 1)
-    workers = _validate("", '"jobs"', args.jobs, PARAM_RULES["jobs"])
+    jobs = _validate("", '"jobs"', args.jobs, PARAM_RULES["jobs"])
     # Per-session seed from a documented 64-bit mix so any subset of the
     # sweep reproduces the exact same sessions.
-    jobs = [dataclasses.replace(config,
-                                seed=mix64(params["seed"], i * repeats + r))
-            for i, config in enumerate(map(session_config,
-                                           _sweep_points(params)))
-            for r in range(repeats)]
+    configs = [dataclasses.replace(config,
+                                   seed=mix64(params["seed"], i * repeats + r))
+               for i, config in enumerate(map(session_config,
+                                              _sweep_points(params)))
+               for r in range(repeats)]
+    # a process pool forks all its workers at its first task
+    workers = min(jobs, len(configs), os.cpu_count() or 1)
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            results = list(pool.map(_run_point, jobs, chunksize=1))
+        with ProcessPoolExecutor(workers) as pool:
+            results = list(pool.map(_run_point, configs, chunksize=1))
     else:
-        results = [_run_point(job) for job in jobs]
-    with open(output, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows([CSV_COLUMNS,
-                                                       *results])
-    print(f"wrote {len(jobs)} rows to {output}")
+        results = [_run_point(config) for config in configs]
+    _write_csv(output, [CSV_COLUMNS, *results])
+    print(f"wrote {len(configs)} rows to {output}")
     return EXIT_OK
 
 
-def load_scenario(path: str) -> dict:
-    """Read and check a trusted-node scenario against ``SCENARIO``; it
-    comes back with every value converted. Each link joins two declared
-    nodes that no other link joins, and every relay hop is a link."""
+def load_scenario(path: str) -> tuple[Network, list]:
+    """The unprovisioned network and the relays of a scenario checked
+    against ``SCENARIO``. The network refuses an undeclared node, a
+    self-loop and a second link between two nodes; each relay hop must
+    be a link."""
     path, data = _load_json_object(path, "scenario")
     data = _validate(path, "scenario", data, SCENARIO)
-
-    def declared(where, node_id):
-        if node_id not in data["nodes"]:
-            raise ConfigError(f"{path}: {where} names node {node_id!r}, "
-                              "not in \"nodes\"")
-
-    links: dict[frozenset, int] = {}
+    net = Network()
+    for node_id in data["nodes"]:
+        net.node(node_id)
     for i, spec in enumerate(data["links"]):
         a, b = spec["a"], spec["b"]
-        for end in ("a", "b"):
-            declared(f"link {i} ({a}-{b}) \"{end}\"", spec[end])
-        if a == b:
-            raise ConfigError(f"{path}: link {i} joins node {a!r} to "
-                              "itself")
-        ends = frozenset((a, b))
-        if ends in links:
-            raise ConfigError(f"{path}: link {i} duplicates link "
-                              f"{links[ends]}, joining {a} and {b}")
-        links[ends] = i
+        source = (StubKeySource(spec["stub"]["seed"], spec["stub"]["bits"])
+                  if "stub" in spec
+                  else session_config(dict(DEFAULTS, **spec["session"])))
+        try:
+            net.require_nodes((a, b), f"{a}-{b}")
+            net.add_link(a, b, source,
+                         spec.get("auth_pool_bits", LINK_AUTH_POOL_BITS))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: link {i}: {exc}") from None
     for i, spec in enumerate(data["relays"]):
-        hops = spec["path"]
-        for node_id in hops:
-            declared(f"relay {i} \"path\"", node_id)
+        where, hops = f'relay {i} "path"', spec["path"]
+        try:
+            net.require_nodes(hops, where)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         for a, b in zip(hops, hops[1:]):
-            if frozenset((a, b)) not in links:
-                raise ConfigError(f"{path}: relay {i} \"path\" hop "
-                                  f"{a}-{b} is not a link")
-    return data
+            if b not in net.nodes[a].links:
+                raise ConfigError(f"{path}: {where} hop {a}-{b} is not a "
+                                  "link")
+    return net, data["relays"]
 
 
 def cmd_network(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
     if args.csv:
         _refuse_overwrite(args.csv, args.force)
-    net = Network()
-    for node_id in scenario["nodes"]:
-        net.node(node_id)
-    for spec in scenario["links"]:
-        if "stub" in spec:
-            source = StubKeySource(spec["stub"]["seed"],
-                                   spec["stub"]["bits"])
-        else:
-            source = session_config(dict(DEFAULTS, **spec["session"]))
-        net.add_link(spec["a"], spec["b"], source,
-                     spec.get("auth_pool_bits", LINK_AUTH_POOL_BITS))
+    net, relays = load_scenario(args.scenario)
 
     try:
         net.provision_all()
@@ -441,9 +443,8 @@ def cmd_network(args: argparse.Namespace) -> int:
         return exit_code_for(exc.outcome) or EXIT_INSUFFICIENT_LINK_KEY
 
     rows = []
-    for i, spec in enumerate(scenario["relays"]):
-        path_ids = spec["path"]
-        key_len = spec["key_len"]
+    for i, spec in enumerate(relays):
+        path_ids, key_len = spec["path"], spec["key_len"]
         rand = RandomSource(spec.get("seed", i)).split("relay")
         try:
             transcript = net.relay(path_ids, key_len, rand)
@@ -468,11 +469,8 @@ def cmd_network(args: argparse.Namespace) -> int:
               f"{link.key.remaining} remaining")
 
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["relay", "path", "key_len", "hops",
-                             "interior", "status"])
-            writer.writerows(rows)
+        _write_csv(args.csv, [["relay", "path", "key_len", "hops",
+                               "interior", "status"], *rows])
         print(f"wrote {len(rows)} relay rows to {args.csv}")
     return EXIT_OK
 

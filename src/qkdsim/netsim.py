@@ -209,7 +209,7 @@ class Network:
         for link in self.links:
             provision_link(link)
 
-    def _require_nodes(self, node_ids, where: str) -> None:
+    def require_nodes(self, node_ids, where: str) -> None:
         for node_id in node_ids:
             if node_id not in self.nodes:
                 raise ValueError(f"unknown node {node_id!r} in {where}")
@@ -217,7 +217,7 @@ class Network:
     def shortest_path(self, a_id: str, b_id: str) -> list[Node]:
         """Fewest-hops path, breadth-first over links; neighbors are
         visited in sorted id order, so ties go the same way every time."""
-        self._require_nodes((a_id, b_id), "path query")
+        self.require_nodes((a_id, b_id), "path query")
         seen = {a_id: None}
         queue = deque([a_id])
         while queue:
@@ -238,5 +238,5 @@ class Network:
               rand: RandomSource) -> RelayTranscript:
         """Relay over existing nodes only; an unknown id raises
         ``ValueError`` before anything is created or spent."""
-        self._require_nodes(path_ids, "relay path")
+        self.require_nodes(path_ids, "relay path")
         return relay_key([self.nodes[i] for i in path_ids], key_len, rand)

@@ -18,13 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdsim import cli, netsim
 from qkdsim.adversary import InterceptResend, NoAttack, PhotonNumberSplit
 from qkdsim.cli import (CONFIG, CSV_COLUMNS, DEFAULTS, EXIT_ABORT_QBER,
                         EXIT_ABORT_RECONCILIATION,
                         EXIT_INSUFFICIENT_LINK_KEY, EXIT_OK, EXIT_USAGE,
                         PARAM_RULES, SCENARIO, ConfigError, _fmt, _validate,
-                        exit_code_for, load_config_file, load_scenario, main,
-                        merge_params, parse_attack_model, parse_eve)
+                        _write_csv, exit_code_for, load_config_file,
+                        load_scenario, main, merge_params,
+                        parse_attack_model, parse_eve)
 from qkdsim.netsim import StubKeySource
 from qkdsim.photonics import (MAX_MU, DetectorPair, FiberChannel,
                               SourceModel)
@@ -40,6 +42,10 @@ def run_main(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def no_session(config):
+    raise AssertionError("a session ran")
 
 
 class TestParsing:
@@ -242,6 +248,63 @@ class TestSweepCommand:
              "--force"], capsys)
         assert code == EXIT_OK
         assert out_csv.read_text().startswith(",".join(CSV_COLUMNS[:3]))
+
+    @pytest.mark.parametrize("target, flags, message", [
+        ("missing/out.csv", [], "no directory"),
+        (".", ["--force"], "is a directory"),
+        ("taken.csv", [], "refusing to overwrite"),
+    ])
+    def test_bad_output_exits_one_before_any_session(
+            self, tmp_path, capsys, monkeypatch, target, flags, message):
+        monkeypatch.setattr(cli, "run_session", no_session)
+        (tmp_path / "taken.csv").write_text("precious")
+        config = self.sweep_config(tmp_path, {"mu": [0.1, 0.5]})
+        code, _, err = run_main(
+            ["sweep", "--config", config, "--output",
+             str(tmp_path / target), *flags], capsys)
+        assert code == EXIT_USAGE
+        assert message in err and "Traceback" not in err
+        assert (tmp_path / "taken.csv").read_text() == "precious"
+
+    def test_write_failure_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot write"):
+            _write_csv(str(tmp_path), [CSV_COLUMNS])
+
+    @pytest.mark.parametrize("jobs, points, cpus, want", [
+        (8, 1, 4, None),     # one session runs in this process
+        (8, 3, 2, 2),        # no more workers than CPUs
+        (2, 3, 8, 2),        # no more workers than asked for
+        (8, 2, 8, 2),        # no more workers than sessions
+        (8, 3, None, None),  # an unknown CPU count counts as one
+    ])
+    def test_workers_capped_at_sessions_and_cpus(
+            self, tmp_path, capsys, monkeypatch, jobs, points, cpus, want):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        config = self.sweep_config(
+            tmp_path, {"mu": [0.1, 0.3, 0.5][:points]}, pulses=2000)
+        out_csv = tmp_path / "capped.csv"
+        code, _, _ = run_main(
+            ["sweep", "--config", config, "--output", str(out_csv),
+             "--jobs", str(jobs)], capsys)
+        assert code == EXIT_OK
+        assert started == ([] if want is None else [want])
+        assert len(out_csv.read_text().splitlines()) == 1 + points
 
     def test_no_axes_is_usage_error(self, tmp_path, capsys):
         config = self.sweep_config(tmp_path, {})
@@ -463,6 +526,38 @@ class TestNetworkCommand:
         assert lines[1] == "0,A-B-C,96,2,B,ok"
         assert lines[2] == "1,A-B,32,1,(none),ok"
 
+    @pytest.mark.parametrize("target, flags, message", [
+        ("missing/relays.csv", [], "no directory"),
+        (".", ["--force"], "is a directory"),
+    ])
+    def test_bad_csv_path_exits_one_before_provisioning(
+            self, tmp_path, capsys, monkeypatch, target, flags, message):
+        monkeypatch.setattr(netsim, "run_session", no_session)
+        scenario = self.scenario(
+            tmp_path, links=[{"a": "A", "b": "B",
+                              "session": {"pulses": 2000}}],
+            relays=[{"path": ["A", "B"], "key_len": 8}], nodes=("A", "B"))
+        code, _, err = run_main(
+            ["network", scenario, "--csv", str(tmp_path / target), *flags],
+            capsys)
+        assert code == EXIT_USAGE
+        assert message in err and "Traceback" not in err
+
+    def test_scenario_builds_the_network(self, tmp_path):
+        scenario = self.scenario(
+            tmp_path,
+            links=[{"a": "A", "b": "B", "stub": {"seed": 1, "bits": 64}},
+                   {"a": "B", "b": "C", "stub": {"seed": 2, "bits": 64},
+                    "auth_pool_bits": 256}],
+            relays=[{"path": ["A", "B", "C"], "key_len": 8}])
+        net, relays = load_scenario(scenario)
+        assert sorted(net.nodes) == ["A", "B", "C"]
+        assert [tuple(n.id for n in link.endpoints) for link in net.links] \
+            == [("A", "B"), ("B", "C")]
+        assert net.links[1].channel.pool.remaining == 256
+        assert all(link.key.remaining == 0 for link in net.links)
+        assert relays == [{"path": ["A", "B", "C"], "key_len": 8}]
+
     def test_scenario_missing_section(self, tmp_path, capsys):
         path = tmp_path / "half.json"
         path.write_text(json.dumps({"nodes": ["A"], "links": []}))
@@ -543,12 +638,12 @@ AB = {"nodes": ["A", "B"],
      "link 0 needs exactly one of"),
     (dict(AB, links=[{"a": "A", "b": "A", "stub": {"seed": 1, "bits": 64}}],
           relays=[{"path": ["A", "A"], "key_len": 8}]),
-     "link 0 joins node 'A' to itself"),
+     "link 0: link A-A joins a node to itself"),
     (dict(AB, links=[AB["links"][0], dict(AB["links"][0])]),
-     "link 1 duplicates link 0"),
+     "link 1: nodes A and B are already linked"),
     (dict(AB, links=[AB["links"][0],
                      {"a": "B", "b": "A", "stub": {"seed": 2, "bits": 64}}]),
-     "link 1 duplicates link 0"),
+     "link 1: nodes B and A are already linked"),
     (dict(AB, links=[{"a": "A", "b": "B", "session": {"eve": 5}}]), '"eve"'),
     (dict(AB, links=[{"a": "A", "b": "B", "session": {"eve": None}}]),
      '"eve"'),

@@ -7,6 +7,7 @@ phase's per-click records are checked against the dense per-pulse phase
 they replaced.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -16,12 +17,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qkdsim.adversary import (EveLedger, InterceptResend, NoAttack,
-                              PhotonNumberSplit)
+                              PhotonNumberSplit, strategy_label)
 from qkdsim.photonics import (ConstantSource, DetectorPair, FiberChannel,
                               SourceModel, survival_probability)
 from qkdsim.postprocess import (AttackModel, CorrectionResult,
                                 ReconciliationFailure, binary_entropy)
-from qkdsim import postprocess
+from qkdsim import photonics, postprocess, rng
 from qkdsim.protocol import (FRACTION, MIN_RECONCILE_BITS, EmptySample,
                              PulseRecords, SessionConfig, SessionOutcome,
                              SiftedKeys, estimate_qber, run_quantum_phase,
@@ -543,6 +544,67 @@ class TestRunSession:
         n = min(len(a.secret_key), len(b.secret_key))
         assert not np.array_equal(a.secret_key.bits[:n],
                                   b.secret_key.bits[:n])
+
+    @given(n=st.integers(1, 5000),
+           mu=st.one_of(st.just(0.5), st.floats(0.0, 3.0)),
+           km=st.one_of(st.just(0.0), st.floats(0.0, 60.0)),
+           efficiency=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+           dark=st.one_of(st.just(0.0), st.floats(0.0, 1e-2)),
+           flip=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+           eve=st.one_of(st.just(NoAttack()), st.just(PhotonNumberSplit()),
+                         st.floats(0.0, 1.0).map(InterceptResend)),
+           fraction=st.floats(0.01, 0.99),
+           double_click_random=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_accounting_holds_for_any_config(self, n, mu, km, efficiency,
+                                             dark, flip, eve, fraction,
+                                             double_click_random, seed):
+        report = run_session(SessionConfig(
+            n, SourceModel(mu), FiberChannel(km, 0.2, flip),
+            DetectorPair(efficiency, dark), seed, eve=eve,
+            sample_fraction=fraction,
+            double_click_random=double_click_random))
+        assert report.secret_growth == \
+            report.final_len - report.auth_bits_consumed
+        key_len = 0 if report.secret_key is None else len(report.secret_key)
+        assert key_len == report.final_len
+        assert report.sifted_len <= report.raw_len <= report.clicks \
+            <= report.pulses_sent == n
+        assert report.final_len <= report.sifted_len
+        # 128 bits for the first tag, 64 for each later one: two
+        # messages at an empty sample, three at an error-rate abort,
+        # four when the key is too short to reconcile, five otherwise
+        n_rem = report.sifted_len - math.ceil(fraction * report.sifted_len)
+        if math.isnan(report.e_hat):
+            messages = 2
+        elif report.outcome is SessionOutcome.ABORT_QBER:
+            messages = 3
+        else:
+            messages = 4 if n_rem < MIN_RECONCILE_BITS else 5
+        assert report.auth_bits_consumed == 128 + 64 * (messages - 1)
+
+    @pytest.mark.parametrize("eve", [NoAttack(), PhotonNumberSplit(),
+                                     InterceptResend(0.1)],
+                             ids=strategy_label)
+    def test_identical_across_chunk_sizes(self, eve, monkeypatch):
+        # Per-pulse draws run DRAW_CHUNK values at a time; the chunk size
+        # must move no value. photonics holds its own copy of the name.
+        config = SessionConfig(60_000, SourceModel(0.5),
+                               FiberChannel(5.0, 0.2, 0.01),
+                               DetectorPair(0.5, 1e-3), 422, eve=eve)
+
+        def outputs():
+            report = run_session(config)
+            return (dataclasses.replace(report, secret_key=None),
+                    report.secret_key.bits.tolist()
+                    if report.secret_key is not None else None)
+
+        want = outputs()
+        assert want[1]  # a key to compare
+        for chunk in (7, 64, 1000, 65_536):
+            monkeypatch.setattr(rng, "DRAW_CHUNK", chunk)
+            monkeypatch.setattr(photonics, "DRAW_CHUNK", chunk)
+            assert outputs() == want, chunk
 
     def test_session_outcome_wire_values(self):
         assert SessionOutcome.SUCCESS.value == "Success"
