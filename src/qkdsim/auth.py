@@ -117,7 +117,7 @@ def compute_tag(message: bytes, hash_key: int, otp: int) -> int:
     return _hash_message(message, Gf64Multiplier(hash_key)) ^ (otp & MASK64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthenticatedMessage:
     """A payload with its one-time tag, as sent on the public channel."""
 

@@ -13,7 +13,8 @@ ranges, unknown and missing keys, and exactly one of ``stub`` and
 cannot hold, and every output path are checked before anything runs too.
 
 Exit codes are a stable contract: 0 success, 1 usage or config error
-(a bad flag and a missing subcommand included), 2 session aborted at
+(a bad flag, a missing subcommand and a session too large for memory
+included), 2 session aborted at
 the error-rate test, 3 session aborted at reconciliation, 4 insufficient
 link or authentication key (a relay, a session whose authentication
 pool ran dry, or a ``network`` link session that yielded an empty key).
@@ -304,10 +305,20 @@ def exit_code_for(outcome: SessionOutcome) -> int:
                 EXIT_ABORT_RECONCILIATION}[outcome]
 
 
+def _run_session(config: SessionConfig):
+    """``run_session``; a session that outgrows memory (the pulse rule
+    admits up to 2^32) is a ConfigError that names its size."""
+    try:
+        return run_session(config)
+    except MemoryError:
+        raise ConfigError(f"a session of {config.n_pulses} pulses does not "
+                          "fit in memory; lower \"pulses\"") from None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     params = merge_params(args)
     config = session_config(params)
-    report = run_session(config)
+    report = _run_session(config)
     print(f"session seed {config.seed}: {config.n_pulses} pulses, "
           f"mu={config.source.mu:g}, {config.channel.length_km:g} km @ "
           f"{config.channel.attenuation_db_per_km:g} dB/km (1550 nm "
@@ -366,7 +377,7 @@ def _write_csv(path: str, rows) -> None:
 
 
 def _run_point(config: SessionConfig) -> list[str]:
-    return csv_row(config, run_session(config))
+    return csv_row(config, _run_session(config))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -441,6 +452,13 @@ def cmd_network(args: argparse.Namespace) -> int:
         # a session that succeeded with an empty key left the link short
         print(f"link provisioning failed: {exc}", file=sys.stderr)
         return exit_code_for(exc.outcome) or EXIT_INSUFFICIENT_LINK_KEY
+    except MemoryError:
+        pulses = max((link.key_source.n_pulses for link in net.links
+                      if isinstance(link.key_source, SessionConfig)),
+                     default=0)
+        raise ConfigError(f"{args.scenario}: link key material does not fit "
+                          f"in memory (largest link session {pulses} "
+                          "pulses); lower \"pulses\" or \"bits\"") from None
 
     rows = []
     for i, spec in enumerate(relays):
@@ -460,7 +478,7 @@ def cmd_network(args: argparse.Namespace) -> int:
     print("trust exposure:")
     for node_id in sorted(net.nodes):
         node = net.nodes[node_id]
-        print(f"  {node_id}: saw {len(node.knowledge_log)} relayed "
+        print(f"  {node_id}: saw {len(node.observed)} relayed "
               f"key(s) in plaintext")
     print("link key accounting:")
     for link in net.links:

@@ -49,12 +49,24 @@ class KeyStore(BitPool):
 
 @dataclass
 class Node:
-    """A network participant: its links by neighbor id plus a log of every
-    relayed key this node observed in plaintext."""
+    """A network participant: its links by neighbor id plus a record of
+    every relayed key this node observed in plaintext.
+
+    ``observed`` holds one ``(packed key bytes, bit length)`` entry per
+    key seen; the interior nodes of one relay share the entry of a key
+    that reached them unchanged.
+    """
 
     id: str
     links: dict = field(default_factory=dict)
-    knowledge_log: list = field(default_factory=list)
+    observed: list = field(default_factory=list)
+
+    @property
+    def knowledge_log(self) -> list[np.ndarray]:
+        """The keys this node observed, oldest first, each as a new
+        uint8 array of one bit per element."""
+        return [np.unpackbits(np.frombuffer(packed, np.uint8), count=n)
+                for packed, n in self.observed]
 
 
 @dataclass(frozen=True)
@@ -131,7 +143,9 @@ def relay_key(path: list[Node], key_len: int,
     must be a link, and its link key and authentication key are checked
     before any bit is spent, so a failed precondition consumes nothing
     and exposes the key to no node. Key and pads are XORed as the ints
-    of the zero-padded bytes each hop sends; the key is unpacked once."""
+    of the zero-padded bytes each hop sends; each interior node records
+    the packed key it saw, and the key is unpacked again only if it
+    changed in transit."""
     key_len = int(BITS.check("key_len", key_len))
     if len(path) < 2:
         raise ValueError("a relay path needs at least two nodes")
@@ -154,18 +168,20 @@ def relay_key(path: list[Node], key_len: int,
 
     n_bytes, shift = (key_len + 7) >> 3, -key_len % 8
     key = rand.bits(key_len)
-    carried = int.from_bytes(np.packbits(key).tobytes(), "big")
+    entry = (np.packbits(key).tobytes(), key_len)
+    carried = int.from_bytes(entry[0], "big")
     messages = []
     for i, (b, link) in enumerate(zip(path[1:], links)):
         pad = link.key.consume_int(key_len) << shift
         msg = link.channel.send((carried ^ pad).to_bytes(n_bytes, "big"))
         messages.append(msg)
         seen = int.from_bytes(link.channel.deliver(msg), "big") ^ pad
-        if seen != carried:  # unpack only a key that changed in transit
-            carried, key = seen, np.unpackbits(np.frombuffer(
-                seen.to_bytes(n_bytes, "big"), np.uint8), count=key_len)
+        if seen != carried:  # a key changed in transit gets its own entry
+            carried, entry = seen, (seen.to_bytes(n_bytes, "big"), key_len)
+            key = np.unpackbits(np.frombuffer(entry[0], np.uint8),
+                                count=key_len)
         if i + 1 < len(links):  # interior node sees the key in the clear
-            b.knowledge_log.append(key.copy())
+            b.observed.append(entry)
     return RelayTranscript(tuple(n.id for n in path), tuple(messages), key)
 
 

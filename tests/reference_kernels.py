@@ -198,7 +198,7 @@ def unpacked_relay_key(path, key_len, rand):
         carried = np.unpackbits(
             np.frombuffer(payload, dtype=np.uint8))[:key_len] ^ pad
         if i + 1 < len(links):
-            b.knowledge_log.append(carried)
+            b.observed.append((np.packbits(carried).tobytes(), key_len))
     return RelayTranscript(tuple(n.id for n in path), tuple(messages),
                            carried)
 

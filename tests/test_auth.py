@@ -580,6 +580,14 @@ class TestAuthenticatedChannel:
         assert channel.deliver(m1) == b"first"
         assert channel.deliver(m2) == b"second"
 
+    def test_message_has_slots_and_stays_frozen(self):
+        # relays keep thousands of messages: no per-message __dict__
+        msg = AuthenticatedChannel(fresh_pool(30, 1024)).send(b"hop")
+        assert not hasattr(msg, "__dict__")
+        with pytest.raises(AttributeError):
+            msg.tag = 0
+        assert msg == AuthenticatedMessage(b"hop", msg.tag)
+
     def test_send_and_deliver_hash_once(self, monkeypatch):
         # deliver reuses the hash send made for the very message it sent
         hashed = count_hashes(monkeypatch)

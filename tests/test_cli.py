@@ -762,6 +762,40 @@ def test_counts_at_their_bound_pass_the_rules():
     assert np.array([MAX_PULSES - 1]).astype(">u4")[0] == MAX_PULSES - 1
 
 
+def out_of_memory(config):
+    raise MemoryError(f"Unable to allocate {config.n_pulses} B")
+
+
+def test_run_beyond_memory_exits_one(monkeypatch, capsys):
+    # 2^32 pulses pass the rules but need GBs; no real allocation here
+    monkeypatch.setattr(cli, "run_session", out_of_memory)
+    code, out, err = run_main(["run", "--pulses", str(MAX_PULSES)], capsys)
+    assert code == EXIT_USAGE and out == "" and "Traceback" not in err
+    assert f"a session of {MAX_PULSES} pulses does not fit in memory" in err
+
+
+def test_sweep_beyond_memory_exits_one(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "run_session", out_of_memory)
+    config = tmp_path / "sweep.json"
+    config.write_text('{"pulses": 3000000000, "sweep": {"mu": [0.1, 0.5]}}')
+    output = tmp_path / "out.csv"
+    code, _, err = run_main(["sweep", "--config", str(config),
+                             "--output", str(output)], capsys)
+    assert code == EXIT_USAGE and "Traceback" not in err
+    assert "a session of 3000000000 pulses does not fit in memory" in err
+    assert not output.exists()
+
+
+def test_network_beyond_memory_exits_one(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(netsim, "run_session", out_of_memory)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(AB, links=[
+        {"a": "A", "b": "B", "session": {"pulses": MAX_PULSES}}])))
+    code, _, err = run_main(["network", str(path)], capsys)
+    assert code == EXIT_USAGE and "Traceback" not in err
+    assert f"largest link session {MAX_PULSES} pulses" in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["run", "--pulses", "abc"], '"pulses" must be an integer >= 1'),
     (["run", "--bogus", "1"], "--bogus"),

@@ -17,7 +17,7 @@ from qkdsim.netsim import (KeyStore, LengthMismatch, Link, Network, Node,
                            combine_keys, provision_link, relay_key)
 from qkdsim.photonics import ConstantSource, DetectorPair, FiberChannel
 from qkdsim.protocol import BITS, SessionConfig
-from qkdsim.rng import RandomSource
+from qkdsim.rng import SHORT_BITS, RandomSource
 
 from reference_kernels import unpacked_relay_key
 
@@ -524,6 +524,34 @@ class TestPackedRelayMatchesUnpacked:
         ends[0][0] ^= 1
         assert all(np.array_equal(k, b) for k, b in zip(logs, before))
 
+    @pytest.mark.parametrize("key_len", [0, 1, 16, 128, SHORT_BITS,
+                                         SHORT_BITS + 1, 300])
+    def test_end_key_is_the_seeds_relay_draw(self, key_len):
+        # a delivered key is RandomSource(s).split("relay").bits(k) drawn
+        # afresh, which is how the benchmark checks every relay
+        net = ring_network(FUNDED)
+        for seed in (0, 1, 2**64 - 1):
+            transcript = net.relay(list("ABCD"), key_len,
+                                   RandomSource(seed).split("relay"))
+            assert np.array_equal(
+                transcript.end_key,
+                RandomSource(seed).split("relay").bits(key_len))
+
+    def test_interior_nodes_share_one_packed_entry(self):
+        # one immutable (packed bytes, bit length) entry per key seen;
+        # each read of the log unpacks new arrays from it
+        net = ring_network(FUNDED)
+        transcript = net.relay(list("ABCDA"), 13, RandomSource(4))
+        entries = [net.nodes[i].observed for i in "BCD"]
+        assert all(len(seen) == 1 for seen in entries)
+        assert entries[0][0] is entries[1][0] is entries[2][0]
+        assert entries[0][0] == (np.packbits(transcript.end_key).tobytes(),
+                                 13)
+        first = net.nodes["B"].knowledge_log[0]
+        first ^= 1
+        assert np.array_equal(net.nodes["B"].knowledge_log[0],
+                              transcript.end_key)
+
     def test_key_changed_in_transit_reaches_later_nodes(self, monkeypatch):
         # a hop message altered yet accepted (a forged tag, which a real
         # forger lands with probability about 2^-64): the nodes after that
@@ -546,3 +574,4 @@ class TestPackedRelayMatchesUnpacked:
         assert np.array_equal(net.nodes["B"].knowledge_log[0], sent)
         assert np.array_equal(net.nodes["C"].knowledge_log[0], altered)
         assert np.array_equal(transcript.end_key, altered)
+        assert net.nodes["B"].observed[0] is not net.nodes["C"].observed[0]

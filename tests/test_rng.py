@@ -3,6 +3,8 @@
 The mixing functions are pinned to published reference vectors
 (splitmix64's canonical output stream, the FNV-1a test suite) plus
 frozen regression values, since sweep seed derivation depends on them.
+Short bit draws are pinned to an in-test transliteration of the counter
+rule, longer ones and every other draw to numpy's PCG64 Generator.
 """
 
 import math
@@ -16,10 +18,27 @@ from scipy import stats
 
 from qkdsim import rng
 from qkdsim.rng import (COUNT, DRAW_CHUNK, FINITE, INTEGER, RAW_BITS_MIN,
-                        UNIT, Checked, RandomSource, Rule, fnv1a64, mix64,
-                        splitmix64)
+                        SHORT_BITS, UNIT, Checked, RandomSource, Rule,
+                        fnv1a64, mix64, splitmix64)
 
 GOLDEN = 0x9E3779B97F4A7C15
+
+
+def counter_draws(seed, sizes):
+    """bits(n) for each n <= SHORT_BITS of ``sizes`` in turn, from the
+    rule: word j is splitmix64(base + j * GOLDEN) mod 2^64 with base =
+    mix64(seed, fnv1a64("rng.counter_words")), a draw takes the next
+    ceil(n / 64) words, and their bits, most significant first, cut to
+    n are the draw."""
+    base = mix64(seed, fnv1a64("rng.counter_words"))
+    j, out = 0, []
+    for n in sizes:
+        words = [splitmix64((base + k * GOLDEN) % 2**64)
+                 for k in range(j, j + -(-n // 64))]
+        j += len(words)
+        out.append(np.array([w >> (63 - b) & 1 for w in words
+                             for b in range(64)][:n], dtype=np.uint8))
+    return out
 
 
 class TestSplitmix64:
@@ -158,21 +177,73 @@ class TestRandomSource:
         assert rand.generator.bit_generator.state \
             == ref.generator.bit_generator.state
 
+    @pytest.mark.parametrize("p", [
+        0.0, 2.0**-53, 1e-5, 0.3, 1 - 2.0**-53, 1.0,
+        # p * 2^53 an integer: random() == p itself is not below p
+        12345 * 2.0**-53, 0.5, -0.5, 1.5, math.nan])
+    @pytest.mark.parametrize("use_among", [False, True])
+    def test_raw_word_bernoulli_is_exact(self, p, use_among):
+        # (next_uint64 >> 11) < ceil(p * 2^53) exactly when random() < p;
+        # words whose top 53 bits sit at or next to the threshold are
+        # the ones a rounding slip would misplace
+        n = 2 * DRAW_CHUNK + 5
+        rand, ref = RandomSource(9), RandomSource(9)
+        among = RandomSource(10).bits(n) if use_among else None
+        indices = rand.bernoulli_indices(n, p, among)
+        hit = ref.random(n) < p
+        if use_among:
+            hit &= among != 0
+        assert np.array_equal(indices, np.flatnonzero(hit))
+        assert rand.generator.bit_generator.state \
+            == ref.generator.bit_generator.state
+
+    def test_raw_word_bernoulli_at_drawn_values(self):
+        # p equal to a drawn uniform (a multiple of 2^-53) and one float
+        # either side of it: the threshold word is in or out as random()
+        # < p has it
+        n = 1000
+        uniforms = RandomSource(11).random(n)
+        for u in uniforms[[17, 400]]:
+            for p in (np.nextafter(u, 0), u, np.nextafter(u, 1)):
+                indices = RandomSource(11).bernoulli_indices(n, p)
+                assert np.array_equal(indices, np.flatnonzero(uniforms < p))
+
     @pytest.mark.parametrize("n", [
         0, 1, 7, 8, 9, RAW_BITS_MIN + 3, 8 * DRAW_CHUNK - 4, 8 * DRAW_CHUNK,
         8 * DRAW_CHUNK + 5, 3 * 8 * DRAW_CHUNK + 13])
     @pytest.mark.parametrize("buffered", [False, True])
     def test_packed_bits_are_one_bits_draw(self, n, buffered):
-        # Drawn 8 * DRAW_CHUNK bits at a time: np.packbits of bits(n),
-        # and its stream state, buffered half-word included.
+        # Drawn 8 * DRAW_CHUNK bits at a time above SHORT_BITS, from one
+        # run of counter words at and below it: np.packbits of bits(n),
+        # and both cursors' state, buffered PCG64 half-word included.
         rand, ref = RandomSource(13), RandomSource(13)
-        if buffered:
-            rand.bits(1), ref.bits(1)
+        if buffered:  # one bit takes the low half of a fresh word
+            rand.generator.integers(0, 2, size=1, dtype=np.uint8)
+            ref.generator.integers(0, 2, size=1, dtype=np.uint8)
         packed = rand.packed_bits(n)
         assert packed.dtype == np.uint8
         assert np.array_equal(packed, np.packbits(ref.bits(n)))
         assert rand.generator.bit_generator.state \
             == ref.generator.bit_generator.state
+        assert np.array_equal(rand.bits(8), ref.bits(8))
+
+    @pytest.mark.parametrize("n", [SHORT_BITS - 1, SHORT_BITS, SHORT_BITS + 1,
+                                   SHORT_BITS + 8 * 7, 3 * SHORT_BITS + 5,
+                                   8 * 65_536 + SHORT_BITS + 3])
+    @pytest.mark.parametrize("chunk", [7, 8, 33, 1000, 16_384, 65_536])
+    def test_packed_bits_route_follows_n_at_any_chunk(self, n, chunk,
+                                                      monkeypatch):
+        # The route is the one bits(n) takes, never the chunks': above
+        # SHORT_BITS every chunk, the last included, reads PCG64.
+        ref = RandomSource(14)
+        want = np.packbits(ref.bits(n))
+        monkeypatch.setattr(rng, "DRAW_CHUNK", chunk)
+        rand = RandomSource(14)
+        assert np.array_equal(rand.packed_bits(n), want)
+        assert (rand._generator is None) == (n <= SHORT_BITS)
+        if n > SHORT_BITS:
+            assert rand.generator.bit_generator.state \
+                == ref.generator.bit_generator.state
 
     @given(bits=st.lists(st.integers(0, 1), max_size=70),
            data=st.data())
@@ -202,30 +273,70 @@ class TestRandomSource:
         *(DRAW_CHUNK * k + d for k in (1, 8, 9, 17) for d in (-3, 3))])
     @pytest.mark.parametrize("buffered", [False, True])
     def test_bits_are_one_integers_draw(self, n, buffered):
-        # Built from raw words at RAW_BITS_MIN bits and up: the values
-        # and the whole stream state of integers(0, 2, n, uint8), from a
-        # fresh stream and from one holding a buffered half-word.
+        # Above SHORT_BITS, built from raw words at RAW_BITS_MIN bits and
+        # up: the values and the whole stream state of integers(0, 2, n,
+        # uint8), from a fresh stream and from one holding a buffered
+        # half-word. At SHORT_BITS and below: the counter words, with
+        # the PCG64 state left as it was.
         rand = RandomSource(12)
         ref = np.random.Generator(np.random.PCG64(12))
         if buffered:  # one bit takes the low half of a fresh word
-            rand.bits(1)
+            rand.generator.integers(0, 2, size=1, dtype=np.uint8)
             ref.integers(0, 2, size=1, dtype=np.uint8)
         assert rand.generator.bit_generator.state["has_uint32"] == buffered
         bits = rand.bits(n)
         assert bits.dtype == np.uint8
-        assert np.array_equal(bits, ref.integers(0, 2, size=n, dtype=np.uint8))
+        want = ref.integers(0, 2, size=n, dtype=np.uint8) \
+            if n > SHORT_BITS else counter_draws(12, [n])[0]
+        assert np.array_equal(bits, want)
         assert rand.generator.bit_generator.state == ref.bit_generator.state
+
+    @given(seed=st.integers(0, 2**64 - 1),
+           sizes=st.lists(st.integers(0, SHORT_BITS), max_size=8))
+    def test_short_bits_are_counter_words(self, seed, sizes):
+        # each short draw continues the counter where the last one left
+        # it, whole words at a time, and builds no PCG64
+        rand = RandomSource(seed)
+        for got, want in zip([rand.bits(n) for n in sizes],
+                             counter_draws(seed, sizes)):
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want)
+        assert rand._generator is None
+
+    def test_short_draws_never_repeat_a_word(self):
+        # 2,000 one-word draws give 2,000 distinct words, the counter's
+        # words in order; a long draw among them moves only PCG64
+        rand = RandomSource(15)
+        words = [rand.bits(64) for _ in range(1000)]
+        rand.bits(SHORT_BITS + 1)
+        words += [rand.bits(64) for _ in range(1000)]
+        assert len({word.tobytes() for word in words}) == 2000
+        assert np.array_equal(np.concatenate(words),
+                              np.concatenate(counter_draws(15, [128] * 1000)))
+
+    def test_counter_base_is_no_child_seed(self):
+        # the base is mix64(seed, fnv1a64 of a reserved label), which
+        # split() refuses as a string and as its hash
+        for label in ("rng.counter_words", fnv1a64("rng.counter_words")):
+            with pytest.raises(ValueError, match="reserved"):
+                RandomSource(7).split(label)
+
+    @pytest.mark.parametrize("n", [-1, -SHORT_BITS - 1])
+    def test_negative_bit_counts_refused(self, n):
+        with pytest.raises(ValueError):
+            RandomSource(16).bits(n)
 
     @given(seed=st.integers(0, 2**64 - 1),
            sizes=st.lists(st.integers(5, 70), min_size=1, max_size=8))
     def test_raw_word_bits_at_every_size(self, seed, sizes):
-        # With the threshold at its least, 5 bits, every alignment of
-        # the buffered half-word, the body and the one-to-eight-bit tail
-        # is drawn.
+        # With the threshold at its least, 5 bits, and no short route,
+        # every alignment of the buffered half-word, the body and the
+        # one-to-eight-bit tail is drawn.
         rand = RandomSource(seed)
         ref = np.random.Generator(np.random.PCG64(seed))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rng, "RAW_BITS_MIN", 5)
+            patch.setattr(rng, "SHORT_BITS", 0)
             for n in sizes:
                 assert np.array_equal(
                     rand.bits(n), ref.integers(0, 2, size=n, dtype=np.uint8))
@@ -243,6 +354,8 @@ def test_permutation_is_a_permutation():
 
 class TestLazyGenerator:
     def test_split_only_source_builds_no_generator(self, monkeypatch):
+        # nor does one that only draws short bits; its first other draw
+        # builds one, once
         built = []
         pcg64 = np.random.PCG64
 
@@ -254,15 +367,18 @@ class TestLazyGenerator:
         parent = RandomSource(7)
         child = parent.split("relay").split(3)
         assert built == []
-        child.bits(8)
+        child.bits(8), child.bits(SHORT_BITS), child.packed_bits(SHORT_BITS)
+        assert built == []
+        child.bits(SHORT_BITS + 1)
         assert built == [child.seed]
-        child.bits(8)
+        child.bits(8), child.random(3)
         assert built == [child.seed]
 
     # a RandomSource draw of size n, and the same draw on a Generator
     DRAWS = [
-        (lambda r, n: r.bits(n),
-         lambda g, n: g.integers(0, 2, size=n, dtype=np.uint8)),
+        (lambda r, n: r.bits(SHORT_BITS + 1 + n),
+         lambda g, n: g.integers(0, 2, size=SHORT_BITS + 1 + n,
+                                 dtype=np.uint8)),
         (lambda r, n: r.bits(RAW_BITS_MIN + n),
          lambda g, n: g.integers(0, 2, size=RAW_BITS_MIN + n,
                                  dtype=np.uint8)),
@@ -273,6 +389,10 @@ class TestLazyGenerator:
         (lambda r, n: r.uint64(),
          lambda g, n: g.integers(0, 1 << 64, dtype=np.uint64)),
         (lambda r, n: r.byte_string(n), lambda g, n: g.bytes(n)),
+        (lambda r, n: r.bernoulli_indices(n, 0.4),
+         lambda g, n: np.flatnonzero(g.random(n) < 0.4)),
+        # a short draw reads the counter and leaves PCG64 as it was
+        (lambda r, n: len(r.bits(n)), lambda g, n: n),
     ]
 
     @given(seed=st.integers(0, 2**64 - 1),
