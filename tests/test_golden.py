@@ -158,7 +158,7 @@ def case_sweep_csv(tmp_path):
 
 GOLDEN = {
     "no_eve_success":
-        "85efa83841101f1cb6366dfc0655c72e9f4bbf4734a9ab56ce4dac62c0dcb0f1",
+        "4e95a084a48fedb5eb5851c3a578e9bc72a31f73ea907c60794d018fd04afd24",
     "intercept_abort":
         "89685b460013aaec52c0f2ee9618622d31bc1215874a6185da905729744a54e3",
     "pns_zero_error":
@@ -166,15 +166,15 @@ GOLDEN = {
     "empty_sample_abort":
         "a229679c9f7f6e99261521681ffd4143ca8855ad16b999ff84b6e53e95c8328a",
     "abort_short":
-        "b03977dfb7ae7cab6a617a166a96db47ce8b1168fe5b1cd47cc0464be15b1e1e",
+        "c7bf5755b03c8673feedf72bde489435fee8f9ad6b6db50775d3c021c3baa22f",
     "relay_chain":
-        "ea76c725ccbd6f7236036f12dd6798c626f33f3ce4c6c44fe3aff68bdb381251",
+        "306fc76c11cd424cf0882bbb80f9e04dbbb768eecc06eb1c0a9ae5cc4266f09a",
     "cascade_transcripts":
-        "0a44bd5493acb45d9ca288b26cfcb0ded49b2a3e4b972526be4a37ad9e3a59aa",
+        "ac9b8a0e595ea9668dedbcfd2c519666257656574470ed7c780ddfde7cab889a",
     "compute_tag":
         "79944c36c6260c954da3185b9cc7fcc7b6773d8600e5ee511157e6f68489a4ea",
     "privacy_amplify":
-        "96efe27ebcabf1b0b6eb6398aff34ae40bf09a83a285b4ae7b8245b405964318",
+        "d7d425b03a8a937299bbb9d9013c2c4f05e9a586358388304752e90eadf848bf",
     "privacy_amplify_large":
         "183f58602f779b03612c37d82b667cac07253828f17d62082428a4b56b3dfa11",
 }
@@ -189,4 +189,4 @@ def test_golden_digest(name):
 def test_golden_sweep_csv(tmp_path, capsys):
     data = case_sweep_csv(tmp_path)
     assert hashlib.sha256(data).hexdigest() == \
-        "5128e35dd6f1728e7feb16a2f44fa84ef01a3772ba024d7abeddb04e481bb2f0"
+        "3ed841cf3add54c822a8a187e1b5103e5dd14fbc5c0115821c13ab3075f06458"
