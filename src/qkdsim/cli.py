@@ -306,13 +306,15 @@ def exit_code_for(outcome: SessionOutcome) -> int:
 
 
 def _run_session(config: SessionConfig):
-    """``run_session``; a session that outgrows memory (the pulse rule
-    admits up to 2^32) is a ConfigError that names its size."""
+    """``run_session``; a session that outgrows memory (the count rules
+    admit up to 2^32) is a ConfigError that names its size."""
     try:
         return run_session(config)
     except MemoryError:
-        raise ConfigError(f"a session of {config.n_pulses} pulses does not "
-                          "fit in memory; lower \"pulses\"") from None
+        raise ConfigError(
+            f"a session of {config.n_pulses} pulses with a "
+            f"{config.auth_pool_bits}-bit authentication pool does not fit "
+            "in memory; lower \"pulses\" or \"auth_pool_bits\"") from None
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -452,13 +454,6 @@ def cmd_network(args: argparse.Namespace) -> int:
         # a session that succeeded with an empty key left the link short
         print(f"link provisioning failed: {exc}", file=sys.stderr)
         return exit_code_for(exc.outcome) or EXIT_INSUFFICIENT_LINK_KEY
-    except MemoryError:
-        pulses = max((link.key_source.n_pulses for link in net.links
-                      if isinstance(link.key_source, SessionConfig)),
-                     default=0)
-        raise ConfigError(f"{args.scenario}: link key material does not fit "
-                          f"in memory (largest link session {pulses} "
-                          "pulses); lower \"pulses\" or \"bits\"") from None
 
     rows = []
     for i, spec in enumerate(relays):
@@ -578,6 +573,12 @@ def main(argv=None) -> int:
         print(f"error: authentication pool exhausted: {exc}; raise "
               "auth_pool_bits", file=sys.stderr)
         return EXIT_INSUFFICIENT_LINK_KEY
+    except MemoryError:
+        # a count the rules admit by a route that names no one session:
+        # a scenario's link sessions, stubs and authentication pools
+        print("error: out of memory; lower the pulse and bit counts",
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

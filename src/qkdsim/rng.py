@@ -279,13 +279,11 @@ class RandomSource:
         if n <= SHORT_BITS:
             return np.packbits(self.bits(n))
         out = np.empty((n + 7) // 8, dtype=np.uint8)
-        step = 8 * max(DRAW_CHUNK, SHORT_BITS // 8 + 1)
-        start = 0
-        while start < n:
-            stop = start + step if n - start - step > SHORT_BITS else n
+        starts = range(0, n - SHORT_BITS, 8 * max(DRAW_CHUNK,
+                                                  SHORT_BITS // 8 + 1))
+        for start, stop in zip(starts, [*starts[1:], n]):
             out[start // 8:(stop + 7) // 8] = np.packbits(
                 self.bits(stop - start))
-            start = stop
         return out
 
     def bernoulli_indices(self, n: int, p: float,

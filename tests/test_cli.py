@@ -771,7 +771,8 @@ def test_run_beyond_memory_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_session", out_of_memory)
     code, out, err = run_main(["run", "--pulses", str(MAX_PULSES)], capsys)
     assert code == EXIT_USAGE and out == "" and "Traceback" not in err
-    assert f"a session of {MAX_PULSES} pulses does not fit in memory" in err
+    assert f"a session of {MAX_PULSES} pulses with a 512-bit " \
+        "authentication pool does not fit in memory" in err
 
 
 def test_sweep_beyond_memory_exits_one(monkeypatch, tmp_path, capsys):
@@ -782,7 +783,7 @@ def test_sweep_beyond_memory_exits_one(monkeypatch, tmp_path, capsys):
     code, _, err = run_main(["sweep", "--config", str(config),
                              "--output", str(output)], capsys)
     assert code == EXIT_USAGE and "Traceback" not in err
-    assert "a session of 3000000000 pulses does not fit in memory" in err
+    assert "a session of 3000000000 pulses with a 512-bit" in err
     assert not output.exists()
 
 
@@ -793,7 +794,21 @@ def test_network_beyond_memory_exits_one(monkeypatch, tmp_path, capsys):
         {"a": "A", "b": "B", "session": {"pulses": MAX_PULSES}}])))
     code, _, err = run_main(["network", str(path)], capsys)
     assert code == EXIT_USAGE and "Traceback" not in err
-    assert f"largest link session {MAX_PULSES} pulses" in err
+    assert "error: out of memory" in err
+
+
+def test_scenario_pool_beyond_memory_exits_one(monkeypatch, tmp_path,
+                                              capsys):
+    # a link's authentication pool is made as the scenario loads
+    def no_memory(bits=()):
+        raise MemoryError("Unable to allocate 4.00 GiB")
+
+    monkeypatch.setattr(netsim, "BitPool", no_memory)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(AB))
+    code, _, err = run_main(["network", str(path)], capsys)
+    assert code == EXIT_USAGE and "Traceback" not in err
+    assert "out of memory" in err
 
 
 @pytest.mark.parametrize("argv, message", [
