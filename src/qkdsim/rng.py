@@ -218,13 +218,13 @@ class RandomSource:
         at = self._next_word
         if at is None:
             at = splitmix64(splitmix64(self.seed) ^ _WORDS_MIX)
-        words = 0
-        for _ in range((n + 63) >> 6):
+        n_words, words = (n + 63) >> 6, 0
+        for _ in range(n_words):
             words = words << 64 | splitmix64(at)
             at = (at + _GOLDEN) & _MASK64
         self._next_word = at
         return np.unpackbits(np.frombuffer(
-            words.to_bytes((n + 63) >> 6 << 3, "big"), np.uint8), count=n)
+            words.to_bytes(8 * n_words, "big"), np.uint8), count=n)
 
     def _pcg_bits(self, n: int) -> np.ndarray:
         """``integers(0, 2, n, uint8)``: its values and stream state.
