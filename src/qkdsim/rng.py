@@ -6,13 +6,10 @@ fully determined by a 64-bit seed, and independent substreams are derived
 by seed mixing, so simulations are reproducible bit-for-bit and substreams
 can safely run in parallel.
 
-A source has two cursors. Short bit draws, ``bits(n)`` for n up to
-SHORT_BITS, read SplitMix64 counter words (Steele, Lea and Flood, "Fast
-splittable pseudorandom number generators", OOPSLA 2014): the canonical
-SplitMix64 stream from a base mixed from the seed. Every other draw reads
-a numpy PCG64 generator seeded with the seed. The route of a draw depends
-only on its kind and on the n asked for, so the two cursors never share
-a word and each moves only with its own draws.
+A source has two cursors: short bit draws read SplitMix64 counter words
+(Steele, Lea and Flood, "Fast splittable pseudorandom number
+generators", OOPSLA 2014), every other draw a numpy PCG64 generator. A
+draw's route depends only on its kind and size (see RandomSource).
 """
 
 from __future__ import annotations
@@ -267,14 +264,12 @@ class RandomSource:
 
     def packed_bits(self, n: int) -> np.ndarray:
         """``np.packbits(bits(n))``; above SHORT_BITS, drawn in chunks of
-        8 * DRAW_CHUNK bits or more, each longer than SHORT_BITS, so that
-        every chunk takes the PCG64 route that ``bits(n)`` takes.
-
-        On that route ``bits(a)`` then ``bits(b)`` draw ``bits(a + b)``
-        when a is a multiple of 4: a draw takes whole ``next_uint32``
+        8 * DRAW_CHUNK bits or more, each (the last included) longer than
+        SHORT_BITS, so that every chunk takes the PCG64 route of
+        ``bits(n)``. On it ``bits(a)`` then ``bits(b)`` draw ``bits(a +
+        b)`` when a is a multiple of 4: a draw takes whole ``next_uint32``
         values, four bits each, and leaves the buffered half-word as one
-        call would. A last chunk of SHORT_BITS or fewer joins the one
-        before it.
+        call would.
         """
         if n <= SHORT_BITS:
             return np.packbits(self.bits(n))
