@@ -12,8 +12,8 @@ stage and checks the simulated click rate against the closed form
 
 import math
 
-from qkdsim import (DetectorPair, FiberChannel, RandomSource, SourceModel,
-                    measure_batch, sample_photon_counts,
+from qkdsim import (DetectorPair, FiberChannel, PulseBits, RandomSource,
+                    SourceModel, measure_batch, sample_photon_counts,
                     survival_probability, transmit_counts)
 
 # Survival probability is pure geometry: 10^(-alpha * L / 10).
@@ -22,14 +22,15 @@ for km in (0, 15, 25, 50, 100):
     print(f"{km:3d} km: survival = {p:.4f}")
 
 # Now push a million faint pulses through 25 km of fiber into detectors
-# with 10% efficiency and a 1e-5 dark-count probability per gate.
+# with 10% efficiency and a 1e-5 dark-count probability per gate. Only
+# the pulses that carry photons are drawn and held.
 mu, km, eta, dark = 0.2, 25.0, 0.1, 1e-5
 rand = RandomSource(7)
 n = 10**6
-counts = sample_photon_counts(SourceModel(mu), n, rand.split("source"))
-arrived = transmit_counts(counts, FiberChannel(km, 0.2), rand.split("fiber"))
-print(f"\n{n} pulses at mu = {mu}: {int((counts > 0).sum())} non-empty, "
-      f"{int((arrived > 0).sum())} survive {km} km")
+pulses = sample_photon_counts(SourceModel(mu), n, rand.split("source"))
+arrived = transmit_counts(pulses, FiberChannel(km, 0.2), rand.split("fiber"))
+print(f"\n{n} pulses at mu = {mu}: {len(pulses.indices)} non-empty, "
+      f"{len(arrived.indices)} survive {km} km")
 
 # A detector gate can fire from a real photon or from noise. The
 # compound click probability has a closed form; the simulation agrees.
@@ -37,14 +38,21 @@ p_fiber = survival_probability(FiberChannel(km, 0.2))
 p_click = 1 - math.exp(-mu * p_fiber * eta) * (1 - dark) ** 2
 print(f"predicted click rate: {p_click:.6f}")
 
-# Bits and bases travel packed, eight pulses a byte; the detectors
-# report only the gates that clicked.
-bits = rand.split("bits").packed_bits(n)
-bases = rand.split("bases").packed_bits(n)
+# Bits and bases are functions of the pulse index, read only where a
+# photon arrives; the detectors report only the gates that clicked.
+bits = PulseBits(rand.split("bits"))
+bases = PulseBits(rand.split("bases"))
 kinds, _, clicked = measure_batch(arrived, bits, bases, bases,
                                   DetectorPair(eta, dark), 0.0,
                                   rand.split("detector"))
 print(f"simulated click rate: {len(clicked) / n:.6f}")
+
+# With no eavesdropper, loss is all that acts on a photon on its way, so
+# a session folds it into the source and draws only the caught photons.
+caught = sample_photon_counts(SourceModel(mu), n, rand.split("folded"),
+                              p_fiber * eta)
+print(f"pulses with a caught photon, folded: {len(caught.indices)} "
+      f"(expected {n * (1 - math.exp(-mu * p_fiber * eta)):.0f})")
 
 # Dark counts dominate at long range: past ~100 km almost every click is
 # noise, which is what ultimately caps the reach of a single hop.

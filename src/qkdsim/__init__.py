@@ -18,7 +18,8 @@ from .netsim import (KeyStore, LengthMismatch, Link, Network, Node,
                      RelayTranscript, SessionAborted, StubKeySource,
                      combine_keys, provision_link, relay_key)
 from .photonics import (Basis, ClickKind, ConstantSource, DetectorPair,
-                        FiberChannel, SourceModel, measure_batch,
+                        FiberChannel, PulseBits, Pulses, SourceModel,
+                        measure_batch,
                         sample_photon_counts, survival_probability,
                         transmit_counts)
 from .postprocess import (AttackModel, CorrectionResult, DomainError,
@@ -42,16 +43,15 @@ __all__ = [
     "EmptySample", "EveLedger", "EveStrategy", "FiberChannel", "HashSeed",
     "InexactConvolution", "InterceptResend", "KeyExhausted", "KeyStore",
     "LengthMismatch", "Link", "Network", "NoAttack", "Node",
-    "PhotonNumberSplit", "PulseRecords", "QberEstimate", "RandomSource",
-    "ReconciliationFailure", "RelayTranscript", "SecretKey",
-    "SeedLengthMismatch", "SessionAborted", "SessionConfig",
-    "SessionOutcome", "SessionReport", "SiftedKeys", "SourceModel",
-    "StubKeySource", "binary_entropy", "combine_keys", "compute_tag",
-    "error_correct", "estimate_qber", "eve_information",
+    "PhotonNumberSplit", "PulseBits", "PulseRecords", "Pulses",
+    "QberEstimate", "RandomSource", "ReconciliationFailure",
+    "RelayTranscript", "SecretKey", "SeedLengthMismatch", "SessionAborted",
+    "SessionConfig", "SessionOutcome", "SessionReport", "SiftedKeys",
+    "SourceModel", "StubKeySource", "binary_entropy", "combine_keys",
+    "compute_tag", "error_correct", "estimate_qber", "eve_information",
     "eve_information_bound", "final_key_length", "finalize_knowledge",
-    "fnv1a64", "intercept_batch", "measure_batch", "mix64",
-    "privacy_amplify", "provision_link", "relay_key", "run_quantum_phase",
-    "run_session", "sample_photon_counts", "secret_fraction", "sift",
-    "splitmix64", "strategy_label", "survival_probability",
-    "transmit_counts", "verify_tag",
+    "fnv1a64", "intercept_batch", "measure_batch", "mix64", "privacy_amplify",
+    "provision_link", "relay_key", "run_quantum_phase", "run_session",
+    "sample_photon_counts", "secret_fraction", "sift", "splitmix64",
+    "strategy_label", "survival_probability", "transmit_counts", "verify_tag",
 ]

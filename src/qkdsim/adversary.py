@@ -11,13 +11,13 @@ whose basis is the announced one, and those are her known key bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
 
-from .rng import (UNIT, Checked, RandomSource, bits_at, in_sorted,
-                  with_bits)
+from .photonics import Pulses, PulseBits
+from .rng import UNIT, Checked, RandomSource, in_sorted
 
 
 @dataclass(frozen=True)
@@ -88,44 +88,45 @@ def _append(rows: np.ndarray, *columns) -> np.ndarray:
     return out
 
 
-def intercept_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarray,
+def intercept_batch(pulses: Pulses, bits: PulseBits, bases: PulseBits,
                     strategy: EveStrategy, ledger: EveLedger,
                     rand: RandomSource
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply Eve's strategy to a batch of pulses, appending to the ledger.
+                    ) -> tuple[Pulses, PulseBits, PulseBits]:
+    """Apply Eve's strategy to the pulses with photons, appending to the
+    ledger.
 
-    ``bits`` and ``bases`` are Alice's, packed as :func:`numpy.packbits`
-    packs them. Returns (photon_counts, bits, bases) as the channel
-    carries them. Eve changes ``photon_counts`` in place, keeping its
-    dtype. The bits and bases are Alice's own arrays, unless Eve resent
-    pulses: then they are packed copies with Eve's bit and basis at each
-    pulse she resent. Pulse i of the batch is recorded as i.
+    ``bits`` and ``bases`` are Alice's, with no pulse overridden. Returns
+    (pulses, bits, bases) as the channel carries them. Eve changes the
+    counts in place, keeping their dtype. The bits and bases are Alice's
+    own, unless Eve resent pulses: then they carry Eve's bit and basis at
+    each pulse she resent. Pulses are recorded by their index.
     """
-    n = len(photon_counts)
     if isinstance(strategy, NoAttack):
-        return photon_counts, bits, bases
+        return pulses, bits, bases
 
-    # Both branches work only at the indices Eve touches.
+    # Both branches work only at the pulses Eve touches.
     if isinstance(strategy, InterceptResend):
-        # an empty slot gives Eve nothing to measure
-        taken = rand.bernoulli_indices(n, strategy.fraction, photon_counts)
-        # three full-length draws, then Eve's values where she measured
-        eve_bases = bits_at(rand.packed_bits(n), taken)
-        mismatch_results = bits_at(rand.packed_bits(n), taken)
-        eve_bits = np.where(eve_bases == bits_at(bases, taken),
-                            bits_at(bits, taken), mismatch_results)
-        photon_counts[taken] = 1
+        # Eve measures each pulse with photons with probability fraction
+        taken = rand.split("taken").bernoulli_indices(
+            len(pulses), strategy.fraction, pulses.indices)
+        pulses.counts[np.searchsorted(
+            pulses.indices, taken.astype(pulses.indices.dtype))] = 1
+        eve_bases = rand.split("eve_bases").bits_at(taken)
+        mismatch_results = rand.split("eve_results").bits_at(taken)
+        eve_bits = np.where(eve_bases == bases.at(taken), bits.at(taken),
+                            mismatch_results)
         ledger.record_measured(taken, eve_bits, eve_bases)
         # a resent pulse carries Eve's encoding
-        return (photon_counts, with_bits(bits, taken, eve_bits),
-                with_bits(bases, taken, eve_bases))
+        return (pulses, replace(bits, indices=taken, values=eve_bits),
+                replace(bases, indices=taken, values=eve_bases))
 
     if isinstance(strategy, PhotonNumberSplit):
-        split = np.flatnonzero(photon_counts >= 2)
-        photon_counts[split] -= 1
-        ledger.record_stored(split, bits_at(bits, split),
-                             bits_at(bases, split))
-        return photon_counts, bits, bases
+        at = np.flatnonzero(pulses.counts >= 2)
+        pulses.counts[at] -= 1
+        split = pulses.indices[at].astype(np.int64)
+        del at
+        ledger.record_stored(split, bits.at(split), bases.at(split))
+        return pulses, bits, bases
 
     raise TypeError(f"unknown strategy {strategy!r}")
 

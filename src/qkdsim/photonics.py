@@ -7,19 +7,29 @@ an excess flip probability lumped in from channel drift, a mismatched
 one sends each photon to a uniformly random detector. All randomness is
 drawn from an injected :class:`~qkdsim.rng.RandomSource`, so every
 operation is a pure function of its inputs and the stream state.
+
+A faint-pulse link sends mostly empty pulses, so the kernels are event
+driven: the source draws only the pulses that carry photons, as a
+geometric-gap process with zero-truncated Poisson photon numbers, and
+holds them as :class:`Pulses`; loss thins them and drops the emptied
+ones; each detector's dark counts are a gap process of their own. Bits
+and bases are :class:`PulseBits`, read only at the pulses that need
+them. Per-event temporaries are held for WINDOW events at a time, and
+every draw continues across windows, so no value depends on the window.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import lru_cache
 
 import numpy as np
 
-from .rng import (COUNT, DRAW_CHUNK, FINITE, UNIT, Checked, RandomSource,
-                  Rule, bits_at)
+from .rng import (COUNT, FINITE, UNIT, WINDOW, Checked, RandomSource, Rule,
+                  in_sorted)
 
 # numpy's largest Poisson mean: the int64 maximum less ten of its sqrt
 MAX_MU = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)
@@ -97,23 +107,140 @@ class ClickKind(IntEnum):
     DOUBLE_CLICK = 2
 
 
+@dataclass(eq=False)
+class Pulses:
+    """What ``n`` consecutive pulses carry, held only where it is not
+    nothing: the ascending ``indices`` of the pulses with photons (uint32,
+    as pulse indices stay below 2^32; int64 beyond) and their photon
+    ``counts`` (uint8, or int64 once one exceeds 255). Every other pulse
+    is empty. ``detected`` marks counts that are already the photons the
+    detectors catch: the source drew them with the loss folded in, and
+    the channel and the detector efficiency draw nothing more. Its
+    length is ``n``."""
+
+    n: int
+    indices: np.ndarray
+    counts: np.ndarray
+    detected: bool = False
+
+    def __len__(self) -> int:
+        return self.n
+
+
+@dataclass(frozen=True, eq=False)
+class PulseBits:
+    """One bit per pulse (a bit value or a basis), read only where it is
+    needed: bit i of ``rand``'s counter words for pulse i
+    (:meth:`~qkdsim.rng.RandomSource.bits_at`), except at the ascending
+    int64 ``indices``, which hold ``values``."""
+
+    rand: RandomSource
+    indices: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    values: np.ndarray = field(default_factory=lambda: np.zeros(0, np.uint8))
+
+    def at(self, pulses: np.ndarray) -> np.ndarray:
+        """The bits at the int64 pulse indices ``pulses``, as uint8."""
+        out = self.rand.bits_at(pulses)
+        if len(self.indices):
+            hit = in_sorted(self.indices, pulses)
+            out[hit] = self.values[np.searchsorted(self.indices,
+                                                   pulses[hit])]
+        return out
+
+
 # -- source -----------------------------------------------------------------
 
+# The zero-truncated Poisson is drawn by inverse CDF over a table up to
+# this mean; above it, as Poisson draws with each zero drawn again,
+# which happens with probability e^-mu < 2^-23 per photon-carrying pulse.
+ZTP_TABLE_MU = 16.0
 
-def sample_photon_counts(source, n: int, rand: RandomSource) -> np.ndarray:
-    """Photon numbers for n consecutive pulses, one byte each: uint8,
-    or int64 once some count exceeds 255, so every count is exact. A
-    Poisson source draws DRAW_CHUNK counts at a time."""
+
+@lru_cache(maxsize=64)
+def _ztp_cdf(mu: float) -> np.ndarray:
+    """P(K <= k) for k = 1, 2, ... of K ~ Poisson(mu) given K >= 1, up to
+    a k past 2 mu whose term is below 2^-60; the sums are capped at 1
+    and the last entry is 1, which puts the tail beyond it (under 2^-59)
+    there."""
+    term, k, cdf = mu / math.expm1(mu), 1, []  # P(K = 1 | K >= 1)
+    while not (k > 2 * mu and term < 2.0**-60):
+        cdf.append(term)
+        term *= mu / (k + 1)
+        k += 1
+    cdf = np.minimum(np.cumsum(cdf + [0.0]), 1.0)
+    cdf[-1] = 1.0
+    return cdf
+
+
+def _photon_numbers(mu: float, k: int, photons: RandomSource,
+                    zeros: RandomSource) -> np.ndarray:
+    """k draws of Poisson(mu) given >= 1: uint8, or int64 above 255."""
+    if mu <= ZTP_TABLE_MU:
+        # random() is below 1, the last entry, so counts stay in the
+        # table; most pulses hold one photon and skip the search
+        cdf, uniforms = _ztp_cdf(mu), photons.random(k)
+        counts = np.ones(k, np.uint8)
+        more = np.flatnonzero(uniforms >= cdf[0])
+        counts[more] = np.searchsorted(cdf, uniforms[more], side="right") + 1
+        return counts
+    counts = photons.poisson(mu, k)
+    for j in np.flatnonzero(counts == 0):
+        while counts[j] == 0:
+            counts[j] = zeros.poisson(mu)
+    return counts.astype(np.uint8) if counts.max() <= 255 else counts
+
+
+def sample_photon_counts(source, n: int, rand: RandomSource,
+                         detection: float | None = None) -> Pulses:
+    """The photons of n consecutive pulses, as :class:`Pulses`.
+
+    A Poisson(mu) source draws only its non-empty pulses: their indices
+    are a Bernoulli(1 - e^-mu) gap process, and their photon numbers
+    the zero-truncated Poisson(mu), WINDOW pulses with photons at a
+    time. Given ``detection``, the probability that one photon reaches
+    a detector and is caught, the result holds only the caught photons
+    (``detected``): for Poisson light that is Poisson(mu * detection)
+    per pulse, and for a constant source a binomial thinning.
+    """
+    dtype = np.uint32 if n <= 1 << 32 else np.int64
     if isinstance(source, ConstantSource):
         count = source.photon_count
-        return np.full(n, count, dtype=np.uint8 if count <= 255 else np.int64)
-    counts = np.empty(n, dtype=np.uint8)
-    for start in range(0, n, DRAW_CHUNK):
-        part = rand.poisson(source.mu, min(DRAW_CHUNK, n - start))
-        if part.max() > np.iinfo(counts.dtype).max:
-            counts = counts.astype(np.int64)
-        counts[start:start + len(part)] = part
-    return counts
+        lit = n if count else 0
+        pulses = Pulses(n, np.arange(lit, dtype=dtype), np.full(
+            lit, count, np.uint8 if count <= 255 else np.int64))
+        if detection is None:
+            return pulses
+        return _thin(pulses, detection, rand.split("detection"), True)
+    mu = source.mu * (1.0 if detection is None else detection)
+    photons, zeros = rand.split("photons"), rand.split("zeros")
+    indices, counts = [np.zeros(0, dtype)], [np.zeros(0, np.uint8)]
+    for block in rand.split("events").bernoulli_blocks(n, -math.expm1(-mu)):
+        indices.append(block.astype(dtype))
+        counts.append(_photon_numbers(mu, len(block), photons, zeros))
+    return Pulses(n, np.concatenate(indices), np.concatenate(counts),
+                  detection is not None)
+
+
+def _thin(pulses: Pulses, p: float, rand: RandomSource,
+          detected: bool = False) -> Pulses:
+    """The pulses with a photon left after each of their photons is kept
+    with probability p, with the counts left, in their own dtype. A
+    pulse's first photon is kept when its uniform is below p, its others
+    by a binomial draw over the pulses with more than one, each from a
+    substream of its own, WINDOW pulses at a time."""
+    first, others = rand.split("first"), rand.split("others")
+    dtype = pulses.counts.dtype
+    indices, counts = [pulses.indices[:0]], [pulses.counts[:0]]
+    for start in range(0, len(pulses.counts), WINDOW):
+        part = pulses.counts[start:start + WINDOW]
+        kept = (first.random(len(part)) < p).astype(dtype)
+        more = np.flatnonzero(part > 1)
+        kept[more] += others.binomial(part[more] - 1, p).astype(dtype)
+        at = np.flatnonzero(kept)
+        indices.append(pulses.indices[start:start + WINDOW][at])
+        counts.append(kept[at])
+    return Pulses(pulses.n, np.concatenate(indices), np.concatenate(counts),
+                  detected)
 
 
 # -- channel ------------------------------------------------------------------
@@ -124,49 +251,35 @@ def survival_probability(channel: FiberChannel) -> float:
     return float(10.0 ** (-channel.attenuation_db_per_km * channel.length_km / 10.0))
 
 
-def transmit_counts(photon_counts: np.ndarray, channel: FiberChannel,
-                    rand: RandomSource) -> np.ndarray:
-    """Binomial thinning of photon numbers by the channel survival
-    probability. Bits and bases pass unchanged: drift is applied at
-    measurement through the channel's excess_flip_prob.
-
-    A binomial draw at n == 0 takes nothing from the stream, so only the
-    pulses that carry photons are drawn, DRAW_CHUNK pulses at a time; the
-    result and the stream state are those of one draw over every pulse.
-    The result has the dtype of ``photon_counts``.
+def transmit_counts(pulses: Pulses, channel: FiberChannel,
+                    rand: RandomSource) -> Pulses:
+    """Binomial thinning of the photons by the channel survival
+    probability; a pulse left with none drops out. Bits and bases pass
+    unchanged: drift is applied at measurement through the channel's
+    excess_flip_prob. Pulses already ``detected`` pass as they are.
     """
-    out = np.zeros_like(photon_counts)
-    p = survival_probability(channel)
-    for start in range(0, len(out), DRAW_CHUNK):
-        part = photon_counts[start:start + DRAW_CHUNK]
-        lit = np.flatnonzero(part > 0)
-        out[start:start + DRAW_CHUNK][lit] = rand.binomial(part[lit], p)
-    return out
+    if pulses.detected:
+        return pulses
+    return _thin(pulses, survival_probability(channel), rand)
 
 
 # -- detection ----------------------------------------------------------------
 
 
-def measure_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarray,
-                  bob_bases: np.ndarray, detectors: DetectorPair, flip_prob: float,
-                  rand: RandomSource
+def measure_batch(pulses: Pulses, bits: PulseBits, bases: PulseBits,
+                  bob_bases: PulseBits, detectors: DetectorPair,
+                  flip_prob: float, rand: RandomSource
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized gated measurement of many pulses, one gate each.
 
-    Each photon is detected with probability ``efficiency`` and lands in
-    the detector for the encoded bit (flipped with ``flip_prob``) when
-    Bob's basis matches the pulse basis, or in a uniformly random
-    detector when it does not. Dark counts fire each detector
-    independently. ``bits``, ``bases`` and ``bob_bases`` are packed,
-    eight pulses a byte, as :func:`numpy.packbits` packs them.
-
-    A binomial draw at n == 0 takes nothing from the stream, so only
-    photon-carrying pulses are drawn: the efficiency binomial over the
-    pulses with photons, then the flip and random-exit binomials over
-    the pulses with a detected photon. Each detector's dark counts are
-    the indices of its uniforms below ``dark_count_prob``
-    (:meth:`~qkdsim.rng.RandomSource.bernoulli_indices`). Outputs and
-    stream state are those of the same draws over every pulse.
+    Each photon is detected with probability ``efficiency`` (unless the
+    pulses are already ``detected``) and lands in the detector for the
+    encoded bit (flipped with ``flip_prob``) when Bob's basis matches the
+    pulse basis, or in a uniformly random detector when it does not.
+    Dark counts fire each detector independently: each detector's are a
+    Bernoulli(``dark_count_prob``) gap process over every gate, drawn
+    from a substream of its own. Bits and bases are read only at the
+    pulses with a detected photon.
 
     Returns (kinds, click_bits, indices) for the gates that clicked, in
     index order: kinds holds their ClickKind values (never NO_CLICK),
@@ -174,45 +287,49 @@ def measure_batch(photon_counts: np.ndarray, bits: np.ndarray, bases: np.ndarray
     indices the gates' int64 pulse indices.
     """
     FLIP.check("flip_prob", flip_prob)
-    n, p_dark = len(photon_counts), detectors.dark_count_prob
-    hit, to_zero, to_one = _photon_hits(photon_counts, bits, bases, bob_bases,
-                                        detectors.efficiency, flip_prob, rand)
-    dark0 = rand.bernoulli_indices(n, p_dark)
-    dark1 = rand.bernoulli_indices(n, p_dark)
-    # the gates that clicked, each once: the hit pulses and the dark
-    # counts (numpy 2.4's np.union1d hashes them, at many times the cost)
-    indices = np.concatenate((hit, dark0, dark1))
-    indices.sort(kind="stable")  # merges the sorted runs in linear time
-    first = np.ones(len(indices), bool)  # a gate's first entry
-    np.not_equal(indices[1:], indices[:-1], out=first[1:])
-    indices = indices[first]
+    n, p_dark = len(pulses), detectors.dark_count_prob
+    if not pulses.detected:
+        pulses = _thin(pulses, detectors.efficiency, rand)
+    hit, to_zero, to_one = _photon_hits(pulses, bits, bases, bob_bases,
+                                        flip_prob, rand)
+    dark0 = rand.split("dark0").bernoulli_indices(n, p_dark)
+    dark1 = rand.split("dark1").bernoulli_indices(n, p_dark)
+    # the gates that clicked, each once: the hit pulses, and in order
+    # among them the gates where only dark counts fired
+    dark = np.unique(np.concatenate((dark0, dark1))).astype(hit.dtype)
+    dark = dark[~in_sorted(hit, dark)]
+    at = np.searchsorted(hit, dark)
+    indices = np.insert(hit, at, dark).astype(np.int64)
     # a detector fires on photons or on a dark count
-    fire0, fire1 = np.zeros((2, len(indices)), bool)
-    at = np.searchsorted(indices, hit)
-    fire0[at], fire1[at] = to_zero, to_one
+    fire0, fire1 = np.insert(to_zero, at, False), np.insert(to_one, at, False)
     fire0[np.searchsorted(indices, dark0)] = True
     fire1[np.searchsorted(indices, dark1)] = True
     kinds = fire0.view(np.uint8) + fire1
     return kinds, (fire1 > fire0).view(np.uint8), indices
 
 
-def _photon_hits(counts, bits, bases, bob_bases, efficiency, flip_prob, rand):
-    """The pulses with a detected photon, in index order, and for each
-    whether photons reach detector 0 and whether they reach detector 1.
-    Photon numbers are held in the counts' dtype."""
-    lit = np.flatnonzero(counts)
-    detected = rand.binomial(counts[lit], efficiency)
-    caught = detected > 0
-    hit = lit[caught]
-    del lit  # freed before the second int64 copy is made
-    detected = detected[caught].astype(counts.dtype)
+def _photon_hits(pulses, bits, bases, bob_bases, flip_prob, rand):
+    """The indices of the pulses with a detected photon, in the dtype of
+    ``pulses.indices``, and for each whether photons reach detector 0 and whether they reach
+    detector 1. Photon numbers are held in the counts' dtype.
 
-    # photons landing in detector 1, drawn for both branches to keep the
-    # stream layout independent of the basis pattern
-    flipped = rand.binomial(detected, flip_prob).astype(counts.dtype)
-    in_one = rand.binomial(detected, 0.5).astype(counts.dtype)  # bases differ
-    matched = bits_at(bases, hit) == bits_at(bob_bases, hit)
-    one = matched & (bits_at(bits, hit) == 1)
+    A pulse's first photon is flipped by a Bernoulli(flip_prob) gap
+    process over the pulses and takes a random exit by one fair bit,
+    each from a substream of its own; its other photons by binomial
+    draws over the pulses with more than one. Both are drawn for every
+    pulse, so the draws do not depend on the basis pattern."""
+    hit, detected = pulses.indices, pulses.counts
+    k = len(hit)
+    flipped = np.zeros(k, detected.dtype)  # photons flipped
+    flipped[rand.split("flips").bernoulli_indices(k, flip_prob)] = 1
+    in_one = rand.split("exits").bits(k).astype(detected.dtype)  # bases differ
+    more = np.flatnonzero(detected > 1)
+    flipped[more] += rand.binomial(detected[more] - 1, flip_prob).astype(
+        detected.dtype)
+    in_one[more] += rand.binomial(detected[more] - 1, 0.5).astype(
+        detected.dtype)
+    matched = bases.at(hit) == bob_bases.at(hit)
+    one = matched & (bits.at(hit) == 1)
     np.subtract(detected, flipped, out=flipped, where=one)
     np.copyto(in_one, flipped, where=matched)
     return hit, detected > in_one, in_one > 0

@@ -27,12 +27,13 @@ import numpy as np
 from .adversary import (EveLedger, EveStrategy, NoAttack, eve_information,
                         finalize_knowledge, intercept_batch)
 from .auth import AuthenticatedChannel, BitPool
-from .photonics import (ClickKind, DetectorPair, FiberChannel, SourceModel,
-                        measure_batch, sample_photon_counts, transmit_counts)
+from .photonics import (ClickKind, DetectorPair, FiberChannel, PulseBits,
+                        SourceModel, measure_batch, sample_photon_counts,
+                        survival_probability, transmit_counts)
 from .postprocess import (MIN_RECONCILE_BITS, AttackModel, HashSeed,
                           ReconciliationFailure, SecretKey, error_correct,
                           final_key_length, privacy_amplify)
-from .rng import COUNT, INTEGER, Checked, RandomSource, Rule, bits_at
+from .rng import COUNT, INTEGER, Checked, RandomSource, Rule
 
 FRACTION = Rule(numbers.Real, lambda v: 0 < v < 1, "a number in (0, 1)")
 # Messages 1 and 2 send pulse positions as ">u4", which wraps silently
@@ -159,34 +160,45 @@ def run_quantum_phase(config: SessionConfig, rand: RandomSource,
                       eve_ledger: EveLedger | None = None) -> PulseRecords:
     """Emit, attack, transmit, and measure n_pulses; record the clicks.
 
+    Only the pulses with photons are drawn, and with no Eve only those
+    with a photon the detectors catch: nothing but loss acts between the
+    source and the detectors then, so the source folds it in. Alice's
+    bits and bases and Bob's bases are functions of the pulse index,
+    each from its own substream, read where Eve, the detectors or the
+    records need them.
+
     Double clicks are resolved to a uniform random bit unless the config
     says to keep them (they are then dropped at sifting): resolving is
     the conservative choice because discarding lets a detector-control
-    attack bias the key. Besides the one count array, only the bits and
-    bases are n long, packed eight to a byte.
+    attack bias the key.
     """
     n = config.n_pulses
-    alice_bits = rand.split("alice_bits").packed_bits(n)
-    alice_bases = rand.split("alice_bases").packed_bits(n)
-    counts = sample_photon_counts(config.source, n, rand.split("source"))
+    alice_bits, alice_bases, bob_bases = (
+        PulseBits(rand.split(label))
+        for label in ("alice_bits", "alice_bases", "bob_bases"))
+    detection = None
+    if isinstance(config.eve, NoAttack):
+        detection = survival_probability(config.channel) \
+            * config.detectors.efficiency
+    pulses = sample_photon_counts(config.source, n, rand.split("source"),
+                                  detection)
     ledger = eve_ledger if eve_ledger is not None else EveLedger()
-    counts, bits, bases = intercept_batch(
-        counts, alice_bits, alice_bases, config.eve, ledger,
+    pulses, bits, bases = intercept_batch(
+        pulses, alice_bits, alice_bases, config.eve, ledger,
         rand.split("eve"))
-    counts = transmit_counts(counts, config.channel, rand.split("channel"))
-    bob_bases = rand.split("bob_bases").packed_bits(n)
+    pulses = transmit_counts(pulses, config.channel, rand.split("channel"))
     kinds, click_bits, indices = measure_batch(
-        counts, bits, bases, bob_bases, config.detectors,
+        pulses, bits, bases, bob_bases, config.detectors,
         config.channel.excess_flip_prob, rand.split("detector"))
-    del counts, bits, bases
+    del pulses, bits, bases
     if config.double_click_random:
         doubles = np.flatnonzero(kinds == int(ClickKind.DOUBLE_CLICK))
         if len(doubles):
             click_bits[doubles] = rand.split("double_click").bits(len(doubles))
             kinds[doubles] = int(ClickKind.CLICK)
-    return PulseRecords(n, indices, bits_at(alice_bits, indices),
-                        bits_at(alice_bases, indices),
-                        bits_at(bob_bases, indices), kinds, click_bits)
+    return PulseRecords(n, indices, alice_bits.at(indices),
+                        alice_bases.at(indices), bob_bases.at(indices),
+                        kinds, click_bits)
 
 
 def sift(records: PulseRecords) -> SiftedKeys:

@@ -9,7 +9,15 @@ can safely run in parallel.
 A source has two cursors: short bit draws read SplitMix64 counter words
 (Steele, Lea and Flood, "Fast splittable pseudorandom number
 generators", OOPSLA 2014), every other draw a numpy PCG64 generator. A
-draw's route depends only on its kind and size (see RandomSource).
+draw's route depends only on its kind and size (see RandomSource). The
+counter words can also be read at any bit position without moving the
+cursor (``bits_at``): a pulse's bit is then a function of its index
+alone, drawn only where it is read.
+
+Sparse events, such as the pulses that carry photons or the gates with
+a dark count, are drawn as geometric gaps from exponentials (Devroye,
+*Non-Uniform Random Variate Generation*, 1986, ch. X), so a draw costs
+time in the number of events, not of trials.
 """
 
 from __future__ import annotations
@@ -24,12 +32,13 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# Per-pulse draws run DRAW_CHUNK values at a time, so an n-long draw
-# keeps at most one chunk of float64 or int64 temporaries alive. numpy
-# draws uniform, Poisson and array-n binomial values one element at a
-# time with no state carried between them, so the values and the stream
-# state are those of one draw of n.
-DRAW_CHUNK = 1 << 14
+# Per-event draws hold float64 and int64 temporaries for at most WINDOW
+# events at a time. numpy draws exponential, uniform, Poisson and
+# array-n binomial values one element at a time with no state carried
+# between them, so every value is that of one draw over all the events;
+# only the exponentials a gap process draws past its last trial depend
+# on the window, and each gap process has a substream of its own.
+WINDOW = 1 << 14
 
 # bits() builds draws of at least RAW_BITS_MIN bits from raw PCG64
 # words; below it, the state read and the two numpy calls at the ends
@@ -65,14 +74,6 @@ def mix64(seed: int, index: int) -> int:
     return splitmix64(splitmix64(seed & _MASK64) ^ splitmix64((index ^ _GOLDEN) & _MASK64))
 
 
-def bits_at(packed: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Bits ``indices`` of a :func:`numpy.packbits` array, as uint8."""
-    out = packed[indices >> 3]
-    out >>= ~indices.astype(np.uint8) & 7  # bit i sits 7 - i % 8 up
-    out &= 1
-    return out
-
-
 def in_sorted(values: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Which ``queries`` occur in the ascending array ``values``, as a
     bool mask; no array larger than ``queries`` is made."""
@@ -80,17 +81,6 @@ def in_sorted(values: np.ndarray, queries: np.ndarray) -> np.ndarray:
     found = at < len(values)
     found[found] = values[at[found]] == queries[found]
     return found
-
-
-def with_bits(packed: np.ndarray, indices: np.ndarray,
-              values: np.ndarray) -> np.ndarray:
-    """A copy of a :func:`numpy.packbits` array with bit ``indices[j]``
-    set to ``values[j]``, for distinct ``indices``."""
-    out = packed.copy()
-    byte, shift = indices >> 3, ~indices.astype(np.uint8) & 7
-    np.bitwise_and.at(out, byte, ~np.left_shift(1, shift, dtype=np.uint8))
-    np.bitwise_or.at(out, byte, np.left_shift(values, shift, dtype=np.uint8))
-    return out
 
 
 def fnv1a64(label: str) -> int:
@@ -207,6 +197,9 @@ class RandomSource:
             return self._counter_bits(n)
         return self._pcg_bits(n)
 
+    def _word_base(self) -> int:
+        return splitmix64(splitmix64(self.seed) ^ _WORDS_MIX)
+
     def _counter_bits(self, n: int) -> np.ndarray:
         """The first n bits of the next ceil(n / 64) counter words, each
         most significant bit first."""
@@ -214,7 +207,7 @@ class RandomSource:
             raise ValueError(f"n must be an integer >= 0, got {n!r}")
         at = self._next_word
         if at is None:
-            at = splitmix64(splitmix64(self.seed) ^ _WORDS_MIX)
+            at = self._word_base()
         n_words, words = (n + 63) >> 6, 0
         for _ in range(n_words):
             words = words << 64 | splitmix64(at)
@@ -222,6 +215,33 @@ class RandomSource:
         self._next_word = at
         return np.unpackbits(np.frombuffer(
             words.to_bytes(8 * n_words, "big"), np.uint8), count=n)
+
+    def bits_at(self, indices: np.ndarray) -> np.ndarray:
+        """Bit i of the counter words, for each i in ``indices``, as
+        uint8: the bits a fresh source's short draws hand out, in order,
+        read at any position and in any order. The cursor does not move.
+
+        Word j is ``splitmix64(base + j * GOLDEN)``, computed on uint64
+        arrays, whose arithmetic wraps mod 2^64 as the scalar one does,
+        for WINDOW indices at a time.
+        """
+        indices = np.asarray(indices)
+        out = np.empty(len(indices), np.uint8)
+        base = np.uint64((self._word_base() + _GOLDEN) & _MASK64)
+        for start in range(0, len(indices), WINDOW):
+            part = indices[start:start + WINDOW]
+            x = (part >> 6).astype(np.uint64)
+            x *= np.uint64(_GOLDEN)
+            x += base
+            for shift, multiplier in ((30, 0xBF58476D1CE4E5B9),
+                                      (27, 0x94D049BB133111EB)):
+                x ^= x >> np.uint64(shift)
+                x *= np.uint64(multiplier)
+            x ^= x >> np.uint64(31)
+            x >>= (~part & 63).astype(np.uint64)  # bit i sits 63 - i % 64 up
+            np.bitwise_and(x, 1, out=out[start:start + WINDOW],
+                           casting="unsafe")
+        return out
 
     def _pcg_bits(self, n: int) -> np.ndarray:
         """``integers(0, 2, n, uint8)``: its values and stream state.
@@ -233,7 +253,7 @@ class RandomSource:
         half. So from RAW_BITS_MIN bits on, numpy draws the four bits of
         a buffered half-word and the last one to eight bits, which leaves
         the buffer as one call would, and the bits between are the top
-        bits of the bytes of raw words, DRAW_CHUNK words at a time.
+        bits of the bytes of raw words.
         """
         generator = self.generator
         if n < RAW_BITS_MIN:
@@ -244,11 +264,10 @@ class RandomSource:
         body_end = n - (n - head - 1) % 8 - 1  # then 1 to 8 bits remain
         if head:
             out[:head] = generator.integers(0, 2, size=head, dtype=np.uint8)
-        for start in range(head, body_end, 8 * DRAW_CHUNK):
-            stop = min(start + 8 * DRAW_CHUNK, body_end)
-            words = bit_generator.random_raw((stop - start) // 8)
-            np.right_shift(words.astype("<u8", copy=False).view(np.uint8), 7,
-                           out=out[start:stop])
+        words = bit_generator.random_raw((body_end - head) // 8)
+        np.right_shift(words.astype("<u8", copy=False).view(np.uint8), 7,
+                       out=out[head:body_end])
+        del words
         out[body_end:] = generator.integers(0, 2, size=n - body_end,
                                             dtype=np.uint8)
         return out
@@ -262,46 +281,62 @@ class RandomSource:
     def random(self, size=None):
         return self.generator.random(size)
 
-    def packed_bits(self, n: int) -> np.ndarray:
-        """``np.packbits(bits(n))``; above SHORT_BITS, drawn in chunks of
-        8 * DRAW_CHUNK bits or more, each (the last included) longer than
-        SHORT_BITS, so that every chunk takes the PCG64 route of
-        ``bits(n)``. On it ``bits(a)`` then ``bits(b)`` draw ``bits(a +
-        b)`` when a is a multiple of 4: a draw takes whole ``next_uint32``
-        values, four bits each, and leaves the buffered half-word as one
-        call would.
-        """
-        if n <= SHORT_BITS:
-            return np.packbits(self.bits(n))
-        out = np.empty((n + 7) // 8, dtype=np.uint8)
-        starts = range(0, n - SHORT_BITS, 8 * max(DRAW_CHUNK,
-                                                  SHORT_BITS // 8 + 1))
-        for start, stop in zip(starts, [*starts[1:], n]):
-            out[start // 8:(stop + 7) // 8] = np.packbits(
-                self.bits(stop - start))
-        return out
-
     def bernoulli_indices(self, n: int, p: float,
                           among: np.ndarray | None = None) -> np.ndarray:
-        """The sorted int64 indices where ``random(n) < p`` and, if given,
-        ``among`` is nonzero: the same words and stream state, DRAW_CHUNK
-        of them at a time, with no n-long mask.
+        """The ascending int64 indices in range(n) of independent
+        Bernoulli(p) trials that came up, or, given ``among`` (ascending
+        indices), the entries of ``among`` whose trial came up, one trial
+        each. p <= 0 and NaN pick none, p >= 1 all.
 
-        numpy's ``random()`` is ``(next_uint64 >> 11) * 2^-53``, so it is
-        below p exactly when the word's top 53 bits are below
-        ``ceil(p * 2^53)``, a power-of-two scaling of p and so exact; the
-        raw words are compared with no float made.
+        Drawn as the blocks of :meth:`bernoulli_blocks`, so the draw's
+        time and memory go with the number picked, not with n.
         """
-        below = np.uint64(math.ceil(min(p, 1.0) * 2.0**53) if p > 0 else 0)
-        bit_generator = self.generator.bit_generator
-        parts = [np.zeros(0, np.int64)]
-        for start in range(0, n, DRAW_CHUNK):
-            words = bit_generator.random_raw(min(DRAW_CHUNK, n - start))
-            hit = np.right_shift(words, 11, out=words) < below
-            if among is not None:
-                hit &= among[start:start + DRAW_CHUNK] != 0
-            parts.append(np.flatnonzero(hit) + start)
-        return np.concatenate(parts)
+        trials = n if among is None else len(among)
+        picked = np.concatenate([np.zeros(0, np.int64),
+                                 *self.bernoulli_blocks(trials, p)])
+        return picked if among is None else among[picked].astype(np.int64)
+
+    def bernoulli_blocks(self, n: int, p: float):
+        """:meth:`bernoulli_indices` over range(n), as ascending int64
+        blocks of at most WINDOW indices.
+
+        Gap j is ``1 + floor(E_j * s)``, E_j from ``standard_exponential``
+        and s = -1 / log1p(-p) one float, so P(gap > g) = (1 - p)^g
+        exactly in the reals. A block draws the expected number of the
+        picks left plus a margin; the exponentials past the last trial
+        are drawn and unused, so draw nothing else from this source
+        after it.
+        """
+        if not p > 0 or n <= 0:
+            return
+        if p >= 1:
+            for start in range(0, n, WINDOW):
+                yield np.arange(start, min(start + WINDOW, n))
+            return
+        scale = -1.0 / math.log1p(-p)  # inf for p below 2^-1074 or so
+        generator, last = self.generator, -1
+        while last < n - 1:
+            left = n - 1 - last  # trials after the last pick
+            expected = left * p
+            gaps = generator.standard_exponential(
+                min(WINDOW, int(expected + 4 * math.sqrt(expected)) + 16))
+            # a gap past the last trial ends the draw, and a gap of at
+            # most n casts and sums safely; one that overflows to inf, or
+            # is 0 * inf = NaN, ends it too
+            with np.errstate(over="ignore", invalid="ignore"):
+                gaps *= scale
+            np.fmin(gaps, left, out=gaps)
+            at = gaps.astype(np.int64)
+            del gaps
+            at += 1
+            np.cumsum(at, out=at)
+            at += last
+            stop = int(np.searchsorted(at, n))
+            if stop:
+                yield at[:stop]
+            if stop < len(at):
+                return
+            last = int(at[-1])
 
     def poisson(self, mu: float, size=None):
         return self.generator.poisson(mu, size)

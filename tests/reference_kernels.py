@@ -1,24 +1,5 @@
 """Reference kernels that only the tests use.
 
-Dense photonics: the fiber and detector kernels as they were before
-they drew physics only at photon-carrying pulses. Every draw runs over
-every pulse, so they fix the values and the stream state the sparse
-kernels in :mod:`qkdsim.photonics` must reproduce; ``measure_batch``
-reports only the gates that clicked, and these report every gate.
-
-Dense intercept: Eve's kernel as it was before it worked only at the
-pulses she touches, with boolean masks and ``np.where`` over every
-pulse; :func:`qkdsim.adversary.intercept_batch` must give its counts,
-the bits and bases it forwards (Alice's, with Eve's at the pulses she
-resent), ledger rows and stream state.
-
-Dense quantum phase: the session's quantum phase as it was before it
-kept only the gates that clicked, with Alice's bits and bases and Bob's
-bases drawn as n-long arrays and every record n long, built on the
-dense kernels above; :func:`qkdsim.protocol.run_quantum_phase` must
-record the same values at every gate that clicked, and Eve's ledger
-must hold the same rows.
-
 Unpacked relay: the trusted-node relay as it was before it carried the
 key packed, one uint8 per bit, checking a link's funds at every
 crossing; :func:`qkdsim.netsim.relay_key` must send the same messages,
@@ -40,130 +21,18 @@ polynomial hash by Horner's rule over any such multiplier.
 import heapq
 import math
 from collections import Counter
-from typing import NamedTuple
 
 import numpy as np
 
-from qkdsim.adversary import (EveLedger, InterceptResend, NoAttack,
-                              PhotonNumberSplit)
 from qkdsim.auth import KeyExhausted
 from qkdsim.gf2 import MASK64, REDUCTION_POLY, Gf64Multiplier
 from qkdsim.netsim import RelayTranscript
-from qkdsim.photonics import (ClickKind, sample_photon_counts,
-                              survival_probability)
 from qkdsim.postprocess import (BLOCK_FACTOR, MIN_BLOCK, VERIFY_HASH_BITS,
                                 CorrectionResult, ReconciliationFailure,
                                 _verification_hash)
 
 MASK8 = (1 << 8) - 1
 REDUCTION_POLY_8 = (1 << 8) | 0x1B  # x^8 + x^4 + x^3 + x + 1
-
-
-# -- dense photonics ----------------------------------------------------------
-
-
-def dense_transmit_counts(photon_counts, channel, rand):
-    """One binomial draw over every pulse."""
-    return rand.binomial(photon_counts, survival_probability(channel))
-
-
-def dense_measure_batch(photon_counts, bits, bases, bob_bases, detectors,
-                        flip_prob, rand):
-    """Every binomial and uniform drawn over every pulse."""
-    if not 0.0 <= flip_prob <= 0.5:
-        raise ValueError("flip_prob must be in [0, 0.5]")
-    n = len(photon_counts)
-    detected = rand.binomial(photon_counts, detectors.efficiency)
-
-    flipped = rand.binomial(detected, flip_prob)
-    random_exit = rand.binomial(detected, 0.5)
-
-    matched = bases == bob_bases
-    in_one_matched = np.where(bits == 1, detected - flipped, flipped)
-    in_one = np.where(matched, in_one_matched, random_exit)
-    in_zero = detected - in_one
-
-    dark0 = rand.random(n) < detectors.dark_count_prob
-    dark1 = rand.random(n) < detectors.dark_count_prob
-    fire0 = (in_zero > 0) | dark0
-    fire1 = (in_one > 0) | dark1
-
-    kinds = (fire0.astype(np.uint8) + fire1.astype(np.uint8))
-    click_bits = (fire1 & ~fire0).astype(np.uint8)
-    return kinds, click_bits
-
-
-# -- dense intercept -----------------------------------------------------------
-
-
-def dense_intercept_batch(photon_counts, bits, bases, strategy, ledger, rand):
-    """Masks and ``np.where`` over every pulse."""
-    n = len(photon_counts)
-    if isinstance(strategy, NoAttack):
-        return photon_counts, bits, bases
-
-    if isinstance(strategy, InterceptResend):
-        take = rand.random(n) < strategy.fraction
-        take &= photon_counts > 0
-        eve_bases = rand.bits(n)
-        mismatch_results = rand.bits(n)
-        eve_bits = np.where(eve_bases == bases, bits,
-                            mismatch_results).astype(np.uint8)
-        out_counts = np.where(take, 1, photon_counts)
-        out_bits = np.where(take, eve_bits, bits).astype(np.uint8)
-        out_bases = np.where(take, eve_bases, bases).astype(np.uint8)
-        ledger.record_measured(np.flatnonzero(take), eve_bits[take],
-                               eve_bases[take])
-        return out_counts, out_bits, out_bases
-
-    if isinstance(strategy, PhotonNumberSplit):
-        split = photon_counts >= 2
-        out_counts = photon_counts - split
-        ledger.record_stored(np.flatnonzero(split), bits[split],
-                             bases[split])
-        return out_counts, bits, bases
-
-    raise TypeError(f"unknown strategy {strategy!r}")
-
-
-# -- dense quantum phase --------------------------------------------------------
-
-
-class DenseRecords(NamedTuple):
-    """One entry per pulse: Alice's bit and basis, Bob's basis, the
-    gate's ClickKind and the measured bit (0 unless the kind is CLICK)."""
-
-    alice_bits: np.ndarray
-    alice_bases: np.ndarray
-    bob_bases: np.ndarray
-    kinds: np.ndarray
-    click_bits: np.ndarray
-
-
-def dense_quantum_phase(config, rand, eve_ledger=None):
-    """Every draw over every pulse, and every record n long."""
-    n = config.n_pulses
-    alice_bits = rand.split("alice_bits").bits(n)
-    alice_bases = rand.split("alice_bases").bits(n)
-    counts = sample_photon_counts(config.source, n, rand.split("source"))
-    ledger = eve_ledger if eve_ledger is not None else EveLedger()
-    counts, bits, bases = dense_intercept_batch(
-        counts, alice_bits, alice_bases, config.eve, ledger,
-        rand.split("eve"))
-    counts = dense_transmit_counts(counts, config.channel,
-                                   rand.split("channel"))
-    bob_bases = rand.split("bob_bases").bits(n)
-    kinds, click_bits = dense_measure_batch(
-        counts, bits, bases, bob_bases, config.detectors,
-        config.channel.excess_flip_prob, rand.split("detector"))
-    if config.double_click_random:
-        doubles = kinds == int(ClickKind.DOUBLE_CLICK)
-        n_doubles = int(doubles.sum())
-        if n_doubles:
-            click_bits[doubles] = rand.split("double_click").bits(n_doubles)
-            kinds[doubles] = int(ClickKind.CLICK)
-    return DenseRecords(alice_bits, alice_bases, bob_bases, kinds,
-                        click_bits)
 
 
 # -- unpacked relay ------------------------------------------------------------

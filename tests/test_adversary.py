@@ -6,11 +6,11 @@ a wrong-basis resend flips the matched-basis outcome half the time). The
 multiphoton-split oracle: Eve knows P(n>=2)/P(n>=1) of the sifted key and
 introduces no errors at all. The ledger's one knowledge rule is also
 checked, as a hypothesis property, against the per-pulse dict ledger and
-two-loop rule it replaced, and the kernel, which works only at the
-pulses Eve touches, against the dense kernel it replaced. The kernel
-takes Alice's bits and bases packed, changes the counts in place and
-returns the packed bits and bases the channel carries: Alice's own
-arrays, or copies with Eve's encoding where she resent.
+two-loop rule it replaced. The kernel works only at the pulses Eve
+touches: it takes the pulses with photons and Alice's bits and bases as
+:class:`PulseBits`, changes the counts in place and returns the bits and
+bases the channel carries: Alice's own, or hers with Eve's encoding
+where she resent.
 """
 
 import math
@@ -25,11 +25,9 @@ from qkdsim.adversary import (EveLedger, InterceptResend, NoAttack,
                               finalize_knowledge, intercept_batch,
                               strategy_label)
 from qkdsim.photonics import (Basis, ConstantSource, DetectorPair,
-                              FiberChannel)
+                              FiberChannel, PulseBits, Pulses)
 from qkdsim.protocol import SessionConfig, SiftedKeys, run_quantum_phase, sift
-from qkdsim.rng import RandomSource
-
-from reference_kernels import dense_intercept_batch
+from qkdsim.rng import SHORT_BITS, RandomSource
 
 
 def ideal_config(n_pulses, eve, seed=0, source=None):
@@ -43,9 +41,40 @@ def ideal_config(n_pulses, eve, seed=0, source=None):
     )
 
 
-def unpacked(packed, n):
-    """The first n bits of a :func:`numpy.packbits` array, as uint8."""
-    return np.unpackbits(packed, count=n)
+def as_pulses(counts):
+    """Pulses holding the non-zero entries of a dense count array."""
+    counts = np.asarray(counts)
+    at = np.flatnonzero(counts)
+    return Pulses(len(counts), at.astype(np.uint32), counts[at])
+
+
+def dense(pulses):
+    out = np.zeros(len(pulses), pulses.counts.dtype)
+    out[pulses.indices] = pulses.counts
+    return out
+
+
+def as_bits(values):
+    """PulseBits that read ``values[i]`` at pulse i; Eve's kernel takes
+    Alice's with no pulse overridden, so these ride on a source whose
+    counter bits are ``values``'s."""
+    values = np.asarray(values, np.uint8)
+    return PulseBits(FixedBits(values))
+
+
+class FixedBits:
+    """A stand-in for RandomSource.bits_at that reads a fixed array."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def bits_at(self, indices):
+        return self.values[indices]
+
+
+def unpacked(bits, n):
+    """The bits of a PulseBits at pulses 0..n-1, as uint8."""
+    return bits.at(np.arange(n))
 
 
 def alice_bits_at(records, pulses):
@@ -87,15 +116,15 @@ class TestStrategyTypes:
 class TestNoAttack:
     def test_identity_and_empty_ledger(self):
         rand = RandomSource(1)
-        counts = rand.poisson(0.5, 100).astype(np.int64)
-        before = counts.copy()
+        pulses = as_pulses(rand.poisson(0.5, 100).astype(np.int64))
+        before = pulses.counts.copy()
         bits, bases = rand.bits(100), rand.bits(100)
-        packed_bits, packed_bases = np.packbits(bits), np.packbits(bases)
+        alice_bits, alice_bases = as_bits(bits), as_bits(bases)
         ledger = EveLedger()
-        out = intercept_batch(counts, packed_bits, packed_bases, NoAttack(),
+        out = intercept_batch(pulses, alice_bits, alice_bases, NoAttack(),
                               ledger, rand)
-        assert out[0] is counts and np.array_equal(out[0], before)
-        assert out[1] is packed_bits and out[2] is packed_bases
+        assert out[0] is pulses and np.array_equal(out[0].counts, before)
+        assert out[1] is alice_bits and out[2] is alice_bases
         assert np.array_equal(unpacked(out[1], 100), bits)
         assert np.array_equal(unpacked(out[2], 100), bases)
         assert ledger.stored.shape == ledger.measured.shape == (0, 3)
@@ -117,22 +146,21 @@ class TestInterceptResend:
 
     def test_resends_single_photons(self):
         rand = RandomSource(2)
-        counts = np.full(1000, 3, dtype=np.int64)
+        pulses = as_pulses(np.full(1000, 3, dtype=np.int64))
         bits, bases = rand.bits(1000), rand.bits(1000)
-        out_counts = intercept_batch(counts, np.packbits(bits),
-                                     np.packbits(bases), InterceptResend(1.0),
-                                     EveLedger(), rand)[0]
-        assert np.all(out_counts == 1)
+        out = intercept_batch(pulses, as_bits(bits), as_bits(bases),
+                              InterceptResend(1.0), EveLedger(), rand)[0]
+        assert len(out.counts) == 1000 and np.all(out.counts == 1)
 
     def test_skips_empty_pulses(self):
         rand = RandomSource(3)
-        counts = np.zeros(500, dtype=np.int64)
+        pulses = as_pulses(np.zeros(500, dtype=np.int64))
         bits, bases = rand.bits(500), rand.bits(500)
         ledger = EveLedger()
-        out_counts, out_bits, out_bases = intercept_batch(
-            counts, np.packbits(bits), np.packbits(bases),
+        out_pulses, out_bits, out_bases = intercept_batch(
+            pulses, as_bits(bits), as_bits(bases),
             InterceptResend(1.0), ledger, rand)
-        assert np.all(out_counts == 0)
+        assert np.all(dense(out_pulses) == 0)
         assert np.array_equal(unpacked(out_bits, 500), bits)
         assert np.array_equal(unpacked(out_bases, 500), bases)
         assert len(ledger.measured) == 0
@@ -142,11 +170,11 @@ class TestInterceptResend:
         # bit is exactly Alice's bit; a resend in that basis is invisible.
         rand = RandomSource(4)
         n = 5000
-        counts = np.ones(n, dtype=np.int64)
+        pulses = as_pulses(np.ones(n, dtype=np.int64))
         bits, bases = rand.bits(n), rand.bits(n)
         ledger = EveLedger()
         _, out_bits, out_bases = intercept_batch(
-            counts, np.packbits(bits), np.packbits(bases),
+            pulses, as_bits(bits), as_bits(bases),
             InterceptResend(1.0), ledger, rand)
         out_bits, out_bases = unpacked(out_bits, n), unpacked(out_bases, n)
         assert len(ledger.measured) == n
@@ -179,10 +207,10 @@ class TestPhotonNumberSplit:
         bits = np.array([0, 1, 1, 0], dtype=np.uint8)
         bases = np.array([0, 0, 1, 1], dtype=np.uint8)
         ledger = EveLedger()
-        out_counts, out_bits, out_bases = intercept_batch(
-            counts, np.packbits(bits), np.packbits(bases),
+        out_pulses, out_bits, out_bases = intercept_batch(
+            as_pulses(counts), as_bits(bits), as_bits(bases),
             PhotonNumberSplit(), ledger, RandomSource(5))
-        assert np.array_equal(out_counts, [0, 1, 1, 4])
+        assert np.array_equal(dense(out_pulses), [0, 1, 1, 4])
         assert np.array_equal(unpacked(out_bits, 4), bits)
         assert np.array_equal(unpacked(out_bases, 4), bases)
         assert ledger.stored.dtype == np.int64
@@ -270,10 +298,10 @@ class TestScalarDelegate:
         ledger = EveLedger()
         bits, bases = np.array([1], np.uint8), np.array([Basis.DIAGONAL],
                                                         np.uint8)
-        counts, out_bits, out_bases = intercept_batch(
-            np.array([2]), np.packbits(bits), np.packbits(bases),
+        pulses, out_bits, out_bases = intercept_batch(
+            as_pulses([2]), as_bits(bits), as_bits(bases),
             PhotonNumberSplit(), ledger, RandomSource(6))
-        assert (list(counts), list(unpacked(out_bits, 1)),
+        assert (list(dense(pulses)), list(unpacked(out_bits, 1)),
                 list(unpacked(out_bases, 1))) == ([1], [1], [Basis.DIAGONAL])
         assert np.array_equal(ledger.stored, [[0, 1, Basis.DIAGONAL]])
 
@@ -281,19 +309,20 @@ class TestScalarDelegate:
         pulse = (np.array([1]), np.array([0], np.uint8),
                  np.array([Basis.RECTILINEAR], np.uint8))
         counts, bits, bases = (p.copy() for p in pulse)
-        out_counts, out_bits, out_bases = intercept_batch(
-            counts, np.packbits(bits), np.packbits(bases), NoAttack(),
+        out_pulses, out_bits, out_bases = intercept_batch(
+            as_pulses(counts), as_bits(bits), as_bits(bases), NoAttack(),
             EveLedger(), RandomSource(7))
-        out = (out_counts, unpacked(out_bits, 1), unpacked(out_bases, 1))
+        out = (dense(out_pulses), unpacked(out_bits, 1),
+               unpacked(out_bases, 1))
         assert all(np.array_equal(o, p) for o, p in zip(out, pulse))
 
 
 def test_ledger_appends_across_batches():
     ledger = EveLedger()
     rand = RandomSource(8)
-    counts = np.full(10, 2, dtype=np.int64)
+    pulses = as_pulses(np.full(10, 2, dtype=np.int64))
     bits, bases = rand.bits(10), rand.bits(10)
-    intercept_batch(counts, np.packbits(bits), np.packbits(bases),
+    intercept_batch(pulses, as_bits(bits), as_bits(bases),
                     PhotonNumberSplit(), ledger, rand)
     ledger.record_stored(np.arange(10, 20), bits, bases)
     assert np.array_equal(ledger.stored[:, 0], np.arange(20))
@@ -327,12 +356,14 @@ def test_ledger_rows_stay_int64_and_unshared():
 def test_intercept_batch_deterministic():
     def run():
         rand = RandomSource(9)
-        counts = np.ones(1000, dtype=np.int64)
+        pulses = as_pulses(np.ones(1000, dtype=np.int64))
         bits, bases = rand.bits(1000), rand.bits(1000)
         ledger = EveLedger()
-        out = intercept_batch(counts, np.packbits(bits), np.packbits(bases),
-                              InterceptResend(0.7), ledger, rand)
-        return out, ledger.measured
+        out, out_bits, out_bases = intercept_batch(
+            pulses, as_bits(bits), as_bits(bases), InterceptResend(0.7),
+            ledger, rand)
+        return (dense(out), unpacked(out_bits, 1000),
+                unpacked(out_bases, 1000)), ledger.measured
 
     (c1, b1, a1), m1 = run()
     (c2, b2, a2), m2 = run()
@@ -342,18 +373,40 @@ def test_intercept_batch_deterministic():
 
 # -- the ledger against the per-pulse dict ledger it replaced ----------------
 
+def scalar_gaps(seed, n, p):
+    """The trials in range(n) that come up, one exponential at a time
+    from a fresh PCG64 seeded with ``seed``: gap 1 + floor(E * s) with
+    s = -1 / log1p(-p); none for p <= 0, all for p >= 1."""
+    if not p > 0:
+        return []
+    if p >= 1:
+        return list(range(n))
+    gen = np.random.Generator(np.random.PCG64(seed))
+    scale, at, out = -1.0 / math.log1p(-p), -1, []
+    while True:
+        at += int(min(gen.standard_exponential() * scale, n)) + 1
+        if at >= n:
+            return out
+        out.append(at)
+
+
 def reference_ledger(counts, bits, bases, strategy, seed):
     """Eve's holdings recorded pulse by pulse as dicts index -> (bit,
-    basis), drawing from the stream in the order intercept_batch does."""
+    basis): she measures a pulse with photons when its trial comes up,
+    the trials a gap process over those pulses, and her guess and her
+    mismatched result are the counter bits at the pulse of their
+    substreams."""
     rand = RandomSource(seed)
     stored, measured = {}, {}
     n = len(counts)
     if isinstance(strategy, InterceptResend):
-        draw, guesses, other = rand.random(n), rand.bits(n), rand.bits(n)
-        for i in range(n):
-            if draw[i] < strategy.fraction and counts[i] > 0:
-                bit = bits[i] if guesses[i] == bases[i] else other[i]
-                measured[i] = (int(bit), int(guesses[i]))
+        guesses = rand.split("eve_bases").bits(SHORT_BITS)
+        other = rand.split("eve_results").bits(SHORT_BITS)
+        lit = [i for i in range(n) if counts[i] > 0]
+        for i in (lit[j] for j in scalar_gaps(rand.split("taken").seed,
+                                              len(lit), strategy.fraction)):
+            bit = bits[i] if guesses[i] == bases[i] else other[i]
+            measured[i] = (int(bit), int(guesses[i]))
     elif isinstance(strategy, PhotonNumberSplit):
         for i in range(n):
             if counts[i] >= 2:
@@ -406,7 +459,7 @@ class TestLedgerMatchesPerPulseRule:
         strategy, counts, bits, bases, sifted, seed = case
         bits, bases = bits.astype(np.uint8), bases.astype(np.uint8)
         ledger = EveLedger()
-        intercept_batch(counts.copy(), np.packbits(bits), np.packbits(bases),
+        intercept_batch(as_pulses(counts), as_bits(bits), as_bits(bases),
                         strategy, ledger, RandomSource(seed))
         stored, measured = reference_ledger(counts, bits, bases, strategy,
                                             seed)
@@ -425,59 +478,3 @@ class TestLedgerMatchesPerPulseRule:
         keys = SiftedKeys(bits[sifted], bits[sifted], sifted)
         expect = len(want) / len(sifted) if len(sifted) else 0.0
         assert eve_information(known, keys) == expect
-
-
-# -- the index kernel against the dense one it replaced ---------------------
-
-
-class TestInterceptMatchesDense:
-    @given(strategy=st.one_of(
-               st.just(PhotonNumberSplit()),
-               st.sampled_from([0.0, 1.0]).map(InterceptResend),
-               st.floats(0.0, 1.0).map(InterceptResend)),
-           counts=st.lists(st.integers(0, 4), max_size=200),
-           seed=st.integers(0, 2**32 - 1),
-           dtype=st.sampled_from([np.uint8, np.int64]))
-    # a batch longer than two chunks of intercept-resend's take draw
-    @example(strategy=InterceptResend(0.3), counts=[1, 0, 3] * 12_000,
-             seed=7, dtype=np.uint8)
-    def test_outputs_ledger_and_stream_match(self, strategy, counts, seed,
-                                             dtype):
-        counts = np.array(counts, dtype)
-        gen = np.random.default_rng(seed)
-        bits, bases = (gen.integers(0, 2, len(counts), dtype=np.uint8)
-                       for _ in range(2))
-        packed = [np.packbits(bits), np.packbits(bases)]
-        before = [a.copy() for a in (counts, bits, bases, *packed)]
-        ledger, ref_ledger = EveLedger(), EveLedger()
-        rand, ref = RandomSource(seed), RandomSource(seed)
-        want = dense_intercept_batch(counts, bits, bases, strategy,
-                                     ref_ledger, ref)
-        out_counts, out_bits, out_bases = intercept_batch(
-            counts, *packed, strategy, ledger, rand)
-        # the counts change in place, in their own dtype
-        assert out_counts is counts and out_counts.dtype == want[0].dtype
-        assert np.array_equal(out_counts, want[0])
-        n = len(counts)
-        for got, w in ((out_bits, want[1]), (out_bases, want[2])):
-            assert got.dtype == np.uint8 and np.array_equal(
-                got, np.packbits(w))
-            assert np.array_equal(unpacked(got, n), w)
-        # Eve's encoding is carried exactly where she resent; with no
-        # resend Alice's own arrays go on
-        resent = ledger.measured[:, 0]
-        if not isinstance(strategy, InterceptResend):
-            assert out_bits is packed[0] and out_bases is packed[1]
-        for got, alice, column in ((out_bits, bits, 1), (out_bases, bases, 2)):
-            got = unpacked(got, n)
-            assert np.array_equal(got[resent], ledger.measured[:, column])
-            kept = np.ones(n, bool)
-            kept[resent] = False
-            assert np.array_equal(got[kept], alice[kept])
-        for rows in ("stored", "measured"):
-            g, w = getattr(ledger, rows), getattr(ref_ledger, rows)
-            assert g.dtype == w.dtype and np.array_equal(g, w)
-        assert rand.generator.bit_generator.state \
-            == ref.generator.bit_generator.state
-        assert all(np.array_equal(a, b)
-                   for a, b in zip((bits, bases, *packed), before[1:]))

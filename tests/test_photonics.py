@@ -2,7 +2,9 @@
 
 Empirical distributions are compared to closed-form Poisson/binomial
 probabilities computed independently (math/scipy), with tolerances
-stated next to each check.
+stated next to each check. The kernels hold only the pulses with
+photons (:class:`Pulses`) and read bits where they are needed
+(:class:`PulseBits`); the helpers below spread them over every pulse.
 """
 
 import math
@@ -15,25 +17,43 @@ from scipy import stats
 
 from qkdsim.adversary import (EveLedger, InterceptResend, PhotonNumberSplit,
                               intercept_batch)
-from qkdsim.photonics import (FLIP, MAX_MU, Basis, ClickKind, ConstantSource,
-                              DetectorPair, FiberChannel, SourceModel,
-                              measure_batch,
+from qkdsim import photonics, rng
+from qkdsim.photonics import (FLIP, MAX_MU, ZTP_TABLE_MU, Basis, ClickKind,
+                              ConstantSource, DetectorPair, FiberChannel,
+                              PulseBits, Pulses, SourceModel, measure_batch,
                               sample_photon_counts, survival_probability,
                               transmit_counts)
-from qkdsim.rng import DRAW_CHUNK, RandomSource
+from qkdsim.rng import RandomSource
 
-from reference_kernels import (dense_intercept_batch, dense_measure_batch,
-                               dense_transmit_counts)
+
+def as_pulses(counts):
+    """Pulses holding the non-zero entries of a dense count array."""
+    counts = np.asarray(counts)
+    at = np.flatnonzero(counts)
+    return Pulses(len(counts), at.astype(np.uint32), counts[at])
+
+
+def dense(pulses):
+    """The photon count of every pulse, 0 where none is held."""
+    out = np.zeros(len(pulses), pulses.counts.dtype)
+    out[pulses.indices] = pulses.counts
+    return out
+
+
+def as_bits(values):
+    """PulseBits that read ``values[i]`` at pulse i."""
+    values = np.asarray(values, np.uint8)
+    return PulseBits(RandomSource(0), np.arange(len(values)), values)
 
 
 def measure(photon_counts, bits, bases, bob_bases, detectors, flip_prob,
             rand):
-    """measure_batch on unpacked bits and bases, its per-click outputs
-    spread back over every gate: (kinds, click_bits), 0 where no
+    """measure_batch on dense counts, bits and bases, its per-click
+    outputs spread back over every gate: (kinds, click_bits), 0 where no
     detector fired. Checks the per-click contract on the way."""
     kinds, click_bits, indices = measure_batch(
-        photon_counts, *(np.packbits(np.asarray(a, np.uint8))
-                         for a in (bits, bases, bob_bases)),
+        as_pulses(photon_counts), *(as_bits(a) for a in (bits, bases,
+                                                         bob_bases)),
         detectors, flip_prob, rand)
     assert kinds.dtype == click_bits.dtype == np.uint8
     assert indices.dtype == np.int64
@@ -90,7 +110,8 @@ class TestTypes:
 
     def test_mu_up_to_numpys_poisson_limit(self):
         for mu in (9e18, MAX_MU):
-            counts = sample_photon_counts(SourceModel(mu), 3, RandomSource(1))
+            counts = sample_photon_counts(SourceModel(mu), 3,
+                                          RandomSource(1)).counts
             assert counts.dtype == np.int64 and counts.min() > 2**62
         with pytest.raises(ValueError):
             SourceModel(np.nextafter(MAX_MU, math.inf))
@@ -113,67 +134,123 @@ class TestTypes:
         assert list(click_bits) == [0, 1, 0]
 
 
+def draw(source, n, seed, detection=None):
+    """sample_photon_counts spread over every pulse, checking the
+    Pulses contract on the way."""
+    pulses = sample_photon_counts(source, n, RandomSource(seed), detection)
+    assert len(pulses) == n and len(pulses.indices) == len(pulses.counts)
+    assert pulses.indices.dtype == np.uint32
+    assert np.all(np.diff(pulses.indices.astype(np.int64)) > 0)
+    assert np.all(pulses.counts > 0)
+    assert pulses.detected == (detection is not None)
+    return dense(pulses)
+
+
 class TestSource:
     def test_faint_pulse_probabilities(self):
         # mu = 0.1: P(0) = 0.9048, P(1) = 0.0905, P(>=2) = 0.0047,
         # each within +-0.002 at 10^6 draws.
-        draws = sample_photon_counts(SourceModel(0.1), 10**6,
-                                     RandomSource(1))
+        draws = draw(SourceModel(0.1), 10**6, 1)
         assert abs((draws == 0).mean() - 0.9048) < 0.002
         assert abs((draws == 1).mean() - 0.0905) < 0.002
         assert abs((draws >= 2).mean() - 0.0047) < 0.002
 
     def test_zero_mean_is_always_empty(self):
-        draws = sample_photon_counts(SourceModel(0.0), 10_000,
-                                     RandomSource(1))
+        draws = draw(SourceModel(0.0), 10_000, 1)
         assert np.all(draws == 0)
 
     def test_unit_mean_moments(self):
         # Empirical mean/variance vs analytic Poisson moments (both 1.0).
-        draws = sample_photon_counts(SourceModel(1.0), 10**6,
-                                     RandomSource(2))
+        draws = draw(SourceModel(1.0), 10**6, 2)
         assert abs(draws.mean() - 1.0) < 0.01
         assert abs(draws.var() - 1.0) < 0.01
 
     @pytest.mark.parametrize("mu", [0.05, 0.1, 0.5])
     def test_distribution_matches_poisson_within_5_sigma(self, mu):
         n = 10**6
-        draws = sample_photon_counts(SourceModel(mu), n, RandomSource(3))
+        draws = draw(SourceModel(mu), n, 3)
         for k in range(5):
             p = math.exp(-mu) * mu**k / math.factorial(k)
             sigma = math.sqrt(p * (1 - p) / n)
             assert abs((draws == k).mean() - p) <= 5 * sigma
 
+    @pytest.mark.parametrize("mu", [0.1, 0.5, 5.0, ZTP_TABLE_MU,
+                                    ZTP_TABLE_MU + 4.0, 40.0])
+    def test_zero_truncated_poisson_pmf(self, mu):
+        # The photon numbers of the non-empty pulses against the closed
+        # form P(k) = mu^k e^-mu / (k! (1 - e^-mu)), k >= 1, within 5
+        # sigma at 2e5 pulses, by the table below ZTP_TABLE_MU and by
+        # Poisson draws with zeros drawn again above it.
+        pulses = sample_photon_counts(SourceModel(mu), 200_000,
+                                      RandomSource(4))
+        counts, m = pulses.counts, len(pulses.counts)
+        assert counts.min() >= 1 and counts.dtype == np.uint8
+        for k in range(1, int(mu + 4 * math.sqrt(mu)) + 2):
+            p = math.exp(k * math.log(mu) - mu - math.lgamma(k + 1)) \
+                / -math.expm1(-mu)
+            sigma = math.sqrt(p * (1 - p) / m)
+            assert abs((counts == k).mean() - p) <= 5 * sigma + 1e-12, k
+
+    def test_ztp_table_is_a_distribution(self):
+        # ascending, ending at 1, P(K = 1) first, for means up to the bound
+        for mu in (1e-300, 1e-9, 0.1, 0.5, 5.0, ZTP_TABLE_MU):
+            cdf = photonics._ztp_cdf(mu)
+            assert np.all(np.diff(cdf) >= 0) and cdf[-1] == 1.0
+            assert cdf[0] == pytest.approx(mu / math.expm1(mu), rel=1e-12)
+            assert len(cdf) < 255
+
+    def test_zeros_drawn_again_above_the_table(self, monkeypatch):
+        # with the table bound at 0, mu = 0.7 draws Poisson values, a
+        # third of them zero; each zero is drawn again until it is not
+        monkeypatch.setattr(photonics, "ZTP_TABLE_MU", 0.0)
+        counts = sample_photon_counts(SourceModel(0.7), 50_000,
+                                      RandomSource(5)).counts
+        assert counts.min() >= 1
+        p1 = 0.7 / math.expm1(0.7)
+        assert abs((counts == 1).mean() - p1) \
+            <= 5 * math.sqrt(p1 * (1 - p1) / len(counts))
+
+    def test_detection_folded_into_the_source(self):
+        # Poisson(mu) thinned by q is Poisson(mu q): the detected pulses
+        # at mu 0.5, q 0.3 match 1 - e^-0.15 within 5 sigma
+        n, p = 10**6, -math.expm1(-0.15)
+        draws = draw(SourceModel(0.5), n, 6, detection=0.3)
+        assert abs((draws > 0).mean() - p) <= 5 * math.sqrt(p * (1 - p) / n)
+        constant = draw(ConstantSource(2), 10**5, 7, detection=0.5)
+        assert abs((constant > 0).mean() - 0.75) < 0.01
+        assert constant.max() == 2
+
     def test_scalar_draw(self):
-        assert list(sample_photon_counts(SourceModel(0.0), 1,
-                                         RandomSource(1))) == [0]
-        assert list(sample_photon_counts(ConstantSource(3), 1,
-                                         RandomSource(1))) == [3]
+        assert list(draw(SourceModel(0.0), 1, 1)) == [0]
+        assert list(draw(ConstantSource(3), 1, 1)) == [3]
 
     def test_constant_source_batch(self):
-        assert np.all(sample_photon_counts(ConstantSource(2), 100,
-                                           RandomSource(1)) == 2)
+        assert np.all(draw(ConstantSource(2), 100, 1) == 2)
+        assert len(sample_photon_counts(ConstantSource(0), 100,
+                                        RandomSource(1)).indices) == 0
 
     @pytest.mark.parametrize("mu", [0.1, 0.5, 12.0])
-    def test_poisson_counts_are_one_draw_in_one_byte(self, mu):
-        # Across chunk boundaries: the values and stream state of one
-        # Poisson draw of n, stored as uint8.
-        n = 2 * DRAW_CHUNK + 17
-        rand, ref = RandomSource(15), RandomSource(15)
-        counts = sample_photon_counts(SourceModel(mu), n, rand)
-        assert counts.dtype == np.uint8
-        assert np.array_equal(counts, ref.poisson(mu, n))
-        assert rand.generator.bit_generator.state \
-            == ref.generator.bit_generator.state
+    def test_poisson_counts_are_one_draw_in_one_byte(self, mu, monkeypatch):
+        # Across window boundaries: the pulses and their counts are those
+        # of one window, the counts stored as uint8.
+        n = 2 * 16_384 + 17
+        want = sample_photon_counts(SourceModel(mu), n, RandomSource(15))
+        assert want.counts.dtype == np.uint8
+        monkeypatch.setattr(rng, "WINDOW", 7)
+        got = sample_photon_counts(SourceModel(mu), n, RandomSource(15))
+        assert got.counts.dtype == np.uint8
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.counts, want.counts)
 
     def test_count_dtype_is_one_byte_up_to_255(self):
-        for count, dtype in ((0, np.uint8), (255, np.uint8),
+        for count, dtype in ((1, np.uint8), (255, np.uint8),
                              (256, np.int64)):
             counts = sample_photon_counts(ConstantSource(count), 3,
-                                          RandomSource(1))
+                                          RandomSource(1)).counts
             assert counts.dtype == dtype and list(counts) == [count] * 3
         empty = sample_photon_counts(SourceModel(0.5), 0, RandomSource(1))
-        assert empty.dtype == np.uint8 and len(empty) == 0
+        assert empty.counts.dtype == np.uint8 and len(empty.counts) == 0
+        assert len(empty) == 0
 
 
 class TestChannel:
@@ -188,16 +265,16 @@ class TestChannel:
             pytest.approx(10 ** -0.3, abs=1e-15)
 
     def test_empty_pulse_stays_empty(self):
-        out = transmit_counts(np.array([0]), FiberChannel(15.0),
+        out = transmit_counts(as_pulses([0]), FiberChannel(15.0),
                               RandomSource(1))
-        assert list(out) == [0]
+        assert list(dense(out)) == [0]
 
     def test_single_photon_survival_frequency(self):
         # Survival 0.5 (15 km @ 0.2 dB/km is 0.5012): empirical
         # frequency 0.50 +- 0.01 at 10^5 trials.
         channel = FiberChannel(15.0, 0.2)
-        counts = transmit_counts(np.ones(10**5, dtype=np.int64), channel,
-                                 RandomSource(4))
+        counts = dense(transmit_counts(as_pulses(np.ones(10**5, np.int64)),
+                                       channel, RandomSource(4)))
         assert abs((counts == 1).mean() - 0.5012) < 0.01
 
     def test_thinned_poisson_is_poisson(self):
@@ -207,23 +284,42 @@ class TestChannel:
         p = survival_probability(channel)
         n = 10**6
         rand = RandomSource(5)
-        counts = transmit_counts(
-            sample_photon_counts(SourceModel(mu), n, rand), channel, rand)
+        counts = dense(transmit_counts(
+            sample_photon_counts(SourceModel(mu), n, rand), channel, rand))
         lam = mu * p
         observed = np.bincount(np.minimum(counts, 3), minlength=4)
         expected = np.array([stats.poisson.pmf(k, lam) for k in range(3)])
         expected = np.append(expected, 1.0 - expected.sum()) * n
         assert stats.chisquare(observed, expected).pvalue > 0.001
 
+    def test_thinning_of_many_photons_is_binomial(self):
+        # five photons at survival 0.3: Binomial(5, 0.3) survivors, the
+        # first photon by a uniform and the other four by a binomial;
+        # chi-square at significance 0.001
+        n, p = 200_000, 0.3
+        out = transmit_counts(
+            as_pulses(np.full(n, 5, np.uint8)),
+            FiberChannel(-10 * math.log10(p) / 0.2), RandomSource(6))
+        assert out.counts.dtype == np.uint8
+        observed = np.bincount(dense(out), minlength=6)
+        expected = stats.binom.pmf(np.arange(6), 5, p) * n
+        assert stats.chisquare(observed, expected).pvalue > 0.001
+
     def test_nonempty_rate_after_loss(self):
         # 1 - exp(-mu * p) with mu=0.1 through 15 km: about 0.0489.
         mu, channel = 0.1, FiberChannel(15.0, 0.2)
         rand = RandomSource(6)
-        counts = transmit_counts(
+        counts = dense(transmit_counts(
             sample_photon_counts(SourceModel(mu), 10**6, rand),
-            channel, rand)
+            channel, rand))
         want = 1.0 - math.exp(-mu * survival_probability(channel))
         assert abs((counts > 0).mean() - want) < 0.002
+
+    def test_detected_pulses_pass_unchanged(self):
+        pulses = sample_photon_counts(SourceModel(0.5), 1000,
+                                      RandomSource(7), 0.2)
+        assert transmit_counts(pulses, FiberChannel(50.0),
+                               RandomSource(8)) is pulses
 
 
 class TestMeasurement:
@@ -295,8 +391,7 @@ class TestMeasurement:
 
     def test_flip_prob_validated(self):
         with pytest.raises(ValueError):
-            measure_batch(np.ones(1, np.int64), np.zeros(1, np.uint8),
-                          np.zeros(1, np.uint8), np.zeros(1, np.uint8),
+            measure_batch(as_pulses([1]), *(as_bits([0]) for _ in range(3)),
                           DetectorPair(), 0.7, RandomSource(1))
 
     def test_flip_prob_refusal_is_the_channels_rule(self):
@@ -304,8 +399,7 @@ class TestMeasurement:
         # checks it by the same rule, with the same wording
         assert FiberChannel.RULES["excess_flip_prob"] is FLIP
         with pytest.raises(ValueError) as exc_info:
-            measure_batch(np.ones(1, np.int64), np.zeros(1, np.uint8),
-                          np.zeros(1, np.uint8), np.zeros(1, np.uint8),
+            measure_batch(as_pulses([1]), *(as_bits([0]) for _ in range(3)),
                           DetectorPair(), True, RandomSource(1))
         assert str(exc_info.value) \
             == f"flip_prob must be {FLIP.wording}, got True"
@@ -338,9 +432,10 @@ class TestMeasurement:
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 0.9, 1.0])
 @pytest.mark.parametrize("counts", [[0, 3, 0, 2], [0, 200, 0, 0, 1]])
 def test_binomial_at_zero_count_draws_nothing(counts, p):
-    """The numpy rule the sparse kernels stand on: a binomial at n == 0
-    returns 0 and takes nothing from the stream, so a draw over the
-    non-zero counts alone gives the same values and the same state."""
+    """A numpy rule of the thinning kernels: a binomial at n == 0
+    returns 0 and takes nothing from the stream, so their draw of the
+    photons after each pulse's first, over the pulses with more than
+    one, is the draw over every pulse, values and state alike."""
     counts = np.array(counts)
     every, nonzero = (np.random.Generator(np.random.PCG64(21))
                       for _ in range(2))
@@ -350,8 +445,8 @@ def test_binomial_at_zero_count_draws_nothing(counts, p):
         and not got[counts == 0].any() \
         and every.bit_generator.state == nonzero.bit_generator.state, (
             f"numpy {np.__version__} draws at binomial n == 0 (p={p}): "
-            "measure_batch and transmit_counts, which draw only where "
-            "photons are, no longer reproduce the dense stream")
+            "a draw over the multiphoton pulses alone is no longer the "
+            "draw over every pulse")
 
 
 # Counts in [0, 300), zeros and 200 included, for the binomial with an
@@ -361,10 +456,11 @@ CHUNK_RULE_N[::7] = 0
 CHUNK_RULE_N[::11] = 200
 
 
-# Each draw the quantum phase makes in chunks, as a function of the
-# generator and the chunk's [a, b) bounds; poisson on both sides of
+# Each draw the quantum phase makes in windows, as a function of the
+# generator and the window's [a, b) bounds; poisson on both sides of
 # mu = 10, where numpy switches from multiplication to PTRS.
 CHUNKED_DRAWS = {
+    "standard_exponential": lambda gen, a, b: gen.standard_exponential(b - a),
     **{f"poisson({mu})": lambda gen, a, b, mu=mu: gen.poisson(mu, b - a)
        for mu in (0.1, 0.5, 9.5, 10.0, 40.0, 300.0)},
     "random": lambda gen, a, b: gen.random(b - a),
@@ -376,10 +472,10 @@ CHUNKED_DRAWS = {
 
 @pytest.mark.parametrize("name", sorted(CHUNKED_DRAWS))
 def test_draws_in_chunks_equal_one_draw(name):
-    """The numpy rule the chunked kernels stand on: Poisson, uniform and
-    array-n binomial values are drawn one element at a time with no state
-    carried between them, so chunks with odd boundaries give the values
-    and the stream state of one call."""
+    """The numpy rule the windowed kernels stand on: exponential,
+    Poisson, uniform and array-n binomial values are drawn one element at
+    a time with no state carried between them, so windows with odd
+    boundaries give the values and the stream state of one call."""
     draw = CHUNKED_DRAWS[name]
     whole, chunked = (np.random.Generator(np.random.PCG64(22))
                       for _ in range(2))
@@ -390,128 +486,66 @@ def test_draws_in_chunks_equal_one_draw(name):
     assert np.array_equal(got, want) \
         and whole.bit_generator.state == chunked.bit_generator.state, (
             f"numpy {np.__version__} draws {name} differently in chunks: "
-            "sample_photon_counts, transmit_counts and "
-            "RandomSource.bernoulli_indices, which draw DRAW_CHUNK values "
-            "at a time, no longer reproduce the one-call stream")
-
-
-# Counts with many zeros (at zero_frac 1 every pulse is vacuum), one byte
-# or eight wide, and physics parameters at their bounds as well as in
-# between.
-sparse_counts = dict(
-    n=st.integers(0, 300), zero_frac=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
-    max_count=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
-    dtype=st.sampled_from([np.uint8, np.int64]))
-
-
-def random_counts(n, zero_frac, max_count, seed, dtype=np.int64):
-    gen = np.random.default_rng(seed)
-    counts = gen.integers(1, max_count + 1, n).astype(dtype)
-    counts[gen.random(n) < zero_frac] = 0
-    return counts
-
-
-class TestSparseKernels:
-    """The kernels draw physics only at photon-carrying pulses; the
-    dense references draw it at every pulse. Outputs, dtypes and the
-    stream state afterwards must be equal, and no input may change. The
-    kernels keep the counts' dtype where the references widen them.
-    measure_batch reports only the gates that clicked: spread back over
-    every gate, its outputs equal the reference's."""
-
-    @given(**sparse_counts,
-           efficiency=st.one_of(st.sampled_from([0.0, 1.0]),
-                                st.floats(0.0, 1.0)),
-           flip=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
-           dark=st.one_of(st.just(0.0),
-                          st.floats(0.0, 1.0, exclude_max=True)))
-    @example(n=0, zero_frac=0.0, max_count=1, seed=0, dtype=np.int64,
-             efficiency=1.0, flip=0.0, dark=0.0)
-    @example(n=2 * DRAW_CHUNK + 17, zero_frac=0.5, max_count=3, seed=1,
-             dtype=np.uint8, efficiency=0.5, flip=0.1, dark=0.3)
-    def test_measure_batch_matches_dense(self, n, zero_frac, max_count,
-                                         seed, dtype, efficiency, flip,
-                                         dark):
-        counts = random_counts(n, zero_frac, max_count, seed, dtype)
-        gen = np.random.default_rng(seed + 1)
-        bits, bases, bob_bases = (gen.integers(0, 2, n, dtype=np.uint8)
-                                  for _ in range(3))
-        inputs = (counts, bits, bases, bob_bases)
-        before = [a.copy() for a in inputs]
-        detectors = DetectorPair(efficiency, dark)
-        ref, rand = RandomSource(seed), RandomSource(seed)
-        want = dense_measure_batch(*inputs, detectors, flip, ref)
-        got = measure(*inputs, detectors, flip, rand)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
-        assert rand.generator.bit_generator.state \
-            == ref.generator.bit_generator.state
-        assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
-
-    @given(**sparse_counts, length_km=st.sampled_from([0.0, 10.0, 200.0]))
-    @example(n=0, zero_frac=0.0, max_count=1, seed=0, dtype=np.int64,
-             length_km=10.0)
-    @example(n=2 * DRAW_CHUNK + 17, zero_frac=0.5, max_count=3, seed=1,
-             dtype=np.uint8, length_km=10.0)
-    def test_transmit_counts_matches_dense(self, n, zero_frac, max_count,
-                                           seed, dtype, length_km):
-        counts = random_counts(n, zero_frac, max_count, seed, dtype)
-        before = counts.copy()
-        channel = FiberChannel(length_km)
-        ref, rand = RandomSource(seed), RandomSource(seed)
-        want = dense_transmit_counts(counts, channel, ref)
-        got = transmit_counts(counts, channel, rand)
-        assert got.dtype == counts.dtype and np.array_equal(got, want)
-        assert rand.generator.bit_generator.state \
-            == ref.generator.bit_generator.state
-        assert np.array_equal(counts, before)
+            "the gap process, the source and the thinning, which draw "
+            "WINDOW values at a time, now depend on the window")
 
 
 class TestWideCounts:
     """A count above 255 does not fit a byte: the source widens its array
-    to int64 and every kernel after it keeps the values of the int64
-    kernels, with no wraparound."""
+    to int64 and every kernel after it keeps the exact values, with no
+    wraparound."""
 
     @pytest.mark.parametrize("source", [SourceModel(300.0),
                                         ConstantSource(300)], ids=repr)
     @pytest.mark.parametrize("eve", [InterceptResend(0.5),
                                      PhotonNumberSplit()], ids=repr)
     def test_exact_through_the_quantum_phase(self, source, eve):
-        n = DRAW_CHUNK + 17
-        counts = sample_photon_counts(source, n, RandomSource(31))
-        want = (np.full(n, 300) if isinstance(source, ConstantSource)
-                else RandomSource(31).poisson(300.0, n))
-        assert counts.dtype == np.int64 and np.array_equal(counts, want)
-        assert counts.max() > 255
+        n = 16_384 + 17
+        pulses = sample_photon_counts(source, n, RandomSource(31))
+        emitted = pulses.counts.copy()
+        assert emitted.dtype == np.int64 and len(emitted) == n
+        assert emitted.max() > 255 and emitted.min() > 200
+        if isinstance(source, ConstantSource):
+            assert np.all(emitted == 300)
 
-        gen = np.random.default_rng(32)
-        bits, bases, bob_bases = (gen.integers(0, 2, n, dtype=np.uint8)
-                                  for _ in range(3))
-        counts = intercept_batch(counts, np.packbits(bits),
-                                 np.packbits(bases), eve, EveLedger(),
-                                 RandomSource(1))[0]
-        want = dense_intercept_batch(want, bits, bases, eve, EveLedger(),
-                                     RandomSource(1))[0]
-        assert counts.dtype == np.int64 and np.array_equal(counts, want)
-        counts = transmit_counts(counts, FiberChannel(1.0), RandomSource(2))
-        want = dense_transmit_counts(want, FiberChannel(1.0), RandomSource(2))
-        assert counts.dtype == np.int64 and np.array_equal(counts, want)
-        assert counts.max() > 255
-        detectors = DetectorPair(0.5, 0.01)
-        got = measure(counts, bits, bases, bob_bases, detectors, 0.1,
-                      RandomSource(3))
-        want = dense_measure_batch(want, bits, bases, bob_bases, detectors,
-                                   0.1, RandomSource(3))
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        ledger = EveLedger()
+        alice = [PulseBits(RandomSource(32).split(k)) for k in "ab"]
+        pulses, bits, bases = intercept_batch(pulses, *alice, eve, ledger,
+                                              RandomSource(1))
+        assert pulses.counts.dtype == np.int64
+        if isinstance(eve, PhotonNumberSplit):
+            assert np.array_equal(pulses.counts, emitted - 1)
+        else:
+            taken = np.isin(pulses.indices, ledger.measured[:, 0])
+            assert 0 < taken.sum() < n and np.all(pulses.counts[taken] == 1)
+            assert np.array_equal(pulses.counts[~taken], emitted[~taken])
+        before = dense(pulses)
+        pulses = transmit_counts(pulses, FiberChannel(1.0), RandomSource(2))
+        assert pulses.counts.dtype == np.int64 and pulses.counts.max() > 255
+        assert np.all(dense(pulses) <= before)
+        kinds, _, indices = measure_batch(
+            pulses, bits, bases, PulseBits(RandomSource(33)),
+            DetectorPair(0.5, 0.0), 0.0, RandomSource(3))
+        # a gate with more than 200 photons fires one detector where
+        # Bob's basis matches and both, as good as always, where not
+        wide = pulses.indices[pulses.counts > 200].astype(np.int64)
+        assert np.all(np.isin(wide, indices))
+        doubles = kinds[np.searchsorted(indices, wide)] == 2
+        assert 0.4 < doubles.mean() < 0.6
 
-    def test_widens_in_a_later_chunk(self):
-        # At mu = 200 and seed 2 the first chunk stays within a byte and
-        # a later one does not: the uint8 values already written are kept.
-        n = 4 * DRAW_CHUNK
-        want = RandomSource(2).poisson(200.0, n)
-        assert want[:DRAW_CHUNK].max() <= 255 < want.max()
-        counts = sample_photon_counts(SourceModel(200.0), n, RandomSource(2))
-        assert counts.dtype == np.int64 and np.array_equal(counts, want)
+    def test_widens_in_a_later_chunk(self, monkeypatch):
+        # At mu = 200 and seed 8 the first window stays within a byte and
+        # a later one does not: the values already drawn are kept.
+        n = 4 * 16_384
+        monkeypatch.setattr(rng, "WINDOW", 16_384)
+        counts = sample_photon_counts(SourceModel(200.0), n,
+                                      RandomSource(8)).counts
+        assert counts[:16_384].max() <= 255 < counts.max()
+        assert counts.dtype == np.int64
+        monkeypatch.setattr(rng, "WINDOW", 1000)
+        want = sample_photon_counts(SourceModel(200.0), n,
+                                    RandomSource(8)).counts
+        assert np.array_equal(counts, want)
 
 
 class TestDeterminism:
@@ -520,8 +554,8 @@ class TestDeterminism:
             rand = RandomSource(13)
             counts = sample_photon_counts(SourceModel(0.2), 1000,
                                           rand.split("src"))
-            counts = transmit_counts(counts, FiberChannel(10.0),
-                                     rand.split("chan"))
+            counts = dense(transmit_counts(counts, FiberChannel(10.0),
+                                           rand.split("chan")))
             bits = rand.split("bits").bits(1000)
             bases = rand.split("bases").bits(1000)
             return measure(counts, bits, bases, bases,

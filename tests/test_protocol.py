@@ -3,8 +3,7 @@
 Click rates are checked against the compound closed form
 1 - exp(-mu * p_fiber * eta) * (1 - d)^2; the session report is checked
 against the bit-accounting identities it claims to satisfy. The quantum
-phase's per-click records are checked against the dense per-pulse phase
-they replaced.
+phase's memory is bounded per pulse it draws and per click it records.
 """
 
 import dataclasses
@@ -20,6 +19,7 @@ from qkdsim.adversary import (EveLedger, InterceptResend, NoAttack,
                               PhotonNumberSplit, strategy_label)
 from qkdsim.photonics import (ConstantSource, DetectorPair, FiberChannel,
                               SourceModel, survival_probability)
+from qkdsim.rng import WINDOW, RandomSource
 from qkdsim.postprocess import (AttackModel, CorrectionResult,
                                 ReconciliationFailure, binary_entropy)
 from qkdsim import photonics, postprocess, rng
@@ -27,17 +27,16 @@ from qkdsim.protocol import (FRACTION, MIN_RECONCILE_BITS, EmptySample,
                              PulseRecords, SessionConfig, SessionOutcome,
                              SiftedKeys, estimate_qber, run_quantum_phase,
                              run_session, sift)
-from qkdsim.rng import DRAW_CHUNK, RandomSource
-
-from reference_kernels import dense_quantum_phase
 
 
 def traced_phase(config):
     """(records, bytes left held, peak bytes) of one quantum phase.
     tracemalloc's peak counts the bytes numpy and Python hold, so unlike
     peak RSS it does not move with the heap's layout."""
-    # numpy.random imports lazily on its first draw in the process
-    run_quantum_phase(ideal_config(100, 406), RandomSource(406))
+    # numpy.random imports lazily on its first draw in the process, and
+    # substream labels and photon-number tables are cached on first use
+    run_quantum_phase(dataclasses.replace(config, n_pulses=1000),
+                      RandomSource(406))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -150,22 +149,31 @@ class TestQuantumPhase:
         (0.5, 40.0, NoAttack()),
     ], ids=["pns", "intercept-resend", "no-eve"])
     def test_memory_budget_per_pulse(self, mu, km, eve):
-        # On these links 2-8% of gates click. The one-byte counts (two
-        # while the channel thins them), three packed bit arrays, Eve's
-        # ledger (24 B per split pulse, about 9% of pulses at mu 0.5),
-        # the chunk-sized draws and the detector's arrays over lit
-        # pulses fit in 6 B/pulse; a second n-long byte array, int64
-        # counts or an n-long float64 draw do not. The records returned
-        # hold about 13 B per click.
+        # On these links 2-8% of gates click. The source draws only the
+        # pulses with photons (39% and 9.5% with Eve; with none only the
+        # 3.8% whose photons are caught): a uint32 index and a one-byte
+        # count each, two copies while they are joined, and Eve's
+        # ledger (24 B per split pulse, 23% of them at mu 0.5). With the
+        # detector's arrays over the clicks (20 B each) and the
+        # temporaries of one window (12 B per event of WINDOW) they fit
+        # in 9 B per pulse drawn + 20 B per click + 12 B x WINDOW, under
+        # 6 B/pulse on each link. An n-long byte array does not fit; the
+        # records returned hold 13 B per click.
         n = 200_000
         config = ideal_config(n, 406, source=SourceModel(mu),
                               channel=FiberChannel(km), eve=eve)
         records, held, peak = traced_phase(config)
         assert len(records) == n
-        assert peak / n <= 6, f"{peak / n:.1f} B/pulse"
-        # what the phase leaves behind is its records, O(clicks)
         clicks = len(records.kinds)
         assert 0 < clicks < n / 10
+        caught = 1.0 if eve != NoAttack() else survival_probability(
+            config.channel) * config.detectors.efficiency
+        drawn = n * -math.expm1(-mu * caught)
+        budget = 9 * drawn + 20 * clicks + 12 * WINDOW
+        assert budget <= 6 * n
+        assert peak <= budget, f"{peak / n:.2f} B/pulse, budget " \
+            f"{budget / n:.2f}"
+        # what the phase leaves behind is its records, O(clicks)
         assert held <= 13 * clicks + 4096, f"{held / clicks:.1f} B/click"
 
     @pytest.mark.parametrize("efficiency, dark, flip", [
@@ -173,15 +181,13 @@ class TestQuantumPhase:
         (0.8, 1e-5, 0.01),
     ], ids=["ideal-detectors", "metro-key-link"])
     def test_memory_budget_at_high_click_rates(self, efficiency, dark, flip):
-        # 5 km at mu 0.5, no Eve: 27-33% of gates click, and the
-        # detector's arrays over the clicked gates outweigh the n-long
-        # ones. At its peak the phase holds the counts and three packed
-        # bit arrays (1.4 B/pulse) and, in measure_batch, three int64
-        # arrays over the gates (the hit pulses, the gates before and
-        # after dropping repeats, or the sort's buffer; 24 B/click)
-        # with a few one-byte flags: about 31 B/click in all. 3 B/pulse
-        # + 32 B/click holds that; one more n-long int64 array (8
-        # B/pulse) or one more int64 array over the clicks (2.2-2.6
+        # 5 km at mu 0.5, no Eve: 27-33% of gates click, and nearly
+        # every pulse the source draws clicks. At its peak the phase
+        # holds, per click, the drawn pulse (5 B), the gates as uint32
+        # and as int64 (12 B), the detector flags and the kinds (about
+        # 3 B), plus the temporaries of one window: 20 B per click + 12
+        # B x WINDOW holds that, under the 3 B/pulse + 32 B/click of the
+        # per-pulse phase. One more int64 array over the clicks (2.2-2.6
         # B/pulse here) does not fit.
         n = 200_000
         config = ideal_config(n, 406, source=SourceModel(0.5),
@@ -190,8 +196,9 @@ class TestQuantumPhase:
         records, held, peak = traced_phase(config)
         clicks = len(records.kinds)
         assert n / 4 < clicks < n / 2
-        budget = 3 * n + 32 * clicks
-        assert peak <= budget, f"{peak / n:.1f} B/pulse, {clicks} clicks"
+        budget = 20 * clicks + 12 * WINDOW
+        assert budget <= 3 * n + 32 * clicks
+        assert peak <= budget, f"{peak / clicks:.1f} B/click, {clicks} clicks"
         assert held <= 13 * clicks + 4096, f"{held / clicks:.1f} B/click"
 
     @pytest.mark.parametrize("eve", [NoAttack(), PhotonNumberSplit(),
@@ -209,61 +216,6 @@ class TestQuantumPhase:
         assert 0 < clicks < len(records) / 100
         assert all(len(a) == clicks for a in arrays)
         assert sum(a.nbytes for a in arrays) == 13 * clicks
-
-
-DENSE_FIELDS = ("alice_bits", "alice_bases", "bob_bases", "kinds",
-                "click_bits")
-
-
-class TestPerClickRecordsMatchDense:
-    """The phase keeps only the gates that clicked; the dense phase it
-    replaced kept every pulse. At every gate that clicked the records
-    must agree, there must be no other entry, and Eve's ledger must hold
-    the same rows: the same draws, in the same order and number."""
-
-    @given(n=st.one_of(st.integers(1, 7), st.integers(8, 3000)),
-           mu=st.one_of(st.sampled_from([0.0, 0.1, 0.5]),
-                        st.floats(0.0, 3.0)),
-           km=st.one_of(st.sampled_from([0.0, 50.0]), st.floats(0.0, 100.0)),
-           efficiency=st.one_of(st.sampled_from([0.0, 1.0]),
-                                st.floats(0.0, 1.0)),
-           dark=st.one_of(st.just(0.0), st.floats(0.0, 1e-2)),
-           flip=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
-           eve=st.one_of(st.just(NoAttack()), st.just(PhotonNumberSplit()),
-                         st.floats(0.0, 1.0).map(InterceptResend)),
-           double_click_random=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    @example(n=3 * DRAW_CHUNK + 5, mu=0.5, km=10.0, efficiency=0.3,
-             dark=1e-2, flip=0.05, eve=InterceptResend(0.4),
-             double_click_random=False, seed=3)
-    @example(n=2 * DRAW_CHUNK - 1, mu=1.5, km=0.0, efficiency=1.0,
-             dark=1e-3, flip=0.0, eve=PhotonNumberSplit(),
-             double_click_random=True, seed=4)
-    @example(n=DRAW_CHUNK + 3, mu=0.1, km=25.0, efficiency=0.1, dark=1e-4,
-             flip=0.01, eve=NoAttack(), double_click_random=True, seed=5)
-    # past one chunk of packed bits, 8 * DRAW_CHUNK pulses
-    @example(n=8 * DRAW_CHUNK + 9, mu=0.3, km=5.0, efficiency=0.5,
-             dark=1e-3, flip=0.02, eve=InterceptResend(0.1),
-             double_click_random=True, seed=6)
-    def test_records_and_ledger_match_dense(self, n, mu, km, efficiency,
-                                            dark, flip, eve,
-                                            double_click_random, seed):
-        config = SessionConfig(n, SourceModel(mu), FiberChannel(km, 0.2, flip),
-                               DetectorPair(efficiency, dark), seed, eve=eve,
-                               double_click_random=double_click_random)
-        ledger, dense_ledger = EveLedger(), EveLedger()
-        records = run_quantum_phase(config, RandomSource(seed), ledger)
-        dense = dense_quantum_phase(config, RandomSource(seed), dense_ledger)
-        assert len(records) == n
-        clicked = np.flatnonzero(dense.kinds)
-        assert records.indices.dtype == np.int64
-        assert np.array_equal(records.indices, clicked)
-        for name in DENSE_FIELDS:
-            got, want = getattr(records, name), getattr(dense, name)[clicked]
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        for rows in ("stored", "measured"):
-            got, want = getattr(ledger, rows), getattr(dense_ledger, rows)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestPulseRecords:
@@ -587,8 +539,8 @@ class TestRunSession:
                                      InterceptResend(0.1)],
                              ids=strategy_label)
     def test_identical_across_chunk_sizes(self, eve, monkeypatch):
-        # Per-pulse draws run DRAW_CHUNK values at a time; the chunk size
-        # must move no value. photonics holds its own copy of the name.
+        # Per-event draws run WINDOW values at a time; the window must
+        # move no value. photonics holds its own copy of the name.
         config = SessionConfig(60_000, SourceModel(0.5),
                                FiberChannel(5.0, 0.2, 0.01),
                                DetectorPair(0.5, 1e-3), 422, eve=eve)
@@ -602,8 +554,8 @@ class TestRunSession:
         want = outputs()
         assert want[1]  # a key to compare
         for chunk in (7, 64, 1000, 65_536):
-            monkeypatch.setattr(rng, "DRAW_CHUNK", chunk)
-            monkeypatch.setattr(photonics, "DRAW_CHUNK", chunk)
+            monkeypatch.setattr(rng, "WINDOW", chunk)
+            monkeypatch.setattr(photonics, "WINDOW", chunk)
             assert outputs() == want, chunk
 
     def test_session_outcome_wire_values(self):

@@ -3,8 +3,11 @@
 The mixing functions are pinned to published reference vectors
 (splitmix64's canonical output stream, the FNV-1a test suite) plus
 frozen regression values, since sweep seed derivation depends on them.
-Short bit draws are pinned to an in-test transliteration of the counter
-rule, longer ones and every other draw to numpy's PCG64 Generator.
+Short bit draws and bits read at any position are pinned to an in-test
+transliteration of the counter rule, longer ones and every other draw
+to numpy's PCG64 Generator. The Bernoulli gap kernel is pinned to a
+scalar loop over the same exponentials, and checked against the
+binomial moments of the trials it stands for.
 """
 
 import math
@@ -17,9 +20,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qkdsim import rng
-from qkdsim.rng import (COUNT, DRAW_CHUNK, FINITE, INTEGER, RAW_BITS_MIN,
-                        SHORT_BITS, UNIT, Checked, RandomSource, Rule,
-                        fnv1a64, mix64, splitmix64)
+from qkdsim.rng import (COUNT, FINITE, INTEGER, RAW_BITS_MIN, SHORT_BITS,
+                        UNIT, WINDOW, Checked, RandomSource, Rule, fnv1a64,
+                        mix64, splitmix64)
 
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -39,6 +42,23 @@ def counter_draws(seed, sizes):
         out.append(np.array([w >> (63 - b) & 1 for w in words
                              for b in range(64)][:n], dtype=np.uint8))
     return out
+
+
+def scalar_gaps(seed, n, p):
+    """The Bernoulli(p) gap process over range(n), one exponential at a
+    time from a fresh PCG64 seeded with ``seed``: gap 1 + floor(E * s),
+    s = -1 / log1p(-p); none for p <= 0 or NaN, all for p >= 1."""
+    if not p > 0:
+        return []
+    if p >= 1:
+        return list(range(n))
+    gen = np.random.Generator(np.random.PCG64(seed))
+    scale, at, out = -1.0 / math.log1p(-p), -1, []
+    while True:
+        at += int(min(gen.standard_exponential() * scale, n)) + 1
+        if at >= n:
+            return out
+        out.append(at)
 
 
 class TestSplitmix64:
@@ -165,112 +185,109 @@ class TestRandomSource:
         assert out.shape == (3,)
         assert out[1] == 0
 
-    @pytest.mark.parametrize("n", [0, 1, DRAW_CHUNK, 2 * DRAW_CHUNK + 17])
+    @pytest.mark.parametrize("n", [0, 1, 16_384, 2 * 16_384 + 17])
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
-    def test_bernoulli_is_one_uniform_draw(self, n, p):
-        # Drawn in chunks as index lists: the indices where
-        # ``random(n) < p``, and its stream state.
-        rand, ref = RandomSource(8), RandomSource(8)
-        indices = rand.bernoulli_indices(n, p)
-        assert indices.dtype == np.int64
-        assert np.array_equal(indices, np.flatnonzero(ref.random(n) < p))
-        assert rand.generator.bit_generator.state \
-            == ref.generator.bit_generator.state
+    def test_bernoulli_is_one_uniform_draw(self, n, p, monkeypatch):
+        # One draw at any window: blocks of WINDOW picks or of seven give
+        # the same sorted int64 indices, those of the scalar gap loop.
+        want = scalar_gaps(8, n, p)
+        for window in (WINDOW, 7):
+            monkeypatch.setattr(rng, "WINDOW", window)
+            indices = RandomSource(8).bernoulli_indices(n, p)
+            assert indices.dtype == np.int64
+            assert indices.tolist() == want
 
     @pytest.mark.parametrize("p", [
         0.0, 2.0**-53, 1e-5, 0.3, 1 - 2.0**-53, 1.0,
-        # p * 2^53 an integer: random() == p itself is not below p
         12345 * 2.0**-53, 0.5, -0.5, 1.5, math.nan])
     @pytest.mark.parametrize("use_among", [False, True])
     def test_raw_word_bernoulli_is_exact(self, p, use_among):
-        # (next_uint64 >> 11) < ceil(p * 2^53) exactly when random() < p:
-        # at both ends of [0, 1], beyond them, at NaN, with and without
-        # ``among``, across a chunk boundary
-        n = 2 * DRAW_CHUNK + 5
-        rand, ref = RandomSource(9), RandomSource(9)
-        among = RandomSource(10).bits(n) if use_among else None
-        indices = rand.bernoulli_indices(n, p, among)
-        hit = ref.random(n) < p
+        # Each pick is the scalar gap loop's, at both ends of [0, 1],
+        # beyond them and at NaN, over range(n) or over ``among``, past
+        # a window: with ``among`` the trials run over its entries.
+        n = 2 * 16_384 + 5
+        among = np.flatnonzero(RandomSource(10).bits(n)) if use_among \
+            else None
+        indices = RandomSource(9).bernoulli_indices(n, p, among)
+        want = scalar_gaps(RandomSource(9).seed,
+                           n if among is None else len(among), p)
         if use_among:
-            hit &= among != 0
-        assert np.array_equal(indices, np.flatnonzero(hit))
-        assert rand.generator.bit_generator.state \
-            == ref.generator.bit_generator.state
+            want = among[want]
+        assert indices.dtype == np.int64
+        assert np.array_equal(indices, want)
 
-    def test_raw_word_bernoulli_at_drawn_values(self):
-        # p equal to a drawn uniform (a multiple of 2^-53) and one float
-        # either side of it: the threshold word is in or out as random()
-        # < p has it
-        n = 1000
-        uniforms = RandomSource(11).random(n)
-        for u in uniforms[[17, 400]]:
-            for p in (np.nextafter(u, 0), u, np.nextafter(u, 1)):
-                indices = RandomSource(11).bernoulli_indices(n, p)
-                assert np.array_equal(indices, np.flatnonzero(uniforms < p))
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [0, 1, 5, WINDOW + 3])
+    def test_gap_process_at_its_ends(self, n, p):
+        # p = 0 picks nothing, p = 1 every index, with no exponential
+        # drawn; with ``among`` the same holds for its entries
+        rand = RandomSource(17)
+        indices = rand.bernoulli_indices(n, p)
+        assert indices.tolist() == (list(range(n)) if p else [])
+        among = np.arange(0, 3 * n, 3)
+        assert rand.bernoulli_indices(len(among), p, among).tolist() == \
+            (among.tolist() if p else [])
+        assert rand._generator is None
 
-    @pytest.mark.parametrize("n", [
-        0, 1, 7, 8, 9, RAW_BITS_MIN + 3, 8 * DRAW_CHUNK - 4, 8 * DRAW_CHUNK,
-        8 * DRAW_CHUNK + 5, 3 * 8 * DRAW_CHUNK + 13])
-    @pytest.mark.parametrize("buffered", [False, True])
-    def test_packed_bits_are_one_bits_draw(self, n, buffered):
-        # Drawn 8 * DRAW_CHUNK bits at a time above SHORT_BITS, from one
-        # run of counter words at and below it: np.packbits of bits(n),
-        # and both cursors' state, buffered PCG64 half-word included.
-        rand, ref = RandomSource(13), RandomSource(13)
-        if buffered:  # one bit takes the low half of a fresh word
-            rand.generator.integers(0, 2, size=1, dtype=np.uint8)
-            ref.generator.integers(0, 2, size=1, dtype=np.uint8)
-        packed = rand.packed_bits(n)
-        assert packed.dtype == np.uint8
-        assert np.array_equal(packed, np.packbits(ref.bits(n)))
-        assert rand.generator.bit_generator.state \
-            == ref.generator.bit_generator.state
-        assert np.array_equal(rand.bits(8), ref.bits(8))
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 5000),
+           p=st.one_of(st.sampled_from([1e-300, 1e-5, 0.5, 1 - 1e-12]),
+                       st.floats(0.0, 1.0)))
+    def test_gap_indices_increase_inside_range(self, seed, n, p):
+        indices = RandomSource(seed).bernoulli_indices(n, p)
+        assert indices.dtype == np.int64
+        assert np.all(np.diff(indices) > 0)
+        assert len(indices) == 0 or 0 <= indices[0] <= indices[-1] < n
 
-    @pytest.mark.parametrize("n", [SHORT_BITS - 1, SHORT_BITS, SHORT_BITS + 1,
-                                   SHORT_BITS + 8 * 7, 3 * SHORT_BITS + 5,
-                                   8 * 65_536 + SHORT_BITS + 3])
-    @pytest.mark.parametrize("chunk", [7, 8, 33, 1000, 16_384, 65_536])
-    def test_packed_bits_route_follows_n_at_any_chunk(self, n, chunk,
-                                                      monkeypatch):
-        # The route is the one bits(n) takes, never the chunks': above
-        # SHORT_BITS every chunk, the last included, reads PCG64.
-        ref = RandomSource(14)
-        want = np.packbits(ref.bits(n))
-        monkeypatch.setattr(rng, "DRAW_CHUNK", chunk)
-        rand = RandomSource(14)
-        assert np.array_equal(rand.packed_bits(n), want)
-        assert (rand._generator is None) == (n <= SHORT_BITS)
-        if n > SHORT_BITS:
-            assert rand.generator.bit_generator.state \
-                == ref.generator.bit_generator.state
+    @pytest.mark.parametrize("p", [1e-5, 0.014, 0.39, 0.9])
+    @pytest.mark.parametrize("use_among", [False, True])
+    def test_gap_counts_within_4_sigma(self, p, use_among):
+        # The number picked is Binomial(trials, p): within 4 sigma on
+        # each of seeds 1-5 (for p = 1e-5, 2e6 trials, 20 expected).
+        trials = 2_000_000 if p < 1e-3 else 400_000
+        among = np.arange(0, 2 * trials, 2, dtype=np.uint32) if use_among \
+            else None
+        sigma = math.sqrt(trials * p * (1 - p))
+        for seed in range(1, 6):
+            picked = RandomSource(seed).bernoulli_indices(
+                len(among) if use_among else trials, p, among)
+            assert abs(len(picked) - trials * p) <= 4 * sigma, seed
+            if use_among:
+                assert np.all(picked % 2 == 0)
 
-    @given(bits=st.lists(st.integers(0, 1), max_size=70),
-           data=st.data())
-    def test_bits_at_and_with_bits(self, bits, data):
-        # Read and write single bits of a packed array, repeated bytes
-        # and the last partial byte included.
-        bits = np.array(bits, np.uint8)
-        n = len(bits)
-        picks = np.array(data.draw(st.lists(st.integers(0, max(n - 1, 0)),
-                                            max_size=n)), np.int64)
-        unique = np.unique(picks)
-        values = np.array(data.draw(st.lists(
-            st.integers(0, 1), min_size=len(unique), max_size=len(unique))),
-            np.uint8)
-        packed = np.packbits(bits)
-        before = packed.copy()
-        assert np.array_equal(rng.bits_at(packed, picks), bits[picks])
-        changed = rng.with_bits(packed, unique, values)
-        want = bits.copy()
-        want[unique] = values
-        assert np.array_equal(changed, np.packbits(want))
-        assert np.array_equal(packed, before)
+    def test_tiny_p_picks_nothing_and_stays_finite(self):
+        # below about 2^-1074 the gap scale overflows to inf; a gap of
+        # E * inf (NaN at E = 0) still ends the draw
+        for p in (5e-324, 1e-320):
+            assert len(RandomSource(18).bernoulli_indices(10**6, p)) == 0
+
+    @given(seed=st.integers(0, 2**64 - 1),
+           picks=st.lists(st.integers(0, 3 * SHORT_BITS), max_size=40))
+    def test_bits_at_reads_the_counter_words(self, seed, picks):
+        # bit i of the counter words, at any position and in any order,
+        # as uint8 and for int64 and uint32 indices; the cursor stays
+        want = np.concatenate(counter_draws(seed, [SHORT_BITS] * 4))
+        rand = RandomSource(seed)
+        for dtype in (np.int64, np.uint32):
+            got = rand.bits_at(np.array(picks, dtype))
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want[picks])
+        assert np.array_equal(rand.bits(SHORT_BITS), want[:SHORT_BITS])
+        assert rand._generator is None
+
+    def test_bits_at_far_indices_and_windows(self, monkeypatch):
+        # indices up to 2^32, read one window or many at a time
+        indices = np.array([0, 63, 64, 2**20 + 5, 2**32 - 1], np.int64)
+        base = mix64(19, fnv1a64("rng.counter_words"))
+        want = [splitmix64((base + (i >> 6) * GOLDEN) % 2**64)
+                >> (63 - i % 64) & 1 for i in indices.tolist()]
+        assert RandomSource(19).bits_at(indices).tolist() == want
+        monkeypatch.setattr(rng, "WINDOW", 2)
+        assert RandomSource(19).bits_at(indices).tolist() == want
 
     @pytest.mark.parametrize("n", [
         *range(10), 4 * 1000 - 1, 4 * 1000 + 1,
         RAW_BITS_MIN - 1, RAW_BITS_MIN, RAW_BITS_MIN + 1,
-        *(DRAW_CHUNK * k + d for k in (1, 8, 9, 17) for d in (-3, 3))])
+        *(16_384 * k + d for k in (1, 8, 9, 17) for d in (-3, 3))])
     @pytest.mark.parametrize("buffered", [False, True])
     def test_bits_are_one_integers_draw(self, n, buffered):
         # Above SHORT_BITS, built from raw words at RAW_BITS_MIN bits and
@@ -366,7 +383,7 @@ class TestLazyGenerator:
         parent = RandomSource(7)
         child = parent.split("relay").split(3)
         assert built == []
-        child.bits(8), child.bits(SHORT_BITS), child.packed_bits(SHORT_BITS)
+        child.bits(8), child.bits(SHORT_BITS), child.bits_at(np.arange(99))
         assert built == []
         child.bits(SHORT_BITS + 1)
         assert built == [child.seed]
@@ -388,8 +405,8 @@ class TestLazyGenerator:
         (lambda r, n: r.uint64(),
          lambda g, n: g.integers(0, 1 << 64, dtype=np.uint64)),
         (lambda r, n: r.byte_string(n), lambda g, n: g.bytes(n)),
-        (lambda r, n: r.bernoulli_indices(n, 0.4),
-         lambda g, n: np.flatnonzero(g.random(n) < 0.4)),
+        # bits read at positions leave both cursors as they were
+        (lambda r, n: len(r.bits_at(np.arange(n))), lambda g, n: n),
         # a short draw reads the counter and leaves PCG64 as it was
         (lambda r, n: len(r.bits(n)), lambda g, n: n),
     ]
