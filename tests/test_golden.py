@@ -158,11 +158,11 @@ def case_sweep_csv(tmp_path):
 
 GOLDEN = {
     "no_eve_success":
-        "4e95a084a48fedb5eb5851c3a578e9bc72a31f73ea907c60794d018fd04afd24",
+        "7694ad42e1b5dcddb480ba6ad90a2569d82be73c34a755cc342c5eb9cdfbc777",
     "intercept_abort":
-        "89685b460013aaec52c0f2ee9618622d31bc1215874a6185da905729744a54e3",
+        "86fbb9291b0bf33cb72ace60dfa78caae31c8391e884cf1e402f74692d5c904d",
     "pns_zero_error":
-        "76081653b1f474181899015776df7cb24a793510ca5fa337c75be9accfab5000",
+        "74f742ce00b7de5536371c16cf138647a601712f87dfdc1bbcaf48a52534797f",
     "empty_sample_abort":
         "a229679c9f7f6e99261521681ffd4143ca8855ad16b999ff84b6e53e95c8328a",
     "abort_short":
@@ -189,4 +189,4 @@ def test_golden_digest(name):
 def test_golden_sweep_csv(tmp_path, capsys):
     data = case_sweep_csv(tmp_path)
     assert hashlib.sha256(data).hexdigest() == \
-        "3ed841cf3add54c822a8a187e1b5103e5dd14fbc5c0115821c13ab3075f06458"
+        "95021714417ddac494820e7d46db40b9ff0c05ab335eb8591f5e15fad6a88106"
