@@ -1,5 +1,17 @@
 """Reference kernels that only the tests use.
 
+Dense photonics: the event-driven fiber, detector and Eve kernels and
+the quantum phase written over every pulse, with n-long count, bit and
+basis arrays, masks and ``np.where``. They take the same draws from the
+same substreams, in pulse order: the first-photon uniforms and the
+other photons' binomials of a thinning, the detector's flip gaps, exit
+bits and binomials, each detector's dark-count gaps, Eve's gap process
+over the pulses with photons and the counter bits at a pulse. So they
+fix what :mod:`qkdsim.photonics`, :func:`qkdsim.adversary.intercept_batch`
+and :func:`qkdsim.protocol.run_quantum_phase` must give at every pulse,
+and the ledger rows, while the kernels hold only the pulses with
+photons and the gates that clicked.
+
 Unpacked relay: the trusted-node relay as it was before it carried the
 key packed, one uint8 per bit, checking a link's funds at every
 crossing; :func:`qkdsim.netsim.relay_key` must send the same messages,
@@ -21,18 +33,155 @@ polynomial hash by Horner's rule over any such multiplier.
 import heapq
 import math
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 
+from qkdsim.adversary import (EveLedger, InterceptResend, NoAttack,
+                              PhotonNumberSplit)
 from qkdsim.auth import KeyExhausted
 from qkdsim.gf2 import MASK64, REDUCTION_POLY, Gf64Multiplier
 from qkdsim.netsim import RelayTranscript
+from qkdsim.photonics import (ClickKind, sample_photon_counts,
+                              survival_probability)
 from qkdsim.postprocess import (BLOCK_FACTOR, MIN_BLOCK, VERIFY_HASH_BITS,
                                 CorrectionResult, ReconciliationFailure,
                                 _verification_hash)
 
 MASK8 = (1 << 8) - 1
 REDUCTION_POLY_8 = (1 << 8) | 0x1B  # x^8 + x^4 + x^3 + x + 1
+
+
+# -- dense photonics ----------------------------------------------------------
+
+
+def dense_thin(counts, p, rand):
+    """Each photon kept with probability p: the first of each pulse with
+    photons by a uniform of split("first"), the others by a binomial of
+    split("others") over the pulses with more than one."""
+    counts = np.asarray(counts)
+    out = np.zeros(len(counts), np.int64)
+    lit, more = counts > 0, counts > 1
+    out[lit] = rand.split("first").random(int(lit.sum())) < p
+    out[more] += rand.split("others").binomial(counts[more] - 1, p)
+    return out
+
+
+def dense_transmit_counts(photon_counts, channel, rand):
+    return dense_thin(photon_counts, survival_probability(channel), rand)
+
+
+def dense_measure_batch(photon_counts, bits, bases, bob_bases, detectors,
+                        flip_prob, rand, detected=False):
+    """(kinds, click_bits) of every gate; ``detected`` counts are not
+    thinned by the efficiency."""
+    n = len(photon_counts)
+    caught = np.asarray(photon_counts, np.int64) if detected \
+        else dense_thin(photon_counts, detectors.efficiency, rand)
+    hit = np.flatnonzero(caught)
+    flipped, random_exit = np.zeros((2, n), np.int64)
+    flipped[hit[rand.split("flips").bernoulli_indices(len(hit),
+                                                      flip_prob)]] = 1
+    random_exit[hit] = rand.split("exits").bits(len(hit))
+    more = caught > 1
+    flipped[more] += rand.binomial(caught[more] - 1, flip_prob)
+    random_exit[more] += rand.binomial(caught[more] - 1, 0.5)
+
+    matched = bases == bob_bases
+    in_one_matched = np.where(bits == 1, caught - flipped, flipped)
+    in_one = np.where(matched, in_one_matched, random_exit)
+    in_zero = caught - in_one
+
+    dark0, dark1 = np.zeros((2, n), bool)
+    dark0[rand.split("dark0").bernoulli_indices(
+        n, detectors.dark_count_prob)] = True
+    dark1[rand.split("dark1").bernoulli_indices(
+        n, detectors.dark_count_prob)] = True
+    fire0 = (in_zero > 0) | dark0
+    fire1 = (in_one > 0) | dark1
+
+    kinds = (fire0.astype(np.uint8) + fire1.astype(np.uint8))
+    click_bits = (fire1 & ~fire0).astype(np.uint8)
+    return kinds, click_bits
+
+
+def dense_intercept_batch(photon_counts, bits, bases, strategy, ledger, rand):
+    """Masks and ``np.where`` over every pulse."""
+    if isinstance(strategy, NoAttack):
+        return photon_counts, bits, bases
+
+    if isinstance(strategy, InterceptResend):
+        lit = np.flatnonzero(photon_counts)
+        take = np.zeros(len(photon_counts), bool)
+        take[lit[rand.split("taken").bernoulli_indices(
+            len(lit), strategy.fraction)]] = True
+        everyone = np.arange(len(photon_counts))
+        eve_bases = rand.split("eve_bases").bits_at(everyone)
+        mismatch_results = rand.split("eve_results").bits_at(everyone)
+        eve_bits = np.where(eve_bases == bases, bits,
+                            mismatch_results).astype(np.uint8)
+        out_counts = np.where(take, 1, photon_counts)
+        out_bits = np.where(take, eve_bits, bits).astype(np.uint8)
+        out_bases = np.where(take, eve_bases, bases).astype(np.uint8)
+        ledger.record_measured(np.flatnonzero(take), eve_bits[take],
+                               eve_bases[take])
+        return out_counts, out_bits, out_bases
+
+    if isinstance(strategy, PhotonNumberSplit):
+        split = photon_counts >= 2
+        out_counts = photon_counts - split
+        ledger.record_stored(np.flatnonzero(split), bits[split],
+                             bases[split])
+        return out_counts, bits, bases
+
+    raise TypeError(f"unknown strategy {strategy!r}")
+
+
+class DenseRecords(NamedTuple):
+    """One entry per pulse: Alice's bit and basis, Bob's basis, the
+    gate's ClickKind and the measured bit (0 unless the kind is CLICK)."""
+
+    alice_bits: np.ndarray
+    alice_bases: np.ndarray
+    bob_bases: np.ndarray
+    kinds: np.ndarray
+    click_bits: np.ndarray
+
+
+def dense_quantum_phase(config, rand, eve_ledger=None):
+    """Every record n long; the source's draw spread over every pulse."""
+    n = config.n_pulses
+    everyone = np.arange(n)
+    alice_bits, alice_bases, bob_bases = (
+        rand.split(label).bits_at(everyone)
+        for label in ("alice_bits", "alice_bases", "bob_bases"))
+    detection = None
+    if isinstance(config.eve, NoAttack):
+        detection = survival_probability(config.channel) \
+            * config.detectors.efficiency
+    pulses = sample_photon_counts(config.source, n, rand.split("source"),
+                                  detection)
+    counts = np.zeros(n, np.int64)
+    counts[pulses.indices] = pulses.counts
+    ledger = eve_ledger if eve_ledger is not None else EveLedger()
+    counts, bits, bases = dense_intercept_batch(
+        counts, alice_bits, alice_bases, config.eve, ledger,
+        rand.split("eve"))
+    if detection is None:
+        counts = dense_transmit_counts(counts, config.channel,
+                                       rand.split("channel"))
+    kinds, click_bits = dense_measure_batch(
+        counts, bits, bases, bob_bases, config.detectors,
+        config.channel.excess_flip_prob, rand.split("detector"),
+        detection is not None)
+    if config.double_click_random:
+        doubles = kinds == int(ClickKind.DOUBLE_CLICK)
+        n_doubles = int(doubles.sum())
+        if n_doubles:
+            click_bits[doubles] = rand.split("double_click").bits(n_doubles)
+            kinds[doubles] = int(ClickKind.CLICK)
+    return DenseRecords(alice_bits, alice_bases, bob_bases, kinds,
+                        click_bits)
 
 
 # -- unpacked relay ------------------------------------------------------------

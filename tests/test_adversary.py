@@ -6,8 +6,9 @@ a wrong-basis resend flips the matched-basis outcome half the time). The
 multiphoton-split oracle: Eve knows P(n>=2)/P(n>=1) of the sifted key and
 introduces no errors at all. The ledger's one knowledge rule is also
 checked, as a hypothesis property, against the per-pulse dict ledger and
-two-loop rule it replaced. The kernel works only at the pulses Eve
-touches: it takes the pulses with photons and Alice's bits and bases as
+two-loop rule it replaced, and the kernel, which works only at the
+pulses Eve touches, against a dense one written over every pulse. It
+takes the pulses with photons and Alice's bits and bases as
 :class:`PulseBits`, changes the counts in place and returns the bits and
 bases the channel carries: Alice's own, or hers with Eve's encoding
 where she resent.
@@ -28,6 +29,8 @@ from qkdsim.photonics import (Basis, ConstantSource, DetectorPair,
                               FiberChannel, PulseBits, Pulses)
 from qkdsim.protocol import SessionConfig, SiftedKeys, run_quantum_phase, sift
 from qkdsim.rng import SHORT_BITS, RandomSource
+
+from reference_kernels import dense_intercept_batch
 
 
 def ideal_config(n_pulses, eve, seed=0, source=None):
@@ -478,3 +481,52 @@ class TestLedgerMatchesPerPulseRule:
         keys = SiftedKeys(bits[sifted], bits[sifted], sifted)
         expect = len(want) / len(sifted) if len(sifted) else 0.0
         assert eve_information(known, keys) == expect
+
+
+# -- the event kernel against the dense one written over every pulse ---------------------
+
+
+class TestInterceptMatchesDense:
+    @given(strategy=st.one_of(
+               st.just(PhotonNumberSplit()),
+               st.sampled_from([0.0, 1.0]).map(InterceptResend),
+               st.floats(0.0, 1.0).map(InterceptResend)),
+           counts=st.lists(st.integers(0, 4), max_size=200),
+           seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([np.uint8, np.int64]))
+    # more pulses with photons than two windows of the take draw
+    @example(strategy=InterceptResend(0.3), counts=[1, 0, 3] * 24_600,
+             seed=7, dtype=np.uint8)
+    def test_outputs_ledger_and_stream_match(self, strategy, counts, seed,
+                                             dtype):
+        counts = np.array(counts, dtype)
+        gen = np.random.default_rng(seed)
+        bits, bases = (gen.integers(0, 2, len(counts), dtype=np.uint8)
+                       for _ in range(2))
+        before = [a.copy() for a in (counts, bits, bases)]
+        ledger, ref_ledger = EveLedger(), EveLedger()
+        want = dense_intercept_batch(counts, bits, bases, strategy,
+                                     ref_ledger, RandomSource(seed))
+        pulses = as_pulses(counts)
+        alice = as_bits(bits), as_bits(bases)
+        out_pulses, out_bits, out_bases = intercept_batch(
+            pulses, *alice, strategy, ledger, RandomSource(seed))
+        # the counts change in place, in their own dtype
+        assert out_pulses is pulses and pulses.counts.dtype == dtype
+        assert np.array_equal(dense(out_pulses), want[0])
+        n = len(counts)
+        for got, w in ((out_bits, want[1]), (out_bases, want[2])):
+            assert np.array_equal(unpacked(got, n), w)
+        # Eve's encoding is carried exactly where she resent; with no
+        # resend Alice's own bits go on
+        resent = ledger.measured[:, 0]
+        if not isinstance(strategy, InterceptResend):
+            assert out_bits is alice[0] and out_bases is alice[1]
+        for got, column in ((out_bits, 1), (out_bases, 2)):
+            assert np.array_equal(got.indices, resent)
+            assert np.array_equal(got.values, ledger.measured[:, column])
+        for rows in ("stored", "measured"):
+            g, w = getattr(ledger, rows), getattr(ref_ledger, rows)
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip((counts, bits, bases), before))

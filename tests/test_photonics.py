@@ -25,6 +25,8 @@ from qkdsim.photonics import (FLIP, MAX_MU, ZTP_TABLE_MU, Basis, ClickKind,
                               transmit_counts)
 from qkdsim.rng import RandomSource
 
+from reference_kernels import dense_measure_batch, dense_transmit_counts
+
 
 def as_pulses(counts):
     """Pulses holding the non-zero entries of a dense count array."""
@@ -488,6 +490,79 @@ def test_draws_in_chunks_equal_one_draw(name):
             f"numpy {np.__version__} draws {name} differently in chunks: "
             "the gap process, the source and the thinning, which draw "
             "WINDOW values at a time, now depend on the window")
+
+
+# Counts with many zeros (at zero_frac 1 every pulse is vacuum), one byte
+# or eight wide, and physics parameters at their bounds as well as in
+# between.
+sparse_counts = dict(
+    n=st.integers(0, 300), zero_frac=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+    max_count=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+    dtype=st.sampled_from([np.uint8, np.int64]))
+
+
+def random_counts(n, zero_frac, max_count, seed, dtype=np.int64):
+    gen = np.random.default_rng(seed)
+    counts = gen.integers(1, max_count + 1, n).astype(dtype)
+    counts[gen.random(n) < zero_frac] = 0
+    return counts
+
+
+class TestSparseKernels:
+    """The kernels hold only the pulses with photons; the dense
+    references hold every pulse, with the same draws in pulse order.
+    Outputs must be equal and no input may change. The kernels keep the
+    counts' dtype where the references widen them. measure_batch
+    reports only the gates that clicked: spread back over every gate,
+    its outputs equal the reference's."""
+
+    @given(**sparse_counts,
+           efficiency=st.one_of(st.sampled_from([0.0, 1.0]),
+                                st.floats(0.0, 1.0)),
+           flip=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+           dark=st.one_of(st.just(0.0),
+                          st.floats(0.0, 1.0, exclude_max=True)))
+    @example(n=0, zero_frac=0.0, max_count=1, seed=0, dtype=np.int64,
+             efficiency=1.0, flip=0.0, dark=0.0)
+    # past one window of pulses with photons
+    @example(n=2 * 16_384 + 17, zero_frac=0.5, max_count=3, seed=1,
+             dtype=np.uint8, efficiency=0.5, flip=0.1, dark=0.3)
+    def test_measure_batch_matches_dense(self, n, zero_frac, max_count,
+                                         seed, dtype, efficiency, flip,
+                                         dark):
+        counts = random_counts(n, zero_frac, max_count, seed, dtype)
+        gen = np.random.default_rng(seed + 1)
+        bits, bases, bob_bases = (gen.integers(0, 2, n, dtype=np.uint8)
+                                  for _ in range(3))
+        inputs = (counts, bits, bases, bob_bases)
+        before = [a.copy() for a in inputs]
+        detectors = DetectorPair(efficiency, dark)
+        want = dense_measure_batch(*inputs, detectors, flip,
+                                   RandomSource(seed))
+        got = measure(*inputs, detectors, flip, RandomSource(seed))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+
+    @given(**sparse_counts, length_km=st.sampled_from([0.0, 10.0, 200.0]))
+    @example(n=0, zero_frac=0.0, max_count=1, seed=0, dtype=np.int64,
+             length_km=10.0)
+    @example(n=4 * 16_384 + 17, zero_frac=0.5, max_count=3, seed=1,
+             dtype=np.uint8, length_km=10.0)
+    def test_transmit_counts_matches_dense(self, n, zero_frac, max_count,
+                                           seed, dtype, length_km):
+        counts = random_counts(n, zero_frac, max_count, seed, dtype)
+        before = counts.copy()
+        channel = FiberChannel(length_km)
+        want = dense_transmit_counts(counts, channel, RandomSource(seed))
+        pulses = as_pulses(counts)
+        got = transmit_counts(pulses, channel, RandomSource(seed))
+        assert got.counts.dtype == counts.dtype
+        assert got.indices.dtype == np.uint32 and len(got) == n
+        assert np.all(got.counts > 0)
+        assert np.array_equal(dense(got), want)
+        assert np.array_equal(counts, before)
+        assert np.array_equal(dense(pulses), before)
 
 
 class TestWideCounts:

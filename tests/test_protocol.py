@@ -3,7 +3,9 @@
 Click rates are checked against the compound closed form
 1 - exp(-mu * p_fiber * eta) * (1 - d)^2; the session report is checked
 against the bit-accounting identities it claims to satisfy. The quantum
-phase's memory is bounded per pulse it draws and per click it records.
+phase's per-click records are checked against the phase written over
+every pulse, and its memory is bounded per pulse it draws and per click
+it records.
 """
 
 import dataclasses
@@ -19,7 +21,6 @@ from qkdsim.adversary import (EveLedger, InterceptResend, NoAttack,
                               PhotonNumberSplit, strategy_label)
 from qkdsim.photonics import (ConstantSource, DetectorPair, FiberChannel,
                               SourceModel, survival_probability)
-from qkdsim.rng import WINDOW, RandomSource
 from qkdsim.postprocess import (AttackModel, CorrectionResult,
                                 ReconciliationFailure, binary_entropy)
 from qkdsim import photonics, postprocess, rng
@@ -27,6 +28,9 @@ from qkdsim.protocol import (FRACTION, MIN_RECONCILE_BITS, EmptySample,
                              PulseRecords, SessionConfig, SessionOutcome,
                              SiftedKeys, estimate_qber, run_quantum_phase,
                              run_session, sift)
+from qkdsim.rng import WINDOW, RandomSource
+
+from reference_kernels import dense_quantum_phase
 
 
 def traced_phase(config):
@@ -216,6 +220,62 @@ class TestQuantumPhase:
         assert 0 < clicks < len(records) / 100
         assert all(len(a) == clicks for a in arrays)
         assert sum(a.nbytes for a in arrays) == 13 * clicks
+
+
+DENSE_FIELDS = ("alice_bits", "alice_bases", "bob_bases", "kinds",
+                "click_bits")
+
+
+class TestPerClickRecordsMatchDense:
+    """The phase keeps only the pulses with photons and the gates that
+    clicked; the dense phase keeps every pulse, with the same draws in
+    pulse order. At every gate that clicked the records must agree,
+    there must be no other entry, and Eve's ledger must hold the same
+    rows."""
+
+    @given(n=st.one_of(st.integers(1, 7), st.integers(8, 3000)),
+           mu=st.one_of(st.sampled_from([0.0, 0.1, 0.5]),
+                        st.floats(0.0, 3.0)),
+           km=st.one_of(st.sampled_from([0.0, 50.0]), st.floats(0.0, 100.0)),
+           efficiency=st.one_of(st.sampled_from([0.0, 1.0]),
+                                st.floats(0.0, 1.0)),
+           dark=st.one_of(st.just(0.0), st.floats(0.0, 1e-2)),
+           flip=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+           eve=st.one_of(st.just(NoAttack()), st.just(PhotonNumberSplit()),
+                         st.floats(0.0, 1.0).map(InterceptResend)),
+           double_click_random=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=3 * 16_384 + 5, mu=0.5, km=10.0, efficiency=0.3,
+             dark=1e-2, flip=0.05, eve=InterceptResend(0.4),
+             double_click_random=False, seed=3)
+    @example(n=2 * 16_384 - 1, mu=1.5, km=0.0, efficiency=1.0,
+             dark=1e-3, flip=0.0, eve=PhotonNumberSplit(),
+             double_click_random=True, seed=4)
+    @example(n=16_384 + 3, mu=0.1, km=25.0, efficiency=0.1, dark=1e-4,
+             flip=0.01, eve=NoAttack(), double_click_random=True, seed=5)
+    # more pulses with photons than two windows
+    @example(n=8 * 16_384 + 9, mu=0.3, km=5.0, efficiency=0.5,
+             dark=1e-3, flip=0.02, eve=InterceptResend(0.1),
+             double_click_random=True, seed=6)
+    def test_records_and_ledger_match_dense(self, n, mu, km, efficiency,
+                                            dark, flip, eve,
+                                            double_click_random, seed):
+        config = SessionConfig(n, SourceModel(mu), FiberChannel(km, 0.2, flip),
+                               DetectorPair(efficiency, dark), seed, eve=eve,
+                               double_click_random=double_click_random)
+        ledger, dense_ledger = EveLedger(), EveLedger()
+        records = run_quantum_phase(config, RandomSource(seed), ledger)
+        dense = dense_quantum_phase(config, RandomSource(seed), dense_ledger)
+        assert len(records) == n
+        clicked = np.flatnonzero(dense.kinds)
+        assert records.indices.dtype == np.int64
+        assert np.array_equal(records.indices, clicked)
+        for name in DENSE_FIELDS:
+            got, want = getattr(records, name), getattr(dense, name)[clicked]
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for rows in ("stored", "measured"):
+            got, want = getattr(ledger, rows), getattr(dense_ledger, rows)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestPulseRecords:

@@ -216,6 +216,17 @@ class TestRandomSource:
         assert indices.dtype == np.int64
         assert np.array_equal(indices, want)
 
+    def test_raw_word_bernoulli_at_drawn_values(self):
+        # p equal to a drawn uniform and one float either side of it:
+        # each p's own gap scale gives the scalar loop's picks
+        n = 1000
+        uniforms = RandomSource(11).random(n)
+        for u in uniforms[[17, 400]]:
+            for p in (np.nextafter(u, 0), u, np.nextafter(u, 1)):
+                indices = RandomSource(11).bernoulli_indices(n, p)
+                assert indices.tolist() == scalar_gaps(
+                    RandomSource(11).seed, n, p)
+
     @pytest.mark.parametrize("p", [0.0, 1.0])
     @pytest.mark.parametrize("n", [0, 1, 5, WINDOW + 3])
     def test_gap_process_at_its_ends(self, n, p):
@@ -259,6 +270,27 @@ class TestRandomSource:
         # E * inf (NaN at E = 0) still ends the draw
         for p in (5e-324, 1e-320):
             assert len(RandomSource(18).bernoulli_indices(10**6, p)) == 0
+
+    @given(bits=st.lists(st.integers(0, 1), max_size=70),
+           data=st.data())
+    def test_bits_at_and_with_bits(self, bits, data):
+        # Read single bits at any positions, repeats included, and with
+        # ``bits`` set at some positions (PulseBits, as Eve's resends set
+        # them): the counter bits elsewhere.
+        from qkdsim.photonics import PulseBits
+        bits = np.array(bits, np.uint8)
+        n = len(bits)
+        picks = np.array(data.draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                            max_size=n)), np.int64)
+        unique = np.unique(picks)
+        rand = RandomSource(20)
+        counter = counter_draws(20, [n])[0]
+        assert np.array_equal(rand.bits_at(picks), counter[picks])
+        changed = PulseBits(rand, unique, bits[unique])
+        want = counter.copy()
+        want[unique] = bits[unique]
+        assert np.array_equal(changed.at(picks), want[picks])
+        assert np.array_equal(changed.at(np.arange(n)), want)
 
     @given(seed=st.integers(0, 2**64 - 1),
            picks=st.lists(st.integers(0, 3 * SHORT_BITS), max_size=40))
