@@ -212,13 +212,23 @@ def sample_photon_counts(source, n: int, rand: RandomSource,
             return pulses
         return _thin(pulses, detection, rand.split("detection"), True)
     mu = source.mu * (1.0 if detection is None else detection)
+    p = -math.expm1(-mu)
     photons, zeros = rand.split("photons"), rand.split("zeros")
-    indices, counts = [np.zeros(0, dtype)], [np.zeros(0, np.uint8)]
-    for block in rand.split("events").bernoulli_blocks(n, -math.expm1(-mu)):
-        indices.append(block.astype(dtype))
-        counts.append(_photon_numbers(mu, len(block), photons, zeros))
-    return Pulses(n, np.concatenate(indices), np.concatenate(counts),
-                  detection is not None)
+    # room for the binomial number of events up to ten sigma; beyond it
+    # (probability under 1e-23) the arrays grow
+    room = int(n * p + 10 * math.sqrt(n * p * (1 - p))) + 1
+    indices, counts, filled = np.empty(room, dtype), np.empty(room, np.uint8), 0
+    for block in rand.split("events").bernoulli_blocks(n, p):
+        end = filled + len(block)
+        if end > len(indices):
+            indices = np.concatenate((indices, np.empty(end, dtype)))
+            counts = np.concatenate((counts, np.empty(end, counts.dtype)))
+        part = _photon_numbers(mu, len(block), photons, zeros)
+        if part.dtype != counts.dtype:
+            counts = counts.astype(np.int64)
+        indices[filled:end], counts[filled:end] = block, part
+        filled = end
+    return Pulses(n, indices[:filled], counts[:filled], detection is not None)
 
 
 def _thin(pulses: Pulses, p: float, rand: RandomSource,
@@ -295,9 +305,13 @@ def measure_batch(pulses: Pulses, bits: PulseBits, bases: PulseBits,
     dark0 = rand.split("dark0").bernoulli_indices(n, p_dark)
     dark1 = rand.split("dark1").bernoulli_indices(n, p_dark)
     # the gates that clicked, each once: the hit pulses, and in order
-    # among them the gates where only dark counts fired
-    dark = np.unique(np.concatenate((dark0, dark1))).astype(hit.dtype)
-    dark = dark[~in_sorted(hit, dark)]
+    # among them the gates where only dark counts fired (np.unique would
+    # import numpy.ma, about 30 ms, on its first call in a process)
+    dark = np.concatenate((dark0, dark1)).astype(hit.dtype)
+    dark.sort(kind="stable")  # merges the two sorted runs
+    once = np.ones(len(dark), bool)
+    np.not_equal(dark[1:], dark[:-1], out=once[1:])
+    dark = dark[once & ~in_sorted(hit, dark)]
     at = np.searchsorted(hit, dark)
     indices = np.insert(hit, at, dark).astype(np.int64)
     # a detector fires on photons or on a dark count

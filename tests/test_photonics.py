@@ -8,6 +8,7 @@ photons (:class:`Pulses`) and read bits where they are needed
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -221,6 +222,20 @@ class TestSource:
         constant = draw(ConstantSource(2), 10**5, 7, detection=0.5)
         assert abs((constant > 0).mean() - 0.75) < 0.01
         assert constant.max() == 2
+
+    def test_event_arrays_grow_past_their_room(self, monkeypatch):
+        # The arrays are sized for ten sigma more events than expected;
+        # with no sigma at all the room is exceeded, they grow, and the
+        # pulses are the same.
+        want = sample_photon_counts(SourceModel(0.5), 20_000,
+                                    RandomSource(9))
+        room = int(20_000 * -math.expm1(-0.5)) + 1
+        assert len(want.indices) > room
+        shim = types.SimpleNamespace(expm1=math.expm1, sqrt=lambda x: 0.0)
+        monkeypatch.setattr(photonics, "math", shim)
+        got = sample_photon_counts(SourceModel(0.5), 20_000, RandomSource(9))
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.counts, want.counts)
 
     def test_scalar_draw(self):
         assert list(draw(SourceModel(0.0), 1, 1)) == [0]
