@@ -123,7 +123,7 @@ def intercept_batch(pulses: Pulses, bits: PulseBits, bases: PulseBits,
     if isinstance(strategy, PhotonNumberSplit):
         at = np.flatnonzero(pulses.counts >= 2)
         pulses.counts[at] -= 1
-        split = pulses.indices[at].astype(np.int64)
+        split = pulses.indices[at]  # the ledger widens it to int64
         del at
         ledger.record_stored(split, bits.at(split), bases.at(split))
         return pulses, bits, bases

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from functools import lru_cache
 
@@ -210,29 +210,30 @@ def sample_photon_counts(source, n: int, rand: RandomSource,
             lit, count, np.uint8 if count <= 255 else np.int64))
         if detection is None:
             return pulses
-        return _thin(pulses, detection, rand.split("detection"), True)
+        return replace(_thin(pulses, detection, rand.split("detection")),
+                       detected=True)
     mu = source.mu * (1.0 if detection is None else detection)
     p = -math.expm1(-mu)
     photons, zeros = rand.split("photons"), rand.split("zeros")
     # room for the binomial number of events up to ten sigma; beyond it
     # (probability under 1e-23) the arrays grow
     room = int(n * p + 10 * math.sqrt(n * p * (1 - p))) + 1
-    indices, counts, filled = np.empty(room, dtype), np.empty(room, np.uint8), 0
+    indices, counts = np.empty(room, dtype), np.empty(room, np.uint8)
+    filled = 0
     for block in rand.split("events").bernoulli_blocks(n, p):
         end = filled + len(block)
         if end > len(indices):
             indices = np.concatenate((indices, np.empty(end, dtype)))
             counts = np.concatenate((counts, np.empty(end, counts.dtype)))
         part = _photon_numbers(mu, len(block), photons, zeros)
-        if part.dtype != counts.dtype:
+        if part.dtype.itemsize > counts.dtype.itemsize:
             counts = counts.astype(np.int64)
         indices[filled:end], counts[filled:end] = block, part
         filled = end
     return Pulses(n, indices[:filled], counts[:filled], detection is not None)
 
 
-def _thin(pulses: Pulses, p: float, rand: RandomSource,
-          detected: bool = False) -> Pulses:
+def _thin(pulses: Pulses, p: float, rand: RandomSource) -> Pulses:
     """The pulses with a photon left after each of their photons is kept
     with probability p, with the counts left, in their own dtype. A
     pulse's first photon is kept when its uniform is below p, its others
@@ -249,8 +250,7 @@ def _thin(pulses: Pulses, p: float, rand: RandomSource,
         at = np.flatnonzero(kept)
         indices.append(pulses.indices[start:start + WINDOW][at])
         counts.append(kept[at])
-    return Pulses(pulses.n, np.concatenate(indices), np.concatenate(counts),
-                  detected)
+    return Pulses(pulses.n, np.concatenate(indices), np.concatenate(counts))
 
 
 # -- channel ------------------------------------------------------------------
@@ -324,8 +324,9 @@ def measure_batch(pulses: Pulses, bits: PulseBits, bases: PulseBits,
 
 def _photon_hits(pulses, bits, bases, bob_bases, flip_prob, rand):
     """The indices of the pulses with a detected photon, in the dtype of
-    ``pulses.indices``, and for each whether photons reach detector 0 and whether they reach
-    detector 1. Photon numbers are held in the counts' dtype.
+    ``pulses.indices``, and for each whether photons reach detector 0
+    and whether they reach detector 1. Photon numbers are held in the
+    counts' dtype.
 
     A pulse's first photon is flipped by a Bernoulli(flip_prob) gap
     process over the pulses and takes a random exit by one fair bit,

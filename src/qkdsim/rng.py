@@ -313,7 +313,7 @@ class RandomSource:
             for start in range(0, n, WINDOW):
                 yield np.arange(start, min(start + WINDOW, n))
             return
-        scale = -1.0 / math.log1p(-p)  # inf for p below 2^-1074 or so
+        scale = -1.0 / math.log1p(-p)  # inf for p below about 5.6e-309
         generator, last = self.generator, -1
         while last < n - 1:
             left = n - 1 - last  # trials after the last pick

@@ -483,7 +483,7 @@ class TestLedgerMatchesPerPulseRule:
         assert eve_information(known, keys) == expect
 
 
-# -- the event kernel against the dense one written over every pulse ---------------------
+# -- the event kernel against the dense one over every pulse ----------------
 
 
 class TestInterceptMatchesDense:
