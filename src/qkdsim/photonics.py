@@ -139,7 +139,7 @@ class PulseBits:
     values: np.ndarray = field(default_factory=lambda: np.zeros(0, np.uint8))
 
     def at(self, pulses: np.ndarray) -> np.ndarray:
-        """The bits at the int64 pulse indices ``pulses``, as uint8."""
+        """The bits at the pulse indices ``pulses``, as uint8."""
         out = self.rand.bits_at(pulses)
         if len(self.indices):
             hit = in_sorted(self.indices, pulses)
