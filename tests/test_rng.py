@@ -271,6 +271,43 @@ class TestRandomSource:
         for p in (5e-324, 1e-320):
             assert len(RandomSource(18).bernoulli_indices(10**6, p)) == 0
 
+    @pytest.mark.parametrize("n", [
+        0, 1, 7, 8, 9, RAW_BITS_MIN + 3, 8 * WINDOW - 4, 8 * WINDOW,
+        8 * WINDOW + 5, 3 * 8 * WINDOW + 13])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_packed_bits_are_one_bits_draw(self, n, buffered):
+        # Drawn 8 * WINDOW bits at a time above SHORT_BITS, from one run
+        # of counter words at and below it: np.packbits of bits(n), and
+        # both cursors' state, buffered PCG64 half-word included.
+        rand, ref = RandomSource(13), RandomSource(13)
+        if buffered:  # one bit takes the low half of a fresh word
+            rand.generator.integers(0, 2, size=1, dtype=np.uint8)
+            ref.generator.integers(0, 2, size=1, dtype=np.uint8)
+        packed = rand.packed_bits(n)
+        assert packed.dtype == np.uint8
+        assert np.array_equal(packed, np.packbits(ref.bits(n)))
+        assert rand.generator.bit_generator.state \
+            == ref.generator.bit_generator.state
+        assert np.array_equal(rand.bits(8), ref.bits(8))
+
+    @pytest.mark.parametrize("n", [SHORT_BITS - 1, SHORT_BITS, SHORT_BITS + 1,
+                                   SHORT_BITS + 8 * 7, 3 * SHORT_BITS + 5,
+                                   8 * 65_536 + SHORT_BITS + 3])
+    @pytest.mark.parametrize("chunk", [7, 8, 33, 1000, 16_384, 65_536])
+    def test_packed_bits_route_follows_n_at_any_chunk(self, n, chunk,
+                                                      monkeypatch):
+        # The route is the one bits(n) takes, never the chunks': above
+        # SHORT_BITS every chunk, the last included, reads PCG64.
+        ref = RandomSource(14)
+        want = np.packbits(ref.bits(n))
+        monkeypatch.setattr(rng, "WINDOW", chunk)
+        rand = RandomSource(14)
+        assert np.array_equal(rand.packed_bits(n), want)
+        assert (rand._generator is None) == (n <= SHORT_BITS)
+        if n > SHORT_BITS:
+            assert rand.generator.bit_generator.state \
+                == ref.generator.bit_generator.state
+
     @given(bits=st.lists(st.integers(0, 1), max_size=70),
            data=st.data())
     def test_bits_at_and_with_bits(self, bits, data):
