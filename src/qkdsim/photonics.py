@@ -24,7 +24,6 @@ import math
 import numbers
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from functools import lru_cache
 
 import numpy as np
 
@@ -156,7 +155,6 @@ class PulseBits:
 ZTP_TABLE_MU = 16.0
 
 
-@lru_cache(maxsize=64)
 def _ztp_cdf(mu: float) -> np.ndarray:
     """P(K <= k) for k = 1, 2, ... of K ~ Poisson(mu) given K >= 1, up to
     a k past 2 mu whose term is below 2^-60; the sums are capped at 1
@@ -172,13 +170,14 @@ def _ztp_cdf(mu: float) -> np.ndarray:
     return cdf
 
 
-def _photon_numbers(mu: float, k: int, photons: RandomSource,
-                    zeros: RandomSource) -> np.ndarray:
-    """k draws of Poisson(mu) given >= 1: uint8, or int64 above 255."""
-    if mu <= ZTP_TABLE_MU:
+def _photon_numbers(mu: float, cdf: np.ndarray | None, k: int,
+                    photons: RandomSource, zeros: RandomSource) -> np.ndarray:
+    """k draws of Poisson(mu) given >= 1: uint8, or int64 above 255; by
+    inverse CDF over ``cdf``, ``_ztp_cdf(mu)``, if given."""
+    if cdf is not None:
         # random() is below 1, the last entry, so counts stay in the
         # table; most pulses hold one photon and skip the search
-        cdf, uniforms = _ztp_cdf(mu), photons.random(k)
+        uniforms = photons.random(k)
         counts = np.ones(k, np.uint8)
         more = np.flatnonzero(uniforms >= cdf[0])
         counts[more] = np.searchsorted(cdf, uniforms[more], side="right") + 1
@@ -215,6 +214,7 @@ def sample_photon_counts(source, n: int, rand: RandomSource,
     mu = source.mu * (1.0 if detection is None else detection)
     p = -math.expm1(-mu)
     photons, zeros = rand.split("photons"), rand.split("zeros")
+    cdf = _ztp_cdf(mu) if 0 < mu <= ZTP_TABLE_MU else None  # 0: no events
     # room for the binomial number of events up to ten sigma; beyond it
     # (probability under 1e-23) the arrays grow
     room = int(n * p + 10 * math.sqrt(n * p * (1 - p))) + 1
@@ -225,7 +225,7 @@ def sample_photon_counts(source, n: int, rand: RandomSource,
         if end > len(indices):
             indices = np.concatenate((indices, np.empty(end, dtype)))
             counts = np.concatenate((counts, np.empty(end, counts.dtype)))
-        part = _photon_numbers(mu, len(block), photons, zeros)
+        part = _photon_numbers(mu, cdf, len(block), photons, zeros)
         if part.dtype.itemsize > counts.dtype.itemsize:
             counts = counts.astype(np.int64)
         indices[filled:end], counts[filled:end] = block, part

@@ -38,7 +38,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # between them, so every value is that of one draw over all the events;
 # only the exponentials a gap process draws past its last trial depend
 # on the window, and each gap process has a substream of its own.
-# Packed bit draws run 8 * WINDOW bits at a time.
 WINDOW = 1 << 14
 
 # bits() builds draws of at least RAW_BITS_MIN bits from raw PCG64
@@ -281,25 +280,6 @@ class RandomSource:
 
     def random(self, size=None):
         return self.generator.random(size)
-
-    def packed_bits(self, n: int) -> np.ndarray:
-        """``np.packbits(bits(n))``; above SHORT_BITS, drawn in chunks of
-        8 * WINDOW bits or more, each (the last included) longer than
-        SHORT_BITS, so that every chunk takes the PCG64 route of
-        ``bits(n)``. On it ``bits(a)`` then ``bits(b)`` draw ``bits(a +
-        b)`` when a is a multiple of 4: a draw takes whole ``next_uint32``
-        values, four bits each, and leaves the buffered half-word as one
-        call would.
-        """
-        if n <= SHORT_BITS:
-            return np.packbits(self.bits(n))
-        out = np.empty((n + 7) // 8, dtype=np.uint8)
-        starts = range(0, n - SHORT_BITS, 8 * max(WINDOW,
-                                                  SHORT_BITS // 8 + 1))
-        for start, stop in zip(starts, [*starts[1:], n]):
-            out[start // 8:(stop + 7) // 8] = np.packbits(
-                self.bits(stop - start))
-        return out
 
     def bernoulli_indices(self, n: int, p: float,
                           among: np.ndarray | None = None) -> np.ndarray:

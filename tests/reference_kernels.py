@@ -1,16 +1,19 @@
 """Reference kernels that only the tests use.
 
-Dense photonics: the event-driven fiber, detector and Eve kernels and
-the quantum phase written over every pulse, with n-long count, bit and
-basis arrays, masks and ``np.where``. They take the same draws from the
-same substreams, in pulse order: the first-photon uniforms and the
-other photons' binomials of a thinning, the detector's flip gaps, exit
-bits and binomials, each detector's dark-count gaps, Eve's gap process
-over the pulses with photons and the counter bits at a pulse. So they
-fix what :mod:`qkdsim.photonics`, :func:`qkdsim.adversary.intercept_batch`
-and :func:`qkdsim.protocol.run_quantum_phase` must give at every pulse,
-and the ledger rows, while the kernels hold only the pulses with
-photons and the gates that clicked.
+Dense photonics: the event-driven source, fiber, detector and Eve
+kernels and the quantum phase written over every pulse, with n-long
+count, bit and basis arrays, masks and ``np.where``. They take the same
+draws from the same substreams, in pulse order: the source's event gaps
+and photon numbers, the first-photon uniforms and the other photons'
+binomials of a thinning, the detector's flip gaps, exit bits and
+binomials, each detector's dark-count gaps, Eve's gap process over the
+pulses with photons and the counter bits at a pulse. Every gap process
+is drawn one exponential at a time, and the source's zero-truncated
+photon numbers by a scalar inverse CDF. So they fix what
+:mod:`qkdsim.photonics`, :func:`qkdsim.adversary.intercept_batch` and
+:func:`qkdsim.protocol.run_quantum_phase` must give at every pulse, and
+the ledger rows, while the kernels hold only the pulses with photons and
+the gates that clicked.
 
 Unpacked relay: the trusted-node relay as it was before it carried the
 key packed, one uint8 per bit, checking a link's funds at every
@@ -42,7 +45,7 @@ from qkdsim.adversary import (EveLedger, InterceptResend, NoAttack,
 from qkdsim.auth import KeyExhausted
 from qkdsim.gf2 import MASK64, REDUCTION_POLY, Gf64Multiplier
 from qkdsim.netsim import RelayTranscript
-from qkdsim.photonics import (ClickKind, sample_photon_counts,
+from qkdsim.photonics import (ZTP_TABLE_MU, ClickKind, ConstantSource,
                               survival_probability)
 from qkdsim.postprocess import (BLOCK_FACTOR, MIN_BLOCK, VERIFY_HASH_BITS,
                                 CorrectionResult, ReconciliationFailure,
@@ -53,6 +56,54 @@ REDUCTION_POLY_8 = (1 << 8) | 0x1B  # x^8 + x^4 + x^3 + x + 1
 
 
 # -- dense photonics ----------------------------------------------------------
+
+
+def scalar_gaps(seed, n, p):
+    """The trials in range(n) that come up, one exponential at a time
+    from a fresh PCG64 seeded with ``seed``: gap 1 + floor(E * s) with
+    s = -1 / log1p(-p); none for p <= 0 or NaN, all for p >= 1."""
+    if not p > 0:
+        return []
+    if p >= 1:
+        return list(range(n))
+    gen = np.random.Generator(np.random.PCG64(seed))
+    scale, at, out = -1.0 / math.log1p(-p), -1, []
+    while True:
+        at += int(min(gen.standard_exponential() * scale, n)) + 1
+        if at >= n:
+            return out
+        out.append(at)
+
+
+def dense_photon_counts(source, n, rand, detection=None):
+    """The photons of every pulse. A Poisson(mu) source, mu times
+    ``detection`` if given: the pulses of the scalar gap process with
+    p = 1 - e^-mu over split("events"), one photon number each, drawn up
+    to ZTP_TABLE_MU as the least k whose running sum of P(K = j | K >= 1)
+    exceeds a uniform of split("photons"), and above it as Poisson draws
+    of split("photons") with each zero drawn again from split("zeros").
+    A constant source given ``detection`` is thinned by split("detection")."""
+    if isinstance(source, ConstantSource):
+        counts = np.full(n, source.photon_count, np.int64)
+        return counts if detection is None \
+            else dense_thin(counts, detection, rand.split("detection"))
+    mu = source.mu * (1.0 if detection is None else detection)
+    photons, zeros = rand.split("photons"), rand.split("zeros")
+    counts = np.zeros(n, np.int64)
+    for i in scalar_gaps(rand.split("events").seed, n, -math.expm1(-mu)):
+        if mu <= ZTP_TABLE_MU:
+            u, k = photons.random(), 1
+            term = total = mu / math.expm1(mu)
+            while u >= total and total + term * mu / (k + 1) > total:
+                term *= mu / (k + 1)
+                total += term
+                k += 1
+        else:
+            k = int(photons.poisson(mu))
+            while k == 0:
+                k = int(zeros.poisson(mu))
+        counts[i] = k
+    return counts
 
 
 def dense_thin(counts, p, rand):
@@ -80,8 +131,8 @@ def dense_measure_batch(photon_counts, bits, bases, bob_bases, detectors,
         else dense_thin(photon_counts, detectors.efficiency, rand)
     hit = np.flatnonzero(caught)
     flipped, random_exit = np.zeros((2, n), np.int64)
-    flipped[hit[rand.split("flips").bernoulli_indices(len(hit),
-                                                      flip_prob)]] = 1
+    flipped[hit[scalar_gaps(rand.split("flips").seed, len(hit),
+                            flip_prob)]] = 1
     random_exit[hit] = rand.split("exits").bits(len(hit))
     more = caught > 1
     flipped[more] += rand.binomial(caught[more] - 1, flip_prob)
@@ -93,10 +144,10 @@ def dense_measure_batch(photon_counts, bits, bases, bob_bases, detectors,
     in_zero = caught - in_one
 
     dark0, dark1 = np.zeros((2, n), bool)
-    dark0[rand.split("dark0").bernoulli_indices(
-        n, detectors.dark_count_prob)] = True
-    dark1[rand.split("dark1").bernoulli_indices(
-        n, detectors.dark_count_prob)] = True
+    dark0[scalar_gaps(rand.split("dark0").seed, n,
+                      detectors.dark_count_prob)] = True
+    dark1[scalar_gaps(rand.split("dark1").seed, n,
+                      detectors.dark_count_prob)] = True
     fire0 = (in_zero > 0) | dark0
     fire1 = (in_one > 0) | dark1
 
@@ -113,8 +164,8 @@ def dense_intercept_batch(photon_counts, bits, bases, strategy, ledger, rand):
     if isinstance(strategy, InterceptResend):
         lit = np.flatnonzero(photon_counts)
         take = np.zeros(len(photon_counts), bool)
-        take[lit[rand.split("taken").bernoulli_indices(
-            len(lit), strategy.fraction)]] = True
+        take[lit[scalar_gaps(rand.split("taken").seed, len(lit),
+                             strategy.fraction)]] = True
         everyone = np.arange(len(photon_counts))
         eve_bases = rand.split("eve_bases").bits_at(everyone)
         mismatch_results = rand.split("eve_results").bits_at(everyone)
@@ -149,7 +200,7 @@ class DenseRecords(NamedTuple):
 
 
 def dense_quantum_phase(config, rand, eve_ledger=None):
-    """Every record n long; the source's draw spread over every pulse."""
+    """Every record n long."""
     n = config.n_pulses
     everyone = np.arange(n)
     alice_bits, alice_bases, bob_bases = (
@@ -159,10 +210,8 @@ def dense_quantum_phase(config, rand, eve_ledger=None):
     if isinstance(config.eve, NoAttack):
         detection = survival_probability(config.channel) \
             * config.detectors.efficiency
-    pulses = sample_photon_counts(config.source, n, rand.split("source"),
-                                  detection)
-    counts = np.zeros(n, np.int64)
-    counts[pulses.indices] = pulses.counts
+    counts = dense_photon_counts(config.source, n, rand.split("source"),
+                                 detection)
     ledger = eve_ledger if eve_ledger is not None else EveLedger()
     counts, bits, bases = dense_intercept_batch(
         counts, alice_bits, alice_bases, config.eve, ledger,

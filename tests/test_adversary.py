@@ -30,7 +30,7 @@ from qkdsim.photonics import (Basis, ConstantSource, DetectorPair,
 from qkdsim.protocol import SessionConfig, SiftedKeys, run_quantum_phase, sift
 from qkdsim.rng import SHORT_BITS, RandomSource
 
-from reference_kernels import dense_intercept_batch
+from reference_kernels import dense_intercept_batch, scalar_gaps
 
 
 def ideal_config(n_pulses, eve, seed=0, source=None):
@@ -375,23 +375,6 @@ def test_intercept_batch_deterministic():
 
 
 # -- the ledger against the per-pulse dict ledger it replaced ----------------
-
-def scalar_gaps(seed, n, p):
-    """The trials in range(n) that come up, one exponential at a time
-    from a fresh PCG64 seeded with ``seed``: gap 1 + floor(E * s) with
-    s = -1 / log1p(-p); none for p <= 0, all for p >= 1."""
-    if not p > 0:
-        return []
-    if p >= 1:
-        return list(range(n))
-    gen = np.random.Generator(np.random.PCG64(seed))
-    scale, at, out = -1.0 / math.log1p(-p), -1, []
-    while True:
-        at += int(min(gen.standard_exponential() * scale, n)) + 1
-        if at >= n:
-            return out
-        out.append(at)
-
 
 def reference_ledger(counts, bits, bases, strategy, seed):
     """Eve's holdings recorded pulse by pulse as dicts index -> (bit,

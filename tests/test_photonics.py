@@ -26,7 +26,8 @@ from qkdsim.photonics import (FLIP, MAX_MU, ZTP_TABLE_MU, Basis, ClickKind,
                               transmit_counts)
 from qkdsim.rng import RandomSource
 
-from reference_kernels import dense_measure_batch, dense_transmit_counts
+from reference_kernels import (dense_intercept_batch, dense_measure_batch,
+                               dense_transmit_counts)
 
 
 def as_pulses(counts):
@@ -582,42 +583,69 @@ class TestSparseKernels:
 
 class TestWideCounts:
     """A count above 255 does not fit a byte: the source widens its array
-    to int64 and every kernel after it keeps the exact values, with no
-    wraparound."""
+    to int64 and every kernel after it keeps the values of the int64
+    references, with no wraparound."""
 
     @pytest.mark.parametrize("source", [SourceModel(300.0),
                                         ConstantSource(300)], ids=repr)
     @pytest.mark.parametrize("eve", [InterceptResend(0.5),
                                      PhotonNumberSplit()], ids=repr)
     def test_exact_through_the_quantum_phase(self, source, eve):
+        # Every kernel against its dense int64 reference, with the same
+        # draws: at mu = 300 every pulse carries photons (1 - e^-300 is
+        # 1.0), and their numbers are the "photons" substream's Poisson
+        # draws.
         n = 16_384 + 17
         pulses = sample_photon_counts(source, n, RandomSource(31))
+        want = (np.full(n, 300) if isinstance(source, ConstantSource)
+                else RandomSource(31).split("photons").poisson(300.0, n))
         emitted = pulses.counts.copy()
-        assert emitted.dtype == np.int64 and len(emitted) == n
-        assert emitted.max() > 255 and emitted.min() > 200
-        if isinstance(source, ConstantSource):
-            assert np.all(emitted == 300)
+        assert emitted.dtype == np.int64 and len(pulses) == n
+        assert np.array_equal(dense(pulses), want) and want.max() > 255
 
-        ledger = EveLedger()
+        everyone = np.arange(n)
         alice = [PulseBits(RandomSource(32).split(k)) for k in "ab"]
+        ledger, want_ledger = EveLedger(), EveLedger()
         pulses, bits, bases = intercept_batch(pulses, *alice, eve, ledger,
                                               RandomSource(1))
+        want, want_bits, want_bases = dense_intercept_batch(
+            want, *(a.at(everyone) for a in alice), eve, want_ledger,
+            RandomSource(1))
         assert pulses.counts.dtype == np.int64
+        assert np.array_equal(dense(pulses), want)
+        assert np.array_equal(bits.at(everyone), want_bits)
+        assert np.array_equal(bases.at(everyone), want_bases)
+        assert np.array_equal(ledger.stored, want_ledger.stored)
+        assert np.array_equal(ledger.measured, want_ledger.measured)
         if isinstance(eve, PhotonNumberSplit):
             assert np.array_equal(pulses.counts, emitted - 1)
         else:
             taken = np.isin(pulses.indices, ledger.measured[:, 0])
             assert 0 < taken.sum() < n and np.all(pulses.counts[taken] == 1)
             assert np.array_equal(pulses.counts[~taken], emitted[~taken])
+
         before = dense(pulses)
         pulses = transmit_counts(pulses, FiberChannel(1.0), RandomSource(2))
-        assert pulses.counts.dtype == np.int64 and pulses.counts.max() > 255
+        want = dense_transmit_counts(want, FiberChannel(1.0), RandomSource(2))
+        assert pulses.counts.dtype == np.int64
+        assert np.array_equal(dense(pulses), want) and want.max() > 255
         assert np.all(dense(pulses) <= before)
-        kinds, _, indices = measure_batch(
-            pulses, bits, bases, PulseBits(RandomSource(33)),
-            DetectorPair(0.5, 0.0), 0.0, RandomSource(3))
-        # a gate with more than 200 photons fires one detector where
-        # Bob's basis matches and both, as good as always, where not
+
+        bob = PulseBits(RandomSource(33))
+        for detectors, flip in ((DetectorPair(0.5, 0.01), 0.1),
+                                (DetectorPair(1.0, 0.0), 0.02),
+                                (DetectorPair(0.5, 0.0), 0.0)):
+            kinds, click_bits, indices = measure_batch(
+                pulses, bits, bases, bob, detectors, flip, RandomSource(3))
+            got = np.zeros((2, n), np.uint8)
+            got[:, indices] = kinds, click_bits
+            want_gates = dense_measure_batch(
+                want, want_bits, want_bases, bob.at(everyone), detectors,
+                flip, RandomSource(3))
+            assert all(np.array_equal(g, w) for g, w in zip(got, want_gates))
+        # with no flips and no dark counts, a gate with more than 200
+        # photons fires one detector where Bob's basis matches and both,
+        # as good as always, where not
         wide = pulses.indices[pulses.counts > 200].astype(np.int64)
         assert np.all(np.isin(wide, indices))
         doubles = kinds[np.searchsorted(indices, wide)] == 2

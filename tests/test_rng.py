@@ -24,6 +24,8 @@ from qkdsim.rng import (COUNT, FINITE, INTEGER, RAW_BITS_MIN, SHORT_BITS,
                         UNIT, WINDOW, Checked, RandomSource, Rule, fnv1a64,
                         mix64, splitmix64)
 
+from reference_kernels import scalar_gaps
+
 GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -44,21 +46,18 @@ def counter_draws(seed, sizes):
     return out
 
 
-def scalar_gaps(seed, n, p):
-    """The Bernoulli(p) gap process over range(n), one exponential at a
-    time from a fresh PCG64 seeded with ``seed``: gap 1 + floor(E * s),
-    s = -1 / log1p(-p); none for p <= 0 or NaN, all for p >= 1."""
-    if not p > 0:
-        return []
-    if p >= 1:
-        return list(range(n))
-    gen = np.random.Generator(np.random.PCG64(seed))
-    scale, at, out = -1.0 / math.log1p(-p), -1, []
-    while True:
-        at += int(min(gen.standard_exponential() * scale, n)) + 1
-        if at >= n:
-            return out
-        out.append(at)
+def bits_in_pieces(rand, n, piece):
+    """bits(n) drawn ``piece`` bits at a time, a multiple of 4 above
+    SHORT_BITS, the last piece taking the rest, so that every piece is
+    longer than SHORT_BITS too; one draw at and below SHORT_BITS. On the
+    PCG64 route a draw takes whole ``next_uint32`` values, four bits
+    each, and leaves the buffered half-word as one call would, so the
+    pieces are bits(n)."""
+    if n <= SHORT_BITS:
+        return rand.bits(n)
+    starts = range(0, n - SHORT_BITS, piece)
+    return np.concatenate([rand.bits(stop - start) for start, stop
+                           in zip(starts, [*starts[1:], n])])
 
 
 class TestSplitmix64:
@@ -276,15 +275,14 @@ class TestRandomSource:
         8 * WINDOW + 5, 3 * 8 * WINDOW + 13])
     @pytest.mark.parametrize("buffered", [False, True])
     def test_packed_bits_are_one_bits_draw(self, n, buffered):
-        # Drawn 8 * WINDOW bits at a time above SHORT_BITS, from one run
-        # of counter words at and below it: np.packbits of bits(n), and
-        # both cursors' state, buffered PCG64 half-word included.
+        # bits(n) taken 8 * WINDOW bits at a time above SHORT_BITS, and
+        # packed: np.packbits of one bits(n), and both cursors' state,
+        # buffered PCG64 half-word included.
         rand, ref = RandomSource(13), RandomSource(13)
         if buffered:  # one bit takes the low half of a fresh word
             rand.generator.integers(0, 2, size=1, dtype=np.uint8)
             ref.generator.integers(0, 2, size=1, dtype=np.uint8)
-        packed = rand.packed_bits(n)
-        assert packed.dtype == np.uint8
+        packed = np.packbits(bits_in_pieces(rand, n, 8 * WINDOW))
         assert np.array_equal(packed, np.packbits(ref.bits(n)))
         assert rand.generator.bit_generator.state \
             == ref.generator.bit_generator.state
@@ -294,15 +292,16 @@ class TestRandomSource:
                                    SHORT_BITS + 8 * 7, 3 * SHORT_BITS + 5,
                                    8 * 65_536 + SHORT_BITS + 3])
     @pytest.mark.parametrize("chunk", [7, 8, 33, 1000, 16_384, 65_536])
-    def test_packed_bits_route_follows_n_at_any_chunk(self, n, chunk,
-                                                      monkeypatch):
-        # The route is the one bits(n) takes, never the chunks': above
-        # SHORT_BITS every chunk, the last included, reads PCG64.
+    def test_packed_bits_route_follows_n_at_any_chunk(self, n, chunk):
+        # Pieces of 8 * chunk bits, or of SHORT_BITS + 8 where that is
+        # less, the last taking the rest: above SHORT_BITS each reads
+        # PCG64, as bits(n) does, and they are its one draw.
         ref = RandomSource(14)
         want = np.packbits(ref.bits(n))
-        monkeypatch.setattr(rng, "WINDOW", chunk)
         rand = RandomSource(14)
-        assert np.array_equal(rand.packed_bits(n), want)
+        piece = 8 * max(chunk, SHORT_BITS // 8 + 1)
+        assert np.array_equal(np.packbits(bits_in_pieces(rand, n, piece)),
+                              want)
         assert (rand._generator is None) == (n <= SHORT_BITS)
         if n > SHORT_BITS:
             assert rand.generator.bit_generator.state \
