@@ -12,8 +12,8 @@ stage and checks the simulated click rate against the closed form
 
 import math
 
-from qkdsim import (DetectorPair, FiberChannel, PulseBits, RandomSource,
-                    SourceModel, measure_batch, sample_photon_counts,
+from qkdsim import (FiberChannel, PulseBits, RandomSource, SourceModel,
+                    measure_batch, sample_photon_counts,
                     survival_probability, transmit_counts)
 
 # Survival probability is pure geometry: 10^(-alpha * L / 10).
@@ -27,14 +27,20 @@ for km in (0, 15, 25, 50, 100):
 mu, km, eta, dark = 0.2, 25.0, 0.1, 1e-5
 rand = RandomSource(7)
 n = 10**6
+p_fiber = survival_probability(FiberChannel(km, 0.2))
 pulses = sample_photon_counts(SourceModel(mu), n, rand.split("source"))
-arrived = transmit_counts(pulses, FiberChannel(km, 0.2), rand.split("fiber"))
+arrived = transmit_counts(pulses, p_fiber, rand.split("fiber"))
 print(f"\n{n} pulses at mu = {mu}: {len(pulses.indices)} non-empty, "
       f"{len(arrived.indices)} survive {km} km")
 
+# Fiber loss and detector efficiency act on each photon alone, so they
+# are one loss: a session thins once by the overall transmittance
+# p_fiber * eta. Thinning what arrived by eta is the same law.
+caught = transmit_counts(arrived, eta, rand.split("efficiency"))
+print(f"{len(caught.indices)} pulses with a photon the detectors catch")
+
 # A detector gate can fire from a real photon or from noise. The
 # compound click probability has a closed form; the simulation agrees.
-p_fiber = survival_probability(FiberChannel(km, 0.2))
 p_click = 1 - math.exp(-mu * p_fiber * eta) * (1 - dark) ** 2
 print(f"predicted click rate: {p_click:.6f}")
 
@@ -42,16 +48,16 @@ print(f"predicted click rate: {p_click:.6f}")
 # photon arrives; the detectors report only the gates that clicked.
 bits = PulseBits(rand.split("bits"))
 bases = PulseBits(rand.split("bases"))
-kinds, _, clicked = measure_batch(arrived, bits, bases, bases,
-                                  DetectorPair(eta, dark), 0.0,
+kinds, _, clicked = measure_batch(caught, bits, bases, bases, dark, 0.0,
                                   rand.split("detector"))
 print(f"simulated click rate: {len(clicked) / n:.6f}")
 
-# With no eavesdropper, loss is all that acts on a photon on its way, so
-# a session folds it into the source and draws only the caught photons.
-caught = sample_photon_counts(SourceModel(mu), n, rand.split("folded"),
-                              p_fiber * eta)
-print(f"pulses with a caught photon, folded: {len(caught.indices)} "
+# With no eavesdropper, loss is all that acts on a photon on its way,
+# and Poisson light thinned by a transmittance is Poisson light: a
+# session draws the source at mu * p_fiber * eta and thins by nothing.
+folded = sample_photon_counts(SourceModel(mu * p_fiber * eta), n,
+                              rand.split("folded"))
+print(f"pulses with a caught photon, folded: {len(folded.indices)} "
       f"(expected {n * (1 - math.exp(-mu * p_fiber * eta)):.0f})")
 
 # Dark counts dominate at long range: past ~100 km almost every click is

@@ -412,8 +412,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def load_scenario(path: str) -> tuple[Network, list]:
     """The unprovisioned network and the relays of a scenario checked
     against ``SCENARIO``. The network refuses an undeclared node, a
-    self-loop and a second link between two nodes; each relay hop must
-    be a link."""
+    self-loop, a second link between two nodes and a seed two links
+    share; each relay hop must be a link."""
     path, data = _load_json_object(path, "scenario")
     data = _validate(path, "scenario", data, SCENARIO)
     net = Network()
@@ -444,7 +444,8 @@ def load_scenario(path: str) -> tuple[Network, list]:
 
 
 def cmd_network(args: argparse.Namespace) -> int:
-    if args.csv:
+    if args.csv is not None:
+        _validate("", '"csv"', args.csv, PARAM_RULES["output"])
         _refuse_overwrite(args.csv, args.force)
     net, relays = load_scenario(args.scenario)
 

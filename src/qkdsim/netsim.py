@@ -209,13 +209,19 @@ class Network:
 
     def add_link(self, a_id: str, b_id: str, key_source: KeySource,
                  auth_pool_bits: int = LINK_AUTH_POOL_BITS) -> Link:
-        """Link two nodes, creating them if new. A self-loop or a second
-        link between one pair raises ``ValueError`` before anything is
-        created."""
+        """Link two nodes, creating them if new. A self-loop, a second
+        link between one pair or another link's seed (mod 2^64: its key
+        and auth pool) raises ``ValueError`` before anything is made."""
         if a_id == b_id:
             raise ValueError(f"link {a_id}-{b_id} joins a node to itself")
         if a_id in self.nodes and b_id in self.nodes[a_id].links:
             raise ValueError(f"nodes {a_id} and {b_id} are already linked")
+        seed = RandomSource(key_source.seed).seed
+        for other in self.links:
+            if RandomSource(other.key_source.seed).seed == seed:
+                x, y = (node.id for node in other.endpoints)
+                raise ValueError(f"seed {key_source.seed} is already the "
+                                 f"seed of link {x}-{y}")
         link = Link(self.node(a_id), self.node(b_id), key_source,
                     auth_pool_bits)
         self.links.append(link)

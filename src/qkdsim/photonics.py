@@ -11,18 +11,19 @@ operation is a pure function of its inputs and the stream state.
 A faint-pulse link sends mostly empty pulses, so the kernels are event
 driven: the source draws only the pulses that carry photons, as a
 geometric-gap process with zero-truncated Poisson photon numbers, and
-holds them as :class:`Pulses`; loss thins them and drops the emptied
-ones; each detector's dark counts are a gap process of their own. Bits
-and bases are :class:`PulseBits`, read only at the pulses that need
-them. Per-event temporaries are held for WINDOW events at a time, and
-every draw continues across windows, so no value depends on the window.
+holds them as :class:`Pulses`; loss, fiber and detector efficiency in
+one, thins them and drops the emptied ones; each detector's dark counts
+are a gap process of their own. Bits and bases are :class:`PulseBits`,
+read only at the pulses that need them. Per-event temporaries are held
+for WINDOW events at a time, and every draw continues across windows,
+so no value depends on the window.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -111,16 +112,11 @@ class Pulses:
     """What ``n`` consecutive pulses carry, held only where it is not
     nothing: the ascending ``indices`` of the pulses with photons (uint32,
     as pulse indices stay below 2^32; int64 beyond) and their photon
-    ``counts`` (uint8, or int64 once one exceeds 255). Every other pulse
-    is empty. ``detected`` marks counts that are already the photons the
-    detectors catch: the source drew them with the loss folded in, and
-    the channel and the detector efficiency draw nothing more. Its
-    length is ``n``."""
+    ``counts`` (uint8, or int64 above 255); every other pulse is empty."""
 
     n: int
     indices: np.ndarray
     counts: np.ndarray
-    detected: bool = False
 
     def __len__(self) -> int:
         return self.n
@@ -189,30 +185,19 @@ def _photon_numbers(mu: float, cdf: np.ndarray | None, k: int,
     return counts.astype(np.uint8) if counts.max() <= 255 else counts
 
 
-def sample_photon_counts(source, n: int, rand: RandomSource,
-                         detection: float | None = None) -> Pulses:
+def sample_photon_counts(source, n: int, rand: RandomSource) -> Pulses:
     """The photons of n consecutive pulses, as :class:`Pulses`.
 
     A Poisson(mu) source draws only its non-empty pulses: their indices
     are a Bernoulli(1 - e^-mu) gap process, and their photon numbers
-    the zero-truncated Poisson(mu), WINDOW pulses with photons at a
-    time. Given ``detection``, the probability that one photon reaches
-    a detector and is caught, the result holds only the caught photons
-    (``detected``): for Poisson light that is Poisson(mu * detection)
-    per pulse, and for a constant source a binomial thinning.
-    """
+    the zero-truncated Poisson(mu), WINDOW pulses with photons at a time."""
     dtype = np.uint32 if n <= 1 << 32 else np.int64
     if isinstance(source, ConstantSource):
         count = source.photon_count
         lit = n if count else 0
-        pulses = Pulses(n, np.arange(lit, dtype=dtype), np.full(
+        return Pulses(n, np.arange(lit, dtype=dtype), np.full(
             lit, count, np.uint8 if count <= 255 else np.int64))
-        if detection is None:
-            return pulses
-        return replace(_thin(pulses, detection, rand.split("detection")),
-                       detected=True)
-    mu = source.mu * (1.0 if detection is None else detection)
-    p = -math.expm1(-mu)
+    mu, p = source.mu, -math.expm1(-source.mu)
     photons, zeros = rand.split("photons"), rand.split("zeros")
     cdf = _ztp_cdf(mu) if 0 < mu <= ZTP_TABLE_MU else None  # 0: no events
     # room for the binomial number of events up to ten sigma; beyond it
@@ -230,15 +215,27 @@ def sample_photon_counts(source, n: int, rand: RandomSource,
             counts = counts.astype(np.int64)
         indices[filled:end], counts[filled:end] = block, part
         filled = end
-    return Pulses(n, indices[:filled], counts[:filled], detection is not None)
+    return Pulses(n, indices[:filled], counts[:filled])
 
 
-def _thin(pulses: Pulses, p: float, rand: RandomSource) -> Pulses:
+# -- loss ---------------------------------------------------------------------
+
+
+def survival_probability(channel: FiberChannel) -> float:
+    """Per-photon survival probability, 10^(-attenuation * length / 10)."""
+    return float(10.0 ** (-channel.attenuation_db_per_km * channel.length_km / 10.0))
+
+
+def transmit_counts(pulses: Pulses, p: float, rand: RandomSource) -> Pulses:
     """The pulses with a photon left after each of their photons is kept
-    with probability p, with the counts left, in their own dtype. A
-    pulse's first photon is kept when its uniform is below p, its others
-    by a binomial draw over the pulses with more than one, each from a
-    substream of its own, WINDOW pulses at a time."""
+    with probability p, the overall transmittance (fiber survival times
+    detector efficiency), counts in their own dtype; at p >= 1 the
+    pulses themselves, with no draw. A pulse's first photon is kept by
+    a uniform below p, its others by a binomial draw over the pulses
+    with more than one, each from a substream of its own, WINDOW pulses
+    at a time. Bits and bases pass unchanged."""
+    if p >= 1:
+        return pulses
     first, others = rand.split("first"), rand.split("others")
     dtype = pulses.counts.dtype
     indices, counts = [pulses.indices[:0]], [pulses.counts[:0]]
@@ -253,43 +250,23 @@ def _thin(pulses: Pulses, p: float, rand: RandomSource) -> Pulses:
     return Pulses(pulses.n, np.concatenate(indices), np.concatenate(counts))
 
 
-# -- channel ------------------------------------------------------------------
-
-
-def survival_probability(channel: FiberChannel) -> float:
-    """Per-photon survival probability, 10^(-attenuation * length / 10)."""
-    return float(10.0 ** (-channel.attenuation_db_per_km * channel.length_km / 10.0))
-
-
-def transmit_counts(pulses: Pulses, channel: FiberChannel,
-                    rand: RandomSource) -> Pulses:
-    """Binomial thinning of the photons by the channel survival
-    probability; a pulse left with none drops out. Bits and bases pass
-    unchanged: drift is applied at measurement through the channel's
-    excess_flip_prob. Pulses already ``detected`` pass as they are.
-    """
-    if pulses.detected:
-        return pulses
-    return _thin(pulses, survival_probability(channel), rand)
-
-
 # -- detection ----------------------------------------------------------------
 
 
 def measure_batch(pulses: Pulses, bits: PulseBits, bases: PulseBits,
-                  bob_bases: PulseBits, detectors: DetectorPair,
+                  bob_bases: PulseBits, dark_count_prob: float,
                   flip_prob: float, rand: RandomSource
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized gated measurement of many pulses, one gate each.
 
-    Each photon is detected with probability ``efficiency`` (unless the
-    pulses are already ``detected``) and lands in the detector for the
+    Every photon of ``pulses`` is caught (the efficiency is part of the
+    loss :func:`transmit_counts` draws) and lands in the detector for the
     encoded bit (flipped with ``flip_prob``) when Bob's basis matches the
     pulse basis, or in a uniformly random detector when it does not.
     Dark counts fire each detector independently: each detector's are a
     Bernoulli(``dark_count_prob``) gap process over every gate, drawn
     from a substream of its own. Bits and bases are read only at the
-    pulses with a detected photon.
+    pulses with a photon.
 
     Returns (kinds, click_bits, indices) for the gates that clicked, in
     index order: kinds holds their ClickKind values (never NO_CLICK),
@@ -297,9 +274,7 @@ def measure_batch(pulses: Pulses, bits: PulseBits, bases: PulseBits,
     indices the gates' int64 pulse indices.
     """
     FLIP.check("flip_prob", flip_prob)
-    n, p_dark = len(pulses), detectors.dark_count_prob
-    if not pulses.detected:
-        pulses = _thin(pulses, detectors.efficiency, rand)
+    n, p_dark = len(pulses), DARK.check("dark_count_prob", dark_count_prob)
     hit, to_zero, to_one = _photon_hits(pulses, bits, bases, bob_bases,
                                         flip_prob, rand)
     dark0 = rand.split("dark0").bernoulli_indices(n, p_dark)
@@ -323,7 +298,7 @@ def measure_batch(pulses: Pulses, bits: PulseBits, bases: PulseBits,
 
 
 def _photon_hits(pulses, bits, bases, bob_bases, flip_prob, rand):
-    """The indices of the pulses with a detected photon, in the dtype of
+    """The indices of the pulses with a caught photon, in the dtype of
     ``pulses.indices``, and for each whether photons reach detector 0
     and whether they reach detector 1. Photon numbers are held in the
     counts' dtype.
@@ -333,18 +308,17 @@ def _photon_hits(pulses, bits, bases, bob_bases, flip_prob, rand):
     each from a substream of its own; its other photons by binomial
     draws over the pulses with more than one. Both are drawn for every
     pulse, so the draws do not depend on the basis pattern."""
-    hit, detected = pulses.indices, pulses.counts
+    hit, caught = pulses.indices, pulses.counts
     k = len(hit)
-    flipped = np.zeros(k, detected.dtype)  # photons flipped
+    flipped = np.zeros(k, caught.dtype)  # photons flipped
     flipped[rand.split("flips").bernoulli_indices(k, flip_prob)] = 1
-    in_one = rand.split("exits").bits(k).astype(detected.dtype)  # bases differ
-    more = np.flatnonzero(detected > 1)
-    flipped[more] += rand.binomial(detected[more] - 1, flip_prob).astype(
-        detected.dtype)
-    in_one[more] += rand.binomial(detected[more] - 1, 0.5).astype(
-        detected.dtype)
+    in_one = rand.split("exits").bits(k).astype(caught.dtype)  # bases differ
+    more = np.flatnonzero(caught > 1)
+    flipped[more] += rand.binomial(caught[more] - 1, flip_prob).astype(
+        caught.dtype)
+    in_one[more] += rand.binomial(caught[more] - 1, 0.5).astype(caught.dtype)
     matched = bases.at(hit) == bob_bases.at(hit)
     one = matched & (bits.at(hit) == 1)
-    np.subtract(detected, flipped, out=flipped, where=one)
+    np.subtract(caught, flipped, out=flipped, where=one)
     np.copyto(in_one, flipped, where=matched)
-    return hit, detected > in_one, in_one > 0
+    return hit, caught > in_one, in_one > 0

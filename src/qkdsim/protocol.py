@@ -160,12 +160,12 @@ def run_quantum_phase(config: SessionConfig, rand: RandomSource,
                       eve_ledger: EveLedger | None = None) -> PulseRecords:
     """Emit, attack, transmit, and measure n_pulses; record the clicks.
 
-    Only the pulses with photons are drawn, and with no Eve only those
-    with a photon the detectors catch: nothing but loss acts between the
-    source and the detectors then, so the source folds it in. Alice's
-    bits and bases and Bob's bases are functions of the pulse index,
-    each from its own substream, read where Eve, the detectors or the
-    records need them.
+    Only the pulses with photons are drawn. Fiber loss and detector
+    efficiency are one loss, eta, drawn once: folded into a Poisson
+    source (Poisson(mu * eta)) when no Eve acts, else one thinning of
+    what Eve passes on. Alice's bits and bases and Bob's bases are
+    functions of the pulse index, each from its own substream, read
+    where Eve, the detectors or the records need them.
 
     Double clicks are resolved to a uniform random bit unless the config
     says to keep them (they are then dropped at sifting): resolving is
@@ -176,19 +176,18 @@ def run_quantum_phase(config: SessionConfig, rand: RandomSource,
     alice_bits, alice_bases, bob_bases = (
         PulseBits(rand.split(label))
         for label in ("alice_bits", "alice_bases", "bob_bases"))
-    detection = None
-    if isinstance(config.eve, NoAttack):
-        detection = survival_probability(config.channel) \
-            * config.detectors.efficiency
-    pulses = sample_photon_counts(config.source, n, rand.split("source"),
-                                  detection)
+    source = config.source
+    eta = survival_probability(config.channel) * config.detectors.efficiency
+    if isinstance(config.eve, NoAttack) and isinstance(source, SourceModel):
+        source, eta = SourceModel(source.mu * eta), 1.0
+    pulses = sample_photon_counts(source, n, rand.split("source"))
     ledger = eve_ledger if eve_ledger is not None else EveLedger()
     pulses, bits, bases = intercept_batch(
         pulses, alice_bits, alice_bases, config.eve, ledger,
         rand.split("eve"))
-    pulses = transmit_counts(pulses, config.channel, rand.split("channel"))
+    pulses = transmit_counts(pulses, eta, rand.split("channel"))
     kinds, click_bits, indices = measure_batch(
-        pulses, bits, bases, bob_bases, config.detectors,
+        pulses, bits, bases, bob_bases, config.detectors.dark_count_prob,
         config.channel.excess_flip_prob, rand.split("detector"))
     del pulses, bits, bases
     if config.double_click_random:

@@ -46,7 +46,7 @@ from qkdsim.auth import KeyExhausted
 from qkdsim.gf2 import MASK64, REDUCTION_POLY, Gf64Multiplier
 from qkdsim.netsim import RelayTranscript
 from qkdsim.photonics import (ZTP_TABLE_MU, ClickKind, ConstantSource,
-                              survival_probability)
+                              SourceModel, survival_probability)
 from qkdsim.postprocess import (BLOCK_FACTOR, MIN_BLOCK, VERIFY_HASH_BITS,
                                 CorrectionResult, ReconciliationFailure,
                                 _verification_hash)
@@ -75,19 +75,16 @@ def scalar_gaps(seed, n, p):
         out.append(at)
 
 
-def dense_photon_counts(source, n, rand, detection=None):
-    """The photons of every pulse. A Poisson(mu) source, mu times
-    ``detection`` if given: the pulses of the scalar gap process with
-    p = 1 - e^-mu over split("events"), one photon number each, drawn up
-    to ZTP_TABLE_MU as the least k whose running sum of P(K = j | K >= 1)
-    exceeds a uniform of split("photons"), and above it as Poisson draws
-    of split("photons") with each zero drawn again from split("zeros").
-    A constant source given ``detection`` is thinned by split("detection")."""
+def dense_photon_counts(source, n, rand):
+    """The photons of every pulse. A Poisson(mu) source: the pulses of
+    the scalar gap process with p = 1 - e^-mu over split("events"), one
+    photon number each, drawn up to ZTP_TABLE_MU as the least k whose
+    running sum of P(K = j | K >= 1) exceeds a uniform of
+    split("photons"), and above it as Poisson draws of split("photons")
+    with each zero drawn again from split("zeros")."""
     if isinstance(source, ConstantSource):
-        counts = np.full(n, source.photon_count, np.int64)
-        return counts if detection is None \
-            else dense_thin(counts, detection, rand.split("detection"))
-    mu = source.mu * (1.0 if detection is None else detection)
+        return np.full(n, source.photon_count, np.int64)
+    mu = source.mu
     photons, zeros = rand.split("photons"), rand.split("zeros")
     counts = np.zeros(n, np.int64)
     for i in scalar_gaps(rand.split("events").seed, n, -math.expm1(-mu)):
@@ -106,7 +103,7 @@ def dense_photon_counts(source, n, rand, detection=None):
     return counts
 
 
-def dense_thin(counts, p, rand):
+def dense_transmit_counts(counts, p, rand):
     """Each photon kept with probability p: the first of each pulse with
     photons by a uniform of split("first"), the others by a binomial of
     split("others") over the pulses with more than one."""
@@ -118,17 +115,11 @@ def dense_thin(counts, p, rand):
     return out
 
 
-def dense_transmit_counts(photon_counts, channel, rand):
-    return dense_thin(photon_counts, survival_probability(channel), rand)
-
-
-def dense_measure_batch(photon_counts, bits, bases, bob_bases, detectors,
-                        flip_prob, rand, detected=False):
-    """(kinds, click_bits) of every gate; ``detected`` counts are not
-    thinned by the efficiency."""
+def dense_measure_batch(photon_counts, bits, bases, bob_bases,
+                        dark_count_prob, flip_prob, rand):
+    """(kinds, click_bits) of every gate, every photon caught."""
     n = len(photon_counts)
-    caught = np.asarray(photon_counts, np.int64) if detected \
-        else dense_thin(photon_counts, detectors.efficiency, rand)
+    caught = np.asarray(photon_counts, np.int64)
     hit = np.flatnonzero(caught)
     flipped, random_exit = np.zeros((2, n), np.int64)
     flipped[hit[scalar_gaps(rand.split("flips").seed, len(hit),
@@ -144,10 +135,8 @@ def dense_measure_batch(photon_counts, bits, bases, bob_bases, detectors,
     in_zero = caught - in_one
 
     dark0, dark1 = np.zeros((2, n), bool)
-    dark0[scalar_gaps(rand.split("dark0").seed, n,
-                      detectors.dark_count_prob)] = True
-    dark1[scalar_gaps(rand.split("dark1").seed, n,
-                      detectors.dark_count_prob)] = True
+    dark0[scalar_gaps(rand.split("dark0").seed, n, dark_count_prob)] = True
+    dark1[scalar_gaps(rand.split("dark1").seed, n, dark_count_prob)] = True
     fire0 = (in_zero > 0) | dark0
     fire1 = (in_one > 0) | dark1
 
@@ -206,23 +195,19 @@ def dense_quantum_phase(config, rand, eve_ledger=None):
     alice_bits, alice_bases, bob_bases = (
         rand.split(label).bits_at(everyone)
         for label in ("alice_bits", "alice_bases", "bob_bases"))
-    detection = None
-    if isinstance(config.eve, NoAttack):
-        detection = survival_probability(config.channel) \
-            * config.detectors.efficiency
-    counts = dense_photon_counts(config.source, n, rand.split("source"),
-                                 detection)
+    source = config.source
+    eta = survival_probability(config.channel) * config.detectors.efficiency
+    if isinstance(config.eve, NoAttack) and isinstance(source, SourceModel):
+        source, eta = SourceModel(source.mu * eta), 1.0
+    counts = dense_photon_counts(source, n, rand.split("source"))
     ledger = eve_ledger if eve_ledger is not None else EveLedger()
     counts, bits, bases = dense_intercept_batch(
         counts, alice_bits, alice_bases, config.eve, ledger,
         rand.split("eve"))
-    if detection is None:
-        counts = dense_transmit_counts(counts, config.channel,
-                                       rand.split("channel"))
+    counts = dense_transmit_counts(counts, eta, rand.split("channel"))
     kinds, click_bits = dense_measure_batch(
-        counts, bits, bases, bob_bases, config.detectors,
-        config.channel.excess_flip_prob, rand.split("detector"),
-        detection is not None)
+        counts, bits, bases, bob_bases, config.detectors.dark_count_prob,
+        config.channel.excess_flip_prob, rand.split("detector"))
     if config.double_click_random:
         doubles = kinds == int(ClickKind.DOUBLE_CLICK)
         n_doubles = int(doubles.sum())

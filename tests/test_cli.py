@@ -543,6 +543,45 @@ class TestNetworkCommand:
         assert code == EXIT_USAGE
         assert message in err and "Traceback" not in err
 
+    def test_links_with_one_default_seed_exit_one(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # two session links with no "seed" both take the default seed 1,
+        # so they would share their keys and authentication pools
+        monkeypatch.setattr(netsim, "run_session", no_session)
+        scenario = self.scenario(
+            tmp_path,
+            links=[{"a": "A", "b": "B", "session": {"pulses": 2000}},
+                   {"a": "B", "b": "C", "session": {"pulses": 2000}}],
+            relays=[])
+        code, _, err = run_main(["network", scenario], capsys)
+        assert code == EXIT_USAGE
+        assert "link 1: seed 1 is already the seed of link A-B" in err
+        assert "Traceback" not in err
+
+    def test_stub_and_session_link_with_one_seed_exit_one(self, tmp_path,
+                                                          capsys):
+        scenario = self.scenario(
+            tmp_path,
+            links=[{"a": "A", "b": "B", "stub": {"seed": 7, "bits": 64}},
+                   {"a": "B", "b": "C",
+                    "session": {"pulses": 2000, "seed": 7}}],
+            relays=[])
+        code, _, err = run_main(["network", scenario], capsys)
+        assert code == EXIT_USAGE
+        assert "link 1: seed 7 is already the seed of link A-B" in err
+
+    def test_empty_csv_path_exits_one(self, tmp_path, capsys, monkeypatch):
+        # as sweep --output "": an empty path is refused, not skipped
+        monkeypatch.setattr(netsim, "run_session", no_session)
+        scenario = self.scenario(
+            tmp_path, links=[{"a": "A", "b": "B",
+                              "stub": {"seed": 1, "bits": 64}}],
+            relays=[{"path": ["A", "B"], "key_len": 8}], nodes=("A", "B"))
+        code, out, err = run_main(["network", scenario, "--csv", ""], capsys)
+        assert code == EXIT_USAGE
+        assert '"csv" must be a non-empty string' in err
+        assert out == "" and "Traceback" not in err
+
     def test_scenario_builds_the_network(self, tmp_path):
         scenario = self.scenario(
             tmp_path,

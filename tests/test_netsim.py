@@ -375,6 +375,28 @@ class TestNetwork:
         assert net.node("B").links == {"A": first}
         assert first.key.remaining == 64
 
+    @pytest.mark.parametrize("source", [
+        StubKeySource(500, 64), StubKeySource(500 + 2**64, 64),
+        SessionConfig(2000, ConstantSource(1), FiberChannel(0.0),
+                      DetectorPair(), 500)],
+        ids=["stub", "stub_seed_plus_2_64", "session"])
+    def test_add_link_refuses_a_seed_another_link_has(self, source):
+        # links with one seed (mod 2^64, as RandomSource takes it) would
+        # hold the same key and authentication pool, so a relay across
+        # both would spend the same pads twice
+        net = stub_network([("A", "B")], n_bits=64)
+        first = net.links[0]
+        with pytest.raises(ValueError,
+                           match="already the seed of link A-B"):
+            net.add_link("B", "C", source)
+        assert net.links == [first] and sorted(net.nodes) == ["A", "B"]
+        assert net.node("B").links == {"A": first}
+
+    def test_second_link_between_a_pair_is_named_before_its_seed(self):
+        net = stub_network([("A", "B")], n_bits=64)
+        with pytest.raises(ValueError, match="already linked"):
+            net.add_link("B", "A", StubKeySource(500, 64))
+
     def test_no_path_raises(self):
         net = stub_network([("A", "B"), ("C", "D")])
         with pytest.raises(ValueError):

@@ -19,11 +19,11 @@ from scipy import stats
 from qkdsim.adversary import (EveLedger, InterceptResend, PhotonNumberSplit,
                               intercept_batch)
 from qkdsim import photonics, rng
-from qkdsim.photonics import (FLIP, MAX_MU, ZTP_TABLE_MU, Basis, ClickKind,
-                              ConstantSource, DetectorPair, FiberChannel,
-                              PulseBits, Pulses, SourceModel, measure_batch,
-                              sample_photon_counts, survival_probability,
-                              transmit_counts)
+from qkdsim.photonics import (DARK, FLIP, MAX_MU, ZTP_TABLE_MU, Basis,
+                              ClickKind, ConstantSource, DetectorPair,
+                              FiberChannel, PulseBits, Pulses, SourceModel,
+                              measure_batch, sample_photon_counts,
+                              survival_probability, transmit_counts)
 from qkdsim.rng import RandomSource
 
 from reference_kernels import (dense_intercept_batch, dense_measure_batch,
@@ -50,15 +50,15 @@ def as_bits(values):
     return PulseBits(RandomSource(0), np.arange(len(values)), values)
 
 
-def measure(photon_counts, bits, bases, bob_bases, detectors, flip_prob,
-            rand):
+def measure(photon_counts, bits, bases, bob_bases, dark_count_prob,
+            flip_prob, rand):
     """measure_batch on dense counts, bits and bases, its per-click
     outputs spread back over every gate: (kinds, click_bits), 0 where no
     detector fired. Checks the per-click contract on the way."""
     kinds, click_bits, indices = measure_batch(
         as_pulses(photon_counts), *(as_bits(a) for a in (bits, bases,
                                                          bob_bases)),
-        detectors, flip_prob, rand)
+        dark_count_prob, flip_prob, rand)
     assert kinds.dtype == click_bits.dtype == np.uint8
     assert indices.dtype == np.int64
     assert len(kinds) == len(click_bits) == len(indices)
@@ -132,21 +132,20 @@ class TestTypes:
         kinds, click_bits = measure(
             np.array([0, 1, 40]), np.array([1, 1, 1], np.uint8),
             np.array([0, 0, 0], np.uint8), np.array([0, 0, 1], np.uint8),
-            DetectorPair(1.0, 0.0), 0.0, RandomSource(1))
+            0.0, 0.0, RandomSource(1))
         assert list(kinds) == [ClickKind.NO_CLICK, ClickKind.CLICK,
                                ClickKind.DOUBLE_CLICK]
         assert list(click_bits) == [0, 1, 0]
 
 
-def draw(source, n, seed, detection=None):
+def draw(source, n, seed):
     """sample_photon_counts spread over every pulse, checking the
     Pulses contract on the way."""
-    pulses = sample_photon_counts(source, n, RandomSource(seed), detection)
+    pulses = sample_photon_counts(source, n, RandomSource(seed))
     assert len(pulses) == n and len(pulses.indices) == len(pulses.counts)
     assert pulses.indices.dtype == np.uint32
     assert np.all(np.diff(pulses.indices.astype(np.int64)) > 0)
     assert np.all(pulses.counts > 0)
-    assert pulses.detected == (detection is not None)
     return dense(pulses)
 
 
@@ -215,12 +214,26 @@ class TestSource:
             <= 5 * math.sqrt(p1 * (1 - p1) / len(counts))
 
     def test_detection_folded_into_the_source(self):
-        # Poisson(mu) thinned by q is Poisson(mu q): the detected pulses
-        # at mu 0.5, q 0.3 match 1 - e^-0.15 within 5 sigma
+        # The fold run_quantum_phase makes with no Eve: Poisson(mu)
+        # thinned by q has the law of Poisson(mu q). At mu 0.5, q 0.3
+        # the thinned and the folded photon numbers (0, 1, 2, >= 3) pass
+        # a chi-square test of homogeneity at significance 0.001, and
+        # both put 1 - e^-0.15 of the pulses above 0 within 5 sigma.
         n, p = 10**6, -math.expm1(-0.15)
-        draws = draw(SourceModel(0.5), n, 6, detection=0.3)
-        assert abs((draws > 0).mean() - p) <= 5 * math.sqrt(p * (1 - p) / n)
-        constant = draw(ConstantSource(2), 10**5, 7, detection=0.5)
+        thinned = dense(transmit_counts(
+            sample_photon_counts(SourceModel(0.5), n, RandomSource(6)),
+            0.3, RandomSource(7)))
+        folded = draw(SourceModel(0.5 * 0.3), n, 8)
+        table = [np.bincount(np.minimum(d, 3), minlength=4)
+                 for d in (thinned, folded)]
+        assert stats.chi2_contingency(table).pvalue > 0.001
+        for d in (thinned, folded):
+            assert abs((d > 0).mean() - p) \
+                <= 5 * math.sqrt(p * (1 - p) / n)
+        # a constant source is thinned, not folded: Binomial(2, 0.5)
+        constant = dense(transmit_counts(
+            sample_photon_counts(ConstantSource(2), 10**5, RandomSource(9)),
+            0.5, RandomSource(10)))
         assert abs((constant > 0).mean() - 0.75) < 0.01
         assert constant.max() == 2
 
@@ -283,8 +296,7 @@ class TestChannel:
             pytest.approx(10 ** -0.3, abs=1e-15)
 
     def test_empty_pulse_stays_empty(self):
-        out = transmit_counts(as_pulses([0]), FiberChannel(15.0),
-                              RandomSource(1))
+        out = transmit_counts(as_pulses([0]), 0.5, RandomSource(1))
         assert list(dense(out)) == [0]
 
     def test_single_photon_survival_frequency(self):
@@ -292,7 +304,8 @@ class TestChannel:
         # frequency 0.50 +- 0.01 at 10^5 trials.
         channel = FiberChannel(15.0, 0.2)
         counts = dense(transmit_counts(as_pulses(np.ones(10**5, np.int64)),
-                                       channel, RandomSource(4)))
+                                       survival_probability(channel),
+                                       RandomSource(4)))
         assert abs((counts == 1).mean() - 0.5012) < 0.01
 
     def test_thinned_poisson_is_poisson(self):
@@ -303,7 +316,7 @@ class TestChannel:
         n = 10**6
         rand = RandomSource(5)
         counts = dense(transmit_counts(
-            sample_photon_counts(SourceModel(mu), n, rand), channel, rand))
+            sample_photon_counts(SourceModel(mu), n, rand), p, rand))
         lam = mu * p
         observed = np.bincount(np.minimum(counts, 3), minlength=4)
         expected = np.array([stats.poisson.pmf(k, lam) for k in range(3)])
@@ -315,9 +328,8 @@ class TestChannel:
         # first photon by a uniform and the other four by a binomial;
         # chi-square at significance 0.001
         n, p = 200_000, 0.3
-        out = transmit_counts(
-            as_pulses(np.full(n, 5, np.uint8)),
-            FiberChannel(-10 * math.log10(p) / 0.2), RandomSource(6))
+        out = transmit_counts(as_pulses(np.full(n, 5, np.uint8)), p,
+                              RandomSource(6))
         assert out.counts.dtype == np.uint8
         observed = np.bincount(dense(out), minlength=6)
         expected = stats.binom.pmf(np.arange(6), 5, p) * n
@@ -329,15 +341,18 @@ class TestChannel:
         rand = RandomSource(6)
         counts = dense(transmit_counts(
             sample_photon_counts(SourceModel(mu), 10**6, rand),
-            channel, rand))
+            survival_probability(channel), rand))
         want = 1.0 - math.exp(-mu * survival_probability(channel))
         assert abs((counts > 0).mean() - want) < 0.002
 
-    def test_detected_pulses_pass_unchanged(self):
+    def test_full_transmittance_draws_nothing(self):
+        # at p = 1 every photon is kept, so the pulses pass as they are
+        # and no stream is read (there is none to read here): what the
+        # quantum phase thins by after it has folded the loss into a
+        # Poisson source
         pulses = sample_photon_counts(SourceModel(0.5), 1000,
-                                      RandomSource(7), 0.2)
-        assert transmit_counts(pulses, FiberChannel(50.0),
-                               RandomSource(8)) is pulses
+                                      RandomSource(7))
+        assert transmit_counts(pulses, 1.0, None) is pulses
 
 
 class TestMeasurement:
@@ -350,7 +365,7 @@ class TestMeasurement:
         bases = rand.bits(n)
         kinds, click_bits = measure(
             np.ones(n, dtype=np.int64), bits, bases, bases.copy(),
-            DetectorPair(1.0, 0.0), 0.0, rand)
+            0.0, 0.0, rand)
         assert np.all(kinds == int(ClickKind.CLICK))
         assert np.array_equal(click_bits, bits)
 
@@ -362,7 +377,7 @@ class TestMeasurement:
         bob = np.ones(n, dtype=np.uint8)
         kinds, click_bits = measure(
             np.ones(n, dtype=np.int64), bits, bases, bob,
-            DetectorPair(1.0, 0.0), 0.0, rand)
+            0.0, 0.0, rand)
         assert np.all(kinds == int(ClickKind.CLICK))
         assert abs((click_bits == 0).mean() - 0.5) < 0.01
 
@@ -374,7 +389,7 @@ class TestMeasurement:
         bits = rand.bits(n)
         kinds, click_bits = measure(
             np.ones(n, dtype=np.int64), bits, np.zeros(n, np.uint8),
-            np.ones(n, np.uint8), DetectorPair(1.0, 0.0), 0.0, rand)
+            np.ones(n, np.uint8), 0.0, 0.0, rand)
         corr = np.corrcoef(bits, click_bits)[0, 1]
         assert abs(corr) < 3 / math.sqrt(n)
 
@@ -387,7 +402,7 @@ class TestMeasurement:
         kinds, _ = measure(
             np.zeros(n, dtype=np.int64), np.zeros(n, np.uint8),
             np.zeros(n, np.uint8), np.zeros(n, np.uint8),
-            DetectorPair(1.0, d), 0.0, rand)
+            d, 0.0, rand)
         p_click = 2 * d * (1 - d)
         p_double = d * d
         for p, observed in [(p_click, (kinds == 1).mean()),
@@ -404,13 +419,13 @@ class TestMeasurement:
         bases = rand.bits(n)
         kinds, click_bits = measure(
             np.ones(n, dtype=np.int64), bits, bases, bases.copy(),
-            DetectorPair(1.0, 0.0), 0.1, rand)
+            0.0, 0.1, rand)
         assert abs((click_bits != bits).mean() - 0.1) < 0.01
 
     def test_flip_prob_validated(self):
         with pytest.raises(ValueError):
             measure_batch(as_pulses([1]), *(as_bits([0]) for _ in range(3)),
-                          DetectorPair(), 0.7, RandomSource(1))
+                          0.0, 0.7, RandomSource(1))
 
     def test_flip_prob_refusal_is_the_channels_rule(self):
         # measure_batch takes the channel's excess_flip_prob, so it
@@ -418,32 +433,44 @@ class TestMeasurement:
         assert FiberChannel.RULES["excess_flip_prob"] is FLIP
         with pytest.raises(ValueError) as exc_info:
             measure_batch(as_pulses([1]), *(as_bits([0]) for _ in range(3)),
-                          DetectorPair(), True, RandomSource(1))
+                          0.0, True, RandomSource(1))
         assert str(exc_info.value) \
             == f"flip_prob must be {FLIP.wording}, got True"
+
+    def test_dark_count_prob_refusal_is_the_detectors_rule(self):
+        assert DetectorPair.RULES["dark_count_prob"] is DARK
+        with pytest.raises(ValueError) as exc_info:
+            measure_batch(as_pulses([1]), *(as_bits([0]) for _ in range(3)),
+                          1.0, 0.0, RandomSource(1))
+        assert str(exc_info.value) \
+            == f"dark_count_prob must be {DARK.wording}, got 1.0"
 
     def test_scalar_measure_ideal(self):
         diagonal = np.array([Basis.DIAGONAL], np.uint8)
         kinds, click_bits = measure(
             np.array([1]), np.array([1], np.uint8), diagonal, diagonal,
-            DetectorPair(1.0, 0.0), 0.0, RandomSource(1))
+            0.0, 0.0, RandomSource(1))
         assert list(kinds) == [ClickKind.CLICK] and list(click_bits) == [1]
 
     def test_scalar_measure_no_photons_no_darks(self):
         rectilinear = np.array([Basis.RECTILINEAR], np.uint8)
         kinds, click_bits = measure(
             np.array([0]), np.array([0], np.uint8), rectilinear, rectilinear,
-            DetectorPair(1.0, 0.0), 0.0, RandomSource(1))
+            0.0, 0.0, RandomSource(1))
         assert list(kinds) == [ClickKind.NO_CLICK]
         assert list(click_bits) == [0]
 
     def test_zero_efficiency_never_detects(self):
+        # efficiency 0 is transmittance 0: the thinning leaves no photon
         n = 10_000
         rand = RandomSource(12)
+        caught = transmit_counts(as_pulses(np.full(n, 5, dtype=np.int64)),
+                                 0.0, rand.split("loss"))
+        assert len(caught.indices) == 0
         kinds, _ = measure(
-            np.full(n, 5, dtype=np.int64), np.ones(n, np.uint8),
+            dense(caught), np.ones(n, np.uint8),
             np.zeros(n, np.uint8), np.zeros(n, np.uint8),
-            DetectorPair(0.0, 0.0), 0.0, rand)
+            0.0, 0.0, rand)
         assert np.all(kinds == int(ClickKind.NO_CLICK))
 
 
@@ -533,46 +560,41 @@ class TestSparseKernels:
     its outputs equal the reference's."""
 
     @given(**sparse_counts,
-           efficiency=st.one_of(st.sampled_from([0.0, 1.0]),
-                                st.floats(0.0, 1.0)),
            flip=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
            dark=st.one_of(st.just(0.0),
                           st.floats(0.0, 1.0, exclude_max=True)))
     @example(n=0, zero_frac=0.0, max_count=1, seed=0, dtype=np.int64,
-             efficiency=1.0, flip=0.0, dark=0.0)
+             flip=0.0, dark=0.0)
     # past one window of pulses with photons
     @example(n=2 * 16_384 + 17, zero_frac=0.5, max_count=3, seed=1,
-             dtype=np.uint8, efficiency=0.5, flip=0.1, dark=0.3)
+             dtype=np.uint8, flip=0.1, dark=0.3)
     def test_measure_batch_matches_dense(self, n, zero_frac, max_count,
-                                         seed, dtype, efficiency, flip,
-                                         dark):
+                                         seed, dtype, flip, dark):
         counts = random_counts(n, zero_frac, max_count, seed, dtype)
         gen = np.random.default_rng(seed + 1)
         bits, bases, bob_bases = (gen.integers(0, 2, n, dtype=np.uint8)
                                   for _ in range(3))
         inputs = (counts, bits, bases, bob_bases)
         before = [a.copy() for a in inputs]
-        detectors = DetectorPair(efficiency, dark)
-        want = dense_measure_batch(*inputs, detectors, flip,
-                                   RandomSource(seed))
-        got = measure(*inputs, detectors, flip, RandomSource(seed))
+        want = dense_measure_batch(*inputs, dark, flip, RandomSource(seed))
+        got = measure(*inputs, dark, flip, RandomSource(seed))
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
         assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
 
-    @given(**sparse_counts, length_km=st.sampled_from([0.0, 10.0, 200.0]))
+    @given(**sparse_counts, p=st.one_of(st.sampled_from([0.0, 1.0]),
+                                        st.floats(0.0, 1.0)))
     @example(n=0, zero_frac=0.0, max_count=1, seed=0, dtype=np.int64,
-             length_km=10.0)
+             p=0.6)
     @example(n=4 * 16_384 + 17, zero_frac=0.5, max_count=3, seed=1,
-             dtype=np.uint8, length_km=10.0)
+             dtype=np.uint8, p=0.6)
     def test_transmit_counts_matches_dense(self, n, zero_frac, max_count,
-                                           seed, dtype, length_km):
+                                           seed, dtype, p):
         counts = random_counts(n, zero_frac, max_count, seed, dtype)
         before = counts.copy()
-        channel = FiberChannel(length_km)
-        want = dense_transmit_counts(counts, channel, RandomSource(seed))
+        want = dense_transmit_counts(counts, p, RandomSource(seed))
         pulses = as_pulses(counts)
-        got = transmit_counts(pulses, channel, RandomSource(seed))
+        got = transmit_counts(pulses, p, RandomSource(seed))
         assert got.counts.dtype == counts.dtype
         assert got.indices.dtype == np.uint32 and len(got) == n
         assert np.all(got.counts > 0)
@@ -625,22 +647,28 @@ class TestWideCounts:
             assert np.array_equal(pulses.counts[~taken], emitted[~taken])
 
         before = dense(pulses)
-        pulses = transmit_counts(pulses, FiberChannel(1.0), RandomSource(2))
-        want = dense_transmit_counts(want, FiberChannel(1.0), RandomSource(2))
+        t = survival_probability(FiberChannel(1.0))
+        pulses = transmit_counts(pulses, t, RandomSource(2))
+        want = dense_transmit_counts(want, t, RandomSource(2))
         assert pulses.counts.dtype == np.int64
         assert np.array_equal(dense(pulses), want) and want.max() > 255
         assert np.all(dense(pulses) <= before)
 
+        # thinned again, by a detector efficiency, and measured
         bob = PulseBits(RandomSource(33))
-        for detectors, flip in ((DetectorPair(0.5, 0.01), 0.1),
-                                (DetectorPair(1.0, 0.0), 0.02),
-                                (DetectorPair(0.5, 0.0), 0.0)):
+        for efficiency, dark, flip in ((0.5, 0.01, 0.1), (1.0, 0.0, 0.02),
+                                       (0.5, 0.0, 0.0)):
+            caught = transmit_counts(pulses, efficiency, RandomSource(4))
+            want_caught = dense_transmit_counts(want, efficiency,
+                                                RandomSource(4))
+            assert caught.counts.dtype == np.int64
+            assert np.array_equal(dense(caught), want_caught)
             kinds, click_bits, indices = measure_batch(
-                pulses, bits, bases, bob, detectors, flip, RandomSource(3))
+                caught, bits, bases, bob, dark, flip, RandomSource(3))
             got = np.zeros((2, n), np.uint8)
             got[:, indices] = kinds, click_bits
             want_gates = dense_measure_batch(
-                want, want_bits, want_bases, bob.at(everyone), detectors,
+                want_caught, want_bits, want_bases, bob.at(everyone), dark,
                 flip, RandomSource(3))
             assert all(np.array_equal(g, w) for g, w in zip(got, want_gates))
         # with no flips and no dark counts, a gate with more than 200
@@ -672,12 +700,13 @@ class TestDeterminism:
             rand = RandomSource(13)
             counts = sample_photon_counts(SourceModel(0.2), 1000,
                                           rand.split("src"))
-            counts = dense(transmit_counts(counts, FiberChannel(10.0),
-                                           rand.split("chan")))
+            counts = dense(transmit_counts(
+                counts, survival_probability(FiberChannel(10.0)) * 0.5,
+                rand.split("chan")))
             bits = rand.split("bits").bits(1000)
             bases = rand.split("bases").bits(1000)
             return measure(counts, bits, bases, bases,
-                           DetectorPair(0.5, 1e-4), 0.02, rand.split("det"))
+                           1e-4, 0.02, rand.split("det"))
 
         k1, b1 = run()
         k2, b2 = run()
