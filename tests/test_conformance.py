@@ -44,7 +44,15 @@ The untouched pulses weigh P(0) and (1 - f) P(n) for n >= 1 with
 a = q (1 - e_d), b = q e_d, q = t eta; the resent ones weigh
 f (1 - P(0)), half with m = 1 and those a, b and half with m = 1 and
 a = b = q / 2. The click rate and the sifted QBER (an error is a lone
-wrong click or half a double click) are these weighted sums.
+wrong click or half a double click) are these weighted sums. Eve knows
+the sifted bits of the first half, the pulses she read in Alice's
+basis, so her known fraction is their clicks over all clicks.
+
+Both known fractions count the gates where dark counts alone click:
+a pulse whose photons were all lost was still split or intercepted,
+and Eve holds its bit if the gate is sifted. Where dark counts make a
+large share of the clicks (p_d = 1e-4 at 100 km, about two in seven)
+leaving those gates out moves the fractions by several sigma.
 
 With ``double_click_random=False`` a double click is dropped at
 sifting, so with the P_r and P_w above a pulse gives a sifted bit with
@@ -68,7 +76,8 @@ import math
 
 import pytest
 
-from qkdsim.adversary import InterceptResend, PhotonNumberSplit
+from qkdsim.adversary import (EveLedger, InterceptResend, PhotonNumberSplit,
+                              finalize_knowledge)
 from qkdsim.photonics import (ClickKind, DetectorPair, FiberChannel,
                               SourceModel)
 from qkdsim.protocol import (SessionConfig, run_quantum_phase, run_session,
@@ -184,24 +193,42 @@ def gate_outcomes(m, a, b, p_dark):
             1 - right_dark - wrong_dark + both_dark)
 
 
-def intercept_resend_form(mu, km, db_per_km, eta, p_dark, e_d, fraction):
-    """(click probability, sifted QBER) of one gate under intercept-resend
-    at ``fraction``, double clicks resolved to a random bit."""
-    q = 10 ** (-db_per_km * km / 10) * eta
+def intercept_resend_kinds(mu, q, e_d, fraction):
+    """(weight, photons, a, b) of each kind of pulse under intercept-resend
+    at ``fraction`` with transmittance q: the untouched pulses, then the
+    resent ones in Alice's basis, then those in the other."""
     matched = (q * (1 - e_d), q * e_d)
     p_vacuum = math.exp(-mu)
-    # (weight, photons, a, b) of each kind of pulse
     kinds = [(p_vacuum, 0, *matched)]
     kinds += [((1 - fraction) * p_vacuum * mu**n / math.factorial(n), n,
                *matched) for n in range(1, 80)]
     resent = fraction * (1 - p_vacuum) / 2
-    kinds += [(resent, 1, *matched), (resent, 1, q / 2, q / 2)]
+    return kinds + [(resent, 1, *matched), (resent, 1, q / 2, q / 2)]
+
+
+def intercept_resend_form(mu, km, db_per_km, eta, p_dark, e_d, fraction):
+    """(click probability, sifted QBER) of one gate under intercept-resend
+    at ``fraction``, double clicks resolved to a random bit."""
+    q = 10 ** (-db_per_km * km / 10) * eta
     clicks = errors = 0.0
-    for weight, m, a, b in kinds:
+    for weight, m, a, b in intercept_resend_kinds(mu, q, e_d, fraction):
         right, wrong, both = gate_outcomes(m, a, b, p_dark)
         clicks += weight * (right + wrong + both)
         errors += weight * (wrong + both / 2)
     return clicks, errors / clicks
+
+
+def intercept_resend_known_fraction(mu, km, db_per_km, eta, p_dark, e_d,
+                                    fraction):
+    """Fraction of the sifted key an intercept-resender holds: the clicks
+    of the pulses she resent in Alice's basis over all clicks. A gate's
+    click does not depend on Bob's basis, so sifting keeps half of
+    either."""
+    q = 10 ** (-db_per_km * km / 10) * eta
+    kinds = intercept_resend_kinds(mu, q, e_d, fraction)
+    clicks = [weight * sum(gate_outcomes(m, a, b, p_dark))
+              for weight, m, a, b in kinds]
+    return clicks[-2] / sum(clicks)
 
 
 @pytest.fixture(scope="module")
@@ -291,3 +318,50 @@ def test_single_clicks_in_the_mismatched_basis_are_fair(mismatched_basis):
     _, (_, _, singles, ones) = mismatched_basis
     assert singles > 500_000
     assert within_binomial(ones, singles, 0.5)
+
+
+def pooled_knowledge(pulses, eve, mu, km, db_per_km, eta, p_dark, e_d=0.01):
+    """(sifted bits Eve knows, sifted bits) over every seed."""
+    known = sifted = 0
+    for seed in SEEDS:
+        config = SessionConfig(pulses, SourceModel(mu),
+                               FiberChannel(km, db_per_km, e_d),
+                               DetectorPair(eta, p_dark), seed, eve=eve)
+        ledger = EveLedger()
+        records = run_quantum_phase(config, RandomSource(seed), ledger)
+        keys = sift(records)
+        known += len(finalize_knowledge(
+            ledger, records.alice_bases_at(keys.source_indices),
+            keys.source_indices))
+        sifted += len(keys)
+    return known, sifted
+
+
+# Dark counts at 1e-4 a detector: at 100 km about 2 clicks in 7 are
+# dark counts alone, at pulses whose photons were all lost. Eve acted on
+# some of those pulses too, and knows the bit where such a gate is
+# sifted; leaving them out lowers the known fraction by about 0.03
+# under photon-number splitting.
+DARK_GATES = dict(mu=0.5, db_per_km=0.2, eta=0.1, p_dark=1e-4)
+
+
+def test_pns_known_fraction_with_dark_counts():
+    link = dict(DARK_GATES, km=100.0)
+    p = pns_known_fraction(**link)
+    assert p == pytest.approx(0.2043, abs=1e-4)
+    known, sifted = pooled_knowledge(2 * 10**6, PhotonNumberSplit(), **link)
+    assert sifted > 10_000
+    assert within_binomial(known, sifted, p)
+
+
+@pytest.mark.parametrize("km, pulses, fraction, min_sifted", [
+    (20.0, 2 * 10**5, 0.2200, 30_000),
+    (100.0, 2 * 10**6, 0.1825, 10_000),
+], ids=["20km", "100km"])
+def test_intercept_resend_known_fraction(km, pulses, fraction, min_sifted):
+    link = dict(DARK_GATES, km=km, e_d=0.01)
+    p = intercept_resend_known_fraction(fraction=0.5, **link)
+    assert p == pytest.approx(fraction, abs=1e-4)
+    known, sifted = pooled_knowledge(pulses, InterceptResend(0.5), **link)
+    assert sifted > min_sifted
+    assert within_binomial(known, sifted, p)
