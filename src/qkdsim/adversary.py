@@ -3,8 +3,11 @@
 Eve sits between Alice's source and the fiber. She may do nothing,
 intercept-and-resend a fraction of pulses in a random basis, or split
 one photon off every multiphoton pulse and park it until the bases are
-announced. The ledger records what she has as ``(pulse index, bit,
-basis)`` rows; at the public basis announcement
+announced. With a Poisson source her acts are drawn only where they
+can reach the key: at the pulses that keep a photon through the loss
+(each lost a Poisson number more, which she saw too), and at the gates
+where only dark counts fired. The ledger records what she has as
+``(pulse index, bit, basis)`` rows; at the public basis announcement
 :func:`finalize_knowledge` keeps the rows whose pulse is sifted and
 whose basis is the announced one, and those are her known key bits.
 """
@@ -65,7 +68,9 @@ class EveLedger:
 
     ``stored``: one row per photon split off a multiphoton pulse, with
     Alice's bit and basis. ``measured``: one row per intercept-resend
-    measurement, with Eve's result and basis guess.
+    measurement, with Eve's result and basis guess. With a Poisson
+    source only pulses that kept a photon through the loss, or whose
+    gate clicked, have rows: no other pulse can be sifted.
     """
 
     stored: np.ndarray = field(default_factory=lambda: _rows(3))
@@ -90,45 +95,56 @@ def _append(rows: np.ndarray, *columns) -> np.ndarray:
 
 def intercept_batch(pulses: Pulses, bits: PulseBits, bases: PulseBits,
                     strategy: EveStrategy, ledger: EveLedger,
-                    rand: RandomSource
+                    rand: RandomSource, lost: float = 0.0
                     ) -> tuple[Pulses, PulseBits, PulseBits]:
-    """Apply Eve's strategy to the pulses with photons, appending to the
-    ledger.
+    """Apply Eve's strategy to the pulses, appending to the ledger.
+
+    A pulse keeps its count of photons through the loss and loses
+    Poisson(``lost``) more (split("lost")); the photon Eve takes or
+    resends is a kept one iff a uniform (split("kept")) times their sum
+    is below the count. With nothing lost none is drawn. The counts
+    change in place, keeping their dtype; a pulse left with none is
+    dropped, its row kept.
 
     ``bits`` and ``bases`` are Alice's, with no pulse overridden. Returns
-    (pulses, bits, bases) as the channel carries them. Eve changes the
-    counts in place, keeping their dtype. The bits and bases are Alice's
-    own, unless Eve resent pulses: then they carry Eve's bit and basis at
-    each pulse she resent. Pulses are recorded by their index.
+    (pulses, bits, bases) as the channel carries them: Alice's bits and
+    bases, with Eve's at each pulse she resent. Rows are by pulse index.
     """
     if isinstance(strategy, NoAttack):
         return pulses, bits, bases
+    counts = pulses.counts
+    emitted = counts + rand.split("lost").poisson(lost, len(counts)) \
+        if lost else counts
 
+    def kept(at):
+        return (rand.split("kept").random(len(at)) * emitted[at]
+                < counts[at]) if lost else True
     # Both branches work only at the pulses Eve touches.
     if isinstance(strategy, InterceptResend):
-        # Eve measures each pulse with photons with probability fraction
-        taken = rand.split("taken").bernoulli_indices(
-            len(pulses), strategy.fraction, pulses.indices)
-        pulses.counts[np.searchsorted(
-            pulses.indices, taken.astype(pulses.indices.dtype))] = 1
+        # Eve measures a pulse that emitted photons with probability fraction
+        at = rand.split("taken").bernoulli_indices(len(counts),
+                                                   strategy.fraction)
+        at = at[emitted[at] > 0]
+        counts[at] = kept(at)
+        taken = pulses.indices[at].astype(np.int64)
         eve_bases = rand.split("eve_bases").bits_at(taken)
         mismatch_results = rand.split("eve_results").bits_at(taken)
         eve_bits = np.where(eve_bases == bases.at(taken), bits.at(taken),
                             mismatch_results)
         ledger.record_measured(taken, eve_bits, eve_bases)
-        # a resent pulse carries Eve's encoding
-        return (pulses, replace(bits, indices=taken, values=eve_bits),
-                replace(bases, indices=taken, values=eve_bases))
-
-    if isinstance(strategy, PhotonNumberSplit):
-        at = np.flatnonzero(pulses.counts >= 2)
-        pulses.counts[at] -= 1
+        bits = replace(bits, indices=taken, values=eve_bits)
+        bases = replace(bases, indices=taken, values=eve_bases)
+    elif isinstance(strategy, PhotonNumberSplit):
+        at = np.flatnonzero(emitted >= 2)
+        counts[at] -= kept(at)
         split = pulses.indices[at]  # the ledger widens it to int64
-        del at
         ledger.record_stored(split, bits.at(split), bases.at(split))
-        return pulses, bits, bases
-
-    raise TypeError(f"unknown strategy {strategy!r}")
+    else:
+        raise TypeError(f"unknown strategy {strategy!r}")
+    if lost:
+        full = np.flatnonzero(counts)
+        pulses = Pulses(pulses.n, pulses.indices[full], counts[full])
+    return pulses, bits, bases
 
 
 def finalize_knowledge(ledger: EveLedger, announced_bases: np.ndarray,

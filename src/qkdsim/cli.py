@@ -413,7 +413,8 @@ def load_scenario(path: str) -> tuple[Network, list]:
     """The unprovisioned network and the relays of a scenario checked
     against ``SCENARIO``. The network refuses an undeclared node, a
     self-loop, a second link between two nodes and a seed two links
-    share; each relay hop must be a link."""
+    share; each relay hop must be a link, and no two relays may share a
+    seed (mod 2^64; a relay with none takes its index)."""
     path, data = _load_json_object(path, "scenario")
     data = _validate(path, "scenario", data, SCENARIO)
     net = Network()
@@ -430,8 +431,14 @@ def load_scenario(path: str) -> tuple[Network, list]:
                          spec.get("auth_pool_bits", LINK_AUTH_POOL_BITS))
         except ValueError as exc:
             raise ConfigError(f"{path}: link {i}: {exc}") from None
+    seeds = {}  # relay seed mod 2^64 -> relay
     for i, spec in enumerate(data["relays"]):
         where, hops = f'relay {i} "path"', spec["path"]
+        seed = spec.get("seed", i)
+        j = seeds.setdefault(RandomSource(seed).seed, i)
+        if j != i:
+            raise ConfigError(f"{path}: relay {i}: seed {seed} is already "
+                              f"the seed of relay {j}")
         try:
             net.require_nodes(hops, where)
         except ValueError as exc:

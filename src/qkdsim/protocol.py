@@ -28,12 +28,13 @@ from .adversary import (EveLedger, EveStrategy, NoAttack, eve_information,
                         finalize_knowledge, intercept_batch)
 from .auth import AuthenticatedChannel, BitPool
 from .photonics import (ClickKind, DetectorPair, FiberChannel, PulseBits,
-                        SourceModel, measure_batch, sample_photon_counts,
-                        survival_probability, transmit_counts)
+                        Pulses, SourceModel, measure_batch,
+                        sample_photon_counts, survival_probability,
+                        transmit_counts)
 from .postprocess import (MIN_RECONCILE_BITS, AttackModel, HashSeed,
                           ReconciliationFailure, SecretKey, error_correct,
                           final_key_length, privacy_amplify)
-from .rng import COUNT, INTEGER, Checked, RandomSource, Rule
+from .rng import COUNT, INTEGER, Checked, RandomSource, Rule, in_sorted
 
 FRACTION = Rule(numbers.Real, lambda v: 0 < v < 1, "a number in (0, 1)")
 # Messages 1 and 2 send pulse positions as ">u4", which wraps silently
@@ -161,11 +162,13 @@ def run_quantum_phase(config: SessionConfig, rand: RandomSource,
     """Emit, attack, transmit, and measure n_pulses; record the clicks.
 
     Only the pulses with photons are drawn. Fiber loss and detector
-    efficiency are one loss, eta, drawn once: folded into a Poisson
-    source (Poisson(mu * eta)) when no Eve acts, else one thinning of
-    what Eve passes on. Alice's bits and bases and Bob's bases are
-    functions of the pulse index, each from its own substream, read
-    where Eve, the detectors or the records need them.
+    efficiency are one loss, eta, drawn once. A Poisson source is drawn
+    as Poisson(mu * eta), the pulses that keep a photon; each lost
+    Poisson(mu (1 - eta)) more, which Eve saw, and so did the pulses of
+    the gates where only dark counts fired. Any other source is thinned
+    after Eve. Alice's bits and bases and Bob's bases are functions of
+    the pulse index, each from its own substream, read where Eve, the
+    detectors or the records need them.
 
     Double clicks are resolved to a uniform random bit unless the config
     says to keep them (they are then dropped at sifting): resolving is
@@ -176,20 +179,27 @@ def run_quantum_phase(config: SessionConfig, rand: RandomSource,
     alice_bits, alice_bases, bob_bases = (
         PulseBits(rand.split(label))
         for label in ("alice_bits", "alice_bases", "bob_bases"))
-    source = config.source
+    source, eve = config.source, rand.split("eve")
     eta = survival_probability(config.channel) * config.detectors.efficiency
-    if isinstance(config.eve, NoAttack) and isinstance(source, SourceModel):
+    lost = 0.0  # mean photons each pulse Eve sees lost, besides those kept
+    if isinstance(source, SourceModel):
+        lost = source.mu * (1 - eta) if config.eve != NoAttack() else 0.0
         source, eta = SourceModel(source.mu * eta), 1.0
     pulses = sample_photon_counts(source, n, rand.split("source"))
+    events = pulses.indices if lost else None
     ledger = eve_ledger if eve_ledger is not None else EveLedger()
     pulses, bits, bases = intercept_batch(
-        pulses, alice_bits, alice_bases, config.eve, ledger,
-        rand.split("eve"))
+        pulses, alice_bits, alice_bases, config.eve, ledger, eve, lost=lost)
     pulses = transmit_counts(pulses, eta, rand.split("channel"))
     kinds, click_bits, indices = measure_batch(
         pulses, bits, bases, bob_bases, config.detectors.dark_count_prob,
         config.channel.excess_flip_prob, rand.split("detector"))
     del pulses, bits, bases
+    if lost:  # pulses that kept no photon but whose gate clicked
+        dark = indices[~in_sorted(events, indices)]
+        intercept_batch(Pulses(n, dark, np.zeros(len(dark), np.uint8)),
+                        alice_bits, alice_bases, config.eve, ledger,
+                        eve.split("dark_gates"), lost=lost)
     if config.double_click_random:
         doubles = np.flatnonzero(kinds == int(ClickKind.DOUBLE_CLICK))
         if len(doubles):

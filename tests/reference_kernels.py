@@ -7,9 +7,11 @@ draws from the same substreams, in pulse order: the source's event gaps
 and photon numbers, the first-photon uniforms and the other photons'
 binomials of a thinning, the detector's flip gaps, exit bits and
 binomials, each detector's dark-count gaps, Eve's gap process over the
-pulses with photons and the counter bits at a pulse. Every gap process
-is drawn one exponential at a time, and the source's zero-truncated
-photon numbers by a scalar inverse CDF. So they fix what
+pulses she sees, the Poisson photons each of them lost and the uniforms
+that tell whether her photon was a kept one, and the counter bits at a
+pulse. Every gap process is drawn one exponential at a time, Eve's
+Poisson and uniform values one at a time, and the source's
+zero-truncated photon numbers by a scalar inverse CDF. So they fix what
 :mod:`qkdsim.photonics`, :func:`qkdsim.adversary.intercept_batch` and
 :func:`qkdsim.protocol.run_quantum_phase` must give at every pulse, and
 the ledger rows, while the kernels hold only the pulses with photons and
@@ -145,22 +147,42 @@ def dense_measure_batch(photon_counts, bits, bases, bob_bases,
     return kinds, click_bits
 
 
-def dense_intercept_batch(photon_counts, bits, bases, strategy, ledger, rand):
-    """Masks and ``np.where`` over every pulse."""
+def dense_intercept_batch(photon_counts, bits, bases, strategy, ledger, rand,
+                          lost=0.0, among=None):
+    """Masks and ``np.where`` over every pulse. Eve sees the pulses of the
+    mask ``among``, by default those with photons. ``photon_counts`` are
+    the photons each keeps through the loss; with ``lost`` > 0 each pulse
+    Eve sees lost a Poisson(lost) draw of split("lost") besides, and the
+    photon she takes or resends is a kept one iff a uniform of
+    split("kept") times the photons emitted is below the kept ones, one
+    draw at a time, in pulse order."""
     if isinstance(strategy, NoAttack):
         return photon_counts, bits, bases
+    photon_counts = np.asarray(photon_counts, np.int64)
+    seen = np.flatnonzero(photon_counts if among is None else among)
+    emitted = photon_counts.copy()
+    lost_draws, kept_draws = rand.split("lost"), rand.split("kept")
+    for i in seen if lost else ():
+        emitted[i] += lost_draws.poisson(lost)
+
+    def kept(acted):
+        """Whether Eve's photon was a kept one, where she acted."""
+        out = acted.copy()
+        for i in np.flatnonzero(acted) if lost else ():
+            out[i] = kept_draws.random() * emitted[i] < photon_counts[i]
+        return out
 
     if isinstance(strategy, InterceptResend):
-        lit = np.flatnonzero(photon_counts)
         take = np.zeros(len(photon_counts), bool)
-        take[lit[scalar_gaps(rand.split("taken").seed, len(lit),
-                             strategy.fraction)]] = True
+        take[seen[scalar_gaps(rand.split("taken").seed, len(seen),
+                              strategy.fraction)]] = True
+        take &= emitted > 0  # a pulse that emitted nothing is not taken
         everyone = np.arange(len(photon_counts))
         eve_bases = rand.split("eve_bases").bits_at(everyone)
         mismatch_results = rand.split("eve_results").bits_at(everyone)
         eve_bits = np.where(eve_bases == bases, bits,
                             mismatch_results).astype(np.uint8)
-        out_counts = np.where(take, 1, photon_counts)
+        out_counts = np.where(take, kept(take), photon_counts)
         out_bits = np.where(take, eve_bits, bits).astype(np.uint8)
         out_bases = np.where(take, eve_bases, bases).astype(np.uint8)
         ledger.record_measured(np.flatnonzero(take), eve_bits[take],
@@ -168,8 +190,8 @@ def dense_intercept_batch(photon_counts, bits, bases, strategy, ledger, rand):
         return out_counts, out_bits, out_bases
 
     if isinstance(strategy, PhotonNumberSplit):
-        split = photon_counts >= 2
-        out_counts = photon_counts - split
+        split = emitted >= 2
+        out_counts = photon_counts - kept(split)
         ledger.record_stored(np.flatnonzero(split), bits[split],
                              bases[split])
         return out_counts, bits, bases
@@ -197,17 +219,27 @@ def dense_quantum_phase(config, rand, eve_ledger=None):
         for label in ("alice_bits", "alice_bases", "bob_bases"))
     source = config.source
     eta = survival_probability(config.channel) * config.detectors.efficiency
-    if isinstance(config.eve, NoAttack) and isinstance(source, SourceModel):
+    lost = 0.0
+    if isinstance(source, SourceModel):
+        if config.eve != NoAttack():
+            lost = source.mu * (1 - eta)
         source, eta = SourceModel(source.mu * eta), 1.0
     counts = dense_photon_counts(source, n, rand.split("source"))
+    events = counts > 0
     ledger = eve_ledger if eve_ledger is not None else EveLedger()
     counts, bits, bases = dense_intercept_batch(
         counts, alice_bits, alice_bases, config.eve, ledger,
-        rand.split("eve"))
+        rand.split("eve"), lost)
     counts = dense_transmit_counts(counts, eta, rand.split("channel"))
     kinds, click_bits = dense_measure_batch(
         counts, bits, bases, bob_bases, config.detectors.dark_count_prob,
         config.channel.excess_flip_prob, rand.split("detector"))
+    if lost:
+        # Eve saw the pulses that kept no photon but whose gate clicked
+        dense_intercept_batch(np.zeros(n, np.int64), alice_bits, alice_bases,
+                              config.eve, ledger,
+                              rand.split("eve").split("dark_gates"), lost,
+                              among=(kinds > 0) & ~events)
     if config.double_click_random:
         doubles = kinds == int(ClickKind.DOUBLE_CLICK)
         n_doubles = int(doubles.sum())

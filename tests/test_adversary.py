@@ -11,7 +11,8 @@ pulses Eve touches, against a dense one written over every pulse. It
 takes the pulses with photons and Alice's bits and bases as
 :class:`PulseBits`, changes the counts in place and returns the bits and
 bases the channel carries: Alice's own, or hers with Eve's encoding
-where she resent.
+where she resent. With a Poisson source the pulses hold the photons the
+loss keeps, and each lost a Poisson number more that Eve saw too.
 """
 
 import math
@@ -26,7 +27,7 @@ from qkdsim.adversary import (EveLedger, InterceptResend, NoAttack,
                               finalize_knowledge, intercept_batch,
                               strategy_label)
 from qkdsim.photonics import (Basis, ConstantSource, DetectorPair,
-                              FiberChannel, PulseBits, Pulses)
+                              FiberChannel, PulseBits, Pulses, SourceModel)
 from qkdsim.protocol import SessionConfig, SiftedKeys, run_quantum_phase, sift
 from qkdsim.rng import SHORT_BITS, RandomSource
 
@@ -253,6 +254,80 @@ class TestPhotonNumberSplit:
                               alice_bits_at(records, known[:, 0]))
 
 
+class TestPhotonsLostBeforeBob:
+    """With a Poisson source the pulses Eve acts on are those that keep a
+    photon through the loss, each of which lost Poisson(lost) photons
+    besides; at gates where dark counts alone click she acted with the
+    chance that a pulse that kept none gave her one."""
+
+    def test_split_photon_is_a_kept_one_k_in_n_times(self):
+        # one kept photon and Poisson(2) lost: Eve splits the pulses that
+        # lost any, and empties them with chance 1 / (1 + l), in all
+        # (1 - e^-2) / 2 - e^-2 = 0.2970 of the pulses
+        n, lost = 20_000, 2.0
+        pulses = as_pulses(np.ones(n, np.uint8))
+        ledger = EveLedger()
+        out = intercept_batch(pulses, as_bits(np.zeros(n)),
+                              as_bits(np.zeros(n)), PhotonNumberSplit(),
+                              ledger, RandomSource(11), lost=lost)[0]
+        assert np.all(out.counts == 1)
+        share = 1 - len(out.counts) / n
+        assert abs(share - (-math.expm1(-lost) / lost
+                            - math.exp(-lost))) < 0.015
+        assert abs(len(ledger.stored) / n + math.expm1(-lost)) < 0.015
+        # an emptied pulse keeps its ledger row
+        emptied = np.setdiff1d(np.arange(n), out.indices)
+        assert np.all(np.isin(emptied, ledger.stored[:, 0]))
+
+    def test_resent_photon_arrives_with_the_transmittance(self):
+        # Eve resends one photon for every pulse with photons; it reaches
+        # Bob with probability eta whatever the pulse's photon number
+        mu, eta = 0.5, 0.3
+        config = SessionConfig(100_000, SourceModel(mu), FiberChannel(0.0),
+                               DetectorPair(eta, 0.0), 12,
+                               eve=InterceptResend(1.0))
+        records, ledger, _ = quantum_round(config)
+        assert abs(len(records.kinds) / 100_000
+                   + math.expm1(-mu) * eta) < 0.005
+        assert np.all(records.kinds == 1)
+        assert set(records.indices) <= set(ledger.measured[:, 0])
+
+    @pytest.mark.parametrize("strategy, acted", [
+        (PhotonNumberSplit(), lambda lost: -math.expm1(-lost)
+         - lost * math.exp(-lost)),
+        (InterceptResend(0.4), lambda lost: -0.4 * math.expm1(-lost)),
+    ], ids=["pns", "intercept-resend"])
+    def test_pulses_that_kept_no_photon(self, strategy, acted):
+        # the pulses of gates where only dark counts fired: Eve acted if
+        # the pulse lost two photons or more (splitting), or any and she
+        # took it (intercept-resend), and nothing reaches Bob
+        n, lost = 40_000, 0.7
+        gates = np.arange(0, 2 * n, 2)
+        bits, bases = (RandomSource(13).split(label)
+                       for label in ("bits", "bases"))
+        ledger = EveLedger()
+        out = intercept_batch(Pulses(2 * n, gates, np.zeros(n, np.uint8)),
+                              PulseBits(bits), PulseBits(bases), strategy,
+                              ledger, RandomSource(14), lost=lost)[0]
+        assert len(out.indices) == len(out.counts) == 0
+        rows = ledger.stored if isinstance(strategy, PhotonNumberSplit) \
+            else ledger.measured
+        assert abs(len(rows) / n - acted(lost)) < 0.01
+        assert np.all(rows[:, 0] % 2 == 0)
+        assert np.all(np.diff(rows[:, 0]) > 0)
+        at = rows[:, 0]
+        if isinstance(strategy, PhotonNumberSplit):
+            assert np.array_equal(rows[:, 1], bits.bits_at(at))
+            return
+        # Eve reads these pulses by index, in her own bases
+        eve = RandomSource(14)
+        assert np.array_equal(rows[:, 2], eve.split("eve_bases").bits_at(at))
+        match = rows[:, 2] == bases.bits_at(at)
+        assert np.array_equal(rows[match, 1], bits.bits_at(at[match]))
+        assert np.array_equal(rows[~match, 1], eve.split(
+            "eve_results").bits_at(at[~match]))
+
+
 class TestKnowledge:
     def test_every_known_bit_is_correct(self):
         # Holds across strategies: a "known" bit that disagreed with
@@ -476,12 +551,15 @@ class TestInterceptMatchesDense:
                st.floats(0.0, 1.0).map(InterceptResend)),
            counts=st.lists(st.integers(0, 4), max_size=200),
            seed=st.integers(0, 2**32 - 1),
-           dtype=st.sampled_from([np.uint8, np.int64]))
+           dtype=st.sampled_from([np.uint8, np.int64]),
+           lost=st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
     # more pulses with photons than two windows of the take draw
     @example(strategy=InterceptResend(0.3), counts=[1, 0, 3] * 24_600,
-             seed=7, dtype=np.uint8)
+             seed=7, dtype=np.uint8, lost=0.0)
+    @example(strategy=PhotonNumberSplit(), counts=[1, 0, 3, 2] * 9_000,
+             seed=8, dtype=np.uint8, lost=0.7)
     def test_outputs_ledger_and_stream_match(self, strategy, counts, seed,
-                                             dtype):
+                                             dtype, lost):
         counts = np.array(counts, dtype)
         gen = np.random.default_rng(seed)
         bits, bases = (gen.integers(0, 2, len(counts), dtype=np.uint8)
@@ -489,13 +567,16 @@ class TestInterceptMatchesDense:
         before = [a.copy() for a in (counts, bits, bases)]
         ledger, ref_ledger = EveLedger(), EveLedger()
         want = dense_intercept_batch(counts, bits, bases, strategy,
-                                     ref_ledger, RandomSource(seed))
+                                     ref_ledger, RandomSource(seed), lost)
         pulses = as_pulses(counts)
         alice = as_bits(bits), as_bits(bases)
         out_pulses, out_bits, out_bases = intercept_batch(
-            pulses, *alice, strategy, ledger, RandomSource(seed))
-        # the counts change in place, in their own dtype
-        assert out_pulses is pulses and pulses.counts.dtype == dtype
+            pulses, *alice, strategy, ledger, RandomSource(seed), lost=lost)
+        # with nothing lost the counts change in place, in their own
+        # dtype; else the pulses left with a photon are kept, in it too
+        assert (out_pulses is pulses) == (lost == 0)
+        assert out_pulses.counts.dtype == dtype
+        assert np.all(out_pulses.counts > 0)
         assert np.array_equal(dense(out_pulses), want[0])
         n = len(counts)
         for got, w in ((out_bits, want[1]), (out_bases, want[2])):

@@ -33,6 +33,7 @@ from qkdsim.photonics import (MAX_MU, DetectorPair, FiberChannel,
 from qkdsim.postprocess import (AttackModel, CorrectionResult,
                                 ReconciliationFailure)
 from qkdsim.protocol import MAX_PULSES, SessionConfig, SessionOutcome
+from qkdsim.rng import RandomSource
 
 FAST_RUN = ["--pulses", "20000", "--distance-km", "0", "--efficiency", "1.0",
             "--dark", "0", "--flip", "0", "--mu", "0.5", "--seed", "7"]
@@ -569,6 +570,44 @@ class TestNetworkCommand:
         code, _, err = run_main(["network", scenario], capsys)
         assert code == EXIT_USAGE
         assert "link 1: seed 7 is already the seed of link A-B" in err
+
+    def relays(self, seeds):
+        """A-B-C relays with these seeds, None for a relay with none."""
+        return [dict({"path": ["A", "B", "C"], "key_len": 64},
+                     **({} if seed is None else {"seed": seed}))
+                for seed in seeds]
+
+    STUBS = [{"a": "A", "b": "B", "stub": {"seed": 1, "bits": 512}},
+             {"a": "B", "b": "C", "stub": {"seed": 2, "bits": 512}}]
+
+    @pytest.mark.parametrize("seeds, message", [
+        ((None, 0), "relay 1: seed 0 is already the seed of relay 0"),
+        ((1, None), "relay 1: seed 1 is already the seed of relay 0"),
+        ((None, 3, 3), "relay 2: seed 3 is already the seed of relay 1"),
+        ((-1, 2**64 - 1),
+         f"relay 1: seed {2**64 - 1} is already the seed of relay 0"),
+    ], ids=["given-equals-index", "index-equals-given", "equal",
+            "equal-mod-2^64"])
+    def test_relays_with_one_seed_exit_one(self, tmp_path, capsys, seeds,
+                                           message):
+        # relays with one seed would carry one key
+        scenario = self.scenario(tmp_path, links=self.STUBS,
+                                 relays=self.relays(seeds))
+        code, out, err = run_main(["network", scenario], capsys)
+        assert code == EXIT_USAGE
+        assert message in err
+        assert out == "" and "Traceback" not in err
+
+    def test_relays_with_distinct_seeds_carry_distinct_keys(self, tmp_path):
+        # relay 1 takes its index, which relay 0's seed 2^64 is not
+        scenario = self.scenario(tmp_path, links=self.STUBS,
+                                 relays=self.relays((2**64, None)))
+        net, relays = load_scenario(scenario)
+        net.provision_all()
+        keys = [net.relay(spec["path"], spec["key_len"],
+                          RandomSource(spec.get("seed", i)).split("relay")
+                          ).end_key for i, spec in enumerate(relays)]
+        assert not np.array_equal(*keys)
 
     def test_empty_csv_path_exits_one(self, tmp_path, capsys, monkeypatch):
         # as sweep --output "": an empty path is refused, not skipped

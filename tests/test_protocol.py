@@ -157,15 +157,17 @@ class TestQuantumPhase:
     ], ids=["pns", "intercept-resend", "no-eve"])
     def test_memory_budget_per_pulse(self, mu, km, eve):
         # On these links 2-8% of gates click. The source draws only the
-        # pulses with photons (39% and 9.5% with Eve; with none only the
-        # 3.8% whose photons are caught): a uint32 index and a one-byte
-        # count each, two copies while they are joined, and Eve's
-        # ledger (24 B per split pulse, 23% of them at mu 0.5). With the
-        # detector's arrays over the clicks (20 B each) and the
+        # pulses that keep a photon (7.6%, 3.9% and 7.6%): a uint32
+        # index and a one-byte count each, two copies while they are
+        # joined. With Eve each also holds two int64s while she acts
+        # (its lost photons and its photon number) and her ledger 24 B
+        # per split pulse, so her budget counts 9 B for every pulse
+        # with photons (39% and 9.5%), as when she acted on all of them.
+        # With the detector's arrays over the clicks (20 B each) and the
         # temporaries of one window (12 B per event of WINDOW) they fit
-        # in 9 B per pulse drawn + 20 B per click + 12 B x WINDOW, under
-        # 6 B/pulse on each link. An n-long byte array does not fit; the
-        # records returned hold 13 B per click.
+        # in 9 B per pulse counted + 20 B per click + 12 B x WINDOW,
+        # under 6 B/pulse on each link. An n-long byte array does not
+        # fit; the records returned hold 13 B per click.
         n = 200_000
         config = ideal_config(n, 406, source=SourceModel(mu),
                               channel=FiberChannel(km), eve=eve)
@@ -260,6 +262,11 @@ class TestPerClickRecordsMatchDense:
     @example(n=8 * 16_384 + 9, mu=0.3, km=5.0, efficiency=0.5,
              dark=1e-3, flip=0.02, eve=InterceptResend(0.1),
              double_click_random=True, seed=6)
+    # splitting where photons are lost and dark counts click at pulses
+    # that kept none
+    @example(n=2 * 16_384 + 7, mu=0.8, km=30.0, efficiency=0.2,
+             dark=5e-3, flip=0.01, eve=PhotonNumberSplit(),
+             double_click_random=True, seed=7)
     def test_records_and_ledger_match_dense(self, n, mu, km, efficiency,
                                             dark, flip, eve,
                                             double_click_random, seed):
