@@ -6,12 +6,11 @@ fully determined by a 64-bit seed, and independent substreams are derived
 by seed mixing, so simulations are reproducible bit-for-bit and substreams
 can safely run in parallel.
 
-A source has two cursors: short bit draws read SplitMix64 counter words
+A source has two cursors. Bit draws read SplitMix64 counter words
 (Steele, Lea and Flood, "Fast splittable pseudorandom number
-generators", OOPSLA 2014), every other draw a numpy PCG64 generator. A
-draw's route depends only on its kind and size (see RandomSource). The
-counter words can also be read at any bit position without moving the
-cursor (``bits_at``): a pulse's bit is then a function of its index
+generators", OOPSLA 2014), every other draw a numpy PCG64 generator.
+The counter words can also be read at any bit position without moving
+the cursor (``bits_at``): a pulse's bit is then a function of its index
 alone, drawn only where it is read.
 
 Sparse events, such as the pulses that carry photons or the gates with
@@ -24,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from functools import lru_cache
 from typing import Callable, ClassVar, NamedTuple
 
@@ -40,20 +40,14 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # on the window, and each gap process has a substream of its own.
 WINDOW = 1 << 14
 
-# bits() builds draws of at least RAW_BITS_MIN bits from raw PCG64
-# words; below it, the state read and the two numpy calls at the ends
-# cost more than the raw words save. At least 5, so that a draw covers
-# a buffered half-word and a tail.
-RAW_BITS_MIN = 4096
-
-# bits(n) for n <= SHORT_BITS reads ceil(n / 64) SplitMix64 counter
-# words and builds no PCG64. Medians on a 2-core VM (numpy 2.4), counter
-# route against integers(0, 2, n, uint8): 5.9 against 17.6 us on a
-# fresh source (Generator(PCG64) built first) and 4.8 against 7.6 us
-# on a built one at n = 256; at 384, 5.8 against 6.6 us built; at 512,
-# 6.9 against 6.7 us. 256 is the largest power of two the counter route
-# wins at with a margin.
-SHORT_BITS = 256
+# bits(n) computes its counter words one at a time in Python for n <=
+# SHORT_BITS, and on a uint64 array above it; the words are the same,
+# so the bound moves no draw. Medians of a first draw from a fresh
+# source on a 2-core VM (numpy 2.4), loop against array: 5.3 against
+# 11.1 us at n = 256, 7.9 against 11.6 at 512, 9.9 against 11.2 at 768
+# and 12.0 against 11.0 at 1024. 512 is the largest power of two the
+# loop wins at with a margin.
+SHORT_BITS = 512
 
 
 def splitmix64(x: int) -> int:
@@ -62,6 +56,16 @@ def splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def _mix_words(x: np.ndarray) -> None:
+    """splitmix64 after its first addition, in place on a uint64 array,
+    whose arithmetic wraps mod 2^64 as the scalar one does."""
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9),
+                              (27, 0x94D049BB133111EB)):
+        x ^= x >> np.uint64(shift)
+        x *= np.uint64(multiplier)
+    x ^= x >> np.uint64(31)
 
 
 def mix64(seed: int, index: int) -> int:
@@ -145,14 +149,13 @@ _WORDS_MIX = _label_mix(_WORDS_LABEL)
 class RandomSource:
     """A seedable randomness stream with two cursors.
 
-    ``bits(n)`` for n <= SHORT_BITS takes the next ceil(n / 64) words of
-    the source's SplitMix64 counter: word j is ``splitmix64(base + j *
-    GOLDEN)`` mod 2^64, ``base = mix64(seed, fnv1a64(_WORDS_LABEL))``,
-    and the draw is the words' bits, most significant first, cut to n.
-    Every other draw, longer bit draws included, comes from numpy's PCG64
-    seeded with ``seed``. PCG64 is built on its first draw, so a source
-    that is only split or only draws short bits never builds one; the
-    stream is the same either way.
+    ``bits(n)`` takes the next ceil(n / 64) words of the source's
+    SplitMix64 counter: word j is ``splitmix64(base + j * GOLDEN)`` mod
+    2^64, ``base = mix64(seed, fnv1a64(_WORDS_LABEL))``, and the draw is
+    the words' bits, most significant first, cut to n. Every other draw
+    comes from numpy's PCG64 seeded with ``seed``. PCG64 is built on its
+    first draw, so a source that is only split or only draws bits never
+    builds one; the stream is the same either way.
 
     A single source must be consumed sequentially; use :meth:`split` to
     obtain independent substreams for concurrent or logically separate
@@ -190,40 +193,44 @@ class RandomSource:
     # -- draws ------------------------------------------------------------
 
     def bits(self, n: int) -> np.ndarray:
-        """n uniform bits as a uint8 array: the next counter words' bits
-        for n <= SHORT_BITS, else the values and stream state of PCG64's
-        ``integers(0, 2, n, uint8)``."""
-        if n <= SHORT_BITS:
-            return self._counter_bits(n)
-        return self._pcg_bits(n)
+        """n uniform bits as a uint8 array: the first n bits of the next
+        ceil(n / 64) counter words, each most significant bit first.
 
-    def _word_base(self) -> int:
-        return splitmix64(splitmix64(self.seed) ^ _WORDS_MIX)
-
-    def _counter_bits(self, n: int) -> np.ndarray:
-        """The first n bits of the next ceil(n / 64) counter words, each
-        most significant bit first."""
+        Up to SHORT_BITS bits the words are computed one at a time in
+        Python, above it on a uint64 array; the words are the same.
+        """
+        n = operator.index(n)
         if n < 0:
             raise ValueError(f"n must be an integer >= 0, got {n!r}")
         at = self._next_word
         if at is None:
             at = self._word_base()
-        n_words, words = (n + 63) >> 6, 0
-        for _ in range(n_words):
-            words = words << 64 | splitmix64(at)
-            at = (at + _GOLDEN) & _MASK64
-        self._next_word = at
-        return np.unpackbits(np.frombuffer(
-            words.to_bytes(8 * n_words, "big"), np.uint8), count=n)
+        n_words = (n + 63) >> 6
+        self._next_word = (at + n_words * _GOLDEN) & _MASK64
+        if n <= SHORT_BITS:
+            words = 0
+            for _ in range(n_words):
+                words = words << 64 | splitmix64(at)
+                at = (at + _GOLDEN) & _MASK64
+            return np.unpackbits(np.frombuffer(
+                words.to_bytes(8 * n_words, "big"), np.uint8), count=n)
+        x = np.arange(n_words, dtype=np.uint64)
+        x *= np.uint64(_GOLDEN)
+        x += np.uint64((at + _GOLDEN) & _MASK64)
+        _mix_words(x)
+        return np.unpackbits(x.astype(">u8", copy=False).view(np.uint8),
+                             count=n)
+
+    def _word_base(self) -> int:
+        return splitmix64(splitmix64(self.seed) ^ _WORDS_MIX)
 
     def bits_at(self, indices: np.ndarray) -> np.ndarray:
         """Bit i of the counter words, for each i in ``indices``, as
-        uint8: the bits a fresh source's short draws hand out, in order,
-        read at any position and in any order. The cursor does not move.
+        uint8: the bits a fresh source's draws hand out, in order, read
+        at any position and in any order. The cursor does not move.
 
-        Word j is ``splitmix64(base + j * GOLDEN)``, computed on uint64
-        arrays, whose arithmetic wraps mod 2^64 as the scalar one does,
-        for WINDOW indices at a time.
+        Word j is ``splitmix64(base + j * GOLDEN)``, computed for WINDOW
+        indices at a time.
         """
         indices = np.asarray(indices)
         out = np.empty(len(indices), np.uint8)
@@ -233,43 +240,10 @@ class RandomSource:
             x = (part >> 6).astype(np.uint64)
             x *= np.uint64(_GOLDEN)
             x += base
-            for shift, multiplier in ((30, 0xBF58476D1CE4E5B9),
-                                      (27, 0x94D049BB133111EB)):
-                x ^= x >> np.uint64(shift)
-                x *= np.uint64(multiplier)
-            x ^= x >> np.uint64(31)
+            _mix_words(x)
             x >>= (~part & 63).astype(np.uint64)  # bit i sits 63 - i % 64 up
             np.bitwise_and(x, 1, out=out[start:start + WINDOW],
                            casting="unsafe")
-        return out
-
-    def _pcg_bits(self, n: int) -> np.ndarray:
-        """``integers(0, 2, n, uint8)``: its values and stream state.
-
-        numpy draws each such bit as the top bit of one byte of
-        ``next_uint32``, low byte first, and with range 2 Lemire's method
-        never rejects. ``next_uint32`` hands out a buffered high half
-        first, else the low half of a fresh word, buffering its high
-        half. So from RAW_BITS_MIN bits on, numpy draws the four bits of
-        a buffered half-word and the last one to eight bits, which leaves
-        the buffer as one call would, and the bits between are the top
-        bits of the bytes of raw words.
-        """
-        generator = self.generator
-        if n < RAW_BITS_MIN:
-            return generator.integers(0, 2, size=n, dtype=np.uint8)
-        bit_generator = generator.bit_generator
-        out = np.empty(n, dtype=np.uint8)
-        head = 4 if bit_generator.state["has_uint32"] else 0
-        body_end = n - (n - head - 1) % 8 - 1  # then 1 to 8 bits remain
-        if head:
-            out[:head] = generator.integers(0, 2, size=head, dtype=np.uint8)
-        words = bit_generator.random_raw((body_end - head) // 8)
-        np.right_shift(words.astype("<u8", copy=False).view(np.uint8), 7,
-                       out=out[head:body_end])
-        del words
-        out[body_end:] = generator.integers(0, 2, size=n - body_end,
-                                            dtype=np.uint8)
         return out
 
     def byte_string(self, n: int) -> bytes:

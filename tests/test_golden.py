@@ -158,25 +158,25 @@ def case_sweep_csv(tmp_path):
 
 GOLDEN = {
     "no_eve_success":
-        "7694ad42e1b5dcddb480ba6ad90a2569d82be73c34a755cc342c5eb9cdfbc777",
+        "3621d53170ed9ddea906c54bc5866163d23a10fe5b8cbd645b921da463f5320b",
     "intercept_abort":
-        "86fbb9291b0bf33cb72ace60dfa78caae31c8391e884cf1e402f74692d5c904d",
+        "bd45d41c7fe5133ff58c9cb9f9ed397c5d3338b2cd873cbdac6c6c123633cdf5",
     "pns_zero_error":
-        "74f742ce00b7de5536371c16cf138647a601712f87dfdc1bbcaf48a52534797f",
+        "31151d7c62f8d8e830a804e72f3245a4ff204caee935912686b973728fd1d185",
     "empty_sample_abort":
         "a229679c9f7f6e99261521681ffd4143ca8855ad16b999ff84b6e53e95c8328a",
     "abort_short":
         "c7bf5755b03c8673feedf72bde489435fee8f9ad6b6db50775d3c021c3baa22f",
     "relay_chain":
-        "306fc76c11cd424cf0882bbb80f9e04dbbb768eecc06eb1c0a9ae5cc4266f09a",
+        "d72996e4c1d9513bed2fcaf94f75218d3f883d0f3bc96c8b352d804aa86d42d7",
     "cascade_transcripts":
-        "ac9b8a0e595ea9668dedbcfd2c519666257656574470ed7c780ddfde7cab889a",
+        "7e792dd36cc331638d3dbc90de94dc53d0d0bc4931985e009d7d5d6f2577a659",
     "compute_tag":
         "79944c36c6260c954da3185b9cc7fcc7b6773d8600e5ee511157e6f68489a4ea",
     "privacy_amplify":
-        "d7d425b03a8a937299bbb9d9013c2c4f05e9a586358388304752e90eadf848bf",
+        "e5db8d43f3c49d92970c7f8902cecb95b6fea67959f1cdf0d16997e4a00f2c17",
     "privacy_amplify_large":
-        "183f58602f779b03612c37d82b667cac07253828f17d62082428a4b56b3dfa11",
+        "a0f91f26bc0649e51477c7601d7d74f51697c48520561c87315bbc9dc33fada5",
 }
 
 
@@ -189,4 +189,4 @@ def test_golden_digest(name):
 def test_golden_sweep_csv(tmp_path, capsys):
     data = case_sweep_csv(tmp_path)
     assert hashlib.sha256(data).hexdigest() == \
-        "95021714417ddac494820e7d46db40b9ff0c05ab335eb8591f5e15fad6a88106"
+        "4b54dae5a8a12ec44224749210e8a512e034872633f2f24f5ba00bfba47f1594"

@@ -546,8 +546,8 @@ class TestPackedRelayMatchesUnpacked:
         ends[0][0] ^= 1
         assert all(np.array_equal(k, b) for k, b in zip(logs, before))
 
-    @pytest.mark.parametrize("key_len", [0, 1, 16, 128, SHORT_BITS,
-                                         SHORT_BITS + 1, 300])
+    @pytest.mark.parametrize("key_len", [0, 1, 16, 128, 256, 257, 300,
+                                         SHORT_BITS, SHORT_BITS + 1])
     def test_end_key_is_the_seeds_relay_draw(self, key_len):
         # a delivered key is RandomSource(s).split("relay").bits(k) drawn
         # afresh, which is how the benchmark checks every relay

@@ -3,9 +3,9 @@
 The mixing functions are pinned to published reference vectors
 (splitmix64's canonical output stream, the FNV-1a test suite) plus
 frozen regression values, since sweep seed derivation depends on them.
-Short bit draws and bits read at any position are pinned to an in-test
-transliteration of the counter rule, longer ones and every other draw
-to numpy's PCG64 Generator. The Bernoulli gap kernel is pinned to a
+Bit draws of every size and bits read at any position are pinned to an
+in-test transliteration of the counter rule, every other draw to
+numpy's PCG64 Generator. The Bernoulli gap kernel is pinned to a
 scalar loop over the same exponentials, and checked against the
 binomial moments of the trials it stands for.
 """
@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qkdsim import rng
-from qkdsim.rng import (COUNT, FINITE, INTEGER, RAW_BITS_MIN, SHORT_BITS,
-                        UNIT, WINDOW, Checked, RandomSource, Rule, fnv1a64,
-                        mix64, splitmix64)
+from qkdsim.rng import (COUNT, FINITE, INTEGER, SHORT_BITS, UNIT, WINDOW,
+                        Checked, RandomSource, Rule, fnv1a64, mix64,
+                        splitmix64)
 
 from reference_kernels import scalar_gaps
 
@@ -30,8 +30,7 @@ GOLDEN = 0x9E3779B97F4A7C15
 
 
 def counter_draws(seed, sizes):
-    """bits(n) for each n <= SHORT_BITS of ``sizes`` in turn, from the
-    rule: word j is splitmix64(base + j * GOLDEN) mod 2^64 with base =
+    """bits(n) for each n of ``sizes`` in turn, from the rule: word j is splitmix64(base + j * GOLDEN) mod 2^64 with base =
     mix64(seed, fnv1a64("rng.counter_words")), a draw takes the next
     ceil(n / 64) words, and their bits, most significant first, cut to
     n are the draw."""
@@ -46,18 +45,13 @@ def counter_draws(seed, sizes):
     return out
 
 
-def bits_in_pieces(rand, n, piece):
-    """bits(n) drawn ``piece`` bits at a time, a multiple of 4 above
-    SHORT_BITS, the last piece taking the rest, so that every piece is
-    longer than SHORT_BITS too; one draw at and below SHORT_BITS. On the
-    PCG64 route a draw takes whole ``next_uint32`` values, four bits
-    each, and leaves the buffered half-word as one call would, so the
-    pieces are bits(n)."""
-    if n <= SHORT_BITS:
-        return rand.bits(n)
-    starts = range(0, n - SHORT_BITS, piece)
-    return np.concatenate([rand.bits(stop - start) for start, stop
-                           in zip(starts, [*starts[1:], n])])
+def bits_in_pieces(rand, n, words):
+    """bits(n) drawn ``words`` whole counter words at a time, the last
+    piece taking the rest. Each piece starts at the word where the last
+    one ended, so the pieces are bits(n)."""
+    piece = 64 * words
+    return np.concatenate([np.zeros(0, np.uint8)] + [
+        rand.bits(min(piece, n - start)) for start in range(0, n, piece)])
 
 
 class TestSplitmix64:
@@ -271,41 +265,34 @@ class TestRandomSource:
             assert len(RandomSource(18).bernoulli_indices(10**6, p)) == 0
 
     @pytest.mark.parametrize("n", [
-        0, 1, 7, 8, 9, RAW_BITS_MIN + 3, 8 * WINDOW - 4, 8 * WINDOW,
+        0, 1, 7, 8, 9, 4096 + 3, 8 * WINDOW - 4, 8 * WINDOW,
         8 * WINDOW + 5, 3 * 8 * WINDOW + 13])
     @pytest.mark.parametrize("buffered", [False, True])
     def test_packed_bits_are_one_bits_draw(self, n, buffered):
-        # bits(n) taken 8 * WINDOW bits at a time above SHORT_BITS, and
-        # packed: np.packbits of one bits(n), and both cursors' state,
-        # buffered PCG64 half-word included.
+        # bits(n) taken 8 * WINDOW bits (2,048 words) at a time, and
+        # packed: np.packbits of one bits(n), and the next draw is the
+        # same, also after a one-bit draw whose word's other 63 bits are
+        # never handed out.
         rand, ref = RandomSource(13), RandomSource(13)
-        if buffered:  # one bit takes the low half of a fresh word
-            rand.generator.integers(0, 2, size=1, dtype=np.uint8)
-            ref.generator.integers(0, 2, size=1, dtype=np.uint8)
-        packed = np.packbits(bits_in_pieces(rand, n, 8 * WINDOW))
+        if buffered:
+            assert np.array_equal(rand.bits(1), ref.bits(1))
+        packed = np.packbits(bits_in_pieces(rand, n, 8 * WINDOW // 64))
         assert np.array_equal(packed, np.packbits(ref.bits(n)))
-        assert rand.generator.bit_generator.state \
-            == ref.generator.bit_generator.state
         assert np.array_equal(rand.bits(8), ref.bits(8))
 
-    @pytest.mark.parametrize("n", [SHORT_BITS - 1, SHORT_BITS, SHORT_BITS + 1,
-                                   SHORT_BITS + 8 * 7, 3 * SHORT_BITS + 5,
-                                   8 * 65_536 + SHORT_BITS + 3])
+    @pytest.mark.parametrize("n", [255, 256, 257, 312, 773, 524_547,
+                                   SHORT_BITS - 1, SHORT_BITS, SHORT_BITS + 1])
     @pytest.mark.parametrize("chunk", [7, 8, 33, 1000, 16_384, 65_536])
     def test_packed_bits_route_follows_n_at_any_chunk(self, n, chunk):
-        # Pieces of 8 * chunk bits, or of SHORT_BITS + 8 where that is
-        # less, the last taking the rest: above SHORT_BITS each reads
-        # PCG64, as bits(n) does, and they are its one draw.
-        ref = RandomSource(14)
-        want = np.packbits(ref.bits(n))
+        # Pieces of ``chunk`` words, the last taking the rest, each
+        # computed in the loop or on an array as its own size says: they
+        # are one draw of n bits, whichever way that one is computed,
+        # and no piece builds a PCG64.
+        want = np.packbits(RandomSource(14).bits(n))
         rand = RandomSource(14)
-        piece = 8 * max(chunk, SHORT_BITS // 8 + 1)
-        assert np.array_equal(np.packbits(bits_in_pieces(rand, n, piece)),
+        assert np.array_equal(np.packbits(bits_in_pieces(rand, n, chunk)),
                               want)
-        assert (rand._generator is None) == (n <= SHORT_BITS)
-        if n > SHORT_BITS:
-            assert rand.generator.bit_generator.state \
-                == ref.generator.bit_generator.state
+        assert rand._generator is None
 
     @given(bits=st.lists(st.integers(0, 1), max_size=70),
            data=st.data())
@@ -353,34 +340,31 @@ class TestRandomSource:
         assert RandomSource(19).bits_at(indices).tolist() == want
 
     @pytest.mark.parametrize("n", [
-        *range(10), 4 * 1000 - 1, 4 * 1000 + 1,
-        RAW_BITS_MIN - 1, RAW_BITS_MIN, RAW_BITS_MIN + 1,
+        *range(10), 4 * 1000 - 1, 4 * 1000 + 1, 4096 - 1, 4096, 4096 + 1,
         *(16_384 * k + d for k in (1, 8, 9, 17) for d in (-3, 3))])
     @pytest.mark.parametrize("buffered", [False, True])
     def test_bits_are_one_integers_draw(self, n, buffered):
-        # Above SHORT_BITS, built from raw words at RAW_BITS_MIN bits and
-        # up: the values and the whole stream state of integers(0, 2, n,
-        # uint8), from a fresh stream and from one holding a buffered
-        # half-word. At SHORT_BITS and below: the counter words, with
-        # the PCG64 state left as it was.
+        # bits(n) is the bits of one draw of ceil(n / 64) integers, the
+        # counter words that follow those already read: bits_at at whole
+        # words from the cursor on, from a fresh source and from one
+        # that drew one bit of a word first. PCG64 is never built.
         rand = RandomSource(12)
-        ref = np.random.Generator(np.random.PCG64(12))
-        if buffered:  # one bit takes the low half of a fresh word
-            rand.generator.integers(0, 2, size=1, dtype=np.uint8)
-            ref.integers(0, 2, size=1, dtype=np.uint8)
-        assert rand.generator.bit_generator.state["has_uint32"] == buffered
+        skipped = 64 if buffered else 0
+        if buffered:
+            rand.bits(1)
         bits = rand.bits(n)
         assert bits.dtype == np.uint8
-        want = ref.integers(0, 2, size=n, dtype=np.uint8) \
-            if n > SHORT_BITS else counter_draws(12, [n])[0]
-        assert np.array_equal(bits, want)
-        assert rand.generator.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(bits, rand.bits_at(skipped + np.arange(n)))
+        assert np.array_equal(rand.bits(1), rand.bits_at(
+            [skipped + 64 * -(-n // 64)]))
+        assert rand._generator is None
 
     @given(seed=st.integers(0, 2**64 - 1),
-           sizes=st.lists(st.integers(0, SHORT_BITS), max_size=8))
+           sizes=st.lists(st.integers(0, 3 * SHORT_BITS), max_size=8))
     def test_short_bits_are_counter_words(self, seed, sizes):
-        # each short draw continues the counter where the last one left
-        # it, whole words at a time, and builds no PCG64
+        # each draw, on either side of SHORT_BITS, continues the counter
+        # where the last one left it, whole words at a time, and builds
+        # no PCG64
         rand = RandomSource(seed)
         for got, want in zip([rand.bits(n) for n in sizes],
                              counter_draws(seed, sizes)):
@@ -388,16 +372,28 @@ class TestRandomSource:
             assert np.array_equal(got, want)
         assert rand._generator is None
 
+    @pytest.mark.parametrize("n", [0, 1, 100, SHORT_BITS, SHORT_BITS + 1,
+                                   5000])
+    def test_numpy_integer_sizes(self, n):
+        # a numpy integer n draws the bits of the int n and moves the
+        # cursor as far, on either side of SHORT_BITS
+        ref = RandomSource(23)
+        want = ref.bits(n)
+        for size in (np.int64(n), np.uint32(n)):
+            rand = RandomSource(23)
+            assert np.array_equal(rand.bits(size), want)
+            assert rand._next_word == ref._next_word
+
     def test_short_draws_never_repeat_a_word(self):
         # 2,000 one-word draws give 2,000 distinct words, the counter's
-        # words in order; a long draw among them moves only PCG64
+        # words in order; a long draw among them takes the words between
         rand = RandomSource(15)
         words = [rand.bits(64) for _ in range(1000)]
-        rand.bits(SHORT_BITS + 1)
+        words.append(rand.bits(SHORT_BITS + 64))
         words += [rand.bits(64) for _ in range(1000)]
-        assert len({word.tobytes() for word in words}) == 2000
-        assert np.array_equal(np.concatenate(words),
-                              np.concatenate(counter_draws(15, [128] * 1000)))
+        assert len({word.tobytes() for word in words}) == 2001
+        assert np.array_equal(np.concatenate(words), np.concatenate(
+            counter_draws(15, [64] * 1000 + [SHORT_BITS + 64] + [64] * 1000)))
 
     def test_counter_base_is_no_child_seed(self):
         # the base is mix64(seed, fnv1a64 of a reserved label), which
@@ -411,21 +407,19 @@ class TestRandomSource:
             RandomSource(16).bits(-1)
 
     @given(seed=st.integers(0, 2**64 - 1),
-           sizes=st.lists(st.integers(5, 70), min_size=1, max_size=8))
-    def test_raw_word_bits_at_every_size(self, seed, sizes):
-        # With the threshold at its least, 5 bits, and no short route,
-        # every alignment of the buffered half-word, the body and the
-        # one-to-eight-bit tail is drawn.
-        rand = RandomSource(seed)
-        ref = np.random.Generator(np.random.PCG64(seed))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rng, "RAW_BITS_MIN", 5)
-            patch.setattr(rng, "SHORT_BITS", 0)
-            for n in sizes:
-                assert np.array_equal(
-                    rand.bits(n), ref.integers(0, 2, size=n, dtype=np.uint8))
-                assert rand.generator.bit_generator.state \
-                    == ref.bit_generator.state
+           sizes=st.lists(st.integers(0, 3 * SHORT_BITS), max_size=8))
+    def test_short_bits_bound_moves_no_draw(self, seed, sizes):
+        # every draw in the Python loop, or every one on an array: the
+        # same bits, and the cursor where the default bound leaves it
+        ref = RandomSource(seed)
+        want = [ref.bits(n) for n in sizes]
+        for bound in (0, 10**6):
+            rand = RandomSource(seed)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(rng, "SHORT_BITS", bound)
+                for n, bits in zip(sizes, want):
+                    assert np.array_equal(rand.bits(n), bits)
+            assert rand._next_word == ref._next_word
 
     def test_repr_mentions_seed(self):
         assert "0x" in repr(RandomSource(7))
@@ -438,8 +432,8 @@ def test_permutation_is_a_permutation():
 
 class TestLazyGenerator:
     def test_split_only_source_builds_no_generator(self, monkeypatch):
-        # nor does one that only draws short bits; its first other draw
-        # builds one, once
+        # nor does one that only draws bits, of any size; its first other
+        # draw builds one, once
         built = []
         pcg64 = np.random.PCG64
 
@@ -452,20 +446,13 @@ class TestLazyGenerator:
         child = parent.split("relay").split(3)
         assert built == []
         child.bits(8), child.bits(SHORT_BITS), child.bits_at(np.arange(99))
+        child.bits(SHORT_BITS + 1), child.bits(10**5)
         assert built == []
-        child.bits(SHORT_BITS + 1)
-        assert built == [child.seed]
-        child.bits(8), child.random(3)
+        child.random(3), child.bits(10**5), child.random(3)
         assert built == [child.seed]
 
     # a RandomSource draw of size n, and the same draw on a Generator
     DRAWS = [
-        (lambda r, n: r.bits(SHORT_BITS + 1 + n),
-         lambda g, n: g.integers(0, 2, size=SHORT_BITS + 1 + n,
-                                 dtype=np.uint8)),
-        (lambda r, n: r.bits(RAW_BITS_MIN + n),
-         lambda g, n: g.integers(0, 2, size=RAW_BITS_MIN + n,
-                                 dtype=np.uint8)),
         (lambda r, n: r.random(n), lambda g, n: g.random(n)),
         (lambda r, n: r.poisson(0.5, n), lambda g, n: g.poisson(0.5, n)),
         (lambda r, n: r.binomial(np.arange(n), 0.3),
@@ -475,8 +462,9 @@ class TestLazyGenerator:
         (lambda r, n: r.byte_string(n), lambda g, n: g.bytes(n)),
         # bits read at positions leave both cursors as they were
         (lambda r, n: len(r.bits_at(np.arange(n))), lambda g, n: n),
-        # a short draw reads the counter and leaves PCG64 as it was
-        (lambda r, n: len(r.bits(n)), lambda g, n: n),
+        # a bit draw, on either side of SHORT_BITS, reads the counter
+        # and leaves PCG64 as it was
+        (lambda r, n: len(r.bits(64 * n)), lambda g, n: 64 * n),
     ]
 
     @given(seed=st.integers(0, 2**64 - 1),
