@@ -206,14 +206,15 @@ class RandomSource:
         if at is None:
             at = self._word_base()
         n_words = (n + 63) >> 6
-        self._next_word = (at + n_words * _GOLDEN) & _MASK64
         if n <= SHORT_BITS:
             words = 0
             for _ in range(n_words):
                 words = words << 64 | splitmix64(at)
                 at = (at + _GOLDEN) & _MASK64
+            self._next_word = at
             return np.unpackbits(np.frombuffer(
                 words.to_bytes(8 * n_words, "big"), np.uint8), count=n)
+        self._next_word = (at + n_words * _GOLDEN) & _MASK64
         x = np.arange(n_words, dtype=np.uint64)
         x *= np.uint64(_GOLDEN)
         x += np.uint64((at + _GOLDEN) & _MASK64)
