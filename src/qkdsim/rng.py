@@ -58,9 +58,12 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _mix_words(x: np.ndarray) -> None:
-    """splitmix64 after its first addition, in place on a uint64 array,
-    whose arithmetic wraps mod 2^64 as the scalar one does."""
+def _counter_words(x: np.ndarray, at: int) -> None:
+    """x[k] <- splitmix64(at + x[k] * GOLDEN), in place on a uint64
+    array, whose arithmetic wraps mod 2^64 as the scalar one does: the
+    counter words numbered x from the word at ``at``."""
+    x *= np.uint64(_GOLDEN)
+    x += np.uint64((at + _GOLDEN) & _MASK64)
     for shift, multiplier in ((30, 0xBF58476D1CE4E5B9),
                               (27, 0x94D049BB133111EB)):
         x ^= x >> np.uint64(shift)
@@ -216,9 +219,7 @@ class RandomSource:
                 words.to_bytes(8 * n_words, "big"), np.uint8), count=n)
         self._next_word = (at + n_words * _GOLDEN) & _MASK64
         x = np.arange(n_words, dtype=np.uint64)
-        x *= np.uint64(_GOLDEN)
-        x += np.uint64((at + _GOLDEN) & _MASK64)
-        _mix_words(x)
+        _counter_words(x, at)
         return np.unpackbits(x.astype(">u8", copy=False).view(np.uint8),
                              count=n)
 
@@ -235,13 +236,11 @@ class RandomSource:
         """
         indices = np.asarray(indices)
         out = np.empty(len(indices), np.uint8)
-        base = np.uint64((self._word_base() + _GOLDEN) & _MASK64)
+        base = self._word_base()
         for start in range(0, len(indices), WINDOW):
             part = indices[start:start + WINDOW]
             x = (part >> 6).astype(np.uint64)
-            x *= np.uint64(_GOLDEN)
-            x += base
-            _mix_words(x)
+            _counter_words(x, base)
             x >>= (~part & 63).astype(np.uint64)  # bit i sits 63 - i % 64 up
             np.bitwise_and(x, 1, out=out[start:start + WINDOW],
                            casting="unsafe")

@@ -30,10 +30,11 @@ GOLDEN = 0x9E3779B97F4A7C15
 
 
 def counter_draws(seed, sizes):
-    """bits(n) for each n of ``sizes`` in turn, from the rule: word j is splitmix64(base + j * GOLDEN) mod 2^64 with base =
-    mix64(seed, fnv1a64("rng.counter_words")), a draw takes the next
-    ceil(n / 64) words, and their bits, most significant first, cut to
-    n are the draw."""
+    """bits(n) for each n of ``sizes`` in turn, from the rule: word j
+    is splitmix64(base + j * GOLDEN) mod 2^64 with base = mix64(seed,
+    fnv1a64("rng.counter_words")), a draw takes the next ceil(n / 64)
+    words, and their bits, most significant first, cut to n are the
+    draw."""
     base = mix64(seed, fnv1a64("rng.counter_words"))
     j, out = 0, []
     for n in sizes:
