@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import MASK64, Gf64Multiplier
+from .rng import bit_array
 
 HASH_KEY_BITS = 64
 TAG_BITS = 64
@@ -95,13 +96,8 @@ class BitPool:
 
     def deposit(self, bits) -> None:
         """Append freshly produced key bits for later consumption."""
-        arr = np.asarray(bits)
-        if arr.ndim != 1 or arr.size and (
-                arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() > 1):
-            raise ValueError("pool bits must be a flat 0/1 array of "
-                             "booleans or integers")
-        self._packed = np.packbits(
-            np.concatenate((self.bits, arr.astype(np.uint8)))).tobytes()
+        arr = bit_array("pool bits", bits)
+        self._packed = np.packbits(np.concatenate((self.bits, arr))).tobytes()
         self._len += arr.size
 
 

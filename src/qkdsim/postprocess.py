@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .gf2 import Gf64Multiplier
-from .rng import RandomSource
+from .rng import RandomSource, bit_array
 
 # Root of 1 - 2 h(e), located numerically to double precision.
 COHERENT_THRESHOLD = 0.11002786443835955
@@ -178,9 +177,14 @@ def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,
     leaked_bits counts every disclosed parity plus the 64-bit
     verification hash. Raises :class:`ReconciliationFailure` when the
     hashes still disagree at the end.
+
+    Bob's parity of a range is Alice's flipped once per error of his in
+    it: each pass flags his errors, one byte per position in its order,
+    and its odd blocks, one byte per block. Permutations are uint32, as
+    keys have at most 2^32 bits (``protocol.BITS``).
     """
-    alice = np.asarray(alice_key, dtype=np.uint8)
-    bob = np.array(bob_key, dtype=np.uint8)
+    alice = bit_array("alice_key", alice_key)
+    bob = bit_array("bob_key", bob_key).copy()
     n = len(alice)
     if len(bob) != n:
         raise ValueError("keys must have equal length")
@@ -192,16 +196,13 @@ def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,
     k1 = min(max(k1, MIN_BLOCK), n)
 
     transcript: list[int] = []  # leaked_bits == len(transcript), always
-    perms: list[np.ndarray] = []
-    inv_perms: list[np.ndarray] = []
+    perms: list[memoryview] = []
+    inv_perms: list[memoryview] = []
     sizes: list[int] = []
     alice_prefix: list[bytes] = []  # prefix parities, read one at a time
-    # Bob's error positions in each pass's permuted order, sorted; Bob's
-    # parity of a range is Alice's flipped once per error inside it
-    errors: list[list[int]] = []
-    # odd blocks as (pass, block); the heap holds every odd block, plus
-    # stale entries for blocks that turned even again, skipped on pop
-    odd: set[tuple[int, int]] = set()
+    errors: list[bytearray] = []  # Bob's error flags, in permuted order
+    odd: list[bytearray] = []  # block parity mismatches
+    # every odd block as (pass, block), and stale ones that turned even
     heap: list[tuple[int, int]] = []
 
     def bisect(p: int, blk: int) -> int:
@@ -210,62 +211,55 @@ def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,
         k = sizes[p]
         lo, hi = blk * k, min((blk + 1) * k, n)
         pre, errs = alice_prefix[p], errors[p]
-        # errs[e_lo:e_hi] are the errors in [lo, hi), an odd count
-        e_lo, e_hi = bisect_left(errs, lo), bisect_left(errs, hi)
         while hi - lo > 1:
             mid = lo + (hi - lo + 1) // 2
             transcript.append(pre[mid] ^ pre[lo])
-            e_mid = bisect_left(errs, mid, e_lo, e_hi)
-            if (e_mid - e_lo) & 1:  # Bob's parity of [lo, mid) differs
-                hi, e_hi = mid, e_mid
+            if errs.count(1, lo, mid) & 1:  # Bob's [lo, mid) parity differs
+                hi = mid
             else:
-                lo, e_lo = mid, e_mid
-        return int(perms[p][lo])
+                lo = mid
+        return perms[p][lo]
 
     def fix(j: int) -> None:
         """Flip Bob's bit j, an error, and the parity state of its block
         in every pass so far."""
         bob[j] ^= 1
-        for p in range(len(perms)):
-            pos = int(inv_perms[p][j])
-            del errors[p][bisect_left(errors[p], pos)]
-            key = (p, pos // sizes[p])
-            if key in odd:
-                odd.remove(key)
-            else:
-                odd.add(key)
-                heapq.heappush(heap, key)
+        for p, inv in enumerate(inv_perms):
+            pos = inv[j]
+            errors[p][pos] = 0
+            blk = pos // sizes[p]
+            odd[p][blk] ^= 1
+            if odd[p][blk]:
+                heapq.heappush(heap, (p, blk))
 
     for p in range(passes):
-        perm = public_coins.permutation(n)
-        inv = np.empty(n, dtype=np.int64)
-        inv[perm] = np.arange(n)
+        perm = public_coins.permutation(n).astype(np.uint32)
+        inv = np.empty(n, dtype=np.uint32)
+        inv[perm] = np.arange(n, dtype=np.uint32)
         k = min(k1 << p, n)
-        perms.append(perm)
-        inv_perms.append(inv)
+        perms.append(memoryview(perm))
+        inv_perms.append(memoryview(inv))
         sizes.append(k)
-        pre = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(alice[perm], dtype=np.int64, out=pre[1:])
-        pre &= 1
-        alice_prefix.append(pre.astype(np.uint8).tobytes())
-        errs = np.sort(inv[np.flatnonzero(alice != bob)])
-        errors.append(errs.tolist())
+        permuted = alice[perm]
+        pre = np.zeros(n + 1, dtype=np.uint8)
+        np.bitwise_xor.accumulate(permuted, out=pre[1:])
+        alice_prefix.append(pre.tobytes())
+        flags = permuted ^ bob[perm]
+        errors.append(bytearray(flags))
 
-        n_blocks = math.ceil(n / k)
-        starts = np.arange(n_blocks) * k
-        ends = np.minimum(starts + k, n)
-        transcript.extend((pre[ends] ^ pre[starts]).tolist())  # top blocks
-        odd_blocks = np.bincount(errs // k, minlength=n_blocks) & 1
-        for blk in np.flatnonzero(odd_blocks).tolist():
-            odd.add((p, blk))
+        starts = np.arange(0, n, k)  # of the top blocks
+        transcript.extend(np.bitwise_xor.reduceat(permuted, starts).tolist())
+        blocks = np.bitwise_xor.reduceat(flags, starts)
+        odd.append(bytearray(blocks))
+        for blk in np.flatnonzero(blocks).tolist():
             heapq.heappush(heap, (p, blk))
+        del permuted, pre, flags
 
         while heap:
             # smallest block size first, then position
             q, blk = heapq.heappop(heap)
-            if (q, blk) not in odd:
-                continue
-            fix(bisect(q, blk))
+            if odd[q][blk]:
+                fix(bisect(q, blk))
 
     mul = Gf64Multiplier(public_coins.uint64())
     alice_hash = _verification_hash(alice, mul)
@@ -296,9 +290,9 @@ def privacy_amplify(key, ell: int, seed: HashSeed) -> SecretKey:
     0.25 or more from an integer raises :class:`InexactConvolution`
     rather than return a possibly wrong key.
     """
-    key = np.asarray(key, dtype=np.uint8)
+    key = bit_array("key", key)
     n = len(key)
-    sbits = np.asarray(seed.bits, dtype=np.uint8)
+    sbits = bit_array("seed bits", seed.bits)
     if len(sbits) != n + ell - 1:
         raise SeedLengthMismatch(
             f"seed length {len(sbits)}, need {n + ell - 1} for {n}->{ell}")

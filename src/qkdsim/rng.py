@@ -124,6 +124,16 @@ FINITE = Rule(numbers.Real, lambda v: 0 <= v < math.inf,
 UNIT = Rule(numbers.Real, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 
 
+def bit_array(name: str, bits) -> np.ndarray:
+    """``bits`` as uint8 (not copied if they are), or ValueError naming
+    ``name`` unless they are a flat 0/1 array of integers or booleans."""
+    arr = np.asarray(bits)
+    if arr.ndim != 1 or arr.size and (
+            arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() > 1):
+        raise ValueError(f"{name} must be a flat 0/1 array of ints or bools")
+    return arr.astype(np.uint8, copy=False)
+
+
 class Checked:
     """Base of a dataclass whose ``RULES`` maps field names to their
     :class:`Rule`; every one is checked when an instance is built."""

@@ -23,7 +23,8 @@ crossing; :func:`qkdsim.netsim.relay_key` must send the same messages,
 log the same keys, spend the same bits and refuse the same relays.
 
 Gather Cascade: reconciliation as it was before Bob's sub-block
-parities came from a sorted list of his error positions;
+parities came from each pass's flags of his errors, one byte per
+position in that pass's order;
 :func:`qkdsim.postprocess.error_correct` must disclose the same
 transcript, return the same key and leak count, and fail on the same
 keys with the same payload.

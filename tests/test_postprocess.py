@@ -8,6 +8,7 @@ explicit integer matrix product.
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -285,15 +286,16 @@ class TestErrorCorrect:
             assert np.array_equal(result.corrected_key, alice)
 
     @given(n=st.integers(16, 5000), e=st.floats(0.0, 0.12),
-           seed=st.integers(0, 2**32 - 1))
-    @example(n=16, e=0.0, seed=0)
-    @example(n=5000, e=0.12, seed=1)
-    @example(n=200, e=0.1, seed=88)  # fails verification
-    @example(n=500, e=0.12, seed=198)  # fails verification
-    def test_equals_gather_reference(self, n, e, seed):
-        # Bob's sub-block parities come from his error positions, not
-        # from his bits: the same key, transcript and leak count, and
-        # the same failures with the same payload.
+           seed=st.integers(0, 2**32 - 1), passes=st.integers(1, 6))
+    @example(n=16, e=0.0, seed=0, passes=4)
+    @example(n=5000, e=0.12, seed=1, passes=4)
+    @example(n=200, e=0.1, seed=88, passes=4)  # fails verification
+    @example(n=500, e=0.12, seed=198, passes=4)  # fails verification
+    @example(n=20_000, e=0.1, seed=1, passes=4)
+    def test_equals_gather_reference(self, n, e, seed, passes):
+        # Bob's sub-block parities come from his error flags, not from
+        # his bits: the same key, transcript and leak count, and the
+        # same failures with the same payload, at any number of passes.
         rand = RandomSource(seed)
         alice = rand.bits(n)
         bob = alice.copy()
@@ -301,7 +303,8 @@ class TestErrorCorrect:
         outcomes = []
         for correct in (error_correct, gather_error_correct):
             try:
-                result = correct(alice, bob, e, rand.split("coins"))
+                result = correct(alice, bob, e, rand.split("coins"),
+                                 passes=passes)
             except ReconciliationFailure as exc:
                 result = exc.result
             outcomes.append(result)
@@ -310,6 +313,42 @@ class TestErrorCorrect:
         assert got.leaked_bits == want.leaked_bits
         assert np.array_equal(got.corrected_key, want.corrected_key)
         assert np.array_equal(got.transcript, want.transcript)
+
+
+    def test_memory_budget_per_key_bit(self):
+        # Four passes of uint32 permutations and inverses, prefix parity
+        # and error flag bytes hold 40 B per key bit; a pass's int64
+        # permutation draw and its gathers come on top.
+        n, e = 10**5, 0.1
+        rand = RandomSource(11)
+        alice = rand.bits(n)
+        bob = alice.copy()
+        bob[rand.sample_indices(n, round(e * n))] ^= 1
+        error_correct(alice, bob, e, RandomSource(12))  # warm caches
+        tracemalloc.start()
+        try:
+            result = error_correct(alice, bob, e, RandomSource(12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.verified
+        assert peak / n < 60
+
+    @pytest.mark.parametrize("side", ["alice_key", "bob_key"])
+    @pytest.mark.parametrize("bad", [2, 257])
+    def test_rejects_keys_that_are_not_bits_before_any_draw(self, bad,
+                                                             side):
+        # The xor prefix parities hold only for 0/1 keys: a 2 or an
+        # int64 257 is refused, naming the key, before a public coin is
+        # drawn.
+        keys = {"alice_key": RandomSource(13).bits(64)}
+        keys["bob_key"] = keys["alice_key"].copy()
+        keys[side] = np.full(64, bad, dtype=np.int64)
+        coins = RandomSource(14)
+        with pytest.raises(ValueError, match=side):
+            error_correct(keys["alice_key"], keys["bob_key"], 0.05, coins)
+        assert np.array_equal(coins.permutation(64),
+                              RandomSource(14).permutation(64))
 
 
 class TestPrivacyAmplify:
@@ -476,6 +515,23 @@ class TestPrivacyAmplifyProperties:
         monkeypatch.setattr(np.fft, "irfft",
                             lambda *args, **kw: irfft(*args, **kw) + 0.2)
         assert np.array_equal(privacy_amplify(key, 200, seed).bits, want)
+
+
+@pytest.mark.parametrize("bad", [3, 256 + 1, 0.9])
+def test_privacy_amplify_rejects_a_key_that_is_not_bits(bad):
+    # not read as 1, as 1 (mod 256) or as 0: refused, naming the key
+    key = RandomSource(15).bits(40).astype(np.asarray(bad).dtype)
+    key[7] = bad
+    seed = HashSeed(RandomSource(16).bits(40 + 8 - 1))
+    with pytest.raises(ValueError, match="key"):
+        privacy_amplify(key, 8, seed)
+
+
+def test_privacy_amplify_rejects_seed_bits_that_are_not_bits():
+    # a seed of 2s is not a seed of 0s, which hashes every key to 0s
+    key = RandomSource(17).bits(40)
+    with pytest.raises(ValueError, match="seed bits"):
+        privacy_amplify(key, 8, HashSeed(np.full(47, 2, dtype=np.uint8)))
 
 
 def test_hash_seed_random_length():
