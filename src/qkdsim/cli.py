@@ -411,14 +411,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def load_scenario(path: str) -> tuple[Network, list]:
     """The unprovisioned network and the relays of a scenario checked
-    against ``SCENARIO``. The network refuses an undeclared node, a
+    against ``SCENARIO``. A node declared twice, an undeclared node, a
     self-loop, a second link between two nodes and a seed two links
-    share; each relay hop must be a link, and no two relays may share a
-    seed (mod 2^64; a relay with none takes its index)."""
+    share are refused; each relay hop must be a link, and no two relays
+    may share a seed (mod 2^64; a relay with none takes its index)."""
     path, data = _load_json_object(path, "scenario")
     data = _validate(path, "scenario", data, SCENARIO)
     net = Network()
     for node_id in data["nodes"]:
+        if node_id in net.nodes:  # ids are strings: 1 and "1" are one node
+            raise ConfigError(f"{path}: node {node_id!r} is declared twice")
         net.node(node_id)
     for i, spec in enumerate(data["links"]):
         a, b = spec["a"], spec["b"]

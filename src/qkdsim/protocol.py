@@ -76,23 +76,20 @@ class SessionConfig(Checked):
     attack_model: AttackModel = AttackModel.COHERENT
     security_margin_bits: int = 30
     auth_pool_bits: int = 512
-    double_click_random: bool = True  # False discards double clicks instead
 
 
 @dataclass(eq=False)
 class PulseRecords:
     """What a quantum phase of ``n`` pulses recorded, one entry per gate
     that clicked, in emission order: its pulse index, Alice's bit and
-    basis, Bob's basis, the gate's ClickKind (never NO_CLICK) and the
-    measured bit (0 unless the kind is CLICK). A pulse with no entry
-    did not click. Its length is ``n``."""
+    basis, Bob's basis and the measured bit (a random one for a double
+    click). A pulse with no entry did not click. Its length is ``n``."""
 
     n: int
     indices: np.ndarray
     alice_bits: np.ndarray
     alice_bases: np.ndarray
     bob_bases: np.ndarray
-    kinds: np.ndarray
     click_bits: np.ndarray
 
     def __len__(self) -> int:
@@ -170,10 +167,9 @@ def run_quantum_phase(config: SessionConfig, rand: RandomSource,
     the pulse index, each from its own substream, read where Eve, the
     detectors or the records need them.
 
-    Double clicks are resolved to a uniform random bit unless the config
-    says to keep them (they are then dropped at sifting): resolving is
-    the conservative choice because discarding lets a detector-control
-    attack bias the key.
+    Double clicks are resolved to a uniform random bit, the squashing
+    map of Beaudry, Moroder and Lutkenhaus (PRL 101, 093601, 2008):
+    discarding them instead lets a detector-control attack bias the key.
     """
     n = config.n_pulses
     alice_bits, alice_bases, bob_bases = (
@@ -200,22 +196,19 @@ def run_quantum_phase(config: SessionConfig, rand: RandomSource,
         intercept_batch(Pulses(n, dark, np.zeros(len(dark), np.uint8)),
                         alice_bits, alice_bases, config.eve, ledger,
                         eve.split("dark_gates"), lost=lost)
-    if config.double_click_random:
-        doubles = np.flatnonzero(kinds == int(ClickKind.DOUBLE_CLICK))
-        if len(doubles):
-            click_bits[doubles] = rand.split("double_click").bits(len(doubles))
-            kinds[doubles] = int(ClickKind.CLICK)
+    doubles = np.flatnonzero(kinds == int(ClickKind.DOUBLE_CLICK))
+    click_bits[doubles] = rand.split("double_click").bits(len(doubles))
     return PulseRecords(n, indices, alice_bits.at(indices),
                         alice_bases.at(indices), bob_bases.at(indices),
-                        kinds, click_bits)
+                        click_bits)
 
 
 def sift(records: PulseRecords) -> SiftedKeys:
-    """Keep click positions with matching bases. Selection uses only the
-    announced bases and click positions, never the measured bit values,
-    so neither party learns anything new from the other's sift."""
-    sel = np.flatnonzero((records.kinds == int(ClickKind.CLICK))
-                         & (records.alice_bases == records.bob_bases))
+    """Keep the clicks with matching bases. Every recorded click carries
+    a bit, so selection uses only the announced bases, never the
+    measured bit values, and neither party learns anything new from the
+    other's sift."""
+    sel = np.flatnonzero(records.alice_bases == records.bob_bases)
     return SiftedKeys(records.alice_bits[sel], records.click_bits[sel],
                       records.indices[sel])
 
@@ -258,16 +251,13 @@ def run_session(config: SessionConfig) -> SessionReport:
     eve_ledger = EveLedger()
 
     records = run_quantum_phase(config, rand, eve_ledger)
-    clicks = len(records.kinds)
-    single = np.flatnonzero(records.kinds == int(ClickKind.CLICK))
-    raw_len = len(single)
+    clicks = len(records.indices)
     sifted = sift(records)
 
     # Message 1, Bob -> Alice: where he saw clicks and with which basis.
     channel.deliver(channel.send(
-        struct.pack(">I", raw_len)
-        + records.indices[single].astype(">u4").tobytes()
-        + records.bob_bases[single].tobytes()))
+        struct.pack(">I", clicks) + records.indices.astype(">u4").tobytes()
+        + records.bob_bases.tobytes()))
 
     known = finalize_knowledge(
         eve_ledger, records.alice_bases_at(sifted.source_indices),
@@ -275,7 +265,7 @@ def run_session(config: SessionConfig) -> SessionReport:
     eve_frac = eve_information(known, sifted)
 
     def report(outcome, e_hat, leak=0, final=0, secret=None):
-        return SessionReport(config.n_pulses, clicks, raw_len, len(sifted),
+        return SessionReport(config.n_pulses, clicks, clicks, len(sifted),
                              e_hat, leak, final, eve_frac, pool.cursor,
                              outcome, secret)
 
@@ -290,7 +280,7 @@ def run_session(config: SessionConfig) -> SessionReport:
     # Message 2, Alice -> Bob: her bases at the clicks, the sample
     # positions, and her sample bits. Message 3, Bob -> Alice: his.
     channel.deliver(channel.send(
-        records.alice_bases[single].tobytes()
+        records.alice_bases.tobytes()
         + struct.pack(">I", len(est.sample_positions))
         + est.sample_positions.astype(">u4").tobytes()
         + _pack_bits(est.alice_sample)))

@@ -265,20 +265,16 @@ class RandomSource:
     def random(self, size=None):
         return self.generator.random(size)
 
-    def bernoulli_indices(self, n: int, p: float,
-                          among: np.ndarray | None = None) -> np.ndarray:
+    def bernoulli_indices(self, n: int, p: float) -> np.ndarray:
         """The ascending int64 indices in range(n) of independent
-        Bernoulli(p) trials that came up, or, given ``among`` (ascending
-        indices), the entries of ``among`` whose trial came up, one trial
-        each. p <= 0 and NaN pick none, p >= 1 all.
+        Bernoulli(p) trials that came up. p <= 0 and NaN pick none,
+        p >= 1 all.
 
         Drawn as the blocks of :meth:`bernoulli_blocks`, so the draw's
         time and memory go with the number picked, not with n.
         """
-        trials = n if among is None else len(among)
-        picked = np.concatenate([np.zeros(0, np.int64),
-                                 *self.bernoulli_blocks(trials, p)])
-        return picked if among is None else among[picked].astype(np.int64)
+        return np.concatenate([np.zeros(0, np.int64),
+                               *self.bernoulli_blocks(n, p)])
 
     def bernoulli_blocks(self, n: int, p: float):
         """:meth:`bernoulli_indices` over range(n), as ascending int64

@@ -241,12 +241,11 @@ def dense_quantum_phase(config, rand, eve_ledger=None):
                               config.eve, ledger,
                               rand.split("eve").split("dark_gates"), lost,
                               among=(kinds > 0) & ~events)
-    if config.double_click_random:
-        doubles = kinds == int(ClickKind.DOUBLE_CLICK)
-        n_doubles = int(doubles.sum())
-        if n_doubles:
-            click_bits[doubles] = rand.split("double_click").bits(n_doubles)
-            kinds[doubles] = int(ClickKind.CLICK)
+    doubles = kinds == int(ClickKind.DOUBLE_CLICK)
+    n_doubles = int(doubles.sum())
+    if n_doubles:
+        click_bits[doubles] = rand.split("double_click").bits(n_doubles)
+        kinds[doubles] = int(ClickKind.CLICK)
     return DenseRecords(alice_bits, alice_bases, bob_bases, kinds,
                         click_bits)
 

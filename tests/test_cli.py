@@ -729,6 +729,8 @@ AB = {"nodes": ["A", "B"],
                       "session": {"attack_model": 5}}]), '"attack_model"'),
     (dict(AB, links=[{"a": "A", "b": "B",
                       "stub": {"seed": True, "bits": 64}}]), '"seed"'),
+    (dict(AB, nodes=["A", "B", "A"]), "node 'A' is declared twice"),
+    (dict(AB, nodes=["A", "B", 1, "1"]), "node '1' is declared twice"),
 ])
 def test_invalid_scenario_exits_one(scenario, key, tmp_path, capsys):
     path = tmp_path / "scenario.json"

@@ -54,16 +54,26 @@ and Eve holds its bit if the gate is sifted. Where dark counts make a
 large share of the clicks (p_d = 1e-4 at 100 km, about two in seven)
 leaving those gates out moves the fractions by several sigma.
 
-With ``double_click_random=False`` a double click is dropped at
-sifting, so with the P_r and P_w above a pulse gives a sifted bit with
-probability (P_r (1 - P_w) + (1 - P_r) P_w) / 2 (the bases match half
-the time) and the sifted QBER is (1 - P_r) P_w over that sum.
-
 In the mismatched basis each photon goes to a uniformly random
 detector, so each detector gets an independent Poisson of mean
 lambda / 2 and fires with P = 1 - (1 - p_d) exp(-lambda / 2). A clicked
 gate there double-clicks with probability P^2 / (1 - (1 - P)^2) =
-P / (2 - P), and a single click reads 1 with probability 1/2.
+P / (2 - P), and a single click reads 1 with probability 1/2. The
+session's records resolve every double click to a random bit, so these
+checks read the ClickKind values that ``measure_batch`` returns, called
+as ``run_quantum_phase`` calls it on the same substreams.
+
+The rate-distance curve is checked on one link, mu 0.1, eta 0.1,
+p_d 1e-5 and e_d 0.01 at 0.2 dB/km, with whole sessions of 10^9 pulses
+at seeds 1-20. Its closed-form sifted QBER crosses the coherent
+threshold 0.11003 near 105.4 km. Pooled over the seeds, the sampled
+e_hat (sample errors over sample bits) is within 4 sigma of the closed
+form at 100, 110 and 120 km; z read +0.55, +0.23 and -1.28 there (and
++0.65 at 90 km) when the cases were added. At 90 km (QBER 0.065) every
+seed ends SUCCESS with a key, final_len at least 17,158 then; at 120 km
+(0.174) every seed ends ABORT_QBER. At both distances the closed form
+is more than 9 sigma of one seed's sample from the threshold. 100 km is
+not a distance with a key: some seeds end SUCCESS with final_len 0.
 
 Each case's seeds and 4-sigma binomial bounds were fixed once, when the
 case was added (the first three on the dense per-pulse kernel), and
@@ -79,9 +89,10 @@ import pytest
 from qkdsim.adversary import (EveLedger, InterceptResend, PhotonNumberSplit,
                               finalize_knowledge)
 from qkdsim.photonics import (ClickKind, DetectorPair, FiberChannel,
-                              SourceModel)
-from qkdsim.protocol import (SessionConfig, run_quantum_phase, run_session,
-                             sift)
+                              PulseBits, SourceModel, measure_batch,
+                              sample_photon_counts, survival_probability)
+from qkdsim.protocol import (SessionConfig, SessionOutcome,
+                             run_quantum_phase, run_session, sift)
 from qkdsim.rng import RandomSource
 
 SEEDS = range(1, 21)
@@ -114,7 +125,7 @@ def pooled(mu, km, db_per_km, eta, p_dark, e_d, pulses=PULSES, **options):
                                FiberChannel(km, db_per_km, e_d),
                                DetectorPair(eta, p_dark), seed, **options)
         records = run_quantum_phase(config, RandomSource(seed))
-        clicks += int((records.kinds != int(ClickKind.NO_CLICK)).sum())
+        clicks += len(records.indices)
         keys = sift(records)
         sifted += len(keys)
         errors += int((keys.alice_bits != keys.bob_bits).sum())
@@ -256,54 +267,35 @@ def test_sifted_qber_under_intercept_resend(intercept_resend_under_loss):
 
 
 @pytest.fixture(scope="module")
-def double_clicks_dropped():
-    # dark counts at 5% a gate and lambda 0.25 make a double click about
-    # one gate in 70; keeping them would add 0.0071 to the sifted rate
-    link = dict(mu=0.5, km=10.0, db_per_km=0.2, eta=0.8, p_dark=0.05,
-                e_d=0.02)
-    p_right, p_wrong = detector_probs(**link)
-    right, wrong = p_right * (1 - p_wrong), (1 - p_right) * p_wrong
-    return ((right + wrong) / 2, wrong / (right + wrong),
-            pooled(pulses=2 * 10**5, double_click_random=False, **link))
-
-
-def test_sifted_rate_with_double_clicks_dropped(double_clicks_dropped):
-    rate, _, (pulses, _, sifted, _) = double_clicks_dropped
-    assert rate == pytest.approx(0.14233, abs=1e-5)
-    assert within_binomial(sifted, pulses, rate)
-
-
-def test_sifted_qber_with_double_clicks_dropped(double_clicks_dropped):
-    _, qber, (_, _, sifted, errors) = double_clicks_dropped
-    assert qber == pytest.approx(0.1428, abs=1e-4)
-    assert within_binomial(errors, sifted, qber)
-
-
-@pytest.fixture(scope="module")
 def mismatched_basis():
-    # the dropped-double-click link, read at the gates whose bases
-    # differ: about 30,000 clicks a seed, 9% of them double. A kernel
-    # that sent every mismatched photon to one detector would halve the
-    # double clicks and read nearly every single click as one bit.
-    link = dict(mu=0.5, km=10.0, db_per_km=0.2, eta=0.8, p_dark=0.05)
-    lam = link["mu"] * 10 ** (-link["db_per_km"] * link["km"] / 10) \
-        * link["eta"]
-    p_fire = 1 - (1 - link["p_dark"]) * math.exp(-lam / 2)
+    # dark counts at 5% a gate and lambda 0.25, read at the gates whose
+    # bases differ: about 30,000 clicks a seed, 9% of them double. A
+    # kernel that sent every mismatched photon to one detector would
+    # halve the double clicks and read nearly every single click as one
+    # bit. With no Eve a Poisson source is drawn as Poisson(mu * eta),
+    # which leaves the channel nothing to draw.
+    mu, km, db_per_km, eta, p_dark = 0.5, 10.0, 0.2, 0.8, 0.05
+    lam = mu * 10 ** (-db_per_km * km / 10) * eta
+    p_fire = 1 - (1 - p_dark) * math.exp(-lam / 2)
+    source = SourceModel(
+        mu * (survival_probability(FiberChannel(km, db_per_km)) * eta))
     clicks = doubles = singles = ones = 0
     for seed in SEEDS:
-        config = SessionConfig(
-            2 * 10**5, SourceModel(link["mu"]),
-            FiberChannel(link["km"], link["db_per_km"], 0.02),
-            DetectorPair(link["eta"], link["p_dark"]), seed,
-            double_click_random=False)
-        records = run_quantum_phase(config, RandomSource(seed))
-        mismatched = records.alice_bases != records.bob_bases
-        kinds = records.kinds[mismatched]
+        rand = RandomSource(seed)
+        bits, bases, bob_bases = (
+            PulseBits(rand.split(label))
+            for label in ("alice_bits", "alice_bases", "bob_bases"))
+        pulses = sample_photon_counts(source, 2 * 10**5, rand.split("source"))
+        kinds, click_bits, indices = measure_batch(
+            pulses, bits, bases, bob_bases, p_dark, 0.02,
+            rand.split("detector"))
+        mismatched = bases.at(indices) != bob_bases.at(indices)
+        kinds = kinds[mismatched]
         single = kinds == int(ClickKind.CLICK)
         clicks += len(kinds)
         doubles += int((kinds == int(ClickKind.DOUBLE_CLICK)).sum())
         singles += int(single.sum())
-        ones += int(records.click_bits[mismatched][single].sum())
+        ones += int(click_bits[mismatched][single].sum())
     return p_fire / (2 - p_fire), (clicks, doubles, singles, ones)
 
 
@@ -365,3 +357,45 @@ def test_intercept_resend_known_fraction(km, pulses, fraction, min_sifted):
     known, sifted = pooled_knowledge(pulses, InterceptResend(0.5), **link)
     assert sifted > min_sifted
     assert within_binomial(known, sifted, p)
+
+
+RATE_LINK = dict(mu=0.1, db_per_km=0.2, eta=0.1, p_dark=1e-5, e_d=0.01)
+
+
+@pytest.fixture(scope="module")
+def rate_distance():
+    """km -> the reports of 10^9-pulse sessions on ``RATE_LINK``, one a
+    seed."""
+    link = RATE_LINK
+    return {km: [run_session(SessionConfig(
+        10**9, SourceModel(link["mu"]),
+        FiberChannel(km, link["db_per_km"], link["e_d"]),
+        DetectorPair(link["eta"], link["p_dark"]), seed)) for seed in SEEDS]
+        for km in (90.0, 100.0, 110.0, 120.0)}
+
+
+@pytest.mark.parametrize("km, qber", [
+    (100.0, 0.0917), (110.0, 0.1279), (120.0, 0.1739)])
+def test_sampled_qber_against_distance(rate_distance, km, qber):
+    _, p = closed_form(km=km, **RATE_LINK)
+    assert p == pytest.approx(qber, abs=1e-4)
+    samples = errors = 0
+    for report in rate_distance[km]:
+        sample = math.ceil(0.1 * report.sifted_len)  # the default fraction
+        samples += sample
+        errors += round(report.e_hat * sample)
+    assert samples > 50_000
+    assert within_binomial(errors, samples, p)
+
+
+def test_key_below_the_cutoff(rate_distance):
+    assert closed_form(km=90.0, **RATE_LINK)[1] == pytest.approx(0.0649,
+                                                                 abs=1e-4)
+    for report in rate_distance[90.0]:
+        assert report.outcome is SessionOutcome.SUCCESS
+        assert report.final_len > 0
+
+
+def test_abort_above_the_cutoff(rate_distance):
+    for report in rate_distance[120.0]:
+        assert report.outcome is SessionOutcome.ABORT_QBER

@@ -109,7 +109,9 @@ class TestQuantumPhase:
                                     RandomSource(401))
         assert len(records) == 5000
         assert np.array_equal(records.indices, np.arange(5000))
-        assert np.all(records.kinds == 1)
+        matched = records.alice_bases == records.bob_bases
+        assert np.array_equal(records.click_bits[matched],
+                              records.alice_bits[matched])
 
     def test_deterministic(self):
         config = ideal_config(10_000, 402, source=SourceModel(0.2),
@@ -119,7 +121,7 @@ class TestQuantumPhase:
         b = run_quantum_phase(config, RandomSource(config.seed))
         assert a.n == b.n == 10_000
         for name in ("indices", "alice_bits", "alice_bases", "bob_bases",
-                     "kinds", "click_bits"):
+                     "click_bits"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_click_rate_compound_oracle(self):
@@ -132,23 +134,22 @@ class TestQuantumPhase:
         records = run_quantum_phase(config, RandomSource(config.seed))
         p = survival_probability(channel)
         want = 1.0 - math.exp(-mu * p * eff) * (1.0 - dark) ** 2
-        got = int((records.kinds != 0).sum()) / len(records)
+        got = len(records.indices) / len(records)
         assert abs(got - want) / want < 0.10
 
-    def test_double_clicks_kept_when_configured(self):
-        # With dark counts and the resolver off, some gates stay
-        # DOUBLE_CLICK and sifting must drop them.
-        config = ideal_config(200_000, 404, detectors=DetectorPair(1.0, 0.01),
-                              double_click_random=False)
-        records = run_quantum_phase(config, RandomSource(config.seed))
-        assert int((records.kinds == 2).sum()) > 0
-        sifted = sift(records)
-        assert len(sifted) < int((records.kinds != 0).sum())
-
     def test_double_click_resolution_default(self):
+        # Every gate clicks, and the wrong detector's dark count (1%)
+        # makes a double click, kept with a random bit: the sifted key
+        # errs at 0.005, at Alice's zeros and ones alike. A double click
+        # left at bit 0 would err only where Alice sent a one.
         config = ideal_config(100_000, 405, detectors=DetectorPair(1.0, 0.01))
         records = run_quantum_phase(config, RandomSource(config.seed))
-        assert int((records.kinds == 2).sum()) == 0
+        assert np.array_equal(records.indices, np.arange(100_000))
+        sifted = sift(records)
+        wrong = sifted.alice_bits != sifted.bob_bits
+        assert abs(wrong.mean() - 0.005) \
+            <= 4 * math.sqrt(0.005 * 0.995 / len(sifted))
+        assert set(sifted.alice_bits[wrong].tolist()) == {0, 1}
 
     @pytest.mark.parametrize("mu, km, eve", [
         (0.5, 40.0, PhotonNumberSplit()),
@@ -167,13 +168,13 @@ class TestQuantumPhase:
         # temporaries of one window (12 B per event of WINDOW) they fit
         # in 9 B per pulse counted + 20 B per click + 12 B x WINDOW,
         # under 6 B/pulse on each link. An n-long byte array does not
-        # fit; the records returned hold 13 B per click.
+        # fit; the records returned hold 12 B per click.
         n = 200_000
         config = ideal_config(n, 406, source=SourceModel(mu),
                               channel=FiberChannel(km), eve=eve)
         records, held, peak = traced_phase(config)
         assert len(records) == n
-        clicks = len(records.kinds)
+        clicks = len(records.indices)
         assert 0 < clicks < n / 10
         caught = 1.0 if eve != NoAttack() else survival_probability(
             config.channel) * config.detectors.efficiency
@@ -183,7 +184,7 @@ class TestQuantumPhase:
         assert peak <= budget, f"{peak / n:.2f} B/pulse, budget " \
             f"{budget / n:.2f}"
         # what the phase leaves behind is its records, O(clicks)
-        assert held <= 13 * clicks + 4096, f"{held / clicks:.1f} B/click"
+        assert held <= 12 * clicks + 4096, f"{held / clicks:.1f} B/click"
 
     @pytest.mark.parametrize("efficiency, dark, flip", [
         (1.0, 0.0, 0.0),
@@ -203,32 +204,31 @@ class TestQuantumPhase:
                               channel=FiberChannel(5.0, 0.2, flip),
                               detectors=DetectorPair(efficiency, dark))
         records, held, peak = traced_phase(config)
-        clicks = len(records.kinds)
+        clicks = len(records.indices)
         assert n / 4 < clicks < n / 2
         budget = 20 * clicks + 12 * WINDOW
         assert budget <= 3 * n + 32 * clicks
         assert peak <= budget, f"{peak / clicks:.1f} B/click, {clicks} clicks"
-        assert held <= 13 * clicks + 4096, f"{held / clicks:.1f} B/click"
+        assert held <= 12 * clicks + 4096, f"{held / clicks:.1f} B/click"
 
     @pytest.mark.parametrize("eve", [NoAttack(), PhotonNumberSplit(),
                                      InterceptResend(0.5)], ids=repr)
     def test_records_hold_bytes_per_click(self, eve):
-        # One int64 index and five one-byte fields per clicked gate, and
+        # One int64 index and four one-byte fields per clicked gate, and
         # no array n long.
         config = ideal_config(300_000, 409, source=SourceModel(0.1),
                               channel=FiberChannel(50.0),
                               detectors=DetectorPair(0.1, 1e-5), eve=eve)
         records = run_quantum_phase(config, RandomSource(config.seed))
         arrays = [records.indices, records.alice_bits, records.alice_bases,
-                  records.bob_bases, records.kinds, records.click_bits]
-        clicks = len(records.kinds)
+                  records.bob_bases, records.click_bits]
+        clicks = len(records.indices)
         assert 0 < clicks < len(records) / 100
         assert all(len(a) == clicks for a in arrays)
-        assert sum(a.nbytes for a in arrays) == 13 * clicks
+        assert sum(a.nbytes for a in arrays) == 12 * clicks
 
 
-DENSE_FIELDS = ("alice_bits", "alice_bases", "bob_bases", "kinds",
-                "click_bits")
+DENSE_FIELDS = ("alice_bits", "alice_bases", "bob_bases", "click_bits")
 
 
 class TestPerClickRecordsMatchDense:
@@ -248,31 +248,24 @@ class TestPerClickRecordsMatchDense:
            flip=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
            eve=st.one_of(st.just(NoAttack()), st.just(PhotonNumberSplit()),
                          st.floats(0.0, 1.0).map(InterceptResend)),
-           double_click_random=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     @example(n=3 * 16_384 + 5, mu=0.5, km=10.0, efficiency=0.3,
-             dark=1e-2, flip=0.05, eve=InterceptResend(0.4),
-             double_click_random=False, seed=3)
+             dark=1e-2, flip=0.05, eve=InterceptResend(0.4), seed=3)
     @example(n=2 * 16_384 - 1, mu=1.5, km=0.0, efficiency=1.0,
-             dark=1e-3, flip=0.0, eve=PhotonNumberSplit(),
-             double_click_random=True, seed=4)
+             dark=1e-3, flip=0.0, eve=PhotonNumberSplit(), seed=4)
     @example(n=16_384 + 3, mu=0.1, km=25.0, efficiency=0.1, dark=1e-4,
-             flip=0.01, eve=NoAttack(), double_click_random=True, seed=5)
+             flip=0.01, eve=NoAttack(), seed=5)
     # more pulses with photons than two windows
     @example(n=8 * 16_384 + 9, mu=0.3, km=5.0, efficiency=0.5,
-             dark=1e-3, flip=0.02, eve=InterceptResend(0.1),
-             double_click_random=True, seed=6)
+             dark=1e-3, flip=0.02, eve=InterceptResend(0.1), seed=6)
     # splitting where photons are lost and dark counts click at pulses
     # that kept none
     @example(n=2 * 16_384 + 7, mu=0.8, km=30.0, efficiency=0.2,
-             dark=5e-3, flip=0.01, eve=PhotonNumberSplit(),
-             double_click_random=True, seed=7)
+             dark=5e-3, flip=0.01, eve=PhotonNumberSplit(), seed=7)
     def test_records_and_ledger_match_dense(self, n, mu, km, efficiency,
-                                            dark, flip, eve,
-                                            double_click_random, seed):
+                                            dark, flip, eve, seed):
         config = SessionConfig(n, SourceModel(mu), FiberChannel(km, 0.2, flip),
-                               DetectorPair(efficiency, dark), seed, eve=eve,
-                               double_click_random=double_click_random)
+                               DetectorPair(efficiency, dark), seed, eve=eve)
         ledger, dense_ledger = EveLedger(), EveLedger()
         records = run_quantum_phase(config, RandomSource(seed), ledger)
         dense = dense_quantum_phase(config, RandomSource(seed), dense_ledger)
@@ -290,18 +283,17 @@ class TestPerClickRecordsMatchDense:
 
 class TestPulseRecords:
     def make(self):
-        # three pulses: 0 clicked, 1 did not, 2 double-clicked
+        # three pulses: 0 and 2 clicked, 1 did not
         return PulseRecords(
             3, np.array([0, 2]), np.array([0, 1], np.uint8),
             np.array([0, 0], np.uint8), np.array([0, 1], np.uint8),
-            np.array([1, 2], np.uint8), np.array([1, 0], np.uint8))
+            np.array([1, 0], np.uint8))
 
     def test_indexing(self):
         records = self.make()
         assert len(records) == 3
-        assert records.alice_bits[0] == 0
-        assert records.kinds[0] == 1 and records.click_bits[0] == 1
-        assert 1 not in records.indices and records.kinds[1] == 2
+        assert records.alice_bits[0] == 0 and records.click_bits[0] == 1
+        assert 1 not in records.indices
         assert list(records.alice_bases_at(np.array([2]))) == [0]
 
 
@@ -309,19 +301,17 @@ class TestSift:
     def test_empty_input(self):
         assert len(sift(PulseRecords(0, np.zeros(0, np.int64),
                                      *(np.zeros(0, np.uint8)
-                                       for _ in range(5))))) == 0
+                                       for _ in range(4))))) == 0
 
     def test_keeps_only_matched_clicks(self):
         records = PulseRecords(
-            4, np.array([0, 1, 3]),
-            np.array([1, 1, 1], np.uint8),
-            np.array([0, 0, 1], np.uint8),
-            np.array([0, 1, 1], np.uint8),
-            np.array([1, 1, 2], np.uint8),
-            np.array([1, 0, 0], np.uint8))
+            3, np.array([0, 1]),
+            np.array([1, 1], np.uint8),
+            np.array([0, 0], np.uint8),
+            np.array([0, 1], np.uint8),
+            np.array([1, 0], np.uint8))
         sifted = sift(records)
-        # index 0: click + matched; 1: click + mismatched; 2: no click;
-        # 3: double click.
+        # index 0: click + matched; 1: click + mismatched; 2: no click.
         assert list(sifted.source_indices) == [0]
         assert list(sifted.alice_bits) == [1]
         assert list(sifted.bob_bits) == [1]
@@ -338,13 +328,13 @@ class TestSift:
         assert np.all(np.diff(sifted.source_indices) > 0)
 
     def test_selection_ignores_bit_values(self):
-        # Sifting must depend only on click kinds and announced bases,
-        # never on the measured bits themselves.
+        # Sifting must depend only on click positions and announced
+        # bases, never on the measured bits themselves.
         records = run_quantum_phase(ideal_config(10_000, 408),
                                     RandomSource(408))
         stripped = PulseRecords(records.n, records.indices,
                                 records.alice_bits, records.alice_bases,
-                                records.bob_bases, records.kinds,
+                                records.bob_bases,
                                 np.zeros_like(records.click_bits))
         assert np.array_equal(sift(records).source_indices,
                               sift(stripped).source_indices)
@@ -576,21 +566,19 @@ class TestRunSession:
            eve=st.one_of(st.just(NoAttack()), st.just(PhotonNumberSplit()),
                          st.floats(0.0, 1.0).map(InterceptResend)),
            fraction=st.floats(0.01, 0.99),
-           double_click_random=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def test_accounting_holds_for_any_config(self, n, mu, km, efficiency,
                                              dark, flip, eve, fraction,
-                                             double_click_random, seed):
+                                             seed):
         report = run_session(SessionConfig(
             n, SourceModel(mu), FiberChannel(km, 0.2, flip),
             DetectorPair(efficiency, dark), seed, eve=eve,
-            sample_fraction=fraction,
-            double_click_random=double_click_random))
+            sample_fraction=fraction))
         assert report.secret_growth == \
             report.final_len - report.auth_bits_consumed
         key_len = 0 if report.secret_key is None else len(report.secret_key)
         assert key_len == report.final_len
-        assert report.sifted_len <= report.raw_len <= report.clicks \
+        assert report.sifted_len <= report.raw_len == report.clicks \
             <= report.pulses_sent == n
         assert report.final_len <= report.sifted_len
         # 128 bits for the first tag, 64 for each later one: two

@@ -194,19 +194,12 @@ class TestRandomSource:
     @pytest.mark.parametrize("p", [
         0.0, 2.0**-53, 1e-5, 0.3, 1 - 2.0**-53, 1.0,
         12345 * 2.0**-53, 0.5, -0.5, 1.5, math.nan])
-    @pytest.mark.parametrize("use_among", [False, True])
-    def test_raw_word_bernoulli_is_exact(self, p, use_among):
+    def test_raw_word_bernoulli_is_exact(self, p):
         # Each pick is the scalar gap loop's, at both ends of [0, 1],
-        # beyond them and at NaN, over range(n) or over ``among``, past
-        # a window: with ``among`` the trials run over its entries.
+        # beyond them and at NaN, past a window.
         n = 2 * 16_384 + 5
-        among = np.flatnonzero(RandomSource(10).bits(n)) if use_among \
-            else None
-        indices = RandomSource(9).bernoulli_indices(n, p, among)
-        want = scalar_gaps(RandomSource(9).seed,
-                           n if among is None else len(among), p)
-        if use_among:
-            want = among[want]
+        indices = RandomSource(9).bernoulli_indices(n, p)
+        want = scalar_gaps(RandomSource(9).seed, n, p)
         assert indices.dtype == np.int64
         assert np.array_equal(indices, want)
 
@@ -225,13 +218,10 @@ class TestRandomSource:
     @pytest.mark.parametrize("n", [0, 1, 5, WINDOW + 3])
     def test_gap_process_at_its_ends(self, n, p):
         # p = 0 picks nothing, p = 1 every index, with no exponential
-        # drawn; with ``among`` the same holds for its entries
+        # drawn
         rand = RandomSource(17)
         indices = rand.bernoulli_indices(n, p)
         assert indices.tolist() == (list(range(n)) if p else [])
-        among = np.arange(0, 3 * n, 3)
-        assert rand.bernoulli_indices(len(among), p, among).tolist() == \
-            (among.tolist() if p else [])
         assert rand._generator is None
 
     @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 5000),
@@ -244,20 +234,14 @@ class TestRandomSource:
         assert len(indices) == 0 or 0 <= indices[0] <= indices[-1] < n
 
     @pytest.mark.parametrize("p", [1e-5, 0.014, 0.39, 0.9])
-    @pytest.mark.parametrize("use_among", [False, True])
-    def test_gap_counts_within_4_sigma(self, p, use_among):
+    def test_gap_counts_within_4_sigma(self, p):
         # The number picked is Binomial(trials, p): within 4 sigma on
         # each of seeds 1-5 (for p = 1e-5, 2e6 trials, 20 expected).
         trials = 2_000_000 if p < 1e-3 else 400_000
-        among = np.arange(0, 2 * trials, 2, dtype=np.uint32) if use_among \
-            else None
         sigma = math.sqrt(trials * p * (1 - p))
         for seed in range(1, 6):
-            picked = RandomSource(seed).bernoulli_indices(
-                len(among) if use_among else trials, p, among)
+            picked = RandomSource(seed).bernoulli_indices(trials, p)
             assert abs(len(picked) - trials * p) <= 4 * sigma, seed
-            if use_among:
-                assert np.all(picked % 2 == 0)
 
     def test_tiny_p_picks_nothing_and_stays_finite(self):
         # below about 2^-1074 the gap scale overflows to inf; a gap of
