@@ -911,6 +911,52 @@ def test_help_exits_zero(capsys):
     assert "usage: qkdsim" in capsys.readouterr().out
 
 
+# A value for every session key, none of them its default
+NON_DEFAULT = {"pulses": 3000, "mu": 0.3, "distance_km": 7.5,
+               "attenuation_db_per_km": 0.25, "efficiency": 0.4,
+               "dark_count_prob": 2e-6, "flip_prob": 0.02,
+               "eve": "intercept:0.25", "attack_model": "individual",
+               "sample_fraction": 0.2, "margin": 12, "auth_pool_bits": 768,
+               "seed": 42}
+SESSION_FLAGS = [("--pulses", "PULSES"), ("--mu", "MU"),
+                 ("--distance-km", "DISTANCE_KM"),
+                 ("--attenuation-db-per-km", "ATTENUATION_DB_PER_KM"),
+                 ("--efficiency", "EFFICIENCY"),
+                 ("--dark", "DARK_COUNT_PROB"), ("--flip", "FLIP_PROB"),
+                 ("--eve", "EVE"), ("--attack-model", "ATTACK_MODEL"),
+                 ("--sample-fraction", "SAMPLE_FRACTION"),
+                 ("--margin", "MARGIN"),
+                 ("--auth-pool-bits", "AUTH_POOL_BITS"), ("--seed", "SEED")]
+
+
+def test_every_session_key_reaches_its_field():
+    assert list(NON_DEFAULT) == list(DEFAULTS)
+    assert all(NON_DEFAULT[key] != DEFAULTS[key] for key in DEFAULTS)
+    argv = ["run"]
+    for (flag, _), value in zip(SESSION_FLAGS, NON_DEFAULT.values()):
+        argv += [flag, str(value)]
+    params = merge_params(cli.build_parser().parse_args(argv))
+    assert {key: params[key] for key in DEFAULTS} == NON_DEFAULT
+    assert cli.session_config(params) == SessionConfig(
+        n_pulses=3000, source=SourceModel(0.3),
+        channel=FiberChannel(length_km=7.5, attenuation_db_per_km=0.25,
+                             excess_flip_prob=0.02),
+        detectors=DetectorPair(efficiency=0.4, dark_count_prob=2e-6),
+        seed=42, eve=InterceptResend(0.25), sample_fraction=0.2,
+        attack_model=AttackModel.INDIVIDUAL, security_margin_bits=12,
+        auth_pool_bits=768)
+
+
+def test_run_help_lists_session_flags_in_order(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    out = capsys.readouterr().out
+    options = out[out.index("options:"):]
+    flags = [tuple(line.split()[:2]) for line in options.splitlines()
+             if line.startswith("  --") and line.split()[0] != "--config"]
+    assert flags == SESSION_FLAGS
+
+
 AXIS = st.lists(st.floats(0, 1), min_size=1, max_size=3)
 
 
