@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import MASK64, Gf64Multiplier
-from .rng import bit_array
+from .rng import COUNT, bit_array
 
 HASH_KEY_BITS = 64
 TAG_BITS = 64
@@ -72,9 +72,9 @@ class BitPool:
     def _take(self, n_bits: int) -> tuple[bytes, int]:
         """Move the cursor past ``n_bits``; returns the bytes that hold
         them and how many bits of the first byte come before them."""
+        if type(n_bits) is not int or n_bits < 0:
+            COUNT.check("n_bits", n_bits)
         start, end = self.cursor, self.cursor + n_bits
-        if n_bits < 0:
-            raise ValueError("cannot consume a negative bit count")
         if end > self._len:
             raise KeyExhausted(f"need {n_bits} bits, {self.remaining} remain")
         self.cursor = end

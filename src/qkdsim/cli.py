@@ -54,14 +54,6 @@ CSV_COLUMNS = ["seed", "distance_km", "mu", "eve", "pulses", "clicks",
                "raw_len", "sifted_len", "qber", "leak_ec", "final_len",
                "eve_info", "auth_consumed", "secret_growth", "outcome"]
 
-# The session parameters: the keys of a config file, of the flags and
-# of a scenario link's "session".
-DEFAULTS = {"pulses": 200_000, "mu": 0.1, "distance_km": 15.0,
-            "attenuation_db_per_km": 0.2, "efficiency": 0.1,
-            "dark_count_prob": 1e-5, "flip_prob": 0.01, "eve": "none",
-            "attack_model": "coherent", "sample_fraction": 0.1,
-            "margin": 30, "auth_pool_bits": 512, "seed": 1}
-
 
 class ConfigError(Exception):
     """Bad config file or flag combination; maps to exit 1."""
@@ -112,32 +104,38 @@ def _convert(spec, kind):
     return float(spec) if kind is numbers.Real else spec
 
 
+# The session parameters in flag order (config file, flag and scenario
+# "session" keys): default, model field (whose rule checks the key) and,
+# for text, its own rule, whose test parses the text into the field.
+SESSION_PARAMS = {
+    "pulses": (200_000, SessionConfig, "n_pulses"),
+    "mu": (0.1, SourceModel, "mu"),
+    "distance_km": (15.0, FiberChannel, "length_km"),
+    "attenuation_db_per_km": (0.2, FiberChannel, "attenuation_db_per_km"),
+    "efficiency": (0.1, DetectorPair, "efficiency"),
+    "dark_count_prob": (1e-5, DetectorPair, "dark_count_prob"),
+    "flip_prob": (0.01, FiberChannel, "excess_flip_prob"),
+    "eve": ("none", SessionConfig, "eve", Rule(
+        str, parse_eve, "none, pns, intercept or intercept:<fraction>")),
+    "attack_model": ("coherent", SessionConfig, "attack_model", Rule(
+        str, parse_attack_model, "coherent or individual")),
+    "sample_fraction": (0.1, SessionConfig, "sample_fraction"),
+    "margin": (30, SessionConfig, "security_margin_bits"),
+    "auth_pool_bits": (512, SessionConfig, "auth_pool_bits"),
+    "seed": (1, SessionConfig, "seed")}
+DEFAULTS = {key: default for key, (default, *_) in SESSION_PARAMS.items()}
+
 # Every value from a flag, config file, sweep axis or scenario passes
 # one of these rules before it reaches a model constructor. A key whose
 # value reaches a model has that model's very rule.
 _NODE = Rule((str, numbers.Integral), lambda v: True,
              "a node id (a string or an integer)")
 PARAM_RULES = {
-    "pulses": SessionConfig.RULES["n_pulses"],
-    "mu": SourceModel.RULES["mu"],
-    "distance_km": FiberChannel.RULES["length_km"],
-    "attenuation_db_per_km": FiberChannel.RULES["attenuation_db_per_km"],
-    "efficiency": DetectorPair.RULES["efficiency"],
-    "dark_count_prob": DetectorPair.RULES["dark_count_prob"],
-    "flip_prob": FiberChannel.RULES["excess_flip_prob"],
-    "sample_fraction": SessionConfig.RULES["sample_fraction"],
-    "margin": SessionConfig.RULES["security_margin_bits"],
-    "auth_pool_bits": SessionConfig.RULES["auth_pool_bits"],
-    "seed": SessionConfig.RULES["seed"],
-    "repeats": POSITIVE,
-    "jobs": POSITIVE,
-    "key_len": BITS,
+    **{key: text[0] if text else model.RULES[field]
+       for key, (_, model, field, *text) in SESSION_PARAMS.items()},
+    "repeats": POSITIVE, "jobs": POSITIVE, "key_len": BITS,
     "bits": StubKeySource.RULES["n_bits"],
-    "eve": Rule(str, parse_eve,
-                "none, pns, intercept or intercept:<fraction>"),
-    "attack_model": Rule(str, parse_attack_model, "coherent or individual"),
-    "output": Rule(str, bool, "a non-empty string"),
-}
+    "output": Rule(str, bool, "a non-empty string")}
 
 
 class Seq(NamedTuple):
@@ -159,7 +157,7 @@ class Obj(NamedTuple):
 
 
 SESSION = Obj('link {a}-{b} session, {0} "session"',
-              {key: PARAM_RULES[key] for key in DEFAULTS})
+              {key: PARAM_RULES[key] for key in SESSION_PARAMS})
 CONFIG = Obj("config", {
     **SESSION.rules,
     "sweep": Obj("sweep", {
@@ -267,19 +265,16 @@ def merge_params(args: argparse.Namespace) -> dict:
 
 
 def session_config(p: dict) -> SessionConfig:
-    """The session of checked parameters ``p`` (see :data:`SESSION`)."""
-    return SessionConfig(
-        n_pulses=p["pulses"],
-        source=SourceModel(p["mu"]),
-        channel=FiberChannel(p["distance_km"], p["attenuation_db_per_km"],
-                             p["flip_prob"]),
-        detectors=DetectorPair(p["efficiency"], p["dark_count_prob"]),
-        seed=p["seed"],
-        eve=parse_eve(p["eve"]),
-        sample_fraction=p["sample_fraction"],
-        attack_model=parse_attack_model(p["attack_model"]),
-        security_margin_bits=p["margin"],
-        auth_pool_bits=p["auth_pool_bits"])
+    """The session of checked parameters ``p``, each value set on the
+    model field :data:`SESSION_PARAMS` gives its key."""
+    fields = {SessionConfig: {}, SourceModel: {}, FiberChannel: {},
+              DetectorPair: {}}
+    for key, (_, model, field, *text) in SESSION_PARAMS.items():
+        fields[model][field] = text[0].test(p[key]) if text else p[key]
+    return SessionConfig(source=SourceModel(**fields[SourceModel]),
+                         channel=FiberChannel(**fields[FiberChannel]),
+                         detectors=DetectorPair(**fields[DetectorPair]),
+                         **fields[SessionConfig])
 
 
 def _fmt(value) -> str:
@@ -539,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_session_flags(p):
         p.add_argument("--config", help="JSON config file (flags override)")
-        for key in DEFAULTS:
+        for key in SESSION_PARAMS:
             flag, text = _FLAGS.get(key, ("--" + key.replace("_", "-"), None))
             p.add_argument(flag, dest=key, help=text)
 

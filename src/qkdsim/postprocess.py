@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .gf2 import Gf64Multiplier
-from .rng import RandomSource, bit_array
+from .rng import COUNT, UNIT, RandomSource, bit_array
 
 # Root of 1 - 2 h(e), located numerically to double precision.
 COHERENT_THRESHOLD = 0.11002786443835955
@@ -183,6 +183,7 @@ def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,
     and its odd blocks, one byte per block. Permutations are uint32, as
     keys have at most 2^32 bits (``protocol.BITS``).
     """
+    UNIT.check("e_hat", e_hat)
     alice = bit_array("alice_key", alice_key)
     bob = bit_array("bob_key", bob_key).copy()
     n = len(alice)
@@ -196,21 +197,17 @@ def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,
     k1 = min(max(k1, MIN_BLOCK), n)
 
     transcript: list[int] = []  # leaked_bits == len(transcript), always
-    perms: list[memoryview] = []
-    inv_perms: list[memoryview] = []
-    sizes: list[int] = []
-    alice_prefix: list[bytes] = []  # prefix parities, read one at a time
-    errors: list[bytearray] = []  # Bob's error flags, in permuted order
-    odd: list[bytearray] = []  # block parity mismatches
+    # one record per pass: its permutation and inverse, block size,
+    # Alice's prefix parities, and Bob's error flags and odd blocks
+    records: list[tuple] = []
     # every odd block as (pass, block), and stale ones that turned even
     heap: list[tuple[int, int]] = []
 
     def bisect(p: int, blk: int) -> int:
         """Locate one error inside an odd block, disclosing one of
         Alice's sub-parities per halving; returns the key index fixed."""
-        k = sizes[p]
+        perm, _, k, pre, errs, _ = records[p]
         lo, hi = blk * k, min((blk + 1) * k, n)
-        pre, errs = alice_prefix[p], errors[p]
         while hi - lo > 1:
             mid = lo + (hi - lo + 1) // 2
             transcript.append(pre[mid] ^ pre[lo])
@@ -218,18 +215,18 @@ def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,
                 hi = mid
             else:
                 lo = mid
-        return perms[p][lo]
+        return perm[lo]
 
     def fix(j: int) -> None:
         """Flip Bob's bit j, an error, and the parity state of its block
         in every pass so far."""
         bob[j] ^= 1
-        for p, inv in enumerate(inv_perms):
+        for p, (_, inv, k, _, errs, odd) in enumerate(records):
             pos = inv[j]
-            errors[p][pos] = 0
-            blk = pos // sizes[p]
-            odd[p][blk] ^= 1
-            if odd[p][blk]:
+            errs[pos] = 0
+            blk = pos // k
+            odd[blk] ^= 1
+            if odd[blk]:
                 heapq.heappush(heap, (p, blk))
 
     for p in range(passes):
@@ -237,20 +234,15 @@ def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,
         inv = np.empty(n, dtype=np.uint32)
         inv[perm] = np.arange(n, dtype=np.uint32)
         k = min(k1 << p, n)
-        perms.append(memoryview(perm))
-        inv_perms.append(memoryview(inv))
-        sizes.append(k)
         permuted = alice[perm]
         pre = np.zeros(n + 1, dtype=np.uint8)
         np.bitwise_xor.accumulate(permuted, out=pre[1:])
-        alice_prefix.append(pre.tobytes())
         flags = permuted ^ bob[perm]
-        errors.append(bytearray(flags))
-
         starts = np.arange(0, n, k)  # of the top blocks
         transcript.extend(np.bitwise_xor.reduceat(permuted, starts).tolist())
         blocks = np.bitwise_xor.reduceat(flags, starts)
-        odd.append(bytearray(blocks))
+        records.append((memoryview(perm), memoryview(inv), k, pre.tobytes(),
+                        bytearray(flags), bytearray(blocks)))
         for blk in np.flatnonzero(blocks).tolist():
             heapq.heappush(heap, (p, blk))
         del permuted, pre, flags
@@ -258,7 +250,7 @@ def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,
         while heap:
             # smallest block size first, then position
             q, blk = heapq.heappop(heap)
-            if odd[q][blk]:
+            if records[q][-1][blk]:  # still odd
                 fix(bisect(q, blk))
 
     mul = Gf64Multiplier(public_coins.uint64())
@@ -290,6 +282,7 @@ def privacy_amplify(key, ell: int, seed: HashSeed) -> SecretKey:
     0.25 or more from an integer raises :class:`InexactConvolution`
     rather than return a possibly wrong key.
     """
+    COUNT.check("ell", ell)
     key = bit_array("key", key)
     n = len(key)
     sbits = bit_array("seed bits", seed.bits)

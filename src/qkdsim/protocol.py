@@ -138,7 +138,6 @@ class SessionReport:
 
     pulses_sent: int
     clicks: int
-    raw_len: int
     sifted_len: int
     e_hat: float
     leak_ec_bits: int
@@ -147,6 +146,11 @@ class SessionReport:
     auth_bits_consumed: int
     outcome: SessionOutcome
     secret_key: SecretKey | None = field(repr=False, default=None)
+
+    @property
+    def raw_len(self) -> int:
+        """Raw key bits: ``clicks``, as every recorded click carries one."""
+        return self.clicks
 
     @property
     def secret_growth(self) -> int:
@@ -265,9 +269,9 @@ def run_session(config: SessionConfig) -> SessionReport:
     eve_frac = eve_information(known, sifted)
 
     def report(outcome, e_hat, leak=0, final=0, secret=None):
-        return SessionReport(config.n_pulses, clicks, clicks, len(sifted),
-                             e_hat, leak, final, eve_frac, pool.cursor,
-                             outcome, secret)
+        return SessionReport(config.n_pulses, clicks, len(sifted), e_hat,
+                             leak, final, eve_frac, pool.cursor, outcome,
+                             secret)
 
     try:
         est = estimate_qber(sifted, config.sample_fraction,

@@ -394,6 +394,20 @@ class TestAuthKeyPool:
             pool.consume_int(-1)
         assert (pool.cursor, pool.consumed_log) == (0, [])
 
+    @pytest.mark.parametrize("bad", [2.5, np.float64(8), -1, True, np.True_])
+    @pytest.mark.parametrize("draw", ["consume", "consume_int"])
+    def test_refused_count_leaves_the_pool_unchanged(self, draw, bad):
+        # the count is checked before the cursor moves, so the pool
+        # serves the next valid draw as if the bad one never came
+        pool = fresh_pool(21, 64)
+        pool.consume(8)
+        with pytest.raises(ValueError, match="n_bits"):
+            getattr(pool, draw)(bad)
+        assert (pool.cursor, pool.remaining, pool.consumed_log) == \
+            (8, 56, [(0, 8)])
+        assert np.array_equal(pool.consume(8), pool.bits[8:16])
+        assert pool.consumed_log == [(0, 8), (8, 16)]
+
     @pytest.mark.parametrize("bad", [[2, 3, 7], [[0, 1], [1, 0]],
                                      np.array([0.9, 1.7]), [0.5]])
     def test_deposit_checks_bits_like_the_constructor(self, bad):

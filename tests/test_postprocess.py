@@ -350,6 +350,21 @@ class TestErrorCorrect:
         assert np.array_equal(coins.permutation(64),
                               RandomSource(14).permutation(64))
 
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, math.inf, True])
+    def test_refuses_a_bad_e_hat_before_any_draw(self, bad):
+        key = RandomSource(15).bits(64)
+        coins = RandomSource(16)
+        with pytest.raises(ValueError, match="e_hat"):
+            error_correct(key, key.copy(), bad, coins)
+        assert np.array_equal(coins.permutation(64),
+                              RandomSource(16).permutation(64))
+
+    @pytest.mark.parametrize("e_hat", [0, 1, 0.0, 1.0])
+    def test_accepts_e_hat_at_both_ends(self, e_hat):
+        key = RandomSource(15).bits(64)
+        result = error_correct(key, key.copy(), e_hat, RandomSource(16))
+        assert result.verified and np.array_equal(result.corrected_key, key)
+
 
 class TestPrivacyAmplify:
     def test_worked_toy_vector(self):
@@ -532,6 +547,25 @@ def test_privacy_amplify_rejects_seed_bits_that_are_not_bits():
     key = RandomSource(17).bits(40)
     with pytest.raises(ValueError, match="seed bits"):
         privacy_amplify(key, 8, HashSeed(np.full(47, 2, dtype=np.uint8)))
+
+
+class UnreadSeed:
+    """A seed whose bits must not be read."""
+
+    @property
+    def bits(self):
+        raise AssertionError("the seed was read")
+
+
+@pytest.mark.parametrize("bad", [-1, 2.0, True, np.float64(8)])
+def test_privacy_amplify_refuses_a_bad_ell_before_reading_the_seed(bad):
+    # ell = -1 for 1000 bits once met a 998-bit seed and ended in numpy's
+    # "zero-size array to reduction operation maximum"
+    key = RandomSource(18).bits(1000)
+    with pytest.raises(ValueError, match="ell"):
+        privacy_amplify(key, bad, UnreadSeed())
+    with pytest.raises(ValueError, match="ell must be an integer >= 0"):
+        privacy_amplify(key, -1, HashSeed(RandomSource(19).bits(998)))
 
 
 def test_hash_seed_random_length():
