@@ -8,9 +8,11 @@ Addition is XOR.
 Every production hash runs through :meth:`Gf64Multiplier.hash_bytes`.
 A product by the fixed key k is eight lookups in byte tables of
 k * (b << 8j), made in one place, the scalar Horner loop in k, which
-hashes a message of up to ``LANES`` blocks alone. A longer message is
-hashed as ``LANES`` interleaved Horner chains with the multiplier
-K = k^LANES, vectorised over numpy uint64 lanes, whose results are then
+hashes a message of up to ``LANES`` blocks alone. A longer message's
+full 64-bit words are hashed as ``LANES`` interleaved Horner chains with
+the multiplier K = k^LANES, vectorised over numpy uint64 lanes and read
+in place from the message, with no padded copy of it; the chains'
+results, the partial last word and any trailing elements are then
 folded by the scalar Horner in k. Both routes are exact integer XOR and
 table arithmetic with no floating-point step, so they give the same
 element bit for bit and need no guard.
@@ -61,13 +63,17 @@ class Gf64Multiplier:
     shift-reduce. Building them takes about 2,000 XORs.
 
     :meth:`hash_bytes` evaluates the hash by the scalar Horner loop in k
-    for messages of up to ``LANES`` blocks. A longer message is left-
-    padded with zero blocks to R x ``LANES`` (leading zeros do not
-    change a Horner result) and read as R rows: column c gathers the
-    blocks whose exponent of k is congruent to ``LANES`` - c, so Horner
-    down the rows with K = k^LANES, vectorised through K's byte tables
-    (built on the first long message), followed by the scalar Horner in
-    k over the ``LANES`` column values yields the same field element.
+    for messages of up to ``LANES`` blocks. A longer message's W full
+    words are read in place, through a big-endian view of its buffer,
+    as R = ceil(W / ``LANES``) rows, the first of them left-padded with
+    zero blocks in a ``LANES``-long buffer (leading zeros do not change
+    a Horner result) and each later one XORed straight from the view:
+    column c gathers the words whose exponent of k is congruent to
+    ``LANES`` - c, so Horner down the rows with K = k^LANES, vectorised
+    through K's byte tables (built on the first long message), then the
+    scalar Horner in k over the ``LANES`` column values, the partial
+    last word and ``tail`` yields the same field element. No copy of
+    the message is made.
     The arithmetic is exact integer XOR on uint64 lanes; no rounding can
     occur, so no runtime guard is needed.
     """
@@ -96,20 +102,22 @@ class Gf64Multiplier:
         An empty message hashes to 0.
         """
         n_words = -(-len(data) // 8)
-        body = data.ljust(8 * n_words, b"\x00")
         n_blocks = n_words + len(tail)
         if n_blocks <= LANES:
+            body = data.ljust(8 * n_words, b"\x00")
             return self._horner(
                 struct.unpack(f">{n_words}Q", body) + tuple(tail))
-        rows = -(-n_blocks // LANES)
-        padded = (bytes(8 * (rows * LANES - n_blocks)) + body
-                  + b"".join(int(t).to_bytes(8, "big") for t in tail))
-        grid = np.frombuffer(padded, dtype=">u8").astype(_LANE_DTYPE)
-        grid = grid.reshape(rows, LANES)
-        acc = grid[0]
-        for row in grid[1:]:
-            acc = self._lane_mul(acc) ^ row
-        return self._horner(acc.tolist())
+        n_full = len(data) // 8
+        words = np.frombuffer(data, dtype=">u8", count=n_full)
+        # row 0 holds the words before a whole number of LANES-rows
+        head = n_full % LANES or min(n_full, LANES)
+        acc = np.zeros(LANES, dtype=_LANE_DTYPE)
+        acc[LANES - head:] = words[:head]
+        for start in range(head, n_full, LANES):
+            acc = self._lane_mul(acc) ^ words[start:start + LANES]
+        last = data[8 * n_full:]  # a partial word, right-padded
+        rest = [int.from_bytes(last.ljust(8, b"\x00"), "big")] if last else []
+        return self._horner(acc.tolist() + rest + list(tail))
 
     def _horner(self, blocks) -> int:
         """Polynomial hash of the field elements ``blocks`` by Horner's rule

@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .gf2 import Gf64Multiplier
-from .rng import COUNT, UNIT, RandomSource, bit_array
+from .rng import COUNT, POSITIVE, UNIT, RandomSource, bit_array
 
 # Root of 1 - 2 h(e), located numerically to double precision.
 COHERENT_THRESHOLD = 0.11002786443835955
@@ -184,6 +184,7 @@ def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,
     keys have at most 2^32 bits (``protocol.BITS``).
     """
     UNIT.check("e_hat", e_hat)
+    POSITIVE.check("passes", passes)
     alice = bit_array("alice_key", alice_key)
     bob = bit_array("bob_key", bob_key).copy()
     n = len(alice)
@@ -274,13 +275,15 @@ def privacy_amplify(key, ell: int, seed: HashSeed) -> SecretKey:
     Row j sums the key against one window of the seed, so all rows at
     once are one integer convolution: bit j is
     conv(seed, key[::-1])[n + ell - 2 - j] mod 2. It is computed by real
-    FFT at the power-of-two length N >= n + ell - 1, in
-    O((n + ell) log(n + ell)) time. The full convolution has
-    2n + ell - 2 terms, so the circular one wraps index m >= N onto
-    m - N <= n - 2, below every index a row reads. Each sum is an integer
-    in [0, n], so it is rounded and its parity taken; a sum that lands
-    0.25 or more from an integer raises :class:`InexactConvolution`
-    rather than return a possibly wrong key.
+    FFT at the 5-smooth length N >= n + ell - 1 (the least 2^a 3^b 5^c,
+    see :func:`_fft_length`), in O((n + ell) log(n + ell)) time. The full
+    convolution has 2n + ell - 2 terms, so the circular one wraps index
+    m >= N onto m - N <= n - 2, below every index a row reads. Each sum
+    is an integer in [0, n], so it is rounded and its parity taken; a
+    sum that lands 0.25 or more from an integer raises
+    :class:`InexactConvolution` rather than return a possibly wrong key.
+    At most two transforms of N points are alive at once, 16 B per
+    point, besides the float64 copy of the key an FFT makes.
     """
     COUNT.check("ell", ell)
     key = bit_array("key", key)
@@ -291,7 +294,7 @@ def privacy_amplify(key, ell: int, seed: HashSeed) -> SecretKey:
             f"seed length {len(sbits)}, need {n + ell - 1} for {n}->{ell}")
     if n == 0 or ell == 0:
         return SecretKey(np.zeros(ell, dtype=np.uint8))
-    size = 1 << (n + ell - 2).bit_length()  # power of two >= n + ell - 1
+    size = _fft_length(n + ell - 1)
     spectrum = np.fft.rfft(sbits, size)
     spectrum *= np.fft.rfft(key[::-1], size)
     sums = np.fft.irfft(spectrum, size)[n - 1:n + ell - 1][::-1]
@@ -299,6 +302,7 @@ def privacy_amplify(key, ell: int, seed: HashSeed) -> SecretKey:
     counts = np.rint(sums)
     sums -= counts  # sums is a view of the inverse transform's own array
     drift = float(np.max(np.abs(sums, out=sums)))
+    del sums  # frees the inverse transform
     # The normwise error of an FFT convolution is O(eps log2 N) ||a|| ||b||
     # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     # ch. 24); for 0/1 inputs ||a|| ||b|| <= N, so it is O(eps N log2 N),
@@ -309,3 +313,23 @@ def privacy_amplify(key, ell: int, seed: HashSeed) -> SecretKey:
         raise InexactConvolution(
             f"FFT sums drift {drift:.3g} from integers for {n}->{ell}")
     return SecretKey((counts.astype(np.int64) & 1).astype(np.uint8))
+
+
+def _fft_length(m: int) -> int:
+    """The least 5-smooth number 2^a 3^b 5^c >= m, for m >= 1: a length
+    pocketfft transforms with its radix-2, 3 and 5 passes alone, where
+    the next power of two can be nearly 2m. Each 3^b 5^c below the best
+    length so far is topped up to m by the least power of two, so the
+    loop runs O(log^2 m) times."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # 2^a p35 >= m first at a = bit_length((m - 1) // p35)
+            size = p35 << ((m - 1) // p35).bit_length()
+            if size < best:
+                best = size
+            p35 *= 3
+        p5 *= 5
+    return best

@@ -112,8 +112,8 @@ class SiftedKeys:
         if not (len(self.alice_bits) == len(self.bob_bits)
                 == len(self.source_indices)):
             raise ValueError("sifted components must have equal length")
-        if len(self.source_indices) > 1 \
-                and not np.all(np.diff(self.source_indices) > 0):
+        at = np.asarray(self.source_indices)
+        if not np.all(at[1:] > at[:-1]):  # no n-long difference, no wrap
             raise ValueError("source indices must be strictly increasing")
 
     def __len__(self) -> int:
@@ -236,10 +236,6 @@ def estimate_qber(sifted: SiftedKeys, fraction: float,
     return QberEstimate(e_hat, remaining, rel, a, b)
 
 
-def _pack_bits(bits) -> bytes:
-    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
-
-
 def run_session(config: SessionConfig) -> SessionReport:
     """Execute the full pipeline and account for every bit.
 
@@ -248,6 +244,13 @@ def run_session(config: SessionConfig) -> SessionReport:
     bits, Alice's reconciliation bundle (parity transcript, hash, final
     length, amplification seed), and Bob's confirmation. A session that
     aborts at the error test stops after message three.
+
+    Each stage keeps only what later stages read. Of the click records
+    only Alice's bases outlive Eve's rows, until message 2 sends them;
+    the sifted key goes once the sample is drawn, the sample and the
+    pulse indices once message 2 is sent, Bob's key once Cascade has
+    corrected it, and the transcript once message 4 is sent. Privacy
+    amplification runs beside Alice's remaining key and its seed alone.
     """
     rand = RandomSource(config.seed)
     pool = BitPool(rand.split("auth_pool").bits(config.auth_pool_bits))
@@ -256,20 +259,23 @@ def run_session(config: SessionConfig) -> SessionReport:
 
     records = run_quantum_phase(config, rand, eve_ledger)
     clicks = len(records.indices)
-    sifted = sift(records)
 
     # Message 1, Bob -> Alice: where he saw clicks and with which basis.
-    channel.deliver(channel.send(
-        struct.pack(">I", clicks) + records.indices.astype(">u4").tobytes()
-        + records.bob_bases.tobytes()))
+    channel.deliver(channel.send(b"".join((
+        struct.pack(">I", clicks), records.indices.astype(">u4"),
+        records.bob_bases))))
 
+    sifted = sift(records)
     known = finalize_knowledge(
         eve_ledger, records.alice_bases_at(sifted.source_indices),
         sifted.source_indices)
     eve_frac = eve_information(known, sifted)
+    alice_bases = records.alice_bases  # all that message 2 reads of them
+    del records, eve_ledger, known
+    sifted_len = len(sifted)
 
     def report(outcome, e_hat, leak=0, final=0, secret=None):
-        return SessionReport(config.n_pulses, clicks, len(sifted), e_hat,
+        return SessionReport(config.n_pulses, clicks, sifted_len, e_hat,
                              leak, final, eve_frac, pool.cursor, outcome,
                              secret)
 
@@ -280,38 +286,43 @@ def run_session(config: SessionConfig) -> SessionReport:
         # Message 2 degenerates to an abort notice; nothing to compare.
         channel.deliver(channel.send(b"abort:empty"))
         return report(SessionOutcome.ABORT_QBER, float("nan"))
+    del sifted
 
     # Message 2, Alice -> Bob: her bases at the clicks, the sample
     # positions, and her sample bits. Message 3, Bob -> Alice: his.
-    channel.deliver(channel.send(
-        records.alice_bases.tobytes()
-        + struct.pack(">I", len(est.sample_positions))
-        + est.sample_positions.astype(">u4").tobytes()
-        + _pack_bits(est.alice_sample)))
-    channel.deliver(channel.send(_pack_bits(est.bob_sample)))
+    channel.deliver(channel.send(b"".join((
+        alice_bases, struct.pack(">I", len(est.sample_positions)),
+        est.sample_positions.astype(">u4"), np.packbits(est.alice_sample)))))
+    del alice_bases
+    channel.deliver(channel.send(np.packbits(est.bob_sample).tobytes()))
+    # Cascade and privacy amplification read the keys, not the pulse
+    # indices or the sample.
+    e_hat = est.e_hat
+    alice_key, bob_key = est.remaining.alice_bits, est.remaining.bob_bits
+    del est
 
-    if est.e_hat >= config.attack_model.qber_threshold:
-        return report(SessionOutcome.ABORT_QBER, est.e_hat)
+    if e_hat >= config.attack_model.qber_threshold:
+        return report(SessionOutcome.ABORT_QBER, e_hat)
 
-    remaining = est.remaining
-    n_rem = len(remaining)
+    n_rem = len(alice_key)
     if n_rem < MIN_RECONCILE_BITS:
         # Too short to reconcile; the session yields no key but did not
         # observe anything suspicious.
         channel.deliver(channel.send(b"abort:short"))
-        return report(SessionOutcome.SUCCESS, est.e_hat)
+        return report(SessionOutcome.SUCCESS, e_hat)
 
     failed = False
     try:
-        correction = error_correct(remaining.alice_bits, remaining.bob_bits,
-                                   est.e_hat, rand.split("reconcile"))
+        correction = error_correct(alice_key, bob_key, e_hat,
+                                   rand.split("reconcile"))
     except ReconciliationFailure as exc:
         correction = exc.result
         failed = True
+    del bob_key
     leak = correction.leaked_bits
 
     final = 0 if failed else final_key_length(
-        n_rem, est.e_hat, leak, config.attack_model,
+        n_rem, e_hat, leak, config.attack_model,
         config.security_margin_bits)
     seed_bits = rand.split("pa_seed").bits(n_rem + final - 1) \
         if final > 0 else np.zeros(0, dtype=np.uint8)
@@ -319,18 +330,17 @@ def run_session(config: SessionConfig) -> SessionReport:
     # Message 4, Alice -> Bob: parity transcript, verification hash
     # outcome, final length, and the amplification seed. Message 5,
     # Bob -> Alice: confirmation.
-    channel.deliver(channel.send(
-        struct.pack(">QI?", leak, final, not failed)
-        + _pack_bits(correction.transcript) + _pack_bits(seed_bits)))
+    channel.deliver(channel.send(b"".join((
+        struct.pack(">QI?", leak, final, not failed),
+        np.packbits(correction.transcript), np.packbits(seed_bits)))))
+    del correction
     channel.deliver(channel.send(b"\x01" if not failed else b"\x00"))
 
     if failed:
-        return report(SessionOutcome.ABORT_RECONCILIATION, est.e_hat,
-                      leak=leak)
+        return report(SessionOutcome.ABORT_RECONCILIATION, e_hat, leak=leak)
 
     secret = None
     if final > 0:
-        secret = privacy_amplify(remaining.alice_bits, final,
-                                 HashSeed(seed_bits))
-    return report(SessionOutcome.SUCCESS, est.e_hat, leak=leak, final=final,
+        secret = privacy_amplify(alice_key, final, HashSeed(seed_bits))
+    return report(SessionOutcome.SUCCESS, e_hat, leak=leak, final=final,
                   secret=secret)

@@ -244,6 +244,56 @@ class TestHashKernelProperties:
         assert _verification_hash(bits, Gf64Multiplier(key)) == want
 
 
+class TestLongMessagesInPlace:
+    """The lane route reads a message's full words in place and hands its
+    partial last word and ``tail`` to the scalar Horner."""
+
+    @pytest.mark.parametrize("words", [0, 1, 255, 256, 257, 511, 512, 513])
+    def test_hash_bytes_matches_reference(self, words):
+        # 8 words + r bytes for r in 0..7, with tails of 0, 1 and 2
+        # elements, against the shift-reduce Horner. The reference hashes
+        # the full words once and continues from there: Horner from acc
+        # over [b, ...] is Horner from 0 over [acc ^ b, ...].
+        key = 0x9E3779B97F4A7C15
+        mul = Gf64Multiplier(key)
+        rand = RandomSource(words + 1)
+        data = rand.byte_string(8 * words + 7)
+        ref_mul = lambda a: gf64_mul(a, key)  # noqa: E731
+        head = poly_hash_blocks(ref_blocks(data[:8 * words]), ref_mul)
+        for r in range(8):
+            message = data[:8 * words + r]
+            for tail in ((), (rand.uint64(),), (rand.uint64(), 8 * words)):
+                rest = ref_blocks(message[8 * words:]) + list(tail)
+                want = poly_hash_blocks([head ^ rest[0], *rest[1:]],
+                                        ref_mul) if rest else head
+                assert mul.hash_bytes(message, tail) == want
+
+    def test_a_tail_longer_than_a_row(self):
+        # LANES + 1 tail elements and no full word: the lane route runs
+        # with nothing to read from the message.
+        key = 77
+        tail = tuple(RandomSource(31).integers(0, 2**63, LANES + 1).tolist())
+        for message in (b"", b"\x05\x06\x07"):
+            want = poly_hash_blocks(ref_blocks(message) + list(tail),
+                                    lambda a: gf64_mul(a, key))
+            assert Gf64Multiplier(key).hash_bytes(message, tail) == want
+
+    def test_holds_no_copy_of_the_message(self):
+        # Hashing 10^6 bytes peaked at 53 kB (its lane buffers and the
+        # table gathers of one row); the padded copies and the native
+        # grid of the whole message peaked at 2.06 MB.
+        message = RandomSource(21).byte_string(10**6)
+        mul = Gf64Multiplier(12345)
+        mul.hash_bytes(message)  # builds K's tables
+        tracemalloc.start()
+        try:
+            mul.hash_bytes(message, (8 * len(message),))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
+
+
 class TestComputeTag:
     def test_empty_message_zero_pad(self):
         assert compute_tag(b"", 0xABCDEF, 0) == 0

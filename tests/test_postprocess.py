@@ -24,6 +24,7 @@ from qkdsim.postprocess import (COHERENT_THRESHOLD, INDIVIDUAL_THRESHOLD,
                                 error_correct, eve_information_bound,
                                 final_key_length, privacy_amplify,
                                 secret_fraction)
+from qkdsim import postprocess
 from qkdsim.rng import RandomSource
 
 from reference_kernels import gather_error_correct
@@ -365,6 +366,29 @@ class TestErrorCorrect:
         result = error_correct(key, key.copy(), e_hat, RandomSource(16))
         assert result.verified and np.array_equal(result.corrected_key, key)
 
+    @pytest.mark.parametrize("bad", [0, -1, True, 2.5])
+    def test_refuses_a_bad_passes_before_any_draw(self, bad):
+        # 0 or -1 ran no pass and failed on the hash alone, True ran one
+        # pass and 2.5 raised TypeError from range.
+        key = RandomSource(15).bits(256)
+        bob = key.copy()
+        bob[[3, 100, 200]] ^= 1
+        coins = RandomSource(16)
+        with pytest.raises(ValueError, match="passes"):
+            error_correct(key, bob, 0.05, coins, passes=bad)
+        assert np.array_equal(coins.permutation(64),
+                              RandomSource(16).permutation(64))
+
+    def test_accepts_numpy_integer_passes(self):
+        key = RandomSource(15).bits(256)
+        bob = key.copy()
+        bob[[3, 100, 200]] ^= 1
+        got = error_correct(key, bob, 0.05, RandomSource(16),
+                            passes=np.int64(2))
+        want = error_correct(key, bob, 0.05, RandomSource(16), passes=2)
+        assert got.verified
+        assert np.array_equal(got.transcript, want.transcript)
+
 
 class TestPrivacyAmplify:
     def test_worked_toy_vector(self):
@@ -467,11 +491,14 @@ class TestPrivacyAmplifyProperties:
     @example(n=5, ell=0, stream=1)
     @example(n=512, ell=2500, stream=2)
     @example(n=3000, ell=3000, stream=3)
-    # the FFT length is the power of two >= n + ell - 1: an exact fit,
-    # and one past it, where a length of n + ell - 2 would wrap the last
-    # term, seed[-1] * key[0] (both 1 for stream 1), onto row ell - 1
+    # the FFT length is the least 5-smooth number >= n + ell - 1: exact
+    # fits at 2048 = 2^11 and 1800 = 2^3 3^2 5^2, where a length of
+    # n + ell - 2 would wrap the last term, seed[-1] * key[0] (both 1
+    # for stream 2), onto row ell - 1, and one past each (2160, 1875)
     @example(n=1000, ell=1049, stream=2)
     @example(n=1000, ell=1050, stream=1)
+    @example(n=1000, ell=801, stream=2)
+    @example(n=1000, ell=802, stream=2)
     def test_equals_explicit_matrix_product(self, n, ell, stream):
         assume(n + ell > 0)  # (0, 0) has no seed of length n + ell - 1
         rand = RandomSource(stream)
@@ -503,6 +530,41 @@ class TestPrivacyAmplifyProperties:
         for j in [0, 1, ell // 2, ell - 2, ell - 1, *sampled]:
             row = seed.bits[(np.arange(n) - j) + (ell - 1)]
             assert out[j] == int(row.astype(np.int64) @ key) % 2
+
+    def test_equals_dense_rows_below_the_power_of_two(self):
+        # n + ell - 1 = 45,241: the FFT runs at 46,080 = 2^10 3^2 5 points,
+        # not 65,536. Row j is the GF(2) inner product of the key with
+        # seed[ell - 1 - j:ell - 1 - j + n], taken 512 rows at a time.
+        rand = RandomSource(3600)
+        n, ell = 40_000, 5_242
+        assert postprocess._fft_length(n + ell - 1) == 46_080
+        key = rand.bits(n)
+        seed = HashSeed.random(rand, n, ell)
+        windows = np.lib.stride_tricks.sliding_window_view(seed.bits, n)
+        rows = windows[ell - 1::-1]  # row j starts at seed[ell - 1 - j]
+        want = np.concatenate([
+            np.bitwise_xor.reduce(rows[j:j + 512] & key, axis=1)
+            for j in range(0, ell, 512)])
+        assert np.array_equal(privacy_amplify(key, ell, seed).bits, want)
+
+    def test_memory_budget_per_convolution_point(self):
+        # Two transforms of N points (16 B a point) and the float64 copy
+        # of the key (8 B a key bit) are alive at once. At n = 25,000 and
+        # ell = 20,242, N = 46,080 for m = n + ell - 1 = 45,241, so the
+        # peak is 20.8 B per point of m; at the power-of-two length,
+        # 65,536, it was 27.6.
+        rand = RandomSource(3700)
+        n, ell = 25_000, 20_242
+        key = rand.bits(n)
+        seed = HashSeed.random(rand, n, ell)
+        privacy_amplify(key, ell, seed)  # warm caches
+        tracemalloc.start()
+        try:
+            privacy_amplify(key, ell, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (n + ell - 1) < 24
 
     @pytest.mark.parametrize("perturb", [
         lambda sums: sums + 0.5,
@@ -572,3 +634,11 @@ def test_hash_seed_random_length():
     seed = HashSeed.random(RandomSource(1), 100, 40)
     assert len(seed) == 139
     assert set(np.unique(seed.bits)) <= {0, 1}
+
+
+def test_fft_length_is_the_least_5_smooth_number():
+    smooth = sorted(2**a * 3**b * 5**c for a in range(15) for b in range(10)
+                    for c in range(7) if 2**a * 3**b * 5**c <= 2 * 10**4)
+    want = np.searchsorted(smooth, np.arange(1, 10**4 + 1))
+    assert [postprocess._fft_length(m) for m in range(1, 10**4 + 1)] \
+        == [smooth[i] for i in want]

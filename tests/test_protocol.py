@@ -347,6 +347,19 @@ class TestSift:
             SiftedKeys(np.zeros(2, np.uint8), np.zeros(2, np.uint8),
                        np.array([5, 5]))
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.uint64])
+    @pytest.mark.parametrize("indices", [[5, 3], [5, 5], [1, 4, 2]])
+    def test_sifted_keys_refuse_unordered_indices_of_any_dtype(self, indices,
+                                                               dtype):
+        # np.diff of unsigned indices wraps: [5, 3] as uint32 gave a
+        # difference of 2^32 - 2 and was taken as increasing.
+        zeros = np.zeros(len(indices), np.uint8)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SiftedKeys(zeros, zeros, np.array(indices, dtype=dtype))
+        assert len(SiftedKeys(zeros, zeros,
+                              np.arange(len(indices), dtype=dtype))) \
+            == len(indices)
+
 
 class TestEstimateQber:
     def make_sifted(self, n, n_errors, seed):
@@ -535,6 +548,29 @@ class TestRunSession:
         assert report.leak_ec_bits == 70
         assert report.auth_bits_consumed == 384
         assert report.secret_growth == -384
+
+    def test_memory_budget_per_click(self):
+        # Every pulse clicks. The quantum phase peaks within 20 B a click
+        # + 12 B x WINDOW (test_memory_budget_at_high_click_rates), and
+        # message 1 holds the 12-B records, their 4-B positions and its
+        # 5-B payload. The sifted key and the sample are gone before
+        # Cascade, and the records and Bob's key before privacy
+        # amplification (16 B per FFT point, about 0.45 points a click
+        # here). The peak was 23 B a click; with the records, the sifted
+        # key and the sample held to the end and PA at the power of two
+        # it was 49 B.
+        config = ideal_config(100_000, 17)
+        run_session(config)  # warm caches
+        tracemalloc.start()
+        try:
+            report = run_session(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.outcome is SessionOutcome.SUCCESS
+        assert report.clicks == 100_000 and report.final_len > 40_000
+        assert peak <= 28 * report.clicks + 12 * WINDOW, \
+            f"{peak / report.clicks:.1f} B/click"
 
     def test_deterministic_including_secret_bits(self):
         config = ideal_config(30_000, 421, source=SourceModel(0.15),
