@@ -280,6 +280,38 @@ class TestRelay:
         assert [(p.cursor, p.consumed_log) for p in pools] == [(0, [])] * 4
         assert all(node.knowledge_log == [] for node in net.nodes.values())
 
+    @pytest.mark.parametrize("walk, store_bits, error", [
+        # A-B-A-B crosses A-B three times: 3 x 64 link bits, three pads
+        ("ABAB", 192, None),
+        ("ABAB", 191, "hop A-B holds 191 link-key bits, need 192"),
+        # hop 0 is underfunded and hop 1, B-D, is not a link: hop 0's
+        # funds are checked before hop 1 is looked at
+        ("ABD", 63, "hop A-B holds 63 link-key bits, need 64"),
+    ])
+    def test_crossings_are_funded_at_the_first_hop(self, walk, store_bits,
+                                                  error):
+        net = stub_network([("A", "B"), ("C", "D")], n_bits=store_bits)
+        pools = [pool for link in net.links
+                 for pool in (link.key, link.channel.pool)]
+        rand = RandomSource(538)
+        if error:
+            with pytest.raises(KeyExhausted, match=f"^{error}$"):
+                net.relay(list(walk), 64, rand)
+            assert [(p.cursor, p.consumed_log) for p in pools] == \
+                [(0, [])] * 4
+            assert all(node.knowledge_log == []
+                       for node in net.nodes.values())
+            assert np.array_equal(rand.bits(64), RandomSource(538).bits(64))
+            return
+        transcript = net.relay(list(walk), 64, rand)
+        key = RandomSource(538).bits(64)
+        assert np.array_equal(transcript.end_key, key)
+        assert len(transcript.hop_messages) == 3
+        assert pools[0].consumed_log == [(0, 64), (64, 128), (128, 192)]
+        assert pools[1].cursor == 64 + 3 * 64  # hash key and three pads
+        assert [len(net.node(i).knowledge_log) for i in "ABCD"] == \
+            [1, 1, 0, 0]
+
     @pytest.mark.parametrize("key_len", [-8, 8.0, True, "8"])
     def test_bad_key_len_refused_before_anything(self, key_len):
         # -8 used to die inside numpy and 8.0 with a TypeError; a packed
@@ -511,6 +543,12 @@ class TestPackedRelayMatchesUnpacked:
     @example(([(20, 3000), (20, 3000), (3000, 3000), (3000, 3000)],
               [(list("ABA"), 9, 3), (list("ABCB"), 9, 4),
                (list("ABCD"), 9, 5)]))
+    # a path that crosses A-B three times, funded exactly and one bit
+    # short, and one whose hop 0 is underfunded and whose hop 1, B-D, is
+    # not a link: it raises KeyExhausted naming hop 0
+    @example(([(27, 3000)] + FUNDED[1:], [(list("ABAB"), 9, 11)]))
+    @example(([(26, 3000)] + FUNDED[1:], [(list("ABAB"), 9, 12),
+                                          (list("ABD"), 27, 13)]))
     # key lengths around a byte, each read at the cursor the last left:
     # 1, then 8 and 15 bits into the stores
     @example((FUNDED, [(list("ABCD"), n, n) for n in (0, 1, 7, 9, 128)]))
