@@ -16,6 +16,7 @@ one after. The pool's cursor is the consumption tally.
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,10 +96,14 @@ class BitPool:
         return word >> (8 * len(window) - skip - n_bits) & ((1 << n_bits) - 1)
 
     def deposit(self, bits) -> None:
-        """Append freshly produced key bits for later consumption."""
+        """Append key bits, repacking only the last, partly filled byte."""
         arr = bit_array("pool bits", bits)
-        self._packed = np.packbits(np.concatenate((self.bits, arr))).tobytes()
-        self._len += arr.size
+        full, part = divmod(self._len, 8)
+        if part:
+            last = np.frombuffer(self._packed, np.uint8, offset=full)
+            arr = np.concatenate((np.unpackbits(last, count=part), arr))
+        self._packed = self._packed[:full] + np.packbits(arr).tobytes()
+        self._len += arr.size - part
 
 
 def _hash_message(message: bytes, mul: Gf64Multiplier) -> int:
@@ -143,7 +148,7 @@ class AuthenticatedChannel:
     def __init__(self, pool: BitPool):
         self.pool = pool
         self._mul: Gf64Multiplier | None = None  # keyed on the first send
-        self._pending: list[tuple[AuthenticatedMessage, int, int]] = []
+        self._pending: deque[tuple[AuthenticatedMessage, int, int]] = deque()
 
     def bits_needed(self, n_messages: int) -> int:
         """Pool bits that sending ``n_messages`` more messages consumes:
@@ -155,7 +160,8 @@ class AuthenticatedChannel:
         if self._mul is None:
             self._mul = Gf64Multiplier(self.pool.consume_int(HASH_KEY_BITS))
         otp = self.pool.consume_int(TAG_BITS)
-        payload = bytes(payload)  # a mutable buffer is frozen as tagged
+        if type(payload) is not bytes:  # a mutable buffer is frozen as tagged
+            payload = bytes(payload)
         digest = _hash_message(payload, self._mul)
         msg = AuthenticatedMessage(payload, digest ^ otp)
         self._pending.append((msg, digest, otp))
@@ -164,7 +170,7 @@ class AuthenticatedChannel:
     def deliver(self, msg: AuthenticatedMessage) -> bytes:
         if not self._pending:
             raise AuthenticationFailure("no message in flight")
-        sent, digest, otp = self._pending.pop(0)
+        sent, digest, otp = self._pending.popleft()
         if msg is not sent:  # the message sent reuses the hash send made
             digest = _hash_message(msg.payload, self._mul)
         if (digest ^ otp ^ msg.tag) != 0:

@@ -561,6 +561,55 @@ class TestAuthKeyPool:
         assert held <= 130_000
         assert np.array_equal(pool.bits, bits)
 
+    @pytest.mark.parametrize("pool_len", range(8))
+    @given(spent=st.integers(0, 7),
+           bits=st.lists(st.integers(0, 1), max_size=40),
+           cuts=st.lists(st.integers(0, 40), max_size=5),
+           reads=st.lists(st.tuples(st.sampled_from(["consume",
+                                                     "consume_int"]),
+                                    st.integers(0, 24)), max_size=6))
+    def test_split_deposits_equal_one(self, pool_len, spent, bits, cuts,
+                                      reads):
+        # onto a pool of every length mod 8, a string deposited in pieces
+        # (empty ones too) reads as the same string deposited at once
+        head = RandomSource(pool_len).bits(pool_len + 8)
+        split, whole = BitPool(head), BitPool(head)
+        for pool in (split, whole):
+            pool.consume(spent)
+        edges = [0, *sorted(min(c, len(bits)) for c in cuts), len(bits)]
+        for a, b in zip(edges, edges[1:]):
+            split.deposit(bits[a:b])
+        whole.deposit(bits)
+        assert split.bits.tolist() == whole.bits.tolist() \
+            == head.tolist() + bits
+        for op, n_bits in reads:
+            assert split.remaining == whole.remaining
+            if n_bits > whole.remaining:
+                for pool in (split, whole):
+                    with pytest.raises(KeyExhausted):
+                        getattr(pool, op)(n_bits)
+                continue
+            got, want = (getattr(p, op)(n_bits) for p in (split, whole))
+            assert np.array_equal(got, want)
+        assert split.consumed_log == whole.consumed_log
+
+    def test_deposit_holds_no_unpacked_copy_of_the_pool(self):
+        # 10^6 bits onto a 10^6-bit pool: the pool grows by 125,000 bytes
+        # and the new bits pack into 125,000 more (375 kB peak); unpacking
+        # the pool to a byte a bit, as deposits once did, peaked at 2.86 MB
+        pool = BitPool(RandomSource(22).bits(10**6))
+        bits = RandomSource(21).bits(10**6)
+        tracemalloc.start()
+        try:
+            pool.deposit(bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 500_000
+        assert np.array_equal(pool.bits[10**6:], bits)
+        assert np.array_equal(pool.consume(10**6),
+                              RandomSource(22).bits(10**6))
+
     def test_fresh_default_size(self):
         # A link's key store starts as an empty pool.
         pool = BitPool()

@@ -148,6 +148,14 @@ class TestProvisioning:
 
 
 class TestRelay:
+    def test_transcript_has_slots_and_stays_frozen(self):
+        # a run keeps thousands of transcripts: no per-transcript __dict__
+        transcript = stub_network([("A", "B")]).relay(["A", "B"], 8,
+                                                      RandomSource(539))
+        assert not hasattr(transcript, "__dict__")
+        with pytest.raises(AttributeError):
+            transcript.path = ("B", "A")
+
     def test_two_nodes_direct(self):
         net = stub_network([("A", "B")])
         transcript = net.relay(["A", "B"], 128, RandomSource(514))
