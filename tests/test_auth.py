@@ -594,9 +594,9 @@ class TestAuthKeyPool:
         assert split.consumed_log == whole.consumed_log
 
     def test_deposit_holds_no_unpacked_copy_of_the_pool(self):
-        # 10^6 bits onto a 10^6-bit pool: the pool grows by 125,000 bytes
-        # and the new bits pack into 125,000 more (375 kB peak); unpacking
-        # the pool to a byte a bit, as deposits once did, peaked at 2.86 MB
+        # 10^6 bits onto a 10^6-bit pool: the new pool's 250,000 bytes
+        # and the new bits' 125,000 packed peak at 375 kB; unpacking the
+        # pool to a byte a bit, as deposits once did, peaked at 3.0 MB
         pool = BitPool(RandomSource(22).bits(10**6))
         bits = RandomSource(21).bits(10**6)
         tracemalloc.start()
