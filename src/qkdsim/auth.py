@@ -16,7 +16,6 @@ one after. The pool's cursor is the consumption tally.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,7 +147,7 @@ class AuthenticatedChannel:
     def __init__(self, pool: BitPool):
         self.pool = pool
         self._mul: Gf64Multiplier | None = None  # keyed on the first send
-        self._pending: deque[tuple[AuthenticatedMessage, int, int]] = deque()
+        self._pending: list[tuple[AuthenticatedMessage, int, int]] = []
 
     def bits_needed(self, n_messages: int) -> int:
         """Pool bits that sending ``n_messages`` more messages consumes:
@@ -160,8 +159,7 @@ class AuthenticatedChannel:
         if self._mul is None:
             self._mul = Gf64Multiplier(self.pool.consume_int(HASH_KEY_BITS))
         otp = self.pool.consume_int(TAG_BITS)
-        if type(payload) is not bytes:  # a mutable buffer is frozen as tagged
-            payload = bytes(payload)
+        payload = bytes(payload)  # a mutable buffer is frozen as tagged
         digest = _hash_message(payload, self._mul)
         msg = AuthenticatedMessage(payload, digest ^ otp)
         self._pending.append((msg, digest, otp))
@@ -170,7 +168,7 @@ class AuthenticatedChannel:
     def deliver(self, msg: AuthenticatedMessage) -> bytes:
         if not self._pending:
             raise AuthenticationFailure("no message in flight")
-        sent, digest, otp = self._pending.popleft()
+        sent, digest, otp = self._pending.pop(0)
         if msg is not sent:  # the message sent reuses the hash send made
             digest = _hash_message(msg.payload, self._mul)
         if (digest ^ otp ^ msg.tag) != 0:

@@ -5,18 +5,22 @@ polynomial multiplication reduced by x^64 + x^4 + x^3 + x + 1, the lowest
 weight irreducible of degree 64 (the one used by GCM's sibling fields).
 Addition is XOR.
 
-Every production hash runs through :meth:`Gf64Multiplier.hash_bytes`:
-a scalar Horner loop over byte tables of the key for a short message,
-``LANES`` interleaved Horner chains over numpy uint64 lanes, read in
-place, for a long one. Both routes are exact integer XOR and table
-arithmetic with no floating-point step, so they give the same element
-bit for bit and need no guard.
+Every production hash runs through :meth:`Gf64Multiplier.hash_bytes`.
+A product by the fixed key k is eight lookups in byte tables of
+k * (b << 8j), made in one place, the scalar Horner loop in k, which
+hashes a message of up to ``LANES`` blocks alone. A longer message's
+full 64-bit words are hashed as ``LANES`` interleaved Horner chains with
+the multiplier K = k^LANES, vectorised over numpy uint64 lanes and read
+in place from the message, with no padded copy of it; the chains'
+results, the partial last word and any trailing elements are then
+folded by the scalar Horner in k. Both routes are exact integer XOR and
+table arithmetic with no floating-point step, so they give the same
+element bit for bit and need no guard.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import cache
 
 import numpy as np
 
@@ -29,11 +33,6 @@ LANES = 256
 
 _LANE_DTYPE = np.dtype("<u8")  # byte j of a lane holds bits 8j..8j+7
 _BYTE_OFFSETS = np.arange(8) * 256
-
-
-@cache  # only the short route calls it, so n_words <= LANES
-def _unpack_words(n_words: int):
-    return struct.Struct(f">{n_words}Q").unpack
 
 
 def _byte_tables(k: int) -> list[list[int]]:
@@ -75,6 +74,8 @@ class Gf64Multiplier:
     scalar Horner in k over the ``LANES`` column values, the partial
     last word and ``tail`` yields the same field element. No copy of
     the message is made.
+    The arithmetic is exact integer XOR on uint64 lanes; no rounding can
+    occur, so no runtime guard is needed.
     """
 
     def __init__(self, k: int):
@@ -104,7 +105,8 @@ class Gf64Multiplier:
         n_blocks = n_words + len(tail)
         if n_blocks <= LANES:
             body = data.ljust(8 * n_words, b"\x00")
-            return self._horner(_unpack_words(n_words)(body) + tuple(tail))
+            return self._horner(
+                struct.unpack(f">{n_words}Q", body) + tuple(tail))
         n_full = len(data) // 8
         words = np.frombuffer(data, dtype=">u8", count=n_full)
         # row 0 holds the words before a whole number of LANES-rows

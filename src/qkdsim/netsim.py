@@ -152,15 +152,12 @@ def relay_key(path: list[Node], key_len: int,
     links = [a.links.get(b.id) for a, b in zip(path, path[1:])]
     # a path may cross one link more than once: each crossing pays, and
     # the link is checked for all of them at its first hop
-    crossings = {}
-    for link in links:
-        crossings[link] = crossings.get(link, 0) + 1
-    for a, b, link in zip(path, path[1:], links):
+    for i, (a, b, link) in enumerate(zip(path, path[1:], links)):
         if link is None:
             raise ValueError(f"hop {a.id}-{b.id} is not a link")
-        n = crossings.pop(link, 0)
-        if not n:  # checked at an earlier hop
+        if links.index(link) < i:
             continue
+        n = links.count(link)
         for kind, pool, need in (
                 ("link-key", link.key, n * key_len),
                 ("authentication", link.channel.pool,
