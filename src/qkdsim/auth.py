@@ -156,7 +156,11 @@ class AuthenticatedChannel:
         return key + n_messages * TAG_BITS
 
     def send(self, payload: bytes) -> AuthenticatedMessage:
-        if self._mul is None:
+        if self._mul is None:  # a first send it cannot fund draws no key
+            need = self.bits_needed(1)
+            if self.pool.remaining < need:
+                raise KeyExhausted(
+                    f"need {need} bits, {self.pool.remaining} remain")
             self._mul = Gf64Multiplier(self.pool.consume_int(HASH_KEY_BITS))
         otp = self.pool.consume_int(TAG_BITS)
         payload = bytes(payload)  # a mutable buffer is frozen as tagged

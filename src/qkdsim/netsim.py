@@ -20,7 +20,7 @@ import numpy as np
 
 from .auth import AuthenticatedChannel, BitPool, KeyExhausted
 from .protocol import BITS, SessionConfig, SessionOutcome, run_session
-from .rng import INTEGER, Checked, RandomSource
+from .rng import INTEGER, Checked, RandomSource, bit_array
 
 
 class SessionAborted(Exception):
@@ -188,8 +188,8 @@ def relay_key(path: list[Node], key_len: int,
 def combine_keys(k_quantum, k_classical) -> np.ndarray:
     """XOR combiner of the dual-key-agreement scheme: breaking the result
     requires both inputs, so it is at least as strong as the stronger."""
-    kq = np.asarray(k_quantum, dtype=np.uint8)
-    kc = np.asarray(k_classical, dtype=np.uint8)
+    kq = bit_array("k_quantum", k_quantum)
+    kc = bit_array("k_classical", k_classical)
     if len(kq) != len(kc):
         raise LengthMismatch(f"lengths differ: {len(kq)} vs {len(kc)}")
     return kq ^ kc
@@ -211,7 +211,9 @@ class Network:
                  auth_pool_bits: int = LINK_AUTH_POOL_BITS) -> Link:
         """Link two nodes, creating them if new. A self-loop, a second
         link between one pair or another link's seed (mod 2^64: its key
-        and auth pool) raises ``ValueError`` before anything is made."""
+        and auth pool) or an ``auth_pool_bits`` outside ``protocol.BITS``
+        raises ``ValueError`` before anything is made."""
+        BITS.check("auth_pool_bits", auth_pool_bits)
         if a_id == b_id:
             raise ValueError(f"link {a_id}-{b_id} joins a node to itself")
         if a_id in self.nodes and b_id in self.nodes[a_id].links:

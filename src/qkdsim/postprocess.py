@@ -107,7 +107,9 @@ class HashSeed:
     @classmethod
     def random(cls, rand: RandomSource, n: int, ell: int) -> "HashSeed":
         """Uniform seed for hashing n bits down to ell."""
-        return cls(rand.bits(n + ell - 1))
+        COUNT.check("n", n)
+        COUNT.check("ell", ell)
+        return cls(rand.bits(max(n + ell - 1, 0)))
 
 
 @dataclass(frozen=True)
@@ -289,12 +291,13 @@ def privacy_amplify(key, ell: int, seed: HashSeed) -> SecretKey:
     key = bit_array("key", key)
     n = len(key)
     sbits = bit_array("seed bits", seed.bits)
-    if len(sbits) != n + ell - 1:
+    need = max(n + ell - 1, 0)
+    if len(sbits) != need:
         raise SeedLengthMismatch(
-            f"seed length {len(sbits)}, need {n + ell - 1} for {n}->{ell}")
+            f"seed length {len(sbits)}, need {need} for {n}->{ell}")
     if n == 0 or ell == 0:
         return SecretKey(np.zeros(ell, dtype=np.uint8))
-    size = _fft_length(n + ell - 1)
+    size = _fft_length(need)
     spectrum = np.fft.rfft(sbits, size)
     spectrum *= np.fft.rfft(key[::-1], size)
     sums = np.fft.irfft(spectrum, size)[n - 1:n + ell - 1][::-1]

@@ -771,6 +771,24 @@ class TestAuthenticatedChannel:
         with pytest.raises(KeyExhausted):
             channel.send(b"no pad left")
 
+    @pytest.mark.parametrize("n_bits", [0, 64, 100, 127])
+    def test_refused_first_send_spends_nothing(self, n_bits):
+        # a first send pays the hash key and a pad at once: a pool short
+        # of 128 bits funds neither, so the key stays undrawn
+        pool = fresh_pool(36, n_bits)
+        channel = AuthenticatedChannel(pool)
+        with pytest.raises(KeyExhausted,
+                           match=f"need 128 bits, {n_bits} remain"):
+            channel.send(b"click report")
+        assert pool.cursor == 0 and pool.consumed_log == []
+        assert channel.bits_needed(1) == 128  # still unkeyed
+        pool.deposit(RandomSource(37).bits(128))
+        bits = pool.bits
+        key = int("".join(map(str, bits[:64])), 2)
+        otp = int("".join(map(str, bits[64:128])), 2)
+        assert channel.send(b"click report").tag == \
+            compute_tag(b"click report", key, otp)
+
     def test_tags_reproducible_from_pool_bits(self):
         # The channel's tag must equal a direct computation from the
         # same pool prefix: 64 hash-key bits then 64 pad bits.

@@ -5,6 +5,8 @@ with the pad recovered from that store's consumption log, must yield the
 carried key, and only interior nodes may ever log it.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -49,6 +51,19 @@ class TestCombineKeys:
         c = combine_keys(a, b)
         assert np.array_equal(c ^ b, a)
         assert np.array_equal(c ^ a, b)
+
+    @pytest.mark.parametrize("bad", [[2, 1], [0.7, 1], [-1, 0]])
+    def test_reads_both_keys_as_bits(self, bad):
+        # as every function that takes a key: a 2 is not XORed in, 0.7
+        # is not cast to 0 and -1 is refused by name
+        with pytest.raises(ValueError, match="k_quantum"):
+            combine_keys(bad, [0, 1])
+        with pytest.raises(ValueError, match="k_classical"):
+            combine_keys([0, 1], bad)
+        for a, b in [([0, 1], [1, 1]), ([False, True], [True, True]),
+                     (np.array([0, 1]), np.array([1, 1], np.uint8))]:
+            out = combine_keys(a, b)
+            assert out.dtype == np.uint8 and out.tolist() == [1, 0]
 
 
 class TestKeyStore:
@@ -390,6 +405,14 @@ class TestNetwork:
         # lexicographically earlier branch wins.
         net = stub_network([("A", "B"), ("B", "D"), ("A", "C"), ("C", "D")])
         assert [n.id for n in net.shortest_path("A", "D")] == ["A", "B", "D"]
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, True])
+    def test_add_link_refuses_a_bad_auth_pool_before_making_nodes(self, bad):
+        net = Network()
+        with pytest.raises(ValueError, match=re.escape(
+                "auth_pool_bits must be an integer >= 0 and <= 2^32")):
+            net.add_link("A", "B", StubKeySource(1, 64), auth_pool_bits=bad)
+        assert net.nodes == {} and net.links == []
 
     @pytest.mark.parametrize("ends", [("Z", "Z"), ("A", "Z"), ("Z", "A")])
     def test_shortest_path_unknown_node(self, ends):

@@ -419,6 +419,20 @@ class TestPrivacyAmplify:
         out = privacy_amplify(key, 0, HashSeed(np.zeros(9, np.uint8)))
         assert len(out) == 0
 
+    def test_zero_bits_to_zero_bits_takes_an_empty_seed(self):
+        seed = HashSeed.random(RandomSource(1), 0, 0)
+        assert len(seed) == 0
+        out = privacy_amplify(np.zeros(0, np.uint8), 0, seed)
+        assert isinstance(out, SecretKey) and len(out) == 0
+        with pytest.raises(SeedLengthMismatch, match="need 0 for 0->0"):
+            privacy_amplify([], 0, HashSeed(np.zeros(1, np.uint8)))
+        rand = RandomSource(2)
+        assert [len(HashSeed.random(rand, n, ell))
+                for n, ell in [(0, 1), (1, 0), (3, 2)]] == [0, 0, 4]
+        for n, ell in [(-1, 1), (-5, 2), (2, -1)]:  # no empty seed for these
+            with pytest.raises(ValueError, match="must be an integer >= 0"):
+                HashSeed.random(rand, n, ell)
+
     def test_seed_length_checked(self):
         key = RandomSource(1).bits(10)
         with pytest.raises(SeedLengthMismatch):
