@@ -100,11 +100,11 @@ def intercept_batch(pulses: Pulses, bits: PulseBits, bases: PulseBits,
     """Apply Eve's strategy to the pulses, appending to the ledger.
 
     A pulse keeps its count of photons through the loss and loses
-    Poisson(``lost``) more (split("lost")); the photon Eve takes or
-    resends is a kept one iff a uniform (split("kept")) times their sum
-    is below the count. With nothing lost none is drawn. The counts
-    change in place, keeping their dtype; a pulse left with none is
-    dropped, its row kept.
+    Poisson(``lost``) more (split("lost"); all zeros at ``lost`` = 0);
+    the photon Eve takes or resends is a kept one iff a uniform
+    (split("kept")) times their sum is below the count. The counts
+    change in place, keeping their dtype; new Pulses hold the pulses
+    left with a photon, and one left with none keeps its ledger row.
 
     ``bits`` and ``bases`` are Alice's, with no pulse overridden. Returns
     (pulses, bits, bases) as the channel carries them: Alice's bits and
@@ -113,12 +113,10 @@ def intercept_batch(pulses: Pulses, bits: PulseBits, bases: PulseBits,
     if isinstance(strategy, NoAttack):
         return pulses, bits, bases
     counts = pulses.counts
-    emitted = counts + rand.split("lost").poisson(lost, len(counts)) \
-        if lost else counts
+    emitted = counts + rand.split("lost").poisson(lost, len(counts))
 
     def kept(at):
-        return (rand.split("kept").random(len(at)) * emitted[at]
-                < counts[at]) if lost else True
+        return rand.split("kept").random(len(at)) * emitted[at] < counts[at]
     # Both branches work only at the pulses Eve touches.
     if isinstance(strategy, InterceptResend):
         # Eve measures a pulse that emitted photons with probability fraction
@@ -141,10 +139,8 @@ def intercept_batch(pulses: Pulses, bits: PulseBits, bases: PulseBits,
         ledger.record_stored(split, bits.at(split), bases.at(split))
     else:
         raise TypeError(f"unknown strategy {strategy!r}")
-    if lost:
-        full = np.flatnonzero(counts)
-        pulses = Pulses(pulses.n, pulses.indices[full], counts[full])
-    return pulses, bits, bases
+    full = np.flatnonzero(counts)
+    return Pulses(pulses.n, pulses.indices[full], counts[full]), bits, bases
 
 
 def finalize_knowledge(ledger: EveLedger, announced_bases: np.ndarray,

@@ -92,6 +92,7 @@ class Link:
 
     def __init__(self, a: Node, b: Node, key_source: KeySource,
                  auth_pool_bits: int = LINK_AUTH_POOL_BITS):
+        BITS.check("auth_pool_bits", auth_pool_bits)
         self.endpoints = (a, b)
         self.key_source = key_source
         self.reports = []

@@ -246,8 +246,8 @@ def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,
         blocks = np.bitwise_xor.reduceat(flags, starts)
         records.append((memoryview(perm), memoryview(inv), k, pre.tobytes(),
                         bytearray(flags), bytearray(blocks)))
-        for blk in np.flatnonzero(blocks).tolist():
-            heapq.heappush(heap, (p, blk))
+        # the heap is empty here, and ascending blocks are already a heap
+        heap.extend([(p, blk) for blk in np.flatnonzero(blocks).tolist()])
         del permuted, pre, flags
 
         while heap:

@@ -165,11 +165,11 @@ def run_quantum_phase(config: SessionConfig, rand: RandomSource,
     Only the pulses with photons are drawn. Fiber loss and detector
     efficiency are one loss, eta, drawn once. A Poisson source is drawn
     as Poisson(mu * eta), the pulses that keep a photon; each lost
-    Poisson(mu (1 - eta)) more, which Eve saw, and so did the pulses of
-    the gates where only dark counts fired. Any other source is thinned
-    after Eve. Alice's bits and bases and Bob's bases are functions of
-    the pulse index, each from its own substream, read where Eve, the
-    detectors or the records need them.
+    Poisson(mu (1 - eta)) more, which Eve saw (none at eta = 1), as she
+    saw the pulses of the gates where only dark counts fired, at every
+    eta. Any other source is thinned after Eve. Alice's bits and bases
+    and Bob's bases are functions of the pulse index, each from its own
+    substream, read where Eve, the detectors or the records need them.
 
     Double clicks are resolved to a uniform random bit, the squashing
     map of Beaudry, Moroder and Lutkenhaus (PRL 101, 093601, 2008):
@@ -183,10 +183,10 @@ def run_quantum_phase(config: SessionConfig, rand: RandomSource,
     eta = survival_probability(config.channel) * config.detectors.efficiency
     lost = 0.0  # mean photons each pulse Eve sees lost, besides those kept
     if isinstance(source, SourceModel):
-        lost = source.mu * (1 - eta) if config.eve != NoAttack() else 0.0
+        lost = source.mu * (1 - eta)
         source, eta = SourceModel(source.mu * eta), 1.0
     pulses = sample_photon_counts(source, n, rand.split("source"))
-    events = pulses.indices if lost else None
+    events = pulses.indices if config.eve != NoAttack() else None
     ledger = eve_ledger if eve_ledger is not None else EveLedger()
     pulses, bits, bases = intercept_batch(
         pulses, alice_bits, alice_bases, config.eve, ledger, eve, lost=lost)
@@ -195,7 +195,7 @@ def run_quantum_phase(config: SessionConfig, rand: RandomSource,
         pulses, bits, bases, bob_bases, config.detectors.dark_count_prob,
         config.channel.excess_flip_prob, rand.split("detector"))
     del pulses, bits, bases
-    if lost:  # pulses that kept no photon but whose gate clicked
+    if events is not None:  # pulses that kept no photon but whose gate clicked
         dark = indices[~in_sorted(events, indices)]
         intercept_batch(Pulses(n, dark, np.zeros(len(dark), np.uint8)),
                         alice_bits, alice_bases, config.eve, ledger,

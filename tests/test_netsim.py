@@ -414,6 +414,14 @@ class TestNetwork:
             net.add_link("A", "B", StubKeySource(1, 64), auth_pool_bits=bad)
         assert net.nodes == {} and net.links == []
 
+    @pytest.mark.parametrize("bad", [True, -1, 2.5])
+    def test_link_refuses_a_bad_auth_pool_before_joining_nodes(self, bad):
+        a, b = Node("A"), Node("B")
+        with pytest.raises(ValueError, match=re.escape(
+                "auth_pool_bits must be an integer >= 0 and <= 2^32")):
+            Link(a, b, StubKeySource(1, 64), bad)
+        assert a.links == {} and b.links == {}
+
     @pytest.mark.parametrize("ends", [("Z", "Z"), ("A", "Z"), ("Z", "A")])
     def test_shortest_path_unknown_node(self, ends):
         net = stub_network([("A", "B")])

@@ -262,6 +262,13 @@ class TestPerClickRecordsMatchDense:
     # that kept none
     @example(n=2 * 16_384 + 7, mu=0.8, km=30.0, efficiency=0.2,
              dark=5e-3, flip=0.01, eve=PhotonNumberSplit(), seed=7)
+    # nothing lost (eta = 1): Eve's lost draws are zeros, her photon
+    # always a kept one, and the gates that clicked on dark counts alone
+    # still go through her
+    @example(n=3000, mu=0.5, km=0.0, efficiency=1.0, dark=1e-2,
+             flip=0.0, eve=PhotonNumberSplit(), seed=8)
+    @example(n=3000, mu=0.5, km=0.0, efficiency=1.0, dark=1e-2,
+             flip=0.02, eve=InterceptResend(0.5), seed=9)
     def test_records_and_ledger_match_dense(self, n, mu, km, efficiency,
                                             dark, flip, eve, seed):
         config = SessionConfig(n, SourceModel(mu), FiberChannel(km, 0.2, flip),
