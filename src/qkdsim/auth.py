@@ -69,40 +69,38 @@ class BitPool:
     def consumed_log(self) -> list[tuple[int, int]]:
         return list(zip([0, *self._ends], self._ends))
 
-    def _take(self, n_bits: int) -> tuple[bytes, int]:
-        """Move the cursor past ``n_bits``; returns the bytes that hold
-        them and how many bits of the first byte come before them."""
+    def consume(self, n_bits: int) -> np.ndarray:
+        """Consume ``n_bits``: :meth:`consume_int`'s integer, unpacked."""
+        word = self.consume_int(n_bits)
+        data = np.frombuffer(word.to_bytes((n_bits + 7) >> 3, "big"), np.uint8)
+        return np.unpackbits(data)[-n_bits % 8:]
+
+    def consume_int(self, n_bits: int) -> int:
+        """Advance the cursor past ``n_bits`` and read them as a
+        big-endian integer: the first bit is the most significant."""
         if type(n_bits) is not int or n_bits < 0:
-            COUNT.check("n_bits", n_bits)
+            n_bits = int(COUNT.check("n_bits", n_bits))
         start, end = self.cursor, self.cursor + n_bits
         if end > self._len:
             raise KeyExhausted(f"need {n_bits} bits, {self.remaining} remain")
         self.cursor = end
         self._ends.append(end)
-        return self._packed[start >> 3:(end + 7) >> 3], start & 7
-
-    def consume(self, n_bits: int) -> np.ndarray:
-        """Advance the cursor past ``n_bits`` and return a copy of them."""
-        window, skip = self._take(n_bits)
-        return np.unpackbits(np.frombuffer(window, np.uint8),
-                             count=skip + n_bits)[skip:]
-
-    def consume_int(self, n_bits: int) -> int:
-        """Consume ``n_bits`` and read them as a big-endian integer: the
-        first bit is the most significant."""
-        window, skip = self._take(n_bits)
-        word = int.from_bytes(window, "big")
-        return word >> (8 * len(window) - skip - n_bits) & ((1 << n_bits) - 1)
+        word = int.from_bytes(self._packed[start >> 3:(end + 7) >> 3], "big")
+        return word >> (-end % 8) & ((1 << n_bits) - 1)
 
     def deposit(self, bits) -> None:
-        """Append key bits, repacking only the last, partly filled byte."""
+        """Append key bits; a partly filled last byte merges as one integer."""
         arr = bit_array("pool bits", bits)
+        n = arr.size
         full, part = divmod(self._len, 8)
+        new = np.packbits(arr).tobytes()
         if part:
-            last = np.frombuffer(self._packed, np.uint8, offset=full)
-            arr = np.concatenate((np.unpackbits(last, count=part), arr))
-        self._packed = self._packed[:full] + np.packbits(arr).tobytes()
-        self._len += arr.size - part
+            merged = (self._packed[full] >> (8 - part) << n
+                      | int.from_bytes(new, "big") >> (-n % 8))
+            new = (merged << (-(part + n) % 8)).to_bytes(
+                (part + n + 7) >> 3, "big")
+        self._packed = self._packed[:full] + new
+        self._len += n
 
 
 def _hash_message(message: bytes, mul: Gf64Multiplier) -> int:

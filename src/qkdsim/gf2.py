@@ -12,10 +12,10 @@ hashes a message of up to ``LANES`` blocks alone. A longer message's
 full 64-bit words are hashed as ``LANES`` interleaved Horner chains with
 the multiplier K = k^LANES, vectorised over numpy uint64 lanes and read
 in place from the message, with no padded copy of it; the chains'
-results, the partial last word and any trailing elements are then
-folded by the scalar Horner in k. Both routes are exact integer XOR and
-table arithmetic with no floating-point step, so they give the same
-element bit for bit and need no guard.
+results and the partial last word are then folded by the scalar
+Horner in k. Both routes are exact integer XOR and table arithmetic
+with no floating-point step, so they give the same element bit for bit
+and need no guard.
 """
 
 from __future__ import annotations
@@ -71,11 +71,10 @@ class Gf64Multiplier:
     column c gathers the words whose exponent of k is congruent to
     ``LANES`` - c, so Horner down the rows with K = k^LANES, vectorised
     through K's byte tables (built on the first long message), then the
-    scalar Horner in k over the ``LANES`` column values, the partial
-    last word and ``tail`` yields the same field element. No copy of
-    the message is made.
-    The arithmetic is exact integer XOR on uint64 lanes; no rounding can
-    occur, so no runtime guard is needed.
+    scalar Horner in k over the ``LANES`` column values and the partial
+    last word yields the same field element. No copy of the message is
+    made. The arithmetic is exact integer XOR on uint64 lanes; no
+    rounding can occur, so no runtime guard is needed.
     """
 
     def __init__(self, k: int):
@@ -93,31 +92,28 @@ class Gf64Multiplier:
         index = lanes.view(np.uint8).reshape(-1, 8) + _BYTE_OFFSETS
         return np.bitwise_xor.reduce(self._lane_tables[index], axis=1)
 
-    def hash_bytes(self, data: bytes, tail=()) -> int:
+    def hash_bytes(self, data: bytes) -> int:
         """Polynomial hash sum(m_i * k^(t-i+1)) of the blocks m_1..m_t.
 
         The blocks are ``data`` split into big-endian 64-bit elements,
-        the last one right-padded with zero bytes, followed by the field
-        elements in ``tail``. The caller adds its own length convention.
-        An empty message hashes to 0.
+        the last one right-padded with zero bytes. The caller adds its
+        own length convention. An empty message hashes to 0.
         """
         n_words = -(-len(data) // 8)
-        n_blocks = n_words + len(tail)
-        if n_blocks <= LANES:
+        if n_words <= LANES:
             body = data.ljust(8 * n_words, b"\x00")
-            return self._horner(
-                struct.unpack(f">{n_words}Q", body) + tuple(tail))
-        n_full = len(data) // 8
+            return self._horner(struct.unpack(f">{n_words}Q", body))
+        n_full = len(data) // 8  # at least LANES
         words = np.frombuffer(data, dtype=">u8", count=n_full)
         # row 0 holds the words before a whole number of LANES-rows
-        head = n_full % LANES or min(n_full, LANES)
+        head = n_full % LANES or LANES
         acc = np.zeros(LANES, dtype=_LANE_DTYPE)
         acc[LANES - head:] = words[:head]
         for start in range(head, n_full, LANES):
             acc = self._lane_mul(acc) ^ words[start:start + LANES]
         last = data[8 * n_full:]  # a partial word, right-padded
         rest = [int.from_bytes(last.ljust(8, b"\x00"), "big")] if last else []
-        return self._horner(acc.tolist() + rest + list(tail))
+        return self._horner(acc.tolist() + rest)
 
     def _horner(self, blocks) -> int:
         """Polynomial hash of the field elements ``blocks`` by Horner's rule

@@ -159,11 +159,12 @@ def final_key_length(n: int, e_hat: float, leaked_ec: int,
 
 
 def _verification_hash(bits: np.ndarray, mul: Gf64Multiplier) -> int:
-    """Polynomial hash over the packed key with the bit length appended
-    as a final block; used by both parties to confirm equality after
-    reconciliation. The convention is frozen: every transcript ends in
-    this hash."""
-    return mul.hash_bytes(np.packbits(bits).tobytes(), (len(bits),))
+    """Polynomial hash over the packed key, then the bit length as one
+    more block: one more Horner step in k. Both parties use it to confirm
+    equality after reconciliation. The convention is frozen: every
+    transcript ends in this hash."""
+    step = mul.hash_bytes(np.packbits(bits).tobytes()) ^ len(bits)
+    return mul.hash_bytes(step.to_bytes(8, "big"))
 
 
 def error_correct(alice_key, bob_key, e_hat: float, public_coins: RandomSource,

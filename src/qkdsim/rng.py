@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from functools import lru_cache
 from typing import Callable, ClassVar, NamedTuple
 
@@ -212,9 +211,8 @@ class RandomSource:
         Up to SHORT_BITS bits the words are computed one at a time in
         Python, above it on a uint64 array; the words are the same.
         """
-        n = operator.index(n)
-        if n < 0:
-            raise ValueError(f"n must be an integer >= 0, got {n!r}")
+        if type(n) is not int or n < 0:
+            n = int(COUNT.check("n", n))
         at = self._next_word
         if at is None:
             at = self._word_base()

@@ -387,9 +387,15 @@ class TestRandomSource:
             with pytest.raises(ValueError, match="reserved"):
                 RandomSource(7).split(label)
 
-    def test_negative_bit_count_refused(self):
+    @pytest.mark.parametrize("bad", [-1, True, 2.5, "3"])
+    def test_negative_bit_count_refused(self, bad):
+        # the count rule of every other draw: a refused count moves no
+        # cursor, and a numpy integer is a count
+        rand, ref = RandomSource(16), RandomSource(16)
         with pytest.raises(ValueError, match="n must be an integer >= 0"):
-            RandomSource(16).bits(-1)
+            rand.bits(bad)
+        assert rand._next_word == ref._next_word
+        assert np.array_equal(rand.bits(np.int64(5)), ref.bits(5))
 
     @given(seed=st.integers(0, 2**64 - 1),
            sizes=st.lists(st.integers(0, 3 * SHORT_BITS), max_size=8))
