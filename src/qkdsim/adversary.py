@@ -153,18 +153,11 @@ def finalize_knowledge(ledger: EveLedger, announced_bases: np.ndarray,
     as it was, so repeated calls give the same rows."""
     # The basis test passes every stored row: it holds Alice's own basis,
     # the one she announces, so Eve reads the parked photon in it exactly.
-    rows = _join(ledger.stored, ledger.measured)
+    rows = np.concatenate((ledger.stored, ledger.measured))
     rows = rows[in_sorted(sifted_indices, rows[:, 0])]
     at = np.searchsorted(sifted_indices, rows[:, 0])
     rows = rows[announced_bases[at] == rows[:, 2]]
     return rows[np.argsort(rows[:, 0], kind="stable"), :2]
-
-
-def _join(rows: np.ndarray, more: np.ndarray) -> np.ndarray:
-    """``rows`` above ``more``; an empty side costs no copy."""
-    if not len(rows):
-        return more
-    return np.concatenate((rows, more)) if len(more) else rows
 
 
 def eve_information(known_bits: np.ndarray, sifted) -> float:

@@ -99,7 +99,7 @@ class BitPool:
                       | int.from_bytes(new, "big") >> (-n % 8))
             new = (merged << (-(part + n) % 8)).to_bytes(
                 (part + n + 7) >> 3, "big")
-        self._packed = self._packed[:full] + new
+        self._packed = b"".join((memoryview(self._packed)[:full], new))
         self._len += n
 
 

@@ -60,29 +60,20 @@ class ConfigError(Exception):
 
 
 def parse_eve(text: str):
-    if text == "none":
-        return NoAttack()
-    if text == "pns":
-        return PhotonNumberSplit()
-    if text == "intercept":
-        return InterceptResend(1.0)
-    if text.startswith("intercept:"):
-        try:
-            return InterceptResend(float(text.split(":", 1)[1]))
-        except ValueError as exc:
-            raise ConfigError(f"bad intercept fraction in {text!r}") from exc
-    raise ConfigError(
-        f"unknown eve strategy {text!r}; use none, pns, intercept, "
-        "or intercept:<fraction>")
+    try:
+        if text.startswith("intercept:"):
+            return InterceptResend(float(text[len("intercept:"):]))
+        return {"none": NoAttack(), "pns": PhotonNumberSplit(),
+                "intercept": InterceptResend(1.0)}[text]
+    except (KeyError, ValueError):
+        raise ConfigError(f"bad eve strategy {text!r}") from None
 
 
 def parse_attack_model(text: str) -> AttackModel:
     try:
         return AttackModel(text.lower())
-    except ValueError as exc:
-        raise ConfigError(
-            f"unknown attack model {text!r}; use coherent or individual"
-        ) from exc
+    except ValueError:
+        raise ConfigError(f"unknown attack model {text!r}") from None
 
 
 def _integer(value) -> int:
@@ -517,13 +508,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{message} (see {self.prog} --help)")
 
 
-# Flags that are not "--" plus the key with "-" for "_", and help texts.
+# Flags that are not "--" plus the key with "-" for "_", and their help
+# texts; a text key's help is its rule's wording.
 _FLAGS = {"dark_count_prob": ("--dark", "dark count probability per "
                               "detector per gate"),
           "flip_prob": ("--flip", "bit flip probability at "
-                        "matched-basis readout"),
-          "eve": ("--eve", "none | pns | intercept | intercept:<fraction>"),
-          "attack_model": ("--attack-model", "coherent | individual")}
+                        "matched-basis readout")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -534,9 +524,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_session_flags(p):
         p.add_argument("--config", help="JSON config file (flags override)")
-        for key in SESSION_PARAMS:
-            flag, text = _FLAGS.get(key, ("--" + key.replace("_", "-"), None))
-            p.add_argument(flag, dest=key, help=text)
+        for key, (_, _, _, *text) in SESSION_PARAMS.items():
+            flag, note = _FLAGS.get(key, ("--" + key.replace("_", "-"),
+                                          text[0].wording if text else None))
+            p.add_argument(flag, dest=key, help=note)
 
     p_run = sub.add_parser("run", help="run one session")
     add_session_flags(p_run)

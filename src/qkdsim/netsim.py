@@ -42,8 +42,8 @@ LINK_AUTH_POOL_BITS = 4096
 class KeyStore(BitPool):
     """A link's key material, shared by both endpoints.
 
-    A separate class from the authentication pools only so that link-key
-    spending can be told apart from tag spending when tracing.
+    A class of its own only so that the benchmark's tracer can time its
+    deposits; relays read it with ``consume_int``, which is not traced.
     """
 
 

@@ -27,10 +27,10 @@ import numpy as np
 from .adversary import (EveLedger, EveStrategy, NoAttack, eve_information,
                         finalize_knowledge, intercept_batch)
 from .auth import AuthenticatedChannel, BitPool
-from .photonics import (ClickKind, DetectorPair, FiberChannel, PulseBits,
-                        Pulses, SourceModel, measure_batch,
-                        sample_photon_counts, survival_probability,
-                        transmit_counts)
+from .photonics import (ClickKind, ConstantSource, DetectorPair,
+                        FiberChannel, PulseBits, Pulses, SourceModel,
+                        measure_batch, sample_photon_counts,
+                        survival_probability, transmit_counts)
 from .postprocess import (MIN_RECONCILE_BITS, AttackModel, HashSeed,
                           ReconciliationFailure, SecretKey, error_correct,
                           final_key_length, privacy_amplify)
@@ -64,7 +64,14 @@ class SessionConfig(Checked):
 
     RULES = {"n_pulses": PULSES, "seed": INTEGER,
              "sample_fraction": FRACTION, "security_margin_bits": COUNT,
-             "auth_pool_bits": BITS}
+             "auth_pool_bits": BITS,
+             "source": Rule((SourceModel, ConstantSource), lambda v: True,
+                            "a SourceModel or ConstantSource"),
+             "channel": Rule(FiberChannel, lambda v: True, "a FiberChannel"),
+             "detectors": Rule(DetectorPair, lambda v: True, "a DetectorPair"),
+             "eve": Rule(EveStrategy, lambda v: True, "an EveStrategy"),
+             "attack_model": Rule(AttackModel, lambda v: True,
+                                  "an AttackModel")}
 
     n_pulses: int
     source: SourceModel
@@ -324,15 +331,15 @@ def run_session(config: SessionConfig) -> SessionReport:
     final = 0 if failed else final_key_length(
         n_rem, e_hat, leak, config.attack_model,
         config.security_margin_bits)
-    seed_bits = rand.split("pa_seed").bits(n_rem + final - 1) \
-        if final > 0 else np.zeros(0, dtype=np.uint8)
+    seed = HashSeed.random(rand.split("pa_seed"), n_rem, final) \
+        if final > 0 else HashSeed(np.zeros(0, dtype=np.uint8))
 
     # Message 4, Alice -> Bob: parity transcript, verification hash
     # outcome, final length, and the amplification seed. Message 5,
     # Bob -> Alice: confirmation.
     channel.deliver(channel.send(b"".join((
         struct.pack(">QI?", leak, final, not failed),
-        np.packbits(correction.transcript), np.packbits(seed_bits)))))
+        np.packbits(correction.transcript), np.packbits(seed.bits)))))
     del correction
     channel.deliver(channel.send(b"\x01" if not failed else b"\x00"))
 
@@ -341,6 +348,6 @@ def run_session(config: SessionConfig) -> SessionReport:
 
     secret = None
     if final > 0:
-        secret = privacy_amplify(alice_key, final, HashSeed(seed_bits))
+        secret = privacy_amplify(alice_key, final, seed)
     return report(SessionOutcome.SUCCESS, e_hat, leak=leak, final=final,
                   secret=secret)

@@ -196,7 +196,8 @@ class RandomSource:
         seeded with ``mix64(seed, fnv1a64(label))``, or with
         ``mix64(seed, label)`` for an integer label."""
         index_mix = _label_mix(label) if isinstance(label, str) \
-            else splitmix64((int(label) ^ _GOLDEN) & _MASK64)
+            else splitmix64((int(INTEGER.check("label", label)) ^ _GOLDEN)
+                            & _MASK64)
         if index_mix == _WORDS_MIX:
             raise ValueError(f"split label {label!r} is reserved for the "
                              "counter words")

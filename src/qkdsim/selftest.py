@@ -103,7 +103,7 @@ def check_cascade():
 def check_toeplitz_linearity():
     rand = RandomSource(8)
     n, ell = 256, 128
-    seed = HashSeed(rand.bits(n + ell - 1))
+    seed = HashSeed.random(rand, n, ell)
     k1, k2 = rand.bits(n), rand.bits(n)
     lhs = privacy_amplify(k1 ^ k2, ell, seed).bits
     rhs = privacy_amplify(k1, ell, seed).bits ^ privacy_amplify(

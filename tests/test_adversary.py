@@ -408,9 +408,9 @@ def test_ledger_appends_across_batches():
 
 
 def test_ledger_rows_stay_int64_and_unshared():
-    # the first append takes its rows without a concatenation, and
-    # finalize reads one side alone when the other is empty: the rows
-    # still come out int64, and known_bits shares no memory with them
+    # each append fills one new int64 block, and finalize concatenates
+    # the two tables, one of them empty here: the rows still come out
+    # int64, and known_bits shares no memory with them
     indices = np.array([4, 9], np.int32)
     bits, bases = np.array([1, 0], np.uint8), np.array([0, 1], np.uint8)
     announced = np.zeros(10, np.uint8)
@@ -428,6 +428,22 @@ def test_ledger_rows_stay_int64_and_unshared():
         assert not np.shares_memory(known, rows)
         known[:] = 0
         assert getattr(ledger, side).tolist() == [[4, 1, 0], [9, 0, 1]]
+
+
+def test_finalize_joins_both_tables_in_pulse_order():
+    # rows of both tables come out in pulse order, int64 and unshared;
+    # the measurement at pulse 3 guessed the basis not announced
+    ledger = EveLedger()
+    ledger.record_stored(np.array([7, 2], np.int32), np.array([1, 0]),
+                         np.array([0, 0]))
+    ledger.record_measured(np.array([5, 3, 1], np.int32),
+                           np.array([1, 0, 1]), np.array([1, 1, 0]))
+    announced = np.array([0, 0, 0, 0, 0, 1, 0, 0], np.uint8)
+    known = finalize_knowledge(ledger, announced, np.arange(8))
+    assert known.dtype == np.int64
+    assert known.tolist() == [[1, 1], [2, 0], [5, 1], [7, 1]]
+    for rows in (ledger.stored, ledger.measured):
+        assert not np.shares_memory(known, rows)
 
 
 def test_intercept_batch_deterministic():

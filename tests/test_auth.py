@@ -583,15 +583,16 @@ class TestAuthKeyPool:
         assert split.consumed_log == whole.consumed_log
 
     @pytest.mark.parametrize("pool_len, bound", [(10**6, 500_000),
-                                                 (10**6 + 3, 700_000)])
+                                                 (10**6 + 3, 600_000)])
     def test_deposit_holds_no_unpacked_copy_of_the_pool(self, pool_len,
                                                         bound):
         # 10^6 bits onto a 10^6-bit pool: the new pool's 250,000 bytes
         # and the new bits' 125,000 packed peak at 375 kB; unpacking the
         # pool to a byte a bit, as deposits once did, peaked at 3.0 MB.
         # Onto a pool with a partly filled last byte the packed bits
-        # merge as integers at 634 kB; copying the new bits a byte a bit
-        # to put that byte's bits in front peaked at 1.50 MB.
+        # merge as integers at 525 kB, the pool's full bytes joined
+        # through a view; copying them first peaked at 634 kB, and
+        # copying the new bits a byte a bit peaked at 1.50 MB.
         pool = BitPool(RandomSource(22).bits(pool_len))
         bits = RandomSource(21).bits(10**6)
         tracemalloc.start()

@@ -61,6 +61,8 @@ class TestParsing:
             parse_eve("mitm")
         with pytest.raises(ConfigError):
             parse_eve("intercept:lots")
+        with pytest.raises(ConfigError):
+            parse_eve("intercept:1.5")
 
     def test_parse_attack_model(self):
         assert parse_attack_model("coherent") == AttackModel.COHERENT
@@ -955,6 +957,15 @@ def test_run_help_lists_session_flags_in_order(capsys):
     flags = [tuple(line.split()[:2]) for line in options.splitlines()
              if line.startswith("  --") and line.split()[0] != "--config"]
     assert flags == SESSION_FLAGS
+
+
+def test_run_help_words_text_flags_as_their_rules(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    for key in ("eve", "attack_model"):
+        flag = "--" + key.replace("_", "-")
+        assert f"{flag} {key.upper()} {PARAM_RULES[key].wording} " in out
 
 
 AXIS = st.lists(st.floats(0, 1), min_size=1, max_size=3)

@@ -91,6 +91,16 @@ class TestSessionConfig:
         with pytest.raises(ValueError, match=field):
             ideal_config(**{"n_pulses": 2000, "seed": 1, field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("attack_model", "coherent"), ("eve", "pns"), ("source", 0.5),
+        ("channel", 5.0), ("detectors", None), ("eve", None)])
+    def test_components_of_the_wrong_type_refused(self, field, value):
+        # Unrefused, each ran on until a stage read it: "coherent" only
+        # after the quantum phase and the sampling, "pns" inside Eve's
+        # batch after the source draw. Now the config is never built.
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ideal_config(2000, 1, **{field: value})
+
     def test_numpy_integer_counts_accepted(self):
         config = ideal_config(np.int64(40), np.uint64(2**63),
                               security_margin_bits=np.int32(0),

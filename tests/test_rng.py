@@ -125,13 +125,20 @@ class TestRandomSource:
         assert r.split("alice").seed == mix64(7, fnv1a64("alice"))
         assert r.split(5).seed == mix64(7, 5)
 
-    @pytest.mark.parametrize("label", ["relay", "relay", "", "\u00e9",
-                                       0, 5, -1, 2**64 + 3, True])
+    @pytest.mark.parametrize("label", [
+        "relay", "relay", "", "\u00e9", 0, 5, -1, 2**64 + 3,
+        pytest.param(np.int64(5), id="int64_5")])
     def test_split_seed_is_mix64_of_the_label(self, label):
         # string labels take a cached path; repeat one to hit it
         index = fnv1a64(label) if isinstance(label, str) else int(label)
         for seed in (0, 7, 2**64 - 1):
             assert RandomSource(seed).split(label).seed == mix64(seed, index)
+
+    @pytest.mark.parametrize("label", [True, 2.5, None])
+    def test_split_refuses_a_label_that_is_not_an_integer(self, label):
+        # int() would give True the seed of 1 and 2.5 the seed of 2
+        with pytest.raises(ValueError, match="label must be an integer"):
+            RandomSource(7).split(label)
 
     def test_bits_are_binary(self):
         bits = RandomSource(3).bits(10_000)
