@@ -14,18 +14,16 @@ from .adversary import (EveLedger, EveStrategy, InterceptResend, NoAttack,
 from .auth import (AuthenticatedChannel, AuthenticatedMessage,
                    AuthenticationFailure, BitPool, KeyExhausted, compute_tag,
                    verify_tag)
-from .netsim import (KeyStore, LengthMismatch, Link, Network, Node,
-                     RelayTranscript, SessionAborted, StubKeySource,
-                     combine_keys, provision_link, relay_key)
+from .netsim import (KeyStore, Link, Network, Node, RelayTranscript,
+                     SessionAborted, StubKeySource, combine_keys,
+                     provision_link, relay_key)
 from .photonics import (Basis, ClickKind, ConstantSource, DetectorPair,
                         FiberChannel, PulseBits, Pulses, SourceModel,
-                        measure_batch,
-                        sample_photon_counts, survival_probability,
-                        transmit_counts)
-from .postprocess import (AttackModel, CorrectionResult, DomainError,
-                          HashSeed, InexactConvolution,
-                          ReconciliationFailure, SecretKey,
-                          SeedLengthMismatch, binary_entropy, error_correct,
+                        measure_batch, sample_photon_counts,
+                        survival_probability, transmit_counts)
+from .postprocess import (AttackModel, CorrectionResult, HashSeed,
+                          InexactConvolution, ReconciliationFailure,
+                          SecretKey, binary_entropy, error_correct,
                           eve_information_bound, final_key_length,
                           privacy_amplify, secret_fraction)
 from .protocol import (EmptySample, PulseRecords, QberEstimate,
@@ -38,17 +36,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackModel", "AuthenticatedChannel", "AuthenticatedMessage",
-    "AuthenticationFailure", "Basis", "BitPool", "ClickKind",
-    "ConstantSource", "CorrectionResult", "DetectorPair", "DomainError",
-    "EmptySample", "EveLedger", "EveStrategy", "FiberChannel", "HashSeed",
-    "InexactConvolution", "InterceptResend", "KeyExhausted", "KeyStore",
-    "LengthMismatch", "Link", "Network", "NoAttack", "Node",
-    "PhotonNumberSplit", "PulseBits", "PulseRecords", "Pulses",
-    "QberEstimate", "RandomSource", "ReconciliationFailure",
-    "RelayTranscript", "SecretKey", "SeedLengthMismatch", "SessionAborted",
-    "SessionConfig", "SessionOutcome", "SessionReport", "SiftedKeys",
-    "SourceModel", "StubKeySource", "binary_entropy", "combine_keys",
-    "compute_tag", "error_correct", "estimate_qber", "eve_information",
+    "AuthenticationFailure", "Basis", "BitPool", "ClickKind", "ConstantSource",
+    "CorrectionResult", "DetectorPair", "EmptySample", "EveLedger",
+    "EveStrategy", "FiberChannel", "HashSeed", "InexactConvolution",
+    "InterceptResend", "KeyExhausted", "KeyStore", "Link", "Network",
+    "NoAttack", "Node", "PhotonNumberSplit", "PulseBits", "PulseRecords",
+    "Pulses", "QberEstimate", "RandomSource", "ReconciliationFailure",
+    "RelayTranscript", "SecretKey", "SessionAborted", "SessionConfig",
+    "SessionOutcome", "SessionReport", "SiftedKeys", "SourceModel",
+    "StubKeySource", "binary_entropy", "combine_keys", "compute_tag",
+    "error_correct", "estimate_qber", "eve_information",
     "eve_information_bound", "final_key_length", "finalize_knowledge",
     "fnv1a64", "intercept_batch", "measure_batch", "mix64", "privacy_amplify",
     "provision_link", "relay_key", "run_quantum_phase", "run_session",

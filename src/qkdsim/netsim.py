@@ -32,10 +32,6 @@ class SessionAborted(Exception):
         self.outcome = outcome
 
 
-class LengthMismatch(ValueError):
-    """Keys to combine must have equal length."""
-
-
 LINK_AUTH_POOL_BITS = 4096
 
 
@@ -192,7 +188,7 @@ def combine_keys(k_quantum, k_classical) -> np.ndarray:
     kq = bit_array("k_quantum", k_quantum)
     kc = bit_array("k_classical", k_classical)
     if len(kq) != len(kc):
-        raise LengthMismatch(f"lengths differ: {len(kq)} vs {len(kc)}")
+        raise ValueError(f"lengths differ: {len(kq)} vs {len(kc)}")
     return kq ^ kc
 
 

@@ -28,14 +28,14 @@ from enum import IntEnum
 
 import numpy as np
 
-from .rng import (COUNT, FINITE, UNIT, WINDOW, Checked, RandomSource, Rule,
-                  in_sorted)
+from .rng import (COUNT, FINITE, HALF, UNIT, WINDOW, Checked, RandomSource,
+                  Rule, in_sorted)
 
 # numpy's largest Poisson mean: the int64 maximum less ten of its sqrt
 MAX_MU = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)
 MU = Rule(numbers.Real, lambda v: 0 <= v <= MAX_MU,
           f"a number in [0, {MAX_MU:.4g}]")
-FLIP = Rule(numbers.Real, lambda v: 0 <= v <= 0.5, "a number in [0, 0.5]")
+FLIP = HALF  # a flip probability, by the rule of an error rate
 DARK = Rule(numbers.Real, lambda v: 0 <= v < 1, "a number in [0, 1)")
 
 
@@ -191,6 +191,7 @@ def sample_photon_counts(source, n: int, rand: RandomSource) -> Pulses:
     A Poisson(mu) source draws only its non-empty pulses: their indices
     are a Bernoulli(1 - e^-mu) gap process, and their photon numbers
     the zero-truncated Poisson(mu), WINDOW pulses with photons at a time."""
+    COUNT.check("n", n)
     dtype = np.uint32 if n <= 1 << 32 else np.int64
     if isinstance(source, ConstantSource):
         count = source.photon_count
@@ -229,12 +230,13 @@ def survival_probability(channel: FiberChannel) -> float:
 def transmit_counts(pulses: Pulses, p: float, rand: RandomSource) -> Pulses:
     """The pulses with a photon left after each of their photons is kept
     with probability p, the overall transmittance (fiber survival times
-    detector efficiency), counts in their own dtype; at p >= 1 the
+    detector efficiency), counts in their own dtype; at p = 1 the
     pulses themselves, with no draw. A pulse's first photon is kept by
     a uniform below p, its others by a binomial draw over the pulses
     with more than one, each from a substream of its own, WINDOW pulses
     at a time. Bits and bases pass unchanged."""
-    if p >= 1:
+    UNIT.check("p", p)
+    if p == 1:
         return pulses
     first, others = rand.split("first"), rand.split("others")
     dtype = pulses.counts.dtype

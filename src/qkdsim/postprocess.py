@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .gf2 import Gf64Multiplier
-from .rng import COUNT, POSITIVE, UNIT, RandomSource, bit_array
+from .rng import COUNT, HALF, POSITIVE, UNIT, RandomSource, Rule, bit_array
 
 # Root of 1 - 2 h(e), located numerically to double precision.
 COHERENT_THRESHOLD = 0.11002786443835955
@@ -38,14 +38,6 @@ MIN_BLOCK = 4
 # the shortest key error_correct takes; a session with fewer bits left
 # after sampling ends without a key
 MIN_RECONCILE_BITS = 16
-
-
-class DomainError(ValueError):
-    """Argument outside the mathematical domain of the operation."""
-
-
-class SeedLengthMismatch(ValueError):
-    """Toeplitz seed length is not input length + output length - 1."""
 
 
 class InexactConvolution(ArithmeticError):
@@ -78,6 +70,9 @@ class AttackModel(Enum):
         if self is AttackModel.INDIVIDUAL:
             return INDIVIDUAL_THRESHOLD
         return COHERENT_THRESHOLD
+
+
+MODEL = Rule(AttackModel, lambda v: True, "an AttackModel")
 
 
 @dataclass(frozen=True)
@@ -124,8 +119,7 @@ class SecretKey:
 
 def binary_entropy(x: float) -> float:
     """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"binary entropy needs x in [0, 1], got {x}")
+    UNIT.check("x", x)
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
@@ -133,8 +127,8 @@ def binary_entropy(x: float) -> float:
 
 def eve_information_bound(e: float, model: AttackModel) -> float:
     """Eve's information per sifted bit granted by the security bound."""
-    if not 0.0 <= e <= 0.5:
-        raise DomainError(f"error rate must be in [0, 0.5], got {e}")
+    HALF.check("e", e)
+    MODEL.check("model", model)
     if model is AttackModel.COHERENT:
         return binary_entropy(e)
     return 1.0 - binary_entropy(0.5 + math.sqrt(e * (1.0 - e)))
@@ -143,7 +137,7 @@ def eve_information_bound(e: float, model: AttackModel) -> float:
 def secret_fraction(e: float, model: AttackModel) -> float:
     """Asymptotic secret bits per sifted bit at error rate ``e``, assuming
     reconciliation at the Shannon limit; zero beyond the model's root."""
-    tau = eve_information_bound(e, model)  # refuses e outside [0, 0.5]
+    tau = eve_information_bound(e, model)  # checks e and model
     return max(0.0, 1.0 - binary_entropy(e) - tau)
 
 
@@ -152,8 +146,9 @@ def final_key_length(n: int, e_hat: float, leaked_ec: int,
     """Length to amplify down to: n - n*tau(e) - leaked_ec - margin,
     floored and clamped at zero. tau is Eve's information per bit for
     the attack model; actual reconciliation leakage enters as counted."""
-    if n < 0 or leaked_ec < 0 or margin < 0:
-        raise DomainError("lengths and margin must be non-negative")
+    COUNT.check("n", n)
+    COUNT.check("leaked_ec", leaked_ec)
+    COUNT.check("margin", margin)
     tau = eve_information_bound(e_hat, model)
     return max(0, math.floor(n - n * tau - leaked_ec - margin))
 
@@ -294,7 +289,7 @@ def privacy_amplify(key, ell: int, seed: HashSeed) -> SecretKey:
     sbits = bit_array("seed bits", seed.bits)
     need = max(n + ell - 1, 0)
     if len(sbits) != need:
-        raise SeedLengthMismatch(
+        raise ValueError(
             f"seed length {len(sbits)}, need {need} for {n}->{ell}")
     if n == 0 or ell == 0:
         return SecretKey(np.zeros(ell, dtype=np.uint8))

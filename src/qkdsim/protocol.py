@@ -31,7 +31,7 @@ from .photonics import (ClickKind, ConstantSource, DetectorPair,
                         FiberChannel, PulseBits, Pulses, SourceModel,
                         measure_batch, sample_photon_counts,
                         survival_probability, transmit_counts)
-from .postprocess import (MIN_RECONCILE_BITS, AttackModel, HashSeed,
+from .postprocess import (MIN_RECONCILE_BITS, MODEL, AttackModel, HashSeed,
                           ReconciliationFailure, SecretKey, error_correct,
                           final_key_length, privacy_amplify)
 from .rng import COUNT, INTEGER, Checked, RandomSource, Rule, in_sorted
@@ -70,8 +70,7 @@ class SessionConfig(Checked):
              "channel": Rule(FiberChannel, lambda v: True, "a FiberChannel"),
              "detectors": Rule(DetectorPair, lambda v: True, "a DetectorPair"),
              "eve": Rule(EveStrategy, lambda v: True, "an EveStrategy"),
-             "attack_model": Rule(AttackModel, lambda v: True,
-                                  "an AttackModel")}
+             "attack_model": MODEL}
 
     n_pulses: int
     source: SourceModel

@@ -121,6 +121,7 @@ POSITIVE = Rule(numbers.Integral, lambda v: v >= 1, "an integer >= 1")
 FINITE = Rule(numbers.Real, lambda v: 0 <= v < math.inf,
               "a finite number >= 0")
 UNIT = Rule(numbers.Real, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+HALF = Rule(numbers.Real, lambda v: 0 <= v <= 0.5, "a number in [0, 0.5]")
 
 
 def bit_array(name: str, bits) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Public names: every name the package exports, every name a demo
-imports from it, and every name the benchmark's tracer wraps, resolves.
+imports from it, and every name the benchmark's tracer wraps, resolves,
+and the package exports every public name it binds.
 Demos are parsed, not run, so the check stays fast and a deleted API
 name cannot silently break a demo or the benchmark."""
 
 import ast
 import importlib
+import types
 from pathlib import Path
 
 import qkdsim
@@ -16,6 +18,12 @@ DEMOS = ROOT / "demos"
 
 def test_all_names_resolve():
     assert [n for n in qkdsim.__all__ if not hasattr(qkdsim, n)] == []
+    # and __all__ lists every public name the package binds, so the
+    # imports and the list cannot drift apart
+    bound = {name for name, value in vars(qkdsim).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)}
+    assert set(qkdsim.__all__) == bound
 
 
 def test_demo_imports_resolve():

@@ -283,6 +283,14 @@ class TestSource:
         assert empty.counts.dtype == np.uint8 and len(empty.counts) == 0
         assert len(empty) == 0
 
+    @pytest.mark.parametrize("n", [-5, 2.5, True])
+    @pytest.mark.parametrize("source", [SourceModel(0.5), ConstantSource(1)],
+                             ids=["poisson", "constant"])
+    def test_pulse_count_refused_before_any_draw(self, source, n):
+        # no stream to draw from: the check comes first
+        with pytest.raises(ValueError, match="^n must be an integer >= 0"):
+            sample_photon_counts(source, n, None)
+
 
 class TestChannel:
     def test_survival_closed_form(self):
@@ -353,6 +361,18 @@ class TestChannel:
         pulses = sample_photon_counts(SourceModel(0.5), 1000,
                                       RandomSource(7))
         assert transmit_counts(pulses, 1.0, None) is pulses
+
+    @pytest.mark.parametrize("p", [1.5, True, math.nan, -0.1])
+    def test_transmittance_refused_before_any_draw(self, p):
+        # 1.5 and True once passed the pulses through as if lossless
+        with pytest.raises(ValueError,
+                           match=r"^p must be a number in \[0, 1\]"):
+            transmit_counts(as_pulses([1, 2]), p, None)
+
+    def test_one_rule_for_half_intervals(self):
+        # the channel's flip probability and the security bound's error
+        # rate share one [0, 0.5] rule
+        assert FLIP is rng.HALF
 
 
 class TestMeasurement:

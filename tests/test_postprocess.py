@@ -17,14 +17,14 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from qkdsim.postprocess import (COHERENT_THRESHOLD, INDIVIDUAL_THRESHOLD,
-                                AttackModel, CorrectionResult, DomainError,
+                                MODEL, AttackModel, CorrectionResult,
                                 HashSeed, InexactConvolution,
                                 ReconciliationFailure, SecretKey,
-                                SeedLengthMismatch, binary_entropy,
-                                error_correct, eve_information_bound,
-                                final_key_length, privacy_amplify,
-                                secret_fraction)
+                                binary_entropy, error_correct,
+                                eve_information_bound, final_key_length,
+                                privacy_amplify, secret_fraction)
 from qkdsim import postprocess
+from qkdsim.protocol import SessionConfig
 from qkdsim.rng import RandomSource
 
 from reference_kernels import gather_error_correct
@@ -65,10 +65,14 @@ class TestBinaryEntropy:
                                                       abs=1e-15)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="x must be"):
             binary_entropy(-0.001)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="x must be"):
             binary_entropy(1.001)
+
+    def test_bool_refused(self):
+        with pytest.raises(ValueError, match="x must be a number in"):
+            binary_entropy(True)
 
 
 class TestInformationBound:
@@ -90,8 +94,22 @@ class TestInformationBound:
             pytest.approx(1.0 - binary_entropy(e), abs=1e-12)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError,
+                           match=r"^e must be a number in \[0, 0\.5\]"):
             eve_information_bound(0.6, AttackModel.COHERENT)
+
+    @pytest.mark.parametrize("model", ["coherent", None])
+    @pytest.mark.parametrize("bound", [
+        eve_information_bound, secret_fraction,
+        lambda e, model: final_key_length(1000, e, 100, model, 30)],
+        ids=["eve_information_bound", "secret_fraction", "final_key_length"])
+    def test_model_must_be_an_attack_model(self, bound, model):
+        # a string once fell through to the individual-attack bound
+        with pytest.raises(ValueError, match="model must be an AttackModel"):
+            bound(0.05, model)
+
+    def test_session_refuses_a_model_by_the_same_rule(self):
+        assert SessionConfig.RULES["attack_model"] is MODEL
 
     def test_threshold_property(self):
         assert AttackModel.COHERENT.qber_threshold == COHERENT_THRESHOLD
@@ -172,12 +190,22 @@ class TestFinalKeyLength:
         assert all(a >= b for a, b in zip(lengths, lengths[1:]))
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="n must be an integer >= 0"):
             final_key_length(-1, 0.0, 0, AttackModel.COHERENT, 30)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError,
+                           match="leaked_ec must be an integer >= 0"):
             final_key_length(100, 0.0, -1, AttackModel.COHERENT, 30)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="margin must be an integer >= 0"):
             final_key_length(100, 0.0, 0, AttackModel.COHERENT, -1)
+
+    @pytest.mark.parametrize("value", [True, 1000.9, -1])
+    @pytest.mark.parametrize("name", ["n", "leaked_ec", "margin"])
+    def test_counts_must_be_integers_ge_0(self, name, value):
+        args = {"n": 1000, "e_hat": 0.0, "leaked_ec": 0,
+                "model": AttackModel.COHERENT, "margin": 0, name: value}
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer >= 0"):
+            final_key_length(**args)
 
 
 class TestErrorCorrect:
@@ -424,7 +452,7 @@ class TestPrivacyAmplify:
         assert len(seed) == 0
         out = privacy_amplify(np.zeros(0, np.uint8), 0, seed)
         assert isinstance(out, SecretKey) and len(out) == 0
-        with pytest.raises(SeedLengthMismatch, match="need 0 for 0->0"):
+        with pytest.raises(ValueError, match="need 0 for 0->0"):
             privacy_amplify([], 0, HashSeed(np.zeros(1, np.uint8)))
         rand = RandomSource(2)
         assert [len(HashSeed.random(rand, n, ell))
@@ -435,7 +463,7 @@ class TestPrivacyAmplify:
 
     def test_seed_length_checked(self):
         key = RandomSource(1).bits(10)
-        with pytest.raises(SeedLengthMismatch):
+        with pytest.raises(ValueError, match="seed length 12, need 13"):
             privacy_amplify(key, 4, HashSeed(np.zeros(12, np.uint8)))
 
     def test_gf2_linearity(self):
