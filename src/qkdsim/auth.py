@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import MASK64, Gf64Multiplier
-from .rng import COUNT, bit_array
+from .rng import COUNT, bit_array, unpacked
 
 HASH_KEY_BITS = 64
 TAG_BITS = 64
@@ -58,8 +58,7 @@ class BitPool:
     def bits(self) -> np.ndarray:
         """Every deposited bit, consumed or not, unpacked into a new
         uint8 array."""
-        return np.unpackbits(np.frombuffer(self._packed, np.uint8),
-                             count=self._len)
+        return unpacked(self._packed, self._len)
 
     @property
     def remaining(self) -> int:
@@ -89,17 +88,27 @@ class BitPool:
         return word >> (-end % 8) & ((1 << n_bits) - 1)
 
     def deposit(self, bits) -> None:
-        """Append key bits; a partly filled last byte merges as one integer."""
+        """Append key bits: :meth:`deposit_packed` of the bits packed."""
         arr = bit_array("pool bits", bits)
-        n = arr.size
+        self.deposit_packed(np.packbits(arr), arr.size)
+
+    def deposit_packed(self, data, n_bits: int) -> None:
+        """Append the first ``n_bits`` bits of the ceil(n_bits / 8) bytes
+        ``data``, packed as :func:`numpy.packbits` packs; the bits past
+        them are never read. A partly filled last byte merges as one
+        integer."""
+        n = int(COUNT.check("n_bits", n_bits))
+        data = memoryview(data)
+        if data.nbytes != (n + 7) >> 3:
+            raise ValueError(f"data must be {(n + 7) >> 3} bytes for "
+                             f"n_bits = {n}, got {data.nbytes}")
         full, part = divmod(self._len, 8)
-        new = np.packbits(arr).tobytes()
         if part:
             merged = (self._packed[full] >> (8 - part) << n
-                      | int.from_bytes(new, "big") >> (-n % 8))
-            new = (merged << (-(part + n) % 8)).to_bytes(
+                      | int.from_bytes(data, "big") >> (-n % 8))
+            data = (merged << (-(part + n) % 8)).to_bytes(
                 (part + n + 7) >> 3, "big")
-        self._packed = b"".join((memoryview(self._packed)[:full], new))
+        self._packed = b"".join((memoryview(self._packed)[:full], data))
         self._len += n
 
 

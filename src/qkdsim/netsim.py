@@ -20,7 +20,7 @@ import numpy as np
 
 from .auth import AuthenticatedChannel, BitPool, KeyExhausted
 from .protocol import BITS, SessionConfig, SessionOutcome, run_session
-from .rng import INTEGER, Checked, RandomSource, bit_array
+from .rng import INTEGER, Checked, RandomSource, bit_array, unpacked
 
 
 class SessionAborted(Exception):
@@ -61,8 +61,7 @@ class Node:
     def knowledge_log(self) -> list[np.ndarray]:
         """The keys this node observed, oldest first, each as a new
         uint8 array of one bit per element."""
-        return [np.unpackbits(np.frombuffer(packed, np.uint8), count=n)
-                for packed, n in self.observed]
+        return [unpacked(*entry) for entry in self.observed]
 
 
 @dataclass(frozen=True)
@@ -93,44 +92,50 @@ class Link:
         self.key_source = key_source
         self.reports = []
         self.key = KeyStore()
-        auth = RandomSource(key_source.seed).split("link_auth")
-        self.channel = AuthenticatedChannel(BitPool(auth.bits(auth_pool_bits)))
+        pool = BitPool()
+        pool.deposit_packed(RandomSource(key_source.seed).split(
+            "link_auth").packed_bits(auth_pool_bits), auth_pool_bits)
+        self.channel = AuthenticatedChannel(pool)
         a.links[b.id] = self
         b.links[a.id] = self
 
 
-def provision_link(link: Link) -> np.ndarray:
-    """Produce link key and deposit it in the link's store.
+def provision_link(link: Link) -> None:
+    """Produce link key and deposit it in the link's store, where both
+    endpoints read it as ``link.key.bits``.
 
-    A full-pipeline source runs the whole protocol; any abort (or an
-    empty key) raises :class:`SessionAborted` and leaves the store
-    untouched. Returns the deposited bits.
+    A stub source's key is drawn and deposited packed. A full-pipeline
+    source runs the whole protocol; any abort (or an empty key) raises
+    :class:`SessionAborted` and leaves the store untouched.
     """
     source = link.key_source
     if isinstance(source, StubKeySource):
-        bits = RandomSource(source.seed).split("stub_link_key").bits(
-            source.n_bits)
-    else:
-        report = run_session(source)
-        link.reports.append(report)
-        if report.outcome is not SessionOutcome.SUCCESS \
-                or report.final_len == 0:
-            raise SessionAborted(
-                f"link session ended {report.outcome.value} with "
-                f"final_len={report.final_len}", report.outcome)
-        bits = report.secret_key.bits
-    link.key.deposit(bits)
-    return bits
+        link.key.deposit_packed(RandomSource(source.seed).split(
+            "stub_link_key").packed_bits(source.n_bits), source.n_bits)
+        return
+    report = run_session(source)
+    link.reports.append(report)
+    if report.outcome is not SessionOutcome.SUCCESS or report.final_len == 0:
+        raise SessionAborted(
+            f"link session ended {report.outcome.value} with "
+            f"final_len={report.final_len}", report.outcome)
+    link.key.deposit(report.secret_key.bits)
 
 
 @dataclass(frozen=True, slots=True)
 class RelayTranscript:
     """What a relay left behind: the path, the authenticated hop
-    ciphertexts, and the delivered key."""
+    ciphertexts, and the delivered key as the ``(packed key bytes, bit
+    length)`` entry the interior nodes logged."""
 
     path: tuple
     hop_messages: tuple
-    end_key: np.ndarray
+    entry: tuple
+
+    @property
+    def end_key(self) -> np.ndarray:
+        """The delivered key as a new uint8 array of one bit per element."""
+        return unpacked(*self.entry)
 
 
 def relay_key(path: list[Node], key_len: int,
@@ -140,9 +145,9 @@ def relay_key(path: list[Node], key_len: int,
     must be a link, and its link key and authentication key are checked
     before any bit is spent, so a failed precondition consumes nothing
     and exposes the key to no node. Key and pads are XORed as the ints
-    of the zero-padded bytes each hop sends; each interior node records
-    the packed key it saw, and the key is unpacked again only if it
-    changed in transit."""
+    of the zero-padded bytes each hop sends; the key is drawn packed,
+    and each interior node and the transcript record the packed entry of
+    the key seen, a new one only if it changed in transit."""
     key_len = int(BITS.check("key_len", key_len))
     if len(path) < 2:
         raise ValueError("a relay path needs at least two nodes")
@@ -164,8 +169,7 @@ def relay_key(path: list[Node], key_len: int,
                                    f" {kind} bits, need {need}")
 
     n_bytes, shift = (key_len + 7) >> 3, -key_len % 8
-    key = rand.bits(key_len)
-    entry = (np.packbits(key).tobytes(), key_len)
+    entry = (rand.packed_bits(key_len), key_len)
     carried = int.from_bytes(entry[0], "big")
     messages = []
     for i, (b, link) in enumerate(zip(path[1:], links)):
@@ -175,11 +179,9 @@ def relay_key(path: list[Node], key_len: int,
         seen = int.from_bytes(link.channel.deliver(msg), "big") ^ pad
         if seen != carried:  # a key changed in transit gets its own entry
             carried, entry = seen, (seen.to_bytes(n_bytes, "big"), key_len)
-            key = np.unpackbits(np.frombuffer(entry[0], np.uint8),
-                                count=key_len)
         if i + 1 < len(links):  # interior node sees the key in the clear
             b.observed.append(entry)
-    return RelayTranscript(tuple(n.id for n in path), tuple(messages), key)
+    return RelayTranscript(tuple(n.id for n in path), tuple(messages), entry)
 
 
 def combine_keys(k_quantum, k_classical) -> np.ndarray:

@@ -147,6 +147,7 @@ def final_key_length(n: int, e_hat: float, leaked_ec: int,
     floored and clamped at zero. tau is Eve's information per bit for
     the attack model; actual reconciliation leakage enters as counted."""
     COUNT.check("n", n)
+    HALF.check("e_hat", e_hat)
     COUNT.check("leaked_ec", leaked_ec)
     COUNT.check("margin", margin)
     tau = eve_information_bound(e_hat, model)

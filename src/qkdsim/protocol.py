@@ -259,7 +259,9 @@ def run_session(config: SessionConfig) -> SessionReport:
     amplification runs beside Alice's remaining key and its seed alone.
     """
     rand = RandomSource(config.seed)
-    pool = BitPool(rand.split("auth_pool").bits(config.auth_pool_bits))
+    pool = BitPool()
+    pool.deposit_packed(rand.split("auth_pool").packed_bits(
+        config.auth_pool_bits), config.auth_pool_bits)
     channel = AuthenticatedChannel(pool)
     eve_ledger = EveLedger()
 

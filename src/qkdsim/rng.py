@@ -57,17 +57,25 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+# splitmix64's constants as numpy scalars, built once: building one
+# costs about as much as one of the ufunc calls on a short array
+_GOLDEN_U64 = np.uint64(_GOLDEN)
+_MIX_STEPS = tuple((np.uint64(shift), np.uint64(multiplier))
+                   for shift, multiplier in ((30, 0xBF58476D1CE4E5B9),
+                                             (27, 0x94D049BB133111EB)))
+_LAST_SHIFT = np.uint64(31)
+
+
 def _counter_words(x: np.ndarray, at: int) -> None:
     """x[k] <- splitmix64(at + x[k] * GOLDEN), in place on a uint64
     array, whose arithmetic wraps mod 2^64 as the scalar one does: the
     counter words numbered x from the word at ``at``."""
-    x *= np.uint64(_GOLDEN)
+    x *= _GOLDEN_U64
     x += np.uint64((at + _GOLDEN) & _MASK64)
-    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9),
-                              (27, 0x94D049BB133111EB)):
-        x ^= x >> np.uint64(shift)
-        x *= np.uint64(multiplier)
-    x ^= x >> np.uint64(31)
+    for shift, multiplier in _MIX_STEPS:
+        x ^= x >> shift
+        x *= multiplier
+    x ^= x >> _LAST_SHIFT
 
 
 def mix64(seed: int, index: int) -> int:
@@ -124,6 +132,12 @@ UNIT = Rule(numbers.Real, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 HALF = Rule(numbers.Real, lambda v: 0 <= v <= 0.5, "a number in [0, 0.5]")
 
 
+def unpacked(packed, n: int) -> np.ndarray:
+    """The first n bits of the bytes ``packed`` as a new uint8 array of
+    one bit per element, as :func:`numpy.unpackbits` unpacks them."""
+    return np.unpackbits(np.frombuffer(packed, np.uint8), count=n)
+
+
 def bit_array(name: str, bits) -> np.ndarray:
     """``bits`` as uint8 (not copied if they are), or ValueError naming
     ``name`` unless they are a flat 0/1 array of integers or booleans."""
@@ -162,10 +176,11 @@ _WORDS_MIX = _label_mix(_WORDS_LABEL)
 class RandomSource:
     """A seedable randomness stream with two cursors.
 
-    ``bits(n)`` takes the next ceil(n / 64) words of the source's
+    ``packed_bits(n)`` takes the next ceil(n / 64) words of the source's
     SplitMix64 counter: word j is ``splitmix64(base + j * GOLDEN)`` mod
     2^64, ``base = mix64(seed, fnv1a64(_WORDS_LABEL))``, and the draw is
-    the words' bits, most significant first, cut to n. Every other draw
+    the words' bits, most significant first, cut to n; ``bits(n)`` is
+    that draw unpacked. Every other draw
     comes from numpy's PCG64 seeded with ``seed``. PCG64 is built on its
     first draw, so a source that is only split or only draws bits never
     builds one; the stream is the same either way.
@@ -207,31 +222,48 @@ class RandomSource:
     # -- draws ------------------------------------------------------------
 
     def bits(self, n: int) -> np.ndarray:
-        """n uniform bits as a uint8 array: the first n bits of the next
-        ceil(n / 64) counter words, each most significant bit first.
+        """n uniform bits as a uint8 array: :meth:`packed_bits`, unpacked
+        from the packed bytes in place."""
+        return np.unpackbits(np.frombuffer(self._packed(n), np.uint8),
+                             count=n)
+
+    def packed_bits(self, n: int) -> bytes:
+        """The first n bits of the next ceil(n / 64) counter words, each
+        most significant bit first, packed eight a byte into ceil(n / 8)
+        bytes, with the pad bits zero, as :func:`numpy.packbits` packs.
 
         Up to SHORT_BITS bits the words are computed one at a time in
         Python, above it on a uint64 array; the words are the same.
         """
+        return bytes(self._packed(n))
+
+    def _packed(self, n: int):
+        """:meth:`packed_bits`: its bytes up to SHORT_BITS bits, above it
+        a uint8 array of them, cut from the big-endian counter words, so
+        that :meth:`bits` unpacks them with no second copy."""
         if type(n) is not int or n < 0:
             n = int(COUNT.check("n", n))
         at = self._next_word
         if at is None:
             at = self._word_base()
-        n_words = (n + 63) >> 6
+        n_words, n_bytes = (n + 63) >> 6, (n + 7) >> 3
         if n <= SHORT_BITS:
             words = 0
-            for _ in range(n_words):
+            for _ in range(n_words):  # splitmix64 reduces at mod 2^64
                 words = words << 64 | splitmix64(at)
-                at = (at + _GOLDEN) & _MASK64
-            self._next_word = at
-            return np.unpackbits(np.frombuffer(
-                words.to_bytes(8 * n_words, "big"), np.uint8), count=n)
+                at += _GOLDEN
+            self._next_word = at & _MASK64
+            drop = -n % 64
+            if drop:  # the bits past n go, and the pad bits are zero
+                words = words >> drop << (drop & 7)
+            return words.to_bytes(n_bytes, "big")
         self._next_word = (at + n_words * _GOLDEN) & _MASK64
         x = np.arange(n_words, dtype=np.uint64)
         _counter_words(x, at)
-        return np.unpackbits(x.astype(">u8", copy=False).view(np.uint8),
-                             count=n)
+        packed = x.astype(">u8", copy=False).view(np.uint8)[:n_bytes]
+        if n % 8:
+            packed[-1] &= 0xFF << (-n % 8) & 0xFF
+        return packed
 
     def _word_base(self) -> int:
         return splitmix64(splitmix64(self.seed) ^ _WORDS_MIX)

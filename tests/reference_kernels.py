@@ -284,7 +284,7 @@ def unpacked_relay_key(path, key_len, rand):
         if i + 1 < len(links):
             b.observed.append((np.packbits(carried).tobytes(), key_len))
     return RelayTranscript(tuple(n.id for n in path), tuple(messages),
-                           carried)
+                           (np.packbits(carried).tobytes(), key_len))
 
 
 # -- gather Cascade -------------------------------------------------------------

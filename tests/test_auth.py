@@ -615,6 +615,52 @@ class TestAuthKeyPool:
         assert np.array_equal(pool.consume(10**6 + 5), bits[3:10**6 + 8])
         assert pool.consumed_log[-1] == (3, 1000008)
 
+    @given(head=st.lists(st.integers(0, 1), max_size=20),
+           spent=st.integers(0, 20),
+           bits=st.lists(st.integers(0, 1), max_size=40),
+           pad=st.integers(0, 255))
+    @example(head=[], spent=0, bits=[1] * 8, pad=0)
+    @example(head=[1, 0, 1], spent=2, bits=[0, 1, 1], pad=255)
+    @example(head=[0] * 7, spent=7, bits=[1] * 9, pad=255)
+    def test_deposit_packed_equals_deposit(self, head, spent, bits, pad):
+        # onto an empty or a partly filled and partly spent pool, the
+        # packed bytes of the bits, whatever their pad bits hold, leave
+        # the pool as a deposit of the bits does, and it reads the same
+        packed = bytearray(np.packbits(np.array(bits, np.uint8)).tobytes())
+        if len(bits) % 8:
+            packed[-1] |= pad & 0xFF >> len(bits) % 8
+        pools = BitPool(head), BitPool(head)
+        for pool in pools:
+            pool.consume(min(spent, len(head)))
+        pools[0].deposit(bits)
+        pools[1].deposit_packed(bytes(packed), len(bits))
+        for pool in pools:
+            pool.deposit([1, 0, 1])
+        plain, packed_pool = pools
+        assert packed_pool.bits.tolist() == plain.bits.tolist() \
+            == head + bits + [1, 0, 1]
+        assert (packed_pool.cursor, packed_pool.consumed_log) == \
+            (plain.cursor, plain.consumed_log)
+        rest = plain.remaining
+        assert packed_pool.consume_int(rest) == plain.consume_int(rest)
+        assert packed_pool.consumed_log == plain.consumed_log
+
+    @pytest.mark.parametrize("data, n_bits, match", [
+        (b"\x80", 9, "^data must be 2 bytes for n_bits = 9, got 1"),
+        (b"\x80\x00", 8, "^data must be 1 bytes for n_bits = 8, got 2"),
+        (b"", 1, "^data must be 1 bytes for n_bits = 1, got 0"),
+        (b"\x80", -1, "^n_bits must be an integer >= 0"),
+        (b"\x80", True, "^n_bits must be an integer >= 0"),
+        (b"\x80", 8.0, "^n_bits must be an integer >= 0"),
+    ])
+    def test_deposit_packed_refuses_by_name(self, data, n_bits, match):
+        pool = fresh_pool(25, 12)
+        pool.consume(5)
+        before = (pool.bits.tolist(), pool.cursor, pool.consumed_log)
+        with pytest.raises(ValueError, match=match):
+            pool.deposit_packed(data, n_bits)
+        assert (pool.bits.tolist(), pool.cursor, pool.consumed_log) == before
+
     def test_fresh_default_size(self):
         # A link's key store starts as an empty pool.
         pool = BitPool()

@@ -6,6 +6,7 @@ carried key, and only interior nodes may ever log it.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,9 +97,9 @@ class TestProvisioning:
     def test_stub_source_deposits_same_bits_both_ends(self):
         net = Network()
         link = net.add_link("A", "B", StubKeySource(510, 256))
-        bits = provision_link(link)
+        assert provision_link(link) is None
         want = RandomSource(510).split("stub_link_key").bits(256)
-        assert np.array_equal(bits, want)
+        assert np.array_equal(link.key.bits, want)
         assert np.array_equal(net.node("A").links["B"].key.bits, want)
         assert np.array_equal(net.node("B").links["A"].key.bits, want)
 
@@ -115,7 +116,8 @@ class TestProvisioning:
         link = net.add_link("A", "B", StubKeySource(np.int64(510),
                                                     np.uint16(256)))
         want = RandomSource(510).split("stub_link_key").bits(256)
-        assert np.array_equal(provision_link(link), want)
+        provision_link(link)
+        assert np.array_equal(link.key.bits, want)
 
     def test_session_source_deposits_distilled_key(self):
         config = SessionConfig(
@@ -124,7 +126,8 @@ class TestProvisioning:
             seed=511)
         net = Network()
         link = net.add_link("A", "B", config)
-        bits = provision_link(link)
+        provision_link(link)
+        bits = link.key.bits
         assert len(link.reports) == 1
         report = link.reports[0]
         assert report.final_len == len(bits) > 0
@@ -170,6 +173,53 @@ class TestRelay:
         assert not hasattr(transcript, "__dict__")
         with pytest.raises(AttributeError):
             transcript.path = ("B", "A")
+
+    def test_transcript_holds_the_entry_the_interior_nodes_logged(self):
+        # the delivered key is the (packed bytes, bit length) entry that
+        # each interior node appended, the very object, not a copy
+        net = stub_network([("A", "B"), ("B", "C"), ("C", "D")])
+        transcript = net.relay(list("ABCD"), 128, RandomSource(540))
+        assert transcript.entry == (
+            RandomSource(540).packed_bits(128), 128)
+        for interior in "BC":
+            assert net.node(interior).observed == [transcript.entry]
+            assert net.node(interior).observed[0] is transcript.entry
+
+    def test_end_key_is_a_new_array_on_each_read(self):
+        # writing to one read changes neither the transcript nor a
+        # later read
+        transcript = stub_network([("A", "B"), ("B", "C")]).relay(
+            list("ABC"), 13, RandomSource(541))
+        first, second = transcript.end_key, transcript.end_key
+        assert first is not second and not np.shares_memory(first, second)
+        assert first.dtype == np.uint8 and first.flags.writeable
+        first ^= 1
+        assert np.array_equal(transcript.end_key, second)
+        assert np.array_equal(second, RandomSource(541).bits(13))
+        assert transcript.entry == (RandomSource(541).packed_bits(13), 13)
+
+    def test_retained_bytes_per_relay(self):
+        # What 499 three-hop 128-bit relays over stub links leave behind
+        # (transcripts, hop messages, logged entries, pool ledgers), per
+        # relay: 742 B with the key held once packed, 982 B when each
+        # transcript also held its key a byte a bit. Bound: 860 B.
+        n = 500
+        net = Network()
+        for i, (a, b) in enumerate([("A", "B"), ("B", "C"), ("C", "D")]):
+            net.add_link(a, b, StubKeySource(542 + i, 128 * n),
+                         auth_pool_bits=64 * (n + 1))
+        net.provision_all()
+        path = list("ABCD")
+        net.relay(path, 128, RandomSource(0))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [net.relay(path, 128, RandomSource(i))
+                    for i in range(1, n)]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / len(kept) <= 860
 
     def test_two_nodes_direct(self):
         net = stub_network([("A", "B")])

@@ -207,6 +207,14 @@ class TestFinalKeyLength:
                            match=f"^{name} must be an integer >= 0"):
             final_key_length(**args)
 
+    @pytest.mark.parametrize("e_hat", [0.6, -0.1, True, float("nan"), "0.1"])
+    def test_error_rate_refused_by_its_own_name(self, e_hat):
+        # checked as e_hat before the bound, which would name it e
+        with pytest.raises(ValueError,
+                           match=r"^e_hat must be a number in \[0, 0.5\], "
+                                 "got "):
+            final_key_length(100, e_hat, 0, AttackModel.COHERENT, 0)
+
 
 class TestErrorCorrect:
     @pytest.mark.parametrize("n,e_hat", [(256, 0.05), (1024, 0.0),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -418,6 +418,44 @@ class TestRandomSource:
                 for n, bits in zip(sizes, want):
                     assert np.array_equal(rand.bits(n), bits)
             assert rand._next_word == ref._next_word
+
+    @given(seed=st.integers(0, 2**64 - 1),
+           earlier=st.lists(st.tuples(st.booleans(), st.integers(0, 2048)),
+                            max_size=4),
+           n=st.integers(0, 2048))
+    @example(seed=1, earlier=[], n=SHORT_BITS - 1)
+    @example(seed=1, earlier=[], n=SHORT_BITS)
+    @example(seed=1, earlier=[], n=SHORT_BITS + 1)
+    @example(seed=2, earlier=[(True, 1), (False, SHORT_BITS + 1)],
+             n=SHORT_BITS - 1)
+    @example(seed=2, earlier=[(False, 7), (True, SHORT_BITS)], n=SHORT_BITS)
+    @example(seed=2, earlier=[(True, 65), (False, 0)], n=SHORT_BITS + 1)
+    def test_packed_bits_are_bits_packed(self, seed, earlier, n):
+        # from a fresh source and after any mix of packed and unpacked
+        # draws: np.packbits of bits(n), which is the counter rule's
+        # draw, as bytes with zero pad bits; the cursor moves as far
+        rand, ref = RandomSource(seed), RandomSource(seed)
+        for packed, size in earlier:
+            (rand.packed_bits if packed else rand.bits)(size)
+            ref.bits(size)
+        got = rand.packed_bits(n)
+        want = ref.bits(n)
+        assert type(got) is bytes and len(got) == -(-n // 8)
+        assert got == np.packbits(want).tobytes()
+        assert np.array_equal(want, counter_draws(
+            seed, [size for _, size in earlier] + [n])[-1])
+        if n % 8:
+            assert got[-1] & 0xFF >> n % 8 == 0
+        assert rand._next_word == ref._next_word
+        assert rand._generator is None
+
+    @pytest.mark.parametrize("bad", [-1, True, 2.5, "3", None])
+    def test_packed_bits_refuse_a_bad_count_by_name(self, bad):
+        rand, ref = RandomSource(24), RandomSource(24)
+        with pytest.raises(ValueError, match="^n must be an integer >= 0"):
+            rand.packed_bits(bad)
+        assert rand._next_word == ref._next_word
+        assert rand.packed_bits(np.uint16(9)) == ref.packed_bits(9)
 
     def test_repr_mentions_seed(self):
         assert "0x" in repr(RandomSource(7))
