@@ -92,6 +92,12 @@ class BitPool:
         arr = bit_array("pool bits", bits)
         self.deposit_packed(np.packbits(arr), arr.size)
 
+    def deposit_drawn(self, rand, n_bits: int) -> None:
+        """Append the next ``n_bits`` bits of ``rand``, a
+        :class:`~qkdsim.rng.RandomSource`, drawn and deposited packed."""
+        n = int(COUNT.check("n_bits", n_bits))
+        self.deposit_packed(rand.packed_bits(n), n)
+
     def deposit_packed(self, data, n_bits: int) -> None:
         """Append the first ``n_bits`` bits of the ceil(n_bits / 8) bytes
         ``data``, packed as :func:`numpy.packbits` packs; the bits past

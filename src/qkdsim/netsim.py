@@ -93,8 +93,8 @@ class Link:
         self.reports = []
         self.key = KeyStore()
         pool = BitPool()
-        pool.deposit_packed(RandomSource(key_source.seed).split(
-            "link_auth").packed_bits(auth_pool_bits), auth_pool_bits)
+        pool.deposit_drawn(RandomSource(key_source.seed).split("link_auth"),
+                           auth_pool_bits)
         self.channel = AuthenticatedChannel(pool)
         a.links[b.id] = self
         b.links[a.id] = self
@@ -110,8 +110,8 @@ def provision_link(link: Link) -> None:
     """
     source = link.key_source
     if isinstance(source, StubKeySource):
-        link.key.deposit_packed(RandomSource(source.seed).split(
-            "stub_link_key").packed_bits(source.n_bits), source.n_bits)
+        link.key.deposit_drawn(
+            RandomSource(source.seed).split("stub_link_key"), source.n_bits)
         return
     report = run_session(source)
     link.reports.append(report)
@@ -131,11 +131,18 @@ class RelayTranscript:
     path: tuple
     hop_messages: tuple
     entry: tuple
+    _end_key: np.ndarray | None = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     @property
     def end_key(self) -> np.ndarray:
-        """The delivered key as a new uint8 array of one bit per element."""
-        return unpacked(*self.entry)
+        """The recipient's copy of the delivered key, a uint8 array of one
+        bit per element: unpacked from ``entry`` on the first read and
+        the same array on every later one, so a write to it stays in it
+        and leaves ``entry`` and the nodes' logs as they were."""
+        if self._end_key is None:
+            object.__setattr__(self, "_end_key", unpacked(*self.entry))
+        return self._end_key
 
 
 def relay_key(path: list[Node], key_len: int,

@@ -260,8 +260,7 @@ def run_session(config: SessionConfig) -> SessionReport:
     """
     rand = RandomSource(config.seed)
     pool = BitPool()
-    pool.deposit_packed(rand.split("auth_pool").packed_bits(
-        config.auth_pool_bits), config.auth_pool_bits)
+    pool.deposit_drawn(rand.split("auth_pool"), config.auth_pool_bits)
     channel = AuthenticatedChannel(pool)
     eve_ledger = EveLedger()
 

@@ -224,8 +224,7 @@ class RandomSource:
     def bits(self, n: int) -> np.ndarray:
         """n uniform bits as a uint8 array: :meth:`packed_bits`, unpacked
         from the packed bytes in place."""
-        return np.unpackbits(np.frombuffer(self._packed(n), np.uint8),
-                             count=n)
+        return unpacked(self._packed(n), n)
 
     def packed_bits(self, n: int) -> bytes:
         """The first n bits of the next ceil(n / 64) counter words, each

@@ -661,6 +661,22 @@ class TestAuthKeyPool:
             pool.deposit_packed(data, n_bits)
         assert (pool.bits.tolist(), pool.cursor, pool.consumed_log) == before
 
+    @pytest.mark.parametrize("head, n", [(0, 0), (0, 1000), (3, 13),
+                                         (5, 600)])
+    def test_deposit_drawn_is_deposit_of_the_draw(self, head, n):
+        # the next n bits of the source, and the source's cursor moves
+        # as far as a bits(n) draw moves it
+        pools = fresh_pool(25, head), fresh_pool(25, head)
+        rand, ref = RandomSource(26), RandomSource(26)
+        pools[0].deposit_drawn(rand, n)
+        pools[1].deposit(ref.bits(n))
+        assert pools[0].bits.tolist() == pools[1].bits.tolist()
+        assert rand.packed_bits(9) == ref.packed_bits(9)
+        with pytest.raises(ValueError,
+                           match="^n_bits must be an integer >= 0"):
+            pools[0].deposit_drawn(rand, -1)
+        assert pools[0].bits.tolist() == pools[1].bits.tolist()
+
     def test_fresh_default_size(self):
         # A link's key store starts as an empty pool.
         pool = BitPool()
