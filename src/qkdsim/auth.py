@@ -15,16 +15,19 @@ one after. The pool's cursor is the consumption tally.
 
 from __future__ import annotations
 
+import numbers
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gf2 import MASK64, Gf64Multiplier
-from .rng import COUNT, bit_array, unpacked
+from .rng import COUNT, Rule, bit_array, unpacked
 
 HASH_KEY_BITS = 64
 TAG_BITS = 64
+WORD64 = Rule(numbers.Integral, lambda v: 0 <= v <= MASK64,
+            "an integer >= 0 and < 2^64")
 
 
 class KeyExhausted(Exception):
@@ -126,8 +129,11 @@ def _hash_message(message: bytes, mul: Gf64Multiplier) -> int:
 
 
 def compute_tag(message: bytes, hash_key: int, otp: int) -> int:
-    """64-bit authentication tag: GF(2^64) polynomial hash XOR one-time pad."""
-    return _hash_message(message, Gf64Multiplier(hash_key)) ^ (otp & MASK64)
+    """64-bit authentication tag: GF(2^64) polynomial hash XOR one-time pad.
+    ``hash_key`` and ``otp`` must each be a :data:`WORD64`."""
+    hash_key = int(WORD64.check("hash_key", hash_key))
+    otp = int(WORD64.check("otp", otp))
+    return _hash_message(message, Gf64Multiplier(hash_key)) ^ otp
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,7 +147,8 @@ class AuthenticatedMessage:
 def verify_tag(msg: AuthenticatedMessage, hash_key: int, otp: int) -> bool:
     """Recompute and compare. The comparison XORs the full words and tests
     the fold against zero, so its work does not depend on where a
-    mismatch occurs."""
+    mismatch occurs. ``hash_key`` and ``otp`` are checked as
+    :func:`compute_tag` checks them."""
     expected = compute_tag(msg.payload, hash_key, otp)
     return (expected ^ msg.tag) == 0
 
@@ -165,6 +172,8 @@ class AuthenticatedChannel:
     def bits_needed(self, n_messages: int) -> int:
         """Pool bits that sending ``n_messages`` more messages consumes:
         one pad each, plus the hash key if none was drawn yet."""
+        if type(n_messages) is not int or n_messages < 0:
+            n_messages = int(COUNT.check("n_messages", n_messages))
         key = HASH_KEY_BITS if self._mul is None and n_messages else 0
         return key + n_messages * TAG_BITS
 

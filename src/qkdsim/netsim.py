@@ -18,7 +18,8 @@ from typing import Union
 
 import numpy as np
 
-from .auth import AuthenticatedChannel, BitPool, KeyExhausted
+from .auth import (TAG_BITS, AuthenticatedChannel, AuthenticatedMessage,
+                   BitPool, KeyExhausted)
 from .protocol import BITS, SessionConfig, SessionOutcome, run_session
 from .rng import INTEGER, Checked, RandomSource, bit_array, unpacked
 
@@ -33,6 +34,7 @@ class SessionAborted(Exception):
 
 
 LINK_AUTH_POOL_BITS = 4096
+_TAG_BYTES = TAG_BITS >> 3
 
 
 class KeyStore(BitPool):
@@ -125,14 +127,27 @@ def provision_link(link: Link) -> None:
 @dataclass(frozen=True, slots=True)
 class RelayTranscript:
     """What a relay left behind: the path, the authenticated hop
-    ciphertexts, and the delivered key as the ``(packed key bytes, bit
-    length)`` entry the interior nodes logged."""
+    messages as one record, and the delivered key as the ``(packed key
+    bytes, bit length)`` entry the interior nodes logged.
+
+    ``hop_record`` holds each hop's payload, ceil(bit length / 8) bytes,
+    followed by its tag as 8 big-endian bytes, in hop order.
+    """
 
     path: tuple
-    hop_messages: tuple
+    hop_record: bytes
     entry: tuple
     _end_key: np.ndarray | None = field(default=None, init=False,
                                         repr=False, compare=False)
+
+    @property
+    def hop_messages(self) -> tuple:
+        """The hop messages as sent, rebuilt from ``hop_record``."""
+        width, rec = (self.entry[1] + 7) >> 3, self.hop_record
+        step = width + _TAG_BYTES
+        return tuple(AuthenticatedMessage(
+            rec[i:i + width], int.from_bytes(rec[i + width:i + step], "big"))
+            for i in range(0, len(rec), step))
 
     @property
     def end_key(self) -> np.ndarray:
@@ -154,7 +169,8 @@ def relay_key(path: list[Node], key_len: int,
     and exposes the key to no node. Key and pads are XORed as the ints
     of the zero-padded bytes each hop sends; the key is drawn packed,
     and each interior node and the transcript record the packed entry of
-    the key seen, a new one only if it changed in transit."""
+    the key seen, a new one only if it changed in transit. The transcript
+    keeps each delivered hop message as its payload and tag bytes."""
     key_len = int(BITS.check("key_len", key_len))
     if len(path) < 2:
         raise ValueError("a relay path needs at least two nodes")
@@ -178,17 +194,19 @@ def relay_key(path: list[Node], key_len: int,
     n_bytes, shift = (key_len + 7) >> 3, -key_len % 8
     entry = (rand.packed_bits(key_len), key_len)
     carried = int.from_bytes(entry[0], "big")
-    messages = []
+    record = []
     for i, (b, link) in enumerate(zip(path[1:], links)):
         pad = link.key.consume_int(key_len) << shift
         msg = link.channel.send((carried ^ pad).to_bytes(n_bytes, "big"))
-        messages.append(msg)
-        seen = int.from_bytes(link.channel.deliver(msg), "big") ^ pad
+        payload = link.channel.deliver(msg)
+        record += payload, msg.tag.to_bytes(_TAG_BYTES, "big")
+        seen = int.from_bytes(payload, "big") ^ pad
         if seen != carried:  # a key changed in transit gets its own entry
             carried, entry = seen, (seen.to_bytes(n_bytes, "big"), key_len)
         if i + 1 < len(links):  # interior node sees the key in the clear
             b.observed.append(entry)
-    return RelayTranscript(tuple(n.id for n in path), tuple(messages), entry)
+    return RelayTranscript(tuple(n.id for n in path), b"".join(record),
+                           entry)
 
 
 def combine_keys(k_quantum, k_classical) -> np.ndarray:

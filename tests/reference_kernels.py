@@ -283,8 +283,10 @@ def unpacked_relay_key(path, key_len, rand):
             np.frombuffer(payload, dtype=np.uint8))[:key_len] ^ pad
         if i + 1 < len(links):
             b.observed.append((np.packbits(carried).tobytes(), key_len))
-    return RelayTranscript(tuple(n.id for n in path), tuple(messages),
-                           (np.packbits(carried).tobytes(), key_len))
+    return RelayTranscript(
+        tuple(n.id for n in path),
+        b"".join(m.payload + m.tag.to_bytes(8, "big") for m in messages),
+        (np.packbits(carried).tobytes(), key_len))
 
 
 # -- gather Cascade -------------------------------------------------------------

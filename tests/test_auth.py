@@ -6,6 +6,7 @@ GF(2^8)); the collision bound is counted exhaustively over every key of
 the 8-bit toy field.
 """
 
+import re
 import struct
 import tracemalloc
 
@@ -320,6 +321,26 @@ class TestComputeTag:
         base = compute_tag(b"payload", 77, 0)
         for otp in [1, 0xFFFF, 2**64 - 1]:
             assert compute_tag(b"payload", 77, otp) == base ^ otp
+
+    @pytest.mark.parametrize("name", ["hash_key", "otp"])
+    @pytest.mark.parametrize("bad", [2**64, -1, True, 1.5, "5", None])
+    def test_bad_key_or_pad_refused_by_name(self, name, bad):
+        # 2^64 used to hash under key 0, a tag that ignores the message;
+        # -1 was reduced mod 2^64, True taken as 1, 1.5 a TypeError
+        args = {"hash_key": 5, "otp": 6, name: bad}
+        message = re.escape(f"{name} must be an integer >= 0 and < 2^64, "
+                            f"got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            compute_tag(b"x", **args)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_tag(AuthenticatedMessage(b"x", 0), **args)
+
+    def test_numpy_words_accepted(self):
+        key, otp = np.uint64(MASK64), np.int64(9)
+        tag = compute_tag(b"abc", key, otp)
+        assert type(tag) is int
+        assert tag == compute_tag(b"abc", MASK64, 9)
+        assert verify_tag(AuthenticatedMessage(b"abc", tag), key, otp)
 
 
 class TestVerifyTag:
@@ -837,6 +858,21 @@ class TestAuthenticatedChannel:
         channel.send(b"ok")
         with pytest.raises(KeyExhausted):
             channel.send(b"no pad left")
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, True, "2"])
+    def test_bits_needed_refuses_a_bad_count(self, bad):
+        # -1 used to return 0 and 1.5 to return 160.0
+        channel = AuthenticatedChannel(fresh_pool(24, 256))
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_messages must be an integer >= 0, got {bad!r}")):
+            channel.bits_needed(bad)
+        assert channel.pool.cursor == 0
+
+    def test_bits_needed_takes_numpy_counts(self):
+        channel = AuthenticatedChannel(fresh_pool(24, 256))
+        assert channel.bits_needed(np.int64(2)) == 192
+        assert type(channel.bits_needed(np.int64(2))) is int
+        assert channel.bits_needed(0) == 0
 
     @pytest.mark.parametrize("n_bits", [0, 64, 100, 127])
     def test_refused_first_send_spends_nothing(self, n_bits):

@@ -201,12 +201,37 @@ class TestRelay:
         assert np.array_equal(net.node("B").knowledge_log[0],
                               RandomSource(541).bits(13))
 
+    @pytest.mark.parametrize("walk, key_len", [
+        ("ABCD", 0), ("ABCD", 13), ("ABCD", 128), ("ABCB", 13),
+        ("ABA", 128)])
+    def test_hop_messages_are_the_messages_sent(self, walk, key_len):
+        # the transcript keeps each hop as its payload followed by its
+        # 8-byte tag in one record, and hop_messages rebuilds what send
+        # returned, in hop order, also where a path crosses a link twice
+        net = stub_network([("A", "B"), ("B", "C"), ("C", "D")])
+        sent = []
+        for link in net.links:
+            def recording_send(payload, send=link.channel.send):
+                sent.append(send(payload))
+                return sent[-1]
+            link.channel.send = recording_send
+        transcript = net.relay(list(walk), key_len, RandomSource(546))
+        assert len(sent) == len(walk) - 1
+        assert transcript.hop_messages == tuple(sent)
+        assert all(type(m.payload) is bytes and type(m.tag) is int
+                   for m in transcript.hop_messages)
+        assert transcript.hop_record == b"".join(
+            m.payload + m.tag.to_bytes(8, "big") for m in sent)
+        assert len(transcript.hop_record) == \
+            len(sent) * ((key_len + 7) // 8 + 8)
+
     def test_retained_bytes_per_relay(self):
         # What 499 three-hop 128-bit relays over stub links leave behind
-        # (transcripts, hop messages, logged entries, pool ledgers), per
-        # relay, with no end_key read: 764 B with the key held once
-        # packed, 996 B when each transcript also held its key a byte a
-        # bit from the start. Bound: 860 B.
+        # (transcripts with their hop records, logged entries, pool
+        # ledgers), per relay, with no end_key read: 407 B with the hop
+        # messages held as one record of payload and tag bytes, 764 B
+        # when each transcript held its three AuthenticatedMessage
+        # objects. Bound: 480 B.
         n = 500
         net = Network()
         for i, (a, b) in enumerate([("A", "B"), ("B", "C"), ("C", "D")]):
@@ -223,7 +248,7 @@ class TestRelay:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert held / len(kept) <= 860
+        assert held / len(kept) <= 480
 
     def test_two_nodes_direct(self):
         net = stub_network([("A", "B")])
