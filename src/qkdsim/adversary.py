@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from .photonics import Pulses, PulseBits
-from .rng import UNIT, Checked, RandomSource, in_sorted
+from .rng import FINITE, UNIT, Checked, RandomSource, in_sorted
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,7 @@ def intercept_batch(pulses: Pulses, bits: PulseBits, bases: PulseBits,
     (pulses, bits, bases) as the channel carries them: Alice's bits and
     bases, with Eve's at each pulse she resent. Rows are by pulse index.
     """
+    FINITE.check("lost", lost)
     if isinstance(strategy, NoAttack):
         return pulses, bits, bases
     counts = pulses.counts

@@ -15,19 +15,18 @@ one after. The pool's cursor is the consumption tally.
 
 from __future__ import annotations
 
-import numbers
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gf2 import MASK64, Gf64Multiplier
-from .rng import COUNT, Rule, bit_array, unpacked
+from .rng import COUNT, INTEGRAL, Rule, bit_array, unpacked
 
 HASH_KEY_BITS = 64
 TAG_BITS = 64
-WORD64 = Rule(numbers.Integral, lambda v: 0 <= v <= MASK64,
-            "an integer >= 0 and < 2^64")
+WORD64 = Rule(INTEGRAL, lambda v: 0 <= v <= MASK64,
+              "an integer >= 0 and < 2^64")
 
 
 class KeyExhausted(Exception):
@@ -73,9 +72,8 @@ class BitPool:
 
     def consume(self, n_bits: int) -> np.ndarray:
         """Consume ``n_bits``: :meth:`consume_int`'s integer, unpacked."""
-        word = self.consume_int(n_bits)
-        data = np.frombuffer(word.to_bytes((n_bits + 7) >> 3, "big"), np.uint8)
-        return np.unpackbits(data)[-n_bits % 8:]
+        word, n = self.consume_int(n_bits), int(n_bits)  # a checked count
+        return unpacked((word << -n % 8).to_bytes((n + 7) >> 3, "big"), n)
 
     def consume_int(self, n_bits: int) -> int:
         """Advance the cursor past ``n_bits`` and read them as a
@@ -108,6 +106,8 @@ class BitPool:
         integer."""
         n = int(COUNT.check("n_bits", n_bits))
         data = memoryview(data)
+        if not data.c_contiguous:
+            raise ValueError("data must be a C-contiguous buffer")
         if data.nbytes != (n + 7) >> 3:
             raise ValueError(f"data must be {(n + 7) >> 3} bytes for "
                              f"n_bits = {n}, got {data.nbytes}")
@@ -128,9 +128,24 @@ def _hash_message(message: bytes, mul: Gf64Multiplier) -> int:
     return mul.hash_bytes(message) ^ len(message)
 
 
+def _frozen(name: str, message) -> bytes:
+    """``message``, a bytes-like object, as bytes, or ValueError naming
+    ``name``; a numpy number exports a buffer, but is no message."""
+    if type(message) is bytes:
+        return message
+    if not isinstance(message, (np.number, np.bool_)):
+        try:
+            return bytes(memoryview(message))
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a bytes-like object, got {message!r}")
+
+
 def compute_tag(message: bytes, hash_key: int, otp: int) -> int:
     """64-bit authentication tag: GF(2^64) polynomial hash XOR one-time pad.
-    ``hash_key`` and ``otp`` must each be a :data:`WORD64`."""
+    ``message`` must be bytes-like, and ``hash_key`` and ``otp`` each a
+    :data:`WORD64`."""
+    message = _frozen("message", message)
     hash_key = int(WORD64.check("hash_key", hash_key))
     otp = int(WORD64.check("otp", otp))
     return _hash_message(message, Gf64Multiplier(hash_key)) ^ otp
@@ -178,6 +193,8 @@ class AuthenticatedChannel:
         return key + n_messages * TAG_BITS
 
     def send(self, payload: bytes) -> AuthenticatedMessage:
+        if type(payload) is not bytes:  # frozen as tagged, or refused
+            payload = _frozen("payload", payload)
         if self._mul is None:  # a first send it cannot fund draws no key
             need = self.bits_needed(1)
             if self.pool.remaining < need:
@@ -185,7 +202,6 @@ class AuthenticatedChannel:
                     f"need {need} bits, {self.pool.remaining} remain")
             self._mul = Gf64Multiplier(self.pool.consume_int(HASH_KEY_BITS))
         otp = self.pool.consume_int(TAG_BITS)
-        payload = bytes(payload)  # a mutable buffer is frozen as tagged
         digest = _hash_message(payload, self._mul)
         msg = AuthenticatedMessage(payload, digest ^ otp)
         self._pending.append((msg, digest, otp))

@@ -28,7 +28,6 @@ import csv
 import dataclasses
 import itertools
 import json
-import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -42,7 +41,7 @@ from .netsim import (LINK_AUTH_POOL_BITS, Network, SessionAborted,
 from .photonics import DetectorPair, FiberChannel, SourceModel
 from .postprocess import AttackModel
 from .protocol import BITS, SessionConfig, SessionOutcome, run_session
-from .rng import POSITIVE, RandomSource, Rule, mix64
+from .rng import INTEGRAL, POSITIVE, REAL, RandomSource, Rule, mix64
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,9 +89,9 @@ def _convert(spec, kind):
     a bool included, is left as given, for the rule to refuse."""
     if isinstance(spec, bool) or not isinstance(spec, (str, int, float)):
         return spec
-    if kind is numbers.Integral:
+    if kind is INTEGRAL:
         return _integer(spec)
-    return float(spec) if kind is numbers.Real else spec
+    return float(spec) if kind is REAL else spec
 
 
 # The session parameters in flag order (config file, flag and scenario
@@ -119,7 +118,7 @@ DEFAULTS = {key: default for key, (default, *_) in SESSION_PARAMS.items()}
 # Every value from a flag, config file, sweep axis or scenario passes
 # one of these rules before it reaches a model constructor. A key whose
 # value reaches a model has that model's very rule.
-_NODE = Rule((str, numbers.Integral), lambda v: True,
+_NODE = Rule((str, *INTEGRAL), lambda v: True,
              "a node id (a string or an integer)")
 PARAM_RULES = {
     **{key: text[0] if text else model.RULES[field]
@@ -460,11 +459,11 @@ def cmd_network(args: argparse.Namespace) -> int:
         except KeyExhausted as exc:
             print(f"relay {i} failed: {exc}", file=sys.stderr)
             return EXIT_INSUFFICIENT_LINK_KEY
+        hops = len(transcript.path) - 1
         rows.append([str(i), "-".join(transcript.path), str(key_len),
-                     str(len(transcript.hop_messages)),
-                     "-".join(path_ids[1:-1]) or "(none)", "ok"])
+                     str(hops), "-".join(path_ids[1:-1]) or "(none)", "ok"])
         print(f"relay {i}: {' -> '.join(path_ids)}, {key_len} bits "
-              f"delivered over {len(transcript.hop_messages)} hops")
+              f"delivered over {hops} hops")
 
     print("trust exposure:")
     for node_id in sorted(net.nodes):

@@ -22,21 +22,19 @@ so no value depends on the window.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
 
-from .rng import (COUNT, FINITE, HALF, UNIT, WINDOW, Checked, RandomSource,
-                  Rule, in_sorted)
+from .rng import (COUNT, FINITE, HALF, REAL, UNIT, WINDOW, Checked,
+                  RandomSource, Rule, in_sorted)
 
 # numpy's largest Poisson mean: the int64 maximum less ten of its sqrt
 MAX_MU = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)
-MU = Rule(numbers.Real, lambda v: 0 <= v <= MAX_MU,
-          f"a number in [0, {MAX_MU:.4g}]")
+MU = Rule(REAL, lambda v: 0 <= v <= MAX_MU, f"a number in [0, {MAX_MU:.4g}]")
 FLIP = HALF  # a flip probability, by the rule of an error rate
-DARK = Rule(numbers.Real, lambda v: 0 <= v < 1, "a number in [0, 1)")
+DARK = Rule(REAL, lambda v: 0 <= v < 1, "a number in [0, 1)")
 
 
 class Basis(IntEnum):

@@ -17,7 +17,6 @@ because forging a tag succeeds with probability about 2^-64.
 from __future__ import annotations
 
 import math
-import numbers
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -34,16 +33,17 @@ from .photonics import (ClickKind, ConstantSource, DetectorPair,
 from .postprocess import (MIN_RECONCILE_BITS, MODEL, AttackModel, HashSeed,
                           ReconciliationFailure, SecretKey, error_correct,
                           final_key_length, privacy_amplify)
-from .rng import COUNT, INTEGER, Checked, RandomSource, Rule, in_sorted
+from .rng import (COUNT, INTEGER, INTEGRAL, REAL, Checked, RandomSource,
+                  Rule, in_sorted)
 
-FRACTION = Rule(numbers.Real, lambda v: 0 < v < 1, "a number in (0, 1)")
+FRACTION = Rule(REAL, lambda v: 0 < v < 1, "a number in (0, 1)")
 # Messages 1 and 2 send pulse positions as ">u4", which wraps silently
 # above 2^32 - 1. No key or pool needs more bits than a session has
 # pulses, so bit counts share the bound.
 MAX_PULSES = 2**32
-PULSES = Rule(numbers.Integral, lambda v: 1 <= v <= MAX_PULSES,
+PULSES = Rule(INTEGRAL, lambda v: 1 <= v <= MAX_PULSES,
               "an integer >= 1 and <= 2^32")
-BITS = Rule(numbers.Integral, lambda v: 0 <= v <= MAX_PULSES,
+BITS = Rule(INTEGRAL, lambda v: 0 <= v <= MAX_PULSES,
             "an integer >= 0 and <= 2^32")
 
 

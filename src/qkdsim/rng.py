@@ -22,7 +22,6 @@ time in the number of events, not of trials.
 from __future__ import annotations
 
 import math
-import numbers
 from functools import lru_cache
 from typing import Callable, ClassVar, NamedTuple
 
@@ -30,6 +29,8 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+INTEGRAL = (int, np.integer)  # the kinds of a Rule's numbers: see Rule
+REAL = (int, float, np.integer, np.floating)
 
 # Per-event draws hold float64 and int64 temporaries for at most WINDOW
 # events at a time. numpy draws exponential, uniform, Poisson and
@@ -109,9 +110,10 @@ class Rule(NamedTuple):
     """The valid values of one parameter: the instances of ``kind`` that
     pass ``test``, which ``wording`` describes. A bool is never valid: a
     flag is not a count, a length or a probability, though Python lets
-    it compare as one. numpy numbers are ``numbers`` instances."""
+    it compare as one. A number is a Python or numpy int (``INTEGRAL``)
+    or, for a number rule, also a float (``REAL``)."""
 
-    kind: type
+    kind: type | tuple
     test: Callable
     wording: str
 
@@ -123,13 +125,14 @@ class Rule(NamedTuple):
         return value
 
 
-INTEGER = Rule(numbers.Integral, lambda v: True, "an integer")
-COUNT = Rule(numbers.Integral, lambda v: v >= 0, "an integer >= 0")
-POSITIVE = Rule(numbers.Integral, lambda v: v >= 1, "an integer >= 1")
-FINITE = Rule(numbers.Real, lambda v: 0 <= v < math.inf,
-              "a finite number >= 0")
-UNIT = Rule(numbers.Real, lambda v: 0 <= v <= 1, "a number in [0, 1]")
-HALF = Rule(numbers.Real, lambda v: 0 <= v <= 0.5, "a number in [0, 0.5]")
+INTEGER = Rule(INTEGRAL, lambda v: True, "an integer")
+# BitPool.consume_int, bits_needed and RandomSource's __init__ and _packed
+# pass an int by ``type(n) is int`` first: through check a relay took 5 us more
+COUNT = Rule(INTEGRAL, lambda v: v >= 0, "an integer >= 0")
+POSITIVE = Rule(INTEGRAL, lambda v: v >= 1, "an integer >= 1")
+FINITE = Rule(REAL, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+UNIT = Rule(REAL, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+HALF = Rule(REAL, lambda v: 0 <= v <= 0.5, "a number in [0, 0.5]")
 
 
 def unpacked(packed, n: int) -> np.ndarray:
@@ -288,6 +291,7 @@ class RandomSource:
         return out
 
     def byte_string(self, n: int) -> bytes:
+        n = COUNT.check("n", n)
         return self.generator.bytes(n)
 
     def uint64(self) -> int:
@@ -316,9 +320,12 @@ class RandomSource:
         exactly in the reals. A block draws the expected number of the
         picks left plus a margin; the exponentials past the last trial
         are drawn and unused, so draw nothing else from this source
-        after it.
+        after it. ``n`` is checked on the call, not at the first block.
         """
-        if not p > 0 or n <= 0:
+        return self._gap_blocks(int(COUNT.check("n", n)), p)
+
+    def _gap_blocks(self, n: int, p: float):
+        if not p > 0 or n == 0:
             return
         if p >= 1:
             for start in range(0, n, WINDOW):

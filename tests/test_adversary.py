@@ -16,6 +16,7 @@ loss keeps, and each lost a Poisson number more that Eve saw too.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -325,6 +326,23 @@ class TestPhotonsLostBeforeBob:
         assert np.array_equal(rows[match, 1], bits.bits_at(at[match]))
         assert np.array_equal(rows[~match, 1], eve.split(
             "eve_results").bits_at(at[~match]))
+
+    @pytest.mark.parametrize("strategy", [
+        NoAttack(), PhotonNumberSplit(), InterceptResend(1.0)],
+        ids=["none", "pns", "intercept-resend"])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, True, "0"])
+    def test_bad_lost_refused_before_any_draw(self, strategy, bad):
+        # -1.0 and NaN ended in numpy's "lam < 0 or lam is NaN", inf in
+        # "lam value too large", and True was taken as 1
+        pulses = as_pulses(np.ones(8, np.uint8))
+        ledger = EveLedger()
+        with pytest.raises(ValueError, match=re.escape(
+                f"lost must be a finite number >= 0, got {bad!r}")):
+            intercept_batch(pulses, as_bits(np.zeros(8)),
+                            as_bits(np.zeros(8)), strategy, ledger,
+                            RandomSource(15), lost=bad)
+        assert pulses.counts.tolist() == [1] * 8
+        assert len(ledger.stored) == len(ledger.measured) == 0
 
 
 class TestKnowledge:

@@ -89,6 +89,13 @@ def int_to_bits(value: int, n_bits: int) -> np.ndarray:
                     dtype=np.uint8)
 
 
+def strided(data: bytes) -> np.ndarray:
+    """The bytes ``data`` as every other element of a uint8 array."""
+    out = np.zeros(2 * len(data), np.uint8)
+    out[::2] = np.frombuffer(data, np.uint8)
+    return out[::2]
+
+
 class TestFieldArithmetic:
     def test_reduction_polynomial(self):
         assert REDUCTION_POLY == (1 << 64) | 0x1B
@@ -334,6 +341,28 @@ class TestComputeTag:
             compute_tag(b"x", **args)
         with pytest.raises(ValueError, match=f"^{message}$"):
             verify_tag(AuthenticatedMessage(b"x", 0), **args)
+
+    @pytest.mark.parametrize("form", [
+        memoryview, lambda data: np.frombuffer(data, np.uint8), strided,
+    ], ids=["memoryview", "array", "strided-array"])
+    @pytest.mark.parametrize("size", [3, 18, 8 * LANES + 5])
+    def test_bytes_like_message_is_its_bytes(self, form, size):
+        # a memoryview or a numpy array, which send accepts, raised
+        # AttributeError from hash_bytes's ljust
+        message = RandomSource(40).byte_string(size)
+        tag = compute_tag(message, 77, 5)
+        assert compute_tag(form(message), 77, 5) == tag
+        assert verify_tag(AuthenticatedMessage(form(message), tag), 77, 5)
+
+    @pytest.mark.parametrize("bad", [5, np.int64(4), [1, 2], "ab", None],
+                             ids=repr)
+    def test_non_bytes_message_refused_by_name(self, bad):
+        message = re.escape(f"message must be a bytes-like object, "
+                            f"got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            compute_tag(bad, 5, 6)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_tag(AuthenticatedMessage(bad, 0), 5, 6)
 
     def test_numpy_words_accepted(self):
         key, otp = np.uint64(MASK64), np.int64(9)
@@ -682,6 +711,21 @@ class TestAuthKeyPool:
             pool.deposit_packed(data, n_bits)
         assert (pool.bits.tolist(), pool.cursor, pool.consumed_log) == before
 
+    @pytest.mark.parametrize("head", [0, 8, 3],
+                             ids=["empty", "whole-byte", "partly-filled"])
+    def test_deposit_packed_refuses_a_strided_buffer(self, head):
+        # a[::2] onto an empty or a whole-byte pool raised TypeError from
+        # b"".join, and onto a partly filled one was taken
+        pool = fresh_pool(39, head)
+        before = (pool.bits.tolist(), pool.cursor, pool.consumed_log)
+        data = np.frombuffer(b"\xf0\x00\x0f\x00", np.uint8)[::2]
+        with pytest.raises(ValueError,
+                           match="^data must be a C-contiguous buffer$"):
+            pool.deposit_packed(data, 16)
+        assert (pool.bits.tolist(), pool.cursor, pool.consumed_log) == before
+        pool.deposit_packed(data.copy(), 16)
+        assert pool.bits.tolist() == before[0] + [1] * 4 + [0] * 8 + [1] * 4
+
     @pytest.mark.parametrize("head, n", [(0, 0), (0, 1000), (3, 13),
                                          (5, 600)])
     def test_deposit_drawn_is_deposit_of_the_draw(self, head, n):
@@ -891,6 +935,19 @@ class TestAuthenticatedChannel:
         otp = int("".join(map(str, bits[64:128])), 2)
         assert channel.send(b"click report").tag == \
             compute_tag(b"click report", key, otp)
+
+    @pytest.mark.parametrize("bad", [5, np.int64(4), [1, 2], "ab", None],
+                             ids=repr)
+    def test_non_bytes_payload_refused_before_any_key_is_spent(self, bad):
+        # send(5) tagged five zero bytes and, on a first send, spent 128
+        # pool bits; np.int64(4) sent four zero bytes, [1, 2] b"\x01\x02"
+        pool = fresh_pool(38, 256)
+        channel = AuthenticatedChannel(pool)
+        with pytest.raises(ValueError, match=re.escape(
+                f"payload must be a bytes-like object, got {bad!r}")):
+            channel.send(bad)
+        assert pool.cursor == 0 and pool.consumed_log == []
+        assert channel.bits_needed(1) == 128  # still unkeyed
 
     def test_tags_reproducible_from_pool_bits(self):
         # The channel's tag must equal a direct computation from the

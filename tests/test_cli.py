@@ -529,6 +529,29 @@ class TestNetworkCommand:
         assert lines[1] == "0,A-B-C,96,2,B,ok"
         assert lines[2] == "1,A-B,32,1,(none),ok"
 
+    def test_hops_are_counted_from_the_path(self, tmp_path, capsys,
+                                            monkeypatch):
+        # a hop count is the path's length less one: the hop messages,
+        # which a transcript rebuilds from its record, are not read
+        def unread(transcript):
+            raise AssertionError("hop_messages read")
+        monkeypatch.setattr(netsim.RelayTranscript, "hop_messages",
+                            property(unread))
+        scenario = self.scenario(
+            tmp_path,
+            links=[{"a": "A", "b": "B", "stub": {"seed": 1, "bits": 512}},
+                   {"a": "B", "b": "C", "stub": {"seed": 2, "bits": 512}}],
+            relays=[{"path": ["A", "B", "C"], "key_len": 96},
+                    {"path": ["A", "B"], "key_len": 32}])
+        out_csv = tmp_path / "relays.csv"
+        code, out, _ = run_main(
+            ["network", scenario, "--csv", str(out_csv)], capsys)
+        assert code == EXIT_OK
+        assert out_csv.read_text().splitlines()[1:] == [
+            "0,A-B-C,96,2,B,ok", "1,A-B,32,1,(none),ok"]
+        assert "relay 0: A -> B -> C, 96 bits delivered over 2 hops" in out
+        assert "relay 1: A -> B, 32 bits delivered over 1 hops" in out
+
     @pytest.mark.parametrize("target, flags, message", [
         ("missing/relays.csv", [], "no directory"),
         (".", ["--force"], "is a directory"),

@@ -10,8 +10,12 @@ scalar loop over the same exponentials, and checked against the
 binomial moments of the trials it stands for.
 """
 
+import importlib
 import math
+import pkgutil
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,9 +23,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
+import qkdsim
 from qkdsim import rng
-from qkdsim.rng import (COUNT, FINITE, INTEGER, SHORT_BITS, UNIT, WINDOW,
-                        Checked, RandomSource, Rule, fnv1a64, mix64,
+from qkdsim.rng import (COUNT, FINITE, HALF, INTEGER, SHORT_BITS, UNIT,
+                        WINDOW, Checked, RandomSource, Rule, fnv1a64, mix64,
                         splitmix64)
 
 from reference_kernels import scalar_gaps
@@ -230,6 +235,23 @@ class TestRandomSource:
         indices = rand.bernoulli_indices(n, p)
         assert indices.tolist() == (list(range(n)) if p else [])
         assert rand._generator is None
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, True, "3", None])
+    def test_gap_and_byte_counts_refused_by_name(self, bad):
+        # bernoulli_indices(2.5, 0.5) returned [2] and (True, 0.5) [0];
+        # byte_string(-1) returned three bytes and byte_string(2.5) two.
+        # A refused count builds no generator, and numpy counts pass.
+        rand = RandomSource(19)
+        message = re.escape(f"n must be an integer >= 0, got {bad!r}")
+        for draw in (rand.bernoulli_indices, rand.bernoulli_blocks):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                draw(bad, 0.5)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rand.byte_string(bad)
+        assert rand._generator is None
+        assert rand.bernoulli_indices(np.int64(3), 1.0).tolist() == [0, 1, 2]
+        assert rand.byte_string(np.uint8(4)) \
+            == RandomSource(19).byte_string(4)
 
     @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 5000),
            p=st.one_of(st.sampled_from([1e-300, 1e-5, 0.5, 1 - 1e-12]),
@@ -536,19 +558,46 @@ class TestRule:
     @pytest.mark.parametrize("rule, value", [
         (INTEGER, -2**70), (INTEGER, np.uint64(2**64 - 1)), (COUNT, 0),
         (COUNT, np.int32(7)), (FINITE, 0), (FINITE, np.float32(1.5)),
-        (UNIT, 1), (UNIT, np.float64(0.25))], ids=rule_id)
+        (UNIT, 1), (UNIT, np.float64(0.25)), (HALF, np.int8(0))], ids=rule_id)
     def test_valid_value_comes_back_unchanged(self, rule, value):
         assert rule.check("x", value) is value
 
     @pytest.mark.parametrize("rule, value", [
         (INTEGER, True), (INTEGER, np.True_), (INTEGER, 1.0), (INTEGER, "1"),
         (INTEGER, None), (COUNT, -1), (FINITE, math.inf), (FINITE, math.nan),
-        (FINITE, "1"), (UNIT, False), (UNIT, 1.5), (UNIT, [0.5])], ids=rule_id)
+        (FINITE, "1"), (UNIT, False), (UNIT, 1.5), (UNIT, [0.5]),
+        # a number is a Python or numpy int or float: the numbers ABCs
+        # took a Fraction
+        (FINITE, Fraction(1, 2)), (UNIT, Fraction(1, 2)),
+        (HALF, Fraction(1, 2))], ids=rule_id)
     def test_refusal_names_the_parameter(self, rule, value):
         with pytest.raises(ValueError) as exc_info:
             rule.check("x", value)
         assert str(exc_info.value) \
             == f"x must be {rule.wording}, got {value!r}"
+
+    def test_every_number_rule_takes_the_concrete_kinds(self):
+        # every rule a module binds or lists in a RULES table that takes
+        # an int or a float takes rng.INTEGRAL or rng.REAL itself (the
+        # CLI's node ids, strings or INTEGRAL), and no module imports
+        # the numbers ABCs
+        modules = [importlib.import_module(f"qkdsim.{info.name}")
+                   for info in pkgutil.iter_modules(qkdsim.__path__)]
+        rules = {}
+        for module in modules:
+            assert "numbers" not in vars(module), module.__name__
+            for name, value in vars(module).items():
+                table = getattr(value, "RULES", {})
+                for key, rule in [(name, value), *table.items()]:
+                    if isinstance(rule, Rule):
+                        rules[f"{module.__name__}.{key}"] = rule
+        number_rules = {name: rule.kind for name, rule in rules.items()
+                        if isinstance(1, rule.kind)
+                        or isinstance(0.5, rule.kind)}
+        assert len(number_rules) >= 14
+        assert number_rules.pop("qkdsim.cli._NODE") == (str, *rng.INTEGRAL)
+        assert {name: kind for name, kind in number_rules.items()
+                if kind is not rng.INTEGRAL and kind is not rng.REAL} == {}
 
     def test_checked_dataclass_applies_each_rule(self):
         assert Probe(3, 2.5, label="any").count == 3
